@@ -130,6 +130,8 @@ class SpecializedConfigurationGenerator:
             elif node.kind == NodeKind.TCON:
                 self.ppc.tcon_nodes.append(nid)
         self._node_site: Dict[int, Tuple[int, int]] = {}
+        #: ``(tcon, site, shift)`` per rendered TCON, fixed by the PaR result.
+        self._tcon_plan: List[Tuple[int, Tuple[int, int], int]] = []
         self._layout: Optional[ConfigurationLayout] = None
         if par_result is not None:
             self._layout = par_result.device.config_layout
@@ -138,7 +140,36 @@ class SpecializedConfigurationGenerator:
                     continue
                 site = par_result.placement.placement.block_site[block.id]
                 self._node_site[block.mapped_node] = (site.x, site.y)
+            self._tcon_plan = self._plan_tcons()
         self._previous: Optional[Bitstream] = None
+
+    def _plan_tcons(self) -> List[Tuple[int, Tuple[int, int], int]]:
+        """Site and bit shift of every TCON's selection, in one pass.
+
+        A TCON's switches live next to the LUT(s) it feeds, so its bits go to
+        the tile of its first placed LUT/TLUT consumer (lowest node id).  TCONs
+        sharing a tile take successive 2-bit slots in node-id order; the shift
+        saturates at the tile's routing budget.  Neither depends on the
+        parameters, so :meth:`specialize` only fills in the selections.
+        """
+        consumer_site: Dict[int, Tuple[int, int]] = {}
+        for nid, node in enumerate(self.network.nodes):
+            site = self._node_site.get(nid)
+            if site is None or node.kind not in (NodeKind.LUT, NodeKind.TLUT):
+                continue
+            for inp in node.inputs:
+                consumer_site.setdefault(inp, site)
+        width_limit = max(0, self._layout.routing_bits - 4)
+        slots: Dict[Tuple[int, int], int] = {}
+        plan = []
+        for nid in self.ppc.tcon_nodes:
+            site = consumer_site.get(nid)
+            if site is None:
+                continue
+            slot = slots.get(site, 0)
+            slots[site] = slot + 1
+            plan.append((nid, site, min(2 * slot, width_limit)))
+        return plan
 
     # -- specialization -----------------------------------------------------------
 
@@ -152,26 +183,18 @@ class SpecializedConfigurationGenerator:
         frames: Set[int] = set()
         if self._layout is not None:
             bitstream = Bitstream(self._layout)
-            tcon_slots: Dict[Tuple[int, int], int] = {}
             for nid in self.ppc.tlut_nodes:
                 site = self._node_site.get(nid)
                 if site is None:
                     continue
                 bitstream.set_lut_config(site[0], site[1], spec.lut_configs[nid].bits)
-            for nid in self.ppc.tcon_nodes:
-                # A TCON's switches live next to the LUT(s) it feeds; attribute
-                # its bits to the tile of its first placed consumer.
-                site = self._consumer_site(nid)
-                if site is None:
-                    continue
+            routing = bitstream.routing_configs
+            for nid, site, shift in self._tcon_plan:
                 kind, var = spec.tcon_routes[nid]
                 sel = 0 if kind != "var" else (var + 1)
-                slot = tcon_slots.get(site, 0)
-                prev = bitstream.routing_configs.get(site, 0)
-                width_limit = self._layout.routing_bits - 4
-                shift = min(2 * slot, max(0, width_limit))
-                bitstream.set_routing_config(site[0], site[1], prev | (sel << shift))
-                tcon_slots[site] = slot + 1
+                bitstream.set_routing_config(
+                    site[0], site[1], routing.get(site, 0) | (sel << shift)
+                )
             if self._previous is not None:
                 frames = bitstream.diff_frames(self._previous)
             else:
@@ -184,15 +207,6 @@ class SpecializedConfigurationGenerator:
             frames_touched=frames,
             evaluation_seconds=elapsed,
         )
-
-    def _consumer_site(self, tcon_node: int) -> Optional[Tuple[int, int]]:
-        """Tile of the first placed LUT that consumes a TCON's output."""
-        for nid, node in enumerate(self.network.nodes):
-            if node.kind in (NodeKind.LUT, NodeKind.TLUT) and tcon_node in node.inputs:
-                site = self._node_site.get(nid)
-                if site is not None:
-                    return site
-        return None
 
     # -- summary --------------------------------------------------------------------
 

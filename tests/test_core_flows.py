@@ -1,6 +1,8 @@
 """Tests for the evaluation flows, specialization (TC/PPC/SCG), reconfiguration
 cost model and the high-level VCGRA tool flow."""
 
+import random
+
 import pytest
 
 from repro.core.flows import compare_pe_flows, run_pe_flow
@@ -16,9 +18,11 @@ from repro.core.toolflow import (
 )
 from repro.flopoco.arithmetic import fp_mac
 from repro.flopoco.format import FPFormat
+from repro.fpga.bitstream import Bitstream
 from repro.par.flow import place_and_route
 from repro.synth.optimize import optimize
 from repro.techmap import map_parameterized
+from repro.techmap.mapping import NodeKind
 
 TINY = FPFormat(we=4, wf=4)
 SMALL = FPFormat(we=4, wf=6)
@@ -90,6 +94,56 @@ class TestPEFlows:
         assert out_p["done"][0] == 1
 
 
+def _reference_node_sites(par):
+    """Placed tile of every mapped node that occupies a logic site."""
+    sites = {}
+    for block in par.netlist.blocks:
+        if block.mapped_node is not None and block.needs_logic_site:
+            site = par.placement.placement.block_site[block.id]
+            sites[block.mapped_node] = (site.x, site.y)
+    return sites
+
+
+def _reference_tcon_sites(network, node_sites):
+    """Brute force: for each TCON, scan every node for its first placed
+    LUT/TLUT consumer."""
+    out = {}
+    for tcon, node in enumerate(network.nodes):
+        if node.kind != NodeKind.TCON:
+            continue
+        for nid, consumer in enumerate(network.nodes):
+            if (consumer.kind in (NodeKind.LUT, NodeKind.TLUT)
+                    and tcon in consumer.inputs and nid in node_sites):
+                out[tcon] = node_sites[nid]
+                break
+    return out
+
+
+def _reference_render(network, par, specialized, previous):
+    """The SCG's rendering, recomputed from scratch: bitstream + touched frames."""
+    layout = par.device.config_layout
+    node_sites = _reference_node_sites(par)
+    bitstream = Bitstream(layout)
+    for nid, node in enumerate(network.nodes):
+        if node.kind == NodeKind.TLUT and nid in node_sites:
+            x, y = node_sites[nid]
+            bitstream.set_lut_config(x, y, specialized.lut_configs[nid].bits)
+    slots = {}
+    for tcon, site in sorted(_reference_tcon_sites(network, node_sites).items()):
+        kind, var = specialized.tcon_routes[tcon]
+        sel = var + 1 if kind == "var" else 0
+        slot = slots.get(site, 0)
+        slots[site] = slot + 1
+        shift = min(2 * slot, max(0, layout.routing_bits - 4))
+        value = bitstream.routing_configs.get(site, 0) | (sel << shift)
+        bitstream.set_routing_config(site[0], site[1], value)
+    if previous is None:
+        frames = layout.frames_for_tiles(bitstream.configured_tiles())
+    else:
+        frames = bitstream.diff_frames(previous)
+    return bitstream, frames
+
+
 class TestSpecializationGenerator:
     @pytest.fixture(scope="class")
     def generator(self):
@@ -139,6 +193,39 @@ class TestSpecializationGenerator:
         scg.specialize(params)
         again = scg.specialize(params)
         assert again.num_frames == 0
+
+    def test_fixture_shares_a_tile_between_tcons(self, generator):
+        _, scg = generator
+        sites = _reference_tcon_sites(scg.network, _reference_node_sites(scg.par))
+        per_tile = {}
+        for site in sites.values():
+            per_tile[site] = per_tile.get(site, 0) + 1
+        assert max(per_tile.values()) >= 2
+
+    def test_matches_reference_over_seeded_settings(self, generator):
+        spec, shared = generator
+        scg = SpecializedConfigurationGenerator(shared.network, shared.par)
+        rng = random.Random(1234)
+        settings = [
+            {
+                "coeff": rng.randrange(1 << spec.fmt.width),
+                "op": rng.choice(PEOp.ALL),
+                "sel_a": rng.randrange(1 << spec.sel_width),
+                "sel_b": rng.randrange(1 << spec.sel_width),
+                "count_limit": rng.randrange(1 << spec.counter_width),
+            }
+            for _ in range(10)
+        ]
+        # Repeat one setting so a zero-frame diff is covered too.
+        settings.append(dict(settings[-1]))
+        previous = None
+        for params in settings:
+            out = scg.specialize(params)
+            ref, frames = _reference_render(scg.network, scg.par, out.specialized, previous)
+            assert out.bitstream.frame_image() == ref.frame_image()
+            assert out.frames_touched == frames
+            previous = ref
+        assert out.num_frames == 0
 
 
 class TestReconfigurationModel:
