@@ -112,6 +112,7 @@ def test_scg_specialization_cost(benchmark, scg):
         "",
         f"tunable elements: {summary['tluts']} TLUTs + {summary['tcons']} TCONs "
         f"({summary['boolean_functions']} PPC Boolean functions, {summary['ppc_bits']} PPC bits)",
+        f"TCONs driving only primary outputs (not rendered): {summary['unrendered_tcons']}",
         f"frames touched by a coefficient change: {outcome.num_frames}",
         f"modelled HWICAP micro-reconfiguration time: {hw_time:.2f} ms",
     ]

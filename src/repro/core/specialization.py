@@ -144,12 +144,15 @@ class SpecializedConfigurationGenerator:
         self._previous: Optional[Bitstream] = None
 
     def _plan_tcons(self) -> List[Tuple[int, Tuple[int, int], int]]:
-        """Site and bit shift of every TCON's selection, in one pass.
+        """Site and bit shift of every TCON's selection, computed once.
 
         A TCON's switches live next to the LUT(s) it feeds, so its bits go to
-        the tile of its first placed LUT/TLUT consumer (lowest node id).  TCONs
+        the tile of its first placed LUT/TLUT consumer (lowest node id).  A
+        TCON with no such consumer takes the tile of its lowest-id TCON
+        consumer that has one, so TCON chains land on the first LUT/TLUT
+        downstream; TCONs that only reach primary outputs get no tile.  TCONs
         sharing a tile take successive 2-bit slots in node-id order; the shift
-        saturates at the tile's routing budget.  Neither depends on the
+        saturates at the tile's routing budget.  None of this depends on the
         parameters, so :meth:`specialize` only fills in the selections.
         """
         consumer_site: Dict[int, Tuple[int, int]] = {}
@@ -159,11 +162,21 @@ class SpecializedConfigurationGenerator:
                 continue
             for inp in node.inputs:
                 consumer_site.setdefault(inp, site)
+        # Consumers have higher ids than their inputs, so a descending pass
+        # sees each TCON's final tile before its inputs inherit it, and the
+        # lowest-id consumer writes last.
+        chain_site: Dict[int, Tuple[int, int]] = {}
+        for nid in reversed(self.ppc.tcon_nodes):
+            site = consumer_site.get(nid) or chain_site.get(nid)
+            if site is None:
+                continue
+            for inp in self.network.nodes[nid].inputs:
+                chain_site[inp] = site
         width_limit = max(0, self._layout.routing_bits - 4)
         slots: Dict[Tuple[int, int], int] = {}
         plan = []
         for nid in self.ppc.tcon_nodes:
-            site = consumer_site.get(nid)
+            site = consumer_site.get(nid) or chain_site.get(nid)
             if site is None:
                 continue
             slot = slots.get(site, 0)
@@ -211,10 +224,13 @@ class SpecializedConfigurationGenerator:
     # -- summary --------------------------------------------------------------------
 
     def summary(self) -> Dict[str, int]:
+        """PPC sizes, plus ``unrendered_tcons``: TCONs no bitstream carries
+        (those with no LUT/TLUT downstream; all of them without a PaR result)."""
         return {
             "static_luts": self.template.num_static_luts,
             "tluts": self.ppc.num_tluts,
             "tcons": self.ppc.num_tcons,
             "boolean_functions": self.ppc.num_boolean_functions,
             "ppc_bits": self.ppc.memory_footprint_bits,
+            "unrendered_tcons": self.ppc.num_tcons - len(self._tcon_plan),
         }

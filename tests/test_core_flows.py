@@ -104,19 +104,44 @@ def _reference_node_sites(par):
     return sites
 
 
+def _reference_tcon_site(network, node_sites, tcon):
+    """Brute force: scan every node for the TCON's first placed LUT/TLUT
+    consumer, else recurse into its TCON consumers in node-id order."""
+    for nid, consumer in enumerate(network.nodes):
+        if (consumer.kind in (NodeKind.LUT, NodeKind.TLUT)
+                and tcon in consumer.inputs and nid in node_sites):
+            return node_sites[nid]
+    for nid, consumer in enumerate(network.nodes):
+        if consumer.kind == NodeKind.TCON and tcon in consumer.inputs:
+            site = _reference_tcon_site(network, node_sites, nid)
+            if site is not None:
+                return site
+    return None
+
+
 def _reference_tcon_sites(network, node_sites):
-    """Brute force: for each TCON, scan every node for its first placed
-    LUT/TLUT consumer."""
-    out = {}
-    for tcon, node in enumerate(network.nodes):
-        if node.kind != NodeKind.TCON:
+    """Tile of every TCON that has one, by :func:`_reference_tcon_site`."""
+    sites = {}
+    for tcon in network.tcon_node_ids():
+        site = _reference_tcon_site(network, node_sites, tcon)
+        if site is not None:
+            sites[tcon] = site
+    return sites
+
+
+def _downstream(network, tcon):
+    """Kinds reachable from a TCON through TCON chains: ``"lut"``, ``"output"``."""
+    reached = set()
+    if tcon in network.outputs.values():
+        reached.add("output")
+    for nid, consumer in enumerate(network.nodes):
+        if tcon not in consumer.inputs:
             continue
-        for nid, consumer in enumerate(network.nodes):
-            if (consumer.kind in (NodeKind.LUT, NodeKind.TLUT)
-                    and tcon in consumer.inputs and nid in node_sites):
-                out[tcon] = node_sites[nid]
-                break
-    return out
+        if consumer.kind in (NodeKind.LUT, NodeKind.TLUT):
+            reached.add("lut")
+        elif consumer.kind == NodeKind.TCON:
+            reached |= _downstream(network, nid)
+    return reached
 
 
 def _reference_render(network, par, specialized, previous):
@@ -203,29 +228,71 @@ class TestSpecializationGenerator:
         assert max(per_tile.values()) >= 2
 
     def test_matches_reference_over_seeded_settings(self, generator):
-        spec, shared = generator
-        scg = SpecializedConfigurationGenerator(shared.network, shared.par)
-        rng = random.Random(1234)
-        settings = [
-            {
-                "coeff": rng.randrange(1 << spec.fmt.width),
-                "op": rng.choice(PEOp.ALL),
-                "sel_a": rng.randrange(1 << spec.sel_width),
-                "sel_b": rng.randrange(1 << spec.sel_width),
-                "count_limit": rng.randrange(1 << spec.counter_width),
-            }
-            for _ in range(10)
+        _assert_matches_reference(*generator)
+
+
+class TestSCGTconChains:
+    """With three PE inputs, the input selects map to chains of TCONs."""
+
+    @pytest.fixture(scope="class")
+    def generator(self):
+        spec = ProcessingElementSpec(fmt=TINY, num_inputs=3, counter_width=4)
+        opt, _ = optimize(build_pe_design(spec).circuit)
+        network = map_parameterized(opt)
+        par = place_and_route(network, channel_width=10, placement_effort=0.3,
+                              router_iterations=10, seed=0)
+        return spec, SpecializedConfigurationGenerator(network, par)
+
+    def test_fixture_has_tcons_feeding_only_tcons(self, generator):
+        _, scg = generator
+        network = scg.network
+        chained = [
+            t for t in network.tcon_node_ids()
+            if "lut" in _downstream(network, t) and not any(
+                n.kind in (NodeKind.LUT, NodeKind.TLUT) and t in n.inputs
+                for n in network.nodes
+            )
         ]
-        # Repeat one setting so a zero-frame diff is covered too.
-        settings.append(dict(settings[-1]))
-        previous = None
-        for params in settings:
-            out = scg.specialize(params)
-            ref, frames = _reference_render(scg.network, scg.par, out.specialized, previous)
-            assert out.bitstream.frame_image() == ref.frame_image()
-            assert out.frames_touched == frames
-            previous = ref
-        assert out.num_frames == 0
+        assert chained
+
+    def test_every_tcon_with_a_lut_downstream_is_rendered(self, generator):
+        _, scg = generator
+        network = scg.network
+        planned = {nid for nid, _site, _shift in scg._tcon_plan}
+        downstream = {t: _downstream(network, t) for t in network.tcon_node_ids()}
+        assert planned == {t for t, kinds in downstream.items() if "lut" in kinds}
+        unrendered = [t for t, kinds in downstream.items() if "lut" not in kinds]
+        assert all(downstream[t] == {"output"} for t in unrendered)
+        assert scg.summary()["unrendered_tcons"] == len(unrendered)
+
+    def test_matches_reference_over_seeded_settings(self, generator):
+        _assert_matches_reference(*generator)
+
+
+def _assert_matches_reference(spec, shared):
+    """A fresh SCG renders seeded settings exactly as the reference does."""
+    scg = SpecializedConfigurationGenerator(shared.network, shared.par)
+    rng = random.Random(1234)
+    settings = [
+        {
+            "coeff": rng.randrange(1 << spec.fmt.width),
+            "op": rng.choice(PEOp.ALL),
+            "sel_a": rng.randrange(1 << spec.sel_width),
+            "sel_b": rng.randrange(1 << spec.sel_width),
+            "count_limit": rng.randrange(1 << spec.counter_width),
+        }
+        for _ in range(10)
+    ]
+    # Repeat one setting so a zero-frame diff is covered too.
+    settings.append(dict(settings[-1]))
+    previous = None
+    for params in settings:
+        out = scg.specialize(params)
+        ref, frames = _reference_render(scg.network, scg.par, out.specialized, previous)
+        assert out.bitstream.frame_image() == ref.frame_image()
+        assert out.frames_touched == frames
+        previous = ref
+    assert out.num_frames == 0
 
 
 class TestReconfigurationModel:
