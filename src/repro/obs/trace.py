@@ -35,6 +35,7 @@ clocks and appends to buffers but never touches RNG streams or FP math.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import json
 import os
@@ -322,7 +323,11 @@ _ENV_CHECKED = False
 
 
 def _bootstrap() -> None:
-    """Install the ``REPRO_TRACE`` tracer once, if the variable is set."""
+    """Install the ``REPRO_TRACE`` tracer once, if the variable is set.
+
+    Nothing else owns the ambient tracer, so it is closed at interpreter
+    exit: the counter snapshot is dumped and a Chrome array is sealed.
+    """
     global _ACTIVE, _ENV_CHECKED
     if _ENV_CHECKED:
         return
@@ -330,6 +335,7 @@ def _bootstrap() -> None:
     path = os.environ.get("REPRO_TRACE")
     if path:
         _ACTIVE = Tracer(path)
+        atexit.register(_ACTIVE.close)
 
 
 def span(name: str, **args: Any) -> Union[_Span, _NullSpan]:

@@ -19,6 +19,8 @@ The contract under test (see ``src/repro/obs/`` and OBSERVABILITY.md):
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -189,6 +191,43 @@ class TestMetricsRegistry:
         records = [json.loads(line) for line in path.read_text().splitlines()]
         counters = {r["name"]: r["value"] for r in records if r["type"] == "counter"}
         assert counters.get("obs.test.unique", 0) >= 3
+
+
+class TestAmbientTracer:
+    """A ``REPRO_TRACE`` tracer is closed when the interpreter exits."""
+
+    SCRIPT = (
+        "from repro.obs import metrics\n"
+        "from repro.obs.trace import span\n"
+        "metrics.add('obs.test.atexit', 5)\n"
+        "with span('ambient'):\n"
+        "    pass\n"
+    )
+
+    def run_traced(self, path):
+        env = dict(os.environ, REPRO_TRACE=str(path))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+        )
+        subprocess.run([sys.executable, "-c", self.SCRIPT], env=env, check=True,
+                       timeout=120)
+
+    def test_chrome_trace_sealed_with_counters(self, tmp_path):
+        path = tmp_path / "ambient.json"
+        self.run_traced(path)
+        data = json.loads(path.read_text())  # sealed: strictly valid JSON
+        counters = {e["name"]: e["args"]["value"] for e in data if e["ph"] == "C"}
+        assert counters["obs.test.atexit"] == 5
+        assert "ambient" in {e["name"] for e in data if e["ph"] == "X"}
+        assert data[-1]["ph"] == "M"
+
+    def test_jsonl_trace_dumps_counters(self, tmp_path):
+        path = tmp_path / "ambient.jsonl"
+        self.run_traced(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        counters = {r["name"]: r["value"] for r in records if r["type"] == "counter"}
+        assert counters["obs.test.atexit"] == 5
 
 
 class TestPoolWorkers:
