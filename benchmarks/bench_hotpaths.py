@@ -21,15 +21,13 @@ Three comparisons are made:
   ``incremental`` at *matched quality*: the batched effort is chosen so its
   mean HPWL across the seed sweep is within the quality band, and the
   speedup is reported at that iso-quality point;
-* **routing** -- the vectorized delta-stepping ``wavefront`` kernel (PR 3;
-  opt-in since the crossover data below) and the directed incremental
-  ``astar`` kernel (PR 2, the ``auto`` default) vs the PR 1
-  ``fast`` kernel, all at the same routable channel width.  The benchmark
-  first finds the minimum routable width for the placement (the W=12
-  default of the reduced format is *not* routable -- routing it only
-  measured non-convergence), records it as ``channel_width_used``, and
-  checks both re-baselined kernels' route quality against the reference
-  route (``wavefront`` carries the tighter 1.02x band from its issue);
+* **routing** -- the directed incremental ``astar`` kernel (PR 2, the
+  ``auto`` default) vs the PR 1 ``fast`` kernel, both at the same routable
+  channel width.  The benchmark first finds the minimum routable width for
+  the placement (the W=12 default of the reduced format is *not* routable
+  -- routing it only measured non-convergence), records it as
+  ``channel_width_used``, and checks the re-baselined astar route quality
+  against the reference route;
 * **timing** -- the PR 4 criticality-driven objective at the same minimum
   routable width: routed ``critical_path_ns`` + ``logic_depth`` of the
   default (wirelength) flow vs ``objective="timing"`` both route-only (same
@@ -48,13 +46,6 @@ Three comparisons are made:
   re-routed since the last update; the fragment cache serves every net)
   and with 5% of the nets freshly re-routed.  Bit-identity of the
   extracted delays and criticality vectors is asserted and gated;
-* **auto_crossover** -- re-measures the ``kernel="auto"`` astar/wavefront
-  crossover on synthetic large RR graphs (k tiled copies of the bench PE,
-  quick-annealed, routed by both kernels).  PR 5's measurement found no
-  crossover (astar ahead at every size), which retired the guessed
-  ``WAVEFRONT_AUTO_MIN_NODES`` promotion: ``auto`` is now a fixed alias
-  for astar (``AUTO_KERNEL``) and this section keeps backing that with
-  data, now including the native-astar column;
 * **native** -- the PR 7 compiled-C kernels (astar expansion loop, batched
   annealer move loop; see ``src/repro/native/``) vs their pure-Python
   twins, warm, same seeds.  Bit-identity of routes and annealing
@@ -105,7 +96,7 @@ from repro.netlist.simulate import (
 from repro.par.cache import PaRCache
 from repro.par.flow import timing_driven_placement
 from repro.par.metrics import minimum_channel_width
-from repro.par.netlist import PhysicalNetlist, from_mapped_network
+from repro.par.netlist import from_mapped_network
 from repro.par.placement import place
 from repro.par.routing import NetRoute, route
 from repro.synth.optimize import optimize
@@ -123,17 +114,13 @@ PLACE_EFFORT = 0.25          #: effort of the reference/incremental kernels
 BATCHED_EFFORT = 0.1         #: iso-quality effort of the batched kernel
 PLACE_QUALITY_BAND = 1.02    #: batched mean HPWL must be <= band * incremental
 ROUTE_QUALITY_BAND = 1.05    #: astar wirelength must be <= band * reference
-WAVEFRONT_QUALITY_BAND = 1.02  #: wavefront wirelength must be <= band * reference
 ROUTE_SPEEDUP_FLOOR = 2.5    #: recorded astar-vs-fast floor (typical 2.5-3.4x)
-WAVEFRONT_SPEEDUP_FLOOR = 2.0  #: recorded wavefront-vs-astar target (see issue 3)
 PLACE_SPEEDUP_FLOOR = 1.5    #: recorded batched-vs-incremental iso-quality floor
 CHANNEL_WIDTH = 12           #: starting point of the routable-width search
 TIMING_DELAY_TARGET = 0.90   #: recorded flow-level delay-ratio target (>=10% better)
 TIMING_WL_BAND = 1.02        #: timing route wirelength vs reference, same placement
 RETIME_SPEEDUP_FLOOR = 3.0   #: flat-vs-dict steady-state retime target (issue 5)
 RETIME_REROUTED_FRACTION = 20  #: 1-in-N nets re-routed in the perturbed retime case
-CROSSOVER_TILES = [1, 2] if not FULL_MODE else [1, 2, 4]
-CROSSOVER_CHANNEL_WIDTH = 18  #: roomy enough that every tiling converges fast
 NATIVE_ASTAR_SPEEDUP_FLOOR = 3.0   #: recorded native-vs-python astar target (issue 7)
 NATIVE_ANNEAL_SPEEDUP_FLOOR = 5.0  #: recorded native-vs-python move-loop target (22.8x measured)
 RECONFIG_CONTEXTS = 24       #: synthetic contexts in the scheduler bench
@@ -286,11 +273,7 @@ def bench_placement(netlist, arch):
 def bench_routing(netlist, arch, placement):
     # The default benchmark width is not necessarily routable (at the reduced
     # format's W=12 every kernel ends congested); find the minimum routable
-    # width for this placement and benchmark every kernel there.  The search
-    # probes with the scalar astar kernel (see minimum_channel_width: probes
-    # below the minimum are non-convergent by construction, which is the
-    # scalar kernel's fast case and the vectorized kernel's slow one); the
-    # wavefront kernel's convergence at the found width is gated below.
+    # width for this placement and benchmark every kernel there.
     workers = os.cpu_count() or 1
     min_cw = minimum_channel_width(
         netlist, placement, arch,
@@ -309,22 +292,17 @@ def bench_routing(netlist, arch, placement):
         ref_s = None
     else:
         ref, ref_s = _timed(lambda: route(netlist, placement, device, kernel="reference"))
-    # Interleave the fast/astar/wavefront measurements so drifting machine
-    # load hits all kernels alike; keep the best of each.
-    fast = astar = wave = None
-    fast_s = astar_s = wave_s = None
+    # Interleave the fast/astar measurements so drifting machine load hits
+    # both kernels alike; keep the best of each.
+    fast = astar = None
+    fast_s = astar_s = None
     for _ in range(3):
         fast_i, dt_f = _timed(lambda: route(netlist, placement, device, kernel="fast"))
         astar_i, dt_a = _timed(lambda: route(netlist, placement, device, kernel="astar"))
-        wave_i, dt_w = _timed(
-            lambda: route(netlist, placement, device, kernel="wavefront")
-        )
         if fast_s is None or dt_f < fast_s:
             fast, fast_s = fast_i, dt_f
         if astar_s is None or dt_a < astar_s:
             astar, astar_s = astar_i, dt_a
-        if wave_s is None or dt_w < wave_s:
-            wave, wave_s = wave_i, dt_w
 
     if ref is not None:
         identical = (
@@ -339,14 +317,9 @@ def bench_routing(netlist, arch, placement):
         wl_baseline = fast.wirelength
 
     wl_ratio = astar.wirelength / wl_baseline
-    wave_ratio = wave.wirelength / wl_baseline
     astar_speedup = fast_s / astar_s
-    wave_speedup = astar_s / wave_s
     baselines_converged = fast.success and (ref is None or ref.success)
-    quality_ok = (
-        astar.success and wl_ratio <= ROUTE_QUALITY_BAND
-        and wave.success and wave_ratio <= WAVEFRONT_QUALITY_BAND
-    )
+    quality_ok = astar.success and wl_ratio <= ROUTE_QUALITY_BAND
 
     entry = {
         "workload": (
@@ -357,27 +330,19 @@ def bench_routing(netlist, arch, placement):
         "min_cw_attempts": {str(w): ok for w, ok in sorted(min_cw.attempts.items())},
         "fast_seconds": fast_s,
         "astar_seconds": astar_s,
-        "wavefront_seconds": wave_s,
         "speedup_astar_vs_fast": astar_speedup,
-        "speedup_wavefront_vs_astar": wave_speedup,
         "wirelength_fast": fast.wirelength,
         "wirelength_astar": astar.wirelength,
-        "wirelength_wavefront": wave.wirelength,
         "astar_wirelength_ratio": wl_ratio,
-        "wavefront_wirelength_ratio": wave_ratio,
         "iterations_fast": fast.iterations,
         "iterations_astar": astar.iterations,
-        "iterations_wavefront": wave.iterations,
         "success_fast": fast.success,
         "success_astar": astar.success,
-        "success_wavefront": wave.success,
         "identical_outputs": identical,
         "quality_band": ROUTE_QUALITY_BAND,
-        "wavefront_quality_band": WAVEFRONT_QUALITY_BAND,
         "quality_ok": quality_ok,
         "baselines_converged": baselines_converged,
         "speedup_floor_met": astar_speedup >= ROUTE_SPEEDUP_FLOOR,
-        "wavefront_speedup_floor_met": wave_speedup >= WAVEFRONT_SPEEDUP_FLOOR,
         "ok": identical and quality_ok and baselines_converged,
     }
     if ref is not None:
@@ -417,12 +382,12 @@ def bench_timing(network, netlist, arch, placement, width):
     """
     device = build_device(arch.with_channel_width(width))
 
-    base = route(netlist, placement, device, kernel="wavefront")
+    base = route(netlist, placement, device, kernel="astar")
     a_base = analyze(netlist, base, device, placement=placement)
 
     t0 = time.perf_counter()
     timed_route = route(
-        netlist, placement, device, kernel="wavefront",
+        netlist, placement, device, kernel="astar",
         objective="timing", criticality_exponent=2.0,
     )
     route_timing_s = time.perf_counter() - t0
@@ -436,7 +401,7 @@ def bench_timing(network, netlist, arch, placement, width):
     )
     flow_placement = flow_result.placement
     flow_route = route(
-        netlist, flow_placement, device, kernel="wavefront",
+        netlist, flow_placement, device, kernel="astar",
         objective="timing", criticality_exponent=2.0,
     )
     a_flow = analyze(netlist, flow_route, device, placement=flow_placement)
@@ -456,7 +421,7 @@ def bench_timing(network, netlist, arch, placement, width):
     )
     cand_placement = cand_result.placement
     cand_route = route(
-        netlist, cand_placement, device, kernel="wavefront",
+        netlist, cand_placement, device, kernel="astar",
         objective="timing", criticality_exponent=2.0,
     )
     a_cand = analyze(netlist, cand_route, device, placement=cand_placement)
@@ -539,7 +504,7 @@ def bench_retime(netlist, arch, placement, width):
     benches: drifting machine load hits both sides alike.
     """
     device = build_device(arch.with_channel_width(width))
-    routing = route(netlist, placement, device, kernel="wavefront")
+    routing = route(netlist, placement, device, kernel="astar")
     tracker = CriticalityTracker(netlist, placement, device, exponent=2.0)
 
     # -- bit-identity first: flat vs dict must agree to the last bit ------
@@ -656,12 +621,12 @@ def bench_resilience(netlist, arch, placement, width):
     with fault_plan(None):
         device = build_device(arch.with_channel_width(width))
         base, base_s = _timed(
-            lambda: route(netlist, placement, device, kernel="wavefront")
+            lambda: route(netlist, placement, device, kernel="astar")
         )
         events = []
         res, res_s = _timed(
             lambda: route_resilient(
-                netlist, placement, device, kernel="wavefront", events=events
+                netlist, placement, device, kernel="astar", events=events
             )
         )
         identical = (
@@ -696,107 +661,6 @@ def bench_resilience(netlist, arch, placement, width):
         "recovery_events": len(events),
         "degradation_events": degradations,
         "ok": identical and zero_events,
-    }
-
-
-def _tiled_netlist(base, k):
-    """k disjoint copies of ``base`` as one netlist (synthetic scale-up)."""
-    nl = PhysicalNetlist(f"{base.name}x{k}")
-    for i in range(k):
-        remap = {}
-        for b in base.blocks:
-            remap[b.id] = nl.add_block(f"{b.name}@{i}", b.kind)
-        for net in base.nets:
-            nl.add_net(f"{net.name}@{i}", remap[net.driver], [remap[s] for s in net.sinks])
-    nl.validate()
-    return nl
-
-
-def bench_auto_crossover(netlist):
-    """Re-measure the ``kernel="auto"`` astar/wavefront (non-)crossover.
-
-    PR 4 guessed ``WAVEFRONT_AUTO_MIN_NODES = 120_000``; PR 5 measured it
-    and found no crossover (astar ahead at every size), which retired the
-    constant -- ``auto`` is now a fixed alias for astar (``AUTO_KERNEL``).
-    This section keeps backing that with data: k tiled copies of the bench
-    PE netlist (realistically local nets -- a random placement would starve
-    the wavefront kernel's disjoint-box admission and measure the wrong
-    thing) are quick-annealed and routed by both directed kernels on the
-    growing RR graphs, the pure-Python astar next to the native-astar
-    column (the shipped default, which only widens astar's lead), and the
-    crossover is fitted from the measured python-astar time ratios
-    (log-log linear).  ``crossed_in_range`` going True would mean the
-    fixed alias is wrong -- ``auto_kernel_consistent`` flips and
-    ``check_quality.py`` fails.
-    """
-    points = []
-    for k in CROSSOVER_TILES:
-        nl = _tiled_netlist(netlist, k) if k > 1 else netlist
-        arch = auto_size(
-            nl.num_logic_blocks() + nl.num_ff_blocks(), nl.num_io_blocks(),
-            channel_width=CROSSOVER_CHANNEL_WIDTH,
-        )
-        device = build_device(arch)
-        placement = place(nl, arch, seed=0, effort=0.1, kernel="batched").placement
-        device.rr_graph.search_view()  # build the view outside the timed region
-        with _python_kernels():
-            astar_r, astar_s = _timed(
-                lambda: route(nl, placement, device, kernel="astar")
-            )
-        nat_r, nat_s = _timed(lambda: route(nl, placement, device, kernel="astar"))
-        wave_r, wave_s = _timed(lambda: route(nl, placement, device, kernel="wavefront"))
-        points.append(
-            {
-                "tiles": k,
-                "num_nodes": device.rr_graph.num_nodes,
-                "num_nets": len(nl.nets),
-                "astar_seconds": astar_s,
-                "native_astar_seconds": nat_s,
-                "wavefront_seconds": wave_s,
-                "astar_over_wavefront": astar_s / wave_s,
-                "native_over_wavefront": nat_s / wave_s,
-                "success_astar": astar_r.success,
-                "success_native": nat_r.success,
-                "success_wavefront": wave_r.success,
-                "native_matches_astar": (
-                    nat_r.wirelength == astar_r.wirelength
-                    and nat_r.iterations == astar_r.iterations
-                ),
-            }
-        )
-
-    fitted = None
-    crossed = False
-    usable = [p for p in points if p["success_astar"] and p["success_wavefront"]]
-    if len(usable) >= 2:
-        x = np.log([p["num_nodes"] for p in usable])
-        y = np.log([p["astar_over_wavefront"] for p in usable])
-        slope, intercept = np.polyfit(x, y, 1)
-        crossed = any(p["astar_over_wavefront"] >= 1.0 for p in usable)
-        if slope > 1e-9:
-            fitted = float(np.exp(-intercept / slope))
-    from repro.par.routing import AUTO_KERNEL
-
-    return {
-        "workload": (
-            f"tiled bench PE x{CROSSOVER_TILES} at W={CROSSOVER_CHANNEL_WIDTH}, "
-            "python-astar / native-astar vs wavefront route time"
-        ),
-        "points": points,
-        "crossed_in_range": crossed,
-        "fitted_crossover_nodes": fitted,
-        "auto_kernel": AUTO_KERNEL,
-        # The fixed alias is right as long as astar actually wins (ratio
-        # < 1) at every usable point; the native backend only widens it.
-        "auto_kernel_consistent": (
-            AUTO_KERNEL == "astar"
-            and all(p["astar_over_wavefront"] < 1.0 for p in usable)
-        ),
-        "ok": all(
-            p["success_astar"] and p["success_wavefront"] and p["success_native"]
-            and p["native_matches_astar"]
-            for p in points
-        ),
     }
 
 
@@ -1103,8 +967,6 @@ def main() -> int:
     retime_result = bench_retime(netlist, arch, flow_placement, width)
     print("benchmarking resilient execution path ...")
     resilience_result = bench_resilience(netlist, arch, placement, width)
-    print("benchmarking auto-kernel crossover ...")
-    crossover_result = bench_auto_crossover(netlist)
     print("benchmarking native kernels ...")
     native_result = bench_native(netlist, arch, placement, width)
     print("benchmarking multi-context reconfiguration ...")
@@ -1130,7 +992,6 @@ def main() -> int:
             "timing": timing_result,
             "retime": retime_result,
             "resilience": resilience_result,
-            "auto_crossover": crossover_result,
             "native": native_result,
             "reconfig": reconfig_result,
             "obs": obs_result,
@@ -1160,11 +1021,10 @@ def main() -> int:
         ok = ok and entry["ok"]
         if name == "routing":
             print(
-                f"{name:11s} {flag} wavefront={entry['wavefront_seconds'] * 1000:8.1f}ms "
-                f"astar={entry['astar_seconds'] * 1000:8.1f}ms "
+                f"{name:11s} {flag} astar={entry['astar_seconds'] * 1000:8.1f}ms "
                 f"fast={entry['fast_seconds'] * 1000:8.1f}ms "
-                f"wf_vs_astar={entry['speedup_wavefront_vs_astar']:5.2f}x "
-                f"wf_wl_ratio={entry['wavefront_wirelength_ratio']:.4f} "
+                f"astar_vs_fast={entry['speedup_astar_vs_fast']:5.2f}x "
+                f"wl_ratio={entry['astar_wirelength_ratio']:.4f} "
                 f"W={entry['channel_width_used']}"
             )
         elif name == "timing":
@@ -1193,17 +1053,6 @@ def main() -> int:
                 f"(x{entry['overhead_ratio']:.3f}), disabled inject "
                 f"{entry['inject_disabled_ns_per_call']:.0f}ns/call, "
                 f"events={entry['recovery_events']}"
-            )
-        elif name == "auto_crossover":
-            pts = " ".join(
-                f"{p['num_nodes'] // 1000}k:{p['astar_over_wavefront']:.2f}"
-                f"/{p['native_over_wavefront']:.2f}"
-                for p in entry["points"]
-            )
-            print(
-                f"{name:11s} {flag} py/native-astar over wavefront [{pts}] "
-                f"crossed={entry['crossed_in_range']} "
-                f"auto={entry['auto_kernel']}"
             )
         elif name == "native":
             if not entry.get("available"):

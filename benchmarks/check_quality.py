@@ -5,10 +5,9 @@ workflow (same gate, different benchmark scale).  Fails (exit 1) when the
 benchmark shows
 
 * routing non-convergence (the ``astar`` kernel -- the ``auto`` default --
-  or the opt-in ``wavefront`` kernel did not reach ``success``),
-* a quality regression beyond 10% -- wavefront or astar wirelength vs the
-  reference route, or batched-placement mean HPWL vs the incremental
-  kernel,
+  did not reach ``success``),
+* a quality regression beyond 10% -- astar wirelength vs the reference
+  route, or batched-placement mean HPWL vs the incremental kernel,
 * a broken bit-identity claim (compiled simulation vs interpreter, or the
   ``fast``/``incremental`` kernels vs their references),
 * a timing-subsystem failure: the ``objective="timing"`` runs did not
@@ -26,9 +25,6 @@ benchmark shows
   from a plain ``route`` call, or logged recovery/degradation events with
   no fault injected (zero events is the fault-free contract, see
   RESILIENCE.md),
-* a missing or non-convergent ``auto_crossover`` section, or measured
-  astar/wavefront ratios that contradict the fixed ``kernel="auto"``
-  alias (``AUTO_KERNEL = "astar"``),
 * a native-backend failure: compiled astar routes or annealer trajectories
   diverged from their Python twins (identity is the contract that keeps
   the cached artifacts backend-independent), or a compiled kernel measured
@@ -100,28 +96,20 @@ def check(report: dict) -> list:
         )
 
     routing = kernels.get("routing", {})
-    if not routing.get("success_wavefront", False):
-        problems.append(
-            "routing: wavefront kernel did not converge (success_wavefront false)"
-        )
     if not routing.get("success_astar", False):
         problems.append("routing: astar kernel did not converge (success_astar false)")
     if not routing.get("success_fast", False):
         problems.append("routing: fast kernel did not converge at the chosen width")
     if not routing.get("identical_outputs", False):
         problems.append("routing: fast kernel diverged from reference")
-    for key, label in (
-        ("astar_wirelength_ratio", "astar"),
-        ("wavefront_wirelength_ratio", "wavefront"),
-    ):
-        wl_ratio = routing.get(key)
-        if wl_ratio is None:
-            problems.append(f"routing: {label} wirelength ratio missing")
-        elif wl_ratio > REGRESSION_BAND:
-            problems.append(
-                f"routing: {label} wirelength {wl_ratio:.3f}x of baseline "
-                f"(> {REGRESSION_BAND}x)"
-            )
+    wl_ratio = routing.get("astar_wirelength_ratio")
+    if wl_ratio is None:
+        problems.append("routing: astar wirelength ratio missing")
+    elif wl_ratio > REGRESSION_BAND:
+        problems.append(
+            f"routing: astar wirelength {wl_ratio:.3f}x of baseline "
+            f"(> {REGRESSION_BAND}x)"
+        )
 
     timing = kernels.get("timing", {})
     if not timing:
@@ -197,24 +185,6 @@ def check(report: dict) -> list:
         if resilience.get("degradation_events", 1) != 0:
             problems.append(
                 "resilience: kernel degradation on a fault-free benchmark run"
-            )
-
-    crossover = kernels.get("auto_crossover", {})
-    if not crossover:
-        problems.append("auto_crossover: benchmark section missing")
-    else:
-        points = crossover.get("points", [])
-        if not points:
-            problems.append("auto_crossover: no measured points")
-        for p in points:
-            if not (p.get("success_astar") and p.get("success_wavefront")):
-                problems.append(
-                    f"auto_crossover: non-convergent route at {p.get('num_nodes')} nodes"
-                )
-        if not crossover.get("auto_kernel_consistent", False):
-            problems.append(
-                'auto_crossover: the fixed kernel="auto" alias contradicts the '
-                "measured astar/wavefront ratios (wavefront won somewhere)"
             )
 
     native = kernels.get("native", {})

@@ -150,9 +150,8 @@ def run_pe_flow(
     ``objective="timing"`` runs criticality-driven placement and routing
     (see :func:`repro.par.flow.place_and_route`).  ``route_deadline_s``
     bounds each routing kernel's wall time; a kernel that exceeds it
-    degrades down the chain from its own position (astar->fast for the
-    ``auto`` default; wavefront heads the chain only when explicitly
-    requested) with the switch recorded in the result's events.
+    degrades down the astar->fast chain with the switch recorded in the
+    result's events.
     """
     elapsed: Dict[str, float] = {}
 

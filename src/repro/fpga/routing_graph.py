@@ -147,9 +147,9 @@ class RRGraph:
 
 
 class RouterSearchView:
-    """Flat mirrors of an :class:`RRGraph` for wavefront search kernels.
+    """Flat mirrors of an :class:`RRGraph` for the directed search kernel.
 
-    The directed routers expand exclusively over SOURCE/OPIN/CHANX/CHANY
+    The astar router expands exclusively over SOURCE/OPIN/CHANX/CHANY
     nodes: IPIN and SINK successors are stripped from the adjacency here, and
     each sink instead exposes an *entry map* ``wire -> [ipins]`` derived from
     the reverse edges, so the search completes on the first wire adjacent to
@@ -160,15 +160,15 @@ class RouterSearchView:
 
     The filtered adjacency is materialized twice from one construction pass:
 
-    * ``csr_ptr`` / ``csr_dst`` / ``csr_deg`` -- contiguous NumPy CSR arrays,
-      the data layout of the vectorized delta-stepping ``wavefront`` kernel,
-      alongside ``xs_arr`` / ``ys_arr`` (Manhattan-lookahead tables),
-      ``base_cost`` (congestion-free node costs, :data:`RR_BASE_COST`) and
-      ``delay_ns`` (per-node intrinsic delays, :func:`rr_delay_ns` -- the
-      flat delay model consumed by the STA engine and the timing-driven
-      router objective);
+    * ``csr_ptr`` / ``csr_dst`` -- contiguous NumPy CSR arrays, the layout
+      the native astar expansion loop binds to, alongside ``xs_arr`` /
+      ``ys_arr`` (Manhattan-lookahead tables), ``base_cost``
+      (congestion-free node costs, :data:`RR_BASE_COST`) and ``delay_ns``
+      (per-node intrinsic delays, :func:`rr_delay_ns` -- the flat delay
+      model consumed by the STA engine and the timing-driven router
+      objective);
     * ``adj_search`` -- per-node Python lists sliced out of the same CSR,
-      the layout of the scalar heap-based ``astar`` kernel.
+      the layout of the pure-Python astar twin.
     """
 
     def __init__(self, rr: RRGraph) -> None:
@@ -187,14 +187,11 @@ class RouterSearchView:
             np.diff(rr.edge_ptr).astype(np.int64),
         )
         self.csr_dst: np.ndarray = rr.edge_dst[keep].astype(np.int32)
-        self.csr_deg: np.ndarray = np.bincount(
-            edge_src[keep], minlength=num_nodes
-        ).astype(np.int64)
         self.csr_ptr: np.ndarray = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(self.csr_deg, out=self.csr_ptr[1:])
+        np.cumsum(np.bincount(edge_src[keep], minlength=num_nodes), out=self.csr_ptr[1:])
 
-        # Vector mirrors of the per-node attributes used by the wavefront
-        # kernel: lookahead tables and the congestion-free cost floor.
+        # Vector mirrors of the per-node attributes: lookahead tables, the
+        # congestion-free cost floor and the intrinsic delays.
         self.xs_arr: np.ndarray = rr.node_x.astype(np.int64)
         self.ys_arr: np.ndarray = rr.node_y.astype(np.int64)
         base = np.empty(num_nodes, dtype=np.float64)
@@ -206,7 +203,7 @@ class RouterSearchView:
             delay[rr.node_type == t] = d
         self.delay_ns: np.ndarray = delay
 
-        # The scalar astar kernel walks the same filtered adjacency as Python
+        # The pure-Python astar twin walks the same filtered adjacency as Python
         # lists; slice them out of the CSR just built.
         ptr = self.csr_ptr.tolist()
         dst = self.csr_dst.tolist()
@@ -223,7 +220,6 @@ class RouterSearchView:
         self._rev_ptr = np.zeros(rr.num_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(rr.edge_dst, minlength=rr.num_nodes), out=self._rev_ptr[1:])
         self._entries: Dict[int, Dict[int, List[int]]] = {}
-        self._entry_arrays: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._entry_csr: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _in_edges(self, node: int) -> List[int]:
@@ -240,29 +236,6 @@ class RouterSearchView:
                     entry.setdefault(wire, []).append(ipin)
             self._entries[sink] = entry
         return entry
-
-    def entry_arrays(self, sink: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Entry map of ``sink`` flattened to parallel (wires, ipins) arrays.
-
-        One element per feasible ``wire -> ipin`` hop into the sink; the
-        wavefront kernel reduces ``g[wire] + cost[ipin]`` over these arrays to
-        find the cheapest completion, so they are cached per sink exactly like
-        the dict form.
-        """
-        arrays = self._entry_arrays.get(sink)
-        if arrays is None:
-            wires: List[int] = []
-            ipins: List[int] = []
-            for wire, pins in self.entries_of(sink).items():
-                for ipin in pins:
-                    wires.append(wire)
-                    ipins.append(ipin)
-            arrays = (
-                np.asarray(wires, dtype=np.int64),
-                np.asarray(ipins, dtype=np.int64),
-            )
-            self._entry_arrays[sink] = arrays
-        return arrays
 
     def entry_csr(self, sink: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entry map of ``sink`` as a wire-sorted CSR for the native kernel.

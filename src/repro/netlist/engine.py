@@ -6,35 +6,28 @@ Python callables operating on arbitrary-precision integers.  That is flexible
 but slow: equivalence checking, PPC specialization and the word-level
 test benches all pay the per-node interpreter overhead on every call.
 
-:class:`CompiledCircuit` pays that overhead once, with two backends behind a
-single ``simulate`` entry point:
-
-* **straight-line backend** (narrow pattern vectors) -- compilation emits the
-  circuit as one specialized Python function of big-integer bitwise
-  expressions (``v17 = v3 & v9``, one statement per gate) and ``exec``\\ s it
-  once; evaluation is then a single call with no dict dispatch, no per-gate
-  function calls and no interpreter loop.  This is the fast path for the
-  SCG's single-pattern parameter evaluation and ordinary test benches.
-* **bit-plane backend** (wide pattern vectors) -- compilation levelizes the
-  circuit and groups same-level nodes by ``(op, arity)`` into flat NumPy
-  index batches; evaluation runs a short schedule of vectorized ``uint64``
-  bit-plane operations (64 patterns per lane) whose cost is memory bandwidth
-  rather than interpreter overhead.
+:class:`CompiledCircuit` pays that overhead once: compilation emits the
+circuit as one specialized Python function of big-integer bitwise
+expressions (``v17 = v3 & v9``, one statement per gate) and ``exec``\\ s it
+once; evaluation is then a single call with no dict dispatch, no per-gate
+function calls and no interpreter loop.  CPython's big-integer bitwise ops
+already run word-parallel C loops, so one call evaluates every packed
+pattern at once.
 
 Because every gate of the library is bitwise, pattern ``p`` of any node
-depends only on pattern ``p`` of its fanins, so both backends are
+depends only on pattern ``p`` of its fanins, so the compiled function is
 bit-identical to the legacy evaluator for every circuit and pattern count.
 
 The compiled artifact is cached on the circuit object (circuits are
 append-only, so a node-count check suffices for invalidation) and reused by
 every caller: repeated simulation of the same circuit -- the common case in
 equivalence checking and in the SCG's parameter evaluation -- only pays the
-schedule execution.
+generated function's call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -43,52 +36,9 @@ from .circuit import Circuit, Op
 __all__ = [
     "CompiledCircuit",
     "compile_circuit",
-    "num_plane_words",
-    "pack_int_plane",
-    "unpack_int_plane",
-    "pack_bit_array",
-    "unpack_bit_array",
     "pack_bits_to_int",
     "unpack_int_to_bits",
 ]
-
-_WORD_BITS = 64
-_U64 = np.dtype("<u8")
-_ALL_ONES = 0xFFFFFFFFFFFFFFFF
-
-
-
-def num_plane_words(num_patterns: int) -> int:
-    """Number of 64-bit words needed to hold ``num_patterns`` packed patterns."""
-    return max(1, (num_patterns + _WORD_BITS - 1) // _WORD_BITS)
-
-
-def pack_int_plane(value: int, num_words: int) -> np.ndarray:
-    """Convert a packed-pattern Python integer into a little-endian uint64 plane."""
-    return np.frombuffer(int(value).to_bytes(num_words * 8, "little"), dtype=_U64).copy()
-
-
-def unpack_int_plane(plane: np.ndarray, num_patterns: int) -> int:
-    """Convert a uint64 bit-plane back into a packed-pattern Python integer."""
-    raw = np.ascontiguousarray(plane, dtype=_U64).tobytes()
-    return int.from_bytes(raw, "little") & ((1 << num_patterns) - 1)
-
-
-def pack_bit_array(bits: np.ndarray, num_words: int) -> np.ndarray:
-    """Pack a per-pattern 0/1 array (uint8) into a uint64 bit-plane."""
-    packed = np.packbits(bits.astype(np.uint8, copy=False), bitorder="little")
-    raw = packed.tobytes()
-    pad = num_words * 8 - len(raw)
-    if pad > 0:
-        raw += b"\x00" * pad
-    return np.frombuffer(raw, dtype=_U64).copy()
-
-
-def unpack_bit_array(plane: np.ndarray, num_patterns: int) -> np.ndarray:
-    """Unpack a uint64 bit-plane into a per-pattern 0/1 uint8 array."""
-    raw = np.ascontiguousarray(plane, dtype=_U64).tobytes()
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits[:num_patterns]
 
 
 def pack_bits_to_int(bits: np.ndarray) -> int:
@@ -107,53 +57,12 @@ def unpack_int_to_bits(value: int, num_patterns: int) -> np.ndarray:
 
 
 class CompiledCircuit:
-    """A circuit levelized into a flat schedule of vectorized gate batches.
-
-    The schedule is a list of ``(op, node_index_array, fanin_index_matrix)``
-    entries; executing it fills a ``(num_nodes, num_words)`` uint64 value
-    matrix level by level.  Within a level no node feeds another (levels are
-    ``1 + max(fanin levels)``), so each batch evaluates with pure array ops.
-    """
+    """A circuit compiled into one straight-line big-integer evaluator."""
 
     def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
         self.num_nodes = len(circuit.ops)
-        ops = circuit.ops
-        fanins = circuit.fanins
-
-        self.input_ids: List[int] = []
-        self.param_ids: List[int] = []
-        self.const0_ids: List[int] = []
-        self.const1_ids: List[int] = []
-
-        level = [0] * self.num_nodes
-        groups: Dict[Tuple[int, str, int], List[int]] = {}
-        for nid, op in enumerate(ops):
-            if op == Op.INPUT:
-                self.input_ids.append(nid)
-            elif op == Op.PARAM:
-                self.param_ids.append(nid)
-            elif op == Op.CONST0:
-                self.const0_ids.append(nid)
-            elif op == Op.CONST1:
-                self.const1_ids.append(nid)
-            else:
-                fins = fanins[nid]
-                level[nid] = 1 + max((level[f] for f in fins), default=0)
-                groups.setdefault((level[nid], op, len(fins)), []).append(nid)
-
-        #: flat evaluation schedule: (op, node ids, fanin id matrix)
-        self.schedule: List[Tuple[str, np.ndarray, np.ndarray]] = []
-        for (_, op, _), nodes in sorted(groups.items()):
-            idx = np.asarray(nodes, dtype=np.int64)
-            fmat = np.asarray([fanins[nid] for nid in nodes], dtype=np.int64)
-            self.schedule.append((op, idx, fmat))
-
         self._straightline = None  # lazily generated big-integer evaluator
-        num_gates = sum(len(idx) for _, idx, _ in self.schedule)
-        self.avg_batch_size = num_gates / len(self.schedule) if self.schedule else 0.0
-
-    # -- straight-line backend -------------------------------------------------
 
     def _codegen(self):
         """Emit the circuit as one specialized Python function and compile it.
@@ -210,101 +119,11 @@ class CompiledCircuit:
         num_patterns: int,
         param_patterns: Optional[Mapping[int, int]] = None,
     ) -> List[int]:
-        """Packed value of every node (straight-line backend).
-
-        CPython big-integer bitwise ops already run word-parallel C loops, so
-        the generated straight-line function beats the batched NumPy plane
-        backend at every pattern count we measured (the gather/copy cost of
-        ``values[fanin_matrix]`` dominates); see PERFORMANCE.md.  The plane
-        backend stays available through :meth:`eval_planes` for bit-plane
-        pipelines and future offload targets.
-        """
+        """Packed value of every node."""
         if self._straightline is None:
             self._straightline = self._codegen()
         mask = (1 << num_patterns) - 1
         return self._straightline(input_patterns, param_patterns or {}, mask)
-
-    def simulate_planes(
-        self,
-        input_patterns: Mapping[int, int],
-        num_patterns: int,
-        param_patterns: Optional[Mapping[int, int]] = None,
-    ) -> List[int]:
-        """Packed value of every node via the vectorized bit-plane backend."""
-        num_words = num_plane_words(num_patterns)
-        planes = self.build_planes(input_patterns, num_patterns, param_patterns)
-        values = self.eval_planes(planes, num_words)
-        mask = (1 << num_patterns) - 1
-        row_bytes = num_words * 8
-        raw = values.tobytes()
-        return [
-            int.from_bytes(raw[i * row_bytes : (i + 1) * row_bytes], "little") & mask
-            for i in range(self.num_nodes)
-        ]
-
-    # -- plane-level evaluation ------------------------------------------------
-
-    def eval_planes(
-        self, planes: Mapping[int, np.ndarray], num_words: int
-    ) -> np.ndarray:
-        """Evaluate the schedule; returns the (num_nodes, num_words) value matrix.
-
-        ``planes`` assigns uint64 bit-planes to input/param node ids; missing
-        leaves default to all-zero (matching an unprogrammed settings
-        register).  Bits beyond the caller's pattern count are unspecified --
-        mask them when unpacking.
-        """
-        values = np.zeros((self.num_nodes, num_words), dtype=_U64)
-        if self.const1_ids:
-            values[self.const1_ids] = _ALL_ONES
-        for nid, plane in planes.items():
-            values[nid] = plane
-        for op, idx, fmat in self.schedule:
-            fv = values[fmat]  # (batch, arity, words)
-            if op == Op.AND:
-                out = np.bitwise_and.reduce(fv, axis=1)
-            elif op == Op.OR:
-                out = np.bitwise_or.reduce(fv, axis=1)
-            elif op == Op.XOR:
-                out = np.bitwise_xor.reduce(fv, axis=1)
-            elif op == Op.NAND:
-                out = ~np.bitwise_and.reduce(fv, axis=1)
-            elif op == Op.NOR:
-                out = ~np.bitwise_or.reduce(fv, axis=1)
-            elif op == Op.XNOR:
-                out = ~np.bitwise_xor.reduce(fv, axis=1)
-            elif op == Op.NOT:
-                out = ~fv[:, 0]
-            elif op == Op.BUF:
-                out = fv[:, 0]
-            elif op == Op.MUX:
-                sel = fv[:, 0]
-                out = (~sel & fv[:, 1]) | (sel & fv[:, 2])
-            else:  # pragma: no cover - schedule only contains gate ops
-                raise ValueError(f"op {op!r} is not an evaluatable gate")
-            values[idx] = out
-        return values
-
-    def build_planes(
-        self,
-        input_patterns: Mapping[int, int],
-        num_patterns: int,
-        param_patterns: Optional[Mapping[int, int]] = None,
-    ) -> Dict[int, np.ndarray]:
-        """Convert packed-integer stimulus into uint64 bit-planes."""
-        mask = (1 << num_patterns) - 1
-        num_words = num_plane_words(num_patterns)
-        planes: Dict[int, np.ndarray] = {}
-        for nid in self.input_ids:
-            v = input_patterns.get(nid, 0) & mask
-            if v:
-                planes[nid] = pack_int_plane(v, num_words)
-        if param_patterns:
-            for nid in self.param_ids:
-                v = param_patterns.get(nid, 0) & mask
-                if v:
-                    planes[nid] = pack_int_plane(v, num_words)
-        return planes
 
     # -- packed-integer API (drop-in for the legacy simulator) ------------------
 
@@ -323,7 +142,7 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     """Compile ``circuit`` (or return the cached artifact if still valid).
 
     Circuits are append-only -- nodes are never rewritten in place -- so the
-    cached schedule stays valid as long as the node count is unchanged.
+    cached evaluator stays valid as long as the node count is unchanged.
     """
     cached = circuit.__dict__.get("_compiled_engine")
     if cached is not None and cached.num_nodes == len(circuit.ops):

@@ -12,18 +12,13 @@ Simulation serves three purposes in the reproduction:
 Patterns are packed into Python integers (one bit per pattern), so a single
 pass over the netlist evaluates an arbitrary number of input patterns.
 
-Two evaluation paths live behind the same API:
-
-* the **compiled engine** (default) -- :mod:`repro.netlist.engine` compiles
-  the circuit once (straight-line big-integer codegen, plus a vectorized
-  NumPy ``uint64`` bit-plane backend) and reuses the cached artifact on
-  every call, and
-* the **reference interpreter** (``engine="reference"``) -- the original
-  per-node dict-dispatch loop, kept as the golden model for equivalence
-  tests and as the baseline the hot-path benchmark measures against.
-
-Both are bit-identical; see ``PERFORMANCE.md`` for the design and measured
-speedups.
+:func:`simulate_patterns` runs the compiled engine
+(:mod:`repro.netlist.engine`: the circuit is compiled once to straight-line
+big-integer code and the cached artifact is reused on every call).
+:func:`simulate_patterns_reference` is the original per-node dict-dispatch
+loop, kept as the golden model for equivalence tests and as the baseline
+the hot-path benchmark measures against.  Both are bit-identical; see
+``PERFORMANCE.md`` for the design and measured speedups.
 """
 
 from __future__ import annotations
@@ -55,7 +50,6 @@ def simulate_patterns(
     input_patterns: Mapping[int, int],
     num_patterns: int,
     param_patterns: Optional[Mapping[int, int]] = None,
-    engine: str = "compiled",
 ) -> Dict[int, int]:
     """Simulate the circuit on packed pattern vectors.
 
@@ -72,22 +66,12 @@ def simulate_patterns(
         Values for parameter nodes, same packing.  Parameters left
         unspecified default to 0 (matching the behaviour of an unprogrammed
         settings register).
-    engine:
-        ``"compiled"`` (default) runs the cached vectorized engine;
-        ``"reference"`` runs the original per-node interpreter.  Both return
-        bit-identical results.
 
     Returns
     -------
     dict
         Mapping from node id to packed output vector for every node.
     """
-    if engine == "reference":
-        return simulate_patterns_reference(
-            circuit, input_patterns, num_patterns, param_patterns
-        )
-    if engine != "compiled":
-        raise ValueError(f"unknown simulation engine {engine!r}")
     return compile_circuit(circuit).simulate(input_patterns, num_patterns, param_patterns)
 
 

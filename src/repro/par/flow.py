@@ -167,8 +167,7 @@ def cached_route(
     entry or a bad forest payload falls back to a fresh route
     (``cache-fallback``); the route itself runs under
     :func:`~repro.par.routing.route_resilient` with a ``deadline_s``
-    per-kernel budget and the astar->fast degradation chain (wavefront
-    only enters the chain when explicitly requested).
+    per-kernel budget and the astar->fast degradation chain.
     A result produced by a *degraded* kernel is never stored under the
     requested kernel's key, so one bad run cannot poison the cache for
     fault-free reruns.

@@ -226,7 +226,7 @@ class RouteForest:
 
         Node lists carry the forest's attach-to-sink segment order (route
         metrics are order-insensitive); connection lists are reconstructed
-        exactly for forests built from the directed kernels' connections,
+        exactly for forests built from the astar kernel's connections,
         and left ``None`` for trees imported through the BFS fallback.
         """
         from .routing import NetRoute
@@ -405,7 +405,7 @@ def _append_conn(
 
 
 def _fragment_from_conns(source: int, conns) -> _NetFragment:
-    """Fragment from the directed kernels' ``(target, path, attach)`` list."""
+    """Fragment from the astar kernel's ``(target, path, attach)`` list."""
     f = _NetFragment(source)
     pos_of: Dict[int, int] = {source: -1}
     for target, path, attach in conns:
@@ -458,7 +458,7 @@ def build_route_forest(
 ) -> RouteForest:
     """Flatten ``{net_id: NetRoute}`` trees into one :class:`RouteForest`.
 
-    Trees that carry the directed kernels' connection lists are imported
+    Trees that carry the astar kernel's connection lists are imported
     exactly (segment structure preserved); plain node-list trees fall back
     to a BFS over the RR adjacency, which recovers the same parent
     structure the legacy delay walk traversed.

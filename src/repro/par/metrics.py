@@ -174,15 +174,10 @@ def minimum_channel_width(
     :class:`~repro.par.cache.PaRCache` or rely on ``PaRCache.from_env()`` at
     the call site.
 
-    ``route_kernel`` defaults to ``auto``, which resolves to the scalar
-    ``astar`` kernel (see :data:`repro.par.routing.AUTO_KERNEL`).  That is
-    especially right here: the binary search spends most of its time on
-    deliberately-congested widths below the minimum, where a probe is 15
-    iterations of non-convergent reroute storms -- the scalar kernel
-    handles those far faster than the opt-in ``wavefront`` kernel, whose
-    strength is the converging route.  The kernels agree on routability
-    (all are gated to reference-class quality), so the found width is the
-    same.
+    ``route_kernel`` defaults to ``auto``, which resolves to the
+    ``astar`` kernel (see :data:`repro.par.routing.AUTO_KERNEL`).  The
+    kernels agree on routability (all are gated to reference-class
+    quality), so the found width is the same under any of them.
 
     A pool worker that crashes or raises does not lose the search: its
     probes are resubmitted serially in the parent (``pool-failure`` +

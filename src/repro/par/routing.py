@@ -5,11 +5,10 @@ routing-resource graph with an A*-guided Dijkstra search; congestion is
 resolved by iteratively re-routing nets through overused nodes while the
 present-congestion penalty grows and a history cost accumulates (PathFinder).
 
-Four search kernels live behind :func:`route` (plus ``kernel="auto"``, the
-default, which resolves to :data:`AUTO_KERNEL` -- ``astar``, measured
-fastest at every reachable graph size -- and the opt-in
-``objective="timing"`` that blends STA criticalities into the directed
-kernels' costs -- see :func:`route`):
+Three search kernels live behind :func:`route` (plus ``kernel="auto"``, the
+default, which resolves to :data:`AUTO_KERNEL` -- ``astar`` -- and the
+opt-in ``objective="timing"`` that blends STA criticalities into the astar
+kernel's costs -- see :func:`route`):
 
 * ``kernel="astar"`` (the ``auto`` default) -- scalar directed search over
   the pin-filtered search view.  The wavefront expands over
@@ -25,20 +24,6 @@ kernels' costs -- see :func:`route`):
   paths across iterations.  The expansion loop runs as compiled C when the
   native backend is available (:mod:`repro.native.astar`, bit-identical
   routes) and as the pure-Python twin otherwise.
-* ``kernel="wavefront"`` (opt-in baseline) -- vectorized delta-stepping
-  PathFinder.
-  Connection searches run *batched* on a continuous slot pipeline: up to
-  ``batch`` nets expand one wavefront each, simultaneously, over flat
-  per-slot label planes indexed ``slot * num_nodes + node``, and a slot
-  refills the moment its search settles.  One expansion round is a handful
-  of NumPy gathers over the search view's contiguous CSR arrays
-  (:meth:`repro.fpga.routing_graph.RRGraph.search_view`) -- edge targets via
-  ``np.take`` on ``csr_dst``, per-edge costs from the congestion cost
-  vector, an ``np.lexsort`` + first-occurrence scatter-min in place of
-  thousands of heap pushes -- and settles every frontier label within
-  ``delta`` of each search's bucket (``cost + lookahead``).  Net-bbox
-  pruning, the pin-floor bound and connection-level incremental rip-up
-  carry over from the ``astar`` kernel by masking the CSR view.
 * ``kernel="fast"`` -- the PR 1 kernel: same congestion cost vector and
   incremental re-routing, but the wavefront floods pins and is not
   bbox-pruned.  Identical floating-point trajectory to ``reference``.
@@ -47,16 +32,15 @@ kernels' costs -- see :func:`route`):
 
 ``fast`` and ``reference`` perform identical floating-point operations in the
 same order, so they expand identical wavefronts and return identical routes.
-``astar`` and ``wavefront`` trade that bit-identity for throughput; their
-route quality is re-baselined in ``benchmarks/bench_hotpaths.py``
-(wirelength within a few percent of the reference route).
+``astar`` trades that bit-identity for throughput; its route quality is
+re-baselined in ``benchmarks/bench_hotpaths.py`` (wirelength within a few
+percent of the reference route).
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -91,7 +75,7 @@ class NetRoute:
     net_id: int
     nodes: List[int] = field(default_factory=list)
     #: ordered per-sink connections ``(sink_rr, path, attach)`` as the
-    #: directed kernels build them -- ``path`` lists the nodes the
+    #: astar kernel builds them -- ``path`` lists the nodes the
     #: connection added (sink first), ``attach`` is the tree node it grew
     #: from.  The STA engine walks these for exact per-sink delays; kernels
     #: that do not track connections (fast/reference) leave it ``None`` and
@@ -112,7 +96,7 @@ class RoutingResult:
     wirelength: int
     overused_nodes: int
     max_channel_occupancy: int
-    #: flat route forest over all nets' trees (the directed kernels emit
+    #: flat route forest over all nets' trees (the astar kernel emits
     #: one natively; ``None`` from the fast/reference baselines).  The STA
     #: engine consumes it with pure NumPy gathers, and the PaR cache
     #: serializes it so cache hits re-hydrate routes instead of re-routing.
@@ -155,16 +139,10 @@ _BASE_COST = RR_BASE_COST
 #: costs, while the delay share of a pin can be arbitrarily small.
 _PIN_FLOOR = _BASE_COST[RRNodeType.IPIN] + _BASE_COST[RRNodeType.SINK]
 
-#: What ``kernel="auto"`` resolves to.  The question "does the vectorized
-#: wavefront kernel ever win?" was settled by measurement, twice: PR 5's
-#: ``auto_crossover`` bench found the scalar astar kernel ~3-4x faster at
-#: every reachable graph size (52k-203k RR nodes, wavefront at 0.18-0.31x),
-#: and PR 7 re-ran the sweep with the *native* astar expansion loop, which
-#: widened the gap by another large factor (``BENCH_hotpaths.json``
-#: ``kernels.auto_crossover`` / ``kernels.native``).  There is no crossover
-#: to encode -- the former ``WAVEFRONT_AUTO_MIN_NODES = 1M`` sentinel is
-#: retired and ``auto`` simply means astar; ``wavefront`` remains available
-#: as an opt-in vectorized baseline.
+#: What ``kernel="auto"`` resolves to.  A vectorized delta-stepping
+#: ``wavefront`` kernel was measured against astar at every reachable graph
+#: size and never won (PERFORMANCE.md, "Tried and removed"), so ``auto``
+#: simply means astar.
 AUTO_KERNEL = "astar"
 
 
@@ -210,8 +188,6 @@ def route(
     astar_fac: float = 1.1,
     kernel: str = "auto",
     bbox_margin: int = 3,
-    delta: float = 6.0,
-    batch: int = 8,
     objective: str = "wirelength",
     max_criticality: float = 0.95,
     criticality_exponent: float = 1.0,
@@ -221,27 +197,16 @@ def route(
 
     ``kernel`` selects the search implementation (see module docstring);
     ``kernel="auto"`` (the default) resolves to :data:`AUTO_KERNEL` --
-    ``astar``, measured fastest at every reachable graph size; the astar
-    expansion loop itself runs as compiled C when the native backend is
-    available (:mod:`repro.native`, bit-identical routes) and as the pure
-    Python twin otherwise.  ``fast`` and ``reference`` return identical
-    routes; ``astar`` and the opt-in vectorized ``wavefront`` are the
-    re-baselined directed kernels of equivalent route quality.
-    ``bbox_margin`` is the expansion margin of
-    the per-net search bounding box used by the ``astar``/``wavefront``
-    kernels.  ``delta`` is the wavefront kernel's bucket width: every
-    pending label within ``delta`` of a search's bucket expands in the same
-    vectorized round, so larger values mean fewer, wider rounds at the
-    price of some out-of-order (re-)expansion (6.0 measured best on the PE
-    workload -- both fastest and lowest wirelength; 1.0 approximates strict
-    Dijkstra ordering).  ``batch`` caps how many nets expand concurrently.
+    ``astar``; the astar expansion loop itself runs as compiled C when the
+    native backend is available (:mod:`repro.native`, bit-identical routes)
+    and as the pure Python twin otherwise.  ``fast`` and ``reference``
+    return identical routes; ``astar`` is the re-baselined directed kernel
+    of equivalent route quality.  ``bbox_margin`` is the expansion margin of
+    the per-net search bounding box used by the ``astar`` kernel.
     ``pres_fac_init`` defaults to the kernel's preferred schedule: 0.6 for
-    ``fast``/``reference`` (the seed trajectory), 1.0 for ``astar``, and
-    3.0 for ``wavefront`` -- the batched first iteration prices congestion
-    harder still, taking small detours early while they are cheap instead
-    of deep negotiation holes later.
+    ``fast``/``reference`` (the seed trajectory) and 1.0 for ``astar``.
 
-    ``objective="timing"`` (``astar``/``wavefront`` only) switches the
+    ``objective="timing"`` (``astar`` only) switches the
     connection searches to the VPR-style timing-driven cost
     ``crit * delay + (1 - crit) * congestion``: per-connection
     criticalities start from a placement-distance STA estimate and are
@@ -263,10 +228,8 @@ def route(
         kernel = AUTO_KERNEL
     if objective not in ("wirelength", "timing"):
         raise ValueError(f"unknown routing objective {objective!r}")
-    if objective == "timing" and kernel not in ("astar", "wavefront"):
-        raise ValueError(
-            f"objective='timing' requires the astar or wavefront kernel, not {kernel!r}"
-        )
+    if objective == "timing" and kernel != "astar":
+        raise ValueError(f"objective='timing' requires the astar kernel, not {kernel!r}")
     with span("par.route", kernel=kernel, objective=objective, nets=len(netlist.nets)):
         if kernel == "reference":
             result = _route_reference(
@@ -284,17 +247,6 @@ def route(
                 pres_fac_mult=pres_fac_mult, hist_fac=hist_fac, astar_fac=astar_fac,
                 bbox_margin=bbox_margin, objective=objective,
                 max_criticality=max_criticality,
-                criticality_exponent=criticality_exponent,
-                deadline=deadline,
-            )
-        elif kernel == "wavefront":
-            result = _route_wavefront(
-                netlist, placement, device,
-                max_iterations=max_iterations,
-                pres_fac_init=3.0 if pres_fac_init is None else pres_fac_init,
-                pres_fac_mult=pres_fac_mult, hist_fac=hist_fac, astar_fac=astar_fac,
-                bbox_margin=bbox_margin, delta=delta, batch=batch,
-                objective=objective, max_criticality=max_criticality,
                 criticality_exponent=criticality_exponent,
                 deadline=deadline,
             )
@@ -323,7 +275,7 @@ def route(
 #: cheapest.  A degraded attempt starts at the requested kernel's position
 #: and walks right; ``reference`` is a deliberate dead end (it exists to
 #: pin the baseline trajectory, degrading it would defeat the purpose).
-DEGRADATION_CHAIN: Tuple[str, ...] = ("wavefront", "astar", "fast")
+DEGRADATION_CHAIN: Tuple[str, ...] = ("astar", "fast")
 
 
 def route_resilient(
@@ -369,7 +321,7 @@ def route_resilient(
     last_error: Optional[BaseException] = None
     for attempt, attempt_kernel in enumerate(chain):
         eff_objective = objective
-        if objective == "timing" and attempt_kernel not in ("astar", "wavefront"):
+        if objective == "timing" and attempt_kernel != "astar":
             eff_objective = "wirelength"
         fault = inject("route.kernel")
         try:
@@ -991,800 +943,6 @@ def _route_astar(
     return _assemble_result(
         rr, routes, occ_arr, cap_arr, success, iteration, forest=forest,
         telemetry=telemetry,
-    )
-
-
-def _route_wavefront(
-    netlist: PhysicalNetlist,
-    placement: Placement,
-    device: Device,
-    max_iterations: int = 25,
-    pres_fac_init: float = 3.0,
-    pres_fac_mult: float = 1.8,
-    hist_fac: float = 0.4,
-    astar_fac: float = 1.1,
-    bbox_margin: int = 3,
-    delta: float = 6.0,
-    batch: int = 8,
-    objective: str = "wirelength",
-    max_criticality: float = 0.95,
-    criticality_exponent: float = 1.0,
-    deadline: Optional[Deadline] = None,
-) -> RoutingResult:
-    """Vectorized delta-stepping PathFinder over the CSR search view.
-
-    The scalar kernels pay per-node Python dict/heap work for every expanded
-    node; this kernel instead expands whole *cost buckets* of whole *batches
-    of nets* at once.  Up to ``batch`` connection searches run concurrently
-    on a continuous slot pipeline, each in its own label plane of one flat
-    array (``slot * num_nodes + node``), and one round settles every pending
-    label whose key ``g + lookahead`` lies within ``delta`` of its search's
-    bucket:
-
-    1. gather the CSR fanouts of all active labels (``np.take`` over
-       ``csr_dst`` plus a repeat/cumsum edge-index construction),
-    2. price the edges from the congestion cost vector, mask them against
-       each net's bounding box, and prune with the weighted key and the
-       admissible pin-floor bound against the best known completion,
-    3. scatter-min into the label planes via ``np.lexsort`` + first
-       occurrence (the vector equivalent of the heap's decrease-key),
-    4. fold the per-sink entry tables (``g[wire] + cost[ipin]``) into each
-       search's completion bound -- rescans are event-driven, touching only
-       searches whose entry-wire labels just improved.
-
-    A search finishes when nothing pending can beat its completion -- the
-    same branch-and-bound rule as ``astar`` -- and its slot refills
-    immediately, so rounds stay at full batch width with no wave barriers.
-    Concurrency control is two-layered (admission pressure + optimistic
-    commit stamps, see :func:`_drive`); the rip-up logic is connection-level
-    and identical to ``astar``'s, with two additions that stabilize the
-    negotiation endgame: persistently congested nets grow their search
-    boxes (a duel over one wire can reach distant free capacity instead of
-    ping-ponging inside a tight box), and freshly-conflicted nets re-route
-    before long-suffering ones, which usually find their wire vacated.
-    """
-    rr = device.rr_graph
-    num_nodes = rr.num_nodes
-    view = rr.search_view()
-
-    csr_ptr = view.csr_ptr
-    csr_deg = view.csr_deg
-    csr_dst = view.csr_dst.astype(np.int64)
-    xs = view.xs_arr
-    ys = view.ys_arr
-    ntype = rr.node_type
-    base_cost = view.base_cost
-    cap_arr = rr.node_capacity.astype(np.int64)
-
-    occupancy = np.zeros(num_nodes, dtype=np.int64)
-    history = np.zeros(num_nodes, dtype=np.float64)
-    over_mask = np.zeros(num_nodes, dtype=bool)
-    bh = base_cost.copy()
-    cost = base_cost.copy()
-    pres_fac = pres_fac_init
-    fac = astar_fac
-
-    # Timing objective: per-slot criticalities blend the normalized delay
-    # vector into the congestion cost at edge-pricing time (see the astar
-    # kernel for the admissibility argument -- a unit wire's delay is
-    # normalized to exactly 1.0).
-    timing_mode = objective == "timing"
-    if timing_mode:
-        from ..timing.sta import CriticalityTracker
-
-        tracker = CriticalityTracker(
-            netlist, placement, device,
-            max_criticality=max_criticality, exponent=criticality_exponent,
-        )
-        conn_crit = tracker.initial_flat()
-        cid_of = tracker.conn_index
-        delay_arr = view.delay_ns / device.arch.wire_hop_delay_ns
-    else:
-        tracker = None
-        conn_crit = None
-        cid_of = {}
-        delay_arr = None
-
-    src_of, sink_of = terminal_rr_nodes(netlist, placement, rr)
-
-    routes: Dict[int, NetRoute] = {}
-    net_terms: Dict[int, Tuple[int, List[int]]] = {}
-    net_bbox: Dict[int, Tuple[int, int, int, int]] = {}
-    for net in netlist.nets:
-        source = src_of[net.driver]
-        sinks = [sink_of[s] for s in net.sinks]
-        net_terms[net.id] = (source, sinks)
-        txs = [int(xs[source])] + [int(xs[t]) for t in sinks]
-        tys = [int(ys[source])] + [int(ys[t]) for t in sinks]
-        net_bbox[net.id] = (
-            min(txs) - bbox_margin, max(txs) + bbox_margin,
-            min(tys) - bbox_margin, max(tys) + bbox_margin,
-        )
-    full_bounds = (-(1 << 30), 1 << 30, -(1 << 30), 1 << 30)
-
-    # Per-slot label planes, flat-indexed slot * num_nodes + node.  The batch
-    # is clamped so the planes stay a bounded memory cost on huge graphs.
-    nslots = max(1, min(batch, max(4, (1 << 23) // max(1, num_nodes))))
-    plane = nslots * num_nodes
-    # One extra "trash" cell at the end: its vis stamp is never a live
-    # generation, so padded gathers read as unreached.
-    vis = np.zeros(plane + 1, dtype=np.int64)
-    g_plane = np.zeros(plane + 1, dtype=np.float64)
-    prev = np.full(plane + 1, -1, dtype=np.int64)
-    slot_base = np.arange(nslots, dtype=np.int64) * num_nodes
-    generation = 0
-
-    IPIN = RRNodeType.IPIN
-    SINK = RRNodeType.SINK
-
-    def refresh_cost() -> None:
-        nonlocal bh, cost
-        bh = base_cost + history
-        over = occupancy + 1 - cap_arr
-        cost = np.where(over > 0, bh * (1.0 + pres_fac * over), bh)
-
-    def commit(nodes: np.ndarray, d: int) -> None:
-        """Add ``d`` occupancy on ``nodes`` (dups allowed) and reprice them."""
-        nonlocal commit_seq
-        commit_seq += 1
-        np.add.at(occupancy, nodes, d)
-        aff = np.unique(nodes)
-        over = occupancy[aff] + 1 - cap_arr[aff]
-        cost[aff] = np.where(over > 0, bh[aff] * (1.0 + pres_fac * over), bh[aff])
-        over_mask[aff] = occupancy[aff] > cap_arr[aff]
-        commit_stamp[aff] = commit_seq
-
-    # ------------------------------------------------------------------
-    # Continuous batched search engine.
-    #
-    # Slots hold *nets*: a slot seeds one connection search at a time and
-    # refills the moment it settles, so expansion rounds run at full batch
-    # width with no per-wave setup/teardown barriers and no straggler
-    # rounds.  Nets are admitted to slots only while their search boxes
-    # are pairwise disjoint (tracked on a device-coordinate grid), so
-    # concurrent searches cannot interact at all and the committed
-    # trajectory is identical to a sequential PathFinder ordering of the
-    # same connections.
-    # ------------------------------------------------------------------
-    grid_w = int(xs.max()) + 1
-    grid_h = int(ys.max()) + 1
-
-    # Fixed-stride per-slot entry tables (padded with a trash plane cell
-    # whose vis stamp never matches a live generation) let the completion
-    # scan run as one 2-D gather/min instead of per-slot reductions.
-    esz = 1
-    for sink in set(sink_of.values()):
-        esz = max(esz, view.entry_arrays(sink)[0].size)
-    trash = plane  # index of the extra plane cell
-
-    s_gen = np.zeros(nslots, dtype=np.int64)  # active generation, 0 = idle
-    s_xlo = np.zeros(nslots, dtype=np.int64)
-    s_xhi = np.zeros(nslots, dtype=np.int64)
-    s_ylo = np.zeros(nslots, dtype=np.int64)
-    s_yhi = np.zeros(nslots, dtype=np.int64)
-    s_tx = np.zeros(nslots, dtype=np.int64)
-    s_ty = np.zeros(nslots, dtype=np.int64)
-    s_best = np.full(nslots, np.inf)
-    s_bwire = np.full(nslots, -1, dtype=np.int64)
-    s_bipin = np.full(nslots, -1, dtype=np.int64)
-    s_crit = np.zeros(nslots)          #: per-slot connection criticality
-    s_pfl = np.full(nslots, _PIN_FLOOR)  #: per-slot (1-crit)-scaled pin floor
-    bucket = np.full(nslots, np.inf)
-    ew_flat2 = np.full((nslots, esz), trash, dtype=np.int64)
-    ew_pc2 = np.full((nslots, esz), np.inf)
-    ew_wire2 = np.zeros((nslots, esz), dtype=np.int64)
-    ew_ipin2 = np.zeros((nslots, esz), dtype=np.int64)
-    s_start = np.zeros(nslots, dtype=np.int64)
-    is_entry = np.zeros(plane + 1, dtype=bool)
-    commit_stamp = np.zeros(num_nodes, dtype=np.int64)
-    commit_seq = 0
-    #: fraction of a net's box that may already be covered by active
-    #: searches at admission time (0 = strictly disjoint boxes).
-    _ADMIT_PRESSURE = 0.5
-
-    # Per-net route trees as ordered (target, path, attach) connections --
-    # the same layout and rip-up granularity as the astar kernel.
-    net_conns: Dict[int, List[Tuple[int, List[int], int]]] = {}
-
-    class _NetWork:
-        """Mutable per-net routing state for one negotiation iteration."""
-
-        __slots__ = (
-            "net_id", "targets", "tree", "tree_set", "conns", "bounds", "rip",
-            "original_conns",
-        )
-
-        def __init__(self, net_id, targets, tree, tree_set, conns, bounds,
-                     rip=None, original_conns=None):
-            self.net_id = net_id
-            self.targets = targets
-            self.tree = tree
-            self.tree_set = tree_set
-            self.conns = conns
-            self.bounds = bounds
-            #: nodes of this net's ripped connections, released lazily at
-            #: slot admission so nets still waiting keep seeing them priced.
-            self.rip = rip
-            #: pre-rip connection list, restored whole if the net heals
-            #: before it is admitted.
-            self.original_conns = original_conns
-
-    def _next_connection(work: _NetWork, dup_bumps: List[int]) -> Optional[int]:
-        """Pop the next target, committing duplicate-sink connections inline."""
-        while work.targets:
-            target = work.targets.pop(0)
-            if target in work.tree_set:
-                dup_bumps.append(target)
-                work.conns.append((target, [], target))
-                continue
-            return target
-        return None
-
-    def _drive(items: List[_NetWork]) -> None:
-        """Route all pending connections of ``items`` on the slot pipeline.
-
-        Concurrency control is two-layered.  Admission bounds the *pressure*
-        on any device region: a net is admitted only while the fraction of
-        its box already covered by active searches stays under a cap, which
-        limits how many blind searches can pile into one neighbourhood
-        between price updates.  Consistency is then restored at commit time
-        by optimistic concurrency: every commit stamps its nodes with a
-        sequence number, and a path that crosses a stamp newer than its
-        search's start was priced off a stale snapshot -- it is re-searched
-        (up to a small retry cap) instead of committing a blind collision.
-        """
-        nonlocal generation, commit_seq
-        queue = deque(items)
-        grid = np.zeros((grid_w, grid_h), dtype=np.int16)
-        free = list(range(nslots - 1, -1, -1))
-        slot_work: List[Optional[_NetWork]] = [None] * nslots
-        slot_target = [-1] * nslots
-        slot_esc = [0] * nslots
-        slot_retry = [0] * nslots
-        slot_region: List[Optional[Tuple[int, int, int, int]]] = [None] * nslots
-        active = 0
-        exclusive: deque = deque()  # failed searches awaiting a solo retry
-        dup_buf: List[int] = []
-        new_flat: List[np.ndarray] = []
-        new_g: List[np.ndarray] = []
-        new_f: List[np.ndarray] = []
-
-        def begin_search(s: int, work: _NetWork, target: int, bounds) -> None:
-            nonlocal generation
-            generation += 1
-            gen = generation
-            s_gen[s] = gen
-            s_start[s] = commit_seq
-            xlo, xhi, ylo, yhi = bounds
-            s_xlo[s] = xlo
-            s_xhi[s] = xhi
-            s_ylo[s] = ylo
-            s_yhi[s] = yhi
-            tx = int(xs[target])
-            ty = int(ys[target])
-            s_tx[s] = tx
-            s_ty[s] = ty
-            s_best[s] = np.inf
-            is_entry[ew_flat2[s]] = False
-            wires, ipins = view.entry_arrays(target)
-            k = wires.size
-            base_s = int(slot_base[s])
-            row = ew_flat2[s]
-            row[:k] = base_s + wires
-            row[k:] = trash
-            if timing_mode:
-                cid = cid_of.get((work.net_id, target))
-                crt = float(conn_crit[cid]) if cid is not None else 0.0
-                s_crit[s] = crt
-                s_pfl[s] = (1.0 - crt) * _PIN_FLOOR
-                ew_pc2[s, :k] = (1.0 - crt) * (cost[ipins] + cost[target]) + crt * (
-                    delay_arr[ipins] + delay_arr[target]
-                )
-            else:
-                ew_pc2[s, :k] = cost[ipins] + cost[target]
-            ew_pc2[s, k:] = np.inf
-            ew_wire2[s, :k] = wires
-            ew_ipin2[s, :k] = ipins
-            is_entry[row] = True
-            is_entry[trash] = False
-            # Seed with the net's route tree, bbox-masked; IPIN/SINK tree
-            # nodes are dead ends in the filtered view.
-            tree_arr = np.asarray(work.tree, dtype=np.int64)
-            tt = ntype[tree_arr]
-            x = xs[tree_arr]
-            y = ys[tree_arr]
-            ok = (
-                (tt != IPIN) & (tt != SINK)
-                & (x >= xlo) & (x <= xhi) & (y >= ylo) & (y <= yhi)
-            )
-            seeds = tree_arr[ok]
-            flat = base_s + seeds
-            vis[flat] = gen
-            g_plane[flat] = 0.0
-            prev[flat] = -1
-            f = (np.abs(x[ok] - tx) + np.abs(y[ok] - ty)) * fac
-            bucket[s] = float(f.min()) if f.size else np.inf
-            new_flat.append(flat)
-            new_g.append(np.zeros(seeds.size))
-            new_f.append(f)
-            scan_slot(s)  # tree-adjacent completions prime the bound
-
-        def try_admit() -> None:
-            """Fill free slots with queued nets while region pressure allows.
-
-            Deferred (over-pressure) nets rotate to the back of the queue:
-            net ids are spatially correlated, so keeping a blocked cluster
-            at the front would starve the scan of admissible work.
-            """
-            nonlocal active
-            scanned = 0
-            deferred: List[_NetWork] = []
-            while queue and free and not exclusive and scanned < 2 * nslots:
-                work = queue.popleft()
-                scanned += 1
-                if work.rip is not None and not over_mask[
-                    np.asarray(work.rip, dtype=np.int64)
-                ].any():
-                    # Healed while waiting: every fighter it was ripped over
-                    # has already moved away, so keep the old connections
-                    # (nothing was released yet -- the rip is lazy).
-                    work.conns = work.original_conns
-                    work.rip = None
-                    work.targets = []
-                    continue
-                xlo, xhi, ylo, yhi = work.bounds
-                cx0, cy0 = max(0, xlo), max(0, ylo)
-                region = grid[cx0: xhi + 1, cy0: yhi + 1]
-                if np.count_nonzero(region) > _ADMIT_PRESSURE * region.size:
-                    deferred.append(work)
-                    continue
-                target = _next_connection(work, dup_buf)
-                if target is None:
-                    continue  # net finished (all remaining sinks were dups)
-                region += 1
-                if work.rip:
-                    commit(np.asarray(work.rip, dtype=np.int64), -1)
-                    work.rip = None
-                s = free.pop()
-                slot_work[s] = work
-                slot_target[s] = target
-                slot_esc[s] = 0
-                slot_retry[s] = 0
-                slot_region[s] = (cx0, xhi + 1, cy0, yhi + 1)
-                active += 1
-                begin_search(s, work, target, work.bounds)
-            queue.extend(deferred)
-            if dup_buf:
-                commit(np.asarray(dup_buf, dtype=np.int64), 1)
-                dup_buf.clear()
-
-        def release_slot(s: int) -> None:
-            nonlocal active
-            x0, x1, y0, y1 = slot_region[s]
-            grid[x0:x1, y0:y1] -= 1
-            slot_region[s] = None
-            slot_work[s] = None
-            s_gen[s] = 0
-            s_best[s] = np.inf
-            is_entry[ew_flat2[s]] = False
-            ew_flat2[s, :] = trash
-            ew_pc2[s, :] = np.inf
-            free.append(s)
-            active -= 1
-
-        def scan_slot(s: int) -> None:
-            """Exact completion scan of one slot's entry table."""
-            row = ew_flat2[s]
-            g_ew = np.where(vis[row] == s_gen[s], g_plane[row], np.inf)
-            tot = g_ew + ew_pc2[s]
-            k = int(np.argmin(tot))
-            if tot[k] < s_best[s] - 1e-12:
-                s_best[s] = tot[k]
-                s_bwire[s] = ew_wire2[s, k]
-                s_bipin[s] = ew_ipin2[s, k]
-
-        def finish_search(s: int) -> None:
-            """Slot ``s`` settled: commit its path, or escalate a failure."""
-            work = slot_work[s]
-            target = slot_target[s]
-            if not np.isfinite(s_best[s]):
-                # A too-tight box can starve a congested net of detour room;
-                # retry against the whole device.  A full-device search
-                # conflicts with every other slot, so it waits its turn in
-                # the exclusive queue.
-                if slot_esc[s] >= 1:
-                    raise RuntimeError(
-                        f"net {work.net_id} could not reach its sink; the "
-                        "device is too small or the channel width is "
-                        "insufficient even with congestion allowed"
-                    )
-                exclusive.append((work, target))
-                release_slot(s)
-                return
-            path = [target, int(s_bipin[s])]
-            n = int(s_bwire[s])
-            base_s = int(slot_base[s])
-            while n not in work.tree_set:
-                path.append(n)
-                n = int(prev[base_s + n])
-            attach = n
-            path_arr = np.asarray(path, dtype=np.int64)
-            if (
-                slot_retry[s] < 3
-                and int(commit_stamp[path_arr].max()) > s_start[s]
-            ):
-                # Another slot occupied part of this path after the search
-                # started: the price was stale, so re-search against the
-                # fresh state rather than commit a blind collision.  After
-                # three conflicts the path commits anyway and the normal
-                # congestion negotiation absorbs it.
-                slot_retry[s] += 1
-                begin_search(s, work, target, (work.bounds, full_bounds)[slot_esc[s]])
-                return
-            for p in path:
-                work.tree.append(p)
-                work.tree_set.add(p)
-            work.conns.append((target, path, attach))
-            commit(path_arr, 1)
-            if slot_esc[s]:
-                # The exclusive retry ran alone; hand the net's remaining
-                # connections back through normal admission.
-                queue.appendleft(work)
-                release_slot(s)
-                return
-            # The same net continues in the same slot (its box keeps its
-            # pressure reservation), so its connections pipeline back to
-            # back exactly like the scalar kernels route them.
-            target = _next_connection(work, dup_buf)
-            if dup_buf:
-                commit(np.asarray(dup_buf, dtype=np.int64), 1)
-                dup_buf.clear()
-            if target is not None:
-                slot_target[s] = target
-                slot_retry[s] = 0
-                begin_search(s, work, target, work.bounds)
-            else:
-                release_slot(s)
-
-        p_flat = np.empty(0, dtype=np.int64)
-        p_g = np.empty(0)
-        p_f = np.empty(0)
-        rounds_since_cleanup = 0
-        try_admit()
-        while True:
-            if new_flat:
-                p_flat = np.concatenate([p_flat] + new_flat)
-                p_g = np.concatenate([p_g] + new_g)
-                p_f = np.concatenate([p_f] + new_f)
-                new_flat.clear()
-                new_g.clear()
-                new_f.clear()
-
-            # Active selection on the raw pool: stale labels expand as
-            # wasted work until the periodic cleanup drops them (their
-            # relaxations lose every ``better`` comparison, so they cannot
-            # corrupt the planes).
-            slots_p = p_flat // num_nodes
-            act = (
-                (p_f <= bucket[slots_p] + delta)
-                & (p_f < s_best[slots_p] - 1e-12)
-            ) if p_flat.size else np.empty(0, dtype=bool)
-            rounds_since_cleanup += 1
-            if rounds_since_cleanup >= 4 or not act.any():
-                rounds_since_cleanup = 0
-                if deadline is not None:
-                    # Polled on the periodic cleanup rounds only: one clock
-                    # read every few vectorized expansion rounds, invisible
-                    # to the search trajectory.
-                    deadline.check("wavefront drive")
-                if p_flat.size:
-                    live = (
-                        (vis[p_flat] == s_gen[slots_p])
-                        & (p_g <= g_plane[p_flat] + 1e-12)
-                        & (p_f < s_best[slots_p] - 1e-12)
-                    )
-                    p_flat = p_flat[live]
-                    p_g = p_g[live]
-                    p_f = p_f[live]
-                    slots_p = slots_p[live]
-                # Settled searches: an active generation with no live labels
-                # cannot improve its completion any further.
-                has_live = np.zeros(nslots, dtype=bool)
-                if p_flat.size:
-                    has_live[slots_p] = True
-                settled = np.nonzero((s_gen > 0) & ~has_live)[0]
-                if settled.size:
-                    for s in settled:
-                        finish_search(int(s))
-                    try_admit()
-                    if new_flat:
-                        continue  # fold the refilled slots' seeds in first
-                if not p_flat.size:
-                    if exclusive and active == 0:
-                        work, target = exclusive.popleft()
-                        s = free.pop()
-                        slot_work[s] = work
-                        slot_target[s] = target
-                        slot_esc[s] = 1
-                        slot_retry[s] = 0
-                        slot_region[s] = (0, grid_w, 0, grid_h)
-                        grid += 1
-                        active += 1
-                        begin_search(s, work, target, full_bounds)
-                        continue
-                    if queue and active == 0:
-                        try_admit()
-                        if new_flat or queue or exclusive:
-                            continue
-                    if active:
-                        continue
-                    break
-                # Stalled searches snap their bucket straight to their
-                # cheapest pending key (a late-iteration pres_fac can jump
-                # the frontier by hundreds of cost units).
-                act = p_f <= bucket[slots_p] + delta
-                has_act = np.zeros(nslots, dtype=bool)
-                has_act[slots_p[act]] = True
-                stalled = has_live & ~has_act
-                if stalled.any():
-                    minf = np.full(nslots, np.inf)
-                    np.minimum.at(minf, slots_p, p_f)
-                    np.maximum(bucket, minf, out=bucket, where=stalled)
-                    if not act.any():
-                        continue
-
-            a_flat = p_flat[act]
-            a_g = p_g[act]
-            a_slots = slots_p[act]
-            keep_p = ~act
-            p_flat = p_flat[keep_p]
-            p_g = p_g[keep_p]
-            p_f = p_f[keep_p]
-
-            nodes = a_flat - slot_base[a_slots]
-            deg = csr_deg[nodes]
-            n_edges = int(deg.sum())
-            if n_edges == 0:
-                continue
-            # Edge-index construction: for node i with CSR rows
-            # [start_i, start_i + deg_i), emit all rows, batched.
-            cum = np.cumsum(deg)
-            eidx = np.arange(n_edges, dtype=np.int64) + np.repeat(
-                csr_ptr[nodes] - (cum - deg), deg
-            )
-            m = csr_dst[eidx]
-            esl = np.repeat(a_slots, deg)
-            if timing_mode:
-                c_e = s_crit[esl]
-                edge_cost = (1.0 - c_e) * cost[m] + c_e * delay_arr[m]
-            else:
-                edge_cost = cost[m]
-            e_g = np.repeat(a_g, deg) + edge_cost
-            ex = xs[m]
-            ey = ys[m]
-            dist = np.abs(ex - s_tx[esl]) + np.abs(ey - s_ty[esl])
-            # Two push bounds, exactly as in the astar kernel: the weighted
-            # heap key and the strictly admissible pin-floor bound.  They
-            # are NOT folded into one (a pin floor on top of the 1.1
-            # overweight over-prunes free-track detours -- measured quality
-            # loss).  The pin floor is per-slot: scaled by (1 - crit) under
-            # the timing objective.
-            e_f = e_g + dist * fac
-            best_e = s_best[esl]
-            keep = (
-                (ex >= s_xlo[esl]) & (ex <= s_xhi[esl])
-                & (ey >= s_ylo[esl]) & (ey <= s_yhi[esl])
-                & (e_f < best_e - 1e-12)
-                & (e_g + dist + s_pfl[esl] < best_e - 1e-12)
-            )
-            if not keep.any():
-                continue
-            m = m[keep]
-            esl = esl[keep]
-            e_g = e_g[keep]
-            e_f = e_f[keep]
-            e_src = np.repeat(nodes, deg)[keep]
-            m_flat = slot_base[esl] + m
-            cur = np.where(vis[m_flat] == s_gen[esl], g_plane[m_flat], np.inf)
-            better = e_g < cur - 1e-12
-            if not better.any():
-                continue
-            m_flat = m_flat[better]
-            e_g = e_g[better]
-            e_f = e_f[better]
-            e_src = e_src[better]
-            esl = esl[better]
-            # Scatter-min: cheapest relaxation per label wins (lexsort puts
-            # the minimum g first within each m_flat run).
-            order = np.lexsort((e_g, m_flat))
-            m_flat = m_flat[order]
-            e_g = e_g[order]
-            e_f = e_f[order]
-            e_src = e_src[order]
-            esl = esl[order]
-            first = np.empty(m_flat.size, dtype=bool)
-            first[0] = True
-            np.not_equal(m_flat[1:], m_flat[:-1], out=first[1:])
-            m_flat = m_flat[first]
-            e_g = e_g[first]
-            e_f = e_f[first]
-            e_src = e_src[first]
-            esl = esl[first]
-            vis[m_flat] = s_gen[esl]
-            g_plane[m_flat] = e_g
-            prev[m_flat] = e_src
-            p_flat = np.concatenate([p_flat, m_flat])
-            p_g = np.concatenate([p_g, e_g])
-            p_f = np.concatenate([p_f, e_f])
-            # Event-driven completion bounds: rescan only the searches whose
-            # entry-wire labels just improved.
-            hit = is_entry[m_flat]
-            if hit.any():
-                for s in set(esl[hit].tolist()):
-                    scan_slot(s)
-
-    def _net_route_of(net_id: int) -> NetRoute:
-        conns = net_conns[net_id]
-        nodes = [net_terms[net_id][0]]
-        for _, path, _ in conns:
-            nodes.extend(path)
-        return NetRoute(net_id, nodes, connections=list(conns))
-
-    iteration = 0
-    success = False
-    net_ids = [net.id for net in netlist.nets]
-    streak: Dict[int, int] = {}
-
-    def _build_reroute_items(congested: List[int]) -> List[_NetWork]:
-        """Decide the connection-level rips of every congested net.
-
-        Nothing is released here -- each :class:`_NetWork` carries its rip
-        list and the pre-rip connections, so the release happens at wave
-        admission (or never, if the net heals while it waits).
-        """
-        batch_items: List[_NetWork] = []
-        for nid in congested:
-            # Rip the congested connections (and their dependent branches);
-            # forward scan in route order closes the chain.
-            source = net_terms[nid][0]
-            kept: List[Tuple[int, List[int], int]] = []
-            ripped: List[Tuple[int, List[int], int]] = []
-            ripped_nodes: Set[int] = set()
-            for conn in net_conns[nid]:
-                target, path, attach = conn
-                usage = path if path else [target]
-                if (
-                    attach in ripped_nodes
-                    or target in ripped_nodes
-                    or bool(over_mask[np.asarray(usage, dtype=np.int64)].any())
-                ):
-                    ripped.append(conn)
-                    ripped_nodes.update(usage)
-                else:
-                    kept.append(conn)
-            if not ripped:
-                continue
-            rip_nodes = [
-                n
-                for target, path, _ in ripped
-                for n in (path if path else [target])
-            ]
-            tree = [source]
-            tree_set = {source}
-            for _, path, _ in kept:
-                for n in path:
-                    tree.append(n)
-                    tree_set.add(n)
-            # A net congested for several consecutive iterations is stuck in
-            # a duel its box is too tight to resolve: grow the box so the
-            # search can reach free capacity further out.
-            grow = 3 * max(0, streak.get(nid, 0) - 2)
-            xlo, xhi, ylo, yhi = net_bbox[nid]
-            bounds = (xlo - grow, xhi + grow, ylo - grow, yhi + grow)
-            batch_items.append(
-                _NetWork(
-                    nid, [c[0] for c in ripped], tree, tree_set, kept,
-                    bounds, rip=rip_nodes, original_conns=net_conns[nid],
-                )
-            )
-        return batch_items
-
-
-    # Convergence telemetry (appends + clock reads only: trajectory-neutral).
-    tl_overuse: List[int] = []
-    tl_rerouted: List[int] = []
-    tl_wall_ms: List[float] = []
-
-    for iteration in range(1, max_iterations + 1):
-        if deadline is not None:
-            deadline.check(f"wavefront iteration {iteration}")
-        it_t0 = time.perf_counter()
-        rerouted = 0
-        refresh_cost()
-        if iteration == 1:
-            # One global queue: waves stay full until the work runs out, and
-            # high-fanout nets pipeline their connections while other nets
-            # fill the remaining slots.
-            items = []
-            for nid in net_ids:
-                source, sinks = net_terms[nid]
-                sx, sy = int(xs[source]), int(ys[source])
-                order = sorted(
-                    sinks,
-                    key=lambda t: -(abs(int(xs[t]) - sx) + abs(int(ys[t]) - sy)),
-                )
-                conns: List[Tuple[int, List[int], int]] = []
-                net_conns[nid] = conns
-                items.append(
-                    _NetWork(nid, order, [source], {source}, conns, net_bbox[nid])
-                )
-            _drive(items)
-            rerouted = len(net_ids)
-            for nid in net_ids:
-                routes[nid] = _net_route_of(nid)
-        else:
-            # Incremental re-route: every net occupying an overused node has
-            # its congested connections ripped (the release itself happens
-            # lazily at wave admission) and re-routed.  The scan repeats up
-            # to three passes per iteration: a re-route that displaces
-            # congestion onto a net scanned earlier would otherwise wait a
-            # whole iteration for the cascade to continue (the scalar
-            # kernels get this for free from their live overuse set).
-            for _pass in range(3):
-                congested = [
-                    nid
-                    for nid in net_ids
-                    if over_mask[np.asarray(routes[nid].nodes, dtype=np.int64)].any()
-                ]
-                if not congested:
-                    break
-                if _pass == 0:
-                    streak = {nid: streak.get(nid, 0) + 1 for nid in congested}
-                # Freshly-conflicted nets move first; a net that has lost
-                # many rounds in a row goes last and usually finds its wire
-                # vacated by the time it is re-checked -- without this, the
-                # lowest net id plays whack-a-mole against a rotation of
-                # sitting occupants.
-                congested.sort(key=lambda nid: (streak.get(nid, 0), nid))
-                batch_items = _build_reroute_items(congested)
-                if not batch_items:
-                    break
-                _drive(batch_items)
-                rerouted += len(batch_items)
-                for work in batch_items:
-                    net_conns[work.net_id] = work.conns
-                    routes[work.net_id] = _net_route_of(work.net_id)
-
-        tl_overuse.append(int(np.count_nonzero(over_mask)))
-        tl_rerouted.append(rerouted)
-        tl_wall_ms.append((time.perf_counter() - it_t0) * 1000.0)
-        if not over_mask.any():
-            success = True
-            break
-        over_nodes = np.nonzero(over_mask)[0]
-        history[over_nodes] += hist_fac * (occupancy[over_nodes] - cap_arr[over_nodes])
-        pres_fac *= pres_fac_mult
-        if timing_mode:
-            # Re-time the current route trees on the flat forest: the next
-            # iteration's re-routes price against fresh criticalities.
-            conn_crit = tracker.update_flat(routes)
-
-    # Converged routes only + timing-tracker fragment-cache reuse, as in
-    # the astar kernel above.
-    forest = None
-    if success:
-        frag_cache = tracker._frag_cache if tracker is not None else None
-        forest = build_route_forest(routes, rr, cache=frag_cache)
-    telemetry = {
-        "kernel": "wavefront",
-        "overuse_per_iteration": tl_overuse,
-        "rerouted_nets_per_iteration": tl_rerouted,
-        "iteration_wall_ms": tl_wall_ms,
-        "sta_retimes": tracker.updates if tracker is not None else 0,
-    }
-    return _assemble_result(
-        rr, routes, occupancy.astype(np.int32), cap_arr.astype(np.int32),
-        success, iteration, forest=forest, telemetry=telemetry,
     )
 
 

@@ -9,7 +9,7 @@ order of fidelity:
   along the unique tree path from the net's SOURCE to that sink, and the
   walk also counts the wire / switch / pin elements so the critical-path
   breakdown can itemize them.  When the routing carries a flat
-  :class:`~repro.par.forest.RouteForest` (the directed kernels emit one),
+  :class:`~repro.par.forest.RouteForest` (the astar kernel emits one),
   the extraction is pure NumPy -- one depth-levelized accumulation over
   the forest arrays plus a ``searchsorted`` join onto the timing edges,
   bit-identical to the legacy walk.  Without a forest, route trees that
@@ -166,7 +166,7 @@ def routed_edge_delays(
     ``fallback`` (default: the placement estimate).
 
     With a ``forest`` (:class:`~repro.par.forest.RouteForest`, as the
-    directed kernels attach to their :class:`~repro.par.routing.RoutingResult`)
+    astar kernel attaches to its :class:`~repro.par.routing.RoutingResult`)
     the extraction runs entirely on flat arrays -- no per-net Python walk
     -- and produces bit-identical delays to the legacy dict walk below.
     """

@@ -449,7 +449,7 @@ class CriticalityTracker:
     def update_flat(self, routes, forest=None) -> np.ndarray:
         """Re-time the route trees over the flat forest, in place.
 
-        ``forest`` defaults to flattening ``routes`` (the directed kernels'
+        ``forest`` defaults to flattening ``routes`` (the astar kernel's
         trees carry connection lists, so the build is one cheap pass); the
         delay extraction, STA scans and criticality fold are then pure
         NumPy.  Returns :attr:`conn_crit` (the same array object every

@@ -107,17 +107,6 @@ class TestCompiledEngineEquivalence:
         assert eng2 is not eng1
         assert eng2.num_nodes == len(c.ops)
 
-    def test_plane_backend_matches_straightline(self):
-        rng = random.Random(17)
-        c = random_circuit(rng, num_inputs=5, num_params=2, num_gates=60)
-        eng = compile_circuit(c)
-        for num_patterns in (1, 64, 130):
-            inputs = {nid: rng.getrandbits(num_patterns) for nid in c.input_ids()}
-            params = {nid: rng.getrandbits(num_patterns) for nid in c.param_ids()}
-            assert eng.simulate_planes(inputs, num_patterns, params) == (
-                eng.simulate_values(inputs, num_patterns, params)
-            )
-
     def test_direct_engine_matches_wrapper(self):
         rng = random.Random(5)
         c = random_circuit(rng)

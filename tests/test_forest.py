@@ -32,7 +32,7 @@ from repro.timing.delays import estimated_edge_delays, routed_edge_delays
 from repro.timing.graph import build_timing_graph
 from repro.timing.sta import CriticalityTracker, analyze
 
-KERNELS = ["wavefront", "astar", "fast", "reference"]
+KERNELS = ["astar", "fast", "reference"]
 
 
 def adder_network(width=6):
@@ -72,7 +72,6 @@ def wire_mask(device):
 class TestForestRoundTrip:
     def test_directed_kernels_emit_forest(self, routed_pe):
         _nl, _arch, _device, _placement, results = routed_pe
-        assert results["wavefront"].forest is not None
         assert results["astar"].forest is not None
         # Baselines stay untouched (their benchmark timings must not pay
         # a forest build).
@@ -118,7 +117,7 @@ class TestForestRoundTrip:
     def test_analysis_identical_with_and_without_forest(self, routed_pe):
         """analyze() reports the same critical path through either path."""
         nl, _arch, device, placement, results = routed_pe
-        r = results["wavefront"]
+        r = results["astar"]
         a_flat = analyze(nl, r, device, placement=placement)
         stripped = type(r)(
             routes=r.routes, success=r.success, iterations=r.iterations,
@@ -146,7 +145,7 @@ class TestForestRoundTrip:
 
     def test_corrupt_payload_reads_as_miss(self, routed_pe):
         _nl, _arch, _device, _placement, results = routed_pe
-        payload = routing_to_payload(results["wavefront"])
+        payload = routing_to_payload(results["astar"])
         bad = json.loads(json.dumps(payload))
         bad["forest"]["node"] = bad["forest"]["node"][:3]  # truncated
         assert routing_from_payload(bad) is None
@@ -176,7 +175,7 @@ class TestFlatCriticality:
     def test_tracker_flat_matches_dict(self, routed_pe):
         """conn_crit[conn_index[k]] == legacy dict[k], bit for bit."""
         nl, _arch, device, placement, results = routed_pe
-        r = results["wavefront"]
+        r = results["astar"]
         tracker = CriticalityTracker(nl, placement, device, exponent=2.0)
         flat = tracker.update_flat(r.routes).copy()
         legacy = tracker.update(r.routes)
@@ -200,22 +199,21 @@ class TestFlatCriticality:
         nl, _arch, device, placement, results = routed_pe
         tracker = CriticalityTracker(nl, placement, device)
         first = tracker.initial_flat()
-        second = tracker.update_flat(results["wavefront"].routes)
+        second = tracker.update_flat(results["astar"].routes)
         assert first is second  # same buffer, refreshed in place
 
     def test_timing_objective_kernels_agree_with_pre_forest_quality(self, routed_pe):
         """Timing routes still converge and beat/match the default delay."""
         nl, _arch, device, placement, results = routed_pe
-        base = results["wavefront"]
+        base = results["astar"]
         a_base = analyze(nl, base, device, placement=placement)
-        for kernel in ("wavefront", "astar"):
-            timed = route(
-                nl, placement, device, kernel=kernel,
-                objective="timing", criticality_exponent=2.0,
-            )
-            assert timed.success
-            a_t = analyze(nl, timed, device, placement=placement)
-            assert a_t.critical_path_ns <= 1.05 * a_base.critical_path_ns
+        timed = route(
+            nl, placement, device, kernel="astar",
+            objective="timing", criticality_exponent=2.0,
+        )
+        assert timed.success
+        a_t = analyze(nl, timed, device, placement=placement)
+        assert a_t.critical_path_ns <= 1.05 * a_base.critical_path_ns
 
 
 class TestCacheRehydration:

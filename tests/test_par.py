@@ -12,7 +12,7 @@ from repro.par.flow import best_placement, place_and_route, placement_sweep
 from repro.par.metrics import channel_occupancy, minimum_channel_width
 from repro.par.netlist import PhysicalNetlist, from_mapped_network
 from repro.par.placement import hpwl, place, random_placement
-from repro.par.routing import route
+from repro.par.routing import route, route_resilient
 from repro.par.timing import analyze_timing
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional, map_parameterized
@@ -282,14 +282,18 @@ class TestDirectedRoutingKernel:
         arch = FPGAArchitecture(width=4, height=4, channel_width=4)
         device = build_device(arch)
         placement = place(nl, arch, seed=0, effort=0.3).placement
-        with pytest.raises(ValueError):
-            route(nl, placement, device, kernel="warp")
+        for kernel in ("warp", "wavefront"):
+            with pytest.raises(ValueError):
+                route(nl, placement, device, kernel=kernel)
+            # Not a chain member, so the resilient wrapper rejects it too
+            # instead of degrading to a kernel that exists.
+            with pytest.raises(ValueError):
+                route_resilient(nl, placement, device, kernel=kernel)
 
 
 class TestAutoKernel:
     def test_auto_resolves_to_astar(self):
-        # "auto" is a fixed alias for the astar kernel at every scale (the
-        # crossover benchmark retired the size-based wavefront promotion):
+        # "auto" is a fixed alias for the astar kernel at every scale:
         # identical routes, wirelength and convergence.
         import repro.par.routing as routing_mod
 
@@ -304,17 +308,6 @@ class TestAutoKernel:
         assert auto.iterations == astar.iterations
         for nid, r in astar.routes.items():
             assert auto.routes[nid].nodes == r.nodes
-
-    def test_wavefront_stays_available_opt_in(self):
-        # Demoted from the defaults, not removed: explicit requests still
-        # run the vectorized kernel.
-        nl = chain_netlist(6)
-        arch = FPGAArchitecture(width=4, height=4, channel_width=4)
-        device = build_device(arch)
-        placement = place(nl, arch, seed=1, effort=0.4).placement
-        wave = route(nl, placement, device, kernel="wavefront")
-        assert wave.success
-        assert wave.kernel == "wavefront"
 
     def test_min_cw_default_probe_kernel_is_auto(self):
         # The probe default must agree with the explicit scalar kernel at
@@ -362,85 +355,6 @@ class TestCacheObjectiveNamespace:
         again = minimum_channel_width(nl, placement, arch, low=1, high=8, cache=cache2)
         assert again.timing_at_min == first.timing_at_min
         assert cache2.hits > 0
-
-
-class TestWavefrontRoutingKernel:
-    def test_wavefront_matches_reference_quality(self):
-        net = adder_network(6)
-        nl = from_mapped_network(net)
-        arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=6)
-        device = build_device(arch)
-        placement = place(nl, arch, seed=2, effort=0.4).placement
-        ref = route(nl, placement, device, kernel="reference")
-        wave = route(nl, placement, device, kernel="wavefront")
-        assert wave.success == ref.success
-        assert wave.overused_nodes == 0
-        # Re-baselined, not bit-checked: the vectorized kernel's wirelength
-        # must stay within the issue's 2% band of the reference route.
-        assert wave.wirelength <= 1.02 * ref.wirelength
-        assert set(wave.routes) == {n.id for n in nl.nets}
-        occ = channel_occupancy(wave, device)
-        assert occ["peak"] <= arch.channel_width
-
-    def test_wavefront_routes_are_connected_trees(self):
-        nl = chain_netlist(8)
-        arch = FPGAArchitecture(width=4, height=4, channel_width=4)
-        device = build_device(arch)
-        placement = place(nl, arch, seed=2, effort=0.5).placement
-        result = route(nl, placement, device, kernel="wavefront")
-        assert result.success
-        rr = device.rr_graph
-        adj = {n: set(rr.fanouts(n).tolist()) for r in result.routes.values()
-               for n in r.nodes}
-        for r in result.routes.values():
-            nodes = set(r.nodes)
-            reached = {r.nodes[0]}
-            frontier = [r.nodes[0]]
-            while frontier:
-                n = frontier.pop()
-                for m in adj[n] & nodes:
-                    if m not in reached:
-                        reached.add(m)
-                        frontier.append(m)
-            assert reached == nodes
-
-    def test_wavefront_is_deterministic(self):
-        net = adder_network(5)
-        nl = from_mapped_network(net)
-        arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=6)
-        device = build_device(arch)
-        placement = place(nl, arch, seed=1, effort=0.4).placement
-        a = route(nl, placement, device, kernel="wavefront")
-        b = route(nl, placement, device, kernel="wavefront")
-        assert a.wirelength == b.wirelength
-        assert a.iterations == b.iterations
-        for nid, r in a.routes.items():
-            assert b.routes[nid].nodes == r.nodes
-
-    def test_wavefront_batch_sizes_agree_on_success(self):
-        # Batching changes the negotiation trajectory but never correctness:
-        # every batch size must converge to a legal route.
-        nl = chain_netlist(10)
-        arch = FPGAArchitecture(width=4, height=4, channel_width=4)
-        device = build_device(arch)
-        placement = place(nl, arch, seed=3, effort=0.5).placement
-        for batch in (1, 2, 8):
-            result = route(nl, placement, device, kernel="wavefront", batch=batch)
-            assert result.success, f"batch={batch}"
-            assert result.overused_nodes == 0
-            occ = channel_occupancy(result, device)
-            assert occ["peak"] <= arch.channel_width
-
-    def test_wavefront_congestion_fails_gracefully(self):
-        net = adder_network(6)
-        nl = from_mapped_network(net)
-        arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=1)
-        device = build_device(arch)
-        placement = place(nl, arch, seed=0, effort=0.3).placement
-        result = route(nl, placement, device, kernel="wavefront", max_iterations=3)
-        # With W=1 either the router reports congestion or it squeezes
-        # through; it must never report success while nodes are overused.
-        assert result.success == (result.overused_nodes == 0)
 
 
 class TestBatchedPlacementKernel:

@@ -35,7 +35,7 @@ def adder_network(width=4):
     return map_conventional(opt)
 
 
-def routed_design(width=6, channel_width=8, seed=2, kernel="wavefront"):
+def routed_design(width=6, channel_width=8, seed=2, kernel="astar"):
     net = adder_network(width)
     nl = from_mapped_network(net)
     arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=channel_width)
@@ -216,7 +216,7 @@ class TestTimingObjective:
         # Same placement, both objectives: the timing-driven router must
         # still converge and stay within the wirelength band.
         net, nl, arch, device, placement, routing = routed_design()
-        timed = route(nl, placement, device, kernel="wavefront", objective="timing")
+        timed = route(nl, placement, device, kernel="astar", objective="timing")
         assert timed.success
         assert timed.wirelength <= 1.05 * routing.wirelength
         a_wl = analyze(nl, routing, device, placement=placement)
