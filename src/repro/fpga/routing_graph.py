@@ -21,6 +21,7 @@ so that the router's inner loop stays cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -168,7 +169,11 @@ class RouterSearchView:
       model consumed by the STA engine and the timing-driven router
       objective);
     * ``adj_search`` -- per-node Python lists sliced out of the same CSR,
-      the layout of the pure-Python astar twin.
+      the layout of the pure-Python astar twin, built on first access only.
+
+    The per-sink entry maps come in the same two layouts: :meth:`entry_csr`
+    (native kernel) and :meth:`entries_of` (Python twin), each cached on
+    its own, so the native path never builds a Python mirror.
     """
 
     def __init__(self, rr: RRGraph) -> None:
@@ -203,24 +208,19 @@ class RouterSearchView:
             delay[rr.node_type == t] = d
         self.delay_ns: np.ndarray = delay
 
-        # The pure-Python astar twin walks the same filtered adjacency as Python
-        # lists; slice them out of the CSR just built.
-        ptr = self.csr_ptr.tolist()
-        dst = self.csr_dst.tolist()
-        self.adj_search: List[List[int]] = [
-            dst[ptr[i]: ptr[i + 1]] for i in range(num_nodes)
-        ]
-
         # Reverse CSR (for per-sink entry maps, built lazily below).
-        order = np.argsort(rr.edge_dst, kind="stable")
-        self._rev_src = np.repeat(
-            np.arange(rr.num_nodes, dtype=np.int32),
-            np.diff(rr.edge_ptr).astype(np.int64),
-        )[order]
-        self._rev_ptr = np.zeros(rr.num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rr.edge_dst, minlength=rr.num_nodes), out=self._rev_ptr[1:])
+        self._rev_src = edge_src[np.argsort(rr.edge_dst, kind="stable")]
+        self._rev_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rr.edge_dst, minlength=num_nodes), out=self._rev_ptr[1:])
         self._entries: Dict[int, Dict[int, List[int]]] = {}
         self._entry_csr: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    @cached_property
+    def adj_search(self) -> List[List[int]]:
+        """The filtered adjacency as per-node Python lists (Python astar twin)."""
+        ptr = self.csr_ptr.tolist()
+        dst = self.csr_dst.tolist()
+        return [dst[ptr[i]: ptr[i + 1]] for i in range(len(ptr) - 1)]
 
     def _in_edges(self, node: int) -> List[int]:
         lo, hi = int(self._rev_ptr[node]), int(self._rev_ptr[node + 1])
@@ -248,14 +248,21 @@ class RouterSearchView:
         """
         csr = self._entry_csr.get(sink)
         if csr is None:
-            entry = self.entries_of(sink)
-            wires = np.asarray(sorted(entry), dtype=np.int64)
+            # Every (wire, ipin) pair in entries_of's visiting order: ipins
+            # in sink in-edge order, each ipin's wires in its in-edge order.
+            # A stable sort by wire then keeps each wire's ipins in that order.
+            rev_ptr, rev_src = self._rev_ptr, self._rev_src
+            ipin = rev_src[rev_ptr[sink]: rev_ptr[sink + 1]].astype(np.int64)
+            lo = rev_ptr[ipin]
+            counts = rev_ptr[ipin + 1] - lo
+            first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+            pair_wire = rev_src[first + np.arange(int(counts.sum()))]
+            pair_ipin = np.repeat(ipin, counts)
+            order = np.argsort(pair_wire, kind="stable")
+            wires, per_wire = np.unique(pair_wire[order], return_counts=True)
             ptr = np.zeros(len(wires) + 1, dtype=np.int64)
-            ipins: List[int] = []
-            for i, wire in enumerate(wires.tolist()):
-                ipins.extend(entry[wire])
-                ptr[i + 1] = len(ipins)
-            csr = (wires, ptr, np.asarray(ipins, dtype=np.int64))
+            np.cumsum(per_wire, out=ptr[1:])
+            csr = (wires.astype(np.int64), ptr, pair_ipin[order])
             self._entry_csr[sink] = csr
         return csr
 

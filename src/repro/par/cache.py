@@ -84,7 +84,9 @@ class CacheIOError(OSError):
 #: must read as misses.
 ROUTE_ALGO_VERSION = 4
 #: Bump when a placement kernel change makes cached placements stale.
-PLACE_ALGO_VERSION = 2
+#: v3: ``place()`` and ``place_and_route()`` default to the ``batched``
+#: annealer (PCG64 stream) instead of the ``random.Random`` trajectory.
+PLACE_ALGO_VERSION = 3
 
 
 def _netlist_fingerprint(netlist: PhysicalNetlist) -> str:

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..fpga.architecture import FPGAArchitecture, auto_size
 from ..fpga.device import Device, build_device
-from ..obs.trace import span, traced
+from ..obs.trace import traced
 from ..techmap.mapping import MappedNetwork
 from ..timing.delays import structural_edge_delays
 from ..timing.graph import build_timing_graph
@@ -232,7 +232,7 @@ def place_and_route(
     find_min_channel_width: bool = False,
     min_cw_bounds: tuple = (2, 32),
     seed: int = 0,
-    placement_kernel: Optional[str] = None,
+    placement_kernel: str = "batched",
     route_kernel: str = "auto",
     min_cw_route_kernel: str = "auto",
     workers: Optional[int] = None,
@@ -257,9 +257,10 @@ def place_and_route(
     placement_effort:
         Scales annealing effort; lower is faster but noisier.
     placement_kernel:
-        Annealing kernel; default ``incremental`` under the wirelength
-        objective, ``batched`` under the timing objective (the only kernel
-        that accepts per-net weights).
+        Annealing kernel: ``batched`` (default, both objectives; the native
+        annealer when the compiled backend is available) or ``reference``
+        (the quality baseline, wirelength annealing only -- under the timing
+        objective it skips the criticality-driven placer).
     find_min_channel_width:
         Additionally run the binary search for the minimum channel width
         (Table I's CW column).  This re-routes the design several times;
@@ -295,8 +296,6 @@ def place_and_route(
     """
     if objective not in ("wirelength", "timing"):
         raise ValueError(f"unknown PAR objective {objective!r}")
-    if placement_kernel is None:
-        placement_kernel = "batched" if objective == "timing" else "incremental"
     netlist = from_mapped_network(network)
     num_logic = netlist.num_logic_blocks() + netlist.num_ff_blocks()
     num_ios = netlist.num_io_blocks()

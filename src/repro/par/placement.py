@@ -5,35 +5,29 @@ netlist are assigned to compatible sites of the island FPGA and iteratively
 improved by simulated annealing on the half-perimeter wirelength (HPWL) of
 all nets, with the adaptive temperature schedule and range limiting of VPR.
 
-Three annealing kernels live behind :func:`place`:
+Two annealing kernels live behind :func:`place`:
 
-* ``kernel="incremental"`` (default) -- VPR-style incremental net bounding
+* ``kernel="batched"`` (default) -- VPR-style incremental net bounding
   boxes: every net caches its bbox plus the number of pins on each boundary,
   a move updates affected nets in O(1) and only a *boundary shrink* (the last
-  pin leaves a bbox edge) triggers a rescan of that net's pins.  Coordinates
-  live in flat Python lists, so the inner loop carries no tuple/dataclass
-  overhead.
-* ``kernel="batched"`` -- the same incremental-bbox annealer, but all
-  randomness is drawn in blocks from a ``numpy.random.Generator(PCG64)``
-  instead of per-move ``random.Random`` calls (which are ~40% of the
-  incremental kernel's inner loop).  The trajectory differs from the other
-  kernels, so its quality is re-baselined instead of bit-checked: mean final
-  HPWL across seeds is asserted within 2% of the incremental kernel (see
-  ``tests/test_par.py`` and ``benchmarks/bench_hotpaths.py``).  This kernel
-  also accepts per-net weights (``net_weights``), the seam the timing-driven
-  flow uses to pull criticality-weighted nets shorter.  When the native
-  backend is available (see :mod:`repro.native`) the move loop runs as
-  compiled C over the same flat arrays and PCG64 stream -- trajectories are
-  bit-identical to the Python loop, so results and caches are
-  backend-independent.
+  pin leaves a bbox edge) triggers a rescan of that net's pins.  All
+  randomness is drawn in blocks from a ``numpy.random.Generator(PCG64)``,
+  and a logic move picks its target inside the range-limit window in O(1).
+  The kernel also accepts per-net weights (``net_weights``) and the
+  incremental-STA objective (``timing``), the seams the timing-driven flow
+  uses to pull critical connections shorter.  When the native backend is
+  available (see :mod:`repro.native`) the move loop runs as compiled C over
+  the same flat arrays and PCG64 stream -- trajectories are bit-identical
+  to the Python loop, so results and caches are backend-independent.
 * ``kernel="reference"`` -- the original implementation that recomputes every
-  affected net's HPWL from its full pin list; kept as the baseline for the
-  hot-path benchmark and for equivalence tests.
+  affected net's HPWL from its full pin list, driven by per-move
+  ``random.Random`` calls.  It is the quality baseline of the tests and the
+  hot-path benchmark: ``batched`` follows a different random stream, so its
+  quality is banded instead of bit-checked (mean final HPWL across seeds
+  within 2% of ``reference``, see ``tests/test_par.py`` and
+  ``benchmarks/bench_hotpaths.py``).
 
-``reference`` and ``incremental`` draw the same random number sequence and
-compute exact integer HPWL deltas, so for a fixed seed they follow the *same
-annealing trajectory* and return identical placements.  All kernels keep the
-HPWL cost as an exact integer.
+Both kernels keep the HPWL cost as an exact integer.
 """
 
 from __future__ import annotations
@@ -266,7 +260,7 @@ def place(
     seed: int = 0,
     effort: float = 1.0,
     inner_num: float = 1.0,
-    kernel: str = "incremental",
+    kernel: str = "batched",
     net_weights: Optional[Sequence[float]] = None,
     timing: Optional[TimingCost] = None,
 ) -> PlacementResult:
@@ -274,9 +268,8 @@ def place(
 
     ``effort`` scales the number of moves per temperature; values below 1
     trade quality for runtime (used by the fast benchmark configurations).
-    ``kernel`` selects the annealing inner loop (see module docstring);
-    ``reference`` and ``incremental`` are trajectory-identical for a fixed
-    seed, ``batched`` trades that for throughput at re-baselined quality.
+    ``kernel`` selects the annealing inner loop (see module docstring):
+    ``batched`` is the production kernel, ``reference`` the quality baseline.
 
     ``net_weights`` (``batched`` kernel only) anneals the weighted objective
     ``sum(weight_i * hpwl_i)`` instead of plain HPWL -- the timing-driven
@@ -301,301 +294,11 @@ def place(
         raise ValueError("timing and net_weights are mutually exclusive")
     if kernel == "reference":
         return _place_reference(netlist, arch, seed=seed, effort=effort, inner_num=inner_num)
-    if kernel == "batched":
-        return _place_batched(
-            netlist, arch, seed=seed, effort=effort, inner_num=inner_num,
-            net_weights=net_weights, timing=timing,
-        )
-    if kernel != "incremental":
+    if kernel != "batched":
         raise ValueError(f"unknown placement kernel {kernel!r}")
-
-    rng = random.Random(seed)
-    placement = random_placement(netlist, arch, seed=seed)
-
-    logic_blocks = [b.id for b in netlist.blocks if b.needs_logic_site]
-    io_blocks = [b.id for b in netlist.blocks if b.kind == "io"]
-    logic_sites = list(arch.clb_sites())
-    io_sites = list(arch.io_sites())
-    all_sites = logic_sites + io_sites
-    site_index = {s.as_tuple(): i for i, s in enumerate(all_sites)}
-    site_x = [s.x for s in all_sites]
-    site_y = [s.y for s in all_sites]
-
-    num_block_ids = len(netlist.blocks)
-    block_gsite = [-1] * num_block_ids
-    block_x = [0] * num_block_ids
-    block_y = [0] * num_block_ids
-    occupant: List[Optional[int]] = [None] * len(all_sites)
-    for bid, site in placement.block_site.items():
-        gi = site_index[site.as_tuple()]
-        block_gsite[bid] = gi
-        block_x[bid] = site.x
-        block_y[bid] = site.y
-        occupant[gi] = bid
-
-    # -- per-net cached bounding boxes -----------------------------------------
-    # bb[nid] = (xmin, xmax, ymin, ymax, n_xmin, n_xmax, n_ymin, n_ymax)
-    net_pins: List[List[int]] = []
-    nets_of_block: List[List[int]] = [[] for _ in range(num_block_ids)]
-    bb: List[Tuple[int, int, int, int, int, int, int, int]] = []
-    net_cost: List[int] = []
-    total_cost = 0
-    for net in netlist.nets:
-        # Deduplicate pins: a repeated block contributes nothing to the bbox
-        # but would corrupt the boundary counts of the O(1) update below
-        # (one move must remove exactly one pin from a boundary).
-        pins = list(dict.fromkeys([net.driver] + net.sinks))
-        net_pins.append(pins)
-        for b in {net.driver, *net.sinks}:
-            nets_of_block[b].append(net.id)
-        xs = [block_x[b] for b in pins]
-        ys = [block_y[b] for b in pins]
-        xmin, xmax = min(xs), max(xs)
-        ymin, ymax = min(ys), max(ys)
-        bb.append(
-            (xmin, xmax, ymin, ymax,
-             xs.count(xmin), xs.count(xmax), ys.count(ymin), ys.count(ymax))
-        )
-        cost = (xmax - xmin) + (ymax - ymin)
-        net_cost.append(cost)
-        total_cost += cost
-    initial_cost = total_cost
-
-    movable_groups: List[Tuple[List[int], List[int]]] = []
-    if logic_blocks:
-        movable_groups.append((logic_blocks, list(range(len(logic_sites)))))
-    if io_blocks:
-        io_gidx = list(range(len(logic_sites), len(all_sites)))
-        movable_groups.append((io_blocks, io_gidx))
-    if not movable_groups:
-        return PlacementResult(placement, 0, 0, 0, 0, 0)
-
-    num_blocks = len(logic_blocks) + len(io_blocks)
-    moves_per_temp = _moves_per_temperature(num_blocks, effort, inner_num)
-    temperature = _initial_temperature(initial_cost, len(netlist.nets))
-    device_span = float(max(arch.width, arch.height))
-    range_limit = device_span
-
-    moves_attempted = 0
-    moves_accepted = 0
-    temperature_steps = 0
-    tl_temperature: List[float] = []
-    tl_cost: List[int] = []
-    tl_acceptance: List[float] = []
-    num_groups = len(movable_groups)
-    randrange = rng.randrange
-    rand = rng.random
-    exp = math.exp
-
-    def _bbox_after_move(
-        nid: int, ox: int, oy: int, nx: int, ny: int
-    ) -> Tuple[int, int, int, int, int, int, int, int]:
-        """Bbox of net ``nid`` after one pin moved (ox,oy) -> (nx,ny).
-
-        Block coordinates must already reflect the move.  O(1) unless the pin
-        leaves a boundary it solely occupied (boundary shrink -> rescan).
-        """
-        xmin, xmax, ymin, ymax, cxmin, cxmax, cymin, cymax = bb[nid]
-        if nx != ox:
-            if (ox == xmin and cxmin == 1 and nx > xmin) or (
-                ox == xmax and cxmax == 1 and nx < xmax
-            ):
-                xs = [block_x[b] for b in net_pins[nid]]
-                xmin, xmax = min(xs), max(xs)
-                cxmin, cxmax = xs.count(xmin), xs.count(xmax)
-            else:
-                if ox == xmin:
-                    cxmin -= 1
-                if ox == xmax:
-                    cxmax -= 1
-                if nx < xmin:
-                    xmin, cxmin = nx, 1
-                elif nx == xmin:
-                    cxmin += 1
-                if nx > xmax:
-                    xmax, cxmax = nx, 1
-                elif nx == xmax:
-                    cxmax += 1
-        if ny != oy:
-            if (oy == ymin and cymin == 1 and ny > ymin) or (
-                oy == ymax and cymax == 1 and ny < ymax
-            ):
-                ys = [block_y[b] for b in net_pins[nid]]
-                ymin, ymax = min(ys), max(ys)
-                cymin, cymax = ys.count(ymin), ys.count(ymax)
-            else:
-                if oy == ymin:
-                    cymin -= 1
-                if oy == ymax:
-                    cymax -= 1
-                if ny < ymin:
-                    ymin, cymin = ny, 1
-                elif ny == ymin:
-                    cymin += 1
-                if ny > ymax:
-                    ymax, cymax = ny, 1
-                elif ny == ymax:
-                    cymax += 1
-        return (xmin, xmax, ymin, ymax, cxmin, cxmax, cymin, cymax)
-
-    def _bbox_rescan(nid: int) -> Tuple[int, int, int, int, int, int, int, int]:
-        xs = [block_x[b] for b in net_pins[nid]]
-        ys = [block_y[b] for b in net_pins[nid]]
-        xmin, xmax = min(xs), max(xs)
-        ymin, ymax = min(ys), max(ys)
-        return (xmin, xmax, ymin, ymax,
-                xs.count(xmin), xs.count(xmax), ys.count(ymin), ys.count(ymax))
-
-    while temperature_steps < 200:
-        accepted_this_temp = 0
-        range2 = range_limit * 2
-        for _ in range(moves_per_temp):
-            blocks, gsites = movable_groups[randrange(num_groups)]
-            block = blocks[randrange(len(blocks))]
-            cur_g = block_gsite[block]
-            cx = block_x[block]
-            cy = block_y[block]
-            target_g = -1
-            for _try in range(8):
-                tg = gsites[randrange(len(gsites))]
-                if abs(site_x[tg] - cx) + abs(site_y[tg] - cy) > range2:
-                    continue
-                if tg != cur_g:
-                    target_g = tg
-                    break
-            if target_g < 0:
-                continue
-            moves_attempted += 1
-            occ_block = occupant[target_g]
-            nx = site_x[target_g]
-            ny = site_y[target_g]
-
-            # Tentatively apply the move to the coordinate arrays.
-            block_x[block] = nx
-            block_y[block] = ny
-            if occ_block is not None:
-                block_x[occ_block] = cx
-                block_y[occ_block] = cy
-
-            delta = 0
-            updates: List[Tuple[int, Tuple[int, int, int, int, int, int, int, int], int]] = []
-            if occ_block is None:
-                # Common case (move into an empty site): inline the O(1)
-                # bbox update; only a boundary shrink rescans the net's pins.
-                for nid in nets_of_block[block]:
-                    xmin, xmax, ymin, ymax, cxmin, cxmax, cymin, cymax = bb[nid]
-                    if nx != cx:
-                        if (cx == xmin and cxmin == 1 and nx > xmin) or (
-                            cx == xmax and cxmax == 1 and nx < xmax
-                        ):
-                            pxs = [block_x[b] for b in net_pins[nid]]
-                            xmin, xmax = min(pxs), max(pxs)
-                            cxmin, cxmax = pxs.count(xmin), pxs.count(xmax)
-                        else:
-                            if cx == xmin:
-                                cxmin -= 1
-                            if cx == xmax:
-                                cxmax -= 1
-                            if nx < xmin:
-                                xmin, cxmin = nx, 1
-                            elif nx == xmin:
-                                cxmin += 1
-                            if nx > xmax:
-                                xmax, cxmax = nx, 1
-                            elif nx == xmax:
-                                cxmax += 1
-                    if ny != cy:
-                        if (cy == ymin and cymin == 1 and ny > ymin) or (
-                            cy == ymax and cymax == 1 and ny < ymax
-                        ):
-                            pys = [block_y[b] for b in net_pins[nid]]
-                            ymin, ymax = min(pys), max(pys)
-                            cymin, cymax = pys.count(ymin), pys.count(ymax)
-                        else:
-                            if cy == ymin:
-                                cymin -= 1
-                            if cy == ymax:
-                                cymax -= 1
-                            if ny < ymin:
-                                ymin, cymin = ny, 1
-                            elif ny == ymin:
-                                cymin += 1
-                            if ny > ymax:
-                                ymax, cymax = ny, 1
-                            elif ny == ymax:
-                                cymax += 1
-                    cost = (xmax - xmin) + (ymax - ymin)
-                    delta += cost - net_cost[nid]
-                    updates.append(
-                        (nid, (xmin, xmax, ymin, ymax, cxmin, cxmax, cymin, cymax), cost)
-                    )
-            else:
-                block_nets = nets_of_block[block]
-                occ_nets = nets_of_block[occ_block]
-                shared = set(block_nets) & set(occ_nets) if occ_nets else set()
-                for nid in block_nets:
-                    if nid in shared:
-                        nb = _bbox_rescan(nid)  # both endpoints moved
-                    else:
-                        nb = _bbox_after_move(nid, cx, cy, nx, ny)
-                    cost = (nb[1] - nb[0]) + (nb[3] - nb[2])
-                    delta += cost - net_cost[nid]
-                    updates.append((nid, nb, cost))
-                for nid in occ_nets:
-                    if nid in shared:
-                        continue
-                    nb = _bbox_after_move(nid, nx, ny, cx, cy)
-                    cost = (nb[1] - nb[0]) + (nb[3] - nb[2])
-                    delta += cost - net_cost[nid]
-                    updates.append((nid, nb, cost))
-
-            if delta <= 0 or rand() < exp(-delta / max(temperature, 1e-9)):
-                for nid, nb, cost in updates:
-                    bb[nid] = nb
-                    total_cost += cost - net_cost[nid]
-                    net_cost[nid] = cost
-                occupant[target_g] = block
-                occupant[cur_g] = occ_block
-                block_gsite[block] = target_g
-                if occ_block is not None:
-                    block_gsite[occ_block] = cur_g
-                moves_accepted += 1
-                accepted_this_temp += 1
-            else:
-                block_x[block] = cx
-                block_y[block] = cy
-                if occ_block is not None:
-                    block_x[occ_block] = nx
-                    block_y[occ_block] = ny
-
-        temperature_steps += 1
-        acceptance = accepted_this_temp / max(1, moves_per_temp)
-        tl_temperature.append(temperature)
-        tl_cost.append(total_cost)
-        tl_acceptance.append(acceptance)
-        temperature = _cool(temperature, acceptance)
-        range_limit = _next_range_limit(range_limit, acceptance, device_span)
-        if temperature < 0.005 * total_cost / max(1, len(netlist.nets)) or (
-            acceptance < 0.01 and temperature_steps > 5
-        ):
-            break
-
-    for bid in range(num_block_ids):
-        gi = block_gsite[bid]
-        if gi >= 0:
-            placement.block_site[bid] = all_sites[gi]
-
-    return PlacementResult(
-        placement=placement,
-        cost=total_cost,
-        initial_cost=initial_cost,
-        moves_attempted=moves_attempted,
-        moves_accepted=moves_accepted,
-        temperature_steps=temperature_steps,
-        telemetry=_placement_telemetry(
-            "incremental", tl_temperature, tl_cost, tl_acceptance,
-            moves_attempted, moves_accepted,
-        ),
+    return _place_batched(
+        netlist, arch, seed=seed, effort=effort, inner_num=inner_num,
+        net_weights=net_weights, timing=timing,
     )
 
 
@@ -642,8 +345,7 @@ def _place_batched(
 ) -> PlacementResult:
     """Incremental-bbox annealer fed by block-drawn PCG64 randomness.
 
-    Identical cost accounting to ``kernel="incremental"``; only the random
-    stream differs.  Move selection draws 63-bit integers (reduced modulo
+    Move selection draws 63-bit integers (reduced modulo
     the needed range -- the bias is below ``range / 2**63``, irrelevant to
     annealing) and acceptance draws uniforms, both fetched in blocks of
     2**14 from ``numpy.random.Generator(PCG64(seed))`` and consumed by plain
@@ -700,13 +402,17 @@ def _place_batched(
         block_y[bid] = site.y
         occupant[gi] = bid
 
-    # Per-net cached bounding boxes, exactly as in the incremental kernel.
+    # -- per-net cached bounding boxes -----------------------------------------
+    # bb[nid] = (xmin, xmax, ymin, ymax, n_xmin, n_xmax, n_ymin, n_ymax)
     net_pins: List[List[int]] = []
     nets_of_block: List[List[int]] = [[] for _ in range(num_block_ids)]
     bb: List[Tuple[int, int, int, int, int, int, int, int]] = []
     net_cost: List[int] = []
     total_cost = 0
     for net in netlist.nets:
+        # Deduplicate pins: a repeated block contributes nothing to the bbox
+        # but would corrupt the boundary counts of the O(1) update below
+        # (one move must remove exactly one pin from a boundary).
         pins = list(dict.fromkeys([net.driver] + net.sinks))
         net_pins.append(pins)
         for b in {net.driver, *net.sinks}:

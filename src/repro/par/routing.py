@@ -434,7 +434,6 @@ def _route_astar(
 
     xs, ys = view.xs, view.ys
     types = view.types
-    adj = view.adj_search
     cap = view.capacity
     entries_of = view.entries_of
     occupancy = [0] * num_nodes
@@ -478,6 +477,7 @@ def _route_astar(
     nat_stats = np.zeros(1, dtype=np.int64)
     py_expanded = [0]
     if nat is not None:
+        adj: List[List[int]] = []       # Python-twin mirror, never built here
         visited_gen: List[int] = []     # unused; the arrays below replace them
         cost_so_far: List[float] = []
         prev_node: List[int] = []
@@ -494,6 +494,7 @@ def _route_astar(
         )
         entry_csr = view.entry_csr
     else:
+        adj = view.adj_search
         visited_gen = [0] * num_nodes
         cost_so_far = [0.0] * num_nodes
         prev_node = [-1] * num_nodes

@@ -26,7 +26,7 @@ from repro.netlist.simulate import (
     simulate_words,
 )
 from repro.par.netlist import from_mapped_network
-from repro.par.placement import place
+from repro.par.placement import hpwl, place
 from repro.par.routing import route
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional, map_parameterized
@@ -169,28 +169,10 @@ def _mapped_adder(width=6, param=False):
 
 
 class TestKernelReproducibility:
-    @pytest.mark.parametrize("seed,param", [(0, False), (7, True)])
-    def test_placement_kernels_identical_for_fixed_seed(self, seed, param):
-        network = _mapped_adder(6, param=param)
-        netlist = from_mapped_network(network)
-        arch = auto_size(
-            netlist.num_logic_blocks() + netlist.num_ff_blocks(),
-            netlist.num_io_blocks(),
-            channel_width=8,
-        )
-        ref = place(netlist, arch, seed=seed, effort=0.4, kernel="reference")
-        new = place(netlist, arch, seed=seed, effort=0.4, kernel="incremental")
-        assert new.cost == ref.cost
-        assert new.initial_cost == ref.initial_cost
-        assert new.moves_attempted == ref.moves_attempted
-        assert new.moves_accepted == ref.moves_accepted
-        assert new.temperature_steps == ref.temperature_steps
-        for bid, site in ref.placement.block_site.items():
-            assert new.placement.block_site[bid].as_tuple() == site.as_tuple()
-
-    def test_placement_kernels_identical_with_duplicate_net_pins(self):
-        # PhysicalNetlist permits a repeated sink; the incremental kernel
-        # must dedup pins or its bbox boundary counts go stale.
+    def test_batched_cost_exact_with_duplicate_net_pins(self):
+        # PhysicalNetlist permits a repeated sink; the batched kernel must
+        # dedup pins or its bbox boundary counts go stale, and the cost it
+        # tracks incrementally drifts from the recomputed HPWL.
         from repro.par.netlist import PhysicalNetlist
 
         nl = PhysicalNetlist("dup")
@@ -204,12 +186,9 @@ class TestKernelReproducibility:
         nl.validate()
         arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=4)
         for seed in (0, 1, 5):
-            ref = place(nl, arch, seed=seed, kernel="reference")
-            new = place(nl, arch, seed=seed, kernel="incremental")
-            assert new.cost == ref.cost
-            assert new.moves_accepted == ref.moves_accepted
-            for bid, site in ref.placement.block_site.items():
-                assert new.placement.block_site[bid].as_tuple() == site.as_tuple()
+            result = place(nl, arch, seed=seed, kernel="batched")
+            assert result.moves_accepted > 0
+            assert result.cost == hpwl(nl, result.placement), seed
 
     def test_placement_is_seed_reproducible(self):
         network = _mapped_adder(4)

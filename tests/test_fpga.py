@@ -1,5 +1,6 @@
 """Tests for the FPGA device model (architecture, RR graph, configuration memory)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from repro.fpga.architecture import FPGAArchitecture, auto_size
 from repro.fpga.bitstream import Bitstream, ConfigurationLayout
 from repro.fpga.device import device_for_netlist
-from repro.fpga.routing_graph import RRNodeType, build_rr_graph
+from repro.fpga.routing_graph import RouterSearchView, RRNodeType, build_rr_graph
 
 
 class TestArchitecture:
@@ -107,6 +108,26 @@ class TestRRGraph:
         arch, rr = small_graph
         sink = rr.clb_sink[(1, 1)]
         assert rr.node_capacity[sink] == arch.lut_inputs
+
+    def test_entry_csr_matches_entries_of(self, small_graph):
+        """The native entry maps equal the CSR of the Python ones, with each
+        wire's ipins in the same order (astar's completion tie-break takes
+        the first minimum)."""
+        _, rr = small_graph
+        view = RouterSearchView(rr)
+        multi_pin_wires = 0
+        for sink in range(rr.num_nodes):
+            if rr.node_type[sink] != RRNodeType.SINK:
+                continue
+            entry = view.entries_of(sink)
+            wires, ptr, ipins = view.entry_csr(sink)
+            assert wires.dtype == ptr.dtype == ipins.dtype == np.int64
+            assert wires.tolist() == sorted(entry)
+            assert ptr.tolist()[0] == 0 and ptr.tolist()[-1] == len(ipins)
+            for i, wire in enumerate(wires.tolist()):
+                assert ipins[ptr[i]: ptr[i + 1]].tolist() == entry[wire]
+            multi_pin_wires += sum(len(pins) > 1 for pins in entry.values())
+        assert multi_pin_wires > 0  # the order check is not vacuous
 
     def test_device_bundle(self):
         device = device_for_netlist(num_luts=20, num_ios=10, channel_width=6)

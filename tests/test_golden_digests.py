@@ -7,7 +7,10 @@ the matching version, or warm caches serve stale artifacts.  This module
 pins the exact results of a few small seeded designs -- placement sites,
 the default (``astar``) route forest, the timing-driven route forest and
 the STA critical path of each -- against digests committed per version
-pair, on both the native and the pure-Python astar backend.
+pair, on both the native and the pure-Python backends.  One more digest
+covers a default :func:`~repro.par.flow.place_and_route` call end to end
+(placement sites, route forest, critical path), so flipping a flow-level
+default -- not just a kernel -- also needs a version bump.
 
 After an intentional trajectory change, bump the version(s) in
 ``repro/par/cache.py`` and regenerate the table with::
@@ -24,6 +27,7 @@ from repro.fpga.architecture import auto_size
 from repro.fpga.device import build_device
 from repro.netlist.hdl import Design
 from repro.par.cache import PLACE_ALGO_VERSION, ROUTE_ALGO_VERSION
+from repro.par.flow import place_and_route
 from repro.par.netlist import from_mapped_network
 from repro.par.placement import place
 from repro.par.routing import route
@@ -33,15 +37,16 @@ from repro.timing import analyze
 
 #: ``(ROUTE_ALGO_VERSION, PLACE_ALGO_VERSION) -> design -> digest``.
 GOLDEN = {
-    (4, 2): {
-        "adder4": "ec724f58ec0e6b7680f0a55a3a157e7fd556f982c6dad26e469b7687c18d991f",
-        "adder10_param": "ca9a16f1a29233b2185d0b51dbaed6a7bd07768e5499a12c76882f7c71934ec7",
-        "adder16": "589564caf1005bdd5504b8dfa8bf39024d6cc0c4bcf18755f6f5305cdf750897",
+    (4, 3): {
+        "adder4": "9e86d150f8260dcfb9091644f2c71c4971b082fe07b14c4aaa46a6995e8299bd",
+        "adder10_param": "f10bf9f96849c63adfef2a86fa0ee6d7b94c7484a4693fbe79eb3da29115b67d",
+        "adder16": "c1efb16f5044d4b215b18bda2d8e5ebf22e79d7d7cd291e5d80aa567d112b1ae",
+        "flow_adder10_param": "550492f45b88b07962d27277a1a5b88be76cde9680dc07d760b358368547cb09",
     },
 }
 
 
-def _adder(width, param):
+def _adder_network(width, param):
     d = Design("adder")
     a = d.input_bus("a", width)
     b = d.param_bus("b", width) if param else d.input_bus("b", width)
@@ -49,7 +54,7 @@ def _adder(width, param):
     d.output_bus("s", s)
     d.output_bit("cout", co)
     opt, _ = optimize(d.circuit)
-    return from_mapped_network(map_parameterized(opt) if param else map_conventional(opt))
+    return map_parameterized(opt) if param else map_conventional(opt)
 
 
 def _auto_arch(nl, channel_width):
@@ -71,34 +76,65 @@ DESIGNS = {
 }
 
 
+#: Flow-level digest name -> design run through a default place_and_route.
+FLOWS = {"flow_adder10_param": "adder10_param"}
+
+
+def _hash_placement(h, placement) -> None:
+    for bid in sorted(placement.block_site):
+        h.update(repr((bid, placement.block_site[bid].as_tuple())).encode())
+
+
+def _hash_route(h, result, cp: float) -> None:
+    forest = result.forest
+    for arr in (forest.node, forest.parent, forest.net_node_ptr):
+        h.update(np.ascontiguousarray(arr, dtype="<i4").tobytes())
+    h.update(float(cp).hex().encode())
+
+
 def design_digest(name: str) -> str:
     """SHA-256 over the placement, both routes and both critical paths."""
-    nl = _adder(*DESIGNS[name])
+    nl = from_mapped_network(_adder_network(*DESIGNS[name]))
     arch = _auto_arch(nl, channel_width=3)
     device = build_device(arch)
     placement = place(nl, arch, seed=2, effort=0.4).placement
     h = hashlib.sha256()
-    for bid in sorted(placement.block_site):
-        h.update(repr((bid, placement.block_site[bid].as_tuple())).encode())
+    _hash_placement(h, placement)
     for objective in ("wirelength", "timing"):
         result = route(nl, placement, device, kernel="astar", objective=objective)
         assert result.success, (name, objective)
-        forest = result.forest
-        for arr in (forest.node, forest.parent, forest.net_node_ptr):
-            h.update(np.ascontiguousarray(arr, dtype="<i4").tobytes())
         cp = analyze(nl, result, device, placement=placement).critical_path_ns
-        h.update(float(cp).hex().encode())
+        _hash_route(h, result, cp)
     return h.hexdigest()
 
 
+def flow_digest(name: str) -> str:
+    """SHA-256 over a default place_and_route: sites, route forest, critical path.
+
+    Only the design, the seed and the (auto-sized) channel width are given;
+    every kernel, effort and objective is the flow's default.
+    """
+    par = place_and_route(_adder_network(*DESIGNS[FLOWS[name]]), channel_width=3, seed=2)
+    assert par.routing.success, name
+    h = hashlib.sha256()
+    _hash_placement(h, par.placement.placement)
+    _hash_route(h, par.routing, par.sta.critical_path_ns)
+    return h.hexdigest()
+
+
+def digest(name: str) -> str:
+    return flow_digest(name) if name in FLOWS else design_digest(name)
+
+
 @pytest.mark.parametrize("backend", ["native", "python"])
-@pytest.mark.parametrize("name", DESIGNS)
+@pytest.mark.parametrize("name", [*DESIGNS, *FLOWS])
 def test_golden_digest(name, backend, monkeypatch):
+    monkeypatch.delenv("REPRO_PAR_CACHE", raising=False)  # compute, never hydrate
     if backend == "python":
         monkeypatch.setenv("REPRO_NATIVE", "0")
     versions = (ROUTE_ALGO_VERSION, PLACE_ALGO_VERSION)
     expected = GOLDEN.get(versions, {}).get(name)
-    actual = design_digest(name)
+    actual = digest(name)
     assert actual == expected, (
         f"{name}: placement/route/STA digest changed under (ROUTE_ALGO_VERSION, "
         f"PLACE_ALGO_VERSION) = {versions}; if the trajectory change is "
@@ -110,6 +146,6 @@ def test_golden_digest(name, backend, monkeypatch):
 if __name__ == "__main__":
     key = (ROUTE_ALGO_VERSION, PLACE_ALGO_VERSION)
     print(f"    {key}: {{")
-    for design in DESIGNS:
-        print(f'        "{design}": "{design_digest(design)}",')
+    for name in [*DESIGNS, *FLOWS]:
+        print(f'        "{name}": "{digest(name)}",')
     print("    },")

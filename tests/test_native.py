@@ -271,6 +271,31 @@ class TestAstarBitIdentity:
 
 
 @needs_cc
+class TestSearchViewMirrors:
+    """The native astar path builds none of the Python twin's mirrors."""
+
+    def _fresh_route(self, workload):
+        nl, arch, _device, placement = workload
+        device = build_device(arch)  # a fresh graph: nothing cached on its view
+        assert route(nl, placement, device, kernel="astar").success
+        return device.rr_graph.search_view()
+
+    def test_native_route_builds_no_python_mirrors(self, workload):
+        assert astar_kernel() is not None
+        view = self._fresh_route(workload)
+        assert "adj_search" not in view.__dict__
+        assert view._entries == {}
+        assert view._entry_csr  # the native kernel did read its entry maps
+
+    def test_python_route_builds_its_mirrors(self, workload):
+        with python_twins():
+            view = self._fresh_route(workload)
+        assert "adj_search" in view.__dict__
+        assert view._entries
+        assert view._entry_csr == {}
+
+
+@needs_cc
 class TestAnnealerBitIdentity:
     def _identical(self, a, b):
         assert a.cost == b.cost

@@ -17,6 +17,7 @@ The contract under test (see ``src/repro/obs/`` and OBSERVABILITY.md):
   metrics registry.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -37,6 +38,14 @@ from repro.par.placement import place
 from repro.par.routing import route
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional
+
+
+#: The kernels the defaults resolve to (read, not restated, so the tests
+#: follow a default flip).
+DEFAULT_PLACE_KERNEL = inspect.signature(place).parameters["kernel"].default
+DEFAULT_PAR_PLACE_KERNEL = (
+    inspect.signature(place_and_route).parameters["placement_kernel"].default
+)
 
 
 def adder_netlist(width=4):
@@ -263,7 +272,7 @@ class TestTrajectoryNeutrality:
     def test_place_bit_identical_with_tracing(self, tmp_path, seed):
         nl = adder_netlist(4)
         arch = sized_arch(nl)
-        for kernel in ("incremental", "batched"):
+        for kernel in (DEFAULT_PLACE_KERNEL, "reference"):
             off = place(nl, arch, seed=seed, effort=0.4, kernel=kernel)
             with tracing(str(tmp_path / f"p{kernel}{seed}.jsonl")):
                 on = place(nl, arch, seed=seed, effort=0.4, kernel=kernel)
@@ -309,7 +318,7 @@ class TestTelemetry:
         arch = sized_arch(nl)
         result = place(nl, arch, seed=0, effort=0.4)
         t = result.telemetry
-        assert t is not None and t["kernel"] == "incremental"
+        assert t is not None and t["kernel"] == DEFAULT_PLACE_KERNEL
         steps = result.temperature_steps
         assert len(t["temperature"]) == steps
         assert len(t["cost"]) == steps
@@ -339,7 +348,7 @@ class TestTelemetry:
         t = par.telemetry
         assert t is not None
         assert t["route"]["kernel"] == par.routing.kernel
-        assert t["place"]["kernel"] == "incremental"
+        assert t["place"]["kernel"] == DEFAULT_PAR_PLACE_KERNEL
         assert t["cache"]["misses"] >= 1 and t["cache"]["hits"] == 0
         summary = par.summary()
         assert summary["cache_misses"] >= 1
