@@ -1,9 +1,10 @@
 """Hot-path kernel benchmark: simulation, placement, routing.
 
 Times the CAD hot paths on fixed seeds, comparing the reworked kernels
-against the seed ("reference") implementations that are kept behind the same
-APIs, and writes a machine-readable ``BENCH_hotpaths.json`` at the repo root
-so future PRs have a perf trajectory.
+against the seed ("reference") implementations they replaced, which are kept
+as test oracles in ``tests/oracles.py``, and writes a machine-readable
+``BENCH_hotpaths.json`` at the repo root so future PRs have a perf
+trajectory.
 
 Run with::
 
@@ -18,17 +19,17 @@ Three comparisons are made:
 * **simulation** -- compiled engine vs legacy interpreter, bit-identical;
 * **placement** -- the production ``batched`` annealer (PCG64 block
   randomness + O(1) window moves, native when available) vs the
-  ``reference`` kernel at *matched quality*: the batched effort is chosen
+  ``reference`` oracle at *matched quality*: the batched effort is chosen
   so its mean HPWL across the seed sweep is within the quality band of
   the reference mean, and the speedup is reported at that iso-quality
   point;
 * **routing** -- the directed incremental ``astar`` kernel (PR 2, the
-  ``auto`` default) vs the PR 1 ``fast`` kernel, both at the same routable
+  default) vs the ``fast`` kernel, both at the same routable
   channel width.  The benchmark first finds the minimum routable width for
   the placement (the W=12 default of the reduced format is *not* routable
   -- routing it only measured non-convergence), records it as
   ``channel_width_used``, and checks the re-baselined astar route quality
-  against the reference route;
+  against the ``reference`` oracle's route;
 * **timing** -- the PR 4 criticality-driven objective at the same minimum
   routable width: routed ``critical_path_ns`` + ``logic_depth`` of the
   default (wirelength) flow vs ``objective="timing"`` both route-only (same
@@ -79,9 +80,17 @@ from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _bench_config import BENCH_FP_FORMAT, FULL_MODE
+from oracles import (
+    candidates_timing_placement,
+    criticality_update,
+    place_reference,
+    route_reference,
+    simulate_patterns_reference,
+)
 
 import numpy as np
 
@@ -89,11 +98,7 @@ from repro.core.pe import ProcessingElementSpec, build_pe_design
 from repro.fpga.architecture import auto_size
 from repro.fpga.device import build_device
 from repro.netlist.engine import compile_circuit
-from repro.netlist.simulate import (
-    random_patterns,
-    simulate_patterns,
-    simulate_patterns_reference,
-)
+from repro.netlist.simulate import random_patterns, simulate_patterns
 from repro.par.cache import PaRCache
 from repro.par.flow import timing_driven_placement
 from repro.par.metrics import minimum_channel_width
@@ -204,14 +209,12 @@ def bench_placement(netlist, arch):
     bat_results, bat_times = [], []
     for seed in PLACE_SEEDS:
         r, dt = _timed(
-            lambda s=seed: place(netlist, arch, seed=s, effort=PLACE_EFFORT,
-                                 kernel="reference")
+            lambda s=seed: place_reference(netlist, arch, seed=s, effort=PLACE_EFFORT)
         )
         ref_results.append(r)
         ref_times.append(dt)
         r, dt = _timed(
-            lambda s=seed: place(netlist, arch, seed=s, effort=BATCHED_EFFORT,
-                                 kernel="batched")
+            lambda s=seed: place(netlist, arch, seed=s, effort=BATCHED_EFFORT)
         )
         bat_results.append(r)
         bat_times.append(dt)
@@ -261,7 +264,6 @@ def bench_routing(netlist, arch, placement):
         netlist, placement, arch,
         low=max(2, CHANNEL_WIDTH - 4), high=CHANNEL_WIDTH * 2,
         max_router_iterations=15,
-        route_kernel="astar",
         workers=min(workers, 4),
         cache=PaRCache.from_env(),
     )
@@ -273,7 +275,7 @@ def bench_routing(netlist, arch, placement):
         ref = None
         ref_s = None
     else:
-        ref, ref_s = _timed(lambda: route(netlist, placement, device, kernel="reference"))
+        ref, ref_s = _timed(lambda: route_reference(netlist, placement, device))
     # Interleave the fast/astar measurements so drifting machine load hits
     # both kernels alike; keep the best of each.
     fast = astar = None
@@ -348,17 +350,18 @@ def bench_timing(network, netlist, arch, placement, width):
       placement) -- the delay baseline;
     * ``objective="timing"`` route-only on the *same* placement, isolating
       the router's contribution;
-    * the full timing flow: the PR 5 *incremental-STA* placer (default
-      ``timing_driven_placement`` mode) + timing route -- the headline
+    * the full timing flow: the *incremental-STA* placer
+      (``timing_driven_placement``) + timing route -- the headline
       delay-ratio number gated by ``check_quality.py``;
-    * PR 4's candidate-anneal placer, timed and routed next to it: the
+    * the candidate-anneal placer (the ``candidates_timing_placement``
+      oracle), timed and routed next to it: the
       incremental placer must reach (or beat) its routed critical path --
       deterministic for the fixed seed, so ``check_quality.py`` gates the
       ratio -- and the wall-time ratio documents the ~x0.4 placement cost
       (recorded, not gated: wall clock is machine-load dependent).
 
-    The timing route's wirelength is banded against the reference-kernel
-    route *on the incremental placement* (the router-quality claim), and
+    The timing route's wirelength is banded against the ``route_reference``
+    oracle's route *on the incremental placement* (the router-quality claim), and
     one criticality update is timed to document the per-PathFinder-
     iteration cost of the feedback loop.
     """
@@ -387,7 +390,7 @@ def bench_timing(network, netlist, arch, placement, width):
         objective="timing", criticality_exponent=2.0,
     )
     a_flow = analyze(netlist, flow_route, device, placement=flow_placement)
-    ref_on_flow = route(netlist, flow_placement, device, kernel="reference")
+    ref_on_flow = route_reference(netlist, flow_placement, device)
 
     # PR 4's candidate-anneal placer on the same seed: the comparison
     # baseline for the incremental-STA placer's quality/time claims.
@@ -395,9 +398,8 @@ def bench_timing(network, netlist, arch, placement, width):
     # the wall time varies): the time *ratio* is the recorded claim and a
     # single loaded sample on either side would skew it.
     cand_result, place_cand_s = _timed(
-        lambda: timing_driven_placement(
-            netlist, arch, seed=PLACE_SEEDS[0], effort=PLACE_EFFORT,
-            mode="candidates",
+        lambda: candidates_timing_placement(
+            netlist, arch, seed=PLACE_SEEDS[0], effort=PLACE_EFFORT
         ),
         repeats=2,
     )
@@ -413,7 +415,7 @@ def bench_timing(network, netlist, arch, placement, width):
     # baseline; the flat-forest path is benchmarked in bench_retime).
     tracker = CriticalityTracker(netlist, flow_placement, device)
     t0 = time.perf_counter()
-    tracker.update(flow_route.routes)
+    criticality_update(tracker, flow_route.routes)
     crit_update_s = time.perf_counter() - t0
 
     delay_ratio_route = a_route.critical_path_ns / a_base.critical_path_ns
@@ -491,7 +493,7 @@ def bench_retime(netlist, arch, placement, width):
 
     # -- bit-identity first: flat vs dict must agree to the last bit ------
     flat = tracker.update_flat(routing.routes).copy()
-    legacy = tracker.update(routing.routes)
+    legacy = criticality_update(tracker, routing.routes)
     crit_identical = all(
         flat[tracker.conn_index[key]] == value for key, value in legacy.items()
     ) and all(
@@ -528,7 +530,7 @@ def bench_retime(netlist, arch, placement, width):
     t_dict = t_steady = t_rerouted = None
     t_ext_dict = t_ext_flat = None
     for i in range(repeats):
-        _, dt = _timed(lambda: tracker.update(routing.routes))
+        _, dt = _timed(lambda: criticality_update(tracker, routing.routes))
         t_dict = dt if t_dict is None else min(t_dict, dt)
         _, dt = _timed(lambda: tracker.update_flat(routing.routes))
         t_steady = dt if t_steady is None else min(t_steady, dt)
@@ -709,7 +711,7 @@ def bench_native(netlist, arch, placement, width):
 
     def _place_all():
         return [
-            place(netlist, arch, seed=s, effort=PLACE_EFFORT, kernel="batched")
+            place(netlist, arch, seed=s, effort=PLACE_EFFORT)
             for s in PLACE_SEEDS
         ]
 

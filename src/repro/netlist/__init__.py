@@ -15,7 +15,6 @@ from .hdl import Bus, Design
 from .library import GATE_EVAL, GATE_COST, eval_gate, gate_truth_table
 from .simulate import (
     simulate_patterns,
-    simulate_patterns_reference,
     simulate_single,
     simulate_words,
     random_patterns,
@@ -42,7 +41,6 @@ __all__ = [
     "CompiledCircuit",
     "compile_circuit",
     "simulate_patterns",
-    "simulate_patterns_reference",
     "simulate_single",
     "simulate_words",
     "random_patterns",

@@ -15,10 +15,10 @@ pass over the netlist evaluates an arbitrary number of input patterns.
 :func:`simulate_patterns` runs the compiled engine
 (:mod:`repro.netlist.engine`: the circuit is compiled once to straight-line
 big-integer code and the cached artifact is reused on every call).
-:func:`simulate_patterns_reference` is the original per-node dict-dispatch
-loop, kept as the golden model for equivalence tests and as the baseline
-the hot-path benchmark measures against.  Both are bit-identical; see
-``PERFORMANCE.md`` for the design and measured speedups.
+The original per-node dict-dispatch loop it replaced is kept as the golden
+model of the equivalence tests and the hot-path benchmark, in
+``tests/oracles.py``; the two are bit-identical (see ``PERFORMANCE.md`` for
+the design and measured speedups).
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Op
+from .circuit import Circuit
 from .engine import compile_circuit, pack_bits_to_int, unpack_int_to_bits
-from .library import eval_gate
 
 __all__ = [
     "simulate_patterns",
-    "simulate_patterns_reference",
     "simulate_words",
     "simulate_single",
     "random_patterns",
@@ -73,31 +71,6 @@ def simulate_patterns(
         Mapping from node id to packed output vector for every node.
     """
     return compile_circuit(circuit).simulate(input_patterns, num_patterns, param_patterns)
-
-
-def simulate_patterns_reference(
-    circuit: Circuit,
-    input_patterns: Mapping[int, int],
-    num_patterns: int,
-    param_patterns: Optional[Mapping[int, int]] = None,
-) -> Dict[int, int]:
-    """Original per-node interpreter (golden model for the compiled engine)."""
-    mask = _pattern_mask(num_patterns)
-    values: List[int] = [0] * len(circuit.ops)
-    params = dict(param_patterns or {})
-    for nid, op in enumerate(circuit.ops):
-        if op == Op.INPUT:
-            values[nid] = input_patterns.get(nid, 0) & mask
-        elif op == Op.PARAM:
-            values[nid] = params.get(nid, 0) & mask
-        elif op == Op.CONST0:
-            values[nid] = 0
-        elif op == Op.CONST1:
-            values[nid] = mask
-        else:
-            args = [values[f] for f in circuit.fanins[nid]]
-            values[nid] = eval_gate(op, args, mask)
-    return {nid: values[nid] for nid in circuit.node_ids()}
 
 
 def simulate_single(

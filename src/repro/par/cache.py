@@ -342,11 +342,10 @@ class PaRCache:
         arch: FPGAArchitecture,
         channel_width: int,
         max_iterations: int,
-        kernel: str,
         objective: str = "wirelength",
         tag: str = "",
     ) -> str:
-        """Content key of one route.  ``tag`` folds in extra knobs that
+        """Content key of one astar route.  ``tag`` folds in extra knobs that
         change the routed result (e.g. the timing objective's criticality
         exponent) without widening the signature for every caller."""
         material = "|".join(
@@ -355,7 +354,7 @@ class PaRCache:
                 _netlist_fingerprint(netlist),
                 _placement_fingerprint(placement),
                 _arch_fingerprint(arch),
-                f"w{channel_width}i{max_iterations}k{kernel}o{objective}{tag}",
+                f"w{channel_width}i{max_iterations}o{objective}{tag}",
             )
         )
         return "route-" + hashlib.sha256(material.encode()).hexdigest()[:32]
@@ -367,15 +366,14 @@ class PaRCache:
         seed: int,
         effort: float,
         inner_num: float,
-        kernel: str,
     ) -> str:
-        """Versioned content key of one placement run's semantic inputs."""
+        """Versioned content key of one ``place()`` run's semantic inputs."""
         material = "|".join(
             (
                 f"place-v{PLACE_ALGO_VERSION}",
                 _netlist_fingerprint(netlist),
                 _arch_fingerprint(arch),
-                f"s{seed}e{effort}n{inner_num}k{kernel}",
+                f"s{seed}e{effort}n{inner_num}",
             )
         )
         return "place-" + hashlib.sha256(material.encode()).hexdigest()[:32]

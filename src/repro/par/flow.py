@@ -36,21 +36,14 @@ from ..fpga.architecture import FPGAArchitecture, auto_size
 from ..fpga.device import Device, build_device
 from ..obs.trace import traced
 from ..techmap.mapping import MappedNetwork
-from ..timing.delays import structural_edge_delays
 from ..timing.graph import build_timing_graph
-from ..timing.sta import (
-    TimingAnalysis,
-    analyze,
-    net_criticality_from_placement,
-    scan_edge_criticality,
-)
+from ..timing.sta import TimingAnalysis, analyze, scan_edge_criticality
 from ..util.resilience import FaultInjected, count_events, inject, record_event
 from .cache import PaRCache
 from .metrics import MinChannelWidthResult, minimum_channel_width
 from .netlist import PhysicalNetlist, from_mapped_network
 from .placement import Placement, PlacementResult, TimingCost, place
 from .routing import (
-    AUTO_KERNEL,
     RoutingResult,
     route_resilient,
     routing_from_payload,
@@ -145,22 +138,20 @@ def cached_route(
     device: Device,
     cache: Optional[PaRCache] = None,
     max_iterations: int = 25,
-    kernel: str = "auto",
     objective: str = "wirelength",
     criticality_exponent: float = 1.0,
     deadline_s: Optional[float] = None,
     degrade: bool = True,
     events: Optional[List[Dict[str, Any]]] = None,
 ) -> RoutingResult:
-    """Resilient :func:`~repro.par.routing.route` with on-disk memoization.
+    """Resilient astar :func:`~repro.par.routing.route` with on-disk memoization.
 
     The cache value carries the flat route forest next to the metrics, so a
     hit re-hydrates the *full* :class:`RoutingResult` -- route trees
     included -- instead of re-routing; reconfiguration experiments that
     re-run the same (netlist, placement, architecture) triple pay the
-    route once per machine.  Kernels without a forest (``fast`` /
-    ``reference``) and corrupt or pre-forest cache entries degrade to a
-    plain route call.  Routing is deterministic for fixed inputs, so a
+    route once per machine.  Corrupt or pre-forest cache entries degrade to
+    a plain route call.  Routing is deterministic for fixed inputs, so a
     re-hydrated result is the one a fresh route would return.
 
     Failure semantics (all recorded into ``events``): a corrupt cache
@@ -168,22 +159,17 @@ def cached_route(
     (``cache-fallback``); the route itself runs under
     :func:`~repro.par.routing.route_resilient` with a ``deadline_s``
     per-kernel budget and the astar->fast degradation chain.
-    A result produced by a *degraded* kernel is never stored under the
-    requested kernel's key, so one bad run cannot poison the cache for
-    fault-free reruns.
+    A result produced by the *degraded* kernel is never stored, so one bad
+    run cannot poison the cache for fault-free reruns.
     """
-    resolved = kernel
-    if resolved == "auto":
-        resolved = AUTO_KERNEL
     key = None
-    if cache is not None and kernel not in ("fast", "reference"):
+    if cache is not None:
         key = PaRCache.route_key(
             netlist,
             placement,
             device.arch,
             device.arch.channel_width,
             max_iterations,
-            kernel,
             objective=objective,
             tag=f"x{criticality_exponent}" if objective == "timing" else "",
         )
@@ -192,9 +178,7 @@ def cached_route(
             result = None
             if inject("cache.hydrate") is None:
                 result = routing_from_payload(hit)
-            if result is not None and (
-                result.kernel is None or result.kernel == resolved
-            ):
+            if result is not None and result.kernel in (None, "astar"):
                 # Re-hydrated results carry no convergence arrays (those are
                 # never serialized); mark the provenance instead.
                 result.telemetry = {"from_cache": True, "kernel": result.kernel}
@@ -208,14 +192,13 @@ def cached_route(
         placement,
         device,
         max_iterations=max_iterations,
-        kernel=kernel,
         objective=objective,
         criticality_exponent=criticality_exponent,
         deadline_s=deadline_s,
         degrade=degrade,
         events=events,
     )
-    if key is not None and result.kernel == resolved:
+    if key is not None and result.kernel == "astar":
         payload = routing_to_payload(result)
         if payload is not None:
             cache.put(key, payload, events=events)
@@ -232,15 +215,9 @@ def place_and_route(
     find_min_channel_width: bool = False,
     min_cw_bounds: tuple = (2, 32),
     seed: int = 0,
-    placement_kernel: str = "batched",
-    route_kernel: str = "auto",
-    min_cw_route_kernel: str = "auto",
     workers: Optional[int] = None,
     cache: Optional[PaRCache] = None,
     objective: str = "wirelength",
-    timing_tradeoff: Optional[float] = None,
-    timing_passes: int = 2,
-    timing_placer: str = "incremental",
     route_deadline_s: Optional[float] = None,
 ) -> PaRResult:
     """Run the full TPaR flow (TPLACE + TROUTE) on a mapped network.
@@ -255,30 +232,20 @@ def place_and_route(
         design at the requested ``channel_width`` (the paper's experiments use
         the VPR auto-sizing with W = 10).
     placement_effort:
-        Scales annealing effort; lower is faster but noisier.
-    placement_kernel:
-        Annealing kernel: ``batched`` (default, both objectives; the native
-        annealer when the compiled backend is available) or ``reference``
-        (the quality baseline, wirelength annealing only -- under the timing
-        objective it skips the criticality-driven placer).
+        Scales annealing effort; lower is faster but noisier.  Placement
+        runs the ``batched`` annealer (native when the compiled backend is
+        available) and routing the astar kernel.
     find_min_channel_width:
         Additionally run the binary search for the minimum channel width
         (Table I's CW column).  This re-routes the design several times;
         ``workers`` parallelizes the probes and ``cache`` memoizes them
-        (defaults to ``PaRCache.from_env()``).  The probes use
-        ``min_cw_route_kernel`` (default ``auto``, resolving to the scalar
-        astar kernel below paper scale): widths below the minimum are
-        non-convergent by construction, which is the scalar kernel's fast
-        case -- see :func:`repro.par.metrics.minimum_channel_width`.
+        (defaults to ``PaRCache.from_env()``) -- see
+        :func:`repro.par.metrics.minimum_channel_width`.
     objective:
         ``"wirelength"`` (the seed behavior) or ``"timing"``: placement runs
-        :func:`timing_driven_placement` (criticality-weighted annealing,
-        incremental-STA by default -- ``timing_placer`` selects the mode)
-        and routing runs the VPR-style blended cost
-        ``crit * delay + (1 - crit) * congestion`` with per-iteration
-        criticality updates over the flat route forest.
-        ``timing_tradeoff`` scales the net weights, ``timing_passes`` the
-        number of re-weighting anneals of the ``candidates`` placer mode.
+        the incremental-STA :func:`timing_driven_placement` and routing runs
+        the VPR-style blended cost ``crit * delay + (1 - crit) * congestion``
+        with per-iteration criticality updates over the flat route forest.
         Every result carries the full STA in :attr:`PaRResult.sta` either
         way.
 
@@ -305,24 +272,10 @@ def place_and_route(
     if cache is None:
         cache = PaRCache.from_env()
 
-    if objective == "timing" and placement_kernel == "batched":
-        placement = timing_driven_placement(
-            netlist,
-            arch,
-            seed=seed,
-            effort=placement_effort,
-            tradeoff=timing_tradeoff,
-            passes=timing_passes,
-            mode=timing_placer,
-        )
+    if objective == "timing":
+        placement = timing_driven_placement(netlist, arch, seed=seed, effort=placement_effort)
     else:
-        placement = place(
-            netlist,
-            arch,
-            seed=seed,
-            effort=placement_effort,
-            kernel=placement_kernel,
-        )
+        placement = place(netlist, arch, seed=seed, effort=placement_effort)
     events: List[Dict[str, Any]] = []
     routing = cached_route(
         netlist,
@@ -330,7 +283,6 @@ def place_and_route(
         device,
         cache=cache,
         max_iterations=router_iterations,
-        kernel=route_kernel,
         objective=objective,
         criticality_exponent=2.0 if objective == "timing" else 1.0,
         deadline_s=route_deadline_s,
@@ -347,7 +299,6 @@ def place_and_route(
             arch,
             low=min_cw_bounds[0],
             high=min_cw_bounds[1],
-            route_kernel=min_cw_route_kernel,
             workers=workers,
             cache=cache,
         )
@@ -385,30 +336,19 @@ def place_and_route(
     )
 
 
-#: Default criticality tradeoff per placer mode.  The incremental mode's
-#: per-connection ``crit * distance`` term is re-timed in the loop, so a
-#: stale weight decays as soon as its connection stops being critical --
-#: it tolerates (and measures best at) a sharper pull than the frozen
-#: between-anneal net weights of the candidates mode.
-_MODE_TRADEOFF = {"incremental": 4.0, "candidates": 3.0}
-
-
 def timing_driven_placement(
     netlist: PhysicalNetlist,
     arch: FPGAArchitecture,
     seed: int = 0,
     effort: float = 1.0,
     inner_num: float = 1.0,
-    tradeoff: Optional[float] = None,
-    passes: int = 2,
+    tradeoff: float = 4.0,
     exponent: float = 2.0,
-    mode: str = "incremental",
     retime_every: Optional[int] = None,
 ) -> PlacementResult:
-    """Criticality-driven annealing; incremental-STA by default.
+    """VPR-style incremental-STA placement.
 
-    ``mode="incremental"`` (default) is the VPR-style incremental-STA
-    placer: **one** ``batched`` anneal whose objective is plain HPWL plus a
+    **One** ``batched`` anneal whose objective is plain HPWL plus a
     per-connection ``criticality * distance`` term over the timing graph's
     flat edge arrays (:class:`repro.par.placement.TimingCost`).  Every
     ``retime_every`` accepted moves (default: half a temperature step) the
@@ -417,104 +357,46 @@ def timing_driven_placement(
     per-connection weights are refreshed in place -- criticality chases
     the anneal instead of being frozen between candidate anneals, and each
     *sink* is priced by its own slack rather than by its net's worst one.
-    One anneal replaces the candidate recipe's four (~0.3x the placement
-    time, measured in ``BENCH_hotpaths.json`` and gated by
-    ``check_quality.py``).
 
-    ``mode="candidates"`` is PR 4's recipe, kept as the comparison
-    baseline: anneal an unweighted candidate, a structurally-weighted
-    candidate and ``passes`` re-weighted candidates (net-level weights,
-    criticalities frozen *between* anneals), then pick the best estimated
-    critical path.
+    It replaced the candidate-anneal recipe (four anneals with net-level
+    weights frozen between them), which is kept as a test oracle in
+    ``tests/oracles.py``: this placer must match or beat its critical path
+    (gated by ``check_quality.py``) with one anneal instead of four (the
+    placement-time ratio is recorded in ``BENCH_hotpaths.json``).
 
-    ``tradeoff`` defaults per mode (see ``_MODE_TRADEOFF``).
+    ``tradeoff`` scales the timing term.  Because it is re-timed in the
+    loop, a stale weight decays as soon as its connection stops being
+    critical, so this placer tolerates (and measures best at) a sharper
+    pull than the candidate recipe's 3.0.
     """
-    if tradeoff is None:
-        tradeoff = _MODE_TRADEOFF.get(mode, 3.0)
     graph = build_timing_graph(netlist, arch.lut_delay_ns)
 
-    def estimate(result: PlacementResult) -> Tuple[float, List[float]]:
-        return net_criticality_from_placement(graph, result.placement, arch, exponent=exponent)
+    def conn_criticality(block_x: List[int], block_y: List[int]) -> np.ndarray:
+        from ..timing.delays import estimated_edge_delays_from_coords
 
-    def fold_structural() -> np.ndarray:
-        _dmax, crit = scan_edge_criticality(graph, structural_edge_delays(graph, arch))
-        if exponent != 1.0:
-            crit = crit**exponent
-        net_crit = np.zeros(len(netlist.nets))
-        if graph.num_edges:
-            np.maximum.at(net_crit, graph.edge_net, crit)
-        return net_crit
+        delays = estimated_edge_delays_from_coords(graph, block_x, block_y, arch)[0]
+        _cp, crit = scan_edge_criticality(graph, delays)
+        return crit**exponent if exponent != 1.0 else crit
 
-    if mode == "incremental":
-
-        def conn_criticality(block_x: List[int], block_y: List[int]) -> np.ndarray:
-            from ..timing.delays import estimated_edge_delays_from_coords
-
-            delays = estimated_edge_delays_from_coords(graph, block_x, block_y, arch)[0]
-            _cp, crit = scan_edge_criticality(graph, delays)
-            return crit**exponent if exponent != 1.0 else crit
-
-        return place(
-            netlist,
-            arch,
-            seed=seed,
-            effort=effort,
-            inner_num=inner_num,
-            kernel="batched",
-            timing=TimingCost(
-                conn_src=graph.edge_src.tolist(),
-                conn_dst=graph.edge_dst.tolist(),
-                criticality=conn_criticality,
-                tradeoff=tradeoff,
-                retime_every=retime_every,
-            ),
-        )
-
-    if mode != "candidates":
-        raise ValueError(f"unknown timing placement mode {mode!r}")
-
-    candidates: List[Tuple[float, PlacementResult]] = []
-    base = place(netlist, arch, seed=seed, effort=effort, inner_num=inner_num, kernel="batched")
-    best_cp, best_crit = estimate(base)
-    candidates.append((best_cp, base))
-
-    struct_w = [1.0 + tradeoff * c for c in fold_structural()]
-    cand = place(
+    return place(
         netlist,
         arch,
         seed=seed,
         effort=effort,
         inner_num=inner_num,
-        kernel="batched",
-        net_weights=struct_w,
+        timing=TimingCost(
+            conn_src=graph.edge_src.tolist(),
+            conn_dst=graph.edge_dst.tolist(),
+            criticality=conn_criticality,
+            tradeoff=tradeoff,
+            retime_every=retime_every,
+        ),
     )
-    cp, crit = estimate(cand)
-    if cp < best_cp:
-        best_cp, best_crit = cp, crit
-    candidates.append((cp, cand))
-
-    for i in range(1, passes + 1):
-        weights = [1.0 + tradeoff * c for c in best_crit]
-        cand = place(
-            netlist,
-            arch,
-            seed=seed + 1000 * i,
-            effort=effort,
-            inner_num=inner_num,
-            kernel="batched",
-            net_weights=weights,
-        )
-        cp, crit = estimate(cand)
-        if cp < best_cp:
-            best_cp, best_crit = cp, crit
-        candidates.append((cp, cand))
-
-    return min(candidates, key=lambda t: t[0])[1]
 
 
 def _place_seed_task(args: Tuple) -> Tuple[int, Dict]:
     """Pool worker: anneal one seed, return JSON-serializable placement data."""
-    netlist, arch, seed, effort, inner_num, kernel = args
+    netlist, arch, seed, effort, inner_num = args
     fault = inject("sweep.place")
     if fault == "crash":
         # Simulated hard worker death: kills the process without unwinding,
@@ -522,7 +404,7 @@ def _place_seed_task(args: Tuple) -> Tuple[int, Dict]:
         os._exit(13)
     if fault is not None:
         raise FaultInjected("sweep.place", kind=fault)
-    result = place(netlist, arch, seed=seed, effort=effort, inner_num=inner_num, kernel=kernel)
+    result = place(netlist, arch, seed=seed, effort=effort, inner_num=inner_num)
     return seed, _placement_payload(result)
 
 
@@ -565,7 +447,6 @@ def placement_sweep(
     seeds: Sequence[int],
     effort: float = 1.0,
     inner_num: float = 1.0,
-    kernel: str = "batched",
     workers: Optional[int] = None,
     cache: Optional[PaRCache] = None,
     events: Optional[List[Dict[str, Any]]] = None,
@@ -573,7 +454,7 @@ def placement_sweep(
     """Anneal ``netlist`` once per seed, in parallel, with on-disk memoization.
 
     Returns one :class:`PlacementResult` per seed, in ``seeds`` order.  Each
-    (netlist, arch, seed, effort, kernel) combination is placed at most once
+    (netlist, arch, seed, effort) combination is placed at most once
     per cache directory; repeated sweeps (quality baselines, benchmark
     harness re-runs) are served from disk.
 
@@ -590,14 +471,14 @@ def placement_sweep(
     keys: Dict[int, str] = {}
     for seed in seeds:
         if cache is not None:
-            keys[seed] = PaRCache.place_key(netlist, arch, seed, effort, inner_num, kernel)
+            keys[seed] = PaRCache.place_key(netlist, arch, seed, effort, inner_num)
             hit = cache.get(keys[seed], events=events)
             if hit is not None:
                 results[seed] = _placement_from_payload(hit)
                 continue
         todo.append(seed)
 
-    tasks = [(netlist, arch, seed, effort, inner_num, kernel) for seed in todo]
+    tasks = [(netlist, arch, seed, effort, inner_num) for seed in todo]
     outcomes: List[Tuple[int, Dict]] = []
     failed: List[Tuple] = []
     if workers and workers > 1 and len(tasks) > 1:
@@ -626,7 +507,7 @@ def placement_sweep(
         results[seed] = _placement_from_payload(payload)
         if cache is not None:
             cache.put(keys.get(seed) or PaRCache.place_key(
-                netlist, arch, seed, effort, inner_num, kernel
+                netlist, arch, seed, effort, inner_num
             ), payload, events=events)
 
     return [results[seed] for seed in seeds]

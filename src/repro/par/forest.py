@@ -414,7 +414,7 @@ def _fragment_from_conns(source: int, conns) -> _NetFragment:
 
 
 def _fragment_from_tree(source: int, nodes, rr) -> _NetFragment:
-    """Fragment from a plain node-list tree (fast/reference kernels).
+    """Fragment from a plain node-list tree (the fast kernel and the oracle router).
 
     BFS over the RR adjacency restricted to the tree's nodes, exactly like
     the legacy ``_walk_bfs``; every SINK node in the tree becomes one

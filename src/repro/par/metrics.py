@@ -107,14 +107,14 @@ def _route_width_task(
     history of :class:`ChannelWidthError`.  The STA runs only on converged routes: the search
     spends most of its probes on deliberately-congested widths whose
     timing would be both meaningless and wasted work.  Route *trees* are
-    deliberately not serialized here: the probe keys (probe kernel, probe
-    iteration budget) never coincide with a flow's route key, so a forest
+    deliberately not serialized here: the probe keys (probe iteration
+    budget) never coincide with a flow's route key, so a forest
     in these values would be JSON shipped across the pool and read by
     nobody -- re-hydration is :func:`repro.par.flow.cached_route`'s job.
     """
     from ..timing.sta import analyze
 
-    netlist, placement, base_arch, width, max_iterations, kernel = args
+    netlist, placement, base_arch, width, max_iterations = args
     fault = inject("cw.probe")
     if fault == "crash":
         # Simulated hard worker death: kills the process without unwinding,
@@ -124,13 +124,7 @@ def _route_width_task(
         raise FaultInjected("cw.probe", kind=fault)
     device = build_device(base_arch.with_channel_width(width))
     try:
-        result = route(
-            netlist,
-            placement,
-            device,
-            max_iterations=max_iterations,
-            kernel=kernel,
-        )
+        result = route(netlist, placement, device, max_iterations=max_iterations)
     except RuntimeError:
         # An unreachable sink at this width is a legitimate probe outcome
         # (the width is below the minimum), not a worker failure.
@@ -157,7 +151,6 @@ def minimum_channel_width(
     low: int = 2,
     high: int = 32,
     max_router_iterations: int = 12,
-    route_kernel: str = "auto",
     workers: Optional[int] = None,
     cache: Optional[PaRCache] = None,
 ) -> MinChannelWidthResult:
@@ -174,10 +167,7 @@ def minimum_channel_width(
     :class:`~repro.par.cache.PaRCache` or rely on ``PaRCache.from_env()`` at
     the call site.
 
-    ``route_kernel`` defaults to ``auto``, which resolves to the
-    ``astar`` kernel (see :data:`repro.par.routing.AUTO_KERNEL`).  The
-    kernels agree on routability (all are gated to reference-class
-    quality), so the found width is the same under any of them.
+    Every probe routes with the default ``astar`` kernel.
 
     A pool worker that crashes or raises does not lose the search: its
     probes are resubmitted serially in the parent (``pool-failure`` +
@@ -214,7 +204,6 @@ def minimum_channel_width(
                 base_arch,
                 width,
                 max_router_iterations,
-                route_kernel,
             )
             value = {"success": ok, "wirelength": wirelength}
             if timing is not None:
@@ -236,7 +225,6 @@ def minimum_channel_width(
                     base_arch,
                     w,
                     max_router_iterations,
-                    route_kernel,
                 )
                 hit = cache.get(key, events=events)
                 if hit is not None:
@@ -253,7 +241,7 @@ def minimum_channel_width(
         if not todo:
             return
         tasks = [
-            (netlist, placement, base_arch, w, max_router_iterations, route_kernel)
+            (netlist, placement, base_arch, w, max_router_iterations)
             for w in todo
         ]
         failed: List[Tuple] = []

@@ -5,29 +5,29 @@ netlist are assigned to compatible sites of the island FPGA and iteratively
 improved by simulated annealing on the half-perimeter wirelength (HPWL) of
 all nets, with the adaptive temperature schedule and range limiting of VPR.
 
-Two annealing kernels live behind :func:`place`:
+One annealing kernel lives behind :func:`place`: VPR-style incremental
+net bounding boxes.  Every net caches its bbox plus the number of pins on
+each boundary, a move updates affected nets in O(1) and only a *boundary
+shrink* (the last pin leaves a bbox edge) triggers a rescan of that net's
+pins.  All randomness is drawn in blocks from a
+``numpy.random.Generator(PCG64)``, and a logic move picks its target
+inside the range-limit window in O(1).  The kernel also accepts the
+incremental-STA objective (``timing``), the seam the timing-driven flow
+uses to pull critical connections shorter, and per-net weights
+(``net_weights``, see :func:`place`).  When the native backend is
+available (see :mod:`repro.native`) the move loop runs as compiled C over
+the same flat arrays and PCG64 stream -- trajectories are bit-identical
+to the Python loop, so results and caches are backend-independent.
 
-* ``kernel="batched"`` (default) -- VPR-style incremental net bounding
-  boxes: every net caches its bbox plus the number of pins on each boundary,
-  a move updates affected nets in O(1) and only a *boundary shrink* (the last
-  pin leaves a bbox edge) triggers a rescan of that net's pins.  All
-  randomness is drawn in blocks from a ``numpy.random.Generator(PCG64)``,
-  and a logic move picks its target inside the range-limit window in O(1).
-  The kernel also accepts per-net weights (``net_weights``) and the
-  incremental-STA objective (``timing``), the seams the timing-driven flow
-  uses to pull critical connections shorter.  When the native backend is
-  available (see :mod:`repro.native`) the move loop runs as compiled C over
-  the same flat arrays and PCG64 stream -- trajectories are bit-identical
-  to the Python loop, so results and caches are backend-independent.
-* ``kernel="reference"`` -- the original implementation that recomputes every
-  affected net's HPWL from its full pin list, driven by per-move
-  ``random.Random`` calls.  It is the quality baseline of the tests and the
-  hot-path benchmark: ``batched`` follows a different random stream, so its
-  quality is banded instead of bit-checked (mean final HPWL across seeds
-  within 2% of ``reference``, see ``tests/test_par.py`` and
-  ``benchmarks/bench_hotpaths.py``).
+The original annealer, which recomputes every affected net's HPWL from its
+full pin list with per-move ``random.Random`` calls, is kept as a test
+oracle in ``tests/oracles.py``.  It follows a different random stream, so
+the production kernel's quality is banded against it instead of
+bit-checked (mean final HPWL across seeds within 2%, see
+``tests/test_par.py`` and ``benchmarks/bench_hotpaths.py``).  The schedule
+helpers below (``_moves_per_temperature``, ``_cool``, ...) serve both.
 
-Both kernels keep the HPWL cost as an exact integer.
+The HPWL cost is kept as an exact integer.
 """
 
 from __future__ import annotations
@@ -260,7 +260,6 @@ def place(
     seed: int = 0,
     effort: float = 1.0,
     inner_num: float = 1.0,
-    kernel: str = "batched",
     net_weights: Optional[Sequence[float]] = None,
     timing: Optional[TimingCost] = None,
 ) -> PlacementResult:
@@ -268,34 +267,25 @@ def place(
 
     ``effort`` scales the number of moves per temperature; values below 1
     trade quality for runtime (used by the fast benchmark configurations).
-    ``kernel`` selects the annealing inner loop (see module docstring):
-    ``batched`` is the production kernel, ``reference`` the quality baseline.
 
-    ``net_weights`` (``batched`` kernel only) anneals the weighted objective
-    ``sum(weight_i * hpwl_i)`` instead of plain HPWL -- the timing-driven
-    flow passes ``1 + tradeoff * criticality`` per net so critical nets are
-    pulled shorter.  Weights are quantized to integers (see
-    :func:`_quantize_weights`), keeping the cost accounting exact;
-    :attr:`PlacementResult.cost` still reports the *unweighted* integer HPWL
-    and the weighted objective lands in
+    ``net_weights`` anneals the weighted objective ``sum(weight_i * hpwl_i)``
+    instead of plain HPWL.  No flow passes it: it is the hook of the
+    candidate-anneal timing placer kept as a test oracle
+    (``tests/oracles.py``), and ``tests/test_native.py`` checks the weighted
+    native and Python trajectories against each other through it.  Weights
+    are quantized to integers (see :func:`_quantize_weights`), keeping the
+    cost accounting exact; :attr:`PlacementResult.cost` still reports the
+    *unweighted* integer HPWL and the weighted objective lands in
     :attr:`PlacementResult.objective_cost`.
 
-    ``timing`` (``batched`` kernel only, exclusive with ``net_weights``)
-    switches the anneal to the incremental-STA objective: plain HPWL plus a
-    per-connection ``criticality * distance`` term whose criticalities are
-    re-timed from the live coordinates inside the annealing loop (see
+    ``timing`` (exclusive with ``net_weights``) switches the anneal to the
+    incremental-STA objective: plain HPWL plus a per-connection
+    ``criticality * distance`` term whose criticalities are re-timed from
+    the live coordinates inside the annealing loop (see
     :class:`TimingCost`).
     """
-    if net_weights is not None and kernel != "batched":
-        raise ValueError("net_weights requires the batched placement kernel")
-    if timing is not None and kernel != "batched":
-        raise ValueError("timing requires the batched placement kernel")
     if timing is not None and net_weights is not None:
         raise ValueError("timing and net_weights are mutually exclusive")
-    if kernel == "reference":
-        return _place_reference(netlist, arch, seed=seed, effort=effort, inner_num=inner_num)
-    if kernel != "batched":
-        raise ValueError(f"unknown placement kernel {kernel!r}")
     return _place_batched(
         netlist, arch, seed=seed, effort=effort, inner_num=inner_num,
         net_weights=net_weights, timing=timing,
@@ -984,158 +974,4 @@ def _place_batched(
         moves_accepted=moves_accepted,
         temperature_steps=temperature_steps,
         telemetry=telemetry,
-    )
-
-
-# -- reference kernel (original implementation, benchmark baseline) -------------
-
-
-class _AnnealingState:
-    """Book-keeping for full-recompute HPWL evaluation (reference kernel)."""
-
-    def __init__(self, netlist: PhysicalNetlist, placement: Placement) -> None:
-        self.netlist = netlist
-        self.placement = placement
-        self.nets_of_block: Dict[int, List[int]] = {b.id: [] for b in netlist.blocks}
-        for net in netlist.nets:
-            for b in {net.driver, *net.sinks}:
-                self.nets_of_block[b].append(net.id)
-        self.net_cost: List[int] = [0] * len(netlist.nets)
-        for net in netlist.nets:
-            self.net_cost[net.id] = self._compute_net_cost(net.id)
-        self.total_cost = sum(self.net_cost)
-
-    def _compute_net_cost(self, net_id: int) -> int:
-        net = self.netlist.nets[net_id]
-        blocks = [net.driver] + net.sinks
-        xs = [self.placement.block_site[b].x for b in blocks]
-        ys = [self.placement.block_site[b].y for b in blocks]
-        return _net_hpwl(xs, ys)
-
-    def delta_for_nets(self, net_ids: List[int]) -> Tuple[int, Dict[int, int]]:
-        new_costs = {nid: self._compute_net_cost(nid) for nid in net_ids}
-        delta = sum(new_costs[nid] - self.net_cost[nid] for nid in net_ids)
-        return delta, new_costs
-
-    def commit(self, new_costs: Dict[int, int]) -> None:
-        for nid, cost in new_costs.items():
-            self.total_cost += cost - self.net_cost[nid]
-            self.net_cost[nid] = cost
-
-
-def _place_reference(
-    netlist: PhysicalNetlist,
-    arch: FPGAArchitecture,
-    seed: int = 0,
-    effort: float = 1.0,
-    inner_num: float = 1.0,
-) -> PlacementResult:
-    """Original annealing loop: recompute affected nets' HPWL from pin lists."""
-    rng = random.Random(seed)
-    placement = random_placement(netlist, arch, seed=seed)
-    state = _AnnealingState(netlist, placement)
-    initial_cost = state.total_cost
-
-    logic_blocks = [b.id for b in netlist.blocks if b.needs_logic_site]
-    io_blocks = [b.id for b in netlist.blocks if b.kind == "io"]
-    logic_sites = list(arch.clb_sites())
-    io_sites = list(arch.io_sites())
-
-    site_occupant: Dict[Tuple, Optional[int]] = {}
-    for s in logic_sites + io_sites:
-        site_occupant[s.as_tuple()] = None
-    for bid, site in placement.block_site.items():
-        site_occupant[site.as_tuple()] = bid
-
-    movable_groups = []
-    if logic_blocks:
-        movable_groups.append(("logic", logic_blocks, logic_sites))
-    if io_blocks:
-        movable_groups.append(("io", io_blocks, io_sites))
-    if not movable_groups:
-        return PlacementResult(placement, 0, 0, 0, 0, 0)
-
-    num_blocks = len(logic_blocks) + len(io_blocks)
-    moves_per_temp = _moves_per_temperature(num_blocks, effort, inner_num)
-    temperature = _initial_temperature(initial_cost, len(netlist.nets))
-    device_span = float(max(arch.width, arch.height))
-    range_limit = device_span
-
-    moves_attempted = 0
-    moves_accepted = 0
-    temperature_steps = 0
-    tl_temperature: List[float] = []
-    tl_cost: List[int] = []
-    tl_acceptance: List[float] = []
-
-    def pick_move():
-        group = movable_groups[rng.randrange(len(movable_groups))]
-        _, blocks, sites = group
-        block = blocks[rng.randrange(len(blocks))]
-        cur = placement.block_site[block]
-        for _ in range(8):
-            target = sites[rng.randrange(len(sites))]
-            if target.kind != cur.kind:
-                continue
-            if abs(target.x - cur.x) + abs(target.y - cur.y) > range_limit * 2:
-                continue
-            if target.as_tuple() != cur.as_tuple():
-                return block, cur, target
-        return None
-
-    while temperature_steps < 200:
-        accepted_this_temp = 0
-        for _ in range(moves_per_temp):
-            move = pick_move()
-            if move is None:
-                continue
-            block, cur, target = move
-            moves_attempted += 1
-            occupant = site_occupant[target.as_tuple()]
-
-            affected = set(state.nets_of_block[block])
-            if occupant is not None:
-                affected.update(state.nets_of_block[occupant])
-
-            # tentatively apply
-            placement.block_site[block] = target
-            if occupant is not None:
-                placement.block_site[occupant] = cur
-            delta, new_costs = state.delta_for_nets(list(affected))
-
-            accept = delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9))
-            if accept:
-                state.commit(new_costs)
-                site_occupant[target.as_tuple()] = block
-                site_occupant[cur.as_tuple()] = occupant
-                moves_accepted += 1
-                accepted_this_temp += 1
-            else:
-                placement.block_site[block] = cur
-                if occupant is not None:
-                    placement.block_site[occupant] = target
-
-        temperature_steps += 1
-        acceptance = accepted_this_temp / max(1, moves_per_temp)
-        tl_temperature.append(temperature)
-        tl_cost.append(state.total_cost)
-        tl_acceptance.append(acceptance)
-        temperature = _cool(temperature, acceptance)
-        range_limit = _next_range_limit(range_limit, acceptance, device_span)
-        if temperature < 0.005 * state.total_cost / max(1, len(netlist.nets)) or (
-            acceptance < 0.01 and temperature_steps > 5
-        ):
-            break
-
-    return PlacementResult(
-        placement=placement,
-        cost=state.total_cost,
-        initial_cost=initial_cost,
-        moves_attempted=moves_attempted,
-        moves_accepted=moves_accepted,
-        temperature_steps=temperature_steps,
-        telemetry=_placement_telemetry(
-            "reference", tl_temperature, tl_cost, tl_acceptance,
-            moves_attempted, moves_accepted,
-        ),
     )

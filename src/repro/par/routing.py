@@ -5,12 +5,11 @@ routing-resource graph with an A*-guided Dijkstra search; congestion is
 resolved by iteratively re-routing nets through overused nodes while the
 present-congestion penalty grows and a history cost accumulates (PathFinder).
 
-Three search kernels live behind :func:`route` (plus ``kernel="auto"``, the
-default, which resolves to :data:`AUTO_KERNEL` -- ``astar`` -- and the
-opt-in ``objective="timing"`` that blends STA criticalities into the astar
+Two search kernels live behind :func:`route` (plus the opt-in
+``objective="timing"`` that blends STA criticalities into the astar
 kernel's costs -- see :func:`route`):
 
-* ``kernel="astar"`` (the ``auto`` default) -- scalar directed search over
+* ``kernel="astar"`` (the default) -- scalar directed search over
   the pin-filtered search view.  The wavefront expands over
   SOURCE/OPIN/CHANX/CHANY nodes only; input pins and sinks are reached
   through precomputed per-sink *entry maps* instead of being flooded,
@@ -24,17 +23,16 @@ kernel's costs -- see :func:`route`):
   paths across iterations.  The expansion loop runs as compiled C when the
   native backend is available (:mod:`repro.native.astar`, bit-identical
   routes) and as the pure-Python twin otherwise.
-* ``kernel="fast"`` -- the PR 1 kernel: same congestion cost vector and
-  incremental re-routing, but the wavefront floods pins and is not
-  bbox-pruned.  Identical floating-point trajectory to ``reference``.
-* ``kernel="reference"`` -- the original implementation calling
-  ``node_cost()`` per expanded edge; kept as the benchmark baseline.
+* ``kernel="fast"`` -- the first reworked kernel and the degradation target of
+  :func:`route_resilient`: same congestion cost vector and incremental
+  re-routing, but the wavefront floods pins and is not bbox-pruned.
 
-``fast`` and ``reference`` perform identical floating-point operations in the
-same order, so they expand identical wavefronts and return identical routes.
-``astar`` trades that bit-identity for throughput; its route quality is
-re-baselined in ``benchmarks/bench_hotpaths.py`` (wirelength within a few
-percent of the reference route).
+``fast`` performs the floating-point operations of the original
+per-edge ``node_cost()`` router in the same order, so it returns that
+router's routes exactly; the original is kept as a test oracle in
+``tests/oracles.py``.  ``astar`` trades that bit-identity for throughput;
+its route quality is re-baselined in ``benchmarks/bench_hotpaths.py``
+(wirelength within a few percent of the reference route).
 """
 
 from __future__ import annotations
@@ -78,7 +76,7 @@ class NetRoute:
     #: astar kernel builds them -- ``path`` lists the nodes the
     #: connection added (sink first), ``attach`` is the tree node it grew
     #: from.  The STA engine walks these for exact per-sink delays; kernels
-    #: that do not track connections (fast/reference) leave it ``None`` and
+    #: that do not track connections (``fast``) leave it ``None`` and
     #: the engine falls back to a BFS over the tree's nodes.
     connections: Optional[List[Tuple[int, List[int], int]]] = None
 
@@ -97,15 +95,14 @@ class RoutingResult:
     overused_nodes: int
     max_channel_occupancy: int
     #: flat route forest over all nets' trees (the astar kernel emits
-    #: one natively; ``None`` from the fast/reference baselines).  The STA
+    #: one natively; ``None`` from the ``fast`` kernel).  The STA
     #: engine consumes it with pure NumPy gathers, and the PaR cache
     #: serializes it so cache hits re-hydrate routes instead of re-routing.
     forest: Optional[RouteForest] = None
-    #: the kernel that actually produced this result ("auto" resolved);
+    #: the kernel that actually produced this result;
     #: :func:`route_resilient` may return a different kernel than requested
     #: (degradation chain), and the cache layer refuses to store such
-    #: results under the requested kernel's key.  ``None`` on re-hydrated
-    #: payloads that predate the field.
+    #: results.  ``None`` on re-hydrated payloads that predate the field.
     kernel: Optional[str] = None
     #: per-run observability snapshot (see OBSERVABILITY.md): convergence
     #: timelines (``overuse_per_iteration``, ``rerouted_nets_per_iteration``,
@@ -138,12 +135,6 @@ _BASE_COST = RR_BASE_COST
 #: the congestion share of the blended cost is bounded below by the base
 #: costs, while the delay share of a pin can be arbitrarily small.
 _PIN_FLOOR = _BASE_COST[RRNodeType.IPIN] + _BASE_COST[RRNodeType.SINK]
-
-#: What ``kernel="auto"`` resolves to.  A vectorized delta-stepping
-#: ``wavefront`` kernel was measured against astar at every reachable graph
-#: size and never won (PERFORMANCE.md, "Tried and removed"), so ``auto``
-#: simply means astar.
-AUTO_KERNEL = "astar"
 
 
 def terminal_rr_nodes(
@@ -186,7 +177,7 @@ def route(
     pres_fac_mult: float = 1.8,
     hist_fac: float = 0.4,
     astar_fac: float = 1.1,
-    kernel: str = "auto",
+    kernel: str = "astar",
     bbox_margin: int = 3,
     objective: str = "wirelength",
     max_criticality: float = 0.95,
@@ -195,16 +186,15 @@ def route(
 ) -> RoutingResult:
     """Route all nets of a placed netlist on the device's RR graph.
 
-    ``kernel`` selects the search implementation (see module docstring);
-    ``kernel="auto"`` (the default) resolves to :data:`AUTO_KERNEL` --
-    ``astar``; the astar expansion loop itself runs as compiled C when the
-    native backend is available (:mod:`repro.native`, bit-identical routes)
-    and as the pure Python twin otherwise.  ``fast`` and ``reference``
-    return identical routes; ``astar`` is the re-baselined directed kernel
-    of equivalent route quality.  ``bbox_margin`` is the expansion margin of
-    the per-net search bounding box used by the ``astar`` kernel.
-    ``pres_fac_init`` defaults to the kernel's preferred schedule: 0.6 for
-    ``fast``/``reference`` (the seed trajectory) and 1.0 for ``astar``.
+    ``kernel`` selects the search implementation (see module docstring):
+    ``astar`` (the default), whose expansion loop runs as compiled C when
+    the native backend is available (:mod:`repro.native`, bit-identical
+    routes) and as the pure Python twin otherwise, or ``fast``, the
+    degradation target of :func:`route_resilient`.  Any other value raises
+    ``ValueError``.  ``bbox_margin`` is the expansion margin of the per-net
+    search bounding box used by the ``astar`` kernel.  ``pres_fac_init``
+    defaults to the kernel's preferred schedule: 0.6 for ``fast`` (the seed
+    trajectory) and 1.0 for ``astar``.
 
     ``objective="timing"`` (``astar`` only) switches the
     connection searches to the VPR-style timing-driven cost
@@ -224,22 +214,14 @@ def route(
     the search trajectory, so results under a generous deadline are
     bit-identical to unbounded ones.
     """
-    if kernel == "auto":
-        kernel = AUTO_KERNEL
+    if kernel not in ("astar", "fast"):
+        raise ValueError(f"unknown routing kernel {kernel!r}")
     if objective not in ("wirelength", "timing"):
         raise ValueError(f"unknown routing objective {objective!r}")
     if objective == "timing" and kernel != "astar":
         raise ValueError(f"objective='timing' requires the astar kernel, not {kernel!r}")
     with span("par.route", kernel=kernel, objective=objective, nets=len(netlist.nets)):
-        if kernel == "reference":
-            result = _route_reference(
-                netlist, placement, device,
-                max_iterations=max_iterations,
-                pres_fac_init=0.6 if pres_fac_init is None else pres_fac_init,
-                pres_fac_mult=pres_fac_mult, hist_fac=hist_fac, astar_fac=astar_fac,
-                deadline=deadline,
-            )
-        elif kernel == "astar":
+        if kernel == "astar":
             result = _route_astar(
                 netlist, placement, device,
                 max_iterations=max_iterations,
@@ -250,7 +232,7 @@ def route(
                 criticality_exponent=criticality_exponent,
                 deadline=deadline,
             )
-        elif kernel == "fast":
+        else:
             result = _route_fast(
                 netlist, placement, device,
                 max_iterations=max_iterations,
@@ -258,8 +240,6 @@ def route(
                 pres_fac_mult=pres_fac_mult, hist_fac=hist_fac, astar_fac=astar_fac,
                 deadline=deadline,
             )
-        else:
-            raise ValueError(f"unknown routing kernel {kernel!r}")
     result.kernel = kernel
     if result.telemetry is not None:
         # Convergence timelines land in the trace (no-ops when disabled);
@@ -273,8 +253,7 @@ def route(
 
 #: Kernel fallback order of :func:`route_resilient`: quality-first to
 #: cheapest.  A degraded attempt starts at the requested kernel's position
-#: and walks right; ``reference`` is a deliberate dead end (it exists to
-#: pin the baseline trajectory, degrading it would defeat the purpose).
+#: and walks right, so a ``fast`` request has nowhere left to degrade to.
 DEGRADATION_CHAIN: Tuple[str, ...] = ("astar", "fast")
 
 
@@ -283,7 +262,7 @@ def route_resilient(
     placement: Placement,
     device: Device,
     max_iterations: int = 25,
-    kernel: str = "auto",
+    kernel: str = "astar",
     objective: str = "wirelength",
     deadline_s: Optional[float] = None,
     events: Optional[List[Dict[str, object]]] = None,
@@ -310,8 +289,6 @@ def route_resilient(
     outright; returns the last non-converged result (``success=False``)
     when kernels complete but congestion never resolves.
     """
-    if kernel == "auto":
-        kernel = AUTO_KERNEL
     if kernel in DEGRADATION_CHAIN and degrade:
         chain = DEGRADATION_CHAIN[DEGRADATION_CHAIN.index(kernel):]
     else:
@@ -360,9 +337,9 @@ def route_resilient(
             )
         if result.success:
             if result.forest is None:
-                # The fast/reference baselines skip the forest build so
-                # their benchmark timings stay honest; the resilient path
-                # is not timed against them, and downstream consumers
+                # The fast kernel skips the forest build so its
+                # benchmark timings stay honest; the resilient path
+                # is not timed against it, and downstream consumers
                 # (STA, cached-route serialization) expect every converged
                 # resilient result to carry one.
                 result.forest = build_route_forest(result.routes, device.rr_graph)
@@ -1211,157 +1188,3 @@ def routing_from_payload(payload: Dict[str, object]) -> Optional[RoutingResult]:
         )
     except (KeyError, TypeError, ValueError):
         return None
-
-
-def _route_reference(
-    netlist: PhysicalNetlist,
-    placement: Placement,
-    device: Device,
-    max_iterations: int = 25,
-    pres_fac_init: float = 0.6,
-    pres_fac_mult: float = 1.8,
-    hist_fac: float = 0.4,
-    astar_fac: float = 1.1,
-    deadline: Optional[Deadline] = None,
-) -> RoutingResult:
-    """Original router: per-edge ``node_cost()`` calls (benchmark baseline)."""
-    rr = device.rr_graph
-    num_nodes = rr.num_nodes
-
-    base_cost = _base_cost_array(rr)
-    capacity = rr.node_capacity.astype(np.int32)
-    occupancy = np.zeros(num_nodes, dtype=np.int32)
-    history = np.zeros(num_nodes, dtype=np.float64)
-
-    node_x = rr.node_x.astype(np.int32)
-    node_y = rr.node_y.astype(np.int32)
-    edge_ptr = rr.edge_ptr
-    edge_dst = rr.edge_dst
-
-    src_of, sink_of = terminal_rr_nodes(netlist, placement, rr)
-
-    routes: Dict[int, NetRoute] = {}
-    net_terms: Dict[int, Tuple[int, List[int]]] = {}
-    for net in netlist.nets:
-        net_terms[net.id] = (src_of[net.driver], [sink_of[s] for s in net.sinks])
-
-    visited_gen = np.zeros(num_nodes, dtype=np.int64)
-    cost_so_far = np.zeros(num_nodes, dtype=np.float64)
-    prev_node = np.full(num_nodes, -1, dtype=np.int64)
-    generation = 0
-
-    def node_cost(n: int, pres_fac: float) -> float:
-        over = occupancy[n] + 1 - capacity[n]
-        pres = 1.0 + pres_fac * over if over > 0 else 1.0
-        return (base_cost[n] + history[n]) * pres
-
-    def route_net(net_id: int, pres_fac: float) -> NetRoute:
-        nonlocal generation
-        if deadline is not None:
-            deadline.check(f"reference net {net_id}")
-        source, sinks = net_terms[net_id]
-        tree: List[int] = [source]
-        tree_set: Set[int] = {source}
-        sx, sy = int(node_x[source]), int(node_y[source])
-        order = sorted(
-            sinks,
-            key=lambda t: -(abs(int(node_x[t]) - sx) + abs(int(node_y[t]) - sy)),
-        )
-        for target in order:
-            if target in tree_set:
-                occupancy[target] += 1
-                continue
-            generation += 1
-            gen = generation
-            tx, ty = int(node_x[target]), int(node_y[target])
-            heap: List[Tuple[float, float, int]] = []
-            for n in tree:
-                h = (abs(int(node_x[n]) - tx) + abs(int(node_y[n]) - ty)) * astar_fac
-                visited_gen[n] = gen
-                cost_so_far[n] = 0.0
-                prev_node[n] = -1
-                heapq.heappush(heap, (h, 0.0, n))
-            found = False
-            while heap:
-                _, g, n = heapq.heappop(heap)
-                if g > cost_so_far[n] + 1e-12:
-                    continue  # stale heap entry
-                if n == target:
-                    found = True
-                    break
-                for m in edge_dst[edge_ptr[n] : edge_ptr[n + 1]]:
-                    m = int(m)
-                    ntype = rr.node_type[m]
-                    if ntype == RRNodeType.SINK and m != target:
-                        continue
-                    new_cost = g + node_cost(m, pres_fac)
-                    if visited_gen[m] != gen or new_cost < cost_so_far[m] - 1e-12:
-                        visited_gen[m] = gen
-                        cost_so_far[m] = new_cost
-                        prev_node[m] = n
-                        h = (abs(int(node_x[m]) - tx) + abs(int(node_y[m]) - ty)) * astar_fac
-                        heapq.heappush(heap, (new_cost + h, new_cost, m))
-            if not found:
-                raise RuntimeError(
-                    f"net {net_id} could not reach its sink; the device is too small "
-                    "or the channel width is insufficient even with congestion allowed"
-                )
-            path = []
-            n = target
-            while n != -1 and n not in tree_set:
-                path.append(n)
-                n = int(prev_node[n])
-            for n in path:
-                tree_set.add(n)
-                tree.append(n)
-                occupancy[n] += 1
-        return NetRoute(net_id, tree)
-
-    def rip_up(net_route: NetRoute) -> None:
-        for n in net_route.nodes:
-            if n != net_terms[net_route.net_id][0]:
-                occupancy[n] -= 1
-
-    pres_fac = pres_fac_init
-    iteration = 0
-    success = False
-    net_ids = [net.id for net in netlist.nets]
-    tl_overuse: List[int] = []
-    tl_rerouted: List[int] = []
-    tl_wall_ms: List[float] = []
-
-    for iteration in range(1, max_iterations + 1):
-        it_t0 = time.perf_counter()
-        if iteration == 1:
-            targets = net_ids
-        else:
-            over = occupancy > capacity
-            targets = [
-                nid
-                for nid in net_ids
-                if any(over[n] for n in routes[nid].nodes)
-            ]
-        for nid in targets:
-            if nid in routes:
-                rip_up(routes[nid])
-            routes[nid] = route_net(nid, pres_fac)
-
-        over_nodes = int(np.count_nonzero(occupancy > capacity))
-        tl_overuse.append(over_nodes)
-        tl_rerouted.append(len(targets))
-        tl_wall_ms.append((time.perf_counter() - it_t0) * 1000.0)
-        if over_nodes == 0:
-            success = True
-            break
-        history += hist_fac * np.maximum(occupancy - capacity, 0)
-        pres_fac *= pres_fac_mult
-
-    telemetry = {
-        "kernel": "reference",
-        "overuse_per_iteration": tl_overuse,
-        "rerouted_nets_per_iteration": tl_rerouted,
-        "iteration_wall_ms": tl_wall_ms,
-    }
-    return _assemble_result(
-        rr, routes, occupancy, capacity, success, iteration, telemetry=telemetry
-    )

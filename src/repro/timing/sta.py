@@ -370,9 +370,8 @@ class CriticalityTracker:
     :class:`~repro.par.forest.RouteForest` with pure NumPy gathers and
     refreshes :attr:`conn_crit` -- one float64 per connection id, updated in
     place -- which the routing kernels index directly instead of probing a
-    ``Dict[(net, sink), float]`` per connection.  The dict-returning
-    :meth:`initial` / :meth:`update` remain as the legacy (PR 4) path and
-    the equivalence baseline.
+    ``Dict[(net, sink), float]`` per connection.  The dict-returning path
+    it replaced is kept as a test oracle in ``tests/oracles.py``.
     """
 
     def __init__(
@@ -487,38 +486,3 @@ class CriticalityTracker:
         use = (ec >= 0) & ~np.isnan(d)
         edge_delay[use] = d[use]
         return edge_delay
-
-    # -- legacy dict path (PR 4; kept as the equivalence baseline) -----------
-
-    def _to_conn_dict(self, crit: np.ndarray) -> Dict[Tuple[int, int], float]:
-        if self.exponent != 1.0:
-            crit = crit**self.exponent
-        crit = np.minimum(crit, self.max_criticality)
-        g = self.graph
-        out: Dict[Tuple[int, int], float] = {}
-        for i in range(g.num_edges):
-            srr = self._sink_rr.get(int(g.edge_dst[i]))
-            if srr is None:
-                continue
-            key = (int(g.edge_net[i]), srr)
-            c = float(crit[i])
-            if c > out.get(key, -1.0):
-                out[key] = c
-        return out
-
-    def initial(self) -> Dict[Tuple[int, int], float]:
-        """Placement-estimate criticalities for the first iteration (dict)."""
-        *_, crit, dmax, _depth = _scan(self.graph, self._estimate)
-        self.critical_path_ns = dmax
-        return self._to_conn_dict(crit)
-
-    def update(self, routes) -> Dict[Tuple[int, int], float]:
-        """Re-time the route trees with the per-net dict walk (dict)."""
-        edge_delay, _w, _p = routed_edge_delays(
-            self.graph, routes, self.placement, self.device, fallback=self._estimate
-        )
-        *_, crit, dmax, _depth = _scan(self.graph, edge_delay)
-        self.critical_path_ns = dmax
-        self.updates += 1
-        obs_metrics.add("sta.retime_updates")
-        return self._to_conn_dict(crit)

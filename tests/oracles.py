@@ -1,0 +1,560 @@
+"""Test oracles: the original implementations the shipped kernels are checked against.
+
+The library ships one kernel per hot path.  The slower original each one
+replaced lives here, outside the package, as the reference its tests and
+``benchmarks/bench_hotpaths.py`` compare against (the bench inserts this
+directory on ``sys.path``):
+
+* :func:`route_reference` -- the PathFinder router with a per-edge
+  ``node_cost()`` call; ``route(kernel="fast")`` must reproduce it exactly;
+* :func:`place_reference` -- the ``random.Random`` annealer that recomputes
+  every affected net's HPWL; the banded quality baseline of ``place()``;
+* :func:`candidates_timing_placement` -- the candidate-anneal timing
+  placer that ``timing_driven_placement`` must match or beat;
+* :func:`simulate_patterns_reference` -- the per-node interpreter the
+  compiled simulation engine must equal bit for bit;
+* :func:`criticality_initial` / :func:`criticality_update` -- the per-net
+  dict walk the flat :class:`~repro.timing.sta.CriticalityTracker` path
+  must equal bit for bit.
+
+Every oracle is the code it replaced, moved unchanged, so the trajectories
+(and the gates in ``benchmarks/check_quality.py``) stay the same.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+import random
+import time
+from typing import Dict, List, Mapping, Optional, Set, Tuple
+
+import numpy as np
+
+from repro.fpga.architecture import FPGAArchitecture
+from repro.fpga.device import Device
+from repro.fpga.routing_graph import RRNodeType
+from repro.netlist.circuit import Circuit, Op
+from repro.netlist.library import eval_gate
+from repro.netlist.simulate import _pattern_mask
+from repro.obs import metrics as obs_metrics
+from repro.par.netlist import PhysicalNetlist
+from repro.par.placement import (
+    Placement,
+    PlacementResult,
+    _cool,
+    _initial_temperature,
+    _moves_per_temperature,
+    _net_hpwl,
+    _next_range_limit,
+    _placement_telemetry,
+    place,
+    random_placement,
+)
+from repro.par.routing import (
+    NetRoute,
+    RoutingResult,
+    _assemble_result,
+    _base_cost_array,
+    terminal_rr_nodes,
+)
+from repro.timing.delays import routed_edge_delays, structural_edge_delays
+from repro.timing.graph import build_timing_graph
+from repro.timing.sta import (
+    CriticalityTracker,
+    _scan,
+    net_criticality_from_placement,
+    scan_edge_criticality,
+)
+from repro.util.resilience import Deadline
+
+__all__ = [
+    "route_reference",
+    "place_reference",
+    "candidates_timing_placement",
+    "simulate_patterns_reference",
+    "criticality_initial",
+    "criticality_update",
+]
+
+
+# -- routing -------------------------------------------------------------------
+
+
+def route_reference(
+    netlist: PhysicalNetlist,
+    placement: Placement,
+    device: Device,
+    max_iterations: int = 25,
+    pres_fac_init: float = 0.6,
+    pres_fac_mult: float = 1.8,
+    hist_fac: float = 0.4,
+    astar_fac: float = 1.1,
+    deadline: Optional[Deadline] = None,
+) -> RoutingResult:
+    """Original router: per-edge ``node_cost()`` calls.
+
+    Checks ``route(kernel="fast")``, which must return the identical routes
+    (``test_engine.py``, ``test_property_fuzz.py``, the ``routing`` section's
+    ``identical_outputs`` gate in ``check_quality.py``), and is the
+    wirelength baseline of ``astar`` (``test_par.py``'s router-quality
+    tests, the ``astar_wirelength_ratio`` and ``timing_wl_band_ratio``
+    gates).
+    """
+    rr = device.rr_graph
+    num_nodes = rr.num_nodes
+
+    base_cost = _base_cost_array(rr)
+    capacity = rr.node_capacity.astype(np.int32)
+    occupancy = np.zeros(num_nodes, dtype=np.int32)
+    history = np.zeros(num_nodes, dtype=np.float64)
+
+    node_x = rr.node_x.astype(np.int32)
+    node_y = rr.node_y.astype(np.int32)
+    edge_ptr = rr.edge_ptr
+    edge_dst = rr.edge_dst
+
+    src_of, sink_of = terminal_rr_nodes(netlist, placement, rr)
+
+    routes: Dict[int, NetRoute] = {}
+    net_terms: Dict[int, Tuple[int, List[int]]] = {}
+    for net in netlist.nets:
+        net_terms[net.id] = (src_of[net.driver], [sink_of[s] for s in net.sinks])
+
+    visited_gen = np.zeros(num_nodes, dtype=np.int64)
+    cost_so_far = np.zeros(num_nodes, dtype=np.float64)
+    prev_node = np.full(num_nodes, -1, dtype=np.int64)
+    generation = 0
+
+    def node_cost(n: int, pres_fac: float) -> float:
+        over = occupancy[n] + 1 - capacity[n]
+        pres = 1.0 + pres_fac * over if over > 0 else 1.0
+        return (base_cost[n] + history[n]) * pres
+
+    def route_net(net_id: int, pres_fac: float) -> NetRoute:
+        nonlocal generation
+        if deadline is not None:
+            deadline.check(f"reference net {net_id}")
+        source, sinks = net_terms[net_id]
+        tree: List[int] = [source]
+        tree_set: Set[int] = {source}
+        sx, sy = int(node_x[source]), int(node_y[source])
+        order = sorted(
+            sinks,
+            key=lambda t: -(abs(int(node_x[t]) - sx) + abs(int(node_y[t]) - sy)),
+        )
+        for target in order:
+            if target in tree_set:
+                occupancy[target] += 1
+                continue
+            generation += 1
+            gen = generation
+            tx, ty = int(node_x[target]), int(node_y[target])
+            heap: List[Tuple[float, float, int]] = []
+            for n in tree:
+                h = (abs(int(node_x[n]) - tx) + abs(int(node_y[n]) - ty)) * astar_fac
+                visited_gen[n] = gen
+                cost_so_far[n] = 0.0
+                prev_node[n] = -1
+                heapq.heappush(heap, (h, 0.0, n))
+            found = False
+            while heap:
+                _, g, n = heapq.heappop(heap)
+                if g > cost_so_far[n] + 1e-12:
+                    continue  # stale heap entry
+                if n == target:
+                    found = True
+                    break
+                for m in edge_dst[edge_ptr[n] : edge_ptr[n + 1]]:
+                    m = int(m)
+                    ntype = rr.node_type[m]
+                    if ntype == RRNodeType.SINK and m != target:
+                        continue
+                    new_cost = g + node_cost(m, pres_fac)
+                    if visited_gen[m] != gen or new_cost < cost_so_far[m] - 1e-12:
+                        visited_gen[m] = gen
+                        cost_so_far[m] = new_cost
+                        prev_node[m] = n
+                        h = (abs(int(node_x[m]) - tx) + abs(int(node_y[m]) - ty)) * astar_fac
+                        heapq.heappush(heap, (new_cost + h, new_cost, m))
+            if not found:
+                raise RuntimeError(
+                    f"net {net_id} could not reach its sink; the device is too small "
+                    "or the channel width is insufficient even with congestion allowed"
+                )
+            path = []
+            n = target
+            while n != -1 and n not in tree_set:
+                path.append(n)
+                n = int(prev_node[n])
+            for n in path:
+                tree_set.add(n)
+                tree.append(n)
+                occupancy[n] += 1
+        return NetRoute(net_id, tree)
+
+    def rip_up(net_route: NetRoute) -> None:
+        for n in net_route.nodes:
+            if n != net_terms[net_route.net_id][0]:
+                occupancy[n] -= 1
+
+    pres_fac = pres_fac_init
+    iteration = 0
+    success = False
+    net_ids = [net.id for net in netlist.nets]
+    tl_overuse: List[int] = []
+    tl_rerouted: List[int] = []
+    tl_wall_ms: List[float] = []
+
+    for iteration in range(1, max_iterations + 1):
+        it_t0 = time.perf_counter()
+        if iteration == 1:
+            targets = net_ids
+        else:
+            over = occupancy > capacity
+            targets = [
+                nid
+                for nid in net_ids
+                if any(over[n] for n in routes[nid].nodes)
+            ]
+        for nid in targets:
+            if nid in routes:
+                rip_up(routes[nid])
+            routes[nid] = route_net(nid, pres_fac)
+
+        over_nodes = int(np.count_nonzero(occupancy > capacity))
+        tl_overuse.append(over_nodes)
+        tl_rerouted.append(len(targets))
+        tl_wall_ms.append((time.perf_counter() - it_t0) * 1000.0)
+        if over_nodes == 0:
+            success = True
+            break
+        history += hist_fac * np.maximum(occupancy - capacity, 0)
+        pres_fac *= pres_fac_mult
+
+    telemetry = {
+        "kernel": "reference",
+        "overuse_per_iteration": tl_overuse,
+        "rerouted_nets_per_iteration": tl_rerouted,
+        "iteration_wall_ms": tl_wall_ms,
+    }
+    return _assemble_result(
+        rr, routes, occupancy, capacity, success, iteration, telemetry=telemetry
+    )
+
+
+# -- placement -----------------------------------------------------------------
+
+
+class _AnnealingState:
+    """Book-keeping for full-recompute HPWL evaluation (reference kernel)."""
+
+    def __init__(self, netlist: PhysicalNetlist, placement: Placement) -> None:
+        self.netlist = netlist
+        self.placement = placement
+        self.nets_of_block: Dict[int, List[int]] = {b.id: [] for b in netlist.blocks}
+        for net in netlist.nets:
+            for b in {net.driver, *net.sinks}:
+                self.nets_of_block[b].append(net.id)
+        self.net_cost: List[int] = [0] * len(netlist.nets)
+        for net in netlist.nets:
+            self.net_cost[net.id] = self._compute_net_cost(net.id)
+        self.total_cost = sum(self.net_cost)
+
+    def _compute_net_cost(self, net_id: int) -> int:
+        net = self.netlist.nets[net_id]
+        blocks = [net.driver] + net.sinks
+        xs = [self.placement.block_site[b].x for b in blocks]
+        ys = [self.placement.block_site[b].y for b in blocks]
+        return _net_hpwl(xs, ys)
+
+    def delta_for_nets(self, net_ids: List[int]) -> Tuple[int, Dict[int, int]]:
+        """HPWL delta of the tentative move over ``net_ids``, plus new costs."""
+        new_costs = {nid: self._compute_net_cost(nid) for nid in net_ids}
+        delta = sum(new_costs[nid] - self.net_cost[nid] for nid in net_ids)
+        return delta, new_costs
+
+    def commit(self, new_costs: Dict[int, int]) -> None:
+        """Adopt the per-net costs of an accepted move."""
+        for nid, cost in new_costs.items():
+            self.total_cost += cost - self.net_cost[nid]
+            self.net_cost[nid] = cost
+
+
+def place_reference(
+    netlist: PhysicalNetlist,
+    arch: FPGAArchitecture,
+    seed: int = 0,
+    effort: float = 1.0,
+    inner_num: float = 1.0,
+) -> PlacementResult:
+    """Original annealing loop: recompute affected nets' HPWL from pin lists.
+
+    The quality baseline of ``place()`` (the ``batched`` annealer, which
+    follows a different random stream, so it is banded, not bit-checked):
+    ``test_par.py``'s mean-HPWL band and the ``placement`` section's
+    ``quality_ok`` gate in ``check_quality.py``.  It shares the schedule
+    helpers of :mod:`repro.par.placement`.
+    """
+    rng = random.Random(seed)
+    placement = random_placement(netlist, arch, seed=seed)
+    state = _AnnealingState(netlist, placement)
+    initial_cost = state.total_cost
+
+    logic_blocks = [b.id for b in netlist.blocks if b.needs_logic_site]
+    io_blocks = [b.id for b in netlist.blocks if b.kind == "io"]
+    logic_sites = list(arch.clb_sites())
+    io_sites = list(arch.io_sites())
+
+    site_occupant: Dict[Tuple, Optional[int]] = {}
+    for s in logic_sites + io_sites:
+        site_occupant[s.as_tuple()] = None
+    for bid, site in placement.block_site.items():
+        site_occupant[site.as_tuple()] = bid
+
+    movable_groups = []
+    if logic_blocks:
+        movable_groups.append(("logic", logic_blocks, logic_sites))
+    if io_blocks:
+        movable_groups.append(("io", io_blocks, io_sites))
+    if not movable_groups:
+        return PlacementResult(placement, 0, 0, 0, 0, 0)
+
+    num_blocks = len(logic_blocks) + len(io_blocks)
+    moves_per_temp = _moves_per_temperature(num_blocks, effort, inner_num)
+    temperature = _initial_temperature(initial_cost, len(netlist.nets))
+    device_span = float(max(arch.width, arch.height))
+    range_limit = device_span
+
+    moves_attempted = 0
+    moves_accepted = 0
+    temperature_steps = 0
+    tl_temperature: List[float] = []
+    tl_cost: List[int] = []
+    tl_acceptance: List[float] = []
+
+    def pick_move():
+        group = movable_groups[rng.randrange(len(movable_groups))]
+        _, blocks, sites = group
+        block = blocks[rng.randrange(len(blocks))]
+        cur = placement.block_site[block]
+        for _ in range(8):
+            target = sites[rng.randrange(len(sites))]
+            if target.kind != cur.kind:
+                continue
+            if abs(target.x - cur.x) + abs(target.y - cur.y) > range_limit * 2:
+                continue
+            if target.as_tuple() != cur.as_tuple():
+                return block, cur, target
+        return None
+
+    while temperature_steps < 200:
+        accepted_this_temp = 0
+        for _ in range(moves_per_temp):
+            move = pick_move()
+            if move is None:
+                continue
+            block, cur, target = move
+            moves_attempted += 1
+            occupant = site_occupant[target.as_tuple()]
+
+            affected = set(state.nets_of_block[block])
+            if occupant is not None:
+                affected.update(state.nets_of_block[occupant])
+
+            # tentatively apply
+            placement.block_site[block] = target
+            if occupant is not None:
+                placement.block_site[occupant] = cur
+            delta, new_costs = state.delta_for_nets(list(affected))
+
+            accept = delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9))
+            if accept:
+                state.commit(new_costs)
+                site_occupant[target.as_tuple()] = block
+                site_occupant[cur.as_tuple()] = occupant
+                moves_accepted += 1
+                accepted_this_temp += 1
+            else:
+                placement.block_site[block] = cur
+                if occupant is not None:
+                    placement.block_site[occupant] = target
+
+        temperature_steps += 1
+        acceptance = accepted_this_temp / max(1, moves_per_temp)
+        tl_temperature.append(temperature)
+        tl_cost.append(state.total_cost)
+        tl_acceptance.append(acceptance)
+        temperature = _cool(temperature, acceptance)
+        range_limit = _next_range_limit(range_limit, acceptance, device_span)
+        if temperature < 0.005 * state.total_cost / max(1, len(netlist.nets)) or (
+            acceptance < 0.01 and temperature_steps > 5
+        ):
+            break
+
+    return PlacementResult(
+        placement=placement,
+        cost=state.total_cost,
+        initial_cost=initial_cost,
+        moves_attempted=moves_attempted,
+        moves_accepted=moves_accepted,
+        temperature_steps=temperature_steps,
+        telemetry=_placement_telemetry(
+            "reference", tl_temperature, tl_cost, tl_acceptance,
+            moves_attempted, moves_accepted,
+        ),
+    )
+
+
+def candidates_timing_placement(
+    netlist: PhysicalNetlist,
+    arch: FPGAArchitecture,
+    seed: int = 0,
+    effort: float = 1.0,
+    inner_num: float = 1.0,
+    tradeoff: float = 3.0,
+    passes: int = 2,
+    exponent: float = 2.0,
+) -> PlacementResult:
+    """Candidate-anneal timing placer: the recipe the incremental-STA placer replaced.
+
+    Anneals an unweighted candidate, a structurally-weighted candidate and
+    ``passes`` re-weighted candidates (net-level weights from
+    ``place(net_weights=)``, criticalities frozen *between* anneals), then
+    picks the best estimated critical path.  ``timing_driven_placement``
+    must match or beat it: ``test_forest.py``'s estimated-critical-path
+    test and the ``timing`` section's ``placer_cp_ratio`` gate in
+    ``check_quality.py``.
+    """
+    graph = build_timing_graph(netlist, arch.lut_delay_ns)
+
+    def estimate(result: PlacementResult) -> Tuple[float, List[float]]:
+        return net_criticality_from_placement(graph, result.placement, arch, exponent=exponent)
+
+    def fold_structural() -> np.ndarray:
+        _dmax, crit = scan_edge_criticality(graph, structural_edge_delays(graph, arch))
+        if exponent != 1.0:
+            crit = crit**exponent
+        net_crit = np.zeros(len(netlist.nets))
+        if graph.num_edges:
+            np.maximum.at(net_crit, graph.edge_net, crit)
+        return net_crit
+
+    candidates: List[Tuple[float, PlacementResult]] = []
+    base = place(netlist, arch, seed=seed, effort=effort, inner_num=inner_num)
+    best_cp, best_crit = estimate(base)
+    candidates.append((best_cp, base))
+
+    struct_w = [1.0 + tradeoff * c for c in fold_structural()]
+    cand = place(
+        netlist,
+        arch,
+        seed=seed,
+        effort=effort,
+        inner_num=inner_num,
+        net_weights=struct_w,
+    )
+    cp, crit = estimate(cand)
+    if cp < best_cp:
+        best_cp, best_crit = cp, crit
+    candidates.append((cp, cand))
+
+    for i in range(1, passes + 1):
+        weights = [1.0 + tradeoff * c for c in best_crit]
+        cand = place(
+            netlist,
+            arch,
+            seed=seed + 1000 * i,
+            effort=effort,
+            inner_num=inner_num,
+            net_weights=weights,
+        )
+        cp, crit = estimate(cand)
+        if cp < best_cp:
+            best_cp, best_crit = cp, crit
+        candidates.append((cp, cand))
+
+    return min(candidates, key=lambda t: t[0])[1]
+
+
+# -- simulation ----------------------------------------------------------------
+
+
+def simulate_patterns_reference(
+    circuit: Circuit,
+    input_patterns: Mapping[int, int],
+    num_patterns: int,
+    param_patterns: Optional[Mapping[int, int]] = None,
+) -> Dict[int, int]:
+    """Original per-node interpreter.
+
+    The golden model of ``simulate_patterns`` (the compiled engine), which
+    must return the identical packed vectors: ``test_engine.py``'s
+    equivalence tests and the ``simulation`` section's ``identical_outputs``
+    flag in ``BENCH_hotpaths.json``.
+    """
+    mask = _pattern_mask(num_patterns)
+    values: List[int] = [0] * len(circuit.ops)
+    params = dict(param_patterns or {})
+    for nid, op in enumerate(circuit.ops):
+        if op == Op.INPUT:
+            values[nid] = input_patterns.get(nid, 0) & mask
+        elif op == Op.PARAM:
+            values[nid] = params.get(nid, 0) & mask
+        elif op == Op.CONST0:
+            values[nid] = 0
+        elif op == Op.CONST1:
+            values[nid] = mask
+        else:
+            args = [values[f] for f in circuit.fanins[nid]]
+            values[nid] = eval_gate(op, args, mask)
+    return {nid: values[nid] for nid in circuit.node_ids()}
+
+
+# -- timing-driven routing criticalities ---------------------------------------
+
+
+def _conn_dict(
+    tracker: CriticalityTracker, crit: np.ndarray
+) -> Dict[Tuple[int, int], float]:
+    if tracker.exponent != 1.0:
+        crit = crit**tracker.exponent
+    crit = np.minimum(crit, tracker.max_criticality)
+    g = tracker.graph
+    out: Dict[Tuple[int, int], float] = {}
+    for i in range(g.num_edges):
+        srr = tracker._sink_rr.get(int(g.edge_dst[i]))
+        if srr is None:
+            continue
+        key = (int(g.edge_net[i]), srr)
+        c = float(crit[i])
+        if c > out.get(key, -1.0):
+            out[key] = c
+    return out
+
+
+def criticality_initial(tracker: CriticalityTracker) -> Dict[Tuple[int, int], float]:
+    """Placement-estimate criticalities as a ``(net, sink_rr) -> crit`` dict.
+
+    Checks ``tracker.initial_flat()`` bit for bit (``test_forest.py``).
+    """
+    *_, crit, dmax, _depth = _scan(tracker.graph, tracker._estimate)
+    tracker.critical_path_ns = dmax
+    return _conn_dict(tracker, crit)
+
+
+def criticality_update(tracker: CriticalityTracker, routes) -> Dict[Tuple[int, int], float]:
+    """Re-time the route trees with the per-net dict walk (dict).
+
+    Checks ``tracker.update_flat()`` bit for bit: ``test_forest.py`` and the
+    ``retime`` section's ``criticality_identical`` gate in
+    ``check_quality.py``, which also times it as the flat path's baseline.
+    """
+    edge_delay, _w, _p = routed_edge_delays(
+        tracker.graph, routes, tracker.placement, tracker.device, fallback=tracker._estimate
+    )
+    *_, crit, dmax, _depth = _scan(tracker.graph, edge_delay)
+    tracker.critical_path_ns = dmax
+    tracker.updates += 1
+    obs_metrics.add("sta.retime_updates")
+    return _conn_dict(tracker, crit)

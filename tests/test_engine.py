@@ -11,6 +11,7 @@ same float operations in the same order).
 import random
 
 import pytest
+from oracles import route_reference, simulate_patterns_reference
 
 from repro.fpga.architecture import auto_size
 from repro.fpga.device import build_device
@@ -21,7 +22,6 @@ from repro.netlist.simulate import (
     exhaustive_patterns,
     random_patterns,
     simulate_patterns,
-    simulate_patterns_reference,
     simulate_single,
     simulate_words,
 )
@@ -186,7 +186,7 @@ class TestKernelReproducibility:
         nl.validate()
         arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=4)
         for seed in (0, 1, 5):
-            result = place(nl, arch, seed=seed, kernel="batched")
+            result = place(nl, arch, seed=seed)
             assert result.moves_accepted > 0
             assert result.cost == hpwl(nl, result.placement), seed
 
@@ -208,7 +208,7 @@ class TestKernelReproducibility:
         )
         device = build_device(arch)
         placement = place(netlist, arch, seed=2, effort=0.4).placement
-        ref = route(netlist, placement, device, kernel="reference")
+        ref = route_reference(netlist, placement, device)
         new = route(netlist, placement, device, kernel="fast")
         assert new.success == ref.success
         assert new.iterations == ref.iterations

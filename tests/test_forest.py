@@ -11,6 +11,12 @@ import json
 
 import numpy as np
 import pytest
+from oracles import (
+    candidates_timing_placement,
+    criticality_initial,
+    criticality_update,
+    route_reference,
+)
 
 from repro.fpga.architecture import FPGAArchitecture, auto_size
 from repro.fpga.device import build_device
@@ -48,7 +54,7 @@ def adder_network(width=6):
 
 @pytest.fixture(scope="module")
 def routed_pe():
-    """One placed design routed by every kernel (module-scoped: routes once)."""
+    """One placed design routed by every kernel and the oracle (routes once)."""
     net = adder_network(6)
     from repro.par.netlist import from_mapped_network
 
@@ -58,7 +64,10 @@ def routed_pe():
     placement = place(nl, arch, seed=2, effort=0.4).placement
     results = {}
     for kernel in KERNELS:
-        r = route(nl, placement, device, kernel=kernel)
+        if kernel == "reference":
+            r = route_reference(nl, placement, device)
+        else:
+            r = route(nl, placement, device, kernel=kernel)
         assert r.success, kernel
         results[kernel] = r
     return nl, arch, device, placement, results
@@ -178,7 +187,7 @@ class TestFlatCriticality:
         r = results["astar"]
         tracker = CriticalityTracker(nl, placement, device, exponent=2.0)
         flat = tracker.update_flat(r.routes).copy()
-        legacy = tracker.update(r.routes)
+        legacy = criticality_update(tracker, r.routes)
         assert set(legacy) <= set(tracker.conn_index)
         for key, value in legacy.items():
             assert flat[tracker.conn_index[key]] == value
@@ -191,7 +200,7 @@ class TestFlatCriticality:
         nl, _arch, device, placement, _results = routed_pe
         tracker = CriticalityTracker(nl, placement, device)
         flat = tracker.initial_flat().copy()
-        legacy = tracker.initial()
+        legacy = criticality_initial(tracker)
         for key, value in legacy.items():
             assert flat[tracker.conn_index[key]] == value
 
@@ -245,15 +254,9 @@ class TestCacheRehydration:
         again = cached_route(nl, placement, device, cache=cache)
         assert again.wirelength == first.wirelength
 
-    def test_cached_route_scalar_baselines_bypass_cache(self, routed_pe, tmp_path):
-        nl, _arch, device, placement, _results = routed_pe
-        cache = PaRCache(tmp_path / "routes")
-        cached_route(nl, placement, device, cache=cache, kernel="fast")
-        assert cache.hits == 0 and cache.misses == 0
-
     def test_min_cw_values_stay_metrics_only(self, tmp_path):
-        """Probe values carry no forest: their keys (probe kernel, probe
-        iteration budget) never coincide with a flow's route key, so a
+        """Probe values carry no forest: their keys (probe iteration
+        budget) never coincide with a flow's route key, so a
         serialized forest there would be written and read by nobody --
         re-hydration is cached_route's job."""
         from repro.par.metrics import minimum_channel_width
@@ -328,13 +331,16 @@ class TestIncrementalPlacer:
         )
 
     def test_unknown_mode_rejected(self):
+        # One placer mode is left, so mode= is not a parameter any more;
+        # the candidate recipe lives in tests/oracles.py.
         net = adder_network(4)
         from repro.par.netlist import from_mapped_network
 
         nl = from_mapped_network(net)
         arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=8)
-        with pytest.raises(ValueError, match="mode"):
-            timing_driven_placement(nl, arch, mode="nope")
+        for mode in ("nope", "candidates", "incremental"):
+            with pytest.raises(TypeError, match="mode"):
+                timing_driven_placement(nl, arch, mode=mode)
 
     def test_timing_cost_requires_batched_kernel(self):
         net = adder_network(4)
@@ -343,13 +349,11 @@ class TestIncrementalPlacer:
         nl = from_mapped_network(net)
         arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=8)
         tc = TimingCost([0], [1], lambda x, y: [0.5])
-        with pytest.raises(ValueError, match="batched"):
+        # The batched annealer is the only one: no kernel can be selected.
+        with pytest.raises(TypeError, match="kernel"):
             place(nl, arch, kernel="reference", timing=tc)
         with pytest.raises(ValueError, match="exclusive"):
-            place(
-                nl, arch, kernel="batched", timing=tc,
-                net_weights=[1.0] * len(nl.nets),
-            )
+            place(nl, arch, timing=tc, net_weights=[1.0] * len(nl.nets))
 
     def test_timing_cost_validates_conn_arrays(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -372,5 +376,5 @@ class TestIncrementalPlacer:
             )[0]
 
         inc = timing_driven_placement(nl, arch, seed=1, effort=0.4)
-        cand = timing_driven_placement(nl, arch, seed=1, effort=0.4, mode="candidates")
+        cand = candidates_timing_placement(nl, arch, seed=1, effort=0.4)
         assert est(inc) <= est(cand) * 1.001

@@ -212,7 +212,7 @@ class TestFallback:
             channel_width=6,
         )
         device = build_device(arch)
-        result = place(nl, arch, seed=1, effort=0.4, kernel="batched")
+        result = place(nl, arch, seed=1, effort=0.4)
         assert result.cost == hpwl(nl, result.placement)
         routed = route(nl, result.placement, device)
         assert routed.success
@@ -226,7 +226,7 @@ class TestFallback:
                 channel_width=6,
             )
             device = build_device(arch)
-            placement = place(nl, arch, seed=0, effort=0.4, kernel="batched")
+            placement = place(nl, arch, seed=0, effort=0.4)
             routed = route(nl, placement.placement, device)
             assert routed.success
 
@@ -311,24 +311,18 @@ class TestAnnealerBitIdentity:
     def test_plain_trajectories_identical_across_seeds(self, workload):
         nl, arch, _device, _ = workload
         for seed in BENCH_SEEDS:
-            nat = place(nl, arch, seed=seed, effort=0.3, kernel="batched")
+            nat = place(nl, arch, seed=seed, effort=0.3)
             with python_twins():
-                py = place(nl, arch, seed=seed, effort=0.3, kernel="batched")
+                py = place(nl, arch, seed=seed, effort=0.3)
             self._identical(nat, py)
 
     def test_weighted_trajectories_identical(self, workload):
         nl, arch, _device, _ = workload
         weights = [1.0 + 2.0 * (i % 3) for i in range(len(nl.nets))]
         for seed in BENCH_SEEDS[:2]:
-            nat = place(
-                nl, arch, seed=seed, effort=0.3, kernel="batched",
-                net_weights=weights,
-            )
+            nat = place(nl, arch, seed=seed, effort=0.3, net_weights=weights)
             with python_twins():
-                py = place(
-                    nl, arch, seed=seed, effort=0.3, kernel="batched",
-                    net_weights=weights,
-                )
+                py = place(nl, arch, seed=seed, effort=0.3, net_weights=weights)
             self._identical(nat, py)
 
     def test_timing_trajectories_identical(self, workload):
@@ -336,13 +330,9 @@ class TestAnnealerBitIdentity:
         exact-int timing costs) must still match the Python twin."""
         nl, arch, _device, _ = workload
         for seed in BENCH_SEEDS[:2]:
-            nat = timing_driven_placement(
-                nl, arch, seed=seed, effort=0.3, mode="incremental"
-            )
+            nat = timing_driven_placement(nl, arch, seed=seed, effort=0.3)
             with python_twins():
-                py = timing_driven_placement(
-                    nl, arch, seed=seed, effort=0.3, mode="incremental"
-                )
+                py = timing_driven_placement(nl, arch, seed=seed, effort=0.3)
             self._identical(nat, py)
 
     def test_callback_exception_propagates(self, workload):
@@ -364,4 +354,4 @@ class TestAnnealerBitIdentity:
             retime_every=1,
         )
         with pytest.raises(RuntimeError, match="boom from retime"):
-            place(nl, arch, seed=0, effort=0.3, kernel="batched", timing=tc)
+            place(nl, arch, seed=0, effort=0.3, timing=tc)

@@ -11,13 +11,12 @@ The contract under test (see ``src/repro/obs/`` and OBSERVABILITY.md):
   arrays (loadable in chrome://tracing / Perfetto), and the text reporter
   renders them;
 * instrumentation is **trajectory-neutral**: routes and placements are
-  bit-identical with tracing on and off, across seeds and kernels;
+  bit-identical with tracing on and off, across seeds;
 * every hot seam snapshots its per-run numbers into ``telemetry``
   (RoutingResult / PlacementResult / PaRResult) and the process-wide
   metrics registry.
 """
 
-import inspect
 import json
 import os
 import subprocess
@@ -40,12 +39,8 @@ from repro.synth.optimize import optimize
 from repro.techmap import map_conventional
 
 
-#: The kernels the defaults resolve to (read, not restated, so the tests
-#: follow a default flip).
-DEFAULT_PLACE_KERNEL = inspect.signature(place).parameters["kernel"].default
-DEFAULT_PAR_PLACE_KERNEL = (
-    inspect.signature(place_and_route).parameters["placement_kernel"].default
-)
+#: The annealer place() and place_and_route() run, as its telemetry records it.
+DEFAULT_PLACE_KERNEL = "batched"
 
 
 def adder_netlist(width=4):
@@ -272,13 +267,12 @@ class TestTrajectoryNeutrality:
     def test_place_bit_identical_with_tracing(self, tmp_path, seed):
         nl = adder_netlist(4)
         arch = sized_arch(nl)
-        for kernel in (DEFAULT_PLACE_KERNEL, "reference"):
-            off = place(nl, arch, seed=seed, effort=0.4, kernel=kernel)
-            with tracing(str(tmp_path / f"p{kernel}{seed}.jsonl")):
-                on = place(nl, arch, seed=seed, effort=0.4, kernel=kernel)
-            assert on.cost == off.cost
-            assert on.placement.block_site == off.placement.block_site
-            assert on.moves_accepted == off.moves_accepted
+        off = place(nl, arch, seed=seed, effort=0.4)
+        with tracing(str(tmp_path / f"p{seed}.jsonl")):
+            on = place(nl, arch, seed=seed, effort=0.4)
+        assert on.cost == off.cost
+        assert on.placement.block_site == off.placement.block_site
+        assert on.moves_accepted == off.moves_accepted
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_route_bit_identical_with_tracing(self, tmp_path, seed):
@@ -348,7 +342,7 @@ class TestTelemetry:
         t = par.telemetry
         assert t is not None
         assert t["route"]["kernel"] == par.routing.kernel
-        assert t["place"]["kernel"] == DEFAULT_PAR_PLACE_KERNEL
+        assert t["place"]["kernel"] == DEFAULT_PLACE_KERNEL
         assert t["cache"]["misses"] >= 1 and t["cache"]["hits"] == 0
         summary = par.summary()
         assert summary["cache_misses"] >= 1

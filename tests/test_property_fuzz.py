@@ -26,6 +26,7 @@ from repro.fpga.device import build_device  # noqa: E402
 from repro.par import PaRCache, PhysicalNetlist, cached_route  # noqa: E402
 from repro.par.placement import place  # noqa: E402
 from repro.par.routing import route  # noqa: E402
+from oracles import route_reference  # noqa: E402
 
 pytestmark = pytest.mark.fuzz
 
@@ -85,7 +86,7 @@ def _placed(params, channel_width=8):
 def test_fast_and_reference_kernels_agree(params):
     nl, placement, device = _placed(params)
     fast = route(nl, placement, device, kernel="fast")
-    ref = route(nl, placement, device, kernel="reference")
+    ref = route_reference(nl, placement, device)
     assert fast.success == ref.success
     if fast.success:
         assert fast.wirelength == ref.wirelength

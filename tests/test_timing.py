@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import route_reference
 
 from repro.core.pe import ProcessingElementSpec, build_pe_design
 from repro.core.toolflow import run_vcgra_toolflow
@@ -206,10 +207,7 @@ class TestTimingObjective:
         assert timing.objective == "timing"
         ratio = timing.timing.critical_path_ns / wl.timing.critical_path_ns
         assert ratio <= 0.99, f"timing objective did not improve delay ({ratio:.3f}x)"
-        ref = route(
-            timing.netlist, timing.placement.placement, timing.device,
-            kernel="reference",
-        )
+        ref = route_reference(timing.netlist, timing.placement.placement, timing.device)
         assert timing.wirelength <= 1.02 * ref.wirelength
 
     def test_timing_objective_router_only_never_fails(self):
@@ -228,9 +226,8 @@ class TestTimingObjective:
         arch = FPGAArchitecture(width=4, height=4, channel_width=4)
         device = build_device(arch)
         placement = place(nl, arch, seed=0, effort=0.3).placement
-        for kernel in ("fast", "reference"):
-            with pytest.raises(ValueError, match="timing"):
-                route(nl, placement, device, kernel=kernel, objective="timing")
+        with pytest.raises(ValueError, match="timing"):
+            route(nl, placement, device, kernel="fast", objective="timing")
         with pytest.raises(ValueError, match="objective"):
             route(nl, placement, device, objective="area")
 
@@ -239,15 +236,15 @@ class TestTimingPlacement:
     def test_net_weights_require_batched_kernel(self):
         nl = chain_netlist(6)
         arch = FPGAArchitecture(width=4, height=4, channel_width=4)
-        with pytest.raises(ValueError, match="batched"):
+        # The batched annealer is the only one: no kernel can be selected.
+        with pytest.raises(TypeError, match="kernel"):
             place(nl, arch, kernel="reference", net_weights=[1.0] * len(nl.nets))
 
     def test_weighted_placement_reports_unweighted_hpwl(self):
         nl = chain_netlist(10)
         arch = FPGAArchitecture(width=4, height=4, channel_width=4)
         weights = [1.0 + 2.0 * (i % 3) for i in range(len(nl.nets))]
-        result = place(nl, arch, seed=1, effort=0.5, kernel="batched",
-                       net_weights=weights)
+        result = place(nl, arch, seed=1, effort=0.5, net_weights=weights)
         assert isinstance(result.cost, int)
         assert result.cost == hpwl(nl, result.placement)
         assert result.objective_cost is not None
@@ -257,7 +254,7 @@ class TestTimingPlacement:
         nl = chain_netlist(6)
         arch = FPGAArchitecture(width=4, height=4, channel_width=4)
         with pytest.raises(ValueError, match="entries"):
-            place(nl, arch, kernel="batched", net_weights=[1.0])
+            place(nl, arch, net_weights=[1.0])
 
     def test_structural_criticality_marks_deep_chain(self):
         nl = chain_netlist(8)
@@ -271,7 +268,7 @@ class TestTimingPlacement:
         net = adder_network(5)
         nl = from_mapped_network(net)
         arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=8)
-        result = timing_driven_placement(nl, arch, seed=0, effort=0.3, passes=1)
+        result = timing_driven_placement(nl, arch, seed=0, effort=0.3)
         assert set(result.placement.block_site) == {b.id for b in nl.blocks}
         assert result.cost == hpwl(nl, result.placement)
 
