@@ -259,12 +259,10 @@ def bench_routing(netlist, arch, placement):
     # The default benchmark width is not necessarily routable (at the reduced
     # format's W=12 every kernel ends congested); find the minimum routable
     # width for this placement and benchmark every kernel there.
-    workers = os.cpu_count() or 1
     min_cw = minimum_channel_width(
         netlist, placement, arch,
         low=max(2, CHANNEL_WIDTH - 4), high=CHANNEL_WIDTH * 2,
         max_router_iterations=15,
-        workers=min(workers, 4),
         cache=PaRCache.from_env(),
     )
     width = min_cw.min_channel_width

@@ -138,15 +138,13 @@ def run_pe_flow(
     router_iterations: int = 25,
     find_min_channel_width: bool = False,
     seed: int = 0,
-    workers: Optional[int] = None,
     objective: str = "wirelength",
     route_deadline_s: Optional[float] = None,
 ) -> PEFlowResult:
     """Push a circuit through one complete flow (synthesis -> mapping -> PaR).
 
-    ``workers`` parallelizes the minimum-channel-width probes of the PaR
-    step over a process pool; route/placement results are memoized on disk
-    when the ``REPRO_PAR_CACHE`` environment variable names a directory.
+    Route results, min-CW probes included, are memoized on disk when the
+    ``REPRO_PAR_CACHE`` environment variable names a directory.
     ``objective="timing"`` runs criticality-driven placement and routing
     (see :func:`repro.par.flow.place_and_route`).  ``route_deadline_s``
     bounds each routing kernel's wall time; a kernel that exceeds it
@@ -179,7 +177,6 @@ def run_pe_flow(
             router_iterations=router_iterations,
             find_min_channel_width=find_min_channel_width,
             seed=seed,
-            workers=workers,
             objective=objective,
             route_deadline_s=route_deadline_s,
         )
@@ -203,7 +200,6 @@ def compare_pe_flows(
     router_iterations: int = 25,
     find_min_channel_width: bool = False,
     seed: int = 0,
-    workers: Optional[int] = None,
     objective: str = "wirelength",
 ) -> FlowComparison:
     """Run both flows on the same Processing Element and compare them (Table I).
@@ -223,7 +219,6 @@ def compare_pe_flows(
         router_iterations=router_iterations,
         find_min_channel_width=find_min_channel_width,
         seed=seed,
-        workers=workers,
         objective=objective,
     )
     parameterized = run_pe_flow(
@@ -235,7 +230,6 @@ def compare_pe_flows(
         router_iterations=router_iterations,
         find_min_channel_width=find_min_channel_width,
         seed=seed,
-        workers=workers,
         objective=objective,
     )
     return FlowComparison(conventional=conventional, parameterized=parameterized)

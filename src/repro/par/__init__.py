@@ -1,13 +1,7 @@
 """TPaR-style physical CAD: placement (TPLACE), routing (TROUTE), metrics, timing."""
 
 from .cache import CacheIOError, PaRCache
-from .flow import (
-    PaRResult,
-    best_placement,
-    cached_route,
-    place_and_route,
-    placement_sweep,
-)
+from .flow import PaRResult, cached_route, place_and_route
 from .forest import RouteForest, build_route_forest
 from .metrics import (
     ChannelWidthError,
@@ -28,8 +22,6 @@ __all__ = [
     "PaRResult",
     "place_and_route",
     "cached_route",
-    "placement_sweep",
-    "best_placement",
     "RouteForest",
     "build_route_forest",
     "MinChannelWidthResult",

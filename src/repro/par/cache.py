@@ -11,30 +11,25 @@ small content-addressed JSON cache so those results are computed once:
   settings, and an algorithm-version tag that must be bumped whenever a
   kernel change invalidates old results);
 * values are plain JSON dicts of the metrics the flows need (routing success,
-  wirelength, iterations; placement cost and sites) -- never pickled code;
-* writes are atomic (tmp file + ``os.replace``), so a cache shared by the
-  worker processes of a pool stays consistent.
+  wirelength, iterations, timing summary, route forest) -- never pickled code;
+* one JSON file per key, written atomically (tmp file + ``os.replace``), so
+  the service's worker processes can share one cache directory and never
+  read a torn entry.
 
-The cache is opt-in: pass a :class:`PaRCache` (or a directory path) to the
-entry points in :mod:`repro.par.metrics` / :mod:`repro.par.flow`, or set the
-``REPRO_PAR_CACHE`` environment variable to a directory to enable it
+The cache is opt-in: pass a :class:`PaRCache` (built over a directory) to
+the entry points in :mod:`repro.par.metrics` / :mod:`repro.par.flow`, or set
+the ``REPRO_PAR_CACHE`` environment variable to a directory to enable it
 globally (``PaRCache.from_env()``).
-
-Storage is pluggable: :class:`PaRCache` handles keys, accounting and
-failure absorption over a :class:`CacheBackend` -- a two-method raw store
-(``read``/``write``) with :class:`LocalDirBackend` (the original on-disk
-tier) and :class:`MemoryBackend` (in-process, used by the service daemon's
-tests and ephemeral tiers) provided here; a remote/sharded tier plugs in
-behind the same protocol without touching any caller.
 
 Invariants:
 
-* **A hit reproduces a fresh compute bit-for-bit.**  Keys fingerprint
-  every semantic input plus ``ROUTE_ALGO_VERSION`` / ``PLACE_ALGO_VERSION``;
-  any kernel change that alters a trajectory must bump its version so old
-  entries read as misses, never as wrong answers.  Degraded results
-  (kernel fallbacks, see :func:`repro.par.routing.route_resilient`) are
-  never written, so one faulty run cannot poison fault-free reruns.
+* **A hit reproduces a fresh compute bit-for-bit.**  Route keys fingerprint
+  every semantic input (the placement included) plus ``ROUTE_ALGO_VERSION``;
+  service job keys add ``PLACE_ALGO_VERSION``.  Any kernel change that
+  alters a trajectory must bump its version so old entries read as misses,
+  never as wrong answers.  Degraded results (kernel fallbacks, see
+  :func:`repro.par.routing.route_resilient`) are never written, so one
+  faulty run cannot poison fault-free reruns.
 * **Artifacts are backend-neutral.**  Values are plain JSON metrics plus
   serialized route forests -- never pickled code, never a record of which
   (native or Python) backend produced them; caches are interchangeable
@@ -66,9 +61,6 @@ from .placement import Placement
 __all__ = [
     "PaRCache",
     "CacheIOError",
-    "CacheBackend",
-    "LocalDirBackend",
-    "MemoryBackend",
     "ROUTE_ALGO_VERSION",
     "PLACE_ALGO_VERSION",
 ]
@@ -83,7 +75,8 @@ class CacheIOError(OSError):
 #: hits re-hydrate routes instead of re-routing; metrics-only v3 entries
 #: must read as misses.
 ROUTE_ALGO_VERSION = 4
-#: Bump when a placement kernel change makes cached placements stale.
+#: Bump when a placement kernel change moves placements; service job keys
+#: (:meth:`repro.service.spec.JobSpec.job_key`) fold it in.
 #: v3: ``place()`` and ``place_and_route()`` default to the ``batched``
 #: annealer (PCG64 stream) instead of the ``random.Random`` trajectory.
 PLACE_ALGO_VERSION = 3
@@ -113,111 +106,16 @@ def _arch_fingerprint(arch: FPGAArchitecture) -> str:
     )
 
 
-class CacheBackend:
-    """Raw key -> JSON-dict store behind :class:`PaRCache`.
-
-    The protocol is deliberately two methods plus a label, so a remote or
-    sharded tier is a drop-in: :meth:`read` returns the stored value or
-    ``None`` for a *plain* miss (never written) and raises ``OSError`` /
-    ``ValueError`` for an entry that exists but cannot be trusted;
-    :meth:`write` stores atomically with last-write-wins semantics among
-    concurrent writers and raises ``OSError`` on failure.  All accounting,
-    fault injection and error absorption stay in :class:`PaRCache` -- a
-    backend only moves bytes.
-    """
-
-    def read(self, key: str) -> Optional[Dict[str, Any]]:
-        """Value stored under ``key``; ``None`` when never written."""
-        raise NotImplementedError
-
-    def write(self, key: str, value: Dict[str, Any]) -> None:
-        """Atomically store ``value`` under ``key`` (last write wins)."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        """Stable human-readable label (used for warn-once bookkeeping)."""
-        return type(self).__name__
-
-
-class LocalDirBackend(CacheBackend):
-    """One JSON file per key in a local directory; atomic temp+rename writes."""
-
-    def __init__(self, directory: Union[str, Path]) -> None:
-        """Create (if needed) and wrap ``directory``."""
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def read(self, key: str) -> Optional[Dict[str, Any]]:
-        """Parse the entry file; ``None`` if absent, raises if undecodable."""
-        try:
-            with open(self._path(key), "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except FileNotFoundError:
-            return None
-
-    def write(self, key: str, value: Dict[str, Any]) -> None:
-        """Write via ``mkstemp`` + ``os.replace`` so pools never see torn files."""
-        tmp = None
-        try:
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(value, fh)
-            os.replace(tmp, self._path(key))
-        except OSError:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-            raise
-
-    def describe(self) -> str:
-        """The wrapped directory path."""
-        return str(self.directory)
-
-
-class MemoryBackend(CacheBackend):
-    """Process-local dict store: ephemeral tiers, backend-protocol tests.
-
-    Values are deep-copied through JSON on both paths so callers cannot
-    alias cache state -- the semantics match the on-disk tier exactly.
-    """
-
-    def __init__(self) -> None:
-        """Create an empty store."""
-        self._store: Dict[str, str] = {}
-
-    def read(self, key: str) -> Optional[Dict[str, Any]]:
-        """Decode the stored JSON text (``None`` when never written)."""
-        text = self._store.get(key)
-        return None if text is None else json.loads(text)
-
-    def write(self, key: str, value: Dict[str, Any]) -> None:
-        """Store the value as JSON text (atomic by the GIL)."""
-        self._store[key] = json.dumps(value)
-
-
 class PaRCache:
     """Content-addressed JSON store for PAR metrics, safe for process pools."""
 
-    #: Backends already warned about for dropped writes (process-wide, so
+    #: Directories already warned about for dropped writes (process-wide, so
     #: a pool of caches over one shared directory warns once, not per worker).
     _warned_dirs: set = set()
 
-    def __init__(
-        self,
-        directory: Union[str, Path, CacheBackend],
-        strict: bool = False,
-    ) -> None:
-        if isinstance(directory, CacheBackend):
-            self.backend = directory
-            self.directory = getattr(directory, "directory", None)
-        else:
-            self.backend = LocalDirBackend(directory)
-            self.directory = self.backend.directory
+    def __init__(self, directory: Union[str, Path], strict: bool = False) -> None:
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
         self.strict = strict
         self.hits = 0
         self.misses = 0
@@ -253,8 +151,6 @@ class PaRCache:
     # -- generic key/value store ------------------------------------------------
 
     def _path(self, key: str) -> Path:
-        if self.directory is None:
-            raise TypeError(f"{self.backend.describe()} backend has no paths")
         return self.directory / f"{key}.json"
 
     def get(
@@ -271,8 +167,10 @@ class PaRCache:
                 raise ValueError(f"injected corrupt cache entry for {key}")
             if fault is not None:
                 raise OSError(f"injected cache read fault ({fault}) for {key}")
-            value = self.backend.read(key)
-            if value is None:
+            try:
+                with open(self._path(key), "r", encoding="utf-8") as fh:
+                    value = json.load(fh)
+            except FileNotFoundError:
                 # A plain miss: the entry was never written.  Not an error.
                 self.misses += 1
                 obs_metrics.add("cache.misses")
@@ -304,13 +202,23 @@ class PaRCache:
         Failed writes warn once per directory and count in ``stats()``
         (or raise :class:`CacheIOError` when ``strict``).
         """
+        tmp = None
         try:
             fault = inject("cache.write")
             if fault is not None:
                 raise OSError(f"injected cache write fault ({fault}) for {key}")
-            self.backend.write(key, value)
+            # mkstemp + os.replace: concurrent readers never see a torn file.
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(value, fh)
+            os.replace(tmp, self._path(key))
             return True
         except OSError as exc:
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
             # The cache is an optimization: a full disk or an unwritable
             # shared directory must never fail the flow that uses it.  The
             # drop is counted, surfaced in stats()/events, and warned about
@@ -319,7 +227,7 @@ class PaRCache:
             obs_metrics.add("cache.dropped_writes")
             record_event(events, "cache-write-dropped", site="cache.write",
                          key=key, error=f"{type(exc).__name__}: {exc}")
-            dir_key = self.backend.describe()
+            dir_key = str(self.directory)
             if dir_key not in PaRCache._warned_dirs:
                 PaRCache._warned_dirs.add(dir_key)
                 warnings.warn(
@@ -358,22 +266,3 @@ class PaRCache:
             )
         )
         return "route-" + hashlib.sha256(material.encode()).hexdigest()[:32]
-
-    @staticmethod
-    def place_key(
-        netlist: PhysicalNetlist,
-        arch: FPGAArchitecture,
-        seed: int,
-        effort: float,
-        inner_num: float,
-    ) -> str:
-        """Versioned content key of one ``place()`` run's semantic inputs."""
-        material = "|".join(
-            (
-                f"place-v{PLACE_ALGO_VERSION}",
-                _netlist_fingerprint(netlist),
-                _arch_fingerprint(arch),
-                f"s{seed}e{effort}n{inner_num}",
-            )
-        )
-        return "place-" + hashlib.sha256(material.encode()).hexdigest()[:32]

@@ -5,16 +5,10 @@ mapped Processing Element (conventional or fully parameterized), it sizes an
 FPGA, places the blocks, routes the nets and reports the quantities of
 Table I (wirelength, channel width, logic depth) plus timing estimates.
 
-Two parallel/caching facilities ride on top of the single-shot flow:
-
-* :func:`placement_sweep` anneals one netlist across many seeds -- in a
-  ``concurrent.futures`` process pool when ``workers`` > 1 -- and memoizes
-  each (netlist, arch, seed) placement in an on-disk
-  :class:`~repro.par.cache.PaRCache`, so multi-seed quality baselines are
-  computed once per machine;
-* :func:`place_and_route` forwards ``workers``/``cache`` to the
-  minimum-channel-width search (see :mod:`repro.par.metrics`), which is the
-  dominant cost of the Table I/II benchmarks.
+An optional on-disk :class:`~repro.par.cache.PaRCache` memoizes the main
+route (:func:`cached_route`) and every probe of the serial
+minimum-channel-width search (see :mod:`repro.par.metrics`), the dominant
+cost of the Table I/II benchmarks.
 
 Since PR 4 the flow also carries the timing axis: every result embeds a
 full STA (:attr:`PaRResult.sta`, from :mod:`repro.timing`) and
@@ -25,10 +19,8 @@ criticality-driven cost functions (:func:`timing_driven_placement`,
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -38,7 +30,7 @@ from ..obs.trace import traced
 from ..techmap.mapping import MappedNetwork
 from ..timing.graph import build_timing_graph
 from ..timing.sta import TimingAnalysis, analyze, scan_edge_criticality
-from ..util.resilience import FaultInjected, count_events, inject, record_event
+from ..util.resilience import count_events, inject, record_event
 from .cache import PaRCache
 from .metrics import MinChannelWidthResult, minimum_channel_width
 from .netlist import PhysicalNetlist, from_mapped_network
@@ -56,8 +48,6 @@ __all__ = [
     "place_and_route",
     "cached_route",
     "timing_driven_placement",
-    "placement_sweep",
-    "best_placement",
 ]
 
 
@@ -77,10 +67,9 @@ class PaRResult:
     #: derived from it.
     sta: Optional[TimingAnalysis] = None
     objective: str = "wirelength"
-    #: structured recovery log: every fault hit, retry, cache fallback,
-    #: pool resubmit and kernel degradation the flow absorbed while
-    #: producing this result (see RESILIENCE.md for the event taxonomy).
-    #: Empty on a fault-free run.
+    #: structured recovery log: every fault hit, retry, cache fallback and
+    #: kernel degradation the flow absorbed while producing this result
+    #: (see RESILIENCE.md for the event taxonomy).  Empty on a fault-free run.
     events: List[Dict[str, Any]] = field(default_factory=list)
     #: per-run observability snapshot (see OBSERVABILITY.md): the routing
     #: and placement convergence telemetry, the cache counters that served
@@ -215,7 +204,6 @@ def place_and_route(
     find_min_channel_width: bool = False,
     min_cw_bounds: tuple = (2, 32),
     seed: int = 0,
-    workers: Optional[int] = None,
     cache: Optional[PaRCache] = None,
     objective: str = "wirelength",
     route_deadline_s: Optional[float] = None,
@@ -238,9 +226,8 @@ def place_and_route(
     find_min_channel_width:
         Additionally run the binary search for the minimum channel width
         (Table I's CW column).  This re-routes the design several times;
-        ``workers`` parallelizes the probes and ``cache`` memoizes them
-        (defaults to ``PaRCache.from_env()``) -- see
-        :func:`repro.par.metrics.minimum_channel_width`.
+        ``cache`` memoizes the probes (defaults to ``PaRCache.from_env()``)
+        -- see :func:`repro.par.metrics.minimum_channel_width`.
     objective:
         ``"wirelength"`` (the seed behavior) or ``"timing"``: placement runs
         the incremental-STA :func:`timing_driven_placement` and routing runs
@@ -253,13 +240,11 @@ def place_and_route(
     through :func:`cached_route`: repeated flows over the same placed
     design re-hydrate their route trees from disk instead of re-routing.
 
-    The flow is *resilient*: cache rot falls back to recomputation, a
-    crashed pool worker in the min-channel-width search resubmits its
-    probes serially, and ``route_deadline_s`` bounds each routing kernel's
-    wall time with automatic degradation down the
-    astar->fast chain.  Every recovery taken is recorded in
-    :attr:`PaRResult.events`; a fault-free run has an empty list and is
-    bit-identical to the pre-resilience flow.
+    The flow is *resilient*: cache rot falls back to recomputation, and
+    ``route_deadline_s`` bounds each routing kernel's wall time with
+    automatic degradation down the astar->fast chain.  Every recovery taken
+    is recorded in :attr:`PaRResult.events`; a fault-free run has an empty
+    list and is bit-identical to the pre-resilience flow.
     """
     if objective not in ("wirelength", "timing"):
         raise ValueError(f"unknown PAR objective {objective!r}")
@@ -299,7 +284,6 @@ def place_and_route(
             arch,
             low=min_cw_bounds[0],
             high=min_cw_bounds[1],
-            workers=workers,
             cache=cache,
         )
         events.extend(min_cw.events)
@@ -341,7 +325,6 @@ def timing_driven_placement(
     arch: FPGAArchitecture,
     seed: int = 0,
     effort: float = 1.0,
-    inner_num: float = 1.0,
     tradeoff: float = 4.0,
     exponent: float = 2.0,
     retime_every: Optional[int] = None,
@@ -383,7 +366,6 @@ def timing_driven_placement(
         arch,
         seed=seed,
         effort=effort,
-        inner_num=inner_num,
         timing=TimingCost(
             conn_src=graph.edge_src.tolist(),
             conn_dst=graph.edge_dst.tolist(),
@@ -392,129 +374,3 @@ def timing_driven_placement(
             retime_every=retime_every,
         ),
     )
-
-
-def _place_seed_task(args: Tuple) -> Tuple[int, Dict]:
-    """Pool worker: anneal one seed, return JSON-serializable placement data."""
-    netlist, arch, seed, effort, inner_num = args
-    fault = inject("sweep.place")
-    if fault == "crash":
-        # Simulated hard worker death: kills the process without unwinding,
-        # which the parent sees as a BrokenProcessPool.
-        os._exit(13)
-    if fault is not None:
-        raise FaultInjected("sweep.place", kind=fault)
-    result = place(netlist, arch, seed=seed, effort=effort, inner_num=inner_num)
-    return seed, _placement_payload(result)
-
-
-def _placement_payload(result: PlacementResult) -> Dict:
-    return {
-        "cost": result.cost,
-        "initial_cost": result.initial_cost,
-        "moves_attempted": result.moves_attempted,
-        "moves_accepted": result.moves_accepted,
-        "temperature_steps": result.temperature_steps,
-        "sites": {
-            str(bid): [s.x, s.y, s.kind, s.subtile]
-            for bid, s in result.placement.block_site.items()
-        },
-    }
-
-
-def _placement_from_payload(payload: Dict) -> PlacementResult:
-    from ..fpga.architecture import Site
-
-    placement = Placement(
-        {
-            int(bid): Site(x=v[0], y=v[1], kind=v[2], subtile=v[3])
-            for bid, v in payload["sites"].items()
-        }
-    )
-    return PlacementResult(
-        placement=placement,
-        cost=int(payload["cost"]),
-        initial_cost=int(payload["initial_cost"]),
-        moves_attempted=int(payload["moves_attempted"]),
-        moves_accepted=int(payload["moves_accepted"]),
-        temperature_steps=int(payload["temperature_steps"]),
-    )
-
-
-def placement_sweep(
-    netlist: PhysicalNetlist,
-    arch: FPGAArchitecture,
-    seeds: Sequence[int],
-    effort: float = 1.0,
-    inner_num: float = 1.0,
-    workers: Optional[int] = None,
-    cache: Optional[PaRCache] = None,
-    events: Optional[List[Dict[str, Any]]] = None,
-) -> List[PlacementResult]:
-    """Anneal ``netlist`` once per seed, in parallel, with on-disk memoization.
-
-    Returns one :class:`PlacementResult` per seed, in ``seeds`` order.  Each
-    (netlist, arch, seed, effort) combination is placed at most once
-    per cache directory; repeated sweeps (quality baselines, benchmark
-    harness re-runs) are served from disk.
-
-    A worker that crashes or raises does not lose the sweep: its seeds are
-    resubmitted *serially* in the parent process (recorded as
-    ``pool-failure`` + ``serial-resubmit`` events), and annealing is
-    deterministic per seed, so the recovered sweep equals a ``workers=1``
-    run.
-    """
-    if cache is None:
-        cache = PaRCache.from_env()
-    results: Dict[int, PlacementResult] = {}
-    todo: List[int] = []
-    keys: Dict[int, str] = {}
-    for seed in seeds:
-        if cache is not None:
-            keys[seed] = PaRCache.place_key(netlist, arch, seed, effort, inner_num)
-            hit = cache.get(keys[seed], events=events)
-            if hit is not None:
-                results[seed] = _placement_from_payload(hit)
-                continue
-        todo.append(seed)
-
-    tasks = [(netlist, arch, seed, effort, inner_num) for seed in todo]
-    outcomes: List[Tuple[int, Dict]] = []
-    failed: List[Tuple] = []
-    if workers and workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            futures = [(pool.submit(_place_seed_task, task), task) for task in tasks]
-            for future, task in futures:
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:
-                    # Worker crash (BrokenProcessPool), injected fault, or a
-                    # genuine placement error: defer to the serial pass.  A
-                    # deterministic error reproduces there, now with a
-                    # usable traceback in the parent.
-                    record_event(events, "pool-failure", site="sweep.place",
-                                 seed=task[2],
-                                 error=f"{type(exc).__name__}: {exc}")
-                    failed.append(task)
-    else:
-        failed = tasks
-    for task in failed:
-        outcomes.append(_place_seed_task(task))
-    if failed and failed is not tasks:
-        record_event(events, "serial-resubmit", site="sweep.place",
-                     seeds=[t[2] for t in failed])
-    for seed, payload in outcomes:
-        results[seed] = _placement_from_payload(payload)
-        if cache is not None:
-            cache.put(keys.get(seed) or PaRCache.place_key(
-                netlist, arch, seed, effort, inner_num
-            ), payload, events=events)
-
-    return [results[seed] for seed in seeds]
-
-
-def best_placement(results: Sequence[PlacementResult]) -> PlacementResult:
-    """The lowest-HPWL result of a sweep (ties -> first in sequence order)."""
-    if not results:
-        raise ValueError("empty placement sweep")
-    return min(results, key=lambda r: r.cost)

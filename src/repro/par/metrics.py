@@ -6,19 +6,14 @@ design still routes.
 
 The minimum-channel-width binary search is the most expensive metric -- it
 routes the whole design once per probed width.  :func:`minimum_channel_width`
-can therefore fan the probes out over a ``concurrent.futures`` process pool
-(``workers=N``): each bisection round evaluates up to N interior widths
-speculatively, cutting the number of sequential routing rounds from
-``log2(hi - lo)`` to ``log_{N+1}(hi - lo)``.  Results are optionally
-memoized in an on-disk :class:`repro.par.cache.PaRCache`, so harness re-runs
-and neighbouring experiments (Table I/II, reconfiguration) reuse routes
-instead of recomputing them.
+runs it serially with the placement held fixed, as VPR does, and can memoize
+every probe in an on-disk :class:`repro.par.cache.PaRCache`, so harness
+re-runs and neighbouring experiments (Table I/II, reconfiguration) reuse
+routes instead of recomputing them.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -27,7 +22,6 @@ import numpy as np
 from ..fpga.architecture import FPGAArchitecture
 from ..fpga.device import Device, build_device
 from ..fpga.routing_graph import RRNodeType
-from ..util.resilience import FaultInjected, inject, record_event
 from .cache import PaRCache
 from .netlist import PhysicalNetlist
 from .placement import Placement
@@ -85,63 +79,51 @@ class MinChannelWidthResult:
     #: minimum width; ``None`` only for legacy cache entries that predate
     #: the timing subsystem (the cache version bump makes those misses).
     timing_at_min: Optional[Dict[str, float]] = None
-    #: structured recovery log of the search (pool failures, serial
-    #: resubmits, cache read errors); empty on a fault-free run.
+    #: structured recovery log of the search (cache read errors, dropped
+    #: cache writes); empty on a fault-free run.
     events: List[Dict[str, Any]] = field(default_factory=list)
 
     def describe(self) -> str:
+        """One-line summary: the found width and every probe's outcome."""
         tried = ", ".join(
             f"W={w}:{'ok' if ok else 'fail'}" for w, ok in sorted(self.attempts.items())
         )
         return f"min CW = {self.min_channel_width} ({tried})"
 
 
-def _route_width_task(
-    args: Tuple,
-) -> Tuple[int, bool, int, Optional[Dict], Optional[int]]:
-    """Pool worker: route at one channel width.
+def _probe(
+    netlist: PhysicalNetlist,
+    placement: Placement,
+    base_arch: FPGAArchitecture,
+    width: int,
+    max_iterations: int,
+) -> Tuple[bool, int, Optional[Dict], Optional[int]]:
+    """Route at one channel width.
 
-    Returns ``(width, ok, wirelength, timing_summary, iterations)`` -- the
-    timing summary rides along so the cache keeps the delay axis next to
-    the wirelength metrics, and the iteration count feeds the probe
-    history of :class:`ChannelWidthError`.  The STA runs only on converged routes: the search
-    spends most of its probes on deliberately-congested widths whose
+    Returns ``(ok, wirelength, timing_summary, iterations)`` -- the timing
+    summary rides along so the cache keeps the delay axis next to the
+    wirelength metrics, and the iteration count feeds the probe history of
+    :class:`ChannelWidthError`.  The STA runs only on converged routes: the
+    search spends most of its probes on deliberately-congested widths whose
     timing would be both meaningless and wasted work.  Route *trees* are
-    deliberately not serialized here: the probe keys (probe iteration
-    budget) never coincide with a flow's route key, so a forest
-    in these values would be JSON shipped across the pool and read by
-    nobody -- re-hydration is :func:`repro.par.flow.cached_route`'s job.
+    deliberately not cached here: the probe keys (probe iteration budget)
+    never coincide with a flow's route key, so a forest in these values
+    would be read by nobody -- re-hydration is
+    :func:`repro.par.flow.cached_route`'s job.
     """
     from ..timing.sta import analyze
 
-    netlist, placement, base_arch, width, max_iterations = args
-    fault = inject("cw.probe")
-    if fault == "crash":
-        # Simulated hard worker death: kills the process without unwinding,
-        # which the parent sees as a BrokenProcessPool.
-        os._exit(13)
-    if fault is not None:
-        raise FaultInjected("cw.probe", kind=fault)
     device = build_device(base_arch.with_channel_width(width))
     try:
         result = route(netlist, placement, device, max_iterations=max_iterations)
     except RuntimeError:
         # An unreachable sink at this width is a legitimate probe outcome
-        # (the width is below the minimum), not a worker failure.
-        return width, False, 0, None, None
+        # (the width is below the minimum), not a search failure.
+        return False, 0, None, None
     timing = None
     if result.success:
         timing = analyze(netlist, result, device, placement=placement).summary()
-    return width, result.success, result.wirelength, timing, result.iterations
-
-
-def _interior_points(lo: int, hi: int, count: int) -> List[int]:
-    """Up to ``count`` distinct widths strictly inside (lo, hi), evenly spread.
-
-    ``count == 1`` degenerates to the classic binary-search midpoint.
-    """
-    count = min(count, hi - lo - 1)
-    return sorted({lo + ((hi - lo) * (i + 1)) // (count + 1) for i in range(count)})
+    return result.success, result.wirelength, timing, result.iterations
 
 
 def minimum_channel_width(
@@ -151,128 +133,61 @@ def minimum_channel_width(
     low: int = 2,
     high: int = 32,
     max_router_iterations: int = 12,
-    workers: Optional[int] = None,
     cache: Optional[PaRCache] = None,
 ) -> MinChannelWidthResult:
     """Binary-search the smallest channel width at which the placed design routes.
 
     The placement is kept fixed across channel widths (the paper's comparison
     holds the architecture constant apart from W), which is also how VPR's
-    binary search operates.
+    binary search operates.  ``cache`` memoizes per-width outcomes on disk;
+    pass a :class:`~repro.par.cache.PaRCache` or rely on
+    ``PaRCache.from_env()`` at the call site.
 
-    ``workers`` > 1 evaluates up to that many interior widths of each
-    bisection round concurrently in a process pool (speculative bisection);
-    the result is identical to the serial search whenever routability is
-    monotone in W.  ``cache`` memoizes per-width outcomes on disk; pass a
-    :class:`~repro.par.cache.PaRCache` or rely on ``PaRCache.from_env()`` at
-    the call site.
-
-    Every probe routes with the default ``astar`` kernel.
-
-    A pool worker that crashes or raises does not lose the search: its
-    probes are resubmitted serially in the parent (``pool-failure`` +
-    ``serial-resubmit`` in :attr:`MinChannelWidthResult.events`), and
-    routing is deterministic per width, so the recovered search returns
-    the ``workers=1`` result.  When even an extremely wide channel fails,
-    :class:`ChannelWidthError` carries the full probe history.
+    Every probe routes with the default ``astar`` kernel.  When even an
+    extremely wide channel fails, :class:`ChannelWidthError` carries the
+    full probe history.
     """
     attempts: Dict[int, bool] = {}
     wl_at: Dict[int, int] = {}
     timing_at: Dict[int, Dict] = {}
     iters_at: Dict[int, Optional[int]] = {}
     events: List[Dict[str, Any]] = []
-    pool_size = max(1, workers or 1)
 
-    def record(
-        width: int,
-        ok: bool,
-        wirelength: int,
-        timing: Optional[Dict] = None,
-        iterations: Optional[int] = None,
-        from_cache: bool = False,
-    ) -> None:
+    def evaluate(width: int) -> bool:
+        """Whether the design routes at ``width``; each width routes once."""
+        if width in attempts:
+            return attempts[width]
+        hit = None
+        if cache is not None:
+            key = PaRCache.route_key(
+                netlist, placement, base_arch, width, max_router_iterations
+            )
+            hit = cache.get(key, events=events)
+        if hit is not None:
+            ok, wirelength = bool(hit["success"]), int(hit["wirelength"])
+            timing, iterations = hit.get("timing"), hit.get("iterations")
+        else:
+            ok, wirelength, timing, iterations = _probe(
+                netlist, placement, base_arch, width, max_router_iterations
+            )
+            if cache is not None:
+                value: Dict[str, Any] = {"success": ok, "wirelength": wirelength}
+                if timing is not None:
+                    value["timing"] = timing
+                if iterations is not None:
+                    value["iterations"] = iterations
+                cache.put(key, value, events=events)
         attempts[width] = ok
         iters_at[width] = iterations
         if ok:
             wl_at[width] = wirelength
             if timing is not None:
                 timing_at[width] = timing
-        if cache is not None and not from_cache:
-            key = PaRCache.route_key(
-                netlist,
-                placement,
-                base_arch,
-                width,
-                max_router_iterations,
-            )
-            value = {"success": ok, "wirelength": wirelength}
-            if timing is not None:
-                value["timing"] = timing
-            if iterations is not None:
-                value["iterations"] = iterations
-            cache.put(key, value, events=events)
-
-    def evaluate(widths: List[int]) -> None:
-        """Route every not-yet-attempted width, via cache/pool when possible."""
-        todo = []
-        for w in widths:
-            if w in attempts:
-                continue
-            if cache is not None:
-                key = PaRCache.route_key(
-                    netlist,
-                    placement,
-                    base_arch,
-                    w,
-                    max_router_iterations,
-                )
-                hit = cache.get(key, events=events)
-                if hit is not None:
-                    record(
-                        w,
-                        bool(hit["success"]),
-                        int(hit["wirelength"]),
-                        timing=hit.get("timing"),
-                        iterations=hit.get("iterations"),
-                        from_cache=True,
-                    )
-                    continue
-            todo.append(w)
-        if not todo:
-            return
-        tasks = [
-            (netlist, placement, base_arch, w, max_router_iterations)
-            for w in todo
-        ]
-        failed: List[Tuple] = []
-        if pool_size > 1 and len(todo) > 1:
-            with ProcessPoolExecutor(max_workers=min(pool_size, len(todo))) as pool:
-                futures = [
-                    (pool.submit(_route_width_task, task), task) for task in tasks
-                ]
-                for future, task in futures:
-                    try:
-                        record(*future.result())
-                    except Exception as exc:
-                        # Worker crash (BrokenProcessPool), injected fault,
-                        # or a genuine routing error: defer to the serial
-                        # pass below.  Probes that completed are preserved.
-                        record_event(events, "pool-failure", site="cw.probe",
-                                     width=task[3],
-                                     error=f"{type(exc).__name__}: {exc}")
-                        failed.append(task)
-            if failed:
-                record_event(events, "serial-resubmit", site="cw.probe",
-                             widths=[t[3] for t in failed])
-        else:
-            failed = tasks
-        for task in failed:
-            record(*_route_width_task(task))
+        return ok
 
     # Ensure the upper bound routes; widen if necessary.
     hi = high
-    evaluate([hi, low] if pool_size > 1 else [hi])
-    while not attempts[hi]:
+    while not evaluate(hi):
         hi *= 2
         if hi > 512:
             raise ChannelWidthError(
@@ -282,22 +197,16 @@ def minimum_channel_width(
                     for w, ok in sorted(attempts.items())
                 },
             )
-        evaluate([hi])
-    evaluate([low])
-    if attempts[low]:
+    if evaluate(low):
         best = low
     else:
         lo = low
         while lo + 1 < hi:
-            points = _interior_points(lo, hi, pool_size)
-            evaluate(points)
-            # Under monotone routability the points split fail | ok; narrow
-            # the bracket to the tightest adjacent (fail, ok) pair seen.
-            for w in points:
-                if attempts[w]:
-                    hi = min(hi, w)
-                else:
-                    lo = max(lo, w)
+            mid = lo + (hi - lo) // 2
+            if evaluate(mid):
+                hi = mid
+            else:
+                lo = mid
         best = hi
     return MinChannelWidthResult(
         min_channel_width=best,

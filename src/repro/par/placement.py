@@ -186,8 +186,8 @@ def random_placement(
     return placement
 
 
-def _moves_per_temperature(num_blocks: int, effort: float, inner_num: float) -> int:
-    return max(10, int(effort * inner_num * 10 * (num_blocks ** (4.0 / 3.0)) / 10))
+def _moves_per_temperature(num_blocks: int, effort: float) -> int:
+    return max(10, int(effort * 10 * (num_blocks ** (4.0 / 3.0)) / 10))
 
 
 def _initial_temperature(initial_cost: float, num_nets: int) -> float:
@@ -259,7 +259,6 @@ def place(
     arch: FPGAArchitecture,
     seed: int = 0,
     effort: float = 1.0,
-    inner_num: float = 1.0,
     net_weights: Optional[Sequence[float]] = None,
     timing: Optional[TimingCost] = None,
 ) -> PlacementResult:
@@ -287,8 +286,7 @@ def place(
     if timing is not None and net_weights is not None:
         raise ValueError("timing and net_weights are mutually exclusive")
     return _place_batched(
-        netlist, arch, seed=seed, effort=effort, inner_num=inner_num,
-        net_weights=net_weights, timing=timing,
+        netlist, arch, seed=seed, effort=effort, net_weights=net_weights, timing=timing,
     )
 
 
@@ -329,7 +327,6 @@ def _place_batched(
     arch: FPGAArchitecture,
     seed: int = 0,
     effort: float = 1.0,
-    inner_num: float = 1.0,
     net_weights: Optional[Sequence[float]] = None,
     timing: Optional[TimingCost] = None,
 ) -> PlacementResult:
@@ -434,7 +431,7 @@ def _place_batched(
         return PlacementResult(placement, 0, 0, 0, 0, 0)
 
     num_blocks = len(logic_blocks) + len(io_blocks)
-    moves_per_temp = _moves_per_temperature(num_blocks, effort, inner_num)
+    moves_per_temp = _moves_per_temperature(num_blocks, effort)
     temperature = _initial_temperature(initial_cost, len(netlist.nets))
     device_span = float(max(arch.width, arch.height))
     range_limit = device_span

@@ -136,6 +136,20 @@ _BASE_COST = RR_BASE_COST
 #: costs, while the delay share of a pin can be arbitrarily small.
 _PIN_FLOOR = _BASE_COST[RRNodeType.IPIN] + _BASE_COST[RRNodeType.SINK]
 
+#: PathFinder schedule.  The present-congestion factor starts at the kernel's
+#: ``PRES_FAC_INIT`` (``fast`` keeps the seed trajectory's 0.6) and grows by
+#: ``PRES_FAC_MULT`` per iteration; each unit of overuse adds ``HIST_FAC`` to
+#: a node's history cost; ``ASTAR_FAC`` weights the Manhattan lookahead.
+PRES_FAC_INIT = {"astar": 1.0, "fast": 0.6}
+PRES_FAC_MULT = 1.8
+HIST_FAC = 0.4
+ASTAR_FAC = 1.1
+#: Expansion margin of the astar kernel's per-net search bounding box.
+BBOX_MARGIN = 3
+#: Criticality cap of the timing objective: every connection keeps paying
+#: at least this slice of the congestion cost.
+MAX_CRITICALITY = 0.95
+
 
 def terminal_rr_nodes(
     netlist: PhysicalNetlist, placement: Placement, rr: RRGraph
@@ -173,14 +187,8 @@ def route(
     placement: Placement,
     device: Device,
     max_iterations: int = 25,
-    pres_fac_init: Optional[float] = None,
-    pres_fac_mult: float = 1.8,
-    hist_fac: float = 0.4,
-    astar_fac: float = 1.1,
     kernel: str = "astar",
-    bbox_margin: int = 3,
     objective: str = "wirelength",
-    max_criticality: float = 0.95,
     criticality_exponent: float = 1.0,
     deadline: Optional[Deadline] = None,
 ) -> RoutingResult:
@@ -191,10 +199,8 @@ def route(
     the native backend is available (:mod:`repro.native`, bit-identical
     routes) and as the pure Python twin otherwise, or ``fast``, the
     degradation target of :func:`route_resilient`.  Any other value raises
-    ``ValueError``.  ``bbox_margin`` is the expansion margin of the per-net
-    search bounding box used by the ``astar`` kernel.  ``pres_fac_init``
-    defaults to the kernel's preferred schedule: 0.6 for ``fast`` (the seed
-    trajectory) and 1.0 for ``astar``.
+    ``ValueError``.  The PathFinder schedule is fixed per kernel (see
+    :data:`PRES_FAC_INIT` and the constants next to it).
 
     ``objective="timing"`` (``astar`` only) switches the
     connection searches to the VPR-style timing-driven cost
@@ -204,7 +210,7 @@ def route(
     (:class:`repro.timing.sta.CriticalityTracker`).  Delays are normalized
     by the architecture's unit-wire hop delay, so a unit wire costs exactly
     1.0 under any blend and the Manhattan lookahead stays admissible.
-    ``max_criticality`` keeps every connection paying a slice of the
+    :data:`MAX_CRITICALITY` keeps every connection paying a slice of the
     congestion cost; ``criticality_exponent`` sharpens the blend.
 
     ``deadline`` bounds the route's wall time: every kernel polls it at
@@ -225,10 +231,7 @@ def route(
             result = _route_astar(
                 netlist, placement, device,
                 max_iterations=max_iterations,
-                pres_fac_init=1.0 if pres_fac_init is None else pres_fac_init,
-                pres_fac_mult=pres_fac_mult, hist_fac=hist_fac, astar_fac=astar_fac,
-                bbox_margin=bbox_margin, objective=objective,
-                max_criticality=max_criticality,
+                objective=objective,
                 criticality_exponent=criticality_exponent,
                 deadline=deadline,
             )
@@ -236,8 +239,6 @@ def route(
             result = _route_fast(
                 netlist, placement, device,
                 max_iterations=max_iterations,
-                pres_fac_init=0.6 if pres_fac_init is None else pres_fac_init,
-                pres_fac_mult=pres_fac_mult, hist_fac=hist_fac, astar_fac=astar_fac,
                 deadline=deadline,
             )
     result.kernel = kernel
@@ -364,13 +365,7 @@ def _route_astar(
     placement: Placement,
     device: Device,
     max_iterations: int = 25,
-    pres_fac_init: float = 1.0,
-    pres_fac_mult: float = 1.8,
-    hist_fac: float = 0.4,
-    astar_fac: float = 1.1,
-    bbox_margin: int = 3,
     objective: str = "wirelength",
-    max_criticality: float = 0.95,
     criticality_exponent: float = 1.0,
     deadline: Optional[Deadline] = None,
 ) -> RoutingResult:
@@ -396,7 +391,7 @@ def _route_astar(
 
         tracker = CriticalityTracker(
             netlist, placement, device,
-            max_criticality=max_criticality, exponent=criticality_exponent,
+            max_criticality=MAX_CRITICALITY, exponent=criticality_exponent,
         )
         conn_crit = tracker.initial_flat()
         cid_of = tracker.conn_index
@@ -427,8 +422,8 @@ def _route_astar(
         txs = [xs[source]] + [xs[t] for t in sinks]
         tys = [ys[source]] + [ys[t] for t in sinks]
         net_bbox[net.id] = (
-            min(txs) - bbox_margin, max(txs) + bbox_margin,
-            min(tys) - bbox_margin, max(tys) + bbox_margin,
+            min(txs) - BBOX_MARGIN, max(txs) + BBOX_MARGIN,
+            min(tys) - BBOX_MARGIN, max(tys) + BBOX_MARGIN,
         )
     full_bounds = (-(1 << 30), 1 << 30, -(1 << 30), 1 << 30)
 
@@ -467,7 +462,7 @@ def _route_astar(
         nat.bind(
             view.csr_ptr, view.csr_dst, view.xs_arr, view.ys_arr, nat_ntype,
             int(IPIN), int(SINK), nat_visited, nat_csf, nat_prev,
-            nat_tree_mark, astar_fac, _PIN_FLOOR, nat_stats,
+            nat_tree_mark, ASTAR_FAC, _PIN_FLOOR, nat_stats,
         )
         entry_csr = view.entry_csr
     else:
@@ -478,7 +473,7 @@ def _route_astar(
 
     bh: List[float] = []
     cost: List[float] = []
-    pres_fac = pres_fac_init
+    pres_fac = PRES_FAC_INIT["astar"]
     # Live set of strictly-overused nodes, maintained by bump(): the
     # congestion scans below stay proportional to the overuse, never to the
     # graph, and see occupancy changes from earlier re-routes in the same
@@ -744,7 +739,7 @@ def _route_astar(
                 found = False
                 for box in escalation:
                     generation += 1
-                    if _search(target, tree, generation, box, astar_fac, crt):
+                    if _search(target, tree, generation, box, ASTAR_FAC, crt):
                         found = True
                         break
                 if not found:
@@ -888,8 +883,8 @@ def _route_astar(
             success = True
             break
         for n in over_now:
-            history[n] += hist_fac * (occupancy[n] - cap[n])
-        pres_fac *= pres_fac_mult
+            history[n] += HIST_FAC * (occupancy[n] - cap[n])
+        pres_fac *= PRES_FAC_MULT
         if timing_mode:
             # Re-time the current route trees on the flat forest: the next
             # iteration's re-routes price against fresh criticalities.  The
@@ -929,10 +924,6 @@ def _route_fast(
     placement: Placement,
     device: Device,
     max_iterations: int = 25,
-    pres_fac_init: float = 0.6,
-    pres_fac_mult: float = 1.8,
-    hist_fac: float = 0.4,
-    astar_fac: float = 1.1,
     deadline: Optional[Deadline] = None,
 ) -> RoutingResult:
     """PR 1 kernel: congestion cost vector, unpruned wavefront (baseline)."""
@@ -974,7 +965,8 @@ def _route_fast(
     # Refreshed vectorized at iteration start, entry-wise on occupancy change.
     bh: List[float] = []
     cost: List[float] = []
-    pres_fac = pres_fac_init
+    astar_fac = ASTAR_FAC  # closure-local: read in the search loop
+    pres_fac = PRES_FAC_INIT["fast"]
 
     def bump(n: int, d: int) -> None:
         occupancy[n] += d
@@ -1086,8 +1078,8 @@ def _route_fast(
         if over_nodes == 0:
             success = True
             break
-        history += hist_fac * np.maximum(occ_arr - cap_arr, 0)
-        pres_fac *= pres_fac_mult
+        history += HIST_FAC * np.maximum(occ_arr - cap_arr, 0)
+        pres_fac *= PRES_FAC_MULT
 
     occ_arr = np.asarray(occupancy, dtype=np.int32)
     telemetry = {

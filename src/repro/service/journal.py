@@ -1,7 +1,7 @@
 """Crash-consistent job journal: accepted jobs survive a daemon restart.
 
 One JSON file per job (``job-<id>.json``), rewritten *atomically* (temp +
-``os.replace``, the :class:`repro.par.cache.LocalDirBackend` idiom) at every
+``os.replace``, the :meth:`repro.par.cache.PaRCache.put` idiom) at every
 state transition -- so any file the replay scan finds is a complete,
 parseable snapshot of one job at some point in its life, never a torn
 write.  The encoding is :func:`repro.service.spec.canonical_dumps`: plain

@@ -6,12 +6,10 @@ plan and the heartbeat channel) with the three behaviors a long-running
 daemon needs that the raw executor does not have:
 
 * **restart-on-crash** -- a worker that dies mid-job surfaces as
-  ``BrokenProcessPool`` (the recovery idiom of the pool drivers in
-  :mod:`repro.par.flow` / :mod:`repro.par.metrics`); the executor is
-  rebuilt for subsequent jobs and -- exactly like those drivers' serial
-  fallback -- the crashed job's remaining attempts run *in the parent
-  process* (a thread), which a crash-prone environment that kills workers
-  cannot touch.  Job execution is deterministic
+  ``BrokenProcessPool``; the executor is rebuilt for subsequent jobs and
+  the crashed job's remaining attempts run *in the parent process* (a
+  thread), which a crash-prone environment that kills workers cannot
+  touch.  Job execution is deterministic
   (:func:`repro.service.spec.execute_job`), so a recovered job is
   bit-identical to an undisturbed one.
 * **per-job deadlines** -- the worker runs under a
@@ -218,11 +216,11 @@ class SupervisedWorkerPool:
         for attempt in range(1, self.retry.attempts + 1):
             try:
                 if in_parent:
-                    # Serial fallback (the flow.py pool-driver idiom): after
-                    # a worker crash the job finishes in the parent, immune
-                    # to whatever keeps killing fresh workers — and strictly
-                    # one job at a time (see _parent_lock).  The watchdog
-                    # times the execution, not the wait for the lock.
+                    # Serial fallback: after a worker crash the job finishes
+                    # in the parent, immune to whatever keeps killing fresh
+                    # workers — and strictly one job at a time (see
+                    # _parent_lock).  The watchdog times the execution, not
+                    # the wait for the lock.
                     async with self._parent_lock:
                         result = await asyncio.wait_for(
                             loop.run_in_executor(None, execute_job, payload),

@@ -46,6 +46,7 @@ __all__ = [
     "RetryPolicy",
     "FaultRule",
     "FaultPlan",
+    "FAULT_SITES",
     "install",
     "clear",
     "active_plan",
@@ -112,6 +113,7 @@ class Deadline:
         return self.seconds - (self._clock() - self._t0)
 
     def expired(self) -> bool:
+        """Whether the budget is spent (never, for an unbounded deadline)."""
         return self.remaining() <= 0.0
 
     def check(self, context: str = "") -> None:
@@ -205,6 +207,21 @@ class RetryPolicy:
 # Fault injection
 # ---------------------------------------------------------------------------
 
+#: Every fault point ``src/repro`` marks with :func:`inject` (documented in
+#: RESILIENCE.md).  A plan read from the environment may only name these, so
+#: a mistyped ``REPRO_FAULT_PLAN`` fails loudly instead of injecting nothing.
+FAULT_SITES = frozenset(
+    {
+        "cache.read",
+        "cache.write",
+        "cache.hydrate",
+        "route.kernel",
+        "service.exec",
+        "service.journal",
+        "native.compile",
+    }
+)
+
 
 @dataclass
 class FaultRule:
@@ -227,6 +244,7 @@ class FaultRule:
     _rng: Optional[random.Random] = field(default=None, repr=False)
 
     def should_fire(self, in_worker: bool) -> bool:
+        """Count one hit of the site; whether this hit fires the fault."""
         self._hits += 1
         if self.scope == "worker" and not in_worker:
             return False
@@ -253,7 +271,7 @@ class FaultPlan:
         site=kind[:N][:pP][:sS][:@scope]
 
     e.g. ``cache.read=corrupt:2`` (first two reads return corrupt data),
-    ``cw.probe=crash:1:@worker`` (the first min-CW probe *in a pool
+    ``service.exec=crash:1:@worker`` (the first service job *in a pool
     worker* dies), ``cache.write=io:p0.25:s7`` (every write fails with
     probability 0.25 from seed 7).
     """
@@ -265,6 +283,7 @@ class FaultPlan:
 
     @classmethod
     def from_spec(cls, spec: str) -> "FaultPlan":
+        """Parse the spec grammar above; any site name is accepted."""
         rules: Dict[str, FaultRule] = {}
         for entry in spec.split(";"):
             entry = entry.strip()
@@ -298,8 +317,22 @@ class FaultPlan:
 
     @classmethod
     def from_env(cls, var: str = "REPRO_FAULT_PLAN") -> Optional["FaultPlan"]:
+        """The plan ``$var`` spells, or ``None`` when unset.
+
+        Unlike :meth:`from_spec`, which parses any site name, this raises
+        ``ValueError`` for a site outside :data:`FAULT_SITES`.
+        """
         spec = os.environ.get(var)
-        return cls.from_spec(spec) if spec else None
+        if not spec:
+            return None
+        plan = cls.from_spec(spec)
+        unknown = sorted(set(plan.rules) - FAULT_SITES)
+        if unknown:
+            raise ValueError(
+                f"{var} names unknown fault site(s) {unknown}; "
+                f"known sites: {sorted(FAULT_SITES)}"
+            )
+        return plan
 
     def fire(self, site: str) -> Optional[str]:
         """The fault kind to apply at ``site`` for this hit, or ``None``."""
@@ -323,12 +356,16 @@ _ENV_CHECKED = False
 
 
 def _ensure_env_plan() -> None:
-    """Install the ``REPRO_FAULT_PLAN`` plan once, if the variable is set."""
+    """Install the ``REPRO_FAULT_PLAN`` plan once, if the variable is set.
+
+    An invalid plan raises here -- and again at every later fault point,
+    since the environment only counts as checked once it parses.
+    """
     global _ACTIVE, _ENV_CHECKED
     if _ENV_CHECKED:
         return
-    _ENV_CHECKED = True
     plan = FaultPlan.from_env()
+    _ENV_CHECKED = True
     if plan is not None:
         install(plan)
 
@@ -350,6 +387,7 @@ def clear() -> None:
 
 
 def active_plan() -> Optional[FaultPlan]:
+    """The installed plan (the environment's, if none was installed), or ``None``."""
     _ensure_env_plan()
     return _ACTIVE
 

@@ -321,7 +321,7 @@ def place_reference(
         return PlacementResult(placement, 0, 0, 0, 0, 0)
 
     num_blocks = len(logic_blocks) + len(io_blocks)
-    moves_per_temp = _moves_per_temperature(num_blocks, effort, inner_num)
+    moves_per_temp = _moves_per_temperature(num_blocks, effort * inner_num)
     temperature = _initial_temperature(initial_cost, len(netlist.nets))
     device_span = float(max(arch.width, arch.height))
     range_limit = device_span
@@ -411,7 +411,6 @@ def candidates_timing_placement(
     arch: FPGAArchitecture,
     seed: int = 0,
     effort: float = 1.0,
-    inner_num: float = 1.0,
     tradeoff: float = 3.0,
     passes: int = 2,
     exponent: float = 2.0,
@@ -441,7 +440,7 @@ def candidates_timing_placement(
         return net_crit
 
     candidates: List[Tuple[float, PlacementResult]] = []
-    base = place(netlist, arch, seed=seed, effort=effort, inner_num=inner_num)
+    base = place(netlist, arch, seed=seed, effort=effort)
     best_cp, best_crit = estimate(base)
     candidates.append((best_cp, base))
 
@@ -451,7 +450,6 @@ def candidates_timing_placement(
         arch,
         seed=seed,
         effort=effort,
-        inner_num=inner_num,
         net_weights=struct_w,
     )
     cp, crit = estimate(cand)
@@ -466,7 +464,6 @@ def candidates_timing_placement(
             arch,
             seed=seed + 1000 * i,
             effort=effort,
-            inner_num=inner_num,
             net_weights=weights,
         )
         cp, crit = estimate(cand)

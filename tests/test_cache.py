@@ -1,7 +1,7 @@
 """Failure-path tests for the on-disk PAR result cache.
 
-The happy path (hit/miss, key stability, pool sharing) is covered by the
-placement-sweep and minimum-channel-width tests in ``test_par.py``; PaRCache
+The happy path (hit/miss, key stability) is covered by the cached-route
+and minimum-channel-width tests in ``test_par.py``; PaRCache
 is on the nightly critical path now, so the ways a cache directory can rot
 on a shared CI box get their own coverage:
 
@@ -19,11 +19,7 @@ import threading
 import pytest
 
 from repro.obs import metrics as obs_metrics
-from repro.par.cache import (
-    LocalDirBackend,
-    MemoryBackend,
-    PaRCache,
-)
+from repro.par.cache import PaRCache
 from repro.util import FaultPlan, fault_plan
 
 
@@ -168,29 +164,14 @@ class TestKeyHygiene:
 
 
 class TestBackends:
-    """The storage seam extracted for the service's pluggable cache tier."""
+    """The cache stores into one local directory; there is no other tier."""
 
     def test_local_dir_backend_is_the_default(self, tmp_path):
-        cache = PaRCache(tmp_path / "c")
-        assert isinstance(cache.backend, LocalDirBackend)
-        assert cache.backend.describe() == str(cache.directory)
-
-    def test_memory_backend_round_trip(self):
-        cache = PaRCache(MemoryBackend())
+        cache = PaRCache(str(tmp_path / "c"))
+        assert cache.directory == tmp_path / "c" and cache.directory.is_dir()
         cache.put("k", {"v": [1, 2]})
-        assert cache.get("k") == {"v": [1, 2]}
-        assert cache.get("missing") is None
-        assert cache.directory is None, "no directory behind a memory tier"
-
-    def test_memory_backend_isolates_stored_values(self):
-        cache = PaRCache(MemoryBackend())
-        cache.put("k", {"v": [1]})
-        cache.get("k")["v"].append(2)
-        assert cache.get("k") == {"v": [1]}
-
-    def test_path_requires_a_directory_backend(self):
-        with pytest.raises(TypeError):
-            PaRCache(MemoryBackend())._path("k")
+        assert [p.name for p in cache.directory.iterdir()] == ["k.json"]
+        assert json.loads((cache.directory / "k.json").read_text()) == {"v": [1, 2]}
 
 
 class TestStatsObsParity:

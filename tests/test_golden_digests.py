@@ -10,7 +10,10 @@ the STA critical path of each -- against digests committed per version
 pair, on both the native and the pure-Python backends.  One more digest
 covers a default :func:`~repro.par.flow.place_and_route` call end to end
 (placement sites, route forest, critical path), so flipping a flow-level
-default -- not just a kernel -- also needs a version bump.
+default -- not just a kernel -- also needs a version bump.  Another pins
+the serial :func:`~repro.par.metrics.minimum_channel_width` search on a
+fixed placement: its probe sequence, each probe's router iterations and
+the width it finds.
 
 After an intentional trajectory change, bump the version(s) in
 ``repro/par/cache.py`` and regenerate the table with::
@@ -19,6 +22,7 @@ After an intentional trajectory change, bump the version(s) in
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ import pytest
 from repro.fpga.architecture import auto_size
 from repro.fpga.device import build_device
 from repro.netlist.hdl import Design
+from repro.par import metrics as par_metrics
 from repro.par.cache import PLACE_ALGO_VERSION, ROUTE_ALGO_VERSION
 from repro.par.flow import place_and_route
 from repro.par.netlist import from_mapped_network
@@ -42,6 +47,7 @@ GOLDEN = {
         "adder10_param": "f10bf9f96849c63adfef2a86fa0ee6d7b94c7484a4693fbe79eb3da29115b67d",
         "adder16": "c1efb16f5044d4b215b18bda2d8e5ebf22e79d7d7cd291e5d80aa567d112b1ae",
         "flow_adder10_param": "550492f45b88b07962d27277a1a5b88be76cde9680dc07d760b358368547cb09",
+        "mincw_adder10_param": "a9b761f1d182999c9190cb6d7741b7619e2bb44cb89a35cd9c293cf15c594660",
     },
 }
 
@@ -78,6 +84,9 @@ DESIGNS = {
 
 #: Flow-level digest name -> design run through a default place_and_route.
 FLOWS = {"flow_adder10_param": "adder10_param"}
+
+#: Min-CW digest name -> design whose seeded placement is width-searched.
+MIN_CW = {"mincw_adder10_param": "adder10_param"}
 
 
 def _hash_placement(h, placement) -> None:
@@ -122,12 +131,44 @@ def flow_digest(name: str) -> str:
     return h.hexdigest()
 
 
+def mincw_digest(name: str) -> str:
+    """SHA-256 over a default minimum_channel_width search on a fixed placement.
+
+    Hashes the probe sequence the bisection took -- every probed width with
+    its outcome and router iteration count -- plus the found width and its
+    wirelength, so a change to the search order or the probe budget fails
+    here even when the found width survives it.
+    """
+    nl = from_mapped_network(_adder_network(*DESIGNS[MIN_CW[name]]))
+    arch = _auto_arch(nl, channel_width=3)
+    placement = place(nl, arch, seed=2, effort=0.4).placement
+    iterations = {}
+    probe_route = par_metrics.route
+
+    def recording_route(netlist, placement, device, **kwargs):
+        result = probe_route(netlist, placement, device, **kwargs)
+        iterations[device.arch.channel_width] = result.iterations
+        return result
+
+    with mock.patch.object(par_metrics, "route", recording_route):
+        result = par_metrics.minimum_channel_width(nl, placement, arch)
+    h = hashlib.sha256()
+    for width, ok in sorted(result.attempts.items()):
+        h.update(repr((width, ok, iterations[width])).encode())
+    h.update(repr((result.min_channel_width, result.wirelength_at_min)).encode())
+    return h.hexdigest()
+
+
 def digest(name: str) -> str:
-    return flow_digest(name) if name in FLOWS else design_digest(name)
+    if name in FLOWS:
+        return flow_digest(name)
+    if name in MIN_CW:
+        return mincw_digest(name)
+    return design_digest(name)
 
 
 @pytest.mark.parametrize("backend", ["native", "python"])
-@pytest.mark.parametrize("name", [*DESIGNS, *FLOWS])
+@pytest.mark.parametrize("name", [*DESIGNS, *FLOWS, *MIN_CW])
 def test_golden_digest(name, backend, monkeypatch):
     monkeypatch.delenv("REPRO_PAR_CACHE", raising=False)  # compute, never hydrate
     if backend == "python":
@@ -146,6 +187,6 @@ def test_golden_digest(name, backend, monkeypatch):
 if __name__ == "__main__":
     key = (ROUTE_ALGO_VERSION, PLACE_ALGO_VERSION)
     print(f"    {key}: {{")
-    for name in [*DESIGNS, *FLOWS]:
+    for name in [*DESIGNS, *FLOWS, *MIN_CW]:
         print(f'        "{name}": "{digest(name)}",')
     print("    },")

@@ -31,7 +31,7 @@ from repro.netlist.hdl import Design
 from repro.obs import metrics as obs_metrics
 from repro.obs.report import load_records, render_report, sparkline, write_chrome
 from repro.obs.trace import clear, emit_event, emit_series, span, traced, tracing
-from repro.par.flow import place_and_route, placement_sweep
+from repro.par.flow import place_and_route
 from repro.par.netlist import from_mapped_network
 from repro.par.placement import place
 from repro.par.routing import route
@@ -235,31 +235,49 @@ class TestAmbientTracer:
 
 
 class TestPoolWorkers:
+    #: Service jobs small enough that four of them stay CI-sized.
+    TINY_JOB = dict(
+        we=3, wf=4, num_inputs=2, counter_width=4,
+        channel_width=12, placement_effort=0.3, router_iterations=20,
+    )
+
     def test_sweep_spans_across_workers(self, tmp_path):
-        nl = adder_netlist(4)
-        arch = sized_arch(nl)
-        path = tmp_path / "pool.jsonl"
-        with tracing(str(path)):
-            results = placement_sweep(
-                nl, arch, seeds=[0, 1, 2, 3], effort=0.3, workers=2
+        """Forked service workers write their spans into the parent's trace."""
+        import asyncio
+
+        from repro.service import JobSpec, execute_job
+        from repro.service.pool import SupervisedWorkerPool
+
+        jobs = [JobSpec(**self.TINY_JOB, seed=seed).to_payload() for seed in range(4)]
+
+        async def run_all(pool):
+            return await asyncio.gather(
+                *(pool.run_job(f"job-{i}", payload) for i, payload in enumerate(jobs))
             )
-        assert len(results) == 4
+
+        path = tmp_path / "pool.jsonl"
+        pool = SupervisedWorkerPool(workers=2)
+        try:
+            with tracing(str(path)):
+                results = asyncio.run(run_all(pool))
+        finally:
+            pool.shutdown()
         records = [json.loads(line) for line in path.read_text().splitlines()]
-        place_spans = [
-            r for r in records if r["type"] == "span" and r["name"] == "par.place"
+        exec_spans = [
+            r for r in records if r["type"] == "span" and r["name"] == "service.exec"
         ]
-        assert len(place_spans) == 4
+        assert len(exec_spans) == 4
         # every span tree is well-formed in its own (pid, tid) lane: the
-        # par.place span is that worker's top-level span (depth 0)
-        assert all(s["depth"] == 0 for s in place_spans)
+        # service.exec span is that worker's top-level span (depth 0)
+        assert all(s["depth"] == 0 for s in exec_spans)
+        assert {s["pid"] for s in exec_spans} == {r["worker_pid"] for r in results}
         if os.name == "posix":
             # forked workers contribute records under their own pids
-            assert len({s["pid"] for s in place_spans}) >= 2
-        # the sweep's results equal a tracing-off serial run
-        baseline = placement_sweep(nl, arch, seeds=[0, 1, 2, 3], effort=0.3)
-        for got, want in zip(results, baseline):
-            assert got.cost == want.cost
-            assert got.placement.block_site == want.placement.block_site
+            assert len({s["pid"] for s in exec_spans}) >= 2
+            assert os.getpid() not in {s["pid"] for s in exec_spans}
+        # the traced pool's results equal a tracing-off in-process run
+        for got, payload in zip(results, jobs):
+            assert got["digest"] == execute_job(payload)["digest"]
 
 
 class TestTrajectoryNeutrality:

@@ -8,17 +8,12 @@ import statistics
 import pytest
 from oracles import place_reference, route_reference
 
+from repro.core.flows import compare_pe_flows, run_pe_flow
 from repro.fpga.architecture import FPGAArchitecture, auto_size
 from repro.fpga.device import build_device
 from repro.netlist.hdl import Design
 from repro.par.cache import PaRCache
-from repro.par.flow import (
-    best_placement,
-    cached_route,
-    place_and_route,
-    placement_sweep,
-    timing_driven_placement,
-)
+from repro.par.flow import cached_route, place_and_route, timing_driven_placement
 from repro.par.metrics import channel_occupancy, minimum_channel_width
 from repro.par.netlist import PhysicalNetlist, from_mapped_network
 from repro.par.placement import hpwl, place, random_placement
@@ -200,20 +195,6 @@ class TestMinimumChannelWidth:
         with pytest.raises(RuntimeError, match="does not route"):
             minimum_channel_width(nl, placement, arch, low=1, high=4)
 
-    def test_min_cw_serial_and_pooled_agree(self, tmp_path):
-        nl = chain_netlist(8)
-        arch = FPGAArchitecture(width=4, height=4, channel_width=8)
-        placement = place(nl, arch, seed=3, effort=0.5).placement
-        serial = minimum_channel_width(nl, placement, arch, low=1, high=8)
-        pooled = minimum_channel_width(
-            nl, placement, arch, low=1, high=8,
-            workers=2, cache=PaRCache(tmp_path / "cw"),
-        )
-        assert serial.min_channel_width == pooled.min_channel_width
-        assert (
-            serial.wirelength_at_min == pooled.wirelength_at_min
-        )
-
     def test_min_cw_reuses_cached_routes(self, tmp_path, monkeypatch):
         nl = chain_netlist(6)
         arch = FPGAArchitecture(width=4, height=4, channel_width=8)
@@ -329,23 +310,33 @@ class TestDirectedRoutingKernel:
 
 
 class TestShippedSurface:
-    #: Selector parameters with a single value left, removed from the API.
+    #: Parameters with a single value left, removed from the API.
     REMOVED = {
-        place: ("kernel",),
-        placement_sweep: ("kernel",),
-        PaRCache.place_key: ("kernel",),
+        place: ("kernel", "inner_num"),
         PaRCache.route_key: ("kernel",),
         place_and_route: (
             "placement_kernel", "route_kernel", "min_cw_route_kernel",
-            "timing_placer", "timing_passes", "timing_tradeoff",
+            "timing_placer", "timing_passes", "timing_tradeoff", "workers",
         ),
-        timing_driven_placement: ("mode", "passes"),
+        timing_driven_placement: ("mode", "passes", "inner_num"),
         cached_route: ("kernel",),
-        minimum_channel_width: ("route_kernel",),
+        minimum_channel_width: ("route_kernel", "workers"),
+        route: (
+            "pres_fac_init", "pres_fac_mult", "hist_fac", "astar_fac",
+            "bbox_margin", "max_criticality",
+        ),
+        run_pe_flow: ("workers",),
+        compare_pe_flows: ("workers",),
     }
     #: Test oracles that live in tests/oracles.py, never in the package.
     ORACLES = {"_route_reference", "_place_reference", "simulate_patterns_reference",
                "AUTO_KERNEL"}
+    #: Retired scale-out seams: the placement sweep and the cache-tier protocol.
+    RETIRED = {
+        "repro.par": ("placement_sweep", "best_placement"),
+        "repro.par.flow": ("placement_sweep", "best_placement"),
+        "repro.par.cache": ("CacheBackend", "LocalDirBackend", "MemoryBackend"),
+    }
 
     def test_removed_selectors_and_oracles_are_gone(self):
         removed = 0
@@ -354,14 +345,27 @@ class TestShippedSurface:
             for name in names:
                 assert name not in params, f"{fn.__qualname__}({name}=) is back"
                 removed += 1
-        assert removed == 14
+        assert removed == 24
         assert inspect.signature(route).parameters["kernel"].default == "astar"
+
+        import importlib
+
+        for module, names in self.RETIRED.items():
+            for name in names:
+                assert not hasattr(importlib.import_module(module), name), (module, name)
+        assert not hasattr(PaRCache, "place_key")
 
         import repro
 
-        defined = []
-        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        root = pathlib.Path(repro.__file__).parent
+        defined, pools = [], set()
+        for path in root.rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
+                imported = isinstance(node, ast.ImportFrom) and any(
+                    alias.name == "ProcessPoolExecutor" for alias in node.names
+                )
+                if imported or getattr(node, "attr", None) == "ProcessPoolExecutor":
+                    pools.add(path.relative_to(root).as_posix())
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                     names = [node.name]
                 elif isinstance(node, ast.Assign):
@@ -370,6 +374,7 @@ class TestShippedSurface:
                     continue
                 defined += [f"{path.name}:{n}" for n in names if n in self.ORACLES]
         assert not defined, f"oracles shipped in src/repro: {defined}"
+        assert pools == {"service/pool.py"}, f"process pools outside the service: {pools}"
 
 
 class TestCacheObjectiveNamespace:
@@ -431,34 +436,6 @@ class TestBatchedPlacementKernel:
         assert a.moves_accepted == b.moves_accepted
         for bid, site in a.placement.block_site.items():
             assert b.placement.block_site[bid].as_tuple() == site.as_tuple()
-
-
-class TestPlacementSweep:
-    def test_sweep_serial_and_pooled_agree(self, tmp_path):
-        nl = chain_netlist(8)
-        arch = FPGAArchitecture(width=4, height=4, channel_width=4)
-        seeds = [0, 1, 2]
-        serial = placement_sweep(nl, arch, seeds, effort=0.3, cache=None)
-        pooled = placement_sweep(
-            nl, arch, seeds, effort=0.3, workers=2,
-            cache=PaRCache(tmp_path / "sweep"),
-        )
-        assert [r.cost for r in serial] == [r.cost for r in pooled]
-        best = best_placement(serial)
-        assert best.cost == min(r.cost for r in serial)
-
-    def test_sweep_results_served_from_cache(self, tmp_path):
-        nl = chain_netlist(6)
-        arch = FPGAArchitecture(width=4, height=4, channel_width=4)
-        cache = PaRCache(tmp_path / "sweep")
-        first = placement_sweep(nl, arch, [0, 1], effort=0.3, cache=cache)
-        cache2 = PaRCache(tmp_path / "sweep")
-        second = placement_sweep(nl, arch, [0, 1], effort=0.3, cache=cache2)
-        assert cache2.hits == 2
-        assert [r.cost for r in first] == [r.cost for r in second]
-        for a, b in zip(first, second):
-            for bid, site in a.placement.block_site.items():
-                assert b.placement.block_site[bid].as_tuple() == site.as_tuple()
 
 
 class TestTimingAndFlow:

@@ -5,12 +5,12 @@ injection with ``fault_plan(None)``), so the suite is deterministic and
 green both in a clean tier-1 run and in the CI chaos job that additionally
 sets an ambient ``REPRO_FAULT_PLAN``.  The recurring assertions:
 
-* under injected cache corruption, worker crashes and kernel timeouts the
-  flow still returns a *valid routed result*, with the recovery path
+* under injected cache corruption and kernel timeouts the flow still
+  returns a *valid routed result*, with the recovery path
   recorded in ``result.events``;
 * recoverable-fault results are **bit-identical** to the fault-free run
-  whenever the kernel degradation chain was not taken (cache rot and pool
-  crashes change how much work is done, never which result comes out);
+  whenever the kernel degradation chain was not taken (cache rot changes
+  how much work is done, never which result comes out);
 * with injection disabled nothing changes at all -- no events, no route
   differences.
 
@@ -32,10 +32,8 @@ from repro.par import (
     PaRCache,
     PhysicalNetlist,
     cached_route,
-    from_mapped_network,
     minimum_channel_width,
     place_and_route,
-    placement_sweep,
     route_resilient,
 )
 from repro.par.placement import place
@@ -175,12 +173,12 @@ class TestRetryPolicy:
 class TestFaultPlan:
     def test_spec_round_trip(self):
         p = FaultPlan.from_spec(
-            "cache.read=corrupt:2; cw.probe=crash:1:@worker;"
+            "cache.read=corrupt:2; service.exec=crash:1:@worker;"
             "cache.write=io:p0.5:s7; route.kernel=timeout:*"
         )
         r = p.rules["cache.read"]
         assert (r.kind, r.times, r.scope) == ("corrupt", 2, "any")
-        assert p.rules["cw.probe"].scope == "worker"
+        assert p.rules["service.exec"].scope == "worker"
         assert p.rules["cache.write"].prob == 0.5
         assert p.rules["cache.write"].seed == 7
         assert p.rules["route.kernel"].times is None
@@ -190,6 +188,51 @@ class TestFaultPlan:
             FaultPlan.from_spec("nokind")
         with pytest.raises(ValueError):
             FaultPlan.from_spec("site=kind:@nowhere")
+
+    def test_fault_sites_are_the_inject_sites(self, monkeypatch):
+        """FAULT_SITES lists exactly the sites ``src/repro`` injects at, and
+        a plan from the environment naming any other site fails loudly."""
+        import ast
+        import subprocess
+        import sys
+
+        import repro
+        from repro.util.resilience import FAULT_SITES
+
+        sites = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if isinstance(node, ast.Call) and name == "inject":
+                    site = node.args[0]
+                    assert isinstance(site, ast.Constant), f"{path}: non-literal site"
+                    sites.add(site.value)
+        assert sites == FAULT_SITES
+
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "cache.read=corrupt:1; cw.probe=crash:1")
+        with pytest.raises(ValueError, match="cw.probe"):
+            FaultPlan.from_env()
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "cache.read=corrupt:1")
+        assert set(FaultPlan.from_env().rules) == {"cache.read"}
+
+        # A mistyped ambient plan raises at every fault point, not only the first.
+        code = (
+            "from repro.util import inject\n"
+            "for _ in range(2):\n"
+            "    try:\n"
+            "        inject('cache.read')\n"
+            "    except ValueError as exc:\n"
+            "        print('rejected', 'cache.raed' in str(exc))\n"
+        )
+        env = dict(os.environ, REPRO_FAULT_PLAN="cache.raed=corrupt:1")
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, cwd=str(REPO_ROOT),
+            check=True,
+        )
+        assert out.stdout.split("\n")[:2] == ["rejected True"] * 2
 
     def test_times_budget(self):
         p = FaultPlan.from_spec("s=boom:2")
@@ -457,60 +500,11 @@ class TestRouteResilient:
 
 
 # ---------------------------------------------------------------------------
-# Pool-worker failure: min-channel-width and placement sweep
+# Min-channel-width search failure
 # ---------------------------------------------------------------------------
 
 
 class TestPoolRecovery:
-    def test_min_cw_crash_recovers_to_serial_result(self):
-        """A crashing probe worker must not change the found width."""
-        netlist = from_mapped_network(adder_network(3))
-        arch = auto_size(
-            netlist.num_logic_blocks() + netlist.num_ff_blocks(),
-            netlist.num_io_blocks(),
-            channel_width=10,
-        )
-        placement = place(netlist, arch, seed=0).placement
-
-        serial = minimum_channel_width(netlist, placement, arch, workers=1)
-        with fault_plan(FaultPlan.from_spec("cw.probe=crash:1:@worker")):
-            chaotic = minimum_channel_width(netlist, placement, arch, workers=2)
-        assert chaotic.min_channel_width == serial.min_channel_width
-        assert chaotic.wirelength_at_min == serial.wirelength_at_min
-        assert chaotic.attempts == serial.attempts
-        kinds = [e["event"] for e in chaotic.events]
-        assert "pool-failure" in kinds and "serial-resubmit" in kinds
-
-    def test_min_cw_worker_error_recovers(self):
-        netlist = from_mapped_network(adder_network(3))
-        arch = auto_size(
-            netlist.num_logic_blocks() + netlist.num_ff_blocks(),
-            netlist.num_io_blocks(),
-            channel_width=10,
-        )
-        placement = place(netlist, arch, seed=0).placement
-        serial = minimum_channel_width(netlist, placement, arch, workers=1)
-        with fault_plan(FaultPlan.from_spec("cw.probe=error:2:@worker")):
-            chaotic = minimum_channel_width(netlist, placement, arch, workers=2)
-        assert chaotic.min_channel_width == serial.min_channel_width
-        assert count_events(chaotic.events, "pool-failure") >= 1
-
-    def test_sweep_crash_recovers_to_serial_result(self, placed_chain):
-        netlist, _placement, arch, _device = placed_chain
-        seeds = [0, 1, 2, 3]
-        serial = placement_sweep(netlist, arch, seeds, workers=1, cache=None)
-        events = []
-        with fault_plan(FaultPlan.from_spec("sweep.place=crash:1:@worker")):
-            chaotic = placement_sweep(
-                netlist, arch, seeds, workers=2, cache=None, events=events
-            )
-        assert [r.cost for r in chaotic] == [r.cost for r in serial]
-        assert [r.placement.block_site for r in chaotic] == [
-            r.placement.block_site for r in serial
-        ]
-        kinds = [e["event"] for e in events]
-        assert "pool-failure" in kinds and "serial-resubmit" in kinds
-
     def test_min_cw_failure_carries_probe_history(self, monkeypatch):
         """When the search gives up, the error says which widths it probed."""
         import repro.par.metrics as metrics
@@ -539,17 +533,17 @@ class TestPoolRecovery:
 
 class TestPlaceAndRouteChaos:
     def test_flow_survives_combined_faults(self, tmp_path):
-        """Cache rot + worker crash + kernel timeout in one flow run."""
+        """Cache rot + kernel timeout in one flow run."""
         network = adder_network(3)
         baseline = place_and_route(
-            network, channel_width=10, find_min_channel_width=True, workers=2
+            network, channel_width=10, find_min_channel_width=True
         )
         assert baseline.routing.success
         assert baseline.events == []
         assert baseline.summary()["recovery_events"] == 0
 
         plan = FaultPlan.from_spec(
-            "cache.read=corrupt:1; cw.probe=crash:1:@worker; route.kernel=timeout:1"
+            "cache.read=corrupt:1; route.kernel=timeout:1"
         )
         cache = PaRCache(tmp_path / "c")
         with fault_plan(plan):
@@ -557,7 +551,6 @@ class TestPlaceAndRouteChaos:
                 network,
                 channel_width=10,
                 find_min_channel_width=True,
-                workers=2,
                 cache=cache,
             )
         # Valid routed result despite every injected failure.
@@ -570,7 +563,7 @@ class TestPlaceAndRouteChaos:
         # The recovery paths are visible in the events.
         kinds = [e["event"] for e in chaotic.events]
         assert "degraded-kernel" in kinds
-        assert "pool-failure" in kinds
+        assert "cache-read-error" in kinds
         summary = chaotic.summary()
         assert summary["recovery_events"] == len(chaotic.events)
         assert summary["degraded_kernel"] == 1
@@ -612,11 +605,11 @@ class TestAmbientEnvPlan:
 
         code = (
             "from repro.util import inject, active_plan\n"
-            "assert inject('demo.site') == 'boom'\n"
-            "assert inject('demo.site') is None\n"
+            "assert inject('cache.hydrate') == 'boom'\n"
+            "assert inject('cache.hydrate') is None\n"
             "print('fired', len(active_plan().fired))\n"
         )
-        env = dict(os.environ, REPRO_FAULT_PLAN="demo.site=boom:1")
+        env = dict(os.environ, REPRO_FAULT_PLAN="cache.hydrate=boom:1")
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         out = subprocess.run(
             [sys.executable, "-c", code],

@@ -22,6 +22,7 @@ import pytest
 from repro.fpga.architecture import auto_size
 from repro.par import (
     ChannelWidthError,
+    PaRCache,
     PhysicalNetlist,
     minimum_channel_width,
 )
@@ -171,7 +172,7 @@ class TestJournalEncoding:
         decoded = json.loads(canonical_dumps(probes))
         assert {int(w): p for w, p in decoded.items()} == probes
 
-    def test_min_cw_result_events_round_trip(self):
+    def test_min_cw_result_events_round_trip(self, tmp_path):
         """Recovery events ride the same canonical encoding unchanged."""
         nl = chain_netlist(6)
         arch = auto_size(
@@ -179,9 +180,11 @@ class TestJournalEncoding:
             nl.num_io_blocks(), channel_width=8,
         )
         placement = place(nl, arch, seed=0, effort=0.3).placement
-        with fault_plan(FaultPlan.from_spec("cw.probe=error:1:@worker")):
-            result = minimum_channel_width(nl, placement, arch, workers=2)
-        assert result.events, "injected probe error must leave a trail"
+        with fault_plan(FaultPlan.from_spec("cache.read=corrupt:1")):
+            result = minimum_channel_width(
+                nl, placement, arch, cache=PaRCache(tmp_path)
+            )
+        assert result.events, "injected cache corruption must leave a trail"
         payload = asdict(result)
         decoded = json.loads(canonical_dumps(payload))
         assert decoded["events"] == result.events
