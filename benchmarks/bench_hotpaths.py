@@ -30,6 +30,11 @@ Three comparisons are made:
   -- routing it only measured non-convergence), records it as
   ``channel_width_used``, and checks the re-baselined astar route quality
   against the ``reference`` oracle's route;
+* **rr_build** -- the closed-form NumPy RR-graph builder vs the per-edge
+  append builder it replaced (``tests/oracles.py``), on the routing
+  section's architecture at its width and at W=32.  ``identical`` (every
+  array by value and dtype, every lookup item for item) is gated by
+  ``check_quality.py``;
 * **timing** -- the PR 4 criticality-driven objective at the same minimum
   routable width: routed ``critical_path_ns`` + ``logic_depth`` of the
   default (wirelength) flow vs ``objective="timing"`` both route-only (same
@@ -85,10 +90,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _bench_config import BENCH_FP_FORMAT, FULL_MODE
 from oracles import (
+    build_rr_graph_reference,
     candidates_timing_placement,
     criticality_update,
     place_reference,
     route_reference,
+    rr_graph_differences,
     simulate_patterns_reference,
 )
 
@@ -97,6 +104,7 @@ import numpy as np
 from repro.core.pe import ProcessingElementSpec, build_pe_design
 from repro.fpga.architecture import auto_size
 from repro.fpga.device import build_device
+from repro.fpga.routing_graph import build_rr_graph
 from repro.netlist.engine import compile_circuit
 from repro.netlist.simulate import random_patterns, simulate_patterns
 from repro.par.cache import PaRCache
@@ -134,6 +142,8 @@ RECONFIG_TRACE_LENGTH = 2000  #: requests replayed against the scheduler
 RECONFIG_BUDGET_FRACTION = 0.3  #: context-memory budget / library footprint
 OBS_DISABLED_NS_CEILING = 2000.0  #: disabled span() cost bound, ns/call
 OBS_SLOWDOWN_CEILING = 1.05  #: traced route+place wall-time ratio bound
+RR_BUILD_WIDE = 32          #: width the rr_build section times besides the routing one
+RR_BUILD_REPEATS = 3
 TRACE_PATH = Path(__file__).resolve().parent.parent / "BENCH_trace.json"
 
 
@@ -337,6 +347,28 @@ def bench_routing(netlist, arch, placement):
             }
         )
     return entry, width
+
+
+def bench_rr_build(arch, width):
+    """Closed-form RR-graph builder vs the per-edge append oracle."""
+    entry = {
+        "workload": f"{arch.width}x{arch.height} grid, best of {RR_BUILD_REPEATS}",
+        "widths": {},
+    }
+    for w in (width, RR_BUILD_WIDE):
+        wide = arch.with_channel_width(w)
+        rr, build_s = _timed(lambda: build_rr_graph(wide), RR_BUILD_REPEATS)
+        ref, reference_s = _timed(lambda: build_rr_graph_reference(wide), RR_BUILD_REPEATS)
+        entry["widths"][str(w)] = {
+            "num_edges": rr.num_edges,
+            "build_s": build_s,
+            "reference_s": reference_s,
+            "speedup": reference_s / build_s,
+            "identical": not rr_graph_differences(rr, ref),
+        }
+    entry["identical"] = all(v["identical"] for v in entry["widths"].values())
+    entry["ok"] = entry["identical"]
+    return entry
 
 
 def bench_timing(network, netlist, arch, placement, width):
@@ -941,6 +973,8 @@ def main() -> int:
     placement_result, placement = bench_placement(netlist, arch)
     print("benchmarking routing kernels ...")
     routing_result, width = bench_routing(netlist, arch, placement)
+    print("benchmarking RR-graph build ...")
+    rr_build_result = bench_rr_build(arch, width)
     print("benchmarking timing-driven PAR ...")
     timing_result, flow_placement, _flow_route = bench_timing(
         network, netlist, arch, placement, width
@@ -971,6 +1005,7 @@ def main() -> int:
             "simulation": sim,
             "placement": placement_result,
             "routing": routing_result,
+            "rr_build": rr_build_result,
             "timing": timing_result,
             "retime": retime_result,
             "resilience": resilience_result,
@@ -1008,6 +1043,16 @@ def main() -> int:
                 f"astar_vs_fast={entry['speedup_astar_vs_fast']:5.2f}x "
                 f"wl_ratio={entry['astar_wirelength_ratio']:.4f} "
                 f"W={entry['channel_width_used']}"
+            )
+        elif name == "rr_build":
+            print(
+                f"{name:11s} {flag} "
+                + ", ".join(
+                    f"W={w} {v['build_s'] * 1000:6.1f}ms vs reference "
+                    f"{v['reference_s'] * 1000:6.1f}ms ({v['speedup']:.1f}x)"
+                    for w, v in entry["widths"].items()
+                )
+                + f" identical={entry['identical']}"
             )
         elif name == "timing":
             print(

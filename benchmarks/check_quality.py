@@ -8,8 +8,9 @@ benchmark shows
   did not reach ``success``),
 * a quality regression beyond 10% -- astar wirelength vs the reference
   route, or batched-placement mean HPWL vs the reference kernel,
-* a broken bit-identity claim (compiled simulation vs interpreter, or the
-  ``fast`` routing kernel vs its reference),
+* a broken bit-identity claim (compiled simulation vs interpreter, the
+  ``fast`` routing kernel vs its reference, or the closed-form RR-graph
+  builder vs the per-edge append builder),
 * a timing-subsystem failure: the ``objective="timing"`` runs did not
   converge, the timing flow's critical path regressed more than 10% over
   the default flow's, its wirelength left the 10% band of the reference
@@ -108,6 +109,12 @@ def check(report: dict) -> list:
             f"routing: astar wirelength {wl_ratio:.3f}x of baseline "
             f"(> {REGRESSION_BAND}x)"
         )
+
+    rr_build = kernels.get("rr_build", {})
+    if not rr_build:
+        problems.append("rr_build: benchmark section missing")
+    elif not rr_build.get("identical", False):
+        problems.append("rr_build: the RR-graph builder diverged from the reference builder")
 
     timing = kernels.get("timing", {})
     if not timing:

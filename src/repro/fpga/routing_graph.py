@@ -15,7 +15,44 @@ The construction mirrors VPR's graph for the 4-LUT "sanitized" architecture:
   a horizontal and a vertical channel meet.
 
 Node attributes are stored in parallel NumPy arrays and adjacency in CSR form
-so that the router's inner loop stays cheap.
+so that the router's inner loop stays cheap.  :func:`build_rr_graph` computes
+both in closed form from the grid indices, and the arrays are read-only once
+built.
+
+Numbering and edge-order contract
+---------------------------------
+Node ids, and the order of each node's out-edges, are part of the graph's
+meaning: the astar router breaks cost ties in edge order, so routes, the
+golden digests and every cache key depend on them.  ``build_rr_graph`` must
+reproduce them exactly (``tests/oracles.py`` keeps the per-edge append
+builder they were defined by, and ``tests/test_fpga.py`` compares the two):
+
+* **Nodes**, in id order: CHANX wires in ``(y, x, t)`` order (``y`` in
+  ``0..height``, ``x`` in ``1..width``); then CHANY wires in ``(x, y, t)``
+  order (``x`` in ``0..width``, ``y`` in ``1..height``); then per logic block,
+  in x-major order, SOURCE, OPIN, SINK and ``lut_inputs`` IPINs; then 4 nodes
+  per IO site in :meth:`FPGAArchitecture.io_sites` order: SOURCE, OPIN, IPIN,
+  SINK.  ``node_track`` is the track index of a wire, the subtile of an IO
+  node and -1 for a logic-block node; a logic-block SINK has capacity
+  ``lut_inputs``, every other node 1.
+* **Dtypes**: ``node_type`` int8; ``node_x``, ``node_y``, ``node_track`` and
+  ``node_capacity`` int16; ``edge_ptr`` int64; ``edge_dst`` int32.
+* **Out-edges** of each node, in insertion order of three phases:
+
+  1. switch blocks, by position ``(i, j, t)`` (``i`` outermost), then by
+     pair of the block's present wires (left CHANX, right CHANX, lower
+     CHANY, upper CHANY; pairs in lexicographic slot order), each pair
+     adding ``a -> b`` then ``b -> a``;
+  2. logic blocks in x-major order: SOURCE -> OPIN; OPIN -> the ``fc_out``
+     tracks (per track: CHANX above, CHANX below, CHANY right, CHANY left);
+     then per IPIN: IPIN -> SINK, and each ``fc_in`` wire (same order) ->
+     IPIN;
+  3. IO sites in ``io_sites()`` order: SOURCE -> OPIN, IPIN -> SINK, then per
+     track of the adjacent channel OPIN -> wire and wire -> IPIN.
+
+* **Lookups**: ``clb_source`` / ``clb_opin`` / ``clb_sink`` keyed by
+  ``(x, y)`` in x-major order; ``io_source`` / ``io_sink`` keyed by
+  ``(x, y, subtile)`` in ``io_sites()`` order.
 """
 
 from __future__ import annotations
@@ -85,9 +122,15 @@ def rr_delay_ns(arch: FPGAArchitecture) -> Dict[int, float]:
     }
 
 
-@dataclass
+@dataclass(eq=False)
 class RRGraph:
-    """Routing-resource graph with CSR adjacency."""
+    """Routing-resource graph with CSR adjacency.
+
+    The seven arrays are made read-only on construction: nothing may change a
+    graph after it is built, so a device (and its cached
+    :class:`RouterSearchView`) can be shared by every route on it.  Graphs
+    compare by identity.
+    """
 
     arch: FPGAArchitecture
     node_type: np.ndarray        # int8 per node
@@ -104,12 +147,21 @@ class RRGraph:
     io_source: Dict[Tuple[int, int, int], int]
     io_sink: Dict[Tuple[int, int, int], int]
 
+    def __post_init__(self) -> None:
+        for arr in (
+            self.node_type, self.node_x, self.node_y, self.node_track,
+            self.node_capacity, self.edge_ptr, self.edge_dst,
+        ):
+            arr.setflags(write=False)
+
     @property
     def num_nodes(self) -> int:
+        """Number of RR nodes."""
         return len(self.node_type)
 
     @property
     def num_edges(self) -> int:
+        """Number of switches (directed edges)."""
         return len(self.edge_dst)
 
     def fanouts(self, node: int) -> np.ndarray:
@@ -117,6 +169,7 @@ class RRGraph:
         return self.edge_dst[self.edge_ptr[node] : self.edge_ptr[node + 1]]
 
     def num_wire_nodes(self) -> int:
+        """Number of channel-wire (CHANX/CHANY) nodes."""
         return int(
             np.count_nonzero(
                 (self.node_type == RRNodeType.CHANX) | (self.node_type == RRNodeType.CHANY)
@@ -124,9 +177,11 @@ class RRGraph:
         )
 
     def is_wire(self, node: int) -> bool:
+        """Whether ``node`` is a channel wire (CHANX/CHANY)."""
         return self.node_type[node] in (RRNodeType.CHANX, RRNodeType.CHANY)
 
     def describe_node(self, node: int) -> str:  # pragma: no cover - debug helper
+        """Human-readable ``TYPE(x,y,t=track)`` label of ``node``."""
         t = RRNodeType.NAMES[int(self.node_type[node])]
         return (
             f"{t}({int(self.node_x[node])},{int(self.node_y[node])},"
@@ -177,7 +232,6 @@ class RouterSearchView:
     """
 
     def __init__(self, rr: RRGraph) -> None:
-        self.rr = rr
         self.xs: List[int] = rr.node_x.tolist()
         self.ys: List[int] = rr.node_y.tolist()
         self.types: List[int] = rr.node_type.tolist()
@@ -267,54 +321,6 @@ class RouterSearchView:
         return csr
 
 
-class _Builder:
-    """Incremental RR-graph builder."""
-
-    def __init__(self, arch: FPGAArchitecture) -> None:
-        self.arch = arch
-        self.types: List[int] = []
-        self.xs: List[int] = []
-        self.ys: List[int] = []
-        self.tracks: List[int] = []
-        self.caps: List[int] = []
-        self.adj: List[List[int]] = []
-
-    def add_node(self, ntype: int, x: int, y: int, track: int = -1, capacity: int = 1) -> int:
-        self.types.append(ntype)
-        self.xs.append(x)
-        self.ys.append(y)
-        self.tracks.append(track)
-        self.caps.append(capacity)
-        self.adj.append([])
-        return len(self.types) - 1
-
-    def add_edge(self, src: int, dst: int) -> None:
-        self.adj[src].append(dst)
-
-    def add_bidir(self, a: int, b: int) -> None:
-        self.adj[a].append(b)
-        self.adj[b].append(a)
-
-    def finish(self, lookups) -> RRGraph:
-        ptr = np.zeros(len(self.adj) + 1, dtype=np.int64)
-        for i, lst in enumerate(self.adj):
-            ptr[i + 1] = ptr[i] + len(lst)
-        dst = np.empty(int(ptr[-1]), dtype=np.int32)
-        for i, lst in enumerate(self.adj):
-            dst[ptr[i] : ptr[i + 1]] = lst
-        return RRGraph(
-            arch=self.arch,
-            node_type=np.array(self.types, dtype=np.int8),
-            node_x=np.array(self.xs, dtype=np.int16),
-            node_y=np.array(self.ys, dtype=np.int16),
-            node_track=np.array(self.tracks, dtype=np.int16),
-            node_capacity=np.array(self.caps, dtype=np.int16),
-            edge_ptr=ptr,
-            edge_dst=dst,
-            **lookups,
-        )
-
-
 def _track_subset(channel_width: int, fraction: float) -> List[int]:
     """Evenly spaced subset of track indices reachable by a pin."""
     count = max(1, int(round(channel_width * fraction)))
@@ -324,124 +330,199 @@ def _track_subset(channel_width: int, fraction: float) -> List[int]:
     return sorted({int(i * step) % channel_width for i in range(count)})
 
 
+#: Switch-block slot pairs, in the order the disjoint switch block connects
+#: them.  Slots 0/1 are the CHANX wires left/right of the block, slots 2/3 the
+#: CHANY wires below/above it.
+_SB_PAIR_A = np.array([0, 0, 0, 1, 1, 2])
+_SB_PAIR_B = np.array([1, 2, 3, 2, 3, 3])
+#: Edge pairs are generated and placed in chunks of this many switch-block
+#: positions / logic blocks, which bounds the builder's transient memory.
+_SB_CHUNK = 8192
+_CLB_CHUNK = 64
+
+
+def _grid(*axes: np.ndarray) -> List[np.ndarray]:
+    """Flattened index grids over ``axes``, the first axis outermost."""
+    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+
+
 def build_rr_graph(arch: FPGAArchitecture) -> RRGraph:
-    """Build the routing-resource graph for an architecture."""
-    b = _Builder(arch)
+    """Build the routing-resource graph for an architecture.
+
+    Every node id and every edge is a closed-form function of the grid
+    indices, so the graph is built with array operations.  The edges of each
+    construction phase (switch blocks, logic blocks, IO pads) are generated
+    as ``(src, dst)`` pairs in the insertion order of the module docstring,
+    one chunk at a time.  A first pass over the chunks counts each node's
+    out-degree, which gives ``edge_ptr``; a second pass places each chunk at
+    ``edge_ptr[src]`` plus the edges already placed for ``src``, with a stable
+    sort inside the chunk keeping the insertion order.
+    """
     W = arch.channel_width
     width, height = arch.width, arch.height
+    lut_inputs = arch.lut_inputs
+    n_chanx = (height + 1) * width * W
+    n_chany = (width + 1) * height * W
+    n_clb = width * height
+    per_clb = 3 + lut_inputs
+    clb_base = n_chanx + n_chany
+    io_base = clb_base + n_clb * per_clb
+    sites = np.array(
+        [(s.x, s.y, s.subtile) for s in arch.io_sites()], dtype=np.int32
+    ).reshape(-1, 3)
+    n_io = len(sites)
+    num_nodes = io_base + 4 * n_io
 
-    # ---- channel wires -------------------------------------------------------
-    # CHANX(x, y, t): horizontal wire at channel y (0..height), column x (1..width)
-    chanx: Dict[Tuple[int, int, int], int] = {}
-    for y in range(0, height + 1):
-        for x in range(1, width + 1):
-            for t in range(W):
-                chanx[(x, y, t)] = b.add_node(RRNodeType.CHANX, x, y, t)
-    # CHANY(x, y, t): vertical wire at channel x (0..width), row y (1..height)
-    chany: Dict[Tuple[int, int, int], int] = {}
-    for x in range(0, width + 1):
-        for y in range(1, height + 1):
-            for t in range(W):
-                chany[(x, y, t)] = b.add_node(RRNodeType.CHANY, x, y, t)
+    def chanx(x, y, t):
+        return (y * width + (x - 1)) * W + t
 
-    # ---- switch blocks (disjoint / subset topology) ---------------------------
-    for i in range(0, width + 1):
-        for j in range(0, height + 1):
-            for t in range(W):
-                incident = []
-                if i >= 1:
-                    incident.append(chanx[(i, j, t)])          # wire ending at SB from the left
-                if i + 1 <= width:
-                    incident.append(chanx[(i + 1, j, t)])      # wire leaving SB to the right
-                if j >= 1:
-                    incident.append(chany[(i, j, t)])          # wire from below
-                if j + 1 <= height:
-                    incident.append(chany[(i, j + 1, t)])      # wire to above
-                for a_idx in range(len(incident)):
-                    for b_idx in range(a_idx + 1, len(incident)):
-                        b.add_bidir(incident[a_idx], incident[b_idx])
+    def chany(x, y, t):
+        return n_chanx + (x * height + (y - 1)) * W + t
 
-    # ---- logic blocks ----------------------------------------------------------
-    clb_source: Dict[Tuple[int, int], int] = {}
-    clb_sink: Dict[Tuple[int, int], int] = {}
-    clb_opin: Dict[Tuple[int, int], int] = {}
-    out_tracks = _track_subset(W, arch.fc_out)
-    in_tracks = _track_subset(W, arch.fc_in)
+    # ---- node attributes -------------------------------------------------------
+    node_type = np.empty(num_nodes, dtype=np.int8)
+    node_x = np.empty(num_nodes, dtype=np.int16)
+    node_y = np.empty(num_nodes, dtype=np.int16)
+    node_track = np.full(num_nodes, -1, dtype=np.int16)
+    node_capacity = np.ones(num_nodes, dtype=np.int16)
 
-    def adjacent_channels(x: int, y: int) -> List[int]:
-        """Wire nodes of the four channels around a logic block, all tracks."""
-        nodes = []
-        for t in range(W):
-            nodes.append(chanx[(x, y, t)])       # channel above
-            nodes.append(chanx[(x, y - 1, t)])   # channel below
-            nodes.append(chany[(x, y, t)])       # channel to the right
-            nodes.append(chany[(x - 1, y, t)])   # channel to the left
-        return nodes
+    wires = slice(0, n_chanx)
+    node_type[wires] = RRNodeType.CHANX
+    node_y[wires], node_x[wires], node_track[wires] = _grid(
+        np.arange(height + 1), np.arange(1, width + 1), np.arange(W)
+    )
+    wires = slice(n_chanx, clb_base)
+    node_type[wires] = RRNodeType.CHANY
+    node_x[wires], node_y[wires], node_track[wires] = _grid(
+        np.arange(width + 1), np.arange(1, height + 1), np.arange(W)
+    )
 
-    def adjacent_tracks(x: int, y: int, tracks: List[int]) -> List[int]:
-        nodes = []
-        for t in tracks:
-            nodes.append(chanx[(x, y, t)])
-            nodes.append(chanx[(x, y - 1, t)])
-            nodes.append(chany[(x, y, t)])
-            nodes.append(chany[(x - 1, y, t)])
-        return nodes
+    clb_x, clb_y = _grid(np.arange(1, width + 1), np.arange(1, height + 1))
+    clb = slice(clb_base, io_base)
+    node_type[clb].reshape(n_clb, per_clb)[:] = [
+        RRNodeType.SOURCE, RRNodeType.OPIN, RRNodeType.SINK
+    ] + [RRNodeType.IPIN] * lut_inputs
+    node_x[clb] = np.repeat(clb_x, per_clb)
+    node_y[clb] = np.repeat(clb_y, per_clb)
+    node_capacity[clb].reshape(n_clb, per_clb)[:, 2] = lut_inputs
 
-    for x in range(1, width + 1):
-        for y in range(1, height + 1):
-            src = b.add_node(RRNodeType.SOURCE, x, y)
-            opin = b.add_node(RRNodeType.OPIN, x, y)
-            sink = b.add_node(RRNodeType.SINK, x, y, capacity=arch.lut_inputs)
-            b.add_edge(src, opin)
-            clb_source[(x, y)] = src
-            clb_opin[(x, y)] = opin
-            clb_sink[(x, y)] = sink
-            for wire in adjacent_tracks(x, y, out_tracks):
-                b.add_edge(opin, wire)
-            for pin in range(arch.lut_inputs):
-                ipin = b.add_node(RRNodeType.IPIN, x, y)
-                b.add_edge(ipin, sink)
-                for wire in adjacent_tracks(x, y, in_tracks):
-                    b.add_edge(wire, ipin)
+    io = slice(io_base, num_nodes)
+    node_type[io].reshape(n_io, 4)[:] = [
+        RRNodeType.SOURCE, RRNodeType.OPIN, RRNodeType.IPIN, RRNodeType.SINK
+    ]
+    node_x[io] = np.repeat(sites[:, 0], 4)
+    node_y[io] = np.repeat(sites[:, 1], 4)
+    node_track[io] = np.repeat(sites[:, 2], 4)
 
-    # ---- IO pads ----------------------------------------------------------------
-    io_source: Dict[Tuple[int, int, int], int] = {}
-    io_sink: Dict[Tuple[int, int, int], int] = {}
+    # ---- edge phases, each yielding (src, dst) chunks in insertion order -------
+    def switch_blocks():
+        n_pos = (width + 1) * (height + 1) * W
+        for lo in range(0, n_pos, _SB_CHUNK):
+            p = np.arange(lo, min(lo + _SB_CHUNK, n_pos), dtype=np.int32)
+            t = p % W
+            j = p // W % (height + 1)
+            i = p // (W * (height + 1))
+            slot = np.stack(
+                [chanx(i, j, t), chanx(i + 1, j, t), chany(i, j, t), chany(i, j + 1, t)],
+                axis=1,
+            )
+            valid = np.stack([i >= 1, i < width, j >= 1, j < height], axis=1)
+            a, b = slot[:, _SB_PAIR_A], slot[:, _SB_PAIR_B]
+            keep = np.repeat((valid[:, _SB_PAIR_A] & valid[:, _SB_PAIR_B]).ravel(), 2)
+            yield np.stack([a, b], axis=2).ravel()[keep], np.stack([b, a], axis=2).ravel()[keep]
 
-    def io_channel_nodes(x: int, y: int) -> List[int]:
-        """Wire nodes of the single channel adjacent to a perimeter IO location."""
-        nodes = []
-        for t in range(W):
-            if y == 0:
-                nodes.append(chanx[(x, 0, t)])
-            elif y == height + 1:
-                nodes.append(chanx[(x, height, t)])
-            elif x == 0:
-                nodes.append(chany[(0, y, t)])
-            else:  # x == width + 1
-                nodes.append(chany[(width, y, t)])
-        return nodes
+    out_tracks = np.array(_track_subset(W, arch.fc_out), dtype=np.int32)
+    in_tracks = np.array(_track_subset(W, arch.fc_in), dtype=np.int32)
 
-    for site in arch.io_sites():
-        x, y, sub = site.x, site.y, site.subtile
-        src = b.add_node(RRNodeType.SOURCE, x, y, track=sub)
-        opin = b.add_node(RRNodeType.OPIN, x, y, track=sub)
-        ipin = b.add_node(RRNodeType.IPIN, x, y, track=sub)
-        sink = b.add_node(RRNodeType.SINK, x, y, track=sub)
-        b.add_edge(src, opin)
-        b.add_edge(ipin, sink)
-        for wire in io_channel_nodes(x, y):
-            b.add_edge(opin, wire)
-            b.add_edge(wire, ipin)
-        io_source[(x, y, sub)] = src
-        io_sink[(x, y, sub)] = sink
+    def adjacent_tracks(x, y, tracks):
+        """Wires of the four channels around each block, track-major: (n, 4 * tracks)."""
+        x, y, t = x[:, None], y[:, None], tracks[None, :]
+        around = [chanx(x, y, t), chanx(x, y - 1, t), chany(x, y, t), chany(x - 1, y, t)]
+        return np.stack(around, axis=2).reshape(len(x), 4 * len(tracks))
 
-    return b.finish(
-        dict(
-            clb_source=clb_source,
-            clb_sink=clb_sink,
-            clb_opin=clb_opin,
-            io_source=io_source,
-            io_sink=io_sink,
+    def logic_blocks():
+        n_in = 4 * len(in_tracks)
+        for lo in range(0, n_clb, _CLB_CHUNK):
+            c = np.arange(lo, min(lo + _CLB_CHUNK, n_clb), dtype=np.int32)
+            n = len(c)
+            x, y = c // height + 1, c % height + 1
+            base = clb_base + c * per_clb
+            source, opin, sink = base[:, None], base[:, None] + 1, base[:, None] + 2
+            ipin = base[:, None] + 3 + np.arange(lut_inputs, dtype=np.int32)
+            out_wires = adjacent_tracks(x, y, out_tracks)
+            in_wires = np.broadcast_to(
+                adjacent_tracks(x, y, in_tracks)[:, None, :], (n, lut_inputs, n_in)
+            )
+            # Per input pin: ipin -> sink, then every reachable wire -> ipin.
+            pin_src = np.concatenate([ipin[:, :, None], in_wires], axis=2)
+            pin_dst = np.concatenate(
+                [np.broadcast_to(sink[:, :, None], (n, lut_inputs, 1)),
+                 np.broadcast_to(ipin[:, :, None], (n, lut_inputs, n_in))],
+                axis=2,
+            )
+            src = np.concatenate(
+                [source, np.broadcast_to(opin, out_wires.shape), pin_src.reshape(n, -1)], axis=1
+            )
+            dst = np.concatenate([opin, out_wires, pin_dst.reshape(n, -1)], axis=1)
+            yield src.ravel(), dst.ravel()
+
+    def io_pads():
+        x, y = sites[:, :1], sites[:, 1:2]
+        t = np.arange(W, dtype=np.int32)[None, :]
+        base = io_base + 4 * np.arange(n_io, dtype=np.int32)[:, None]
+        source, opin, ipin, sink = base, base + 1, base + 2, base + 3
+        # The single channel next to each perimeter pad.
+        horizontal = (y == 0) | (y == height + 1)
+        wire = np.where(
+            horizontal,
+            chanx(x, np.minimum(y, height), t),
+            chany(np.minimum(x, width), y, t),
         )
+        # Per pad: source -> opin, ipin -> sink, then opin -> wire, wire -> ipin per track.
+        pair_src = np.stack([np.broadcast_to(opin, wire.shape), wire], axis=2)
+        pair_dst = np.stack([wire, np.broadcast_to(ipin, wire.shape)], axis=2)
+        src = np.concatenate([source, ipin, pair_src.reshape(n_io, 2 * W)], axis=1)
+        dst = np.concatenate([opin, sink, pair_dst.reshape(n_io, 2 * W)], axis=1)
+        yield src.ravel(), dst.ravel()
+
+    phases = (switch_blocks, logic_blocks, io_pads)
+
+    # ---- CSR assembly -------------------------------------------------------------
+    degree = np.zeros(num_nodes, dtype=np.int64)
+    for phase in phases:
+        for src, _ in phase():
+            degree += np.bincount(src, minlength=num_nodes)
+    edge_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(degree, out=edge_ptr[1:])
+    edge_dst = np.empty(int(edge_ptr[-1]), dtype=np.int32)
+    fill = edge_ptr[:-1].copy()
+    for phase in phases:
+        for src, dst in phase():
+            order = np.argsort(src, kind="stable")
+            src = src[order]
+            first = np.flatnonzero(np.concatenate(([True], src[1:] != src[:-1])))
+            count = np.diff(np.append(first, len(src)))
+            rank = np.arange(len(src)) - np.repeat(first, count)
+            edge_dst[fill[src] + rank] = dst[order]
+            fill[src[first]] += count
+
+    # ---- lookup tables --------------------------------------------------------------
+    clb_keys = list(zip(clb_x.tolist(), clb_y.tolist()))
+    clb_ids = clb_base + per_clb * np.arange(n_clb)
+    io_keys = [tuple(site) for site in sites.tolist()]
+    io_ids = io_base + 4 * np.arange(n_io)
+    return RRGraph(
+        arch=arch,
+        node_type=node_type,
+        node_x=node_x,
+        node_y=node_y,
+        node_track=node_track,
+        node_capacity=node_capacity,
+        edge_ptr=edge_ptr,
+        edge_dst=edge_dst,
+        clb_source=dict(zip(clb_keys, clb_ids.tolist())),
+        clb_sink=dict(zip(clb_keys, (clb_ids + 2).tolist())),
+        clb_opin=dict(zip(clb_keys, (clb_ids + 1).tolist())),
+        io_source=dict(zip(io_keys, io_ids.tolist())),
+        io_sink=dict(zip(io_keys, (io_ids + 3).tolist())),
     )

@@ -15,7 +15,11 @@ directory on ``sys.path``):
   compiled simulation engine must equal bit for bit;
 * :func:`criticality_initial` / :func:`criticality_update` -- the per-net
   dict walk the flat :class:`~repro.timing.sta.CriticalityTracker` path
-  must equal bit for bit.
+  must equal bit for bit;
+* :func:`build_rr_graph_reference` -- the per-edge append builder the
+  closed-form :func:`~repro.fpga.routing_graph.build_rr_graph` must equal
+  array for array, including each node's edge order
+  (:func:`rr_graph_differences` names any array or lookup that differs).
 
 Every oracle is the code it replaced, moved unchanged, so the trajectories
 (and the gates in ``benchmarks/check_quality.py``) stay the same.
@@ -33,7 +37,7 @@ import numpy as np
 
 from repro.fpga.architecture import FPGAArchitecture
 from repro.fpga.device import Device
-from repro.fpga.routing_graph import RRNodeType
+from repro.fpga.routing_graph import RRGraph, RRNodeType, _track_subset
 from repro.netlist.circuit import Circuit, Op
 from repro.netlist.library import eval_gate
 from repro.netlist.simulate import _pattern_mask
@@ -75,6 +79,8 @@ __all__ = [
     "simulate_patterns_reference",
     "criticality_initial",
     "criticality_update",
+    "build_rr_graph_reference",
+    "rr_graph_differences",
 ]
 
 
@@ -555,3 +561,202 @@ def criticality_update(tracker: CriticalityTracker, routes) -> Dict[Tuple[int, i
     tracker.updates += 1
     obs_metrics.add("sta.retime_updates")
     return _conn_dict(tracker, crit)
+
+
+# -- RR graph ------------------------------------------------------------------
+
+
+class _Builder:
+    """Incremental RR-graph builder."""
+
+    def __init__(self, arch: FPGAArchitecture) -> None:
+        self.arch = arch
+        self.types: List[int] = []
+        self.xs: List[int] = []
+        self.ys: List[int] = []
+        self.tracks: List[int] = []
+        self.caps: List[int] = []
+        self.adj: List[List[int]] = []
+
+    def add_node(self, ntype: int, x: int, y: int, track: int = -1, capacity: int = 1) -> int:
+        self.types.append(ntype)
+        self.xs.append(x)
+        self.ys.append(y)
+        self.tracks.append(track)
+        self.caps.append(capacity)
+        self.adj.append([])
+        return len(self.types) - 1
+
+    def add_edge(self, src: int, dst: int) -> None:
+        self.adj[src].append(dst)
+
+    def add_bidir(self, a: int, b: int) -> None:
+        self.adj[a].append(b)
+        self.adj[b].append(a)
+
+    def finish(self, lookups) -> RRGraph:
+        ptr = np.zeros(len(self.adj) + 1, dtype=np.int64)
+        for i, lst in enumerate(self.adj):
+            ptr[i + 1] = ptr[i] + len(lst)
+        dst = np.empty(int(ptr[-1]), dtype=np.int32)
+        for i, lst in enumerate(self.adj):
+            dst[ptr[i] : ptr[i + 1]] = lst
+        return RRGraph(
+            arch=self.arch,
+            node_type=np.array(self.types, dtype=np.int8),
+            node_x=np.array(self.xs, dtype=np.int16),
+            node_y=np.array(self.ys, dtype=np.int16),
+            node_track=np.array(self.tracks, dtype=np.int16),
+            node_capacity=np.array(self.caps, dtype=np.int16),
+            edge_ptr=ptr,
+            edge_dst=dst,
+            **lookups,
+        )
+
+
+
+
+def build_rr_graph_reference(arch: FPGAArchitecture) -> RRGraph:
+    """Build the routing-resource graph for an architecture."""
+    b = _Builder(arch)
+    W = arch.channel_width
+    width, height = arch.width, arch.height
+
+    # ---- channel wires -------------------------------------------------------
+    # CHANX(x, y, t): horizontal wire at channel y (0..height), column x (1..width)
+    chanx: Dict[Tuple[int, int, int], int] = {}
+    for y in range(0, height + 1):
+        for x in range(1, width + 1):
+            for t in range(W):
+                chanx[(x, y, t)] = b.add_node(RRNodeType.CHANX, x, y, t)
+    # CHANY(x, y, t): vertical wire at channel x (0..width), row y (1..height)
+    chany: Dict[Tuple[int, int, int], int] = {}
+    for x in range(0, width + 1):
+        for y in range(1, height + 1):
+            for t in range(W):
+                chany[(x, y, t)] = b.add_node(RRNodeType.CHANY, x, y, t)
+
+    # ---- switch blocks (disjoint / subset topology) ---------------------------
+    for i in range(0, width + 1):
+        for j in range(0, height + 1):
+            for t in range(W):
+                incident = []
+                if i >= 1:
+                    incident.append(chanx[(i, j, t)])          # wire ending at SB from the left
+                if i + 1 <= width:
+                    incident.append(chanx[(i + 1, j, t)])      # wire leaving SB to the right
+                if j >= 1:
+                    incident.append(chany[(i, j, t)])          # wire from below
+                if j + 1 <= height:
+                    incident.append(chany[(i, j + 1, t)])      # wire to above
+                for a_idx in range(len(incident)):
+                    for b_idx in range(a_idx + 1, len(incident)):
+                        b.add_bidir(incident[a_idx], incident[b_idx])
+
+    # ---- logic blocks ----------------------------------------------------------
+    clb_source: Dict[Tuple[int, int], int] = {}
+    clb_sink: Dict[Tuple[int, int], int] = {}
+    clb_opin: Dict[Tuple[int, int], int] = {}
+    out_tracks = _track_subset(W, arch.fc_out)
+    in_tracks = _track_subset(W, arch.fc_in)
+
+    def adjacent_channels(x: int, y: int) -> List[int]:
+        """Wire nodes of the four channels around a logic block, all tracks."""
+        nodes = []
+        for t in range(W):
+            nodes.append(chanx[(x, y, t)])       # channel above
+            nodes.append(chanx[(x, y - 1, t)])   # channel below
+            nodes.append(chany[(x, y, t)])       # channel to the right
+            nodes.append(chany[(x - 1, y, t)])   # channel to the left
+        return nodes
+
+    def adjacent_tracks(x: int, y: int, tracks: List[int]) -> List[int]:
+        nodes = []
+        for t in tracks:
+            nodes.append(chanx[(x, y, t)])
+            nodes.append(chanx[(x, y - 1, t)])
+            nodes.append(chany[(x, y, t)])
+            nodes.append(chany[(x - 1, y, t)])
+        return nodes
+
+    for x in range(1, width + 1):
+        for y in range(1, height + 1):
+            src = b.add_node(RRNodeType.SOURCE, x, y)
+            opin = b.add_node(RRNodeType.OPIN, x, y)
+            sink = b.add_node(RRNodeType.SINK, x, y, capacity=arch.lut_inputs)
+            b.add_edge(src, opin)
+            clb_source[(x, y)] = src
+            clb_opin[(x, y)] = opin
+            clb_sink[(x, y)] = sink
+            for wire in adjacent_tracks(x, y, out_tracks):
+                b.add_edge(opin, wire)
+            for pin in range(arch.lut_inputs):
+                ipin = b.add_node(RRNodeType.IPIN, x, y)
+                b.add_edge(ipin, sink)
+                for wire in adjacent_tracks(x, y, in_tracks):
+                    b.add_edge(wire, ipin)
+
+    # ---- IO pads ----------------------------------------------------------------
+    io_source: Dict[Tuple[int, int, int], int] = {}
+    io_sink: Dict[Tuple[int, int, int], int] = {}
+
+    def io_channel_nodes(x: int, y: int) -> List[int]:
+        """Wire nodes of the single channel adjacent to a perimeter IO location."""
+        nodes = []
+        for t in range(W):
+            if y == 0:
+                nodes.append(chanx[(x, 0, t)])
+            elif y == height + 1:
+                nodes.append(chanx[(x, height, t)])
+            elif x == 0:
+                nodes.append(chany[(0, y, t)])
+            else:  # x == width + 1
+                nodes.append(chany[(width, y, t)])
+        return nodes
+
+    for site in arch.io_sites():
+        x, y, sub = site.x, site.y, site.subtile
+        src = b.add_node(RRNodeType.SOURCE, x, y, track=sub)
+        opin = b.add_node(RRNodeType.OPIN, x, y, track=sub)
+        ipin = b.add_node(RRNodeType.IPIN, x, y, track=sub)
+        sink = b.add_node(RRNodeType.SINK, x, y, track=sub)
+        b.add_edge(src, opin)
+        b.add_edge(ipin, sink)
+        for wire in io_channel_nodes(x, y):
+            b.add_edge(opin, wire)
+            b.add_edge(wire, ipin)
+        io_source[(x, y, sub)] = src
+        io_sink[(x, y, sub)] = sink
+
+    return b.finish(
+        dict(
+            clb_source=clb_source,
+            clb_sink=clb_sink,
+            clb_opin=clb_opin,
+            io_source=io_source,
+            io_sink=io_sink,
+        )
+    )
+
+
+def rr_graph_differences(rr: RRGraph, ref: RRGraph) -> List[str]:
+    """Names of the arrays and lookups in which ``rr`` differs from ``ref``.
+
+    Arrays must match by dtype and value, lookups item for item in insertion
+    order; an empty list means the two graphs are identical.
+    """
+    arrays = (
+        "node_type", "node_x", "node_y", "node_track", "node_capacity",
+        "edge_ptr", "edge_dst",
+    )
+    lookups = ("clb_source", "clb_sink", "clb_opin", "io_source", "io_sink")
+    diffs = [
+        name for name in arrays
+        if getattr(rr, name).dtype != getattr(ref, name).dtype
+        or not np.array_equal(getattr(rr, name), getattr(ref, name))
+    ]
+    diffs += [
+        name for name in lookups
+        if list(getattr(rr, name).items()) != list(getattr(ref, name).items())
+    ]
+    return diffs

@@ -1,14 +1,42 @@
 """Tests for the FPGA device model (architecture, RR graph, configuration memory)."""
 
+import gc
+import weakref
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import build_rr_graph_reference, rr_graph_differences
 
 from repro.fpga.architecture import FPGAArchitecture, auto_size
 from repro.fpga.bitstream import Bitstream, ConfigurationLayout
-from repro.fpga.device import device_for_netlist
+from repro.fpga.device import build_device, device_for_netlist
 from repro.fpga.routing_graph import RouterSearchView, RRNodeType, build_rr_graph
+from repro.par.netlist import PhysicalNetlist
+from repro.par.placement import place
+from repro.par.routing import route
+
+#: fc_in / fc_out values of the builder sweep; 0.15 at W <= 3 rounds to zero
+#: tracks, where _track_subset clamps the pin to one track.
+FC_VALUES = (1.0, 0.5, 0.25, 0.15)
+
+
+def assert_matches_reference(arch):
+    rr = build_rr_graph(arch)
+    assert rr_graph_differences(rr, build_rr_graph_reference(arch)) == []
+
+
+@contextmanager
+def gc_disabled():
+    """Only reference counting frees objects inside the block."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class TestArchitecture:
@@ -129,10 +157,97 @@ class TestRRGraph:
             multi_pin_wires += sum(len(pins) > 1 for pins in entry.values())
         assert multi_pin_wires > 0  # the order check is not vacuous
 
+    def test_arrays_are_read_only(self, small_graph):
+        _, rr = small_graph
+        with pytest.raises(ValueError):
+            rr.edge_dst[0] = 0
+        with pytest.raises(ValueError):
+            rr.node_capacity[0] = 2
+        arrays = [v for v in vars(rr).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 7
+        assert not any(arr.flags.writeable for arr in arrays)
+
+    def test_graphs_compare_by_identity(self, small_graph):
+        arch, rr = small_graph
+        assert rr == rr
+        assert rr != build_rr_graph(arch)
+
+    def test_search_view_does_not_keep_graph_alive(self):
+        with gc_disabled():
+            rr = build_rr_graph(FPGAArchitecture(width=3, height=3, channel_width=4))
+            rr.search_view()
+            ref = weakref.ref(rr)
+            del rr
+            assert ref() is None
+
+    def test_routed_device_freed_by_refcount(self):
+        nl = PhysicalNetlist("chain")
+        prev = nl.add_block("pi", "io")
+        for i in range(4):
+            blk = nl.add_block(f"l{i}", "clb")
+            nl.add_net(f"n{i}", prev, [blk])
+            prev = blk
+        nl.add_net("out", prev, [nl.add_block("po", "io")])
+        arch = FPGAArchitecture(width=4, height=4, channel_width=4)
+        placement = place(nl, arch, seed=2, effort=0.5).placement
+        with gc_disabled():
+            device = build_device(arch)
+            assert route(nl, placement, device).success
+            refs = weakref.ref(device), weakref.ref(device.rr_graph)
+            del device
+            assert [r() for r in refs] == [None, None]
+
     def test_device_bundle(self):
         device = device_for_netlist(num_luts=20, num_ios=10, channel_width=6)
         assert device.num_clb_sites >= 20
         assert "RR graph" in device.describe()
+
+
+class TestRRBuilderMatchesReference:
+    """The closed-form builder reproduces the per-edge append builder of
+    ``tests/oracles.py`` exactly (the numbering and edge-order contract of
+    ``repro.fpga.routing_graph``)."""
+
+    @pytest.mark.parametrize("W", [1, 2, 3, 5, 14, 32])
+    @pytest.mark.parametrize("grid", [(1, 1), (1, 4), (4, 1), (7, 3)])
+    def test_small_grids(self, grid, W):
+        width, height = grid
+        for k, fc_in in enumerate(FC_VALUES):
+            for fc_out in FC_VALUES:
+                arch = FPGAArchitecture(
+                    width=width, height=height, channel_width=W,
+                    fc_in=fc_in, fc_out=fc_out,
+                    lut_inputs=(2, 4, 6)[k % 3], io_capacity=(1, 3)[k % 2],
+                )
+                assert_matches_reference(arch)
+
+    @pytest.mark.parametrize(
+        "W, fc, lut_inputs, io_capacity",
+        [(14, 1.0, 4, 1), (32, 1.0, 4, 3), (5, 0.15, 6, 3), (32, 0.25, 2, 1)],
+    )
+    def test_large_grid(self, W, fc, lut_inputs, io_capacity):
+        arch = FPGAArchitecture(
+            width=34, height=34, channel_width=W, fc_in=fc, fc_out=fc,
+            lut_inputs=lut_inputs, io_capacity=io_capacity,
+        )
+        assert_matches_reference(arch)
+
+    @given(
+        width=st.integers(1, 8),
+        height=st.integers(1, 8),
+        W=st.integers(1, 32),
+        fc_in=st.floats(0.01, 1.0),
+        fc_out=st.floats(0.01, 1.0),
+        lut_inputs=st.sampled_from([2, 4, 6]),
+        io_capacity=st.integers(1, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property(self, width, height, W, fc_in, fc_out, lut_inputs, io_capacity):
+        arch = FPGAArchitecture(
+            width=width, height=height, channel_width=W, fc_in=fc_in, fc_out=fc_out,
+            lut_inputs=lut_inputs, io_capacity=io_capacity,
+        )
+        assert_matches_reference(arch)
 
 
 class TestConfigurationLayout:
