@@ -29,7 +29,8 @@ Three comparisons are made:
   the placement (the W=12 default of the reduced format is *not* routable
   -- routing it only measured non-convergence), records it as
   ``channel_width_used``, and checks the re-baselined astar route quality
-  against the ``reference`` oracle's route;
+  against the ``reference`` oracle's route.  ``identical_outputs`` requires
+  ``fast`` to equal the oracle node for node and forest array for array;
 * **rr_build** -- the closed-form NumPy RR-graph builder vs the per-edge
   append builder it replaced (``tests/oracles.py``), on the routing
   section's architecture at its width and at W=32.  ``identical`` (every
@@ -47,12 +48,14 @@ Three comparisons are made:
   ``check_quality.py``: the timing run must converge, must not regress
   delay, and must stay inside the wirelength band of the reference route on
   its own placement;
-* **retime** -- the PR 5 flat route forest vs the PR 4 per-net dict walk:
-  routed-delay extraction and the per-PathFinder-iteration criticality
-  update, measured dict vs flat both in the steady state (no nets
-  re-routed since the last update; the fragment cache serves every net)
-  and with 5% of the nets freshly re-routed.  Bit-identity of the
-  extracted delays and criticality vectors is asserted and gated;
+* **retime** -- the flat route forest vs the per-net dict walk oracle
+  (``routed_edge_delays_reference`` / ``criticality_update`` in
+  ``tests/oracles.py``): routed-delay extraction and the
+  per-PathFinder-iteration criticality update, measured dict vs flat both
+  in the steady state (``update_flat`` on the route's own forest) and with
+  5% of the nets freshly re-routed (the forest rebuilt through the per-net
+  fragment memo first, as the timing-driven router does).  Bit-identity
+  of the extracted delays and criticality vectors is asserted and gated;
 * **native** -- the PR 7 compiled-C kernels (astar expansion loop, batched
   annealer move loop; see ``src/repro/native/``) vs their pure-Python
   twins, warm, same seeds.  Bit-identity of routes and annealing
@@ -95,6 +98,7 @@ from oracles import (
     criticality_update,
     place_reference,
     route_reference,
+    routed_edge_delays_reference,
     rr_graph_differences,
     simulate_patterns_reference,
 )
@@ -112,6 +116,7 @@ from repro.par.flow import timing_driven_placement
 from repro.par.metrics import minimum_channel_width
 from repro.par.netlist import from_mapped_network
 from repro.par.placement import place
+from repro.par.forest import build_route_forest
 from repro.par.routing import NetRoute, route
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional
@@ -302,6 +307,7 @@ def bench_routing(netlist, arch, placement):
             and fast.wirelength == ref.wirelength
             and fast.iterations == ref.iterations
             and all(fast.routes[k].nodes == r.nodes for k, r in ref.routes.items())
+            and fast.forest.to_payload() == ref.forest.to_payload()
         )
         wl_baseline = ref.wirelength
     else:
@@ -505,24 +511,25 @@ def bench_timing(network, netlist, arch, placement, width):
 
 
 def bench_retime(netlist, arch, placement, width):
-    """Flat route forest vs the PR 4 dict walk: extraction + retime cost.
+    """Flat route forest vs the per-net dict walk: extraction + retime cost.
 
     Both sides do the same semantic work -- exact routed delays out of the
     route trees, two STA scans, criticalities folded per connection -- and
     are asserted bit-identical first.  The flat path is measured in the
-    steady state (no nets re-routed since the last update: the per-net
-    fragment cache serves everything and the assembled forest is reused)
-    and with 1-in-``RETIME_REROUTED_FRACTION`` nets freshly re-routed
-    (fragments re-flattened + full reassembly), which brackets what a real
-    PathFinder iteration pays.  Interleaved best-of-N like the routing
-    benches: drifting machine load hits both sides alike.
+    steady state (``update_flat`` on the route's own forest) and with
+    1-in-``RETIME_REROUTED_FRACTION`` nets freshly re-routed (those nets'
+    fragments re-flattened through the per-net memo + full reassembly, then
+    the retime), which brackets what a real PathFinder iteration pays.
+    Interleaved best-of-N like the routing benches: drifting machine load
+    hits both sides alike.
     """
     device = build_device(arch.with_channel_width(width))
+    rr = device.rr_graph
     routing = route(netlist, placement, device, kernel="astar")
     tracker = CriticalityTracker(netlist, placement, device, exponent=2.0)
 
     # -- bit-identity first: flat vs dict must agree to the last bit ------
-    flat = tracker.update_flat(routing.routes).copy()
+    flat = tracker.update_flat(routing.forest).copy()
     legacy = criticality_update(tracker, routing.routes)
     crit_identical = all(
         flat[tracker.conn_index[key]] == value for key, value in legacy.items()
@@ -533,12 +540,11 @@ def bench_retime(netlist, arch, placement, width):
     )
     graph = tracker.graph
     fallback = tracker._estimate
-    d_dict, w_dict, p_dict = routed_edge_delays(
+    d_dict, w_dict, p_dict = routed_edge_delays_reference(
         graph, routing.routes, placement, device, fallback=fallback
     )
     d_flat, w_flat, p_flat = routed_edge_delays(
-        graph, routing.routes, placement, device, fallback=fallback,
-        forest=routing.forest,
+        graph, routing.forest, placement, device, fallback=fallback
     )
     delays_identical = (
         np.array_equal(d_dict, d_flat)
@@ -546,7 +552,8 @@ def bench_retime(netlist, arch, placement, width):
         and np.array_equal(p_dict, p_flat)
     )
 
-    # Perturbed route sets: every call re-flattens a different 5% slice.
+    # Perturbed route sets: every rebuild re-flattens a different 5% slice.
+    frag_cache = {}
     net_ids = sorted(routing.routes)
     rerouted_sets = []
     for k in range(RETIME_REROUTED_FRACTION):
@@ -560,27 +567,27 @@ def bench_retime(netlist, arch, placement, width):
     t_dict = t_steady = t_rerouted = None
     t_ext_dict = t_ext_flat = None
     for i in range(repeats):
+        # Warm the fragment memo on the unperturbed routes (untimed), so the
+        # perturbed sample re-flattens exactly its 5% slice.
+        build_route_forest(routing.routes, rr, cache=frag_cache)
         _, dt = _timed(lambda: criticality_update(tracker, routing.routes))
         t_dict = dt if t_dict is None else min(t_dict, dt)
-        _, dt = _timed(lambda: tracker.update_flat(routing.routes))
+        _, dt = _timed(lambda: tracker.update_flat(routing.forest))
         t_steady = dt if t_steady is None else min(t_steady, dt)
         routes = rerouted_sets[i % len(rerouted_sets)]
-        _, dt = _timed(lambda r=routes: tracker.update_flat(r))
-        t_rerouted = dt if t_rerouted is None else min(t_rerouted, dt)
-        # The perturbed call left the fragment cache keyed on the perturbed
-        # NetRoute objects; re-warm it (untimed) so the next iteration's
-        # steady-state sample measures the truly-steady path.
-        tracker.update_flat(routing.routes)
         _, dt = _timed(
-            lambda: routed_edge_delays(
+            lambda r=routes: tracker.update_flat(build_route_forest(r, rr, cache=frag_cache))
+        )
+        t_rerouted = dt if t_rerouted is None else min(t_rerouted, dt)
+        _, dt = _timed(
+            lambda: routed_edge_delays_reference(
                 graph, routing.routes, placement, device, fallback=fallback
             )
         )
         t_ext_dict = dt if t_ext_dict is None else min(t_ext_dict, dt)
         _, dt = _timed(
             lambda: routed_edge_delays(
-                graph, routing.routes, placement, device, fallback=fallback,
-                forest=routing.forest,
+                graph, routing.forest, placement, device, fallback=fallback
             )
         )
         t_ext_flat = dt if t_ext_flat is None else min(t_ext_flat, dt)

@@ -12,7 +12,7 @@ from .metrics import (
 from .netlist import Block, Net, PhysicalNetlist, from_mapped_network
 from .placement import Placement, PlacementResult, hpwl, place, random_placement
 from .routing import NetRoute, RoutingResult, route, route_resilient
-from .timing import TimingReport, analyze_timing
+from .timing import TimingReport
 
 __all__ = [
     "PaRCache",
@@ -40,5 +40,4 @@ __all__ = [
     "RoutingResult",
     "route",
     "TimingReport",
-    "analyze_timing",
 ]

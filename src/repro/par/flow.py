@@ -149,7 +149,8 @@ def cached_route(
     :func:`~repro.par.routing.route_resilient` with a ``deadline_s``
     per-kernel budget and the astar->fast degradation chain.
     A result produced by the *degraded* kernel is never stored, so one bad
-    run cannot poison the cache for fault-free reruns.
+    run cannot poison the cache for fault-free reruns; neither is a
+    non-converged one.
     """
     key = None
     if cache is not None:
@@ -187,10 +188,8 @@ def cached_route(
         degrade=degrade,
         events=events,
     )
-    if key is not None and result.kernel == "astar":
-        payload = routing_to_payload(result)
-        if payload is not None:
-            cache.put(key, payload, events=events)
+    if key is not None and result.success and result.kernel == "astar":
+        cache.put(key, routing_to_payload(result), events=events)
     return result
 
 

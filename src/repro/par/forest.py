@@ -1,11 +1,12 @@
 """Flat route forest: every net's route tree in one set of int32 arrays.
 
-PR 4's timing feedback loop walked the routers' per-net ``NetRoute`` trees
-with Python dict work -- per-node tuple accumulation in
-``timing/delays.py`` and ``Dict[(net, sink), float]`` criticality maps
-probed per connection.  The :class:`RouteForest` removes those dicts from
-the PAR/timing hot path: the union of all route trees is stored as a flat
-parent-pointer forest (CSR-style, mirroring the router's search view), so
+Every :class:`~repro.par.routing.RoutingResult` carries one, on either
+routing kernel and whether or not the route converged: it is the one
+route-tree format the timing and cache layers read.  It is built from the
+routers' per-sink ``(target, path, attach)`` connections, so it records
+exactly the tree each route grew.  The union of all route trees is stored
+as a flat parent-pointer forest (CSR-style, mirroring the router's search
+view), so
 
 * routed-delay extraction is a handful of NumPy gathers -- one
   depth-levelized scan ``acc[i] = acc[parent[i]] + delay_ns[node[i]]``
@@ -23,10 +24,11 @@ Invariants (what every consumer may rely on, and ``validate()`` /
 ``tests/test_forest.py`` check):
 
 * **Bit-identity with the dict walk.**  The per-level scan performs *the
-  same float additions in the same order* as the legacy dict walk (each
-  node's accumulated delay is one binary add ``acc[parent] + delay[node]``),
-  so routed delays -- and therefore critical-path reports -- are
-  bit-identical to the reference ``_walk_connections`` / ``_walk_bfs``.
+  same float additions in the same order* as the per-connection dict walk
+  (each node's accumulated delay is one binary add
+  ``acc[parent] + delay[node]``), so routed delays -- and therefore
+  critical-path reports -- are bit-identical to the test oracle
+  ``routed_edge_delays_reference`` in ``tests/oracles.py``.
 * **Structural soundness.**  ``parent[i]`` is either ``-1`` (child of the
   net's SOURCE) or a position *in the same net's slice*; ``depth`` is
   exactly ``parent``-chain length, so sorting by depth levelizes the scan;
@@ -56,8 +58,7 @@ Positions ``0..P-1`` hold every route-tree node except the net SOURCEs
   identity of connection ``c``;
 * ``conn_sink_pos[c]`` -- forest position of the connection's sink node;
 * ``conn_ptr[c]:conn_ptr[c+1]`` -- the positions connection ``c`` added to
-  its tree, in attach-to-sink order (empty for a duplicate sink, and for
-  every connection of a tree imported through the BFS fallback).
+  its tree, in attach-to-sink order (empty for a duplicate sink).
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-
-from ..fpga.routing_graph import RRNodeType
 
 __all__ = ["RouteForest", "build_route_forest", "join_sorted"]
 
@@ -226,8 +225,7 @@ class RouteForest:
 
         Node lists carry the forest's attach-to-sink segment order (route
         metrics are order-insensitive); connection lists are reconstructed
-        exactly for forests built from the astar kernel's connections,
-        and left ``None`` for trees imported through the BFS fallback.
+        exactly.
         """
         from .routing import NetRoute
 
@@ -240,19 +238,17 @@ class RouteForest:
             lo, hi = int(self.net_node_ptr[k]), int(self.net_node_ptr[k + 1])
             nodes = [source] + node[lo:hi].tolist()
             conns: List[Tuple[int, List[int], int]] = []
-            from_conns = False
             for c in range(int(self.net_ptr[k]), int(self.net_ptr[k + 1])):
                 s, e = int(self.conn_ptr[c]), int(self.conn_ptr[c + 1])
                 sink = int(self.conn_sink[c])
                 if e > s:
-                    from_conns = True
                     path = node[s:e][::-1].tolist()  # back to sink-first
                     ap = int(parent[s])
                     attach = source if ap < 0 else int(node[ap])
                     conns.append((sink, path, attach))
                 else:
                     conns.append((sink, [], sink))
-            routes[nid] = NetRoute(nid, nodes, connections=conns if from_conns else None)
+            routes[nid] = NetRoute(nid, nodes, connections=conns)
         return routes
 
     # -- serialization -------------------------------------------------------
@@ -405,49 +401,11 @@ def _append_conn(
 
 
 def _fragment_from_conns(source: int, conns) -> _NetFragment:
-    """Fragment from the astar kernel's ``(target, path, attach)`` list."""
+    """Fragment from a route's ``(target, path, attach)`` connection list."""
     f = _NetFragment(source)
     pos_of: Dict[int, int] = {source: -1}
     for target, path, attach in conns:
         _append_conn(f, pos_of, target, path, attach)
-    return f.freeze()
-
-
-def _fragment_from_tree(source: int, nodes, rr) -> _NetFragment:
-    """Fragment from a plain node-list tree (the fast kernel and the oracle router).
-
-    BFS over the RR adjacency restricted to the tree's nodes, exactly like
-    the legacy ``_walk_bfs``; every SINK node in the tree becomes one
-    connection (path segments are not recoverable, so the connection
-    slices stay empty for these).
-    """
-    f = _NetFragment(source)
-    node_l = f.node
-    parent_l = f.parent
-    depth_l = f.depth
-    node_set = set(nodes)
-    pos_of: Dict[int, int] = {source: -1}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            pu = pos_of[u]
-            du = depth_l[pu] if pu >= 0 else 0
-            for v in rr.fanouts(u):
-                v = int(v)
-                if v in node_set and v not in pos_of:
-                    pos_of[v] = len(node_l)
-                    node_l.append(v)
-                    parent_l.append(pu)
-                    depth_l.append(du + 1)
-                    nxt.append(v)
-        frontier = nxt
-    sink_t = RRNodeType.SINK
-    for n in nodes:
-        if rr.node_type[n] == sink_t and n != source:
-            f.conn_sink.append(int(n))
-            f.conn_sink_pos.append(pos_of.get(int(n), -1))
-            f.conn_end.append(len(node_l))
     return f.freeze()
 
 
@@ -458,10 +416,8 @@ def build_route_forest(
 ) -> RouteForest:
     """Flatten ``{net_id: NetRoute}`` trees into one :class:`RouteForest`.
 
-    Trees that carry the astar kernel's connection lists are imported
-    exactly (segment structure preserved); plain node-list trees fall back
-    to a BFS over the RR adjacency, which recovers the same parent
-    structure the legacy delay walk traversed.
+    Each tree is imported from its ``NetRoute.connections`` list, so the
+    segment structure the router built is preserved exactly.
 
     ``cache`` makes repeated builds *incremental*: per-net fragments are
     memoized against the identity of each net's ``NetRoute`` object, which
@@ -470,7 +426,8 @@ def build_route_forest(
     changed, the (vectorized) assembly below is the steady-state cost, and
     a build where *nothing* changed returns the previous forest object
     outright (with its depth-level cache warm).  Pass a dict owned by the
-    caller (e.g. one per :class:`~repro.timing.sta.CriticalityTracker`).
+    caller (the astar router keeps one per :func:`~repro.par.routing.route`
+    call).
     """
     frags: List[_NetFragment] = []
     net_ids: List[int] = []
@@ -485,12 +442,7 @@ def build_route_forest(
             if entry is not None and entry[0] is r:
                 frag = entry[1]
         if frag is None:
-            source = r.nodes[0]
-            conns = getattr(r, "connections", None)
-            if conns is not None:
-                frag = _fragment_from_conns(source, conns)
-            else:
-                frag = _fragment_from_tree(source, r.nodes, rr)
+            frag = _fragment_from_conns(r.nodes[0], r.connections)
             if cache is not None:
                 cache[nid] = (r, frag)
             changed = True

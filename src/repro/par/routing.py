@@ -72,15 +72,15 @@ class NetRoute:
 
     net_id: int
     nodes: List[int] = field(default_factory=list)
-    #: ordered per-sink connections ``(sink_rr, path, attach)`` as the
-    #: astar kernel builds them -- ``path`` lists the nodes the
-    #: connection added (sink first), ``attach`` is the tree node it grew
-    #: from.  The STA engine walks these for exact per-sink delays; kernels
-    #: that do not track connections (``fast``) leave it ``None`` and
-    #: the engine falls back to a BFS over the tree's nodes.
-    connections: Optional[List[Tuple[int, List[int], int]]] = None
+    #: ordered per-sink connections ``(sink_rr, path, attach)`` as both
+    #: kernels build them -- ``path`` lists the nodes the connection added
+    #: (sink first), ``attach`` is the tree node it grew from; a duplicate
+    #: sink is ``(sink_rr, [], sink_rr)``.  The route forest is built from
+    #: these, so the STA engine times exactly the tree the router grew.
+    connections: List[Tuple[int, List[int], int]] = field(default_factory=list)
 
     def wire_nodes(self, rr: RRGraph) -> List[int]:
+        """The tree's CHANX / CHANY nodes, in ``nodes`` order."""
         return [n for n in self.nodes if rr.is_wire(n)]
 
 
@@ -94,11 +94,11 @@ class RoutingResult:
     wirelength: int
     overused_nodes: int
     max_channel_occupancy: int
-    #: flat route forest over all nets' trees (the astar kernel emits
-    #: one natively; ``None`` from the ``fast`` kernel).  The STA
-    #: engine consumes it with pure NumPy gathers, and the PaR cache
-    #: serializes it so cache hits re-hydrate routes instead of re-routing.
-    forest: Optional[RouteForest] = None
+    #: flat route forest over all nets' trees, on every kernel, converged
+    #: or not.  The STA engine consumes it with pure NumPy gathers, and the
+    #: PaR cache serializes it so cache hits re-hydrate routes instead of
+    #: re-routing.
+    forest: RouteForest
     #: the kernel that actually produced this result;
     #: :func:`route_resilient` may return a different kernel than requested
     #: (degradation chain), and the cache layer refuses to store such
@@ -115,6 +115,7 @@ class RoutingResult:
     telemetry: Optional[Dict[str, Any]] = field(default=None, compare=False, repr=False)
 
     def describe(self) -> str:
+        """One-line human-readable outcome: status, iterations and usage."""
         status = "routable" if self.success else "CONGESTED"
         return (
             f"{status} after {self.iterations} iteration(s); "
@@ -337,13 +338,6 @@ def route_resilient(
                 objective_degraded=eff_objective != objective,
             )
         if result.success:
-            if result.forest is None:
-                # The fast kernel skips the forest build so its
-                # benchmark timings stay honest; the resilient path
-                # is not timed against it, and downstream consumers
-                # (STA, cached-route serialization) expect every converged
-                # resilient result to carry one.
-                result.forest = build_route_forest(result.routes, device.rr_graph)
             return result
         record_event(events, "kernel-nonconverged", site="route.kernel",
                      kernel=attempt_kernel, iterations=result.iterations,
@@ -676,15 +670,18 @@ def _route_astar(
     # Live per-net forest fragments, emitted connection-by-connection as the
     # router backtraces (native and Python paths alike): the flat forest and
     # the re-time loop never rebuild a fragment from a net's connection list
-    # again -- _sync_frags below just freezes what routing already wrote.
+    # again -- _forest below just freezes what routing already wrote into
+    # the per-net memo of build_route_forest.
     frag_of: Dict[int, _NetFragment] = {}
     frag_pos: Dict[int, Dict[int, int]] = {}
+    frag_cache: Dict = {}
 
-    def _sync_frags(cache: Dict) -> None:
+    def _forest() -> RouteForest:
         for nid, r in routes.items():
-            entry = cache.get(nid)
+            entry = frag_cache.get(nid)
             if entry is None or entry[0] is not r:
-                cache[nid] = (r, frag_of[nid].freeze())
+                frag_cache[nid] = (r, frag_of[nid].freeze())
+        return build_route_forest(routes, rr, cache=frag_cache)
 
     def _route_connections(
         net_id: int,
@@ -887,23 +884,10 @@ def _route_astar(
         pres_fac *= PRES_FAC_MULT
         if timing_mode:
             # Re-time the current route trees on the flat forest: the next
-            # iteration's re-routes price against fresh criticalities.  The
-            # fragments were emitted during backtrace; freezing them into
-            # the tracker's cache means update_flat re-flattens nothing.
-            _sync_frags(tracker._frag_cache)
-            conn_crit = tracker.update_flat(routes)
+            # iteration's re-routes price against fresh criticalities.
+            conn_crit = tracker.update_flat(_forest())
 
     occ_arr = np.asarray(occupancy, dtype=np.int32)
-    # Emit the flat forest for converged routes only: a congested result's
-    # trees are about to be thrown away (min-channel-width probes below
-    # the minimum fail by construction), so flattening them is pure waste.
-    # The fragments were emitted during backtrace (native and Python paths
-    # alike); the build below only concatenates them.
-    forest = None
-    if success:
-        frag_cache = tracker._frag_cache if tracker is not None else {}
-        _sync_frags(frag_cache)
-        forest = build_route_forest(routes, rr, cache=frag_cache)
     telemetry = {
         "kernel": "astar",
         "native": nat is not None,
@@ -914,7 +898,7 @@ def _route_astar(
         "sta_retimes": tracker.updates if tracker is not None else 0,
     }
     return _assemble_result(
-        rr, routes, occ_arr, cap_arr, success, iteration, forest=forest,
+        rr, routes, occ_arr, cap_arr, success, iteration, _forest(),
         telemetry=telemetry,
     )
 
@@ -983,9 +967,11 @@ def _route_fast(
         # Route sinks farthest-first (VPR heuristic).
         sx, sy = xs[source], ys[source]
         order = sorted(sinks, key=lambda t: -(abs(xs[t] - sx) + abs(ys[t] - sy)))
+        conns: List[Tuple[int, List[int], int]] = []
         for target in order:
             if target in tree_set:
                 bump(target, 1)
+                conns.append((target, [], target))
                 continue
             generation += 1
             gen = generation
@@ -1026,11 +1012,13 @@ def _route_fast(
             while n != -1 and n not in tree_set:
                 path.append(n)
                 n = prev_node[n]
+            # ``n`` is the attach node; the merge loop below rebinds it.
+            conns.append((target, path, n))
             for n in path:
                 tree_set.add(n)
                 tree.append(n)
                 bump(n, 1)
-        return NetRoute(net_id, tree)
+        return NetRoute(net_id, tree, connections=conns)
 
     def rip_up(net_route: NetRoute) -> None:
         source = net_terms[net_route.net_id][0]
@@ -1089,7 +1077,8 @@ def _route_fast(
         "iteration_wall_ms": tl_wall_ms,
     }
     return _assemble_result(
-        rr, routes, occ_arr, cap_arr, success, iteration, telemetry=telemetry
+        rr, routes, occ_arr, cap_arr, success, iteration,
+        build_route_forest(routes, rr), telemetry=telemetry,
     )
 
 
@@ -1100,16 +1089,11 @@ def _assemble_result(
     capacity: np.ndarray,
     success: bool,
     iteration: int,
-    forest: Optional[RouteForest] = None,
+    forest: RouteForest,
     telemetry: Optional[Dict[str, Any]] = None,
 ) -> RoutingResult:
     wire_mask = (rr.node_type == RRNodeType.CHANX) | (rr.node_type == RRNodeType.CHANY)
-    if forest is not None:
-        wirelength = forest.wirelength(wire_mask)
-    else:
-        wirelength = 0
-        for r in routes.values():
-            wirelength += sum(1 for n in r.nodes if wire_mask[n])
+    wirelength = forest.wirelength(wire_mask)
     max_chan_occ = int(occupancy[wire_mask].max()) if wire_mask.any() else 0
     if telemetry is not None:
         # One registry merge per route call (see repro.obs.metrics): the
@@ -1137,15 +1121,13 @@ def _assemble_result(
     )
 
 
-def routing_to_payload(result: RoutingResult) -> Optional[Dict[str, object]]:
-    """JSON-serializable routing result, or ``None`` without a forest.
+def routing_to_payload(result: RoutingResult) -> Dict[str, object]:
+    """JSON-serializable routing result.
 
     The route trees ride along as the flat forest's int lists, so a
     :class:`~repro.par.cache.PaRCache` hit can re-hydrate the full result
     (see :func:`routing_from_payload`) instead of re-routing.
     """
-    if result.forest is None:
-        return None
     return {
         "success": result.success,
         "iterations": result.iterations,

@@ -1,11 +1,10 @@
-"""Post-PaR timing analysis (legacy wrapper over :mod:`repro.timing`).
+"""Post-PaR timing report: the Table I summary of one STA analysis.
 
-Historically this module carried its own coarse wire-count estimate; it is
-now a thin wrapper over the vectorized STA engine in :mod:`repro.timing`,
-which times every routed connection exactly along its route-tree path.  The
-:class:`TimingReport` fields are unchanged, and ``logic_depth`` remains
-bit-compatible with the mapped network's LUT depth (the quantity of the
-paper's Table I).
+:func:`report_from_analysis` folds a :class:`~repro.timing.sta.TimingAnalysis`
+(from :func:`repro.timing.analyze`, which times every routed connection
+exactly along its route-tree path) into the :class:`TimingReport` the PAR
+flow returns.  ``logic_depth`` stays bit-compatible with the mapped
+network's LUT depth (the quantity of the paper's Table I).
 """
 
 from __future__ import annotations
@@ -15,12 +14,10 @@ from typing import Dict, Optional
 
 from ..fpga.device import Device
 from ..techmap.mapping import MappedNetwork
-from ..timing.sta import TimingAnalysis, analyze
-from .netlist import PhysicalNetlist
-from .placement import Placement
+from ..timing.sta import TimingAnalysis
 from .routing import RoutingResult
 
-__all__ = ["TimingReport", "analyze_timing", "report_from_analysis"]
+__all__ = ["TimingReport", "report_from_analysis"]
 
 
 @dataclass
@@ -66,21 +63,3 @@ def report_from_analysis(
         mean_net_wirelength=mean_wl,
         max_net_wirelength=max_wl,
     )
-
-
-def analyze_timing(
-    network: MappedNetwork,
-    netlist: PhysicalNetlist,
-    routing: Optional[RoutingResult],
-    device: Device,
-    placement: Optional[Placement] = None,
-) -> TimingReport:
-    """Estimate the critical path of a placed-and-routed mapped network.
-
-    Thin wrapper over :func:`repro.timing.analyze`.  ``placement`` sharpens
-    the engine's estimates for unrouted nets (and is required for exact
-    route-tree timing -- without it the engine falls back to structural
-    one-hop estimates, matching the seed implementation's unrouted view).
-    """
-    analysis = analyze(netlist, routing, device, placement=placement)
-    return report_from_analysis(analysis, network, routing, device)

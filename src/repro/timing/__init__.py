@@ -8,8 +8,8 @@ The subsystem has three layers:
   the arrival/required scans run as a handful of vector operations per
   level.
 * :mod:`repro.timing.delays` -- connection-delay extraction: exact per-sink
-  delays (and wire/switch/pin element counts) walked out of the router's
-  route trees against the architecture's per-resource delay model
+  delays (and wire/switch/pin element counts) scanned out of the routing
+  result's route forest against the architecture's per-resource delay model
   (:func:`repro.fpga.routing_graph.rr_delay_ns`), with placement-distance
   and structural estimates as pre-route fallbacks.
 * :mod:`repro.timing.sta` -- the engine: arrival / required / slack /
@@ -18,8 +18,9 @@ The subsystem has three layers:
   :class:`~repro.timing.sta.CriticalityTracker` that feeds criticalities
   back into the timing-driven router objective each PathFinder iteration.
 
-:func:`analyze` is the one-call entry point used by the PAR flow and the
-legacy :func:`repro.par.timing.analyze_timing` wrapper.
+:func:`analyze` is the one-call entry point used by the PAR flow; the
+flow folds its result into a :class:`~repro.par.timing.TimingReport` with
+:func:`repro.par.timing.report_from_analysis`.
 """
 
 from .delays import (

@@ -3,19 +3,16 @@
 The timing graph's edge delays come from one of three sources, in decreasing
 order of fidelity:
 
-* :func:`routed_edge_delays` -- exact per-sink delays walked out of the
-  router's route trees.  Each connection's delay is the sum of the
-  per-resource node delays (:func:`repro.fpga.routing_graph.rr_delay_ns`)
-  along the unique tree path from the net's SOURCE to that sink, and the
-  walk also counts the wire / switch / pin elements so the critical-path
-  breakdown can itemize them.  When the routing carries a flat
-  :class:`~repro.par.forest.RouteForest` (the astar kernel emits one),
-  the extraction is pure NumPy -- one depth-levelized accumulation over
-  the forest arrays plus a ``searchsorted`` join onto the timing edges,
-  bit-identical to the legacy walk.  Without a forest, route trees that
-  carry the router's connection list (``NetRoute.connections``) are walked
-  exactly per net; plain node-list trees fall back to a BFS over the RR
-  adjacency restricted to the tree's nodes.
+* :func:`routed_edge_delays` -- exact per-sink delays out of the routing
+  result's :class:`~repro.par.forest.RouteForest`.  Each connection's
+  delay is the sum of the per-resource node delays
+  (:func:`repro.fpga.routing_graph.rr_delay_ns`) along the tree path the
+  router grew from the net's SOURCE to that sink, and the scan also counts
+  the wire / switch / pin elements so the critical-path breakdown can
+  itemize them.  The extraction is pure NumPy -- one depth-levelized
+  accumulation over the forest arrays plus a ``searchsorted`` join onto
+  the timing edges -- bit-identical to the per-connection dict walk kept
+  as ``routed_edge_delays_reference`` in ``tests/oracles.py``.
 * :func:`estimated_edge_delays` -- pre-route estimate from placement:
   Manhattan distance in unit wires plus the pin hops.  This seeds the
   timing-driven router's first iteration.
@@ -31,6 +28,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..fpga.device import Device
+from ..par.forest import RouteForest, join_sorted
 from ..par.netlist import PhysicalNetlist
 from ..par.placement import Placement
 from .graph import TimingGraph
@@ -39,7 +37,6 @@ __all__ = [
     "sink_rr_of_blocks",
     "sink_rr_array",
     "routed_edge_delays",
-    "routed_wirecount_edge_delays",
     "estimated_edge_delays",
     "estimated_edge_delays_from_coords",
     "structural_edge_delays",
@@ -72,7 +69,7 @@ def sink_rr_array(graph: TimingGraph, sink_of: Dict[int, int]) -> np.ndarray:
 
 def _forest_edge_data(
     graph: TimingGraph,
-    forest,
+    forest: RouteForest,
     sink_arr: np.ndarray,
     delay_ns: np.ndarray,
     is_wire: np.ndarray,
@@ -85,8 +82,6 @@ def _forest_edge_data(
     connection.  Duplicate forest keys (two net pins on one block) carry
     identical accumulated values, so the first occurrence is taken.
     """
-    from ..par.forest import join_sorted
-
     conn_d, conn_w, conn_p, conn_ok = forest.connection_delay_elements(delay_ns, is_wire, is_pin)
     num_edges = graph.num_edges
     delay = np.zeros(num_edges)
@@ -107,68 +102,18 @@ def _forest_edge_data(
     return hit, delay, wires, pins
 
 
-def _walk_connections(conns, delay_ns, is_wire, is_pin, acc):
-    """Accumulate (delay, wires, pins) per tree node from a connection list.
-
-    ``conns`` is the router's ordered ``(target, path, attach)`` list: every
-    path's nodes hang off ``attach`` (already accumulated), target first.
-    """
-    for target, path, attach in conns:
-        if not path:
-            # Duplicate sink: the target node is already in the tree.
-            continue
-        base = acc.get(attach)
-        if base is None:
-            continue
-        d, w, p = base
-        for n in reversed(path):
-            d = d + float(delay_ns[n])
-            if is_wire[n]:
-                w += 1
-            elif is_pin[n]:
-                p += 1
-            acc[n] = (d, w, p)
-
-
-def _walk_bfs(nodes, source, fanouts, delay_ns, is_wire, is_pin, acc):
-    """BFS fallback over the RR adjacency restricted to the tree's nodes."""
-    node_set = set(nodes)
-    acc[source] = (0.0, 0, 0)
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            du, wu, pu = acc[u]
-            for v in fanouts(u):
-                v = int(v)
-                if v in node_set and v not in acc:
-                    acc[v] = (
-                        du + float(delay_ns[v]),
-                        wu + (1 if is_wire[v] else 0),
-                        pu + (1 if is_pin[v] else 0),
-                    )
-                    nxt.append(v)
-        frontier = nxt
-
-
 def routed_edge_delays(
     graph: TimingGraph,
-    routes: Dict[int, object],
+    forest: RouteForest,
     placement: Placement,
     device: Device,
     fallback: Optional[np.ndarray] = None,
-    forest=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact edge delays (and wire / pin counts) from route trees.
+    """Exact edge delays (and wire / pin counts) from a route forest.
 
     Returns ``(edge_delay, edge_wires, edge_pins)`` aligned with the graph's
-    edge arrays.  Connections whose net has no route tree fall back to
+    edge arrays.  Connections the forest does not route fall back to
     ``fallback`` (default: the placement estimate).
-
-    With a ``forest`` (:class:`~repro.par.forest.RouteForest`, as the
-    astar kernel attaches to its :class:`~repro.par.routing.RoutingResult`)
-    the extraction runs entirely on flat arrays -- no per-net Python walk
-    -- and produces bit-identical delays to the legacy dict walk below.
     """
     from ..fpga.routing_graph import RRNodeType
 
@@ -186,80 +131,13 @@ def routed_edge_delays(
     edge_pins = np.zeros(graph.num_edges, dtype=np.int32)
 
     sink_of = sink_rr_of_blocks(graph.netlist, placement, device)
-
-    if forest is not None:
-        hit, delay, wires, pins = _forest_edge_data(
-            graph,
-            forest,
-            sink_rr_array(graph, sink_of),
-            delay_ns,
-            is_wire,
-            is_pin,
-        )
-        edge_delay[hit] = delay[hit]
-        edge_wires[hit] = wires[hit]
-        edge_pins[hit] = pins[hit]
-        return edge_delay, edge_wires, edge_pins
-
-    # Per-net accumulated (delay, wires, pins) at every tree node.
-    per_net: Dict[int, Dict[int, Tuple[float, int, int]]] = {}
-    for nid, net_route in routes.items():
-        nodes = net_route.nodes
-        if not nodes:
-            continue
-        acc: Dict[int, Tuple[float, int, int]] = {}
-        conns = getattr(net_route, "connections", None)
-        if conns is not None:
-            acc[nodes[0]] = (0.0, 0, 0)
-            _walk_connections(conns, delay_ns, is_wire, is_pin, acc)
-        else:
-            _walk_bfs(nodes, nodes[0], rr.fanouts, delay_ns, is_wire, is_pin, acc)
-        per_net[int(nid)] = acc
-
-    for i in range(graph.num_edges):
-        acc = per_net.get(int(graph.edge_net[i]))
-        if acc is None:
-            continue
-        srr = sink_of.get(int(graph.edge_dst[i]))
-        if srr is None:
-            continue
-        hit = acc.get(srr)
-        if hit is None:
-            continue
-        edge_delay[i], edge_wires[i], edge_pins[i] = hit
+    hit, delay, wires, pins = _forest_edge_data(
+        graph, forest, sink_rr_array(graph, sink_of), delay_ns, is_wire, is_pin
+    )
+    edge_delay[hit] = delay[hit]
+    edge_wires[hit] = wires[hit]
+    edge_pins[hit] = pins[hit]
     return edge_delay, edge_wires, edge_pins
-
-
-def routed_wirecount_edge_delays(
-    graph: TimingGraph, routes: Dict[int, object], device: Device
-) -> np.ndarray:
-    """Per-net average-wires-per-sink estimate (routes without placement).
-
-    Without a placement the block -> SINK-RR mapping is unknown, so exact
-    per-sink tree walks are impossible -- but the route trees still carry
-    each net's total wire count.  This is the seed implementation's model:
-    every connection of a net charges the net's wires divided by its sink
-    count, so two routings of different wirelength yield different critical
-    paths even in this degraded mode.
-    """
-    from ..fpga.routing_graph import RRNodeType
-
-    rr = device.rr_graph
-    arch = device.arch
-    ntype = rr.node_type
-    is_wire = (ntype == RRNodeType.CHANX) | (ntype == RRNodeType.CHANY)
-    wires_per_sink: Dict[int, float] = {}
-    for nid, net_route in routes.items():
-        wires = sum(1 for n in net_route.nodes if is_wire[n])
-        sinks = max(1, len(graph.netlist.nets[int(nid)].sinks))
-        wires_per_sink[int(nid)] = wires / sinks
-    unit = arch.wire_hop_delay_ns
-    edge_delay = np.full(graph.num_edges, 2.0 * arch.pin_delay_ns + unit)
-    for i in range(graph.num_edges):
-        per_sink = wires_per_sink.get(int(graph.edge_net[i]))
-        if per_sink is not None:
-            edge_delay[i] = 2.0 * arch.pin_delay_ns + max(1.0, per_sink) * unit
-    return edge_delay
 
 
 def estimated_edge_delays(

@@ -12,7 +12,7 @@ The engine runs two levelized NumPy scans over a :class:`TimingGraph`:
 Per-connection slack and VPR-style criticality ``1 - slack / Dmax`` fall out
 of the same arrays, and the critical path is extracted by walking the
 arrival argmax backwards, itemized per element (LUT / wire / switch / pin)
-from the route-tree walk of :mod:`repro.timing.delays`.
+from the route-forest scan of :mod:`repro.timing.delays`.
 
 Invariants:
 
@@ -26,8 +26,8 @@ Invariants:
   diverge.
 * **Flat == dict.**  :meth:`CriticalityTracker.update_flat` (the dense
   ``conn_crit`` vector indexed by connection id) is bit-identical to the
-  dict-returning :meth:`CriticalityTracker.update`; the dict path is kept
-  as the equivalence baseline, not as a second behavior.
+  per-net dict walk ``criticality_update``, which lives in
+  ``tests/oracles.py`` as the equivalence baseline, not in this module.
 * **Criticalities are bounded.**  Every criticality lies in ``[0, 1]``;
   connections absent from the route set score ``0.0``, so a partially
   routed iteration can never over-prioritize missing nets.
@@ -43,12 +43,12 @@ import numpy as np
 from ..fpga.device import Device
 from ..obs import metrics as obs_metrics
 from ..obs.trace import span
+from ..par.forest import RouteForest, join_sorted
 from ..par.netlist import PhysicalNetlist
 from ..par.placement import Placement
 from .delays import (
     estimated_edge_delays,
     routed_edge_delays,
-    routed_wirecount_edge_delays,
     sink_rr_array,
     sink_rr_of_blocks,
     structural_edge_delays,
@@ -271,27 +271,25 @@ def analyze(
 ) -> TimingAnalysis:
     """Run the STA engine over one placed-and-routed netlist.
 
-    ``routing`` is a :class:`~repro.par.routing.RoutingResult` (or anything
-    with a ``routes`` dict), or ``None`` for a pre-route analysis.  With a
-    ``placement`` but no routing, connection delays are Manhattan-distance
-    estimates; with routing but no placement, the seed implementation's
-    per-net average-wires-per-sink model applies (exact per-sink tree walks
-    need the block -> SINK mapping only a placement provides); with
-    neither, every connection costs one wire hop -- the structural estimate
-    whose criticalities drive the timing-aware placer.
+    ``routing`` is a :class:`~repro.par.routing.RoutingResult` (anything
+    with a ``forest``), or ``None`` for a pre-route analysis.  A routing is
+    timed exactly from its route forest and needs the ``placement`` that
+    maps each block to its SINK RR node; a routing without a placement
+    raises ``ValueError``.  With a ``placement`` but no routing, connection
+    delays are Manhattan-distance estimates; with neither, every connection
+    costs one wire hop -- the structural estimate whose criticalities drive
+    the timing-aware placer.
     """
+    if routing is not None and placement is None:
+        raise ValueError("routed timing analysis needs the placement the routing was made on")
     with span("timing.sta.analyze", nets=len(netlist.nets)):
         arch = device.arch
         graph = build_timing_graph(netlist, arch.lut_delay_ns)
         edge_wires = edge_pins = None
-        routes = getattr(routing, "routes", None) if routing is not None else None
-        forest = getattr(routing, "forest", None) if routing is not None else None
-        if routes is not None and placement is not None:
+        if routing is not None:
             edge_delay, edge_wires, edge_pins = routed_edge_delays(
-                graph, routes, placement, device, forest=forest
+                graph, routing.forest, placement, device
             )
-        elif routes is not None:
-            edge_delay = routed_wirecount_edge_delays(graph, routes, device)
         elif placement is not None:
             edge_delay, edge_wires, edge_pins = estimated_edge_delays(graph, placement, arch)
         else:
@@ -402,8 +400,6 @@ class CriticalityTracker:
         self._num_rr = rr.num_nodes
         self._sink_arr = sink_rr_array(g, self._sink_rr)
         edge_sink = self._sink_arr[g.edge_dst] if g.num_edges else np.zeros(0, dtype=np.int64)
-        from ..par.forest import join_sorted
-
         valid = edge_sink >= 0
         ekey = g.edge_net.astype(np.int64) * self._num_rr + edge_sink
         self._conn_keys = np.unique(ekey[valid])  # sorted: defines cid order
@@ -421,9 +417,6 @@ class CriticalityTracker:
         #: :meth:`initial_flat` / :meth:`update_flat`.
         self.conn_crit = np.zeros(self.num_connections)
         self._delay_view = rr.search_view().delay_ns
-        #: per-net fragment memo for build_route_forest: across PathFinder
-        #: iterations only re-routed nets are re-flattened.
-        self._frag_cache: Dict[int, tuple] = {}
 
     # -- flat hot path -------------------------------------------------------
 
@@ -445,19 +438,13 @@ class CriticalityTracker:
         self.critical_path_ns = dmax
         return self._fold_to_conns(crit)
 
-    def update_flat(self, routes, forest=None) -> np.ndarray:
-        """Re-time the route trees over the flat forest, in place.
+    def update_flat(self, forest: RouteForest) -> np.ndarray:
+        """Re-time the route trees of ``forest``, in place.
 
-        ``forest`` defaults to flattening ``routes`` (the astar kernel's
-        trees carry connection lists, so the build is one cheap pass); the
-        delay extraction, STA scans and criticality fold are then pure
+        The delay extraction, STA scans and criticality fold are pure
         NumPy.  Returns :attr:`conn_crit` (the same array object every
         call).
         """
-        if forest is None:
-            from ..par.forest import build_route_forest
-
-            forest = build_route_forest(routes, self.device.rr_graph, cache=self._frag_cache)
         edge_delay = self._edge_delay_from_forest(forest)
         *_, crit, dmax, _depth = _scan(self.graph, edge_delay)
         self.critical_path_ns = dmax
@@ -465,10 +452,8 @@ class CriticalityTracker:
         obs_metrics.add("sta.retime_updates")
         return self._fold_to_conns(crit)
 
-    def _edge_delay_from_forest(self, forest) -> np.ndarray:
+    def _edge_delay_from_forest(self, forest: RouteForest) -> np.ndarray:
         """Routed edge delays from the forest (estimate where unrouted)."""
-        from ..par.forest import join_sorted
-
         conn_d, ok = forest.connection_delays(self._delay_view)
         keys = forest.connection_keys()
         edge_delay = self._estimate.copy()

@@ -13,6 +13,10 @@ directory on ``sys.path``):
   placer that ``timing_driven_placement`` must match or beat;
 * :func:`simulate_patterns_reference` -- the per-node interpreter the
   compiled simulation engine must equal bit for bit;
+* :func:`routed_edge_delays_reference` -- the per-net walk over each
+  route's ``(target, path, attach)`` connections that the route-forest
+  scan :func:`~repro.timing.delays.routed_edge_delays` must equal bit for
+  bit;
 * :func:`criticality_initial` / :func:`criticality_update` -- the per-net
   dict walk the flat :class:`~repro.timing.sta.CriticalityTracker` path
   must equal bit for bit;
@@ -42,6 +46,7 @@ from repro.netlist.circuit import Circuit, Op
 from repro.netlist.library import eval_gate
 from repro.netlist.simulate import _pattern_mask
 from repro.obs import metrics as obs_metrics
+from repro.par.forest import build_route_forest
 from repro.par.netlist import PhysicalNetlist
 from repro.par.placement import (
     Placement,
@@ -62,8 +67,12 @@ from repro.par.routing import (
     _base_cost_array,
     terminal_rr_nodes,
 )
-from repro.timing.delays import routed_edge_delays, structural_edge_delays
-from repro.timing.graph import build_timing_graph
+from repro.timing.delays import (
+    estimated_edge_delays,
+    sink_rr_of_blocks,
+    structural_edge_delays,
+)
+from repro.timing.graph import TimingGraph, build_timing_graph
 from repro.timing.sta import (
     CriticalityTracker,
     _scan,
@@ -77,6 +86,7 @@ __all__ = [
     "place_reference",
     "candidates_timing_placement",
     "simulate_patterns_reference",
+    "routed_edge_delays_reference",
     "criticality_initial",
     "criticality_update",
     "build_rr_graph_reference",
@@ -149,9 +159,11 @@ def route_reference(
             sinks,
             key=lambda t: -(abs(int(node_x[t]) - sx) + abs(int(node_y[t]) - sy)),
         )
+        conns: List[Tuple[int, List[int], int]] = []
         for target in order:
             if target in tree_set:
                 occupancy[target] += 1
+                conns.append((target, [], target))
                 continue
             generation += 1
             gen = generation
@@ -193,11 +205,13 @@ def route_reference(
             while n != -1 and n not in tree_set:
                 path.append(n)
                 n = int(prev_node[n])
+            # ``n`` is the attach node; the merge loop below rebinds it.
+            conns.append((target, path, n))
             for n in path:
                 tree_set.add(n)
                 tree.append(n)
                 occupancy[n] += 1
-        return NetRoute(net_id, tree)
+        return NetRoute(net_id, tree, connections=conns)
 
     def rip_up(net_route: NetRoute) -> None:
         for n in net_route.nodes:
@@ -245,7 +259,8 @@ def route_reference(
         "iteration_wall_ms": tl_wall_ms,
     }
     return _assemble_result(
-        rr, routes, occupancy, capacity, success, iteration, telemetry=telemetry
+        rr, routes, occupancy, capacity, success, iteration,
+        build_route_forest(routes, rr), telemetry=telemetry,
     )
 
 
@@ -514,7 +529,84 @@ def simulate_patterns_reference(
     return {nid: values[nid] for nid in circuit.node_ids()}
 
 
-# -- timing-driven routing criticalities ---------------------------------------
+# -- routed delays and timing-driven routing criticalities ----------------------
+
+
+def _walk_connections(conns, delay_ns, is_wire, is_pin, acc):
+    """Accumulate (delay, wires, pins) per tree node from a connection list.
+
+    ``conns`` is the router's ordered ``(target, path, attach)`` list: every
+    path's nodes hang off ``attach`` (already accumulated), target first.
+    """
+    for target, path, attach in conns:
+        if not path:
+            # Duplicate sink: the target node is already in the tree.
+            continue
+        base = acc.get(attach)
+        if base is None:
+            continue
+        d, w, p = base
+        for n in reversed(path):
+            d = d + float(delay_ns[n])
+            if is_wire[n]:
+                w += 1
+            elif is_pin[n]:
+                p += 1
+            acc[n] = (d, w, p)
+
+
+def routed_edge_delays_reference(
+    graph: TimingGraph,
+    routes: Mapping[int, NetRoute],
+    placement: Placement,
+    device: Device,
+    fallback: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-net dict walk of the route trees' connection lists.
+
+    Checks :func:`~repro.timing.delays.routed_edge_delays` (the route-forest
+    scan) bit for bit: ``test_forest.py``, ``test_timing.py`` and the
+    ``retime`` section's ``delays_identical`` gate in ``check_quality.py``,
+    which also times it as the flat path's baseline.  Returns
+    ``(edge_delay, edge_wires, edge_pins)``; connections whose net has no
+    route tree keep ``fallback`` (default: the placement estimate).
+    """
+    rr = device.rr_graph
+    delay_ns = rr.search_view().delay_ns
+    ntype = rr.node_type
+    is_wire = (ntype == RRNodeType.CHANX) | (ntype == RRNodeType.CHANY)
+    is_pin = (ntype == RRNodeType.OPIN) | (ntype == RRNodeType.IPIN)
+
+    if fallback is None:
+        fallback = estimated_edge_delays(graph, placement, device.arch)[0]
+    edge_delay = fallback.copy()
+    edge_wires = np.zeros(graph.num_edges, dtype=np.int32)
+    edge_pins = np.zeros(graph.num_edges, dtype=np.int32)
+
+    sink_of = sink_rr_of_blocks(graph.netlist, placement, device)
+
+    # Per-net accumulated (delay, wires, pins) at every tree node.
+    per_net: Dict[int, Dict[int, Tuple[float, int, int]]] = {}
+    for nid, net_route in routes.items():
+        nodes = net_route.nodes
+        if not nodes:
+            continue
+        acc: Dict[int, Tuple[float, int, int]] = {nodes[0]: (0.0, 0, 0)}
+        _walk_connections(net_route.connections, delay_ns, is_wire, is_pin, acc)
+        per_net[int(nid)] = acc
+
+    for i in range(graph.num_edges):
+        acc = per_net.get(int(graph.edge_net[i]))
+        if acc is None:
+            continue
+        srr = sink_of.get(int(graph.edge_dst[i]))
+        if srr is None:
+            continue
+        hit = acc.get(srr)
+        if hit is None:
+            continue
+        edge_delay[i], edge_wires[i], edge_pins[i] = hit
+    return edge_delay, edge_wires, edge_pins
 
 
 def _conn_dict(
@@ -553,7 +645,7 @@ def criticality_update(tracker: CriticalityTracker, routes) -> Dict[Tuple[int, i
     ``retime`` section's ``criticality_identical`` gate in
     ``check_quality.py``, which also times it as the flat path's baseline.
     """
-    edge_delay, _w, _p = routed_edge_delays(
+    edge_delay, _w, _p = routed_edge_delays_reference(
         tracker.graph, routes, tracker.placement, tracker.device, fallback=tracker._estimate
     )
     *_, crit, dmax, _depth = _scan(tracker.graph, edge_delay)

@@ -1,10 +1,11 @@
 """Tests for the flat route forest, flat STA hot path, and route caching.
 
-The contract under test: the flat :class:`repro.par.forest.RouteForest`
-must be a lossless, bit-identical replacement for the per-net dict walks
-of PR 4 -- same wirelength, same routed delays, same criticality vectors,
-on every routing kernel -- and must round-trip through the on-disk cache
-so hits re-hydrate routes instead of re-routing.
+The contract under test: every routing result, on every kernel and
+converged or not, carries a flat :class:`repro.par.forest.RouteForest`
+that is a lossless, bit-identical replacement for the per-net dict walks
+in ``tests/oracles.py`` -- same wirelength, same routed delays, same
+criticality vectors -- and that round-trips through the on-disk cache so
+hits re-hydrate routes instead of re-routing.
 """
 
 import json
@@ -16,6 +17,7 @@ from oracles import (
     criticality_initial,
     criticality_update,
     route_reference,
+    routed_edge_delays_reference,
 )
 
 from repro.fpga.architecture import FPGAArchitecture, auto_size
@@ -24,7 +26,7 @@ from repro.fpga.routing_graph import RRNodeType
 from repro.netlist.hdl import Design
 from repro.par.cache import PaRCache
 from repro.par.flow import cached_route, timing_driven_placement
-from repro.par.forest import RouteForest, build_route_forest
+from repro.par.forest import RouteForest
 from repro.par.netlist import PhysicalNetlist
 from repro.par.placement import TimingCost, hpwl, place
 from repro.par.routing import (
@@ -36,7 +38,7 @@ from repro.synth.optimize import optimize
 from repro.techmap import map_conventional
 from repro.timing.delays import estimated_edge_delays, routed_edge_delays
 from repro.timing.graph import build_timing_graph
-from repro.timing.sta import CriticalityTracker, analyze
+from repro.timing.sta import CriticalityTracker, _scan, analyze
 
 KERNELS = ["astar", "fast", "reference"]
 
@@ -79,64 +81,86 @@ def wire_mask(device):
 
 
 class TestForestRoundTrip:
-    def test_directed_kernels_emit_forest(self, routed_pe):
+    def test_fast_forest_equals_reference(self, routed_pe):
+        """Every kernel emits a forest; fast's equals the oracle's exactly."""
         _nl, _arch, _device, _placement, results = routed_pe
-        assert results["astar"].forest is not None
-        # Baselines stay untouched (their benchmark timings must not pay
-        # a forest build).
-        assert results["fast"].forest is None
-        assert results["reference"].forest is None
+        for kernel in KERNELS:
+            assert isinstance(results[kernel].forest, RouteForest), kernel
+        fast, ref = results["fast"].forest, results["reference"].forest
+        for name, value in vars(ref).items():
+            if isinstance(value, np.ndarray):
+                mine = getattr(fast, name)
+                assert mine.dtype == value.dtype, name
+                assert np.array_equal(mine, value), name
+        assert fast.num_rr_nodes == ref.num_rr_nodes
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_wirelength_matches(self, routed_pe, kernel):
         _nl, _arch, device, _placement, results = routed_pe
         r = results[kernel]
-        forest = r.forest or build_route_forest(r.routes, device.rr_graph)
-        assert forest.wirelength(wire_mask(device)) == r.wirelength
+        assert r.forest.wirelength(wire_mask(device)) == r.wirelength
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_net_routes_round_trip(self, routed_pe, kernel):
-        _nl, _arch, device, _placement, results = routed_pe
+        _nl, _arch, _device, _placement, results = routed_pe
         r = results[kernel]
-        forest = r.forest or build_route_forest(r.routes, device.rr_graph)
-        rebuilt = forest.to_net_routes()
+        rebuilt = r.forest.to_net_routes()
         assert set(rebuilt) == set(r.routes)
         for nid, nr in r.routes.items():
             assert set(rebuilt[nid].nodes) == set(nr.nodes)
             assert rebuilt[nid].nodes[0] == nr.nodes[0]  # source first
+            assert rebuilt[nid].connections == nr.connections
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_routed_delays_bit_identical(self, routed_pe, kernel):
-        """Flat extraction == legacy dict walk, to the last bit."""
+        """Flat extraction == the oracle's connection dict walk, to the last bit."""
         nl, arch, device, placement, results = routed_pe
         r = results[kernel]
-        forest = r.forest or build_route_forest(r.routes, device.rr_graph)
         graph = build_timing_graph(nl, arch.lut_delay_ns)
         fb = estimated_edge_delays(graph, placement, arch)[0]
-        d_dict, w_dict, p_dict = routed_edge_delays(
+        d_dict, w_dict, p_dict = routed_edge_delays_reference(
             graph, r.routes, placement, device, fallback=fb
         )
         d_flat, w_flat, p_flat = routed_edge_delays(
-            graph, r.routes, placement, device, fallback=fb, forest=forest
+            graph, r.forest, placement, device, fallback=fb
         )
         assert np.array_equal(d_dict, d_flat)
         assert np.array_equal(w_dict, w_flat)
         assert np.array_equal(p_dict, p_flat)
 
     def test_analysis_identical_with_and_without_forest(self, routed_pe):
-        """analyze() reports the same critical path through either path."""
-        nl, _arch, device, placement, results = routed_pe
-        r = results["astar"]
-        a_flat = analyze(nl, r, device, placement=placement)
-        stripped = type(r)(
-            routes=r.routes, success=r.success, iterations=r.iterations,
-            wirelength=r.wirelength, overused_nodes=r.overused_nodes,
-            max_channel_occupancy=r.max_channel_occupancy, forest=None,
-        )
-        a_dict = analyze(nl, stripped, device, placement=placement)
-        assert a_flat.critical_path_ns == a_dict.critical_path_ns
-        assert np.array_equal(a_flat.edge_delay, a_dict.edge_delay)
-        assert np.array_equal(a_flat.edge_criticality, a_dict.edge_criticality)
+        """analyze() reports the critical path of the oracle's dict walk."""
+        nl, arch, device, placement, results = routed_pe
+        for kernel in KERNELS:
+            r = results[kernel]
+            a_flat = analyze(nl, r, device, placement=placement)
+            graph = build_timing_graph(nl, arch.lut_delay_ns)
+            d_dict, _w, _p = routed_edge_delays_reference(graph, r.routes, placement, device)
+            *_, crit, dmax, _depth = _scan(graph, d_dict)
+            assert a_flat.critical_path_ns == dmax, kernel
+            assert np.array_equal(a_flat.edge_delay, d_dict), kernel
+            assert np.array_equal(a_flat.edge_criticality, crit), kernel
+
+    def test_fast_critical_path_is_exact(self):
+        """A ``fast`` route is timed along the tree it grew, not a BFS shortcut.
+
+        Regression: timing a node-list tree by BFS over the RR graph found
+        edges the route never used and under-reported this adder's critical
+        path (8.6 ns instead of 9.0 ns).
+        """
+        from repro.par.netlist import from_mapped_network
+
+        nl = from_mapped_network(adder_network(10))
+        arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=8)
+        device = build_device(arch)
+        placement = place(nl, arch, seed=0, effort=0.4).placement
+        r = route(nl, placement, device, kernel="fast")
+        assert r.success
+        analysis = analyze(nl, r, device, placement=placement)
+        assert analysis.critical_path_ns == pytest.approx(9.0)
+        graph = build_timing_graph(nl, arch.lut_delay_ns)
+        d_dict, _w, _p = routed_edge_delays_reference(graph, r.routes, placement, device)
+        assert analysis.critical_path_ns == _scan(graph, d_dict)[5]
 
     def test_payload_round_trip_through_json(self, routed_pe):
         _nl, _arch, device, _placement, results = routed_pe
@@ -186,7 +210,7 @@ class TestFlatCriticality:
         nl, _arch, device, placement, results = routed_pe
         r = results["astar"]
         tracker = CriticalityTracker(nl, placement, device, exponent=2.0)
-        flat = tracker.update_flat(r.routes).copy()
+        flat = tracker.update_flat(r.forest).copy()
         legacy = criticality_update(tracker, r.routes)
         assert set(legacy) <= set(tracker.conn_index)
         for key, value in legacy.items():
@@ -208,7 +232,7 @@ class TestFlatCriticality:
         nl, _arch, device, placement, results = routed_pe
         tracker = CriticalityTracker(nl, placement, device)
         first = tracker.initial_flat()
-        second = tracker.update_flat(results["astar"].routes)
+        second = tracker.update_flat(results["astar"].forest)
         assert first is second  # same buffer, refreshed in place
 
     def test_timing_objective_kernels_agree_with_pre_forest_quality(self, routed_pe):
@@ -284,24 +308,39 @@ class TestCacheRehydration:
         assert any(v.get("success") and "timing" in v for v in values)
         assert result.min_channel_width >= 1
 
-    def test_failed_routes_carry_no_forest(self):
-        """A congested result's trees are not flattened (probe fast path)."""
-        nl = PhysicalNetlist("pair")
-        a = nl.add_block("pi", "io")
-        blocks = [nl.add_block(f"l{i}", "clb") for i in range(4)]
-        for i, b in enumerate(blocks):
-            nl.add_net(f"n{i}", a, [b])
-            nl.add_net(f"m{i}", b, [blocks[(i + 1) % 4]])
-        nl.validate()
-        arch = FPGAArchitecture(width=2, height=2, channel_width=1)
-        device = build_device(arch)
-        placement = place(nl, arch, seed=0, effort=0.3).placement
-        try:
-            result = route(nl, placement, device, kernel="astar", max_iterations=2)
-        except RuntimeError:
-            return  # unroutable even with congestion allowed: nothing to assert
-        if not result.success:
-            assert result.forest is None
+    def test_failed_routes_carry_forest(self, congested):
+        """A non-converged result still carries the forest of its trees."""
+        nl, placement, device = congested
+        for kernel in ("astar", "fast"):
+            result = route(nl, placement, device, kernel=kernel, max_iterations=2)
+            assert not result.success, kernel
+            assert result.forest.wirelength(wire_mask(device)) == result.wirelength
+            for nid, nr in result.forest.to_net_routes().items():
+                assert set(nr.nodes) == set(result.routes[nid].nodes)
+
+    def test_cached_route_never_stores_nonconverged(self, congested, tmp_path):
+        nl, placement, device = congested
+        cache = PaRCache(tmp_path / "routes")
+        result = cached_route(
+            nl, placement, device, cache=cache, max_iterations=2, degrade=False
+        )
+        assert not result.success and result.kernel == "astar"
+        assert not list((tmp_path / "routes").glob("*.json"))
+
+
+@pytest.fixture(scope="module")
+def congested():
+    """A placed design that cannot converge in two router iterations."""
+    nl = PhysicalNetlist("ring")
+    a = nl.add_block("pi", "io")
+    blocks = [nl.add_block(f"l{i}", "clb") for i in range(4)]
+    for i, b in enumerate(blocks):
+        nl.add_net(f"n{i}", a, [b])
+        nl.add_net(f"m{i}", b, [blocks[(i + 1) % 4]])
+    nl.validate()
+    arch = FPGAArchitecture(width=2, height=2, channel_width=1)
+    placement = place(nl, arch, seed=0, effort=0.3).placement
+    return nl, placement, build_device(arch)
 
 
 class TestIncrementalPlacer:

@@ -18,9 +18,11 @@ from repro.par.metrics import channel_occupancy, minimum_channel_width
 from repro.par.netlist import PhysicalNetlist, from_mapped_network
 from repro.par.placement import hpwl, place, random_placement
 from repro.par.routing import route, route_resilient
-from repro.par.timing import analyze_timing
+from repro.par.timing import report_from_analysis
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional, map_parameterized
+from repro.timing import analyze, routed_edge_delays
+from repro.timing.sta import CriticalityTracker
 
 
 def adder_network(width=4, param=False):
@@ -327,10 +329,15 @@ class TestShippedSurface:
         ),
         run_pe_flow: ("workers",),
         compare_pe_flows: ("workers",),
+        routed_edge_delays: ("routes",),
+        CriticalityTracker.update_flat: ("routes",),
     }
     #: Test oracles that live in tests/oracles.py, never in the package.
     ORACLES = {"_route_reference", "_place_reference", "simulate_patterns_reference",
-               "AUTO_KERNEL"}
+               "AUTO_KERNEL", "routed_edge_delays_reference", "_walk_connections"}
+    #: Retired route-tree fallbacks: every routing result carries a forest.
+    FALLBACKS = {"_walk_bfs", "_fragment_from_tree", "routed_wirecount_edge_delays",
+                 "analyze_timing"}
     #: Retired scale-out seams: the placement sweep and the cache-tier protocol.
     RETIRED = {
         "repro.par": ("placement_sweep", "best_placement"),
@@ -345,7 +352,7 @@ class TestShippedSurface:
             for name in names:
                 assert name not in params, f"{fn.__qualname__}({name}=) is back"
                 removed += 1
-        assert removed == 24
+        assert removed == 26
         assert inspect.signature(route).parameters["kernel"].default == "astar"
 
         import importlib
@@ -372,8 +379,9 @@ class TestShippedSurface:
                     names = [t.id for t in node.targets if isinstance(t, ast.Name)]
                 else:
                     continue
-                defined += [f"{path.name}:{n}" for n in names if n in self.ORACLES]
-        assert not defined, f"oracles shipped in src/repro: {defined}"
+                retired = self.ORACLES | self.FALLBACKS
+                defined += [f"{path.name}:{n}" for n in names if n in retired]
+        assert not defined, f"oracles or fallbacks shipped in src/repro: {defined}"
         assert pools == {"service/pool.py"}, f"process pools outside the service: {pools}"
 
 
@@ -469,7 +477,7 @@ class TestTimingAndFlow:
         nl = from_mapped_network(net)
         arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks())
         device = build_device(arch)
-        report = analyze_timing(net, nl, None, device)
+        report = report_from_analysis(analyze(nl, None, device), net, None, device)
         assert report.logic_depth == net.depth()
         assert report.critical_path_ns > 0
 
@@ -481,7 +489,8 @@ class TestTimingAndFlow:
         placement = place(nl, arch, seed=0, effort=0.4).placement
         routing = route(nl, placement, device)
         assert routing.success
-        report = analyze_timing(net, nl, routing, device)
+        analysis = analyze(nl, routing, device, placement=placement)
+        report = report_from_analysis(analysis, net, routing, device)
         assert report.logic_depth == net.depth()
         assert report.critical_path_ns > 0
         # Routed wire statistics must reflect the actual route trees.

@@ -111,12 +111,11 @@ def test_cache_round_trip_equals_fresh_compute(params, tmp_path_factory):
     assert {n: sorted(r.nodes) for n, r in rehydrated.routes.items()} == {
         n: sorted(r.nodes) for n, r in fresh.routes.items()
     }
-    if fresh.success and fresh.forest is not None:
-        # A cacheable route (converged, forest-carrying) must be served
-        # from disk the second time, not recomputed.
+    if fresh.success:
+        # A cacheable (converged) route must be served from disk the
+        # second time, not recomputed.
         assert cache.stats()["hits"] == 1
         assert rehydrated.iterations == fresh.iterations
-        assert rehydrated.forest is not None
         rehydrated.forest.validate()
 
 

@@ -15,7 +15,7 @@ from repro.par.flow import place_and_route, timing_driven_placement
 from repro.par.netlist import PhysicalNetlist, from_mapped_network
 from repro.par.placement import hpwl, place
 from repro.par.routing import route
-from repro.par.timing import analyze_timing
+from repro.par.timing import report_from_analysis
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional
 from repro.timing import (
@@ -133,23 +133,21 @@ class TestSTAInvariants:
         luts = sum(e.count for e in analysis.critical_path if e.kind == "lut")
         assert luts == analysis.logic_depth
 
-    def test_breakdown_without_connection_lists(self):
-        # The fast kernel's route trees carry no connection lists: the
-        # engine must fall back to the BFS tree walk and still reconcile.
+    def test_fast_breakdown_sums_to_critical_path(self):
+        # The fast kernel's trees are timed from the same forest as
+        # astar's, so the breakdown reconciles on either kernel.
         net, nl, arch, device, placement, routing = routed_design(kernel="fast")
-        assert all(r.connections is None for r in routing.routes.values())
         analysis = analyze(nl, routing, device, placement=placement)
+        assert analysis.critical_path
         total = sum(e.delay_ns for e in analysis.critical_path)
         assert total == pytest.approx(analysis.critical_path_ns, rel=1e-9)
 
-    def test_routed_analysis_without_placement_uses_wire_counts(self):
-        # Routing without a placement must still reflect the routed wire
-        # counts (the seed model), not fall back to the structural
-        # one-hop estimate.
+    def test_routed_analysis_without_placement_raises(self):
+        # Routed delays need the block -> SINK mapping only a placement
+        # provides; there is no approximate fallback.
         net, nl, arch, device, placement, routing = routed_design()
-        with_routes = analyze(nl, routing, device)
-        structural = analyze(nl, None, device)
-        assert with_routes.critical_path_ns > structural.critical_path_ns
+        with pytest.raises(ValueError, match="placement"):
+            analyze(nl, routing, device)
 
     def test_connection_criticality_keys(self):
         net, nl, arch, device, placement, routing = routed_design()
@@ -181,7 +179,7 @@ class TestLegacyParity:
     def test_legacy_wrapper_matches_engine(self):
         net, nl, arch, device, placement, routing = routed_design()
         analysis = analyze(nl, routing, device, placement=placement)
-        report = analyze_timing(net, nl, routing, device, placement=placement)
+        report = report_from_analysis(analysis, net, routing, device)
         assert report.logic_depth == net.depth() == analysis.logic_depth
         assert report.critical_path_ns == pytest.approx(analysis.critical_path_ns)
         total_wires = sum(
