@@ -201,6 +201,15 @@ class RRGraph:
             self.__dict__["_search_view"] = view
         return view
 
+    def release_search_view(self) -> None:
+        """Drop the cached :meth:`search_view`; the next call rebuilds it.
+
+        The view and its per-sink entry maps take more memory than the
+        graph itself, so an owner that keeps the graph after its last route
+        and STA releases them.
+        """
+        self.__dict__.pop("_search_view", None)
+
 
 class RouterSearchView:
     """Flat mirrors of an :class:`RRGraph` for the directed search kernel.

@@ -280,6 +280,10 @@ class _Span:
         self._name = name
         self._args = args
 
+    def annotate(self, **args: Any) -> None:
+        """Add ``args`` to the span's payload (known only once its work ran)."""
+        self._args.update(args)
+
     def __enter__(self) -> "_Span":
         stack = self._tracer._stack()
         self._depth = len(stack)
@@ -308,6 +312,9 @@ class _NullSpan:
 
     def __enter__(self) -> "_NullSpan":
         return self
+
+    def annotate(self, **args: Any) -> None:
+        pass
 
     def __exit__(self, *exc: Any) -> bool:
         return False

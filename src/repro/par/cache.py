@@ -74,7 +74,10 @@ class CacheIOError(OSError):
 #: route trees, see :mod:`repro.par.forest`) next to the metrics, so cache
 #: hits re-hydrate routes instead of re-routing; metrics-only v3 entries
 #: must read as misses.
-ROUTE_ALGO_VERSION = 4
+#: v5: min-CW probes stop early under the routing-failure predictor, so a
+#: failed probe's cached ``iterations`` may be smaller, and probe values
+#: carry ``aborted``.
+ROUTE_ALGO_VERSION = 5
 #: Bump when a placement kernel change moves placements; service job keys
 #: (:meth:`repro.service.spec.JobSpec.job_key`) fold it in.
 #: v3: ``place()`` and ``place_and_route()`` default to the ``batched``

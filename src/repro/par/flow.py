@@ -274,6 +274,9 @@ def place_and_route(
     )
     sta = analyze(netlist, routing, device, placement=placement.placement)
     timing = report_from_analysis(sta, network, routing, device)
+    # Nothing reads the router's search view after the STA: a kept
+    # PaRResult (and the min-CW probes below) need not hold it.
+    device.rr_graph.release_search_view()
 
     min_cw = None
     if find_min_channel_width:

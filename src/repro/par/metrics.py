@@ -10,6 +10,15 @@ runs it serially with the placement held fixed, as VPR does, and can memoize
 every probe in an on-disk :class:`repro.par.cache.PaRCache`, so harness
 re-runs and neighbouring experiments (Table I/II, reconfiguration) reuse
 routes instead of recomputing them.
+
+Each probe routes with the routing-failure predictor on
+(:func:`repro.par.routing.predict_failure`): a width whose overuse stalls
+or falls too slowly to reach zero within the probe's iteration budget is
+abandoned early and reported as a failure.  ``tests/oracles.py`` keeps the
+search without the predictor, and the tests check that both find the same
+width with the same per-width outcomes.  The search keeps one probe record
+per width, ``{"converged", "iterations", "aborted"}``, on
+:attr:`MinChannelWidthResult.probes` and :attr:`ChannelWidthError.probes`.
 """
 
 from __future__ import annotations
@@ -40,9 +49,10 @@ class ChannelWidthError(RuntimeError):
 
     Subclasses ``RuntimeError`` for backward compatibility; carries the
     probe history so callers can log *why* bisection failed -- one
-    ``{"converged": bool, "iterations": int | None}`` entry per width
-    probed before giving up (``iterations`` is ``None`` for probes served
-    by a pre-resilience cache entry or aborted by a search error).
+    ``{"converged": bool, "iterations": int | None, "aborted": bool}``
+    entry per width probed before giving up (``iterations`` is ``None``
+    when the router raised at that width, e.g. on an unreachable sink;
+    ``aborted`` marks a probe the routing-failure predictor stopped early).
     """
 
     def __init__(
@@ -55,10 +65,7 @@ class ChannelWidthError(RuntimeError):
 def channel_occupancy(result: RoutingResult, device: Device) -> Dict[str, int]:
     """Peak and mean occupancy of the routing channels after routing."""
     rr = device.rr_graph
-    occ = np.zeros(rr.num_nodes, dtype=np.int64)
-    for net_route in result.routes.values():
-        for n in net_route.nodes:
-            occ[n] += 1
+    occ = np.bincount(result.forest.node, minlength=rr.num_nodes)
     wire_mask = (rr.node_type == RRNodeType.CHANX) | (rr.node_type == RRNodeType.CHANY)
     wires = occ[wire_mask]
     return {
@@ -73,7 +80,9 @@ class MinChannelWidthResult:
     """Outcome of the minimum-channel-width binary search."""
 
     min_channel_width: int
-    attempts: Dict[int, bool]
+    #: one record per probed width: ``{"converged": bool, "iterations":
+    #: int | None, "aborted": bool}`` (see :class:`ChannelWidthError`).
+    probes: Dict[int, Dict[str, Any]]
     wirelength_at_min: int
     #: STA summary (critical_path_ns, logic_depth) of the route at the
     #: minimum width; ``None`` only for legacy cache entries that predate
@@ -82,6 +91,11 @@ class MinChannelWidthResult:
     #: structured recovery log of the search (cache read errors, dropped
     #: cache writes); empty on a fault-free run.
     events: List[Dict[str, Any]] = field(default_factory=list)
+
+    @property
+    def attempts(self) -> Dict[int, bool]:
+        """Whether each probed width routed."""
+        return {w: p["converged"] for w, p in self.probes.items()}
 
     def describe(self) -> str:
         """One-line summary: the found width and every probe's outcome."""
@@ -97,13 +111,13 @@ def _probe(
     base_arch: FPGAArchitecture,
     width: int,
     max_iterations: int,
-) -> Tuple[bool, int, Optional[Dict], Optional[int]]:
-    """Route at one channel width.
+) -> Tuple[bool, int, Optional[Dict], Optional[int], bool]:
+    """Route at one channel width, with the routing-failure predictor on.
 
-    Returns ``(ok, wirelength, timing_summary, iterations)`` -- the timing
-    summary rides along so the cache keeps the delay axis next to the
-    wirelength metrics, and the iteration count feeds the probe history of
-    :class:`ChannelWidthError`.  The STA runs only on converged routes: the
+    Returns ``(ok, wirelength, timing_summary, iterations, aborted)`` -- the
+    timing summary rides along so the cache keeps the delay axis next to the
+    wirelength metrics; the iteration count and the predictor's verdict feed
+    the probe record.  The STA runs only on converged routes: the
     search spends most of its probes on deliberately-congested widths whose
     timing would be both meaningless and wasted work.  Route *trees* are
     deliberately not cached here: the probe keys (probe iteration budget)
@@ -115,15 +129,17 @@ def _probe(
 
     device = build_device(base_arch.with_channel_width(width))
     try:
-        result = route(netlist, placement, device, max_iterations=max_iterations)
+        result = route(
+            netlist, placement, device, max_iterations=max_iterations, abort_hopeless=True
+        )
     except RuntimeError:
         # An unreachable sink at this width is a legitimate probe outcome
         # (the width is below the minimum), not a search failure.
-        return False, 0, None, None
+        return False, 0, None, None, False
     timing = None
     if result.success:
         timing = analyze(netlist, result, device, placement=placement).summary()
-    return result.success, result.wirelength, timing, result.iterations
+    return result.success, result.wirelength, timing, result.iterations, result.aborted
 
 
 def minimum_channel_width(
@@ -143,20 +159,22 @@ def minimum_channel_width(
     pass a :class:`~repro.par.cache.PaRCache` or rely on
     ``PaRCache.from_env()`` at the call site.
 
-    Every probe routes with the default ``astar`` kernel.  When even an
-    extremely wide channel fails, :class:`ChannelWidthError` carries the
-    full probe history.
+    Every probe routes with the default ``astar`` kernel and the
+    routing-failure predictor.  ``1 <= low <= high`` or ``ValueError``.
+    When even an extremely wide channel fails, :class:`ChannelWidthError`
+    carries the full probe history.
     """
-    attempts: Dict[int, bool] = {}
+    if low < 1 or low > high:
+        raise ValueError(f"min-CW bounds need 1 <= low <= high, got low={low}, high={high}")
+    probes: Dict[int, Dict[str, Any]] = {}
     wl_at: Dict[int, int] = {}
     timing_at: Dict[int, Dict] = {}
-    iters_at: Dict[int, Optional[int]] = {}
     events: List[Dict[str, Any]] = []
 
     def evaluate(width: int) -> bool:
         """Whether the design routes at ``width``; each width routes once."""
-        if width in attempts:
-            return attempts[width]
+        if width in probes:
+            return probes[width]["converged"]
         hit = None
         if cache is not None:
             key = PaRCache.route_key(
@@ -166,19 +184,23 @@ def minimum_channel_width(
         if hit is not None:
             ok, wirelength = bool(hit["success"]), int(hit["wirelength"])
             timing, iterations = hit.get("timing"), hit.get("iterations")
+            aborted = bool(hit.get("aborted", False))
         else:
-            ok, wirelength, timing, iterations = _probe(
+            ok, wirelength, timing, iterations, aborted = _probe(
                 netlist, placement, base_arch, width, max_router_iterations
             )
             if cache is not None:
-                value: Dict[str, Any] = {"success": ok, "wirelength": wirelength}
+                value: Dict[str, Any] = {
+                    "success": ok,
+                    "wirelength": wirelength,
+                    "aborted": aborted,
+                }
                 if timing is not None:
                     value["timing"] = timing
                 if iterations is not None:
                     value["iterations"] = iterations
                 cache.put(key, value, events=events)
-        attempts[width] = ok
-        iters_at[width] = iterations
+        probes[width] = {"converged": ok, "iterations": iterations, "aborted": aborted}
         if ok:
             wl_at[width] = wirelength
             if timing is not None:
@@ -192,10 +214,7 @@ def minimum_channel_width(
         if hi > 512:
             raise ChannelWidthError(
                 "design does not route even with an extremely wide channel",
-                probes={
-                    w: {"converged": ok, "iterations": iters_at.get(w)}
-                    for w, ok in sorted(attempts.items())
-                },
+                probes=probes,
             )
     if evaluate(low):
         best = low
@@ -210,7 +229,7 @@ def minimum_channel_width(
         best = hi
     return MinChannelWidthResult(
         min_channel_width=best,
-        attempts=attempts,
+        probes=probes,
         wirelength_at_min=wl_at.get(best, 0),
         timing_at_min=timing_at.get(best),
         events=events,

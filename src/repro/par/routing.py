@@ -33,6 +33,10 @@ router's routes exactly; the original is kept as a test oracle in
 ``tests/oracles.py``.  ``astar`` trades that bit-identity for throughput;
 its route quality is re-baselined in ``benchmarks/bench_hotpaths.py``
 (wirelength within a few percent of the reference route).
+
+The min-CW probes route with ``abort_hopeless=True``: the routing-failure
+predictor (:func:`predict_failure`) stops an ``astar`` route once its
+overuse trend rules out convergence within the iteration budget.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -104,6 +108,9 @@ class RoutingResult:
     #: (degradation chain), and the cache layer refuses to store such
     #: results.  ``None`` on re-hydrated payloads that predate the field.
     kernel: Optional[str] = None
+    #: the routing-failure predictor stopped this route before its iteration
+    #: budget (only min-CW probes enable it; see :func:`predict_failure`).
+    aborted: bool = False
     #: per-run observability snapshot (see OBSERVABILITY.md): convergence
     #: timelines (``overuse_per_iteration``, ``rerouted_nets_per_iteration``,
     #: ``iteration_wall_ms``) plus kernel counters (``nodes_expanded``,
@@ -145,6 +152,14 @@ PRES_FAC_INIT = {"astar": 1.0, "fast": 0.6}
 PRES_FAC_MULT = 1.8
 HIST_FAC = 0.4
 ASTAR_FAC = 1.1
+#: Routing-failure predictor (VTR 8's routing predictor), enabled only for
+#: min-CW probes: a least-squares line through the last
+#: ``max(PREDICT_WINDOW, k // 2)`` overuse counts after iteration ``k`` must
+#: fall and reach zero within the iteration budget, or the probe stops.  It
+#: never fires at or below ``PREDICT_MIN_OVERUSE`` overused nodes, where
+#: near misses still converge late.
+PREDICT_WINDOW = 3
+PREDICT_MIN_OVERUSE = 20
 #: Expansion margin of the astar kernel's per-net search bounding box.
 BBOX_MARGIN = 3
 #: Criticality cap of the timing objective: every connection keeps paying
@@ -176,6 +191,29 @@ def terminal_rr_nodes(
     return src_of, sink_of
 
 
+def predict_failure(overuse: Sequence[int], max_iterations: int) -> bool:
+    """Whether a route with this overuse history cannot converge in budget.
+
+    ``overuse[i]`` is the overused-node count after iteration ``i + 1``.
+    A pure function of the history, so it is backend-neutral and can be
+    checked offline against recorded ``overuse_per_iteration`` traces.
+    """
+    k = len(overuse)
+    n = max(PREDICT_WINDOW, k // 2)
+    if k < n or k >= max_iterations or overuse[-1] <= PREDICT_MIN_OVERUSE:
+        return False
+    ys = overuse[-n:]
+    x_mean = (n - 1) / 2.0
+    y_mean = sum(ys) / n
+    sxy = sum((x - x_mean) * (y - y_mean) for x, y in enumerate(ys))
+    sxx = sum((x - x_mean) ** 2 for x in range(n))
+    slope = sxy / sxx
+    if slope >= 0:
+        return True
+    fit_now = y_mean + slope * x_mean  # the line's value at iteration k
+    return k + fit_now / -slope > max_iterations
+
+
 def _base_cost_array(rr: RRGraph) -> np.ndarray:
     base_cost = np.empty(rr.num_nodes, dtype=np.float64)
     for t, c in _BASE_COST.items():
@@ -192,6 +230,8 @@ def route(
     objective: str = "wirelength",
     criticality_exponent: float = 1.0,
     deadline: Optional[Deadline] = None,
+    *,
+    abort_hopeless: bool = False,
 ) -> RoutingResult:
     """Route all nets of a placed netlist on the device's RR graph.
 
@@ -220,6 +260,11 @@ def route(
     expires.  The check is a clock read per poll point -- it never changes
     the search trajectory, so results under a generous deadline are
     bit-identical to unbounded ones.
+
+    ``abort_hopeless`` (``astar`` only; the min-CW probes set it) stops the
+    route as soon as :func:`predict_failure` rules out convergence within
+    ``max_iterations``; the result then has ``success=False``,
+    ``aborted=True`` and ``iterations`` set to the iteration it stopped at.
     """
     if kernel not in ("astar", "fast"):
         raise ValueError(f"unknown routing kernel {kernel!r}")
@@ -227,7 +272,10 @@ def route(
         raise ValueError(f"unknown routing objective {objective!r}")
     if objective == "timing" and kernel != "astar":
         raise ValueError(f"objective='timing' requires the astar kernel, not {kernel!r}")
-    with span("par.route", kernel=kernel, objective=objective, nets=len(netlist.nets)):
+    if abort_hopeless and kernel != "astar":
+        raise ValueError(f"abort_hopeless requires the astar kernel, not {kernel!r}")
+    with span("par.route", kernel=kernel, objective=objective,
+              nets=len(netlist.nets)) as route_span:
         if kernel == "astar":
             result = _route_astar(
                 netlist, placement, device,
@@ -235,6 +283,7 @@ def route(
                 objective=objective,
                 criticality_exponent=criticality_exponent,
                 deadline=deadline,
+                abort_hopeless=abort_hopeless,
             )
         else:
             result = _route_fast(
@@ -242,6 +291,10 @@ def route(
                 max_iterations=max_iterations,
                 deadline=deadline,
             )
+        route_span.annotate(
+            channel_width=device.arch.channel_width,
+            iterations=result.iterations, aborted=result.aborted,
+        )
     result.kernel = kernel
     if result.telemetry is not None:
         # Convergence timelines land in the trace (no-ops when disabled);
@@ -362,6 +415,7 @@ def _route_astar(
     objective: str = "wirelength",
     criticality_exponent: float = 1.0,
     deadline: Optional[Deadline] = None,
+    abort_hopeless: bool = False,
 ) -> RoutingResult:
     """Directed incremental PathFinder over the pin-filtered search view."""
     rr = device.rr_graph
@@ -831,6 +885,7 @@ def _route_astar(
 
     iteration = 0
     success = False
+    aborted = False
     net_ids = [net.id for net in netlist.nets]
     # Convergence telemetry: plain list appends and clock reads at iteration
     # granularity -- never an FP input to the search, so trajectory-neutral.
@@ -879,6 +934,9 @@ def _route_astar(
         if not over_now:
             success = True
             break
+        if abort_hopeless and predict_failure(tl_overuse, max_iterations):
+            aborted = True
+            break
         for n in over_now:
             history[n] += HIST_FAC * (occupancy[n] - cap[n])
         pres_fac *= PRES_FAC_MULT
@@ -897,10 +955,12 @@ def _route_astar(
         "nodes_expanded": int(nat_stats[0]) if nat is not None else py_expanded[0],
         "sta_retimes": tracker.updates if tracker is not None else 0,
     }
-    return _assemble_result(
+    result = _assemble_result(
         rr, routes, occ_arr, cap_arr, success, iteration, _forest(),
         telemetry=telemetry,
     )
+    result.aborted = aborted
+    return result
 
 
 def _route_fast(

@@ -7,6 +7,11 @@ directory on ``sys.path``):
 
 * :func:`route_reference` -- the PathFinder router with a per-edge
   ``node_cost()`` call; ``route(kernel="fast")`` must reproduce it exactly;
+* :func:`minimum_channel_width_unpruned` -- the min-CW binary search
+  with every probe run to its full iteration budget; the probes of
+  :func:`~repro.par.metrics.minimum_channel_width` stop early under the
+  routing-failure predictor and must find the same width with the same
+  per-width outcomes;
 * :func:`place_reference` -- the ``random.Random`` annealer that recomputes
   every affected net's HPWL; the banded quality baseline of ``place()``;
 * :func:`candidates_timing_placement` -- the candidate-anneal timing
@@ -40,7 +45,7 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from repro.fpga.architecture import FPGAArchitecture
-from repro.fpga.device import Device
+from repro.fpga.device import Device, build_device
 from repro.fpga.routing_graph import RRGraph, RRNodeType, _track_subset
 from repro.netlist.circuit import Circuit, Op
 from repro.netlist.library import eval_gate
@@ -65,6 +70,7 @@ from repro.par.routing import (
     RoutingResult,
     _assemble_result,
     _base_cost_array,
+    route,
     terminal_rr_nodes,
 )
 from repro.timing.delays import (
@@ -83,6 +89,7 @@ from repro.util.resilience import Deadline
 
 __all__ = [
     "route_reference",
+    "minimum_channel_width_unpruned",
     "place_reference",
     "candidates_timing_placement",
     "simulate_patterns_reference",
@@ -262,6 +269,51 @@ def route_reference(
         rr, routes, occupancy, capacity, success, iteration,
         build_route_forest(routes, rr), telemetry=telemetry,
     )
+
+
+def minimum_channel_width_unpruned(
+    netlist: PhysicalNetlist,
+    placement: Placement,
+    base_arch: FPGAArchitecture,
+    low: int = 2,
+    high: int = 32,
+    max_router_iterations: int = 12,
+) -> Tuple[int, Dict[int, bool]]:
+    """Min-CW bisection without the routing-failure predictor.
+
+    Same search order as :func:`~repro.par.metrics.minimum_channel_width`
+    (widen ``high`` until it routes, then bisect down from ``low``), but
+    every probe routes for the full ``max_router_iterations``.  Returns
+    ``(min_channel_width, {width: routed})``.
+    """
+    attempts: Dict[int, bool] = {}
+
+    def evaluate(width: int) -> bool:
+        if width not in attempts:
+            device = build_device(base_arch.with_channel_width(width))
+            try:
+                result = route(netlist, placement, device,
+                               max_iterations=max_router_iterations)
+                attempts[width] = result.success
+            except RuntimeError:
+                attempts[width] = False
+        return attempts[width]
+
+    hi = high
+    while not evaluate(hi):
+        hi *= 2
+        if hi > 512:
+            raise RuntimeError("design does not route even with an extremely wide channel")
+    if evaluate(low):
+        return low, attempts
+    lo = low
+    while lo + 1 < hi:
+        mid = lo + (hi - lo) // 2
+        if evaluate(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, attempts
 
 
 # -- placement -----------------------------------------------------------------

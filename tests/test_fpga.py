@@ -180,6 +180,17 @@ class TestRRGraph:
             del rr
             assert ref() is None
 
+    def test_released_search_view_is_rebuilt_equal(self):
+        rr = build_rr_graph(FPGAArchitecture(width=3, height=3, channel_width=4))
+        view = rr.search_view()
+        rr.release_search_view()
+        again = rr.search_view()
+        assert again is not view
+        for name in ("csr_ptr", "csr_dst", "base_cost", "delay_ns"):
+            assert np.array_equal(getattr(again, name), getattr(view, name)), name
+        rr.release_search_view()
+        rr.release_search_view()  # releasing twice is harmless
+
     def test_routed_device_freed_by_refcount(self):
         nl = PhysicalNetlist("chain")
         prev = nl.add_block("pi", "io")

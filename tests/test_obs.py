@@ -309,6 +309,27 @@ class TestTrajectoryNeutrality:
 
 
 class TestTelemetry:
+    def test_min_cw_probe_spans_show_aborts(self, tmp_path):
+        """Each probe's ``par.route`` span names its width and whether it stopped early."""
+        from repro.par.metrics import minimum_channel_width
+
+        nl = adder_netlist(16)
+        arch = sized_arch(nl, channel_width=8)
+        placement = place(nl, arch, seed=0, effort=0.4).placement
+        path = tmp_path / "mincw.jsonl"
+        with tracing(str(path)):
+            result = minimum_channel_width(nl, placement, arch, low=1, high=8)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        spans = {
+            r["args"]["channel_width"]: r["args"] for r in records
+            if r["type"] == "span" and r["name"] == "par.route"
+        }
+        assert spans.keys() == result.probes.keys()
+        for width, probe in result.probes.items():
+            assert spans[width]["aborted"] == probe["aborted"]
+            assert spans[width]["iterations"] == probe["iterations"]
+        assert any(p["aborted"] for p in result.probes.values())
+
     def test_route_telemetry_shape(self):
         nl = adder_netlist(4)
         arch = sized_arch(nl)

@@ -2,11 +2,13 @@
 
 import ast
 import inspect
+import os
 import pathlib
 import statistics
 
+import numpy as np
 import pytest
-from oracles import place_reference, route_reference
+from oracles import minimum_channel_width_unpruned, place_reference, route_reference
 
 from repro.core.flows import compare_pe_flows, run_pe_flow
 from repro.fpga.architecture import FPGAArchitecture, auto_size
@@ -17,7 +19,7 @@ from repro.par.flow import cached_route, place_and_route, timing_driven_placemen
 from repro.par.metrics import channel_occupancy, minimum_channel_width
 from repro.par.netlist import PhysicalNetlist, from_mapped_network
 from repro.par.placement import hpwl, place, random_placement
-from repro.par.routing import route, route_resilient
+from repro.par.routing import predict_failure, route, route_resilient
 from repro.par.timing import report_from_analysis
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional, map_parameterized
@@ -49,6 +51,18 @@ def chain_netlist(n_blocks=6):
     nl.add_net("out", prev, [out])
     nl.validate()
     return nl
+
+
+def node_list_occupancy(result, device):
+    """``channel_occupancy`` counted from the per-net node lists."""
+    rr = device.rr_graph
+    occ = np.zeros(rr.num_nodes, dtype=np.int64)
+    for net_route in result.routes.values():
+        for n in net_route.nodes:
+            occ[n] += 1
+    wires = occ[[rr.is_wire(n) for n in range(rr.num_nodes)]]
+    return {"peak": int(wires.max()), "used": int(np.count_nonzero(wires)),
+            "total": int(wires.size)}
 
 
 class TestPhysicalNetlist:
@@ -136,6 +150,7 @@ class TestRouting:
         assert set(result.routes) == {n.id for n in nl.nets}
         occ = channel_occupancy(result, device)
         assert occ["peak"] <= arch.channel_width
+        assert occ == node_list_occupancy(result, device)
 
     def test_route_respects_capacity(self):
         net = adder_network(4)
@@ -182,6 +197,73 @@ class TestMinimumChannelWidth:
         assert not below
         assert result.wirelength_at_min > 0
 
+    def test_min_cw_rejects_bad_bounds(self):
+        nl = chain_netlist(6)
+        arch = FPGAArchitecture(width=4, height=4, channel_width=8)
+        placement = place(nl, arch, seed=1, effort=0.5).placement
+        # low > high used to return a width that is not minimal
+        # ("min CW = 6 (W=3:ok, W=6:ok)").
+        for low, high in ((6, 3), (0, 8), (-1, 4)):
+            with pytest.raises(ValueError, match="low <= high"):
+                minimum_channel_width(nl, placement, arch, low=low, high=high)
+        with pytest.raises(ValueError, match="low <= high"):
+            place_and_route(adder_network(4), channel_width=8, placement_effort=0.3,
+                            find_min_channel_width=True, min_cw_bounds=(6, 3))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_min_cw_matches_unpruned_oracle(self, seed):
+        """The predictor changes no found width and no probed width's outcome."""
+        aborted = 0
+        for name, nl, placement, arch, (low, high) in min_cw_fixtures(seed):
+            result = minimum_channel_width(nl, placement, arch, low=low, high=high)
+            width, attempts = minimum_channel_width_unpruned(
+                nl, placement, arch, low=low, high=high
+            )
+            assert (result.min_channel_width, result.attempts) == (width, attempts), name
+            for probe in result.probes.values():
+                assert set(probe) == {"converged", "iterations", "aborted"}
+                if probe["aborted"]:
+                    assert not probe["converged"] and probe["iterations"] < 12
+                    aborted += 1
+        assert aborted, "no probe was stopped: the comparison covers no abort"
+
+    def test_min_cw_probe_records_survive_the_cache(self, tmp_path, monkeypatch):
+        _, nl, placement, arch, (low, high) = next(
+            f for f in min_cw_fixtures(0) if f[0] == "adder16"
+        )
+        first = minimum_channel_width(
+            nl, placement, arch, low=low, high=high, cache=PaRCache(tmp_path)
+        )
+        assert any(p["aborted"] for p in first.probes.values())
+
+        import repro.par.metrics as metrics
+
+        monkeypatch.setattr(metrics, "route", None)  # any probe would crash
+        again = minimum_channel_width(
+            nl, placement, arch, low=low, high=high, cache=PaRCache(tmp_path)
+        )
+        assert again.probes == first.probes
+
+    @pytest.mark.skipif(
+        os.environ.get("REPRO_FULL", "0") in ("", "0", "false", "False"),
+        reason="bench-PE sweep runs at paper scale only (REPRO_FULL=1)",
+    )
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("parameterized", [False, True])
+    def test_bench_pe_min_cw_matches_unpruned_oracle(self, seed, parameterized):
+        """The bench PE (5/10 format, W=14) of the ``table1`` workload."""
+        from repro.core.pe import ProcessingElementSpec, build_pe_design
+        from repro.flopoco.format import FPFormat
+
+        circuit = build_pe_design(ProcessingElementSpec(fmt=FPFormat(5, 10))).circuit
+        flow = run_pe_flow(circuit, parameterized=parameterized, channel_width=14, seed=seed)
+        par = flow.par
+        nl, placement, arch = par.netlist, par.placement.placement, par.device.arch
+        result = minimum_channel_width(nl, placement, arch)
+        assert (result.min_channel_width, result.attempts) == (
+            minimum_channel_width_unpruned(nl, placement, arch)
+        )
+
     def test_min_cw_failure_path_raises(self, monkeypatch):
         # When routing fails at every width, the search must widen up to the
         # hard cap and then raise instead of looping forever.
@@ -217,6 +299,85 @@ class TestMinimumChannelWidth:
         assert cache2.hits > 0
 
 
+def min_cw_fixtures(seed):
+    """``(name, netlist, placement, arch, (low, high))`` of every min-CW check.
+
+    The chain is the min-CW fixture of the tests above; the 16-bit adder
+    is narrow enough at W = 1 and 2 that the routing-failure predictor
+    stops probes, so the oracle comparison covers aborted probes too.
+    """
+    chain = chain_netlist(6)
+    chain_arch = FPGAArchitecture(width=4, height=4, channel_width=8)
+    chain_pl = place(chain, chain_arch, seed=seed, effort=0.5).placement
+    adder = from_mapped_network(adder_network(16))
+    adder_arch = auto_size(adder.num_logic_blocks(), adder.num_io_blocks(), channel_width=8)
+    adder_pl = place(adder, adder_arch, seed=seed, effort=0.4).placement
+    for low in (1, 2):
+        yield "chain6", chain, chain_pl, chain_arch, (low, 8)
+        yield "adder16", adder, adder_pl, adder_arch, (low, 8)
+
+
+class TestRoutingPredictor:
+    """The min-CW probes' routing-failure predictor (``predict_failure``)."""
+
+    #: Overuse per iteration of bench-PE probes that fail at a 12-iteration
+    #: budget (flow seed 0): both W=2 probes diverge, both W=5 probes stall.
+    HOPELESS = {
+        "conv_w2": ([3172, 3329, 3429, 3556, 3595, 3615, 3650, 3660, 3667, 3694, 3711, 3700], 3),
+        "param_w2": ([2078, 2142, 2299, 2299, 2350, 2374, 2415, 2418, 2460, 2495, 2473, 2477], 3),
+        "conv_w5": ([925, 528, 398, 296, 247, 212, 183, 165, 170, 147, 135, 132], 7),
+        "param_w5": ([510, 288, 192, 167, 155, 135, 123, 117, 112, 109, 107, 91], 7),
+    }
+    #: Near misses the predictor must let run: bench-PE conventional W=7 and
+    #: parameterized W=6 (fail at 12), parameterized W=7 (routes at 9), and
+    #: the W=2 probe of the ``mincw_adder10_param`` golden fixture.
+    NEAR_MISSES = {
+        "conv_w7": [295, 85, 22, 12, 9, 6, 2, 2, 2, 2, 1, 1],
+        "param_w6": [278, 104, 70, 34, 23, 16, 12, 11, 6, 5, 2, 1],
+        "param_w7": [157, 32, 12, 4, 3, 2, 3, 1, 0],
+        "golden_adder10_param_w2": [5, 3, 3, 2, 1, 1, 1, 1, 1, 2, 4, 4],
+    }
+
+    @staticmethod
+    def first_stop(trace, budget=12):
+        """The first iteration after which the predictor stops, or None."""
+        return next(
+            (k for k in range(1, len(trace) + 1) if predict_failure(trace[:k], budget)), None
+        )
+
+    @pytest.mark.parametrize("name", sorted(HOPELESS))
+    def test_stops_hopeless_probes_early(self, name):
+        trace, latest = self.HOPELESS[name]
+        stop = self.first_stop(trace)
+        assert stop is not None and stop <= latest, (name, stop)
+
+    @pytest.mark.parametrize("name", sorted(NEAR_MISSES))
+    def test_never_stops_near_misses(self, name):
+        assert self.first_stop(self.NEAR_MISSES[name]) is None
+
+    def test_never_stops_at_budget_or_low_overuse(self):
+        assert not predict_failure([100, 200, 300], 3)  # nothing left to save
+        assert not predict_failure([20, 20, 20], 12)
+        assert predict_failure([21, 21, 21], 12)
+        assert not predict_failure([500, 600], 12)  # too short to fit
+
+    def test_router_stops_only_when_asked(self):
+        nl = from_mapped_network(adder_network(16))
+        arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=1)
+        device = build_device(arch)
+        placement = place(nl, arch, seed=0, effort=0.4).placement
+        full = route(nl, placement, device, max_iterations=12)
+        stopped = route(nl, placement, device, max_iterations=12, abort_hopeless=True)
+        assert not full.success and not full.aborted and full.iterations == 12
+        assert not stopped.success and stopped.aborted and stopped.iterations < 12
+        # Stopping early never changes the iterations that did run.
+        trace = full.telemetry["overuse_per_iteration"]
+        assert stopped.telemetry["overuse_per_iteration"] == trace[:stopped.iterations]
+        assert self.first_stop(trace) == stopped.iterations
+        with pytest.raises(ValueError, match="abort_hopeless"):
+            route(nl, placement, device, kernel="fast", abort_hopeless=True)
+
+
 class TestDirectedRoutingKernel:
     def test_astar_matches_reference_quality(self):
         net = adder_network(6)
@@ -236,6 +397,7 @@ class TestDirectedRoutingKernel:
         assert set(fast.routes) == {n.id for n in nl.nets}
         occ = channel_occupancy(fast, device)
         assert occ["peak"] <= arch.channel_width
+        assert occ == node_list_occupancy(fast, device)
 
     def test_astar_matches_reference_quality_across_seeds(self):
         # The single pinned placement above can land on either side of a
@@ -456,6 +618,8 @@ class TestTimingAndFlow:
         assert summary["wirelength"] > 0
         assert summary["logic_depth"] == net.depth()
         assert result.timing.critical_path_ns > 0
+        # The kept device does not carry the router's search view.
+        assert "_search_view" not in vars(result.device.rr_graph)
 
     def test_place_and_route_flow_parameterized(self):
         net = adder_network(4, param=True)
