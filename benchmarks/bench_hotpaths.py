@@ -11,8 +11,7 @@ Run with::
     PYTHONPATH=src python benchmarks/bench_hotpaths.py
 
 The workload is the paper's conventional Processing Element (reduced FloPoCo
-format by default; ``REPRO_FULL=1`` switches to the paper's 6/26 format and
-skips the slowest reference baselines so the nightly run stays bounded).
+format by default; ``REPRO_FULL=1`` switches to the paper's 6/26 format).
 
 Three comparisons are made:
 
@@ -23,14 +22,13 @@ Three comparisons are made:
   so its mean HPWL across the seed sweep is within the quality band of
   the reference mean, and the speedup is reported at that iso-quality
   point;
-* **routing** -- the directed incremental ``astar`` kernel (PR 2, the
-  default) vs the ``fast`` kernel, both at the same routable
-  channel width.  The benchmark first finds the minimum routable width for
+* **routing** -- the directed incremental ``astar`` router vs the
+  ``route_reference`` oracle, both at the same routable channel width and
+  in both modes.  The benchmark first finds the minimum routable width for
   the placement (the W=12 default of the reduced format is *not* routable
   -- routing it only measured non-convergence), records it as
   ``channel_width_used``, and checks the re-baselined astar route quality
-  against the ``reference`` oracle's route.  ``identical_outputs`` requires
-  ``fast`` to equal the oracle node for node and forest array for array;
+  against the oracle's route (``astar_wirelength_ratio``);
 * **rr_build** -- the closed-form NumPy RR-graph builder vs the per-edge
   append builder it replaced (``tests/oracles.py``), on the routing
   section's architecture at its width and at W=32.  ``identical`` (every
@@ -133,7 +131,6 @@ PLACE_EFFORT = 0.25          #: effort of the reference kernel (the HPWL baselin
 BATCHED_EFFORT = 0.1         #: iso-quality effort of the batched kernel
 PLACE_QUALITY_BAND = 1.02    #: batched mean HPWL must be <= band * reference
 ROUTE_QUALITY_BAND = 1.05    #: astar wirelength must be <= band * reference
-ROUTE_SPEEDUP_FLOOR = 2.5    #: recorded astar-vs-fast floor (typical 2.5-3.4x)
 PLACE_SPEEDUP_FLOOR = 1.5    #: recorded batched-vs-reference iso-quality floor
 CHANNEL_WIDTH = 12           #: starting point of the routable-width search
 TIMING_DELAY_TARGET = 0.90   #: recorded flow-level delay-ratio target (>=10% better)
@@ -272,8 +269,8 @@ def bench_placement(netlist, arch):
 
 def bench_routing(netlist, arch, placement):
     # The default benchmark width is not necessarily routable (at the reduced
-    # format's W=12 every kernel ends congested); find the minimum routable
-    # width for this placement and benchmark every kernel there.
+    # format's W=12 every router ends congested); find the minimum routable
+    # width for this placement and benchmark the router and the oracle there.
     min_cw = minimum_channel_width(
         netlist, placement, arch,
         low=max(2, CHANNEL_WIDTH - 4), high=CHANNEL_WIDTH * 2,
@@ -282,43 +279,13 @@ def bench_routing(netlist, arch, placement):
     )
     width = min_cw.min_channel_width
     device = build_device(arch.with_channel_width(width))
-    route(netlist, placement, device, kernel="astar", max_iterations=1)  # warm view
+    route(netlist, placement, device, max_iterations=1)  # warm view
 
-    if FULL_MODE:
-        ref = None
-        ref_s = None
-    else:
-        ref, ref_s = _timed(lambda: route_reference(netlist, placement, device))
-    # Interleave the fast/astar measurements so drifting machine load hits
-    # both kernels alike; keep the best of each.
-    fast = astar = None
-    fast_s = astar_s = None
-    for _ in range(3):
-        fast_i, dt_f = _timed(lambda: route(netlist, placement, device, kernel="fast"))
-        astar_i, dt_a = _timed(lambda: route(netlist, placement, device, kernel="astar"))
-        if fast_s is None or dt_f < fast_s:
-            fast, fast_s = fast_i, dt_f
-        if astar_s is None or dt_a < astar_s:
-            astar, astar_s = astar_i, dt_a
+    ref, ref_s = _timed(lambda: route_reference(netlist, placement, device))
+    astar, astar_s = _timed(lambda: route(netlist, placement, device), 3)
 
-    if ref is not None:
-        identical = (
-            fast.success == ref.success
-            and fast.wirelength == ref.wirelength
-            and fast.iterations == ref.iterations
-            and all(fast.routes[k].nodes == r.nodes for k, r in ref.routes.items())
-            and fast.forest.to_payload() == ref.forest.to_payload()
-        )
-        wl_baseline = ref.wirelength
-    else:
-        identical = True  # fast == reference is asserted in the default run
-        wl_baseline = fast.wirelength
-
-    wl_ratio = astar.wirelength / wl_baseline
-    astar_speedup = fast_s / astar_s
-    baselines_converged = fast.success and (ref is None or ref.success)
+    wl_ratio = astar.wirelength / ref.wirelength
     quality_ok = astar.success and wl_ratio <= ROUTE_QUALITY_BAND
-
     entry = {
         "workload": (
             f"{len(netlist.nets)} nets, W={width} (min routable; "
@@ -326,32 +293,20 @@ def bench_routing(netlist, arch, placement):
         ),
         "channel_width_used": width,
         "min_cw_attempts": {str(w): ok for w, ok in sorted(min_cw.attempts.items())},
-        "fast_seconds": fast_s,
         "astar_seconds": astar_s,
-        "speedup_astar_vs_fast": astar_speedup,
-        "wirelength_fast": fast.wirelength,
+        "reference_seconds": ref_s,
+        "speedup": ref_s / astar_s,
         "wirelength_astar": astar.wirelength,
+        "wirelength_reference": ref.wirelength,
         "astar_wirelength_ratio": wl_ratio,
-        "iterations_fast": fast.iterations,
         "iterations_astar": astar.iterations,
-        "success_fast": fast.success,
+        "iterations_reference": ref.iterations,
         "success_astar": astar.success,
-        "identical_outputs": identical,
+        "success_reference": ref.success,
         "quality_band": ROUTE_QUALITY_BAND,
         "quality_ok": quality_ok,
-        "baselines_converged": baselines_converged,
-        "speedup_floor_met": astar_speedup >= ROUTE_SPEEDUP_FLOOR,
-        "ok": identical and quality_ok and baselines_converged,
+        "ok": quality_ok and ref.success,
     }
-    if ref is not None:
-        entry.update(
-            {
-                "reference_seconds": ref_s,
-                "speedup": ref_s / astar_s,
-                "wirelength_reference": ref.wirelength,
-                "success_reference": ref.success,
-            }
-        )
     return entry, width
 
 
@@ -403,12 +358,12 @@ def bench_timing(network, netlist, arch, placement, width):
     """
     device = build_device(arch.with_channel_width(width))
 
-    base = route(netlist, placement, device, kernel="astar")
+    base = route(netlist, placement, device)
     a_base = analyze(netlist, base, device, placement=placement)
 
     t0 = time.perf_counter()
     timed_route = route(
-        netlist, placement, device, kernel="astar",
+        netlist, placement, device,
         objective="timing", criticality_exponent=2.0,
     )
     route_timing_s = time.perf_counter() - t0
@@ -422,7 +377,7 @@ def bench_timing(network, netlist, arch, placement, width):
     )
     flow_placement = flow_result.placement
     flow_route = route(
-        netlist, flow_placement, device, kernel="astar",
+        netlist, flow_placement, device,
         objective="timing", criticality_exponent=2.0,
     )
     a_flow = analyze(netlist, flow_route, device, placement=flow_placement)
@@ -441,7 +396,7 @@ def bench_timing(network, netlist, arch, placement, width):
     )
     cand_placement = cand_result.placement
     cand_route = route(
-        netlist, cand_placement, device, kernel="astar",
+        netlist, cand_placement, device,
         objective="timing", criticality_exponent=2.0,
     )
     a_cand = analyze(netlist, cand_route, device, placement=cand_placement)
@@ -525,7 +480,7 @@ def bench_retime(netlist, arch, placement, width):
     """
     device = build_device(arch.with_channel_width(width))
     rr = device.rr_graph
-    routing = route(netlist, placement, device, kernel="astar")
+    routing = route(netlist, placement, device)
     tracker = CriticalityTracker(netlist, placement, device, exponent=2.0)
 
     # -- bit-identity first: flat vs dict must agree to the last bit ------
@@ -627,7 +582,7 @@ def bench_resilience(netlist, arch, placement, width):
     * a fault-free ``route_resilient`` call returns the *bit-identical*
       result of a plain ``route`` call -- same wirelength, same iteration
       count, same per-net node lists -- with an empty recovery-event log
-      (``check_quality.py`` fails the build on any degradation event);
+      (``check_quality.py`` fails the build on any retry event);
     * the disabled injection hook ``repro.util.inject`` is cheap enough
       for hot loops: one module-global load + a ``None`` compare, measured
       here in ns/call next to a dict-lookup baseline for scale.
@@ -642,12 +597,12 @@ def bench_resilience(netlist, arch, placement, width):
     with fault_plan(None):
         device = build_device(arch.with_channel_width(width))
         base, base_s = _timed(
-            lambda: route(netlist, placement, device, kernel="astar")
+            lambda: route(netlist, placement, device)
         )
         events = []
         res, res_s = _timed(
             lambda: route_resilient(
-                netlist, placement, device, kernel="astar", events=events
+                netlist, placement, device, events=events
             )
         )
         identical = (
@@ -657,7 +612,7 @@ def bench_resilience(netlist, arch, placement, width):
             and all(res.routes[k].nodes == r.nodes for k, r in base.routes.items())
         )
         zero_events = len(events) == 0
-        degradations = count_events(events, "degraded-kernel")
+        retries = count_events(events, "route-retry")
 
         # ns/call of the disabled hook, best of 3 sweeps.
         calls = 200_000
@@ -680,7 +635,7 @@ def bench_resilience(netlist, arch, placement, width):
         "inject_disabled_ns_per_call": inject_ns,
         "identical_outputs": identical,
         "recovery_events": len(events),
-        "degradation_events": degradations,
+        "retry_events": retries,
         "ok": identical and zero_events,
     }
 
@@ -711,15 +666,15 @@ def bench_native(netlist, arch, placement, width):
         }
 
     device = build_device(arch.with_channel_width(width))
-    route(netlist, placement, device, kernel="astar", max_iterations=1)  # warm
+    route(netlist, placement, device, max_iterations=1)  # warm
 
     nat_route = py_route = None
     nat_s = py_s = None
     for _ in range(3):
-        nat_i, dt_n = _timed(lambda: route(netlist, placement, device, kernel="astar"))
+        nat_i, dt_n = _timed(lambda: route(netlist, placement, device))
         with _python_kernels():
             py_i, dt_p = _timed(
-                lambda: route(netlist, placement, device, kernel="astar")
+                lambda: route(netlist, placement, device)
             )
         if nat_s is None or dt_n < nat_s:
             nat_route, nat_s = nat_i, dt_n
@@ -738,9 +693,9 @@ def bench_native(netlist, arch, placement, width):
     # The timing objective exercises the lookahead's delay term; identity
     # must hold there too (not separately timed -- the expansion loop is
     # the same code path).
-    t_nat = route(netlist, placement, device, kernel="astar", objective="timing")
+    t_nat = route(netlist, placement, device, objective="timing")
     with _python_kernels():
-        t_py = route(netlist, placement, device, kernel="astar", objective="timing")
+        t_py = route(netlist, placement, device, objective="timing")
     astar_timing_identical = (
         t_nat.wirelength == t_py.wirelength
         and all(t_nat.routes[k].nodes == r.nodes for k, r in t_py.routes.items())
@@ -898,7 +853,7 @@ def bench_obs(netlist, arch, placement, width):
     from repro.obs.trace import span, tracing
 
     device = build_device(arch.with_channel_width(width))
-    route(netlist, placement, device, kernel="astar", max_iterations=1)  # warm view
+    route(netlist, placement, device, max_iterations=1)  # warm view
 
     obs_clear()  # measure the disabled fast path, not an inherited tracer
     n = 200_000
@@ -910,7 +865,7 @@ def bench_obs(netlist, arch, placement, width):
 
     def workload():
         placed = place(netlist, arch, seed=0, effort=PLACE_EFFORT)
-        routed = route(netlist, placement, device, kernel="astar")
+        routed = route(netlist, placement, device)
         return placed, routed
 
     off = on = None
@@ -1046,8 +1001,8 @@ def main() -> int:
         if name == "routing":
             print(
                 f"{name:11s} {flag} astar={entry['astar_seconds'] * 1000:8.1f}ms "
-                f"fast={entry['fast_seconds'] * 1000:8.1f}ms "
-                f"astar_vs_fast={entry['speedup_astar_vs_fast']:5.2f}x "
+                f"reference={entry['reference_seconds'] * 1000:8.1f}ms "
+                f"({entry['speedup']:5.2f}x) "
                 f"wl_ratio={entry['astar_wirelength_ratio']:.4f} "
                 f"W={entry['channel_width_used']}"
             )

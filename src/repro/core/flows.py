@@ -72,9 +72,9 @@ class PEFlowResult:
             row["objective"] = self.par.objective
             if self.par.events:
                 # Recovery provenance: a row produced through cache
-                # fallbacks, pool resubmits or kernel degradation says so.
+                # fallbacks, pool resubmits or a route retry says so.
                 row["recovery_events"] = len(self.par.events)
-                row["degraded_kernel"] = self.par.degraded
+                row["route_retried"] = self.par.degraded
         return row
 
 
@@ -147,9 +147,9 @@ def run_pe_flow(
     ``REPRO_PAR_CACHE`` environment variable names a directory.
     ``objective="timing"`` runs criticality-driven placement and routing
     (see :func:`repro.par.flow.place_and_route`).  ``route_deadline_s``
-    bounds each routing kernel's wall time; a kernel that exceeds it
-    degrades down the astar->fast chain with the switch recorded in the
-    result's events.
+    bounds each routing attempt's wall time; a main route that exceeds it,
+    fails or ends congested is retried once at twice the iteration budget,
+    with the retry recorded in the result's events.
     """
     elapsed: Dict[str, float] = {}
 

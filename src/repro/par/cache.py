@@ -27,9 +27,10 @@ Invariants:
   every semantic input (the placement included) plus ``ROUTE_ALGO_VERSION``;
   service job keys add ``PLACE_ALGO_VERSION``.  Any kernel change that
   alters a trajectory must bump its version so old entries read as misses,
-  never as wrong answers.  Degraded results (kernel fallbacks, see
-  :func:`repro.par.routing.route_resilient`) are never written, so one
-  faulty run cannot poison fault-free reruns.
+  never as wrong answers.  A route is written only when it converged within
+  its key's iteration budget (see :func:`repro.par.flow.cached_route`), so
+  a route retried at twice the budget after a fault cannot poison
+  fault-free reruns.
 * **Artifacts are backend-neutral.**  Values are plain JSON metrics plus
   serialized route forests -- never pickled code, never a record of which
   (native or Python) backend produced them; caches are interchangeable
@@ -256,7 +257,7 @@ class PaRCache:
         objective: str = "wirelength",
         tag: str = "",
     ) -> str:
-        """Content key of one astar route.  ``tag`` folds in extra knobs that
+        """Content key of one route.  ``tag`` folds in extra knobs that
         change the routed result (e.g. the timing objective's criticality
         exponent) without widening the signature for every caller."""
         material = "|".join(

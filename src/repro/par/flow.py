@@ -32,7 +32,7 @@ from ..timing.graph import build_timing_graph
 from ..timing.sta import TimingAnalysis, analyze, scan_edge_criticality
 from ..util.resilience import count_events, inject, record_event
 from .cache import PaRCache
-from .metrics import MinChannelWidthResult, minimum_channel_width
+from .metrics import MinChannelWidthResult, check_min_cw_bounds, minimum_channel_width
 from .netlist import PhysicalNetlist, from_mapped_network
 from .placement import Placement, PlacementResult, TimingCost, place
 from .routing import (
@@ -67,8 +67,8 @@ class PaRResult:
     #: derived from it.
     sta: Optional[TimingAnalysis] = None
     objective: str = "wirelength"
-    #: structured recovery log: every fault hit, retry, cache fallback and
-    #: kernel degradation the flow absorbed while producing this result
+    #: structured recovery log: every fault hit, cache fallback and route
+    #: retry the flow absorbed while producing this result
     #: (see RESILIENCE.md for the event taxonomy).  Empty on a fault-free run.
     events: List[Dict[str, Any]] = field(default_factory=list)
     #: per-run observability snapshot (see OBSERVABILITY.md): the routing
@@ -88,8 +88,8 @@ class PaRResult:
 
     @property
     def degraded(self) -> bool:
-        """True when the routing kernel degradation chain was taken."""
-        return count_events(self.events, "degraded-kernel") > 0
+        """True when the main route needed its retry at twice the budget."""
+        return count_events(self.events, "route-retry") > 0
 
     def summary(self) -> Dict[str, float]:
         """Key metrics as a flat dict (used by the Table I benchmark)."""
@@ -106,7 +106,7 @@ class PaRResult:
             "routed": self.routing.success,
             "objective": self.objective,
             "recovery_events": len(self.events),
-            "degraded_kernel": count_events(self.events, "degraded-kernel"),
+            "route_retries": count_events(self.events, "route-retry"),
         }
         if self.sta is not None:
             out["worst_slack_ns"] = self.sta.summary()["worst_slack_ns"]
@@ -130,7 +130,6 @@ def cached_route(
     objective: str = "wirelength",
     criticality_exponent: float = 1.0,
     deadline_s: Optional[float] = None,
-    degrade: bool = True,
     events: Optional[List[Dict[str, Any]]] = None,
 ) -> RoutingResult:
     """Resilient astar :func:`~repro.par.routing.route` with on-disk memoization.
@@ -147,10 +146,14 @@ def cached_route(
     entry or a bad forest payload falls back to a fresh route
     (``cache-fallback``); the route itself runs under
     :func:`~repro.par.routing.route_resilient` with a ``deadline_s``
-    per-kernel budget and the astar->fast degradation chain.
-    A result produced by the *degraded* kernel is never stored, so one bad
-    run cannot poison the cache for fault-free reruns; neither is a
-    non-converged one.
+    per-attempt budget and one retry at twice ``max_iterations``.
+
+    A result is stored iff it converged within ``max_iterations``.  That is
+    exact: the router reads the budget only as its loop bound, so a retry
+    that converges at iteration ``k <= max_iterations`` is the route a
+    fault-free call returns, and a route that converges only past
+    ``max_iterations`` never lands under this budget's key.  Non-converged
+    results are never stored either.
     """
     key = None
     if cache is not None:
@@ -168,14 +171,13 @@ def cached_route(
             result = None
             if inject("cache.hydrate") is None:
                 result = routing_from_payload(hit)
-            if result is not None and result.kernel in (None, "astar"):
+            if result is not None:
                 # Re-hydrated results carry no convergence arrays (those are
                 # never serialized); mark the provenance instead.
-                result.telemetry = {"from_cache": True, "kernel": result.kernel}
+                result.telemetry = {"from_cache": True}
                 return result
-            # Entry exists but cannot be trusted (corrupt forest payload,
-            # injected hydration fault, or a kernel mismatch from a
-            # degraded historic write): route fresh and overwrite it.
+            # Entry exists but cannot be trusted (corrupt forest payload or
+            # injected hydration fault): route fresh and overwrite it.
             record_event(events, "cache-fallback", site="cache.hydrate", key=key)
     result = route_resilient(
         netlist,
@@ -185,10 +187,9 @@ def cached_route(
         objective=objective,
         criticality_exponent=criticality_exponent,
         deadline_s=deadline_s,
-        degrade=degrade,
         events=events,
     )
-    if key is not None and result.success and result.kernel == "astar":
+    if key is not None and result.success and result.iterations <= max_iterations:
         cache.put(key, routing_to_payload(result), events=events)
     return result
 
@@ -221,7 +222,7 @@ def place_and_route(
     placement_effort:
         Scales annealing effort; lower is faster but noisier.  Placement
         runs the ``batched`` annealer (native when the compiled backend is
-        available) and routing the astar kernel.
+        available).
     find_min_channel_width:
         Additionally run the binary search for the minimum channel width
         (Table I's CW column).  This re-routes the design several times;
@@ -240,13 +241,20 @@ def place_and_route(
     design re-hydrate their route trees from disk instead of re-routing.
 
     The flow is *resilient*: cache rot falls back to recomputation, and
-    ``route_deadline_s`` bounds each routing kernel's wall time with
-    automatic degradation down the astar->fast chain.  Every recovery taken
-    is recorded in :attr:`PaRResult.events`; a fault-free run has an empty
-    list and is bit-identical to the pre-resilience flow.
+    ``route_deadline_s`` bounds each routing attempt's wall time; a timed
+    out, failed or congested main route is retried once at twice
+    ``router_iterations``.  Every recovery taken is recorded in
+    :attr:`PaRResult.events`; a fault-free run has an empty list and is
+    bit-identical to the pre-resilience flow.
+
+    Raises ``ValueError`` for an unknown ``objective`` or, with
+    ``find_min_channel_width``, bounds outside ``1 <= low <= high`` --
+    both before any placement work.
     """
     if objective not in ("wirelength", "timing"):
         raise ValueError(f"unknown PAR objective {objective!r}")
+    if find_min_channel_width:
+        check_min_cw_bounds(*min_cw_bounds)
     netlist = from_mapped_network(network)
     num_logic = netlist.num_logic_blocks() + netlist.num_ff_blocks()
     num_ios = netlist.num_io_blocks()

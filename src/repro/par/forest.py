@@ -1,7 +1,7 @@
 """Flat route forest: every net's route tree in one set of int32 arrays.
 
-Every :class:`~repro.par.routing.RoutingResult` carries one, on either
-routing kernel and whether or not the route converged: it is the one
+Every :class:`~repro.par.routing.RoutingResult` carries one, whether or
+not the route converged: it is the one
 route-tree format the timing and cache layers read.  It is built from the
 routers' per-sink ``(target, path, attach)`` connections, so it records
 exactly the tree each route grew.  The union of all route trees is stored

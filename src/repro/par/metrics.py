@@ -39,6 +39,7 @@ from .routing import RoutingResult, route
 __all__ = [
     "channel_occupancy",
     "minimum_channel_width",
+    "check_min_cw_bounds",
     "MinChannelWidthResult",
     "ChannelWidthError",
 ]
@@ -142,6 +143,12 @@ def _probe(
     return result.success, result.wirelength, timing, result.iterations, result.aborted
 
 
+def check_min_cw_bounds(low: int, high: int) -> None:
+    """Raise ``ValueError`` unless ``1 <= low <= high``."""
+    if low < 1 or low > high:
+        raise ValueError(f"min-CW bounds need 1 <= low <= high, got low={low}, high={high}")
+
+
 def minimum_channel_width(
     netlist: PhysicalNetlist,
     placement: Placement,
@@ -159,13 +166,12 @@ def minimum_channel_width(
     pass a :class:`~repro.par.cache.PaRCache` or rely on
     ``PaRCache.from_env()`` at the call site.
 
-    Every probe routes with the default ``astar`` kernel and the
-    routing-failure predictor.  ``1 <= low <= high`` or ``ValueError``.
+    Every probe routes with the routing-failure predictor on.
+    ``1 <= low <= high`` or ``ValueError``.
     When even an extremely wide channel fails, :class:`ChannelWidthError`
     carries the full probe history.
     """
-    if low < 1 or low > high:
-        raise ValueError(f"min-CW bounds need 1 <= low <= high, got low={low}, high={high}")
+    check_min_cw_bounds(low, high)
     probes: Dict[int, Dict[str, Any]] = {}
     wl_at: Dict[int, int] = {}
     timing_at: Dict[int, Dict] = {}

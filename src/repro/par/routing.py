@@ -5,37 +5,33 @@ routing-resource graph with an A*-guided Dijkstra search; congestion is
 resolved by iteratively re-routing nets through overused nodes while the
 present-congestion penalty grows and a history cost accumulates (PathFinder).
 
-Two search kernels live behind :func:`route` (plus the opt-in
-``objective="timing"`` that blends STA criticalities into the astar
-kernel's costs -- see :func:`route`):
+One search kernel lives behind :func:`route` (plus the opt-in
+``objective="timing"`` that blends STA criticalities into its costs --
+see :func:`route`): a scalar directed search over the pin-filtered search
+view.  The wavefront expands over SOURCE/OPIN/CHANX/CHANY nodes only;
+input pins and sinks are reached through precomputed per-sink *entry maps*
+instead of being flooded, every expansion is pruned to the net's terminal
+bounding box (with a full-graph retry on the rare in-box failure), and the
+heap is keyed on ``cost + lookahead`` where the lookahead is the
+admissible Manhattan bound built from the precomputed RR-node coordinates.
+Re-routing is incremental at *connection* granularity: after the first
+iteration only the congested connections of congested nets (plus the
+branches that hang off them) are ripped up and re-routed; untouched
+branches keep their paths across iterations.  The expansion loop runs as
+compiled C when the native backend is available (:mod:`repro.native.astar`,
+bit-identical routes) and as the pure-Python twin otherwise.
 
-* ``kernel="astar"`` (the default) -- scalar directed search over
-  the pin-filtered search view.  The wavefront expands over
-  SOURCE/OPIN/CHANX/CHANY nodes only; input pins and sinks are reached
-  through precomputed per-sink *entry maps* instead of being flooded,
-  every expansion is pruned to the net's terminal bounding box (with a
-  full-graph retry on the rare in-box failure), and the heap is keyed on
-  ``cost + lookahead`` where the lookahead is the admissible Manhattan
-  bound built from the precomputed RR-node coordinates.  Re-routing is
-  incremental at *connection* granularity: after the first iteration only
-  the congested connections of congested nets (plus the branches that hang
-  off them) are ripped up and re-routed; untouched branches keep their
-  paths across iterations.  The expansion loop runs as compiled C when the
-  native backend is available (:mod:`repro.native.astar`, bit-identical
-  routes) and as the pure-Python twin otherwise.
-* ``kernel="fast"`` -- the first reworked kernel and the degradation target of
-  :func:`route_resilient`: same congestion cost vector and incremental
-  re-routing, but the wavefront floods pins and is not bbox-pruned.
+The original per-edge ``node_cost()`` router is kept as a test oracle in
+``tests/oracles.py``; this kernel's route quality is re-baselined against
+it in ``benchmarks/bench_hotpaths.py`` (wirelength within a few percent of
+the reference route).
 
-``fast`` performs the floating-point operations of the original
-per-edge ``node_cost()`` router in the same order, so it returns that
-router's routes exactly; the original is kept as a test oracle in
-``tests/oracles.py``.  ``astar`` trades that bit-identity for throughput;
-its route quality is re-baselined in ``benchmarks/bench_hotpaths.py``
-(wirelength within a few percent of the reference route).
+:func:`route_resilient` bounds each attempt with a deadline and answers a
+timeout, a crash or a non-converged route with one retry at twice the
+iteration budget.
 
 The min-CW probes route with ``abort_hopeless=True``: the routing-failure
-predictor (:func:`predict_failure`) stops an ``astar`` route once its
+predictor (:func:`predict_failure`) stops a route once its
 overuse trend rules out convergence within the iteration budget.
 """
 
@@ -62,7 +58,6 @@ __all__ = [
     "RoutingResult",
     "route",
     "route_resilient",
-    "DEGRADATION_CHAIN",
     "NetRoute",
     "terminal_rr_nodes",
     "routing_to_payload",
@@ -76,8 +71,8 @@ class NetRoute:
 
     net_id: int
     nodes: List[int] = field(default_factory=list)
-    #: ordered per-sink connections ``(sink_rr, path, attach)`` as both
-    #: kernels build them -- ``path`` lists the nodes the connection added
+    #: ordered per-sink connections ``(sink_rr, path, attach)`` as the
+    #: router builds them -- ``path`` lists the nodes the connection added
     #: (sink first), ``attach`` is the tree node it grew from; a duplicate
     #: sink is ``(sink_rr, [], sink_rr)``.  The route forest is built from
     #: these, so the STA engine times exactly the tree the router grew.
@@ -98,16 +93,10 @@ class RoutingResult:
     wirelength: int
     overused_nodes: int
     max_channel_occupancy: int
-    #: flat route forest over all nets' trees, on every kernel, converged
-    #: or not.  The STA engine consumes it with pure NumPy gathers, and the
-    #: PaR cache serializes it so cache hits re-hydrate routes instead of
-    #: re-routing.
+    #: flat route forest over all nets' trees, converged or not.  The STA
+    #: engine consumes it with pure NumPy gathers, and the PaR cache
+    #: serializes it so cache hits re-hydrate routes instead of re-routing.
     forest: RouteForest
-    #: the kernel that actually produced this result;
-    #: :func:`route_resilient` may return a different kernel than requested
-    #: (degradation chain), and the cache layer refuses to store such
-    #: results.  ``None`` on re-hydrated payloads that predate the field.
-    kernel: Optional[str] = None
     #: the routing-failure predictor stopped this route before its iteration
     #: budget (only min-CW probes enable it; see :func:`predict_failure`).
     aborted: bool = False
@@ -144,11 +133,11 @@ _BASE_COST = RR_BASE_COST
 #: costs, while the delay share of a pin can be arbitrarily small.
 _PIN_FLOOR = _BASE_COST[RRNodeType.IPIN] + _BASE_COST[RRNodeType.SINK]
 
-#: PathFinder schedule.  The present-congestion factor starts at the kernel's
-#: ``PRES_FAC_INIT`` (``fast`` keeps the seed trajectory's 0.6) and grows by
-#: ``PRES_FAC_MULT`` per iteration; each unit of overuse adds ``HIST_FAC`` to
-#: a node's history cost; ``ASTAR_FAC`` weights the Manhattan lookahead.
-PRES_FAC_INIT = {"astar": 1.0, "fast": 0.6}
+#: PathFinder schedule.  The present-congestion factor starts at
+#: ``PRES_FAC_INIT`` and grows by ``PRES_FAC_MULT`` per iteration; each unit
+#: of overuse adds ``HIST_FAC`` to a node's history cost; ``ASTAR_FAC``
+#: weights the Manhattan lookahead.
+PRES_FAC_INIT = 1.0
 PRES_FAC_MULT = 1.8
 HIST_FAC = 0.4
 ASTAR_FAC = 1.1
@@ -160,7 +149,7 @@ ASTAR_FAC = 1.1
 #: near misses still converge late.
 PREDICT_WINDOW = 3
 PREDICT_MIN_OVERUSE = 20
-#: Expansion margin of the astar kernel's per-net search bounding box.
+#: Expansion margin of the per-net search bounding box.
 BBOX_MARGIN = 3
 #: Criticality cap of the timing objective: every connection keeps paying
 #: at least this slice of the congestion cost.
@@ -214,19 +203,11 @@ def predict_failure(overuse: Sequence[int], max_iterations: int) -> bool:
     return k + fit_now / -slope > max_iterations
 
 
-def _base_cost_array(rr: RRGraph) -> np.ndarray:
-    base_cost = np.empty(rr.num_nodes, dtype=np.float64)
-    for t, c in _BASE_COST.items():
-        base_cost[rr.node_type == t] = c
-    return base_cost
-
-
 def route(
     netlist: PhysicalNetlist,
     placement: Placement,
     device: Device,
     max_iterations: int = 25,
-    kernel: str = "astar",
     objective: str = "wirelength",
     criticality_exponent: float = 1.0,
     deadline: Optional[Deadline] = None,
@@ -235,81 +216,56 @@ def route(
 ) -> RoutingResult:
     """Route all nets of a placed netlist on the device's RR graph.
 
-    ``kernel`` selects the search implementation (see module docstring):
-    ``astar`` (the default), whose expansion loop runs as compiled C when
-    the native backend is available (:mod:`repro.native`, bit-identical
-    routes) and as the pure Python twin otherwise, or ``fast``, the
-    degradation target of :func:`route_resilient`.  Any other value raises
-    ``ValueError``.  The PathFinder schedule is fixed per kernel (see
-    :data:`PRES_FAC_INIT` and the constants next to it).
+    The expansion loop runs as compiled C when the native backend is
+    available (:mod:`repro.native`, bit-identical routes) and as the pure
+    Python twin otherwise.  The PathFinder schedule is fixed (see
+    :data:`PRES_FAC_INIT` and the constants next to it), and
+    ``max_iterations`` is read only as the loop bound: a route that
+    converges at iteration ``k`` returns the same result under every budget
+    of at least ``k``.
 
-    ``objective="timing"`` (``astar`` only) switches the
-    connection searches to the VPR-style timing-driven cost
-    ``crit * delay + (1 - crit) * congestion``: per-connection
-    criticalities start from a placement-distance STA estimate and are
-    refreshed from the actual route trees after every PathFinder iteration
-    (:class:`repro.timing.sta.CriticalityTracker`).  Delays are normalized
-    by the architecture's unit-wire hop delay, so a unit wire costs exactly
-    1.0 under any blend and the Manhattan lookahead stays admissible.
-    :data:`MAX_CRITICALITY` keeps every connection paying a slice of the
-    congestion cost; ``criticality_exponent`` sharpens the blend.
+    ``objective="timing"`` switches the connection searches to the
+    VPR-style timing-driven cost ``crit * delay + (1 - crit) * congestion``:
+    per-connection criticalities start from a placement-distance STA
+    estimate and are refreshed from the actual route trees after every
+    PathFinder iteration (:class:`repro.timing.sta.CriticalityTracker`).
+    Delays are normalized by the architecture's unit-wire hop delay, so a
+    unit wire costs exactly 1.0 under any blend and the Manhattan lookahead
+    stays admissible.  :data:`MAX_CRITICALITY` keeps every connection
+    paying a slice of the congestion cost; ``criticality_exponent``
+    sharpens the blend.
 
-    ``deadline`` bounds the route's wall time: every kernel polls it at
+    ``deadline`` bounds the route's wall time: the router polls it at
     PathFinder-iteration granularity (and inside long first iterations)
     and raises :class:`~repro.util.resilience.DeadlineExceeded` when it
     expires.  The check is a clock read per poll point -- it never changes
     the search trajectory, so results under a generous deadline are
     bit-identical to unbounded ones.
 
-    ``abort_hopeless`` (``astar`` only; the min-CW probes set it) stops the
-    route as soon as :func:`predict_failure` rules out convergence within
+    ``abort_hopeless`` (the min-CW probes set it) stops the route as soon
+    as :func:`predict_failure` rules out convergence within
     ``max_iterations``; the result then has ``success=False``,
     ``aborted=True`` and ``iterations`` set to the iteration it stopped at.
     """
-    if kernel not in ("astar", "fast"):
-        raise ValueError(f"unknown routing kernel {kernel!r}")
     if objective not in ("wirelength", "timing"):
         raise ValueError(f"unknown routing objective {objective!r}")
-    if objective == "timing" and kernel != "astar":
-        raise ValueError(f"objective='timing' requires the astar kernel, not {kernel!r}")
-    if abort_hopeless and kernel != "astar":
-        raise ValueError(f"abort_hopeless requires the astar kernel, not {kernel!r}")
-    with span("par.route", kernel=kernel, objective=objective,
-              nets=len(netlist.nets)) as route_span:
-        if kernel == "astar":
-            result = _route_astar(
-                netlist, placement, device,
-                max_iterations=max_iterations,
-                objective=objective,
-                criticality_exponent=criticality_exponent,
-                deadline=deadline,
-                abort_hopeless=abort_hopeless,
-            )
-        else:
-            result = _route_fast(
-                netlist, placement, device,
-                max_iterations=max_iterations,
-                deadline=deadline,
-            )
+    with span("par.route", objective=objective, nets=len(netlist.nets)) as route_span:
+        result = _route_astar(
+            netlist, placement, device,
+            max_iterations=max_iterations,
+            objective=objective,
+            criticality_exponent=criticality_exponent,
+            deadline=deadline,
+            abort_hopeless=abort_hopeless,
+        )
         route_span.annotate(
             channel_width=device.arch.channel_width,
             iterations=result.iterations, aborted=result.aborted,
         )
-    result.kernel = kernel
-    if result.telemetry is not None:
-        # Convergence timelines land in the trace (no-ops when disabled);
-        # the arrays themselves stay on the result for PaRResult.telemetry.
-        emit_series(
-            "route.overuse", result.telemetry.get("overuse_per_iteration", ()),
-            kernel=kernel,
-        )
+    # The convergence timeline lands in the trace (a no-op when disabled);
+    # the arrays themselves stay on the result for PaRResult.telemetry.
+    emit_series("route.overuse", result.telemetry["overuse_per_iteration"])
     return result
-
-
-#: Kernel fallback order of :func:`route_resilient`: quality-first to
-#: cheapest.  A degraded attempt starts at the requested kernel's position
-#: and walks right, so a ``fast`` request has nowhere left to degrade to.
-DEGRADATION_CHAIN: Tuple[str, ...] = ("astar", "fast")
 
 
 def route_resilient(
@@ -317,94 +273,73 @@ def route_resilient(
     placement: Placement,
     device: Device,
     max_iterations: int = 25,
-    kernel: str = "astar",
     objective: str = "wirelength",
     deadline_s: Optional[float] = None,
     events: Optional[List[Dict[str, object]]] = None,
-    degrade: bool = True,
     **route_kwargs,
 ) -> RoutingResult:
-    """:func:`route` with a per-kernel deadline and a degradation chain.
+    """:func:`route` with a per-attempt deadline and one retry at twice the budget.
 
-    Each attempt gets a fresh :class:`~repro.util.resilience.Deadline` of
-    ``deadline_s`` seconds.  When a kernel times out, crashes, or fails to
-    converge within ``max_iterations``, the next kernel in
-    :data:`DEGRADATION_CHAIN` (from the requested kernel's position) is
-    tried, and the switch is recorded as a ``degraded-kernel`` event in
-    ``events``.  The ``fast`` kernel cannot price timing costs, so a
-    timing-objective route that degrades to it also degrades the objective
-    to ``wirelength`` (recorded on the event).
+    The first attempt routes with ``max_iterations`` under a fresh
+    :class:`~repro.util.resilience.Deadline` of ``deadline_s`` seconds.
+    When it times out (``kernel-deadline``), raises (``kernel-error``) or
+    ends congested (``kernel-nonconverged``), one retry runs at
+    ``2 * max_iterations`` under its own fresh deadline, recorded as a
+    ``route-retry`` event in ``events``.
 
-    On a fault-free run this is exactly one :func:`route` call -- same
-    arguments, same trajectory, bit-identical result -- so callers can
-    adopt it unconditionally.  ``degrade=False`` keeps the deadline and
-    event reporting but re-raises instead of walking the chain.
+    On a fault-free run that converges within ``max_iterations`` this is
+    exactly one :func:`route` call -- same arguments, same trajectory,
+    bit-identical result -- so callers can adopt it unconditionally.  The
+    retry replays the same trajectory (the budget is only the loop bound),
+    so a retry that converges at iteration ``k <= max_iterations`` returns
+    the first attempt's route as it would have been without the fault.
 
-    Raises the final attempt's error when every kernel in the chain fails
-    outright; returns the last non-converged result (``success=False``)
-    when kernels complete but congestion never resolves.
+    Returns the earliest non-converged result (``success=False``) when no
+    attempt converges -- when the first attempt completed, exactly what a
+    plain :func:`route` would have returned; raises the last attempt's
+    error when both attempts fail outright.
     """
-    if kernel in DEGRADATION_CHAIN and degrade:
-        chain = DEGRADATION_CHAIN[DEGRADATION_CHAIN.index(kernel):]
-    else:
-        chain = (kernel,)
-
-    last_result: Optional[RoutingResult] = None
-    last_error: Optional[BaseException] = None
-    for attempt, attempt_kernel in enumerate(chain):
-        eff_objective = objective
-        if objective == "timing" and attempt_kernel != "astar":
-            eff_objective = "wirelength"
+    first: Optional[RoutingResult] = None
+    error: Optional[BaseException] = None
+    for attempt, budget in enumerate((max_iterations, 2 * max_iterations)):
+        if attempt:
+            record_event(events, "route-retry", site="route.kernel",
+                         max_iterations=budget)
         fault = inject("route.kernel")
         try:
             if fault == "timeout":
-                raise DeadlineExceeded(
-                    f"injected kernel timeout ({attempt_kernel})"
-                )
+                raise DeadlineExceeded("injected route timeout")
             if fault is not None:
                 raise FaultInjected("route.kernel", kind=fault)
             result = route(
                 netlist, placement, device,
-                max_iterations=max_iterations,
-                kernel=attempt_kernel,
-                objective=eff_objective,
+                max_iterations=budget,
+                objective=objective,
                 deadline=Deadline(deadline_s),
                 **route_kwargs,
             )
         except DeadlineExceeded as exc:
             record_event(events, "kernel-deadline", site="route.kernel",
-                         kernel=attempt_kernel, deadline_s=deadline_s,
+                         max_iterations=budget, deadline_s=deadline_s,
                          error=str(exc))
-            last_error = exc
+            error = exc
             continue
         except (FaultInjected, RuntimeError) as exc:
             record_event(events, "kernel-error", site="route.kernel",
-                         kernel=attempt_kernel,
+                         max_iterations=budget,
                          error=f"{type(exc).__name__}: {exc}")
-            last_error = exc
+            error = exc
             continue
-        if attempt > 0:
-            record_event(
-                events, "degraded-kernel", site="route.kernel",
-                requested=chain[0], kernel=attempt_kernel,
-                objective=eff_objective,
-                objective_degraded=eff_objective != objective,
-            )
         if result.success:
             return result
         record_event(events, "kernel-nonconverged", site="route.kernel",
-                     kernel=attempt_kernel, iterations=result.iterations,
-                     overused_nodes=result.overused_nodes)
-        if last_result is None:
-            # Keep the *requested* kernel's non-converged result: when the
-            # whole chain fails to converge, the caller sees exactly what a
-            # plain route() would have returned, with the extra attempts
-            # visible only in the events.
-            last_result = result
-    if last_result is not None:
-        return last_result
-    assert last_error is not None
-    raise last_error
+                     max_iterations=budget, overused_nodes=result.overused_nodes)
+        if first is None:
+            first = result
+    if first is not None:
+        return first
+    assert error is not None
+    raise error
 
 
 def _route_astar(
@@ -418,110 +353,112 @@ def _route_astar(
     abort_hopeless: bool = False,
 ) -> RoutingResult:
     """Directed incremental PathFinder over the pin-filtered search view."""
-    rr = device.rr_graph
-    num_nodes = rr.num_nodes
-    view = rr.search_view()
+    # Set-up (search view, criticality tracker, terminals and search boxes,
+    # native binding) gets its own span so a trace accounts for the time
+    # par.route spends outside its iterations.
+    with span("par.route.setup"):
+        rr = device.rr_graph
+        num_nodes = rr.num_nodes
+        view = rr.search_view()
 
-    base_cost = view.base_cost
-    cap_arr = rr.node_capacity.astype(np.int32)
-    history = np.zeros(num_nodes, dtype=np.float64)
+        base_cost = view.base_cost
+        cap_arr = rr.node_capacity.astype(np.int32)
+        history = np.zeros(num_nodes, dtype=np.float64)
 
-    # Timing objective: per-connection criticalities blend a normalized
-    # delay cost into the congestion cost (crit * delay + (1-crit) * cong).
-    # The normalization makes a unit wire cost exactly 1.0 in delay terms,
-    # so the Manhattan lookahead below stays admissible under any blend.
-    # Criticalities live in the tracker's flat conn_crit vector, indexed by
-    # connection id (resolved once per sink below) -- no per-connection
-    # dict probes in the search loop, no dict rebuild per iteration.
-    timing_mode = objective == "timing"
-    if timing_mode:
-        from ..timing.sta import CriticalityTracker
+        # Timing objective: per-connection criticalities blend a normalized
+        # delay cost into the congestion cost (crit * delay + (1-crit) * cong).
+        # The normalization makes a unit wire cost exactly 1.0 in delay terms,
+        # so the Manhattan lookahead below stays admissible under any blend.
+        # Criticalities live in the tracker's flat conn_crit vector, indexed by
+        # connection id (resolved once per sink below) -- no per-connection
+        # dict probes in the search loop, no dict rebuild per iteration.
+        timing_mode = objective == "timing"
+        if timing_mode:
+            from ..timing.sta import CriticalityTracker
 
-        tracker = CriticalityTracker(
-            netlist, placement, device,
-            max_criticality=MAX_CRITICALITY, exponent=criticality_exponent,
-        )
-        conn_crit = tracker.initial_flat()
-        cid_of = tracker.conn_index
-        delay_arr: np.ndarray = view.delay_ns / device.arch.wire_hop_delay_ns
-        delay_l: List[float] = delay_arr.tolist()
-    else:
-        tracker = None
-        conn_crit = None
-        cid_of = {}
-        delay_arr = np.zeros(0, dtype=np.float64)
-        delay_l = []
+            tracker = CriticalityTracker(
+                netlist, placement, device,
+                max_criticality=MAX_CRITICALITY, exponent=criticality_exponent,
+            )
+            conn_crit = tracker.initial_flat()
+            cid_of = tracker.conn_index
+            delay_arr: np.ndarray = view.delay_ns / device.arch.wire_hop_delay_ns
+            delay_l: List[float] = delay_arr.tolist()
+        else:
+            tracker = None
+            conn_crit = None
+            cid_of = {}
+            delay_arr = np.zeros(0, dtype=np.float64)
+            delay_l = []
 
-    xs, ys = view.xs, view.ys
-    types = view.types
-    cap = view.capacity
-    entries_of = view.entries_of
-    occupancy = [0] * num_nodes
+        xs, ys = view.xs, view.ys
+        types = view.types
+        cap = view.capacity
+        entries_of = view.entries_of
+        occupancy = [0] * num_nodes
 
-    src_of, sink_of = terminal_rr_nodes(netlist, placement, rr)
+        src_of, sink_of = terminal_rr_nodes(netlist, placement, rr)
 
-    routes: Dict[int, NetRoute] = {}
-    net_terms: Dict[int, Tuple[int, List[int]]] = {}
-    net_bbox: Dict[int, Tuple[int, int, int, int]] = {}
-    for net in netlist.nets:
-        source = src_of[net.driver]
-        sinks = [sink_of[s] for s in net.sinks]
-        net_terms[net.id] = (source, sinks)
-        txs = [xs[source]] + [xs[t] for t in sinks]
-        tys = [ys[source]] + [ys[t] for t in sinks]
-        net_bbox[net.id] = (
-            min(txs) - BBOX_MARGIN, max(txs) + BBOX_MARGIN,
-            min(tys) - BBOX_MARGIN, max(tys) + BBOX_MARGIN,
-        )
-    full_bounds = (-(1 << 30), 1 << 30, -(1 << 30), 1 << 30)
+        routes: Dict[int, NetRoute] = {}
+        net_terms: Dict[int, Tuple[int, List[int]]] = {}
+        net_bbox: Dict[int, Tuple[int, int, int, int]] = {}
+        for net in netlist.nets:
+            source = src_of[net.driver]
+            sinks = [sink_of[s] for s in net.sinks]
+            net_terms[net.id] = (source, sinks)
+            txs = [xs[source]] + [xs[t] for t in sinks]
+            tys = [ys[source]] + [ys[t] for t in sinks]
+            net_bbox[net.id] = (
+                min(txs) - BBOX_MARGIN, max(txs) + BBOX_MARGIN,
+                min(tys) - BBOX_MARGIN, max(tys) + BBOX_MARGIN,
+            )
+        full_bounds = (-(1 << 30), 1 << 30, -(1 << 30), 1 << 30)
 
-    generation = 0
+        generation = 0
 
-    IPIN = RRNodeType.IPIN
-    SINK = RRNodeType.SINK
-    CHANX = RRNodeType.CHANX
-    CHANY = RRNodeType.CHANY
-    heappush = heapq.heappush
-    heappop = heapq.heappop
+        IPIN = RRNodeType.IPIN
+        SINK = RRNodeType.SINK
+        heappush = heapq.heappush
+        heappop = heapq.heappop
 
-    # Native backend: the compiled expansion loop reads the search view's
-    # CSR directly and keeps the per-search visited/cost/prev planes in
-    # int64/float64 arrays it shares with this function.  It is a
-    # bit-identical twin of the _search closure below (same routes, same
-    # trajectories -- see repro.native.astar), so which backend ran is
-    # unobservable in the result.  None -> pure-Python kernels.
-    nat = astar_kernel()
-    # Nodes-expanded counter: the native kernel accumulates into the int64
-    # out-param array, the Python twin into the one-slot list cell -- same
-    # definition (one count per adjacency scan), integer-only either way.
-    nat_stats = np.zeros(1, dtype=np.int64)
-    py_expanded = [0]
-    if nat is not None:
-        adj: List[List[int]] = []       # Python-twin mirror, never built here
-        visited_gen: List[int] = []     # unused; the arrays below replace them
-        cost_so_far: List[float] = []
-        prev_node: List[int] = []
-        nat_visited = np.zeros(num_nodes, dtype=np.int64)
-        nat_csf = np.zeros(num_nodes, dtype=np.float64)
-        nat_prev = np.full(num_nodes, -1, dtype=np.int64)
-        nat_tree_mark = np.zeros(num_nodes, dtype=np.int64)
-        nat_out = np.empty(num_nodes + 1, dtype=np.int64)
-        nat_ntype = np.ascontiguousarray(rr.node_type, dtype=np.int8)
-        nat.bind(
-            view.csr_ptr, view.csr_dst, view.xs_arr, view.ys_arr, nat_ntype,
-            int(IPIN), int(SINK), nat_visited, nat_csf, nat_prev,
-            nat_tree_mark, ASTAR_FAC, _PIN_FLOOR, nat_stats,
-        )
-        entry_csr = view.entry_csr
-    else:
-        adj = view.adj_search
-        visited_gen = [0] * num_nodes
-        cost_so_far = [0.0] * num_nodes
-        prev_node = [-1] * num_nodes
+        # Native backend: the compiled expansion loop reads the search view's
+        # CSR directly and keeps the per-search visited/cost/prev planes in
+        # int64/float64 arrays it shares with this function.  It is a
+        # bit-identical twin of the _search closure below (same routes, same
+        # trajectories -- see repro.native.astar), so which backend ran is
+        # unobservable in the result.  None -> pure-Python kernels.
+        nat = astar_kernel()
+        # Nodes-expanded counter: the native kernel accumulates into the int64
+        # out-param array, the Python twin into the one-slot list cell -- same
+        # definition (one count per adjacency scan), integer-only either way.
+        nat_stats = np.zeros(1, dtype=np.int64)
+        py_expanded = [0]
+        if nat is not None:
+            adj: List[List[int]] = []       # Python-twin mirror, never built here
+            visited_gen: List[int] = []     # unused; the arrays below replace them
+            cost_so_far: List[float] = []
+            prev_node: List[int] = []
+            nat_visited = np.zeros(num_nodes, dtype=np.int64)
+            nat_csf = np.zeros(num_nodes, dtype=np.float64)
+            nat_prev = np.full(num_nodes, -1, dtype=np.int64)
+            nat_tree_mark = np.zeros(num_nodes, dtype=np.int64)
+            nat_out = np.empty(num_nodes + 1, dtype=np.int64)
+            nat_ntype = np.ascontiguousarray(rr.node_type, dtype=np.int8)
+            nat.bind(
+                view.csr_ptr, view.csr_dst, view.xs_arr, view.ys_arr, nat_ntype,
+                int(IPIN), int(SINK), nat_visited, nat_csf, nat_prev,
+                nat_tree_mark, ASTAR_FAC, _PIN_FLOOR, nat_stats,
+            )
+            entry_csr = view.entry_csr
+        else:
+            adj = view.adj_search
+            visited_gen = [0] * num_nodes
+            cost_so_far = [0.0] * num_nodes
+            prev_node = [-1] * num_nodes
 
     bh: List[float] = []
     cost: List[float] = []
-    pres_fac = PRES_FAC_INIT["astar"]
+    pres_fac = PRES_FAC_INIT
     # Live set of strictly-overused nodes, maintained by bump(): the
     # congestion scans below stay proportional to the overuse, never to the
     # graph, and see occupancy changes from earlier re-routes in the same
@@ -897,23 +834,25 @@ def _route_astar(
         if deadline is not None:
             deadline.check(f"astar iteration {iteration}")
         it_t0 = time.perf_counter()
-        # Refresh the congestion cost vector for this iteration's pres_fac
-        # and history (occupancy-driven entries are kept current by bump()).
-        occ_arr = np.asarray(occupancy, dtype=np.int32)
-        base_hist = base_cost + history
-        over_arr = occ_arr + 1 - cap_arr
-        cost_arr = np.where(over_arr > 0, base_hist * (1.0 + pres_fac * over_arr), base_hist)
-        bh = base_hist.tolist()
-        if nat is not None:
-            # bump() writes through this array, so the compiled kernel sees
-            # the live congestion costs -- the same bits the list twin holds.
-            cost = cost_arr
-            nat.set_costs(cost_arr, delay_arr if timing_mode else cost_arr)
-        else:
-            cost = cost_arr.tolist()
-
         rerouted = 0
+        # The span covers the whole iteration (cost refresh included), the
+        # same interval iteration_wall_ms records.
         with span("par.route.iteration", i=iteration):
+            # Refresh the congestion cost vector for this iteration's pres_fac
+            # and history (occupancy-driven entries are kept current by bump()).
+            occ_arr = np.asarray(occupancy, dtype=np.int32)
+            base_hist = base_cost + history
+            over_arr = occ_arr + 1 - cap_arr
+            cost_arr = np.where(over_arr > 0, base_hist * (1.0 + pres_fac * over_arr), base_hist)
+            bh = base_hist.tolist()
+            if nat is not None:
+                # bump() writes through this array, so the compiled kernel sees
+                # the live congestion costs -- the same bits the list twin holds.
+                cost = cost_arr
+                nat.set_costs(cost_arr, delay_arr if timing_mode else cost_arr)
+            else:
+                cost = cost_arr.tolist()
+
             if iteration == 1:
                 rerouted = len(net_ids)
                 for nid in net_ids:
@@ -945,9 +884,7 @@ def _route_astar(
             # iteration's re-routes price against fresh criticalities.
             conn_crit = tracker.update_flat(_forest())
 
-    occ_arr = np.asarray(occupancy, dtype=np.int32)
     telemetry = {
-        "kernel": "astar",
         "native": nat is not None,
         "overuse_per_iteration": tl_overuse,
         "rerouted_nets_per_iteration": tl_rerouted,
@@ -955,191 +892,13 @@ def _route_astar(
         "nodes_expanded": int(nat_stats[0]) if nat is not None else py_expanded[0],
         "sta_retimes": tracker.updates if tracker is not None else 0,
     }
-    result = _assemble_result(
-        rr, routes, occ_arr, cap_arr, success, iteration, _forest(),
-        telemetry=telemetry,
-    )
+    with span("par.route.forest"):
+        result = _assemble_result(
+            rr, routes, np.asarray(occupancy, dtype=np.int32), cap_arr,
+            success, iteration, _forest(), telemetry=telemetry,
+        )
     result.aborted = aborted
     return result
-
-
-def _route_fast(
-    netlist: PhysicalNetlist,
-    placement: Placement,
-    device: Device,
-    max_iterations: int = 25,
-    deadline: Optional[Deadline] = None,
-) -> RoutingResult:
-    """PR 1 kernel: congestion cost vector, unpruned wavefront (baseline)."""
-    rr = device.rr_graph
-    num_nodes = rr.num_nodes
-
-    base_cost = _base_cost_array(rr)
-    cap_arr = rr.node_capacity.astype(np.int32)
-    history = np.zeros(num_nodes, dtype=np.float64)
-
-    # Flat Python mirrors of the RR-graph arrays for the search inner loop.
-    cap = cap_arr.tolist()
-    ntype = rr.node_type.tolist()
-    xs = rr.node_x.tolist()
-    ys = rr.node_y.tolist()
-    ptr = rr.edge_ptr.tolist()
-    dst = rr.edge_dst.tolist()
-    adj = [dst[ptr[i]: ptr[i + 1]] for i in range(num_nodes)]
-    occupancy = [0] * num_nodes
-
-    src_of, sink_of = terminal_rr_nodes(netlist, placement, rr)
-
-    routes: Dict[int, NetRoute] = {}
-    net_terms: Dict[int, Tuple[int, List[int]]] = {}
-    for net in netlist.nets:
-        net_terms[net.id] = (src_of[net.driver], [sink_of[s] for s in net.sinks])
-
-    # Search bookkeeping with generation stamps (avoids clearing big arrays).
-    visited_gen = [0] * num_nodes
-    cost_so_far = [0.0] * num_nodes
-    prev_node = [-1] * num_nodes
-    generation = 0
-
-    SINK = RRNodeType.SINK
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    # Per-iteration congestion costs: cost[n] = (base + history)[n] * present.
-    # Refreshed vectorized at iteration start, entry-wise on occupancy change.
-    bh: List[float] = []
-    cost: List[float] = []
-    astar_fac = ASTAR_FAC  # closure-local: read in the search loop
-    pres_fac = PRES_FAC_INIT["fast"]
-
-    def bump(n: int, d: int) -> None:
-        occupancy[n] += d
-        over = occupancy[n] + 1 - cap[n]
-        cost[n] = bh[n] * (1.0 + pres_fac * over) if over > 0 else bh[n]
-
-    def route_net(net_id: int) -> NetRoute:
-        nonlocal generation
-        if deadline is not None:
-            deadline.check(f"fast net {net_id}")
-        source, sinks = net_terms[net_id]
-        tree: List[int] = [source]
-        tree_set: Set[int] = {source}
-        # Route sinks farthest-first (VPR heuristic).
-        sx, sy = xs[source], ys[source]
-        order = sorted(sinks, key=lambda t: -(abs(xs[t] - sx) + abs(ys[t] - sy)))
-        conns: List[Tuple[int, List[int], int]] = []
-        for target in order:
-            if target in tree_set:
-                bump(target, 1)
-                conns.append((target, [], target))
-                continue
-            generation += 1
-            gen = generation
-            tx, ty = xs[target], ys[target]
-            heap: List[Tuple[float, float, int]] = []
-            for n in tree:
-                h = (abs(xs[n] - tx) + abs(ys[n] - ty)) * astar_fac
-                visited_gen[n] = gen
-                cost_so_far[n] = 0.0
-                prev_node[n] = -1
-                heappush(heap, (h, 0.0, n))
-            found = False
-            while heap:
-                _, g, n = heappop(heap)
-                if g > cost_so_far[n] + 1e-12:
-                    continue  # stale heap entry
-                if n == target:
-                    found = True
-                    break
-                for m in adj[n]:
-                    if ntype[m] == SINK and m != target:
-                        continue
-                    new_cost = g + cost[m]
-                    if visited_gen[m] != gen or new_cost < cost_so_far[m] - 1e-12:
-                        visited_gen[m] = gen
-                        cost_so_far[m] = new_cost
-                        prev_node[m] = n
-                        h = (abs(xs[m] - tx) + abs(ys[m] - ty)) * astar_fac
-                        heappush(heap, (new_cost + h, new_cost, m))
-            if not found:
-                raise RuntimeError(
-                    f"net {net_id} could not reach its sink; the device is too small "
-                    "or the channel width is insufficient even with congestion allowed"
-                )
-            # Backtrace and merge the new path into the route tree.
-            path = []
-            n = target
-            while n != -1 and n not in tree_set:
-                path.append(n)
-                n = prev_node[n]
-            # ``n`` is the attach node; the merge loop below rebinds it.
-            conns.append((target, path, n))
-            for n in path:
-                tree_set.add(n)
-                tree.append(n)
-                bump(n, 1)
-        return NetRoute(net_id, tree, connections=conns)
-
-    def rip_up(net_route: NetRoute) -> None:
-        source = net_terms[net_route.net_id][0]
-        for n in net_route.nodes:
-            if n != source:
-                bump(n, -1)
-
-    iteration = 0
-    success = False
-    net_ids = [net.id for net in netlist.nets]
-    tl_overuse: List[int] = []
-    tl_rerouted: List[int] = []
-    tl_wall_ms: List[float] = []
-
-    for iteration in range(1, max_iterations + 1):
-        it_t0 = time.perf_counter()
-        # Refresh the congestion cost vector for this iteration's pres_fac
-        # and history (occupancy-driven entries are kept current by bump()).
-        occ_arr = np.asarray(occupancy, dtype=np.int32)
-        base_hist = base_cost + history
-        over_arr = occ_arr + 1 - cap_arr
-        cost_arr = np.where(over_arr > 0, base_hist * (1.0 + pres_fac * over_arr), base_hist)
-        bh = base_hist.tolist()
-        cost = cost_arr.tolist()
-
-        if iteration == 1:
-            targets = net_ids
-        else:
-            # Re-route only nets that currently use overused nodes.
-            targets = [
-                nid
-                for nid in net_ids
-                if any(occupancy[n] > cap[n] for n in routes[nid].nodes)
-            ]
-        for nid in targets:
-            if nid in routes:
-                rip_up(routes[nid])
-            routes[nid] = route_net(nid)
-
-        occ_arr = np.asarray(occupancy, dtype=np.int32)
-        over_nodes = int(np.count_nonzero(occ_arr > cap_arr))
-        tl_overuse.append(over_nodes)
-        tl_rerouted.append(len(targets))
-        tl_wall_ms.append((time.perf_counter() - it_t0) * 1000.0)
-        if over_nodes == 0:
-            success = True
-            break
-        history += HIST_FAC * np.maximum(occ_arr - cap_arr, 0)
-        pres_fac *= PRES_FAC_MULT
-
-    occ_arr = np.asarray(occupancy, dtype=np.int32)
-    telemetry = {
-        "kernel": "fast",
-        "overuse_per_iteration": tl_overuse,
-        "rerouted_nets_per_iteration": tl_rerouted,
-        "iteration_wall_ms": tl_wall_ms,
-    }
-    return _assemble_result(
-        rr, routes, occ_arr, cap_arr, success, iteration,
-        build_route_forest(routes, rr), telemetry=telemetry,
-    )
 
 
 def _assemble_result(
@@ -1194,7 +953,6 @@ def routing_to_payload(result: RoutingResult) -> Dict[str, object]:
         "wirelength": result.wirelength,
         "overused_nodes": result.overused_nodes,
         "max_channel_occupancy": result.max_channel_occupancy,
-        "kernel": result.kernel,
         "forest": result.forest.to_payload(),
     }
 
@@ -1218,7 +976,6 @@ def routing_from_payload(payload: Dict[str, object]) -> Optional[RoutingResult]:
             overused_nodes=int(payload["overused_nodes"]),
             max_channel_occupancy=int(payload["max_channel_occupancy"]),
             forest=forest,
-            kernel=payload.get("kernel"),
         )
     except (KeyError, TypeError, ValueError):
         return None

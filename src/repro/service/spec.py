@@ -278,8 +278,8 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
         "tluts": int(summary["tluts"]),
         "tcons": int(summary["tcons"]),
         #: recovery provenance: faults the *flow* absorbed while producing
-        #: this (still bit-identical) result -- cache fallbacks, degraded
-        #: kernels.  Empty on a fault-free run.
+        #: this (still bit-identical) result -- cache fallbacks, route
+        #: retries.  Empty on a fault-free run.
         "events": list(par.events),
         "worker_pid": os.getpid(),
     }

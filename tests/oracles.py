@@ -6,7 +6,8 @@ replaced lives here, outside the package, as the reference its tests and
 directory on ``sys.path``):
 
 * :func:`route_reference` -- the PathFinder router with a per-edge
-  ``node_cost()`` call; ``route(kernel="fast")`` must reproduce it exactly;
+  ``node_cost()`` call and an unpruned wavefront; the wirelength baseline
+  of ``route()`` and the router whose grown trees the STA tests time;
 * :func:`minimum_channel_width_unpruned` -- the min-CW binary search
   with every probe run to its full iteration budget; the probes of
   :func:`~repro.par.metrics.minimum_channel_width` stop early under the
@@ -46,7 +47,7 @@ import numpy as np
 
 from repro.fpga.architecture import FPGAArchitecture
 from repro.fpga.device import Device, build_device
-from repro.fpga.routing_graph import RRGraph, RRNodeType, _track_subset
+from repro.fpga.routing_graph import RR_BASE_COST, RRGraph, RRNodeType, _track_subset
 from repro.netlist.circuit import Circuit, Op
 from repro.netlist.library import eval_gate
 from repro.netlist.simulate import _pattern_mask
@@ -69,7 +70,6 @@ from repro.par.routing import (
     NetRoute,
     RoutingResult,
     _assemble_result,
-    _base_cost_array,
     route,
     terminal_rr_nodes,
 )
@@ -98,6 +98,7 @@ __all__ = [
     "criticality_update",
     "build_rr_graph_reference",
     "rr_graph_differences",
+    "routing_differences",
 ]
 
 
@@ -115,19 +116,20 @@ def route_reference(
     astar_fac: float = 1.1,
     deadline: Optional[Deadline] = None,
 ) -> RoutingResult:
-    """Original router: per-edge ``node_cost()`` calls.
+    """Original router: per-edge ``node_cost()`` calls, unpruned wavefront.
 
-    Checks ``route(kernel="fast")``, which must return the identical routes
-    (``test_engine.py``, ``test_property_fuzz.py``, the ``routing`` section's
-    ``identical_outputs`` gate in ``check_quality.py``), and is the
-    wirelength baseline of ``astar`` (``test_par.py``'s router-quality
-    tests, the ``astar_wirelength_ratio`` and ``timing_wl_band_ratio``
-    gates).
+    The wirelength baseline of ``route()`` (``test_par.py``'s
+    router-quality tests, the ``astar_wirelength_ratio`` and
+    ``timing_wl_band_ratio`` gates of ``check_quality.py``), and the router
+    whose grown trees ``test_forest.py`` and ``test_timing.py`` time
+    through the STA engine.
     """
     rr = device.rr_graph
     num_nodes = rr.num_nodes
 
-    base_cost = _base_cost_array(rr)
+    base_cost = np.empty(num_nodes, dtype=np.float64)
+    for t, c in RR_BASE_COST.items():
+        base_cost[rr.node_type == t] = c
     capacity = rr.node_capacity.astype(np.int32)
     occupancy = np.zeros(num_nodes, dtype=np.int32)
     history = np.zeros(num_nodes, dtype=np.float64)
@@ -903,4 +905,28 @@ def rr_graph_differences(rr: RRGraph, ref: RRGraph) -> List[str]:
         name for name in lookups
         if list(getattr(rr, name).items()) != list(getattr(ref, name).items())
     ]
+    return diffs
+
+
+def routing_differences(result: RoutingResult, ref: RoutingResult) -> List[str]:
+    """Names of the fields in which two routing results differ.
+
+    Compares every metric, each net's ordered connections and every forest
+    array by dtype and value (node lists are not compared: cache hydration
+    rebuilds them in forest order); an empty list means the same route.
+    """
+    metrics = (
+        "success", "iterations", "wirelength", "overused_nodes",
+        "max_channel_occupancy", "aborted",
+    )
+    diffs = [name for name in metrics if getattr(result, name) != getattr(ref, name)]
+    if {n: r.connections for n, r in result.routes.items()} != {
+        n: r.connections for n, r in ref.routes.items()
+    }:
+        diffs.append("connections")
+    for name, value in vars(ref.forest).items():
+        if isinstance(value, np.ndarray):
+            mine = getattr(result.forest, name)
+            if mine.dtype != value.dtype or not np.array_equal(mine, value):
+                diffs.append(f"forest.{name}")
     return diffs

@@ -113,7 +113,7 @@ def design_digest(name: str) -> str:
     h = hashlib.sha256()
     _hash_placement(h, placement)
     for objective in ("wirelength", "timing"):
-        result = route(nl, placement, device, kernel="astar", objective=objective)
+        result = route(nl, placement, device, objective=objective)
         assert result.success, (name, objective)
         cp = analyze(nl, result, device, placement=placement).critical_path_ns
         _hash_route(h, result, cp)

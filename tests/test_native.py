@@ -243,10 +243,10 @@ class TestAstarBitIdentity:
         nl, arch, device, _ = workload
         for seed in BENCH_SEEDS:
             placement = place(nl, arch, seed=seed, effort=0.3).placement
-            nat = route(nl, placement, device, kernel="astar")
+            nat = route(nl, placement, device)
             assert nat.success
             with python_twins():
-                py = route(nl, placement, device, kernel="astar")
+                py = route(nl, placement, device)
             assert nat.wirelength == py.wirelength, seed
             assert nat.iterations == py.iterations, seed
             assert _routes_equal(nat, py), seed
@@ -255,16 +255,16 @@ class TestAstarBitIdentity:
         """The fragment arrays emitted during native backtrace match the
         Python path's bit for bit (same cache payload)."""
         nl, _arch, device, placement = workload
-        nat = route(nl, placement, device, kernel="astar")
+        nat = route(nl, placement, device)
         with python_twins():
-            py = route(nl, placement, device, kernel="astar")
+            py = route(nl, placement, device)
         assert routing_to_payload(nat) == routing_to_payload(py)
 
     def test_timing_objective_identical(self, workload):
         nl, _arch, device, placement = workload
-        nat = route(nl, placement, device, kernel="astar", objective="timing")
+        nat = route(nl, placement, device, objective="timing")
         with python_twins():
-            py = route(nl, placement, device, kernel="astar", objective="timing")
+            py = route(nl, placement, device, objective="timing")
         assert nat.success == py.success
         assert nat.wirelength == py.wirelength
         assert _routes_equal(nat, py)
@@ -277,7 +277,7 @@ class TestSearchViewMirrors:
     def _fresh_route(self, workload):
         nl, arch, _device, placement = workload
         device = build_device(arch)  # a fresh graph: nothing cached on its view
-        assert route(nl, placement, device, kernel="astar").success
+        assert route(nl, placement, device).success
         return device.rr_graph.search_view()
 
     def test_native_route_builds_no_python_mirrors(self, workload):

@@ -27,6 +27,7 @@ import pytest
 
 from repro.fpga.architecture import auto_size
 from repro.fpga.device import build_device
+from repro.native.astar import astar_kernel
 from repro.netlist.hdl import Design
 from repro.obs import metrics as obs_metrics
 from repro.obs.report import load_records, render_report, sparkline, write_chrome
@@ -330,6 +331,32 @@ class TestTelemetry:
             assert spans[width]["iterations"] == probe["iterations"]
         assert any(p["aborted"] for p in result.probes.values())
 
+    def test_route_spans_cover_setup_and_forest(self, tmp_path):
+        """``par.route`` splits into set-up, iterations and forest assembly."""
+        nl = adder_netlist(4)
+        arch = sized_arch(nl)
+        device = build_device(arch)
+        placement = place(nl, arch, seed=0, effort=0.4).placement
+        path = tmp_path / "route.jsonl"
+        with tracing(str(path)):
+            result = route(nl, placement, device, max_iterations=12)
+        spans = [
+            r for r in (json.loads(line) for line in path.read_text().splitlines())
+            if r["type"] == "span" and r["name"].startswith("par.route")
+        ]
+        [parent] = [r for r in spans if r["name"] == "par.route"]
+        children = [r for r in spans if r is not parent]
+        names = [r["name"] for r in sorted(children, key=lambda r: r["ts"])]
+        assert names == (
+            ["par.route.setup"]
+            + ["par.route.iteration"] * result.iterations
+            + ["par.route.forest"]
+        )
+        for child in children:
+            assert child["depth"] == parent["depth"] + 1
+            assert parent["ts"] <= child["ts"]
+            assert child["ts"] + child["dur"] <= parent["ts"] + parent["dur"] + 1
+
     def test_route_telemetry_shape(self):
         nl = adder_netlist(4)
         arch = sized_arch(nl)
@@ -337,7 +364,7 @@ class TestTelemetry:
         placement = place(nl, arch, seed=0, effort=0.4).placement
         result = route(nl, placement, device, max_iterations=12)
         t = result.telemetry
-        assert t is not None and t["kernel"] == result.kernel
+        assert t is not None and t["native"] == (astar_kernel() is not None)
         n = len(t["overuse_per_iteration"])
         assert n >= 1
         assert len(t["rerouted_nets_per_iteration"]) == n
@@ -380,7 +407,7 @@ class TestTelemetry:
         )
         t = par.telemetry
         assert t is not None
-        assert t["route"]["kernel"] == par.routing.kernel
+        assert t["route"] is par.routing.telemetry
         assert t["place"]["kernel"] == DEFAULT_PLACE_KERNEL
         assert t["cache"]["misses"] >= 1 and t["cache"]["hits"] == 0
         summary = par.summary()

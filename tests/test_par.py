@@ -8,7 +8,12 @@ import statistics
 
 import numpy as np
 import pytest
-from oracles import minimum_channel_width_unpruned, place_reference, route_reference
+from oracles import (
+    minimum_channel_width_unpruned,
+    place_reference,
+    route_reference,
+    routing_differences,
+)
 
 from repro.core.flows import compare_pe_flows, run_pe_flow
 from repro.fpga.architecture import FPGAArchitecture, auto_size
@@ -197,7 +202,7 @@ class TestMinimumChannelWidth:
         assert not below
         assert result.wirelength_at_min > 0
 
-    def test_min_cw_rejects_bad_bounds(self):
+    def test_min_cw_rejects_bad_bounds(self, monkeypatch):
         nl = chain_netlist(6)
         arch = FPGAArchitecture(width=4, height=4, channel_width=8)
         placement = place(nl, arch, seed=1, effort=0.5).placement
@@ -206,9 +211,17 @@ class TestMinimumChannelWidth:
         for low, high in ((6, 3), (0, 8), (-1, 4)):
             with pytest.raises(ValueError, match="low <= high"):
                 minimum_channel_width(nl, placement, arch, low=low, high=high)
-        with pytest.raises(ValueError, match="low <= high"):
-            place_and_route(adder_network(4), channel_width=8, placement_effort=0.3,
-                            find_min_channel_width=True, min_cw_bounds=(6, 3))
+        # The flow rejects the bounds before any placement work.
+        import repro.par.flow as flow
+
+        def no_placement(*args, **kwargs):
+            raise AssertionError("place() ran before the min-CW bounds were checked")
+
+        monkeypatch.setattr(flow, "place", no_placement)
+        for bounds in ((6, 3), (0, 8)):
+            with pytest.raises(ValueError, match="low <= high"):
+                place_and_route(adder_network(4), channel_width=8, placement_effort=0.3,
+                                find_min_channel_width=True, min_cw_bounds=bounds)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_min_cw_matches_unpruned_oracle(self, seed):
@@ -374,8 +387,6 @@ class TestRoutingPredictor:
         trace = full.telemetry["overuse_per_iteration"]
         assert stopped.telemetry["overuse_per_iteration"] == trace[:stopped.iterations]
         assert self.first_stop(trace) == stopped.iterations
-        with pytest.raises(ValueError, match="abort_hopeless"):
-            route(nl, placement, device, kernel="fast", abort_hopeless=True)
 
 
 class TestDirectedRoutingKernel:
@@ -388,16 +399,16 @@ class TestDirectedRoutingKernel:
         # stays fixed when the default annealer changes.
         placement = place_reference(nl, arch, seed=2, effort=0.4).placement
         ref = route_reference(nl, placement, device)
-        fast = route(nl, placement, device, kernel="astar")
-        assert fast.success == ref.success
-        assert fast.overused_nodes == 0
+        astar = route(nl, placement, device)
+        assert astar.success == ref.success
+        assert astar.overused_nodes == 0
         # The directed kernel is re-baselined, not bit-checked: its
         # wirelength must stay within 5% of the reference route.
-        assert fast.wirelength <= 1.05 * ref.wirelength
-        assert set(fast.routes) == {n.id for n in nl.nets}
-        occ = channel_occupancy(fast, device)
+        assert astar.wirelength <= 1.05 * ref.wirelength
+        assert set(astar.routes) == {n.id for n in nl.nets}
+        occ = channel_occupancy(astar, device)
         assert occ["peak"] <= arch.channel_width
-        assert occ == node_list_occupancy(fast, device)
+        assert occ == node_list_occupancy(astar, device)
 
     def test_astar_matches_reference_quality_across_seeds(self):
         # The single pinned placement above can land on either side of a
@@ -426,7 +437,7 @@ class TestDirectedRoutingKernel:
         arch = FPGAArchitecture(width=4, height=4, channel_width=4)
         device = build_device(arch)
         placement = place(nl, arch, seed=2, effort=0.5).placement
-        result = route(nl, placement, device, kernel="astar")
+        result = route(nl, placement, device)
         assert result.success
         rr = device.rr_graph
         adj = {n: set(rr.fanouts(n).tolist()) for r in result.routes.values()
@@ -444,30 +455,42 @@ class TestDirectedRoutingKernel:
             assert reached == nodes
 
     def test_astar_is_default_kernel(self):
-        nl = chain_netlist(5)
-        arch = FPGAArchitecture(width=4, height=4, channel_width=4)
+        """The flow's main route is the plain astar route of its placement."""
+        par = place_and_route(adder_network(3), channel_width=8, placement_effort=0.3)
+        plain = route(par.netlist, par.placement.placement, par.device)
+        assert par.events == []
+        assert not routing_differences(par.routing, plain)
+
+    @pytest.mark.parametrize("objective", ["wirelength", "timing"])
+    def test_route_is_budget_independent(self, objective):
+        """A route converging at k <= B is the same route under B and 2B.
+
+        The cache stores a retried (2B) route under B's key on exactly this
+        property, so it must hold forest array for array.
+        """
+        nl = from_mapped_network(adder_network(4))
+        arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=2)
         device = build_device(arch)
         placement = place(nl, arch, seed=0, effort=0.4).placement
-        default = route(nl, placement, device)
-        explicit = route(nl, placement, device, kernel="astar")
-        assert default.wirelength == explicit.wirelength
-        assert default.iterations == explicit.iterations
+        budget = route(nl, placement, device, objective=objective).iterations
+        assert budget > 1  # the design negotiates, so the bound is exercised
+        at_b = route(nl, placement, device, max_iterations=budget, objective=objective)
+        at_2b = route(nl, placement, device, max_iterations=2 * budget, objective=objective)
+        assert at_b.success and at_2b.success
+        assert not routing_differences(at_b, at_2b)
 
     def test_unknown_kernel_rejected(self):
         nl = chain_netlist(4)
         arch = FPGAArchitecture(width=4, height=4, channel_width=4)
         device = build_device(arch)
         placement = place(nl, arch, seed=0, effort=0.3).placement
-        # "auto" was an alias of astar and "reference" now lives only in
-        # tests/oracles.py; neither is silently remapped.
-        for kernel in ("warp", "wavefront", "auto", "reference"):
-            with pytest.raises(ValueError, match="unknown routing kernel"):
+        # The router and the placer each have one kernel and no selector:
+        # no kernel name, the retired ones included, is silently accepted.
+        for kernel in ("astar", "fast", "wavefront", "auto", "reference"):
+            with pytest.raises(TypeError):
                 route(nl, placement, device, kernel=kernel)
-            # Not a chain member, so the resilient wrapper rejects it too
-            # instead of degrading to a kernel that exists.
-            with pytest.raises(ValueError, match="unknown routing kernel"):
+            with pytest.raises(TypeError):
                 route_resilient(nl, placement, device, kernel=kernel)
-        # place() has one annealer and no kernel selector at all.
         for kernel in ("incremental", "reference", "batched"):
             with pytest.raises(TypeError):
                 place(nl, arch, kernel=kernel)
@@ -483,10 +506,11 @@ class TestShippedSurface:
             "timing_placer", "timing_passes", "timing_tradeoff", "workers",
         ),
         timing_driven_placement: ("mode", "passes", "inner_num"),
-        cached_route: ("kernel",),
+        cached_route: ("kernel", "degrade"),
+        route_resilient: ("kernel", "degrade"),
         minimum_channel_width: ("route_kernel", "workers"),
         route: (
-            "pres_fac_init", "pres_fac_mult", "hist_fac", "astar_fac",
+            "kernel", "pres_fac_init", "pres_fac_mult", "hist_fac", "astar_fac",
             "bbox_margin", "max_criticality",
         ),
         run_pe_flow: ("workers",),
@@ -500,11 +524,14 @@ class TestShippedSurface:
     #: Retired route-tree fallbacks: every routing result carries a forest.
     FALLBACKS = {"_walk_bfs", "_fragment_from_tree", "routed_wirecount_edge_delays",
                  "analyze_timing"}
+    #: Retired routing kernel and its degradation chain: one astar router.
+    KERNELS = {"_route_fast", "DEGRADATION_CHAIN"}
     #: Retired scale-out seams: the placement sweep and the cache-tier protocol.
     RETIRED = {
         "repro.par": ("placement_sweep", "best_placement"),
         "repro.par.flow": ("placement_sweep", "best_placement"),
         "repro.par.cache": ("CacheBackend", "LocalDirBackend", "MemoryBackend"),
+        "repro.par.routing": ("_route_fast", "DEGRADATION_CHAIN", "_base_cost_array"),
     }
 
     def test_removed_selectors_and_oracles_are_gone(self):
@@ -514,8 +541,7 @@ class TestShippedSurface:
             for name in names:
                 assert name not in params, f"{fn.__qualname__}({name}=) is back"
                 removed += 1
-        assert removed == 26
-        assert inspect.signature(route).parameters["kernel"].default == "astar"
+        assert removed == 30
 
         import importlib
 
@@ -539,9 +565,11 @@ class TestShippedSurface:
                     names = [node.name]
                 elif isinstance(node, ast.Assign):
                     names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    names = [node.target.id]
                 else:
                     continue
-                retired = self.ORACLES | self.FALLBACKS
+                retired = self.ORACLES | self.FALLBACKS | self.KERNELS
                 defined += [f"{path.name}:{n}" for n in names if n in retired]
         assert not defined, f"oracles or fallbacks shipped in src/repro: {defined}"
         assert pools == {"service/pool.py"}, f"process pools outside the service: {pools}"

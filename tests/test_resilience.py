@@ -9,8 +9,9 @@ sets an ambient ``REPRO_FAULT_PLAN``.  The recurring assertions:
   returns a *valid routed result*, with the recovery path
   recorded in ``result.events``;
 * recoverable-fault results are **bit-identical** to the fault-free run
-  whenever the kernel degradation chain was not taken (cache rot changes
-  how much work is done, never which result comes out);
+  (cache rot changes how much work is done, never which result comes
+  out), and so is a route retried after a fault whenever the retry
+  converges within the original budget;
 * with injection disabled nothing changes at all -- no events, no route
   differences.
 
@@ -22,6 +23,7 @@ import os
 from pathlib import Path
 
 import pytest
+from oracles import routing_differences
 
 from repro.fpga.architecture import FPGAArchitecture, auto_size
 from repro.fpga.device import build_device
@@ -36,10 +38,11 @@ from repro.par import (
     place_and_route,
     route_resilient,
 )
+from repro.par.netlist import from_mapped_network
 from repro.par.placement import place
-from repro.par.routing import route
+from repro.par.routing import route, routing_to_payload
 from repro.synth.optimize import optimize
-from repro.techmap import map_parameterized
+from repro.techmap import map_conventional, map_parameterized
 from repro.util import (
     Deadline,
     DeadlineExceeded,
@@ -90,6 +93,24 @@ def _no_ambient_faults():
     """
     with fault_plan(None):
         yield
+
+
+@pytest.fixture(scope="module")
+def negotiating():
+    """A placed adder whose route needs several PathFinder iterations."""
+    d = Design("adder")
+    a = d.input_bus("a", 4)
+    b = d.input_bus("b", 4)
+    s, co = d.adder(a, b)
+    d.output_bus("s", s)
+    d.output_bit("cout", co)
+    netlist = from_mapped_network(map_conventional(optimize(d.circuit)[0]))
+    arch = auto_size(netlist.num_logic_blocks(), netlist.num_io_blocks(), channel_width=2)
+    device = build_device(arch)
+    placement = place(netlist, arch, seed=0, effort=0.4).placement
+    k = route(netlist, placement, device).iterations
+    assert k >= 6  # so that k - 3 < k <= 2 * (k - 3): a budget only the retry meets
+    return netlist, placement, device, k
 
 
 @pytest.fixture
@@ -381,31 +402,53 @@ class TestCachedRouteResilience:
         assert count_events(events, "cache-fallback") == 1
 
     def test_degraded_result_never_poisons_cache(self, placed_chain, tmp_path):
-        """A degraded-kernel route must not be stored under the requested key."""
+        """A route retried after a fault is stored only as the fault-free route."""
         netlist, placement, arch, device = placed_chain
         cache = PaRCache(tmp_path / "c")
         with fault_plan(FaultPlan.from_spec("route.kernel=timeout:1")):
             events = []
-            degraded = cached_route(
+            retried = cached_route(
                 netlist, placement, device, cache=cache, events=events
             )
-            assert degraded.kernel == "fast"
-            assert count_events(events, "degraded-kernel") == 1
-        # The fault-free rerun must route fresh (no poisoned hit) and match
-        # the astar (auto default) baseline exactly.
+            assert retried.success
+            assert count_events(events, "route-retry") == 1
+        # The retry converged within the first budget, so it was stored --
+        # and the fault-free rerun hydrates the fault-free route from it.
         events2 = []
         clean = cached_route(netlist, placement, device, cache=cache, events=events2)
-        assert clean.kernel == "astar"
-        assert count_events(events2, "degraded-kernel") == 0
-        baseline = route(netlist, placement, device, kernel="astar")
-        assert clean.wirelength == baseline.wirelength
-        assert {n: r.nodes for n, r in clean.routes.items()} == {
-            n: r.nodes for n, r in baseline.routes.items()
-        }
+        assert clean.telemetry == {"from_cache": True}
+        assert events2 == []
+        assert not routing_differences(clean, route(netlist, placement, device))
+
+    def test_retry_converging_past_the_budget_is_not_stored(self, negotiating, tmp_path):
+        netlist, placement, device, k = negotiating
+        budget = k - 3  # the first attempt ends congested, the retry converges
+        cache = PaRCache(tmp_path / "c")
+        events = []
+        result = cached_route(
+            netlist, placement, device, cache=cache, max_iterations=budget, events=events
+        )
+        assert result.success and result.iterations == k
+        assert [e["event"] for e in events] == ["kernel-nonconverged", "route-retry"]
+        assert not list(cache.directory.glob("*.json"))
+        # Under the budget it did converge in, the same route is stored.
+        cached_route(netlist, placement, device, cache=cache, max_iterations=k)
+        assert len(list(cache.directory.glob("*.json"))) == 1
+
+    def test_legacy_payload_with_kernel_field_hydrates(self, placed_chain, tmp_path):
+        """Entries written while results named their kernel stay valid hits."""
+        netlist, placement, arch, device = placed_chain
+        fresh = route(netlist, placement, device)
+        cache = PaRCache(tmp_path / "c")
+        key = PaRCache.route_key(netlist, placement, device.arch, device.arch.channel_width, 25)
+        cache.put(key, {**routing_to_payload(fresh), "kernel": "astar"})
+        hit = cached_route(netlist, placement, device, cache=cache)
+        assert hit.telemetry == {"from_cache": True}
+        assert not routing_differences(hit, fresh)
 
 
 # ---------------------------------------------------------------------------
-# Kernel deadlines and the degradation chain
+# Per-attempt deadlines and the retry at twice the budget
 # ---------------------------------------------------------------------------
 
 
@@ -413,90 +456,81 @@ class TestRouteResilient:
     def test_fault_free_is_bit_identical_to_route(self, placed_chain):
         netlist, placement, arch, device = placed_chain
         events = []
-        a = route(netlist, placement, device, kernel="astar")
-        b = route_resilient(
-            netlist, placement, device, kernel="astar", events=events
-        )
+        a = route(netlist, placement, device)
+        b = route_resilient(netlist, placement, device, events=events)
         assert events == []
-        assert b.kernel == "astar"
-        assert a.wirelength == b.wirelength
-        assert {n: r.nodes for n, r in a.routes.items()} == {
-            n: r.nodes for n, r in b.routes.items()
-        }
+        assert not routing_differences(a, b)
 
-    def test_timeout_degrades_down_the_chain(self, placed_chain):
+    def test_timeout_retries_at_twice_the_budget(self, placed_chain):
         netlist, placement, arch, device = placed_chain
         with fault_plan(FaultPlan.from_spec("route.kernel=timeout:1")):
             events = []
             result = route_resilient(
-                netlist, placement, device, kernel="astar", events=events
+                netlist, placement, device, max_iterations=10, events=events
             )
-        assert result.success
-        assert result.kernel == "fast"
-        kinds = [e["event"] for e in events]
-        assert kinds.count("kernel-deadline") == 1
-        assert kinds.count("degraded-kernel") == 1
-        degr = next(e for e in events if e["event"] == "degraded-kernel")
-        assert degr["requested"] == "astar"
-        assert degr["kernel"] == "fast"
+        assert [e["event"] for e in events] == ["kernel-deadline", "route-retry"]
+        assert events[1]["max_iterations"] == 20
+        # The budget is only the loop bound: the retry is the plain route.
+        assert not routing_differences(result, route(netlist, placement, device))
 
     def test_kernel_error_degrades(self, placed_chain):
         netlist, placement, arch, device = placed_chain
         with fault_plan(FaultPlan.from_spec("route.kernel=error:1")):
             events = []
-            result = route_resilient(
-                netlist, placement, device, kernel="astar", events=events
-            )
-        assert result.success and result.kernel == "fast"
+            result = route_resilient(netlist, placement, device, events=events)
+        assert result.success
         assert count_events(events, "kernel-error") == 1
+        assert count_events(events, "route-retry") == 1
+        assert not routing_differences(result, route(netlist, placement, device))
+
+    def test_nonconverged_route_is_retried(self, negotiating):
+        netlist, placement, device, k = negotiating
+        events = []
+        result = route_resilient(
+            netlist, placement, device, max_iterations=k - 3, events=events
+        )
+        assert result.success and result.iterations == k
+        assert [e["event"] for e in events] == ["kernel-nonconverged", "route-retry"]
+        assert not routing_differences(result, route(netlist, placement, device))
+
+    def test_no_convergence_returns_the_first_attempt(self, negotiating):
+        netlist, placement, device, k = negotiating
+        events = []
+        result = route_resilient(netlist, placement, device, max_iterations=2, events=events)
+        assert not result.success and result.iterations == 2
+        assert count_events(events, "kernel-nonconverged") == 2
+        plain = route(netlist, placement, device, max_iterations=2)
+        assert not routing_differences(result, plain)
 
     def test_real_deadline_timeout_degrades(self, placed_chain):
-        """A genuine (not injected) 0-second budget expires in every kernel:
-        each attempt gets a *fresh* deadline, so every kernel of the chain
-        records its own timeout before the error propagates."""
+        """A genuine (not injected) 0-second budget expires in both attempts:
+        each attempt gets a *fresh* deadline, so each records its own timeout
+        before the error propagates."""
         netlist, placement, arch, device = placed_chain
-
-        # Zero-budget deadlines expire on the first poll of every kernel --
-        # including fast, so the whole chain fails with kernel-deadline
-        # events and the error propagates.
         events = []
         with pytest.raises(DeadlineExceeded):
-            route_resilient(
-                netlist, placement, device,
-                kernel="astar", deadline_s=0.0, events=events,
-            )
+            route_resilient(netlist, placement, device, deadline_s=0.0, events=events)
         assert count_events(events, "kernel-deadline") == 2
+        assert count_events(events, "route-retry") == 1
 
     def test_exhausted_chain_raises_last_error(self, placed_chain):
         netlist, placement, arch, device = placed_chain
         with fault_plan(FaultPlan.from_spec("route.kernel=error:*")):
             events = []
             with pytest.raises(FaultInjected):
-                route_resilient(
-                    netlist, placement, device, kernel="astar", events=events
-                )
+                route_resilient(netlist, placement, device, events=events)
         assert count_events(events, "kernel-error") == 2
 
-    def test_degrade_false_reraises(self, placed_chain):
-        netlist, placement, arch, device = placed_chain
-        with fault_plan(FaultPlan.from_spec("route.kernel=timeout:1")):
-            with pytest.raises(DeadlineExceeded):
-                route_resilient(
-                    netlist, placement, device, kernel="astar", degrade=False
-                )
-
-    def test_timing_objective_degrades_objective_on_fast(self, placed_chain):
+    def test_timing_objective_kept_on_retry(self, placed_chain):
         netlist, placement, arch, device = placed_chain
         with fault_plan(FaultPlan.from_spec("route.kernel=timeout:1")):
             events = []
             result = route_resilient(
-                netlist, placement, device,
-                kernel="astar", objective="timing", events=events,
+                netlist, placement, device, objective="timing", events=events
             )
-        assert result.success and result.kernel == "fast"
-        degr = next(e for e in events if e["event"] == "degraded-kernel")
-        assert degr["objective"] == "wirelength"
-        assert degr["objective_degraded"] is True
+        assert count_events(events, "route-retry") == 1
+        plain = route(netlist, placement, device, objective="timing")
+        assert not routing_differences(result, plain)
 
 
 # ---------------------------------------------------------------------------
@@ -562,15 +596,15 @@ class TestPlaceAndRouteChaos:
         )
         # The recovery paths are visible in the events.
         kinds = [e["event"] for e in chaotic.events]
-        assert "degraded-kernel" in kinds
+        assert "route-retry" in kinds
         assert "cache-read-error" in kinds
         summary = chaotic.summary()
         assert summary["recovery_events"] == len(chaotic.events)
-        assert summary["degraded_kernel"] == 1
+        assert summary["route_retries"] == 1
         assert chaotic.degraded
 
     def test_recoverable_faults_keep_flow_bit_identical(self, tmp_path):
-        """Faults absorbed *without* taking the degradation chain must leave
+        """Faults absorbed *without* a route retry must leave
         the flow's result bit-identical to the fault-free run."""
         network = adder_network(2)
         baseline = place_and_route(network, channel_width=10)

@@ -36,13 +36,13 @@ def adder_network(width=4):
     return map_conventional(opt)
 
 
-def routed_design(width=6, channel_width=8, seed=2, kernel="astar"):
+def routed_design(width=6, channel_width=8, seed=2, router=route):
     net = adder_network(width)
     nl = from_mapped_network(net)
     arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=channel_width)
     device = build_device(arch)
     placement = place(nl, arch, seed=seed, effort=0.4).placement
-    routing = route(nl, placement, device, kernel=kernel)
+    routing = router(nl, placement, device)
     assert routing.success
     return net, nl, arch, device, placement, routing
 
@@ -134,9 +134,10 @@ class TestSTAInvariants:
         assert luts == analysis.logic_depth
 
     def test_fast_breakdown_sums_to_critical_path(self):
-        # The fast kernel's trees are timed from the same forest as
-        # astar's, so the breakdown reconciles on either kernel.
-        net, nl, arch, device, placement, routing = routed_design(kernel="fast")
+        # Trees grown by the unpruned reference router (the trajectory the
+        # retired ``fast`` kernel reproduced) are timed from the same forest
+        # format as the router's, so the breakdown reconciles on either.
+        net, nl, arch, device, placement, routing = routed_design(router=route_reference)
         analysis = analyze(nl, routing, device, placement=placement)
         assert analysis.critical_path
         total = sum(e.delay_ns for e in analysis.critical_path)
@@ -212,7 +213,7 @@ class TestTimingObjective:
         # Same placement, both objectives: the timing-driven router must
         # still converge and stay within the wirelength band.
         net, nl, arch, device, placement, routing = routed_design()
-        timed = route(nl, placement, device, kernel="astar", objective="timing")
+        timed = route(nl, placement, device, objective="timing")
         assert timed.success
         assert timed.wirelength <= 1.05 * routing.wirelength
         a_wl = analyze(nl, routing, device, placement=placement)
@@ -224,8 +225,9 @@ class TestTimingObjective:
         arch = FPGAArchitecture(width=4, height=4, channel_width=4)
         device = build_device(arch)
         placement = place(nl, arch, seed=0, effort=0.3).placement
-        with pytest.raises(ValueError, match="timing"):
-            route(nl, placement, device, kernel="fast", objective="timing")
+        # The reference router prices congestion only: no objective at all.
+        with pytest.raises(TypeError, match="objective"):
+            route_reference(nl, placement, device, objective="timing")
         with pytest.raises(ValueError, match="objective"):
             route(nl, placement, device, objective="area")
 
