@@ -114,8 +114,8 @@ from repro.par.flow import timing_driven_placement
 from repro.par.metrics import minimum_channel_width
 from repro.par.netlist import from_mapped_network
 from repro.par.placement import place
-from repro.par.forest import build_route_forest
-from repro.par.routing import NetRoute, route
+from repro.par.forest import _fragment_from_conns, build_route_forest
+from repro.par.routing import route
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional
 from repro.timing import analyze, routed_edge_delays
@@ -473,19 +473,20 @@ def bench_retime(netlist, arch, placement, width):
     are asserted bit-identical first.  The flat path is measured in the
     steady state (``update_flat`` on the route's own forest) and with
     1-in-``RETIME_REROUTED_FRACTION`` nets freshly re-routed (those nets'
-    fragments re-flattened through the per-net memo + full reassembly, then
-    the retime), which brackets what a real PathFinder iteration pays.
+    fragments re-flattened from their connection lists + full reassembly,
+    then the retime), which brackets what a real PathFinder iteration pays.
     Interleaved best-of-N like the routing benches: drifting machine load
     hits both sides alike.
     """
     device = build_device(arch.with_channel_width(width))
     rr = device.rr_graph
     routing = route(netlist, placement, device)
+    routes = routing.routes
     tracker = CriticalityTracker(netlist, placement, device, exponent=2.0)
 
     # -- bit-identity first: flat vs dict must agree to the last bit ------
     flat = tracker.update_flat(routing.forest).copy()
-    legacy = criticality_update(tracker, routing.routes)
+    legacy = criticality_update(tracker, routes)
     crit_identical = all(
         flat[tracker.conn_index[key]] == value for key, value in legacy.items()
     ) and all(
@@ -496,7 +497,7 @@ def bench_retime(netlist, arch, placement, width):
     graph = tracker.graph
     fallback = tracker._estimate
     d_dict, w_dict, p_dict = routed_edge_delays_reference(
-        graph, routing.routes, placement, device, fallback=fallback
+        graph, routes, placement, device, fallback=fallback
     )
     d_flat, w_flat, p_flat = routed_edge_delays(
         graph, routing.forest, placement, device, fallback=fallback
@@ -507,36 +508,33 @@ def bench_retime(netlist, arch, placement, width):
         and np.array_equal(p_dict, p_flat)
     )
 
-    # Perturbed route sets: every rebuild re-flattens a different 5% slice.
-    frag_cache = {}
-    net_ids = sorted(routing.routes)
-    rerouted_sets = []
-    for k in range(RETIME_REROUTED_FRACTION):
-        routes = dict(routing.routes)
-        for nid in net_ids[k::RETIME_REROUTED_FRACTION]:
-            old = routes[nid]
-            routes[nid] = NetRoute(old.net_id, old.nodes, connections=old.connections)
-        rerouted_sets.append(routes)
+    # Perturbed forests: every rebuild re-flattens a different 5% slice of
+    # the nets from their connection lists and reassembles the whole forest.
+    fragments = [
+        (nid, _fragment_from_conns(r.nodes[0], r.connections))
+        for nid, r in sorted(routes.items())
+    ]
+
+    def retime_rerouted(k):
+        frags = list(fragments)
+        for i in range(k, len(frags), RETIME_REROUTED_FRACTION):
+            nid = frags[i][0]
+            frags[i] = (nid, _fragment_from_conns(routes[nid].nodes[0], routes[nid].connections))
+        return tracker.update_flat(build_route_forest(frags, rr))
 
     repeats = 15
     t_dict = t_steady = t_rerouted = None
     t_ext_dict = t_ext_flat = None
     for i in range(repeats):
-        # Warm the fragment memo on the unperturbed routes (untimed), so the
-        # perturbed sample re-flattens exactly its 5% slice.
-        build_route_forest(routing.routes, rr, cache=frag_cache)
-        _, dt = _timed(lambda: criticality_update(tracker, routing.routes))
+        _, dt = _timed(lambda: criticality_update(tracker, routes))
         t_dict = dt if t_dict is None else min(t_dict, dt)
         _, dt = _timed(lambda: tracker.update_flat(routing.forest))
         t_steady = dt if t_steady is None else min(t_steady, dt)
-        routes = rerouted_sets[i % len(rerouted_sets)]
-        _, dt = _timed(
-            lambda r=routes: tracker.update_flat(build_route_forest(r, rr, cache=frag_cache))
-        )
+        _, dt = _timed(lambda: retime_rerouted(i % RETIME_REROUTED_FRACTION))
         t_rerouted = dt if t_rerouted is None else min(t_rerouted, dt)
         _, dt = _timed(
             lambda: routed_edge_delays_reference(
-                graph, routing.routes, placement, device, fallback=fallback
+                graph, routes, placement, device, fallback=fallback
             )
         )
         t_ext_dict = dt if t_ext_dict is None else min(t_ext_dict, dt)

@@ -168,13 +168,13 @@ class RRGraph:
         """Destination nodes of all switches leaving ``node``."""
         return self.edge_dst[self.edge_ptr[node] : self.edge_ptr[node + 1]]
 
+    def wire_mask(self) -> np.ndarray:
+        """Boolean mask of the channel-wire (CHANX/CHANY) nodes."""
+        return (self.node_type == RRNodeType.CHANX) | (self.node_type == RRNodeType.CHANY)
+
     def num_wire_nodes(self) -> int:
         """Number of channel-wire (CHANX/CHANY) nodes."""
-        return int(
-            np.count_nonzero(
-                (self.node_type == RRNodeType.CHANX) | (self.node_type == RRNodeType.CHANY)
-            )
-        )
+        return int(np.count_nonzero(self.wire_mask()))
 
     def is_wire(self, node: int) -> bool:
         """Whether ``node`` is a channel wire (CHANX/CHANY)."""

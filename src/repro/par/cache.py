@@ -78,7 +78,10 @@ class CacheIOError(OSError):
 #: v5: min-CW probes stop early under the routing-failure predictor, so a
 #: failed probe's cached ``iterations`` may be smaller, and probe values
 #: carry ``aborted``.
-ROUTE_ALGO_VERSION = 5
+#: v6: ``objective="timing"`` routes re-time (and return) the current route
+#: trees after every PathFinder iteration; v5 re-timed and stored the
+#: first iteration's forest whenever the route took more than one.
+ROUTE_ALGO_VERSION = 6
 #: Bump when a placement kernel change moves placements; service job keys
 #: (:meth:`repro.service.spec.JobSpec.job_key`) fold it in.
 #: v3: ``place()`` and ``place_and_route()`` default to the ``batched``

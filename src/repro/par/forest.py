@@ -1,10 +1,11 @@
 """Flat route forest: every net's route tree in one set of int32 arrays.
 
 Every :class:`~repro.par.routing.RoutingResult` carries one, whether or
-not the route converged: it is the one
-route-tree format the timing and cache layers read.  It is built from the
-routers' per-sink ``(target, path, attach)`` connections, so it records
-exactly the tree each route grew.  The union of all route trees is stored
+not the route converged: it is the only stored route representation, and
+the timing, cache, service-digest and bitstream layers read nothing else
+(``RoutingResult.routes`` is a per-net view derived from it).  It is built
+from the routers' per-sink ``(target, path, attach)`` connections, so it
+records exactly the tree each route grew.  The union of all route trees is stored
 as a flat parent-pointer forest (CSR-style, mirroring the router's search
 view), so
 
@@ -38,9 +39,6 @@ Invariants (what every consumer may rely on, and ``validate()`` /
   int lists, JSON-safe) reproduce an equal forest; corrupt payloads fail
   ``validate()`` rather than yielding wrong delays -- the property the
   cache's hydration fallback relies on.
-* **Memoization is invisible.**  Fragment reuse is keyed on ``NetRoute``
-  object identity and only ever skips re-flattening of *unchanged* nets;
-  a memo hit never changes the assembled arrays.
 
 Layout
 ------
@@ -64,11 +62,26 @@ Positions ``0..P-1`` hold every route-tree node except the net SOURCEs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["RouteForest", "build_route_forest", "join_sorted"]
+__all__ = ["FOREST_ARRAYS", "RouteForest", "build_route_forest", "join_sorted"]
+
+#: The int32 array fields of :class:`RouteForest`, in field order.
+FOREST_ARRAYS = (
+    "node",
+    "parent",
+    "depth",
+    "net_id",
+    "net_source",
+    "net_node_ptr",
+    "net_ptr",
+    "conn_net",
+    "conn_sink",
+    "conn_sink_pos",
+    "conn_ptr",
+)
 
 
 def join_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -85,10 +98,6 @@ def join_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, 
     pos = np.searchsorted(sorted_keys, keys)
     pos = np.minimum(pos, sorted_keys.size - 1)
     return pos, sorted_keys[pos] == keys
-
-#: Reserved fragment-cache key holding the last fully-assembled forest
-#: (net id list, forest); net ids are ints, so no collision is possible.
-_WHOLE_FOREST_KEY = "__forest__"
 
 
 @dataclass
@@ -134,6 +143,12 @@ class RouteForest:
     def wirelength(self, wire_mask: np.ndarray) -> int:
         """Total wire nodes used, summed over all trees (dups across nets count)."""
         return int(np.count_nonzero(wire_mask[self.node]))
+
+    def net_wirelengths(self, wire_mask: np.ndarray) -> np.ndarray:
+        """Wire nodes used per net, in ``net_id`` order (0 for a sink-less net)."""
+        seen = np.zeros(self.num_positions + 1, dtype=np.int64)
+        np.cumsum(wire_mask[self.node], out=seen[1:])
+        return seen[self.net_node_ptr[1:]] - seen[self.net_node_ptr[:-1]]
 
     def _depth_levels(self):
         """Positions grouped by depth (parents always in earlier groups).
@@ -218,76 +233,20 @@ class RouteForest:
             ok,
         )
 
-    # -- NetRoute round trip -------------------------------------------------
-
-    def to_net_routes(self) -> Dict[int, object]:
-        """Rebuild per-net :class:`~repro.par.routing.NetRoute` trees.
-
-        Node lists carry the forest's attach-to-sink segment order (route
-        metrics are order-insensitive); connection lists are reconstructed
-        exactly.
-        """
-        from .routing import NetRoute
-
-        routes: Dict[int, object] = {}
-        node = self.node
-        parent = self.parent
-        for k in range(self.num_nets):
-            nid = int(self.net_id[k])
-            source = int(self.net_source[k])
-            lo, hi = int(self.net_node_ptr[k]), int(self.net_node_ptr[k + 1])
-            nodes = [source] + node[lo:hi].tolist()
-            conns: List[Tuple[int, List[int], int]] = []
-            for c in range(int(self.net_ptr[k]), int(self.net_ptr[k + 1])):
-                s, e = int(self.conn_ptr[c]), int(self.conn_ptr[c + 1])
-                sink = int(self.conn_sink[c])
-                if e > s:
-                    path = node[s:e][::-1].tolist()  # back to sink-first
-                    ap = int(parent[s])
-                    attach = source if ap < 0 else int(node[ap])
-                    conns.append((sink, path, attach))
-                else:
-                    conns.append((sink, [], sink))
-            routes[nid] = NetRoute(nid, nodes, connections=conns)
-        return routes
-
     # -- serialization -------------------------------------------------------
 
     def to_payload(self) -> Dict[str, object]:
         """JSON-serializable dict (plain int lists, no pickled code)."""
-        return {
-            "num_rr_nodes": self.num_rr_nodes,
-            "node": self.node.tolist(),
-            "parent": self.parent.tolist(),
-            "depth": self.depth.tolist(),
-            "net_id": self.net_id.tolist(),
-            "net_source": self.net_source.tolist(),
-            "net_node_ptr": self.net_node_ptr.tolist(),
-            "net_ptr": self.net_ptr.tolist(),
-            "conn_net": self.conn_net.tolist(),
-            "conn_sink": self.conn_sink.tolist(),
-            "conn_sink_pos": self.conn_sink_pos.tolist(),
-            "conn_ptr": self.conn_ptr.tolist(),
-        }
+        payload: Dict[str, object] = {"num_rr_nodes": self.num_rr_nodes}
+        for name in FOREST_ARRAYS:
+            payload[name] = getattr(self, name).tolist()
+        return payload
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "RouteForest":
         """Inverse of :meth:`to_payload`; raises ``ValueError`` on corruption."""
-        fields = (
-            "node",
-            "parent",
-            "depth",
-            "net_id",
-            "net_source",
-            "net_node_ptr",
-            "net_ptr",
-            "conn_net",
-            "conn_sink",
-            "conn_sink_pos",
-            "conn_ptr",
-        )
         try:
-            arrays = {k: np.asarray(payload[k], dtype=np.int32) for k in fields}
+            arrays = {k: np.asarray(payload[k], dtype=np.int32) for k in FOREST_ARRAYS}
             forest = cls(num_rr_nodes=int(payload["num_rr_nodes"]), **arrays)
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"corrupt route-forest payload: {exc}") from exc
@@ -409,53 +368,16 @@ def _fragment_from_conns(source: int, conns) -> _NetFragment:
     return f.freeze()
 
 
-def build_route_forest(
-    routes: Dict[int, object],
-    rr,
-    cache: Optional[Dict[int, Tuple[object, _NetFragment]]] = None,
-) -> RouteForest:
-    """Flatten ``{net_id: NetRoute}`` trees into one :class:`RouteForest`.
+def build_route_forest(fragments: Sequence[Tuple[int, _NetFragment]], rr) -> RouteForest:
+    """Assemble ``(net_id, frozen fragment)`` pairs into one :class:`RouteForest`.
 
-    Each tree is imported from its ``NetRoute.connections`` list, so the
-    segment structure the router built is preserved exactly.
-
-    ``cache`` makes repeated builds *incremental*: per-net fragments are
-    memoized against the identity of each net's ``NetRoute`` object, which
-    the routing kernels replace only when they re-route that net -- so a
-    per-PathFinder-iteration rebuild re-flattens only the nets that
-    changed, the (vectorized) assembly below is the steady-state cost, and
-    a build where *nothing* changed returns the previous forest object
-    outright (with its depth-level cache warm).  Pass a dict owned by the
-    caller (the astar router keeps one per :func:`~repro.par.routing.route`
-    call).
+    ``fragments`` must be in ascending net-id order; each fragment holds
+    its net's tree in local positions exactly as the router grew it (see
+    :func:`_append_conn`), so the assembled forest records that tree.
     """
-    frags: List[_NetFragment] = []
-    net_ids: List[int] = []
-    changed = False
-    for nid in sorted(routes):
-        r = routes[nid]
-        if not r.nodes:
-            continue
-        frag = None
-        if cache is not None:
-            entry = cache.get(nid)
-            if entry is not None and entry[0] is r:
-                frag = entry[1]
-        if frag is None:
-            frag = _fragment_from_conns(r.nodes[0], r.connections)
-            if cache is not None:
-                cache[nid] = (r, frag)
-            changed = True
-        frags.append(frag)
-        net_ids.append(int(nid))
-    if cache is not None:
-        whole = cache.get(_WHOLE_FOREST_KEY)
-        if not changed and whole is not None and whole[0] == net_ids:
-            return whole[1]
-
     # -- vectorized assembly: local fragment positions -> global arrays ---
     i32 = np.int32
-    if not frags:
+    if not fragments:
         empty = np.zeros(0, dtype=i32)
         zero_ptr = np.zeros(1, dtype=i32)
         return RouteForest(
@@ -481,7 +403,9 @@ def build_route_forest(
     plens = []
     clens = []
     sources = []
-    for f in frags:
+    net_ids = []
+    for nid, f in fragments:
+        net_ids.append(nid)
         node_parts.append(f.node)
         parent_parts.append(f.parent)
         depth_parts.append(f.depth)
@@ -493,20 +417,20 @@ def build_route_forest(
         sources.append(f.source)
     plens_a = np.asarray(plens, dtype=np.int64)
     clens_a = np.asarray(clens, dtype=np.int64)
-    net_node_ptr = np.zeros(len(frags) + 1, dtype=np.int64)
+    net_node_ptr = np.zeros(len(net_ids) + 1, dtype=np.int64)
     np.cumsum(plens_a, out=net_node_ptr[1:])
     pos_off = net_node_ptr[:-1]
     off_per_pos = np.repeat(pos_off, plens_a)
     off_per_conn = np.repeat(pos_off, clens_a)
     parent_local = np.concatenate(parent_parts)
     spos_local = np.concatenate(spos_parts)
-    net_ptr = np.zeros(len(frags) + 1, dtype=np.int64)
+    net_ptr = np.zeros(len(net_ids) + 1, dtype=np.int64)
     np.cumsum(clens_a, out=net_ptr[1:])
     conn_ptr = np.empty(int(net_ptr[-1]) + 1, dtype=np.int64)
     conn_ptr[0] = 0
     conn_ptr[1:] = np.concatenate(cend_parts) + off_per_conn
     net_ids_a = np.asarray(net_ids, dtype=i32)
-    forest = RouteForest(
+    return RouteForest(
         num_rr_nodes=rr.num_nodes,
         node=np.concatenate(node_parts),
         parent=np.where(parent_local < 0, -1, parent_local + off_per_pos).astype(i32),
@@ -520,6 +444,3 @@ def build_route_forest(
         conn_sink_pos=np.where(spos_local < 0, -1, spos_local + off_per_conn).astype(i32),
         conn_ptr=conn_ptr.astype(i32),
     )
-    if cache is not None:
-        cache[_WHOLE_FOREST_KEY] = (net_ids, forest)
-    return forest

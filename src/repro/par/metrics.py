@@ -30,7 +30,6 @@ import numpy as np
 
 from ..fpga.architecture import FPGAArchitecture
 from ..fpga.device import Device, build_device
-from ..fpga.routing_graph import RRNodeType
 from .cache import PaRCache
 from .netlist import PhysicalNetlist
 from .placement import Placement
@@ -67,8 +66,7 @@ def channel_occupancy(result: RoutingResult, device: Device) -> Dict[str, int]:
     """Peak and mean occupancy of the routing channels after routing."""
     rr = device.rr_graph
     occ = np.bincount(result.forest.node, minlength=rr.num_nodes)
-    wire_mask = (rr.node_type == RRNodeType.CHANX) | (rr.node_type == RRNodeType.CHANY)
-    wires = occ[wire_mask]
+    wires = occ[rr.wire_mask()]
     return {
         "peak": int(wires.max()) if wires.size else 0,
         "used": int(np.count_nonzero(wires)),

@@ -40,6 +40,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -67,35 +68,32 @@ __all__ = [
 
 @dataclass
 class NetRoute:
-    """Route tree of one net: all RR nodes used (including pins and wires)."""
+    """Route tree of one net, as read from :attr:`RoutingResult.routes`."""
 
     net_id: int
+    #: RR nodes of the tree: the SOURCE, then each connection's new nodes in
+    #: attach-to-sink order (the forest's position order).
     nodes: List[int] = field(default_factory=list)
     #: ordered per-sink connections ``(sink_rr, path, attach)`` as the
-    #: router builds them -- ``path`` lists the nodes the connection added
+    #: router built them -- ``path`` lists the nodes the connection added
     #: (sink first), ``attach`` is the tree node it grew from; a duplicate
-    #: sink is ``(sink_rr, [], sink_rr)``.  The route forest is built from
-    #: these, so the STA engine times exactly the tree the router grew.
+    #: sink is ``(sink_rr, [], sink_rr)``.
     connections: List[Tuple[int, List[int], int]] = field(default_factory=list)
-
-    def wire_nodes(self, rr: RRGraph) -> List[int]:
-        """The tree's CHANX / CHANY nodes, in ``nodes`` order."""
-        return [n for n in self.nodes if rr.is_wire(n)]
 
 
 @dataclass
 class RoutingResult:
     """Outcome of the routing step."""
 
-    routes: Dict[int, NetRoute]
     success: bool
     iterations: int
     wirelength: int
     overused_nodes: int
     max_channel_occupancy: int
-    #: flat route forest over all nets' trees, converged or not.  The STA
-    #: engine consumes it with pure NumPy gathers, and the PaR cache
-    #: serializes it so cache hits re-hydrate routes instead of re-routing.
+    #: flat route forest over all nets' trees, converged or not -- the one
+    #: stored route representation.  The STA engine consumes it with pure
+    #: NumPy gathers, and the PaR cache serializes it so cache hits
+    #: re-hydrate routes instead of re-routing.
     forest: RouteForest
     #: the routing-failure predictor stopped this route before its iteration
     #: budget (only min-CW probes enable it; see :func:`predict_failure`).
@@ -109,6 +107,35 @@ class RoutingResult:
     #: ``ROUTE_ALGO_VERSION`` is unaffected); re-hydrated results carry
     #: ``{"from_cache": True}`` instead.
     telemetry: Optional[Dict[str, Any]] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def routes(self) -> Dict[int, NetRoute]:
+        """Per-net :class:`NetRoute` view of :attr:`forest`, built on first read.
+
+        A derived, read-only view for per-net consumers (legality checks,
+        test oracles); fresh and cache-hydrated results yield equal views.
+        """
+        f = self.forest
+        node = f.node
+        parent = f.parent
+        routes: Dict[int, NetRoute] = {}
+        for k in range(f.num_nets):
+            nid = int(f.net_id[k])
+            source = int(f.net_source[k])
+            lo, hi = int(f.net_node_ptr[k]), int(f.net_node_ptr[k + 1])
+            conns: List[Tuple[int, List[int], int]] = []
+            for c in range(int(f.net_ptr[k]), int(f.net_ptr[k + 1])):
+                s, e = int(f.conn_ptr[c]), int(f.conn_ptr[c + 1])
+                sink = int(f.conn_sink[c])
+                if e > s:
+                    path = node[s:e][::-1].tolist()  # back to sink-first
+                    ap = int(parent[s])
+                    attach = source if ap < 0 else int(node[ap])
+                    conns.append((sink, path, attach))
+                else:
+                    conns.append((sink, [], sink))
+            routes[nid] = NetRoute(nid, [source] + node[lo:hi].tolist(), conns)
+        return routes
 
     def describe(self) -> str:
         """One-line human-readable outcome: status, iterations and usage."""
@@ -399,7 +426,6 @@ def _route_astar(
 
         src_of, sink_of = terminal_rr_nodes(netlist, placement, rr)
 
-        routes: Dict[int, NetRoute] = {}
         net_terms: Dict[int, Tuple[int, List[int]]] = {}
         net_bbox: Dict[int, Tuple[int, int, int, int]] = {}
         for net in netlist.nets:
@@ -659,20 +685,20 @@ def _route_astar(
     net_conns: Dict[int, List[Tuple[int, List[int], int]]] = {}
 
     # Live per-net forest fragments, emitted connection-by-connection as the
-    # router backtraces (native and Python paths alike): the flat forest and
-    # the re-time loop never rebuild a fragment from a net's connection list
-    # again -- _forest below just freezes what routing already wrote into
-    # the per-net memo of build_route_forest.
+    # router backtraces (native and Python paths alike), and each net's
+    # node -> local-position map (whose keys are the net's tree nodes): the
+    # flat forest and the re-time loop never rebuild a fragment from a
+    # net's connection list -- _forest below just freezes the fragments
+    # written since its last call and assembles them all.
     frag_of: Dict[int, _NetFragment] = {}
     frag_pos: Dict[int, Dict[int, int]] = {}
-    frag_cache: Dict = {}
+    unfrozen: Set[int] = set()
 
     def _forest() -> RouteForest:
-        for nid, r in routes.items():
-            entry = frag_cache.get(nid)
-            if entry is None or entry[0] is not r:
-                frag_cache[nid] = (r, frag_of[nid].freeze())
-        return build_route_forest(routes, rr, cache=frag_cache)
+        for nid in unfrozen:
+            frag_of[nid].freeze()
+        unfrozen.clear()
+        return build_route_forest(sorted(frag_of.items()), rr)
 
     def _route_connections(
         net_id: int,
@@ -749,13 +775,6 @@ def _route_astar(
             conns.append((target, path, n))
             _append_conn(frag, pos_of, target, path, n)
 
-    def _net_route_of(net_id: int) -> NetRoute:
-        conns = net_conns[net_id]
-        nodes = [net_terms[net_id][0]]
-        for _, path, _ in conns:
-            nodes.extend(path)
-        return NetRoute(net_id, nodes, connections=list(conns))
-
     def route_net(net_id: int) -> None:
         source, sinks = net_terms[net_id]
         tree: List[int] = [source]
@@ -767,8 +786,8 @@ def _route_astar(
         net_conns[net_id] = conns
         frag_of[net_id] = _NetFragment(source)
         frag_pos[net_id] = {source: -1}
+        unfrozen.add(net_id)
         _route_connections(net_id, order, tree, tree_set, conns)
-        routes[net_id] = _net_route_of(net_id)
 
     def reroute_net(net_id: int) -> None:
         """Rip up and re-route only the congested connections of one net.
@@ -813,12 +832,12 @@ def _route_astar(
             _append_conn(frag, pos_of, target, path, attach)
         frag_of[net_id] = frag
         frag_pos[net_id] = pos_of
+        unfrozen.add(net_id)
         new_conns: List[Tuple[int, List[int], int]] = []
         _route_connections(
             net_id, [c[0] for c in ripped], tree, tree_set, new_conns
         )
         net_conns[net_id] = kept + new_conns
-        routes[net_id] = _net_route_of(net_id)
 
     iteration = 0
     success = False
@@ -863,7 +882,7 @@ def _route_astar(
                 # live, so a net already healed by an earlier re-route in this
                 # iteration is skipped and one newly congested is picked up.
                 for nid in net_ids:
-                    if not over_now.isdisjoint(routes[nid].nodes):
+                    if not over_now.isdisjoint(frag_pos[nid]):
                         reroute_net(nid)
                         rerouted += 1
 
@@ -894,7 +913,7 @@ def _route_astar(
     }
     with span("par.route.forest"):
         result = _assemble_result(
-            rr, routes, np.asarray(occupancy, dtype=np.int32), cap_arr,
+            rr, np.asarray(occupancy, dtype=np.int32), cap_arr,
             success, iteration, _forest(), telemetry=telemetry,
         )
     result.aborted = aborted
@@ -903,7 +922,6 @@ def _route_astar(
 
 def _assemble_result(
     rr: RRGraph,
-    routes: Dict[int, NetRoute],
     occupancy: np.ndarray,
     capacity: np.ndarray,
     success: bool,
@@ -911,7 +929,7 @@ def _assemble_result(
     forest: RouteForest,
     telemetry: Optional[Dict[str, Any]] = None,
 ) -> RoutingResult:
-    wire_mask = (rr.node_type == RRNodeType.CHANX) | (rr.node_type == RRNodeType.CHANY)
+    wire_mask = rr.wire_mask()
     wirelength = forest.wirelength(wire_mask)
     max_chan_occ = int(occupancy[wire_mask].max()) if wire_mask.any() else 0
     if telemetry is not None:
@@ -929,7 +947,6 @@ def _assemble_result(
             }
         )
     return RoutingResult(
-        routes=routes,
         success=success,
         iterations=iteration,
         wirelength=wirelength,
@@ -969,7 +986,6 @@ def routing_from_payload(payload: Dict[str, object]) -> Optional[RoutingResult]:
     try:
         forest = RouteForest.from_payload(raw)
         return RoutingResult(
-            routes=forest.to_net_routes(),
             success=bool(payload["success"]),
             iterations=int(payload["iterations"]),
             wirelength=int(payload["wirelength"]),

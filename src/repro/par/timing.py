@@ -51,12 +51,12 @@ def report_from_analysis(
     bit-compatible even for parameterized networks whose multi-input TCONs
     are resolved to a single representative wire in the physical netlist.
     """
-    net_wires = []
+    mean_wl, max_wl = 0.0, 0
     if routing is not None:
-        rr = device.rr_graph
-        net_wires = [len(r.wire_nodes(rr)) for r in routing.routes.values()]
-    mean_wl = sum(net_wires) / len(net_wires) if net_wires else 0.0
-    max_wl = max(net_wires) if net_wires else 0
+        net_wires = routing.forest.net_wirelengths(device.rr_graph.wire_mask())
+        if net_wires.size:
+            mean_wl = int(net_wires.sum()) / net_wires.size
+            max_wl = int(net_wires.max())
     return TimingReport(
         logic_depth=network.depth(),
         critical_path_ns=analysis.critical_path_ns,

@@ -26,10 +26,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, Mapping, Optional
 
 from ..fpga.bitstream import Bitstream, ConfigurationLayout
+from ..fpga.device import Device
 from ..par.flow import PaRResult
+from ..par.forest import RouteForest
 from .frames import diff_images
 
-__all__ = ["Context", "ContextLibrary", "render_context_bitstream"]
+__all__ = ["Context", "ContextLibrary", "render_context_bitstream", "routing_bitstream"]
 
 #: Knuth multiplicative hash constant; spreads RR node ids over the
 #: routing-bit positions of a tile deterministically (no PYTHONHASHSEED).
@@ -136,25 +138,41 @@ class ContextLibrary:
         return total / (len(names) - 1)
 
 
+def routing_bitstream(forest: RouteForest, device: Device) -> Bitstream:
+    """Routing configuration of one route forest (no LUT bits).
+
+    Every CHANX/CHANY RR node a route tree uses sets one switch bit --
+    position ``(node * _MIX) % routing_bits`` -- in the routing budget of
+    the logic tile at the node's coordinates (border channels outside the
+    logic region carry no modelled configuration).
+    """
+    layout = device.config_layout
+    rr = device.rr_graph
+    bitstream = Bitstream(layout)
+    routing_bits: Dict[tuple, int] = {}
+    for rr_node in forest.node[rr.wire_mask()[forest.node]].tolist():
+        x, y = int(rr.node_x[rr_node]), int(rr.node_y[rr_node])
+        if not layout.arch.contains_clb(x, y):
+            continue
+        bit = (rr_node * _MIX) % layout.routing_bits
+        routing_bits[(x, y)] = routing_bits.get((x, y), 0) | (1 << bit)
+    for (x, y), bits in routing_bits.items():
+        bitstream.set_routing_config(x, y, bits)
+    return bitstream
+
+
 def render_context_bitstream(par: PaRResult) -> Bitstream:
     """Full-design bitstream of a placed-and-routed context.
 
-    * every placed logic block with a mapped LUT/TLUT programs its truth
-      table bits (masked to the physical LUT width) at its placement site;
-    * every CHANX/CHANY RR node used by the routing sets one switch bit --
-      position ``(node * _MIX) % routing_bits`` -- in the routing budget of
-      the logic tile at the node's coordinates (border channels outside the
-      logic region carry no modelled configuration).
+    Every placed logic block with a mapped LUT/TLUT programs its truth
+    table bits (masked to the physical LUT width) at its placement site, on
+    top of the routing configuration of :func:`routing_bitstream`.
 
     Deterministic in the PaR result: re-rendering the same result is
     bit-identical, and two contexts that share routes share routing bits.
     """
-    layout = par.device.config_layout
-    arch = layout.arch
-    rr = par.device.rr_graph
-    bitstream = Bitstream(layout)
-
-    lut_mask = (1 << layout.lut_bits) - 1
+    bitstream = routing_bitstream(par.routing.forest, par.device)
+    lut_mask = (1 << bitstream.layout.lut_bits) - 1
     placement = par.placement.placement
     for block in par.netlist.blocks:
         if block.mapped_node is None or not block.needs_logic_site:
@@ -164,17 +182,4 @@ def render_context_bitstream(par: PaRResult) -> Bitstream:
             continue
         site = placement.block_site[block.id]
         bitstream.set_lut_config(site.x, site.y, node.function.bits & lut_mask)
-
-    routing_bits: Dict[tuple, int] = {}
-    for net_route in par.routing.routes.values():
-        for rr_node in net_route.nodes:
-            if not rr.is_wire(rr_node):
-                continue
-            x, y = int(rr.node_x[rr_node]), int(rr.node_y[rr_node])
-            if not arch.contains_clb(x, y):
-                continue
-            bit = (rr_node * _MIX) % layout.routing_bits
-            routing_bits[(x, y)] = routing_bits.get((x, y), 0) | (1 << bit)
-    for (x, y), bits in routing_bits.items():
-        bitstream.set_routing_config(x, y, bits)
     return bitstream

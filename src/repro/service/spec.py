@@ -18,10 +18,10 @@ content hashes organize the service around it:
 The invariant that makes the whole daemon testable lives here too:
 :func:`execute_job` (run inside pool workers) and a direct
 :func:`~repro.par.flow.place_and_route` call in any other process must
-produce **bit-identical results** -- same placement sites, same routed node
-sets, same rendered configuration frames -- crashes, retries and journal
-replays included.  :func:`result_digest` canonicalizes exactly those three
-layers into one SHA-256 so the invariant is a string compare
+produce **bit-identical results** -- same placement sites, same route
+trees, same critical path, same rendered configuration frames -- crashes,
+retries and journal replays included.  :func:`result_digest` canonicalizes
+exactly those layers into one SHA-256 so the invariant is a string compare
 (``tests/test_service.py``, ``benchmarks/bench_service_throughput.py``).
 """
 
@@ -43,9 +43,11 @@ __all__ = [
     "canonical_dumps",
 ]
 
-#: Bump when the job payload format or the executor's semantics change in a
-#: way that makes an old journal/result table meaningless.
-SERVICE_VERSION = 1
+#: Bump when the job payload format, the executor's semantics or the result
+#: digest change in a way that makes an old journal/result table
+#: meaningless (v2: the digest covers the route-forest arrays and the
+#: critical path).  Job keys fold it in, so old entries read as misses.
+SERVICE_VERSION = 2
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -192,24 +194,29 @@ def _mapped_network(spec: JobSpec):
 def result_digest(par) -> str:
     """SHA-256 over every bit-level layer of one PaR outcome.
 
-    Covers the placement sites, the per-net routed node *sets* (sorted --
-    cache re-hydration reorders emission order by contract, see
-    ``tests/test_property_fuzz.py``) and the rendered configuration frame
-    image.  Two results with equal digests are bit-identical at every layer
-    the service promises.
+    Covers the placement sites, every route-forest array (the exact tree
+    each net grew, not just its node set), the routed critical path and
+    the rendered configuration frame image.  Two results with equal
+    digests are bit-identical at every layer the service promises.
     """
+    import numpy as np
+
+    from ..par.forest import FOREST_ARRAYS
     from ..reconfig.context import render_context_bitstream
 
     image = render_context_bitstream(par).frame_image()
     placement = par.placement.placement
+    forest = par.routing.forest
+    routes = hashlib.sha256()
+    for name in FOREST_ARRAYS:
+        routes.update(np.ascontiguousarray(getattr(forest, name), dtype="<i4").tobytes())
     material = {
         "sites": {
             str(bid): [s.x, s.y, s.kind, s.subtile]
             for bid, s in sorted(placement.block_site.items())
         },
-        "routes": {
-            str(net): sorted(r.nodes) for net, r in par.routing.routes.items()
-        },
+        "routes": routes.hexdigest(),
+        "critical_path_ns": float(par.timing.critical_path_ns).hex(),
         "frames": {str(fid): hex(val) for fid, val in sorted(image.items())},
         "wirelength": par.wirelength,
     }

@@ -52,7 +52,7 @@ from repro.netlist.circuit import Circuit, Op
 from repro.netlist.library import eval_gate
 from repro.netlist.simulate import _pattern_mask
 from repro.obs import metrics as obs_metrics
-from repro.par.forest import build_route_forest
+from repro.par.forest import FOREST_ARRAYS, _fragment_from_conns, build_route_forest
 from repro.par.netlist import PhysicalNetlist
 from repro.par.placement import (
     Placement,
@@ -267,9 +267,13 @@ def route_reference(
         "rerouted_nets_per_iteration": tl_rerouted,
         "iteration_wall_ms": tl_wall_ms,
     }
+    fragments = [
+        (nid, _fragment_from_conns(r.nodes[0], r.connections))
+        for nid, r in sorted(routes.items())
+    ]
     return _assemble_result(
-        rr, routes, occupancy, capacity, success, iteration,
-        build_route_forest(routes, rr), telemetry=telemetry,
+        rr, occupancy, capacity, success, iteration,
+        build_route_forest(fragments, rr), telemetry=telemetry,
     )
 
 
@@ -911,22 +915,17 @@ def rr_graph_differences(rr: RRGraph, ref: RRGraph) -> List[str]:
 def routing_differences(result: RoutingResult, ref: RoutingResult) -> List[str]:
     """Names of the fields in which two routing results differ.
 
-    Compares every metric, each net's ordered connections and every forest
-    array by dtype and value (node lists are not compared: cache hydration
-    rebuilds them in forest order); an empty list means the same route.
+    Compares every metric and every forest array by dtype and value (the
+    per-net ``routes`` view is derived from the forest); an empty list
+    means the same route.
     """
     metrics = (
         "success", "iterations", "wirelength", "overused_nodes",
         "max_channel_occupancy", "aborted",
     )
     diffs = [name for name in metrics if getattr(result, name) != getattr(ref, name)]
-    if {n: r.connections for n, r in result.routes.items()} != {
-        n: r.connections for n, r in ref.routes.items()
-    }:
-        diffs.append("connections")
-    for name, value in vars(ref.forest).items():
-        if isinstance(value, np.ndarray):
-            mine = getattr(result.forest, name)
-            if mine.dtype != value.dtype or not np.array_equal(mine, value):
-                diffs.append(f"forest.{name}")
+    for name in FOREST_ARRAYS:
+        mine, value = getattr(result.forest, name), getattr(ref.forest, name)
+        if mine.dtype != value.dtype or not np.array_equal(mine, value):
+            diffs.append(f"forest.{name}")
     return diffs

@@ -43,10 +43,10 @@ from repro.timing import analyze
 
 #: ``(ROUTE_ALGO_VERSION, PLACE_ALGO_VERSION) -> design -> digest``.
 GOLDEN = {
-    (5, 3): {
-        "adder4": "9e86d150f8260dcfb9091644f2c71c4971b082fe07b14c4aaa46a6995e8299bd",
-        "adder10_param": "f10bf9f96849c63adfef2a86fa0ee6d7b94c7484a4693fbe79eb3da29115b67d",
-        "adder16": "c1efb16f5044d4b215b18bda2d8e5ebf22e79d7d7cd291e5d80aa567d112b1ae",
+    (6, 3): {
+        "adder4": "76aa396028530a50344ff539ba39641ef068ad54a0aa1103c12c0210a38ded5a",
+        "adder10_param": "d63a4a462b52ee92fd6d40af48c5be2aee98fd04506714fb3daf84af4d1fd307",
+        "adder16": "18a9c16dfc0387f39daae0bb61fcab72c1f97e6107dfe847ba6558c6cd4fbccc",
         "flow_adder10_param": "550492f45b88b07962d27277a1a5b88be76cde9680dc07d760b358368547cb09",
         "mincw_adder10_param": "a9b761f1d182999c9190cb6d7741b7619e2bb44cb89a35cd9c293cf15c594660",
         "mincw_adder16": "d976259e1550164450e99d0548639fa88ded6afbfa5018aab5eb77e5cad9545f",

@@ -1,10 +1,12 @@
 """Tests for placement, routing and the TPaR flow."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import pathlib
 import statistics
+import types
 
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ from repro.par.flow import cached_route, place_and_route, timing_driven_placemen
 from repro.par.metrics import channel_occupancy, minimum_channel_width
 from repro.par.netlist import PhysicalNetlist, from_mapped_network
 from repro.par.placement import hpwl, place, random_placement
-from repro.par.routing import predict_failure, route, route_resilient
+from repro.par.forest import build_route_forest
+from repro.par.routing import RoutingResult, predict_failure, route, route_resilient
 from repro.par.timing import report_from_analysis
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional, map_parameterized
@@ -517,6 +520,7 @@ class TestShippedSurface:
         compare_pe_flows: ("workers",),
         routed_edge_delays: ("routes",),
         CriticalityTracker.update_flat: ("routes",),
+        build_route_forest: ("cache",),
     }
     #: Test oracles that live in tests/oracles.py, never in the package.
     ORACLES = {"_route_reference", "_place_reference", "simulate_patterns_reference",
@@ -526,6 +530,8 @@ class TestShippedSurface:
                  "analyze_timing"}
     #: Retired routing kernel and its degradation chain: one astar router.
     KERNELS = {"_route_fast", "DEGRADATION_CHAIN"}
+    #: Retired second copy of the route trees: the forest is the only one.
+    COPIES = {"to_net_routes", "_net_route_of", "_WHOLE_FOREST_KEY"}
     #: Retired scale-out seams: the placement sweep and the cache-tier protocol.
     RETIRED = {
         "repro.par": ("placement_sweep", "best_placement"),
@@ -541,7 +547,8 @@ class TestShippedSurface:
             for name in names:
                 assert name not in params, f"{fn.__qualname__}({name}=) is back"
                 removed += 1
-        assert removed == 30
+        assert removed == 31
+        assert "routes" not in {f.name for f in dataclasses.fields(RoutingResult)}
 
         import importlib
 
@@ -569,9 +576,9 @@ class TestShippedSurface:
                     names = [node.target.id]
                 else:
                     continue
-                retired = self.ORACLES | self.FALLBACKS | self.KERNELS
+                retired = self.ORACLES | self.FALLBACKS | self.KERNELS | self.COPIES
                 defined += [f"{path.name}:{n}" for n in names if n in retired]
-        assert not defined, f"oracles or fallbacks shipped in src/repro: {defined}"
+        assert not defined, f"oracles, fallbacks or route copies shipped in src/repro: {defined}"
         assert pools == {"service/pool.py"}, f"process pools outside the service: {pools}"
 
 
@@ -673,6 +680,34 @@ class TestTimingAndFlow:
         assert report.logic_depth == net.depth()
         assert report.critical_path_ns > 0
 
+    def test_net_wirelength_stats_count_sinkless_nets(self):
+        """Per-net wire statistics over a routed design with a sink-less net.
+
+        ``validate()`` rejects such a net, but ``add_net`` builds one and the
+        router gives it an empty tree: it counts as a net with zero wires.
+        The values are pinned from the per-net node-list count.
+        """
+        nl = PhysicalNetlist("chain")
+        prev = nl.add_block("pi", "io")
+        for i in range(6):
+            blk = nl.add_block(f"l{i}", "clb")
+            nl.add_net(f"n{i}", prev, [blk])
+            prev = blk
+        out = nl.add_block("po", "io")
+        nl.add_net("out", prev, [out])
+        nl.add_net("dangling", 3, [])
+        arch = FPGAArchitecture(width=4, height=4, channel_width=8)
+        placement = place(nl, arch, seed=1, effort=0.5).placement
+        device = build_device(arch)
+        routing = route(nl, placement, device)
+        assert routing.success and routing.wirelength == 12
+        assert routing.routes[nl.nets[-1].id].nodes[1:] == []
+        analysis = analyze(nl, routing, device, placement=placement)
+        network = types.SimpleNamespace(depth=lambda: 0)
+        report = report_from_analysis(analysis, network, routing, device)
+        assert report.mean_net_wirelength == 1.5  # 12 wires over 8 nets
+        assert report.max_net_wirelength == 3
+
     def test_timing_on_routed_result(self):
         net = adder_network(5)
         nl = from_mapped_network(net)
@@ -689,7 +724,7 @@ class TestTimingAndFlow:
         assert report.mean_net_wirelength > 0
         assert report.max_net_wirelength >= report.mean_net_wirelength
         total_wires = sum(
-            len(r.wire_nodes(device.rr_graph)) for r in routing.routes.values()
+            sum(map(device.rr_graph.is_wire, r.nodes)) for r in routing.routes.values()
         )
         assert report.mean_net_wirelength == pytest.approx(
             total_wires / len(routing.routes)

@@ -8,7 +8,7 @@ checked here across a small random family of designs:
   its sinks through RR-graph edges from the net's source;
 * **cache round-trip** -- serializing a routed result through the on-disk
   payload format and re-hydrating it reproduces the fresh computation
-  bit-for-bit (wirelength, iterations, route nodes).
+  bit-for-bit (wirelength, iterations, every route-forest array).
 
 The suite is deliberately tiny: ``max_examples`` is capped and the profile
 is derandomized, so tier-1 wall time stays flat and failures replay
@@ -26,6 +26,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.fpga.architecture import auto_size  # noqa: E402
 from repro.fpga.device import build_device  # noqa: E402
 from repro.par import PaRCache, PhysicalNetlist, cached_route  # noqa: E402
+from repro.par.forest import FOREST_ARRAYS  # noqa: E402
 from repro.par.placement import place  # noqa: E402
 from repro.fpga.routing_graph import RRNodeType  # noqa: E402
 from repro.par.routing import route, terminal_rr_nodes  # noqa: E402
@@ -129,12 +130,11 @@ def test_cache_round_trip_equals_fresh_compute(params, tmp_path_factory):
     rehydrated = cached_route(nl, placement, device, cache=cache)
     assert rehydrated.success == fresh.success
     assert rehydrated.wirelength == fresh.wirelength
-    # Re-hydration rebuilds each net's node list from the route forest, so
-    # node *order* may differ from the kernel's emission order; the set of
-    # occupied nodes per net must be identical.
-    assert {n: sorted(r.nodes) for n, r in rehydrated.routes.items()} == {
-        n: sorted(r.nodes) for n, r in fresh.routes.items()
-    }
+    assert rehydrated.forest.num_rr_nodes == fresh.forest.num_rr_nodes
+    for name in FOREST_ARRAYS:
+        mine, want = getattr(rehydrated.forest, name), getattr(fresh.forest, name)
+        assert mine.dtype == want.dtype and np.array_equal(mine, want), name
+    assert rehydrated.routes == fresh.routes
     if fresh.success:
         # A cacheable (converged) route must be served from disk the
         # second time, not recomputed.
@@ -147,39 +147,12 @@ def test_cache_round_trip_equals_fresh_compute(params, tmp_path_factory):
 # Frame-image delta algebra on fuzzed designs
 # ---------------------------------------------------------------------------
 
-from repro.fpga.bitstream import Bitstream  # noqa: E402
-from repro.reconfig.context import _MIX  # noqa: E402
+from repro.reconfig.context import routing_bitstream  # noqa: E402
 from repro.reconfig.frames import (  # noqa: E402
     apply_delta,
     diff_images,
     union_frames,
 )
-
-
-def _routing_image(routing, device):
-    """Frame image of one routing outcome (the context-renderer convention).
-
-    Mirrors the routing half of ``render_context_bitstream`` for raw
-    physical netlists (which carry no mapped LUT functions): every wire RR
-    node inside the logic region sets bit ``(node * MIX) % routing_bits``
-    of its tile's routing budget.
-    """
-    layout = device.config_layout
-    rr = device.rr_graph
-    bitstream = Bitstream(layout)
-    tile_bits = {}
-    for net_route in routing.routes.values():
-        for rr_node in net_route.nodes:
-            if not rr.is_wire(rr_node):
-                continue
-            x, y = int(rr.node_x[rr_node]), int(rr.node_y[rr_node])
-            if not layout.arch.contains_clb(x, y):
-                continue
-            bit = (rr_node * _MIX) % layout.routing_bits
-            tile_bits[(x, y)] = tile_bits.get((x, y), 0) | (1 << bit)
-    for (x, y), bits in tile_bits.items():
-        bitstream.set_routing_config(x, y, bits)
-    return bitstream.frame_image()
 
 
 @BOUNDED
@@ -193,9 +166,9 @@ def test_frame_delta_round_trip_on_fuzzed_designs(params):
     not hand-picked dicts.
     """
     nl, placement, device = _placed(params)
-    base = _routing_image(route(nl, placement, device), device)
+    base = routing_bitstream(route(nl, placement, device).forest, device).frame_image()
     other = place(nl, device.arch, seed=1, effort=0.3).placement
-    target = _routing_image(route(nl, other, device), device)
+    target = routing_bitstream(route(nl, other, device).forest, device).frame_image()
 
     # The delta is an exact patch, in both directions.
     assert apply_delta(base, diff_images(base, target)) == target

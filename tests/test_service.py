@@ -15,8 +15,10 @@ ambient ``REPRO_FAULT_PLAN`` too.
 import asyncio
 import json
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.fpga.architecture import auto_size
@@ -39,6 +41,7 @@ from repro.service import (
     execute_job,
     result_digest,
 )
+from repro.service import spec as service_spec
 from repro.util import FaultPlan, fault_plan
 
 
@@ -139,6 +142,28 @@ class TestJobSpec:
             JobSpec(**{**TINY, "deadline_s": -1.0})
         with pytest.raises(ValueError, match="must be an object"):
             JobSpec.from_payload(["not", "a", "dict"])
+
+
+class TestResultDigest:
+    def test_digest_covers_tree_shape_not_just_node_sets(self):
+        """Two trees over the same per-net node sets digest differently."""
+        from repro.par.flow import place_and_route
+
+        spec = JobSpec(**TINY)
+        par = place_and_route(
+            service_spec._mapped_network(spec),
+            channel_width=spec.channel_width,
+            placement_effort=spec.placement_effort,
+            router_iterations=spec.router_iterations,
+            seed=spec.seed,
+        )
+        forest = par.routing.forest
+        parent = forest.parent.copy()
+        i = int(np.flatnonzero(parent >= 0)[0])
+        parent[i] = -1  # re-hang one subtree off its net's source
+        other = replace(par, routing=replace(par.routing, forest=replace(forest, parent=parent)))
+        assert np.array_equal(other.routing.forest.node, forest.node)
+        assert result_digest(other) != result_digest(par)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +559,33 @@ class TestDaemonExecution:
         assert (
             third_life.result(key)["result"]["digest"] == direct_tiny["digest"]
         )
+
+    def test_replayed_older_service_version_result_is_not_served(
+        self, tmp_path, direct_tiny
+    ):
+        """A completed entry keyed under SERVICE_VERSION 1 reads as a miss."""
+        config = tiny_config(tmp_path)
+        with mock.patch.object(service_spec, "SERVICE_VERSION", 1):
+            v1_key = JobSpec(**TINY).job_key()
+        JobJournal(config.journal_dir).record(
+            entry(v1_key, "completed", result={"digest": "v1", "wirelength": -1})
+        )
+        daemon = ServiceDaemon(config)
+
+        async def restart_and_submit():
+            replay = await daemon.start()
+            try:
+                assert replay["completed"] == 1
+                response = await daemon.submit(dict(TINY))
+                assert await daemon.wait(response["job"], timeout=120)
+                return response
+            finally:
+                await daemon.stop()
+
+        response = run(restart_and_submit())
+        assert response["job"] != v1_key
+        assert response["state"] == "accepted" and "coalesced" not in response
+        assert daemon.result(response["job"])["result"]["digest"] == direct_tiny["digest"]
 
     def test_per_job_deadline_fails_cleanly(self, tmp_path):
         daemon = ServiceDaemon(tiny_config(tmp_path, retry_attempts=2))

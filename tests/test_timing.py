@@ -184,7 +184,7 @@ class TestLegacyParity:
         assert report.logic_depth == net.depth() == analysis.logic_depth
         assert report.critical_path_ns == pytest.approx(analysis.critical_path_ns)
         total_wires = sum(
-            len(r.wire_nodes(device.rr_graph)) for r in routing.routes.values()
+            sum(map(device.rr_graph.is_wire, r.nodes)) for r in routing.routes.values()
         )
         assert report.mean_net_wirelength == pytest.approx(
             total_wires / len(routing.routes)
