@@ -43,14 +43,6 @@ class VirtualSwitchBlock:
     def name(self) -> str:
         return f"vsb_r{self.row}c{self.col}"
 
-    def upstream_pes(self, cols: int) -> List[GridPosition]:
-        """PEs (row r) whose outputs this VSB can select from."""
-        return [(self.row, self.col), (self.row, self.col + 1)]
-
-    def downstream_pes(self, cols: int) -> List[GridPosition]:
-        """PEs (row r+1) whose inputs this VSB can drive."""
-        return [(self.row + 1, self.col), (self.row + 1, self.col + 1)]
-
 
 @dataclass(frozen=True)
 class VirtualConnectionBlock:

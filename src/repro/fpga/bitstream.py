@@ -102,12 +102,6 @@ class ConfigurationLayout:
             frames.update(self.frames_for_tile(x, y).frames())
         return frames
 
-    def lut_bit_range(self, x: int, y: int) -> Tuple[int, int]:
-        """Global bit offsets [start, end) of the LUT truth-table bits of a tile."""
-        column_start = (x - 1) * self.frames_per_column * self.frame_bits
-        start = column_start + self.tile_bit_offset(x, y)
-        return start, start + self.lut_bits
-
 
 class Bitstream:
     """Concrete configuration values for an island FPGA.

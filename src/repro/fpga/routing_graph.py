@@ -168,6 +168,20 @@ class RRGraph:
         """Destination nodes of all switches leaving ``node``."""
         return self.edge_dst[self.edge_ptr[node] : self.edge_ptr[node + 1]]
 
+    @cached_property
+    def node_delay_ns(self) -> np.ndarray:
+        """Per-node intrinsic delay (:func:`rr_delay_ns` by node type), read-only.
+
+        The one flat delay vector: the STA engine, the router's retimer and
+        the router's :class:`RouterSearchView` all read it, and it outlives
+        :meth:`release_search_view`.
+        """
+        delay = np.empty(self.num_nodes, dtype=np.float64)
+        for t, d in rr_delay_ns(self.arch).items():
+            delay[self.node_type == t] = d
+        delay.setflags(write=False)
+        return delay
+
     def wire_mask(self) -> np.ndarray:
         """Boolean mask of the channel-wire (CHANX/CHANY) nodes."""
         return (self.node_type == RRNodeType.CHANX) | (self.node_type == RRNodeType.CHANY)
@@ -229,9 +243,8 @@ class RouterSearchView:
       the native astar expansion loop binds to, alongside ``xs_arr`` /
       ``ys_arr`` (Manhattan-lookahead tables), ``base_cost``
       (congestion-free node costs, :data:`RR_BASE_COST`) and ``delay_ns``
-      (per-node intrinsic delays, :func:`rr_delay_ns` -- the flat delay
-      model consumed by the STA engine and the timing-driven router
-      objective);
+      (the graph's :attr:`RRGraph.node_delay_ns`, which the timing-driven
+      router objective reads);
     * ``adj_search`` -- per-node Python lists sliced out of the same CSR,
       the layout of the pure-Python astar twin, built on first access only.
 
@@ -266,10 +279,7 @@ class RouterSearchView:
         for t, c in RR_BASE_COST.items():
             base[rr.node_type == t] = c
         self.base_cost: np.ndarray = base
-        delay = np.empty(num_nodes, dtype=np.float64)
-        for t, d in rr_delay_ns(rr.arch).items():
-            delay[rr.node_type == t] = d
-        self.delay_ns: np.ndarray = delay
+        self.delay_ns: np.ndarray = rr.node_delay_ns
 
         # Reverse CSR (for per-sink entry maps, built lazily below).
         self._rev_src = edge_src[np.argsort(rr.edge_dst, kind="stable")]

@@ -196,9 +196,6 @@ class Circuit:
         """All node ids in topological order."""
         return range(len(self.ops))
 
-    def is_leaf(self, nid: int) -> bool:
-        return self.ops[nid] in Op.LEAVES
-
     def input_ids(self) -> List[int]:
         return [i for i, o in enumerate(self.ops) if o == Op.INPUT]
 
@@ -213,9 +210,6 @@ class Circuit:
 
     def param_names(self) -> List[str]:
         return [self.names.get(i, f"param{i}") for i in self.param_ids()]
-
-    def output_ids(self) -> List[int]:
-        return list(self.outputs.values())
 
     def num_gates(self) -> int:
         return sum(1 for o in self.ops if o in Op.GATES)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Callable, Dict, Sequence
 
-from .boolean import TruthTable, const_tt
+from .boolean import TruthTable
 from .circuit import Op
 
 __all__ = ["GATE_EVAL", "eval_gate", "gate_truth_table", "GATE_COST"]
@@ -109,12 +109,3 @@ def gate_truth_table(op: str, fanin_tts: Sequence[TruthTable]) -> TruthTable:
     mask = (1 << (1 << num_vars)) - 1
     bits = eval_gate(op, [tt.bits for tt in fanin_tts], mask)
     return TruthTable(num_vars, bits)
-
-
-def const_truth_table(op: str, num_vars: int) -> TruthTable:
-    """Truth table of a constant node over ``num_vars`` variables."""
-    if op == Op.CONST0:
-        return const_tt(0, num_vars)
-    if op == Op.CONST1:
-        return const_tt(1, num_vars)
-    raise ValueError(f"{op!r} is not a constant op")

@@ -1,6 +1,6 @@
 """TPaR-style physical CAD: placement (TPLACE), routing (TROUTE), metrics, timing."""
 
-from .cache import CacheIOError, PaRCache
+from .cache import PaRCache
 from .flow import PaRResult, cached_route, place_and_route
 from .forest import RouteForest, build_route_forest
 from .metrics import (
@@ -16,7 +16,6 @@ from .timing import TimingReport
 
 __all__ = [
     "PaRCache",
-    "CacheIOError",
     "ChannelWidthError",
     "route_resilient",
     "PaRResult",

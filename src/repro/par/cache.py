@@ -11,7 +11,7 @@ small content-addressed JSON cache so those results are computed once:
   settings, and an algorithm-version tag that must be bumped whenever a
   kernel change invalidates old results);
 * values are plain JSON dicts of the metrics the flows need (routing success,
-  wirelength, iterations, timing summary, route forest) -- never pickled code;
+  wirelength, iterations, route forest) -- never pickled code;
 * one JSON file per key, written atomically (tmp file + ``os.replace``), so
   the service's worker processes can share one cache directory and never
   read a torn entry.
@@ -39,8 +39,7 @@ Invariants:
   Reads that fail (missing, truncated, corrupt, injected fault) count as
   misses and recompute; writes are atomic (tmp + ``os.replace``) with
   last-write-wins among concurrent writers; a failed write warns once and
-  drops.  ``strict=True`` turns absorption into :class:`CacheIOError` for
-  callers that need to fail loud.
+  drops.
 """
 
 from __future__ import annotations
@@ -61,14 +60,10 @@ from .placement import Placement
 
 __all__ = [
     "PaRCache",
-    "CacheIOError",
     "ROUTE_ALGO_VERSION",
     "PLACE_ALGO_VERSION",
 ]
 
-
-class CacheIOError(OSError):
-    """A cache read/write failed and the cache was opened with ``strict=True``."""
 
 #: Bump when a routing kernel change makes cached route metrics stale.
 #: v4: route values carry the serialized flat route forest (the actual
@@ -120,10 +115,9 @@ class PaRCache:
     #: a pool of caches over one shared directory warns once, not per worker).
     _warned_dirs: set = set()
 
-    def __init__(self, directory: Union[str, Path], strict: bool = False) -> None:
+    def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.strict = strict
         self.hits = 0
         self.misses = 0
         self.read_errors = 0
@@ -166,7 +160,7 @@ class PaRCache:
         """Value stored under ``key``, or ``None`` on a miss.
 
         Unreadable or corrupt entries count as misses (logged in
-        ``stats()`` / ``events``) unless the cache is ``strict``.
+        ``stats()`` / ``events``).
         """
         try:
             fault = inject("cache.read")
@@ -191,8 +185,6 @@ class PaRCache:
             obs_metrics.merge({"cache.misses": 1, "cache.read_errors": 1})
             record_event(events, "cache-read-error", site="cache.read",
                          key=key, error=f"{type(exc).__name__}: {exc}")
-            if self.strict:
-                raise CacheIOError(f"cache read failed for {key}: {exc}") from exc
             return None
         self.hits += 1
         obs_metrics.add("cache.hits")
@@ -206,8 +198,7 @@ class PaRCache:
     ) -> bool:
         """Atomically store ``value`` under ``key``; ``False`` if dropped.
 
-        Failed writes warn once per directory and count in ``stats()``
-        (or raise :class:`CacheIOError` when ``strict``).
+        Failed writes warn once per directory and count in ``stats()``.
         """
         tmp = None
         try:
@@ -244,8 +235,6 @@ class PaRCache:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            if self.strict:
-                raise CacheIOError(f"cache write failed for {key}: {exc}") from exc
             return False
 
     # -- domain keys ------------------------------------------------------------

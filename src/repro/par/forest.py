@@ -11,9 +11,9 @@ view), so
 
 * routed-delay extraction is a handful of NumPy gathers -- one
   depth-levelized scan ``acc[i] = acc[parent[i]] + delay_ns[node[i]]``
-  accumulates delay (and wire / pin element counts) for every tree node of
-  every net at once, and per-connection delays fall out as
-  ``acc[conn_sink_pos]``;
+  (:meth:`RouteForest.connection_sums`) accumulates delay (and, given more
+  value columns, wire / pin element counts) for every tree node of every
+  net at once, and per-connection delays fall out as ``acc[conn_sink_pos]``;
 * criticalities flow back as one flat ``conn_crit`` vector indexed by
   connection id (see :class:`repro.timing.sta.CriticalityTracker`) instead
   of dict lookups keyed by ``(net, sink)`` tuples;
@@ -66,7 +66,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["FOREST_ARRAYS", "RouteForest", "build_route_forest", "join_sorted"]
+__all__ = ["FOREST_ARRAYS", "RouteForest", "build_route_forest"]
 
 #: The int32 array fields of :class:`RouteForest`, in field order.
 FOREST_ARRAYS = (
@@ -82,22 +82,6 @@ FOREST_ARRAYS = (
     "conn_sink_pos",
     "conn_ptr",
 )
-
-
-def join_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Positions of ``keys`` in ``sorted_keys``: ``(pos, hit)``.
-
-    The one searchsorted-with-clamp join every flat-timing consumer uses
-    to match ``(net, sink)`` connection keys (see
-    :meth:`RouteForest.connection_keys` for the encoding): ``pos[i]`` is a
-    valid index into ``sorted_keys`` and ``hit[i]`` is True exactly where
-    ``sorted_keys[pos[i]] == keys[i]``.
-    """
-    if sorted_keys.size == 0 or keys.size == 0:
-        return np.zeros(keys.size, dtype=np.int64), np.zeros(keys.size, dtype=bool)
-    pos = np.searchsorted(sorted_keys, keys)
-    pos = np.minimum(pos, sorted_keys.size - 1)
-    return pos, sorted_keys[pos] == keys
 
 
 @dataclass
@@ -155,7 +139,8 @@ class RouteForest:
 
         Cached per forest: ``(order, bounds, parent_safe, is_root)`` where
         ``parent_safe`` / ``is_root`` are pre-gathered in ``order`` so the
-        accumulation loop below runs three vector operations per level.
+        accumulation loop of :meth:`connection_sums` runs three vector
+        operations per level.
         """
         if self._levels is None:
             # Order within a level is irrelevant (parents sit at strictly
@@ -175,14 +160,19 @@ class RouteForest:
             self._levels = (order, bounds, np.maximum(p_ord, 0), p_ord < 0)
         return self._levels
 
-    def _accumulate(self, vals: np.ndarray) -> np.ndarray:
-        """Root-to-node accumulation ``acc[i] = acc[parent[i]] + vals[i]``.
+    def connection_sums(self, node_values: np.ndarray) -> np.ndarray:
+        """Source-to-sink sum of ``node_values`` per connection.
 
-        ``vals`` is ``(P, k)``; the scan runs one vector operation per tree
-        depth level, performing exactly one binary float add per element --
-        the same association as the legacy per-node dict walk, which keeps
-        the accumulated delays bit-identical to it.
+        ``node_values`` is indexed by RR node, 1-D or ``(num_rr_nodes, k)``
+        for ``k`` quantities summed in one scan; the result has one row per
+        connection (zeros for a connection with no sink position).  The
+        root-to-node accumulation ``acc[i] = acc[parent[i]] + vals[i]`` runs
+        one vector operation per tree depth level, performing exactly one
+        binary float add per element -- the same association as the
+        per-connection dict walk, which keeps routed delays bit-identical
+        to it.
         """
+        vals = node_values[self.node]
         acc = np.zeros_like(vals)
         order, bounds, parent_safe, is_root = self._depth_levels()
         vals_ord = vals[order]
@@ -190,48 +180,10 @@ class RouteForest:
             pa = acc[parent_safe[lo:hi]]
             pa[is_root[lo:hi]] = 0.0
             acc[order[lo:hi]] = pa + vals_ord[lo:hi]
-        return acc
-
-    def connection_delays(self, delay_ns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Accumulated source-to-sink delay per connection.
-
-        Returns ``(delay[C], ok[C])`` where ``ok`` is False for connections
-        whose sink never made it into the forest (defensive; routed trees
-        always contain their sinks).
-        """
-        P = self.num_positions
-        vals = delay_ns[self.node].astype(np.float64)
-        acc = self._accumulate(vals)
+        out = np.zeros((self.num_connections,) + vals.shape[1:], dtype=acc.dtype)
         ok = self.conn_sink_pos >= 0
-        safe = np.maximum(self.conn_sink_pos, 0)
-        out = acc[safe] if P else np.zeros(self.num_connections)
-        return np.where(ok, out, 0.0), ok
-
-    def connection_delay_elements(
-        self, delay_ns: np.ndarray, is_wire: np.ndarray, is_pin: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-connection ``(delay, wires, pins, ok)`` in one scan."""
-        P = self.num_positions
-        nd = self.node
-        vals = np.empty((P, 3), dtype=np.float64)
-        if P:
-            vals[:, 0] = delay_ns[nd]
-            vals[:, 1] = is_wire[nd]
-            vals[:, 2] = is_pin[nd]
-        acc = self._accumulate(vals)
-        ok = self.conn_sink_pos >= 0
-        safe = np.maximum(self.conn_sink_pos, 0)
-        if P:
-            out = acc[safe]
-            out[~ok] = 0.0
-        else:
-            out = np.zeros((self.num_connections, 3))
-        return (
-            out[:, 0],
-            out[:, 1].astype(np.int32),
-            out[:, 2].astype(np.int32),
-            ok,
-        )
+        out[ok] = acc[self.conn_sink_pos[ok]]
+        return out
 
     # -- serialization -------------------------------------------------------
 

@@ -83,10 +83,6 @@ class MinChannelWidthResult:
     #: int | None, "aborted": bool}`` (see :class:`ChannelWidthError`).
     probes: Dict[int, Dict[str, Any]]
     wirelength_at_min: int
-    #: STA summary (critical_path_ns, logic_depth) of the route at the
-    #: minimum width; ``None`` only for legacy cache entries that predate
-    #: the timing subsystem (the cache version bump makes those misses).
-    timing_at_min: Optional[Dict[str, float]] = None
     #: structured recovery log of the search (cache read errors, dropped
     #: cache writes); empty on a fault-free run.
     events: List[Dict[str, Any]] = field(default_factory=list)
@@ -110,22 +106,18 @@ def _probe(
     base_arch: FPGAArchitecture,
     width: int,
     max_iterations: int,
-) -> Tuple[bool, int, Optional[Dict], Optional[int], bool]:
+) -> Tuple[bool, int, Optional[int], bool]:
     """Route at one channel width, with the routing-failure predictor on.
 
-    Returns ``(ok, wirelength, timing_summary, iterations, aborted)`` -- the
-    timing summary rides along so the cache keeps the delay axis next to the
-    wirelength metrics; the iteration count and the predictor's verdict feed
-    the probe record.  The STA runs only on converged routes: the
-    search spends most of its probes on deliberately-congested widths whose
-    timing would be both meaningless and wasted work.  Route *trees* are
+    Returns ``(ok, wirelength, iterations, aborted)`` -- the iteration count
+    and the predictor's verdict feed the probe record.  No STA runs here:
+    nothing reads a probe's timing (a flow reports the critical path of its
+    own route).  Route *trees* are
     deliberately not cached here: the probe keys (probe iteration budget)
     never coincide with a flow's route key, so a forest in these values
     would be read by nobody -- re-hydration is
     :func:`repro.par.flow.cached_route`'s job.
     """
-    from ..timing.sta import analyze
-
     device = build_device(base_arch.with_channel_width(width))
     try:
         result = route(
@@ -134,11 +126,8 @@ def _probe(
     except RuntimeError:
         # An unreachable sink at this width is a legitimate probe outcome
         # (the width is below the minimum), not a search failure.
-        return False, 0, None, None, False
-    timing = None
-    if result.success:
-        timing = analyze(netlist, result, device, placement=placement).summary()
-    return result.success, result.wirelength, timing, result.iterations, result.aborted
+        return False, 0, None, False
+    return result.success, result.wirelength, result.iterations, result.aborted
 
 
 def check_min_cw_bounds(low: int, high: int) -> None:
@@ -172,7 +161,6 @@ def minimum_channel_width(
     check_min_cw_bounds(low, high)
     probes: Dict[int, Dict[str, Any]] = {}
     wl_at: Dict[int, int] = {}
-    timing_at: Dict[int, Dict] = {}
     events: List[Dict[str, Any]] = []
 
     def evaluate(width: int) -> bool:
@@ -187,10 +175,10 @@ def minimum_channel_width(
             hit = cache.get(key, events=events)
         if hit is not None:
             ok, wirelength = bool(hit["success"]), int(hit["wirelength"])
-            timing, iterations = hit.get("timing"), hit.get("iterations")
+            iterations = hit.get("iterations")
             aborted = bool(hit.get("aborted", False))
         else:
-            ok, wirelength, timing, iterations, aborted = _probe(
+            ok, wirelength, iterations, aborted = _probe(
                 netlist, placement, base_arch, width, max_router_iterations
             )
             if cache is not None:
@@ -199,16 +187,12 @@ def minimum_channel_width(
                     "wirelength": wirelength,
                     "aborted": aborted,
                 }
-                if timing is not None:
-                    value["timing"] = timing
                 if iterations is not None:
                     value["iterations"] = iterations
                 cache.put(key, value, events=events)
         probes[width] = {"converged": ok, "iterations": iterations, "aborted": aborted}
         if ok:
             wl_at[width] = wirelength
-            if timing is not None:
-                timing_at[width] = timing
         return ok
 
     # Ensure the upper bound routes; widen if necessary.
@@ -235,6 +219,5 @@ def minimum_channel_width(
         min_channel_width=best,
         probes=probes,
         wirelength_at_min=wl_at.get(best, 0),
-        timing_at_min=timing_at.get(best),
         events=events,
     )

@@ -47,10 +47,6 @@ class Net:
     driver: int
     sinks: List[int] = field(default_factory=list)
 
-    @property
-    def num_terminals(self) -> int:
-        return 1 + len(self.sinks)
-
 
 @dataclass
 class PhysicalNetlist:
@@ -82,9 +78,6 @@ class PhysicalNetlist:
 
     def num_io_blocks(self) -> int:
         return sum(1 for b in self.blocks if b.kind == "io")
-
-    def blocks_of_kind(self, kind: str) -> List[Block]:
-        return [b for b in self.blocks if b.kind == kind]
 
     def validate(self) -> None:
         ids = set(range(len(self.blocks)))

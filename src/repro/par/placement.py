@@ -98,13 +98,6 @@ class Placement:
 
     block_site: Dict[int, Site] = field(default_factory=dict)
 
-    def site_of(self, block: int) -> Site:
-        return self.block_site[block]
-
-    def location_of(self, block: int) -> Tuple[int, int]:
-        s = self.block_site[block]
-        return (s.x, s.y)
-
     def clone(self) -> "Placement":
         return Placement(dict(self.block_site))
 

@@ -178,11 +178,6 @@ class CutEnumerator:
     def _leaf_arrival(self, nid: int) -> int:
         return self.arrival.get(nid, 0)
 
-    def _unit_cut(self, nid: int) -> Cut:
-        """The cut consisting of the node itself (used when it becomes a leaf
-        of a downstream cut)."""
-        return Cut((nid,), (), self._leaf_arrival(nid))
-
     def _make_cut(self, leaves: Set[int]) -> Optional[Cut]:
         data, tune = [], []
         for leaf in leaves:

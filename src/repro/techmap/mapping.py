@@ -62,14 +62,6 @@ class MappedNode:
     source: Optional[int] = None
     name: Optional[str] = None
 
-    @property
-    def is_tunable(self) -> bool:
-        return bool(self.tune_vars)
-
-    @property
-    def num_data_inputs(self) -> int:
-        return len(self.inputs)
-
 
 @dataclass
 class MappingStats:
@@ -158,9 +150,6 @@ class MappedNetwork:
 
     def num_tcons(self) -> int:
         return sum(1 for n in self.nodes if n.kind == NodeKind.TCON)
-
-    def logic_node_ids(self) -> List[int]:
-        return [i for i, n in enumerate(self.nodes) if n.kind in NodeKind.LOGIC]
 
     def lut_node_ids(self) -> List[int]:
         return [i for i, n in enumerate(self.nodes) if n.kind in (NodeKind.LUT, NodeKind.TLUT)]

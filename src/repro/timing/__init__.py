@@ -8,9 +8,11 @@ The subsystem has three layers:
   the arrival/required scans run as a handful of vector operations per
   level.
 * :mod:`repro.timing.delays` -- connection-delay extraction: exact per-sink
-  delays (and wire/switch/pin element counts) scanned out of the routing
-  result's route forest against the architecture's per-resource delay model
-  (:func:`repro.fpga.routing_graph.rr_delay_ns`), with placement-distance
+  delays (and wire/pin element counts) scanned out of the routing result's
+  route forest against the architecture's per-resource delay model
+  (:attr:`repro.fpga.routing_graph.RRGraph.node_delay_ns`) and scattered
+  onto the timing edges through the one forest-to-edge
+  :class:`~repro.timing.delays.ConnectionJoin`, with placement-distance
   and structural estimates as pre-route fallbacks.
 * :mod:`repro.timing.sta` -- the engine: arrival / required / slack /
   per-connection criticality, full critical-path extraction with a
@@ -21,6 +23,11 @@ The subsystem has three layers:
 :func:`analyze` is the one-call entry point used by the PAR flow; the
 flow folds its result into a :class:`~repro.par.timing.TimingReport` with
 :func:`repro.par.timing.report_from_analysis`.
+
+The package imports :mod:`repro.par` for type annotations only (under
+``TYPE_CHECKING``); the one runtime use, the router's block -> RR terminal
+mapping, is imported lazily.  So ``import repro.timing`` works as the first
+import of a fresh interpreter, and :mod:`repro.par` may import this package.
 """
 
 from .delays import (
@@ -37,7 +44,6 @@ from .sta import (
     analyze,
     net_criticality_from_placement,
     scan_edge_criticality,
-    structural_net_criticality,
 )
 
 __all__ = [
@@ -52,6 +58,5 @@ __all__ = [
     "CriticalityTracker",
     "analyze",
     "scan_edge_criticality",
-    "structural_net_criticality",
     "net_criticality_from_placement",
 ]

@@ -6,36 +6,48 @@ order of fidelity:
 * :func:`routed_edge_delays` -- exact per-sink delays out of the routing
   result's :class:`~repro.par.forest.RouteForest`.  Each connection's
   delay is the sum of the per-resource node delays
-  (:func:`repro.fpga.routing_graph.rr_delay_ns`) along the tree path the
-  router grew from the net's SOURCE to that sink, and the scan also counts
-  the wire / switch / pin elements so the critical-path breakdown can
+  (:attr:`repro.fpga.routing_graph.RRGraph.node_delay_ns`) along the tree
+  path the router grew from the net's SOURCE to that sink, and the scan
+  also counts the wire / pin elements so the critical-path breakdown can
   itemize them.  The extraction is pure NumPy -- one depth-levelized
-  accumulation over the forest arrays plus a ``searchsorted`` join onto
-  the timing edges -- bit-identical to the per-connection dict walk kept
-  as ``routed_edge_delays_reference`` in ``tests/oracles.py``.
+  accumulation over the forest arrays
+  (:meth:`~repro.par.forest.RouteForest.connection_sums`) scattered onto
+  the timing edges through a :class:`ConnectionJoin` -- bit-identical to
+  the per-connection dict walk kept as ``routed_edge_delays_reference``
+  in ``tests/oracles.py``.
 * :func:`estimated_edge_delays` -- pre-route estimate from placement:
   Manhattan distance in unit wires plus the pin hops.  This seeds the
-  timing-driven router's first iteration.
+  timing-driven router's first iteration and stands in for any connection
+  a forest does not route.
 * :func:`structural_edge_delays` -- no placement at all: every connection
   costs one wire hop plus pins.  This is the pre-placement estimate the
   criticality-weighted placer anneals against.
+
+:class:`ConnectionJoin` is the one mapping from forest connections
+``(net, sink RR node)`` to timing edges; both :func:`routed_edge_delays`
+(STA) and :class:`repro.timing.sta.CriticalityTracker` (the router's
+retimer) scatter forest results through it.  This module reads
+:mod:`repro.par` types for annotations only, and calls
+:func:`repro.par.routing.terminal_rr_nodes` lazily, so importing
+:mod:`repro.timing` never loads the PAR package.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
 from ..fpga.device import Device
-from ..par.forest import RouteForest, join_sorted
-from ..par.netlist import PhysicalNetlist
-from ..par.placement import Placement
+from ..fpga.routing_graph import RRNodeType
 from .graph import TimingGraph
 
+if TYPE_CHECKING:
+    from ..par.forest import RouteForest
+    from ..par.placement import Placement
+
 __all__ = [
-    "sink_rr_of_blocks",
-    "sink_rr_array",
+    "ConnectionJoin",
     "routed_edge_delays",
     "estimated_edge_delays",
     "estimated_edge_delays_from_coords",
@@ -43,63 +55,79 @@ __all__ = [
 ]
 
 
-def sink_rr_of_blocks(
-    netlist: PhysicalNetlist, placement: Placement, device: Device
-) -> Dict[int, int]:
-    """Map every placed block to its SINK RR node.
+def _join_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions of ``keys`` in ``sorted_keys``: ``(pos, hit)``.
 
-    Delegates to the router's canonical terminal mapping
-    (:func:`repro.par.routing.terminal_rr_nodes`) so the criticality keys
-    the tracker hands back are guaranteed to match the sink ids the router
-    searches for.
+    ``pos[i]`` is a valid index into ``sorted_keys`` (when it is non-empty)
+    and ``hit[i]`` is True exactly where ``sorted_keys[pos[i]] == keys[i]``.
     """
-    from ..par.routing import terminal_rr_nodes
-
-    _src_of, sink_of = terminal_rr_nodes(netlist, placement, device.rr_graph)
-    return sink_of
-
-
-def sink_rr_array(graph: TimingGraph, sink_of: Dict[int, int]) -> np.ndarray:
-    """``sink_of`` as a flat int64 array over timing-graph nodes (-1 unknown)."""
-    arr = np.full(graph.num_nodes, -1, dtype=np.int64)
-    for block, sink in sink_of.items():
-        arr[block] = sink
-    return arr
+    if sorted_keys.size == 0 or keys.size == 0:
+        return np.zeros(keys.size, dtype=np.int64), np.zeros(keys.size, dtype=bool)
+    pos = np.searchsorted(sorted_keys, keys)
+    pos = np.minimum(pos, sorted_keys.size - 1)
+    return pos, sorted_keys[pos] == keys
 
 
-def _forest_edge_data(
-    graph: TimingGraph,
-    forest: RouteForest,
-    sink_arr: np.ndarray,
-    delay_ns: np.ndarray,
-    is_wire: np.ndarray,
-    is_pin: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Join per-forest-connection (delay, wires, pins) onto the timing edges.
+class ConnectionJoin:
+    """Forest connections ``(net, sink RR node)`` -> timing edges.
 
-    Returns ``(hit, delay, wires, pins)`` over the graph's edges, where
-    ``hit`` marks edges whose ``(net, sink_rr)`` key matched a routed
-    connection.  Duplicate forest keys (two net pins on one block) carry
-    identical accumulated values, so the first occurrence is taken.
+    Built once per (timing graph, placement, device).  Every unique
+    ``(net, sink_rr)`` pair of the graph's edges gets a dense connection id
+    in key order (:attr:`keys`, encoded ``net * num_rr_nodes + sink_rr``
+    like :meth:`~repro.par.forest.RouteForest.connection_keys`), and
+    :attr:`edge_conn` maps each edge to its id (``-1`` when the edge's sink
+    block is unplaced).  :meth:`scatter` then moves per-connection forest
+    sums onto the edges with one sorted join.
     """
-    conn_d, conn_w, conn_p, conn_ok = forest.connection_delay_elements(delay_ns, is_wire, is_pin)
-    num_edges = graph.num_edges
-    delay = np.zeros(num_edges)
-    wires = np.zeros(num_edges, dtype=np.int32)
-    pins = np.zeros(num_edges, dtype=np.int32)
-    keys = forest.connection_keys()[conn_ok]
-    if keys.size == 0 or num_edges == 0:
-        return np.zeros(num_edges, dtype=bool), delay, wires, pins
-    uk, ui = np.unique(keys, return_index=True)
-    edge_sink = sink_arr[graph.edge_dst]
-    ekey = graph.edge_net.astype(np.int64) * forest.num_rr_nodes + edge_sink
-    pos, matched = join_sorted(uk, ekey)
-    hit = (edge_sink >= 0) & matched
-    src = ui[pos[hit]]
-    delay[hit] = conn_d[conn_ok][src]
-    wires[hit] = conn_w[conn_ok][src]
-    pins[hit] = conn_p[conn_ok][src]
-    return hit, delay, wires, pins
+
+    def __init__(self, graph: TimingGraph, placement: Placement, device: Device) -> None:
+        from ..par.routing import terminal_rr_nodes
+
+        rr = device.rr_graph
+        #: ``block -> SINK RR node``: the router's own terminal mapping, so
+        #: the connection keys here always match the sinks it searches for.
+        self.sink_of: Dict[int, int] = terminal_rr_nodes(graph.netlist, placement, rr)[1]
+        sink_arr = np.full(graph.num_nodes, -1, dtype=np.int64)
+        for block, sink in self.sink_of.items():
+            sink_arr[block] = sink
+        edge_sink = sink_arr[graph.edge_dst]
+        valid = edge_sink >= 0
+        ekey = graph.edge_net.astype(np.int64) * rr.num_nodes + edge_sink
+        self.num_rr_nodes = rr.num_nodes
+        # Sorted unique keys define the id order.  A sort plus a neighbour
+        # compare, not np.unique, whose hash path is far slower at this size.
+        keys = np.sort(ekey[valid])
+        self.keys = keys[np.diff(keys, prepend=-1) != 0]
+        self.edge_conn = np.where(valid, np.searchsorted(self.keys, ekey), -1).astype(np.int64)
+        #: placement-estimate edge delays, kept wherever no forest
+        #: connection feeds an edge.
+        self.estimate = estimated_edge_delays(graph, placement, device.arch)[0]
+
+    @property
+    def num_connections(self) -> int:
+        """Number of unique ``(net, sink_rr)`` connections over the edges."""
+        return int(self.keys.size)
+
+    def scatter(
+        self, forest: RouteForest, node_values: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Forest sums of ``node_values`` on the edges: ``(hit, sums)``.
+
+        ``hit`` marks the edges a routed forest connection feeds and
+        ``sums[i]`` is :meth:`~repro.par.forest.RouteForest.connection_sums`
+        of the connection feeding the ``i``-th hit edge.  Duplicate forest
+        keys (two net pins on one block) carry identical sums, so the last
+        one written wins exactly.
+        """
+        sums = forest.connection_sums(node_values)
+        pos, matched = _join_sorted(self.keys, forest.connection_keys())
+        ok = matched & (forest.conn_sink_pos >= 0)
+        # One spare slot at the end: edges with no connection id (-1) read it.
+        conn_of = np.full(self.num_connections + 1, -1, dtype=np.int64)
+        conn_of[pos[ok]] = np.flatnonzero(ok)
+        src = conn_of[self.edge_conn]
+        hit = src >= 0
+        return hit, sums[src[hit]]
 
 
 def routed_edge_delays(
@@ -107,36 +135,28 @@ def routed_edge_delays(
     forest: RouteForest,
     placement: Placement,
     device: Device,
-    fallback: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact edge delays (and wire / pin counts) from a route forest.
 
     Returns ``(edge_delay, edge_wires, edge_pins)`` aligned with the graph's
-    edge arrays.  Connections the forest does not route fall back to
-    ``fallback`` (default: the placement estimate).
+    edge arrays.  Connections the forest does not route keep the placement
+    estimate and zero element counts.
     """
-    from ..fpga.routing_graph import RRNodeType
-
     rr = device.rr_graph
-    view = rr.search_view()
-    delay_ns = view.delay_ns
     ntype = rr.node_type
-    is_wire = (ntype == RRNodeType.CHANX) | (ntype == RRNodeType.CHANY)
-    is_pin = (ntype == RRNodeType.OPIN) | (ntype == RRNodeType.IPIN)
+    node_values = np.empty((rr.num_nodes, 3), dtype=np.float64)
+    node_values[:, 0] = rr.node_delay_ns
+    node_values[:, 1] = rr.wire_mask()
+    node_values[:, 2] = (ntype == RRNodeType.OPIN) | (ntype == RRNodeType.IPIN)
 
-    if fallback is None:
-        fallback = estimated_edge_delays(graph, placement, device.arch)[0]
-    edge_delay = fallback.copy()
+    join = ConnectionJoin(graph, placement, device)
+    hit, sums = join.scatter(forest, node_values)
+    edge_delay = join.estimate.copy()
     edge_wires = np.zeros(graph.num_edges, dtype=np.int32)
     edge_pins = np.zeros(graph.num_edges, dtype=np.int32)
-
-    sink_of = sink_rr_of_blocks(graph.netlist, placement, device)
-    hit, delay, wires, pins = _forest_edge_data(
-        graph, forest, sink_rr_array(graph, sink_of), delay_ns, is_wire, is_pin
-    )
-    edge_delay[hit] = delay[hit]
-    edge_wires[hit] = wires[hit]
-    edge_pins[hit] = pins[hit]
+    edge_delay[hit] = sums[:, 0]
+    edge_wires[hit] = sums[:, 1].astype(np.int32)
+    edge_pins[hit] = sums[:, 2].astype(np.int32)
     return edge_delay, edge_wires, edge_pins
 
 

@@ -19,11 +19,12 @@ what makes the per-PathFinder-iteration criticality update cheap (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
-from ..par.netlist import PhysicalNetlist
+if TYPE_CHECKING:
+    from ..par.netlist import PhysicalNetlist
 
 __all__ = ["TimingGraph", "build_timing_graph"]
 

@@ -12,7 +12,9 @@ The engine runs two levelized NumPy scans over a :class:`TimingGraph`:
 Per-connection slack and VPR-style criticality ``1 - slack / Dmax`` fall out
 of the same arrays, and the critical path is extracted by walking the
 arrival argmax backwards, itemized per element (LUT / wire / switch / pin)
-from the route-forest scan of :mod:`repro.timing.delays`.
+from the route-forest scan of :mod:`repro.timing.delays`.  Routed delays
+reach both :func:`analyze` and the router's :class:`CriticalityTracker`
+through the same :class:`~repro.timing.delays.ConnectionJoin`.
 
 Invariants:
 
@@ -36,24 +38,25 @@ Invariants:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..fpga.device import Device
 from ..obs import metrics as obs_metrics
 from ..obs.trace import span
-from ..par.forest import RouteForest, join_sorted
-from ..par.netlist import PhysicalNetlist
-from ..par.placement import Placement
 from .delays import (
+    ConnectionJoin,
     estimated_edge_delays,
     routed_edge_delays,
-    sink_rr_array,
-    sink_rr_of_blocks,
     structural_edge_delays,
 )
 from .graph import TimingGraph, build_timing_graph
+
+if TYPE_CHECKING:
+    from ..par.forest import RouteForest
+    from ..par.netlist import PhysicalNetlist
+    from ..par.placement import Placement
 
 __all__ = [
     "CriticalPathElement",
@@ -61,7 +64,6 @@ __all__ = [
     "CriticalityTracker",
     "analyze",
     "scan_edge_criticality",
-    "structural_net_criticality",
     "net_criticality_from_placement",
 ]
 
@@ -101,25 +103,6 @@ class TimingAnalysis:
     critical_path_ns: float
     logic_depth: int
     critical_path: List[CriticalPathElement] = field(default_factory=list)
-
-    def connection_criticality(self) -> Dict[Tuple[int, int], float]:
-        """Criticality per ``(net_id, sink_block)`` connection."""
-        g = self.graph
-        return {
-            (int(g.edge_net[i]), int(g.edge_dst[i])): float(self.edge_criticality[i])
-            for i in range(g.num_edges)
-        }
-
-    def net_criticality(self) -> Dict[int, float]:
-        """Per-net criticality: the maximum over the net's connections."""
-        out: Dict[int, float] = {}
-        g = self.graph
-        for i in range(g.num_edges):
-            nid = int(g.edge_net[i])
-            c = float(self.edge_criticality[i])
-            if c > out.get(nid, -1.0):
-                out[nid] = c
-        return out
 
     def summary(self) -> Dict[str, float]:
         """Headline numbers: critical path, depth, worst slack, mean criticality."""
@@ -321,20 +304,6 @@ def _fold_edge_crit_to_nets(graph: TimingGraph, crit: np.ndarray) -> List[float]
     return out
 
 
-def structural_net_criticality(netlist: PhysicalNetlist, arch) -> List[float]:
-    """Per-net criticality of the *unplaced* netlist (uniform wire delays).
-
-    This is what the timing-driven flow weights the placer with: before any
-    placement exists, a connection's criticality is purely structural --
-    how close the deepest path through it comes to the overall logic depth.
-    Returns one ``[0, 1]`` value per net (the max over its connections).
-    """
-    graph = build_timing_graph(netlist, arch.lut_delay_ns)
-    delays = structural_edge_delays(graph, arch)
-    *_, crit, _dmax, _depth = _scan(graph, delays)
-    return _fold_edge_crit_to_nets(graph, crit)
-
-
 def net_criticality_from_placement(
     graph: TimingGraph, placement: Placement, arch, exponent: float = 1.0
 ) -> Tuple[float, List[float]]:
@@ -355,21 +324,22 @@ def net_criticality_from_placement(
 class CriticalityTracker:
     """Incremental criticality updates for the timing-driven router.
 
-    Built once per :func:`repro.par.routing.route` call: the timing graph,
-    the block -> SINK-RR mapping, and the flat *connection index* are fixed,
-    so each PathFinder iteration's update only re-times the route trees and
+    Built once per :func:`repro.par.routing.route` call: the timing graph
+    and its :class:`~repro.timing.delays.ConnectionJoin` are fixed, so each
+    PathFinder iteration's update only re-times the route trees and
     re-runs the two levelized scans.  Criticalities are sharpened by
     ``exponent`` and capped at ``max_criticality`` so every connection keeps
     paying a slice of the congestion cost (a fully criticality-blind
     connection would never negotiate).
 
     The hot path is the flat API: every unique ``(net, sink_rr)`` pair gets
-    a dense connection id (``conn_index``), :meth:`update_flat` re-times a
-    :class:`~repro.par.forest.RouteForest` with pure NumPy gathers and
-    refreshes :attr:`conn_crit` -- one float64 per connection id, updated in
-    place -- which the routing kernels index directly instead of probing a
-    ``Dict[(net, sink), float]`` per connection.  The dict-returning path
-    it replaced is kept as a test oracle in ``tests/oracles.py``.
+    a dense connection id (``conn_index``, the join's id order),
+    :meth:`update_flat` re-times a :class:`~repro.par.forest.RouteForest`
+    with pure NumPy gathers and refreshes :attr:`conn_crit` -- one float64
+    per connection id, updated in place -- which the routing kernels index
+    directly instead of probing a ``Dict[(net, sink), float]`` per
+    connection.  The dict-returning path it replaced is kept as a test
+    oracle in ``tests/oracles.py``.
     """
 
     def __init__(
@@ -385,38 +355,21 @@ class CriticalityTracker:
         self.device = device
         self.max_criticality = max_criticality
         self.exponent = exponent
-        arch = device.arch
-        self.graph = build_timing_graph(netlist, arch.lut_delay_ns)
-        self._sink_rr = sink_rr_of_blocks(netlist, placement, device)
-        self._estimate = estimated_edge_delays(self.graph, placement, arch)[0]
+        self.graph = build_timing_graph(netlist, device.arch.lut_delay_ns)
+        self.join = ConnectionJoin(self.graph, placement, device)
+        self.num_connections = self.join.num_connections
         self.critical_path_ns = 0.0
         self.updates = 0
-
-        # Flat connection index: dense ids over the unique (net, sink_rr)
-        # pairs of the timing edges, plus the edge -> connection map the
-        # folds and joins below gather through.
-        g = self.graph
-        rr = device.rr_graph
-        self._num_rr = rr.num_nodes
-        self._sink_arr = sink_rr_array(g, self._sink_rr)
-        edge_sink = self._sink_arr[g.edge_dst] if g.num_edges else np.zeros(0, dtype=np.int64)
-        valid = edge_sink >= 0
-        ekey = g.edge_net.astype(np.int64) * self._num_rr + edge_sink
-        self._conn_keys = np.unique(ekey[valid])  # sorted: defines cid order
-        self.num_connections = int(self._conn_keys.size)
-        pos, matched = join_sorted(self._conn_keys, ekey)
-        self._edge_conn = np.where(valid & matched, pos, -1).astype(np.int64)
+        num_rr = self.join.num_rr_nodes
         #: ``(net_id, sink_rr) -> connection id`` -- the routing kernels
         #: resolve each net sink once at setup, then index
         #: :attr:`conn_crit` by id every iteration.
         self.conn_index: Dict[Tuple[int, int], int] = {
-            (int(k // self._num_rr), int(k % self._num_rr)): cid
-            for cid, k in enumerate(self._conn_keys)
+            (int(k // num_rr), int(k % num_rr)): cid for cid, k in enumerate(self.join.keys)
         }
         #: flat per-connection criticality, refreshed in place by
         #: :meth:`initial_flat` / :meth:`update_flat`.
         self.conn_crit = np.zeros(self.num_connections)
-        self._delay_view = rr.search_view().delay_ns
 
     # -- flat hot path -------------------------------------------------------
 
@@ -426,7 +379,7 @@ class CriticalityTracker:
             crit = crit**self.exponent
         crit = np.minimum(crit, self.max_criticality)
         self.conn_crit.fill(0.0)
-        ec = self._edge_conn
+        ec = self.join.edge_conn
         m = ec >= 0
         if m.any():
             np.maximum.at(self.conn_crit, ec[m], crit[m])
@@ -434,40 +387,23 @@ class CriticalityTracker:
 
     def initial_flat(self) -> np.ndarray:
         """Placement-estimate criticalities as the flat conn_crit vector."""
-        *_, crit, dmax, _depth = _scan(self.graph, self._estimate)
+        *_, crit, dmax, _depth = _scan(self.graph, self.join.estimate)
         self.critical_path_ns = dmax
         return self._fold_to_conns(crit)
 
     def update_flat(self, forest: RouteForest) -> np.ndarray:
         """Re-time the route trees of ``forest``, in place.
 
-        The delay extraction, STA scans and criticality fold are pure
-        NumPy.  Returns :attr:`conn_crit` (the same array object every
-        call).
+        The delay extraction (routed delays where the forest routes a
+        connection, the placement estimate elsewhere), STA scans and
+        criticality fold are pure NumPy.  Returns :attr:`conn_crit` (the
+        same array object every call).
         """
-        edge_delay = self._edge_delay_from_forest(forest)
+        hit, delays = self.join.scatter(forest, self.device.rr_graph.node_delay_ns)
+        edge_delay = self.join.estimate.copy()
+        edge_delay[hit] = delays
         *_, crit, dmax, _depth = _scan(self.graph, edge_delay)
         self.critical_path_ns = dmax
         self.updates += 1
         obs_metrics.add("sta.retime_updates")
         return self._fold_to_conns(crit)
-
-    def _edge_delay_from_forest(self, forest: RouteForest) -> np.ndarray:
-        """Routed edge delays from the forest (estimate where unrouted)."""
-        conn_d, ok = forest.connection_delays(self._delay_view)
-        keys = forest.connection_keys()
-        edge_delay = self._estimate.copy()
-        if keys.size == 0 or self.num_connections == 0:
-            return edge_delay
-        # Scatter the forest connections onto the tracker's cid space.
-        # Duplicate keys (two net pins on one block) carry identical
-        # accumulated delays, so last-write-wins is exact.
-        pos, matched = join_sorted(self._conn_keys, keys)
-        hit = ok & matched
-        cid_delay = np.full(self.num_connections, np.nan)
-        cid_delay[pos[hit]] = conn_d[hit]
-        ec = self._edge_conn
-        d = cid_delay[np.maximum(ec, 0)]
-        use = (ec >= 0) & ~np.isnan(d)
-        edge_delay[use] = d[use]
-        return edge_delay

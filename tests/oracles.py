@@ -75,7 +75,6 @@ from repro.par.routing import (
 )
 from repro.timing.delays import (
     estimated_edge_delays,
-    sink_rr_of_blocks,
     structural_edge_delays,
 )
 from repro.timing.graph import TimingGraph, build_timing_graph
@@ -641,7 +640,7 @@ def routed_edge_delays_reference(
     edge_wires = np.zeros(graph.num_edges, dtype=np.int32)
     edge_pins = np.zeros(graph.num_edges, dtype=np.int32)
 
-    sink_of = sink_rr_of_blocks(graph.netlist, placement, device)
+    _src_of, sink_of = terminal_rr_nodes(graph.netlist, placement, rr)
 
     # Per-net accumulated (delay, wires, pins) at every tree node.
     per_net: Dict[int, Dict[int, Tuple[float, int, int]]] = {}
@@ -676,7 +675,7 @@ def _conn_dict(
     g = tracker.graph
     out: Dict[Tuple[int, int], float] = {}
     for i in range(g.num_edges):
-        srr = tracker._sink_rr.get(int(g.edge_dst[i]))
+        srr = tracker.join.sink_of.get(int(g.edge_dst[i]))
         if srr is None:
             continue
         key = (int(g.edge_net[i]), srr)
@@ -691,7 +690,7 @@ def criticality_initial(tracker: CriticalityTracker) -> Dict[Tuple[int, int], fl
 
     Checks ``tracker.initial_flat()`` bit for bit (``test_forest.py``).
     """
-    *_, crit, dmax, _depth = _scan(tracker.graph, tracker._estimate)
+    *_, crit, dmax, _depth = _scan(tracker.graph, tracker.join.estimate)
     tracker.critical_path_ns = dmax
     return _conn_dict(tracker, crit)
 
@@ -704,7 +703,7 @@ def criticality_update(tracker: CriticalityTracker, routes) -> Dict[Tuple[int, i
     ``check_quality.py``, which also times it as the flat path's baseline.
     """
     edge_delay, _w, _p = routed_edge_delays_reference(
-        tracker.graph, routes, tracker.placement, tracker.device, fallback=tracker._estimate
+        tracker.graph, routes, tracker.placement, tracker.device, fallback=tracker.join.estimate
     )
     *_, crit, dmax, _depth = _scan(tracker.graph, edge_delay)
     tracker.critical_path_ns = dmax

@@ -97,9 +97,7 @@ class TestForestRoundTrip:
         d_dict, w_dict, p_dict = routed_edge_delays_reference(
             graph, r.routes, placement, device, fallback=fb
         )
-        d_flat, w_flat, p_flat = routed_edge_delays(
-            graph, r.forest, placement, device, fallback=fb
-        )
+        d_flat, w_flat, p_flat = routed_edge_delays(graph, r.forest, placement, device)
         assert np.array_equal(d_dict, d_flat)
         assert np.array_equal(w_dict, w_flat)
         assert np.array_equal(p_dict, p_flat)
@@ -309,7 +307,8 @@ class TestCacheRehydration:
         ]
         assert values
         assert all("forest" not in v for v in values)
-        assert any(v.get("success") and "timing" in v for v in values)
+        assert any(v.get("success") for v in values)
+        assert all("timing" not in v for v in values)
         assert result.min_channel_width >= 1
 
     def test_failed_routes_carry_forest(self, congested):

@@ -163,9 +163,13 @@ class TestRRGraph:
             rr.edge_dst[0] = 0
         with pytest.raises(ValueError):
             rr.node_capacity[0] = 2
-        arrays = [v for v in vars(rr).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 7
-        assert not any(arr.flags.writeable for arr in arrays)
+        rr.node_delay_ns  # the one cached per-node vector, read-only too
+        arrays = {k: v for k, v in vars(rr).items() if isinstance(v, np.ndarray)}
+        assert set(arrays) == {
+            "node_type", "node_x", "node_y", "node_track", "node_capacity",
+            "edge_ptr", "edge_dst", "node_delay_ns",
+        }
+        assert not any(arr.flags.writeable for arr in arrays.values())
 
     def test_graphs_compare_by_identity(self, small_graph):
         arch, rr = small_graph

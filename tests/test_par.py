@@ -518,9 +518,10 @@ class TestShippedSurface:
         ),
         run_pe_flow: ("workers",),
         compare_pe_flows: ("workers",),
-        routed_edge_delays: ("routes",),
+        routed_edge_delays: ("routes", "fallback"),
         CriticalityTracker.update_flat: ("routes",),
         build_route_forest: ("cache",),
+        PaRCache: ("strict",),
     }
     #: Test oracles that live in tests/oracles.py, never in the package.
     ORACLES = {"_route_reference", "_place_reference", "simulate_patterns_reference",
@@ -532,12 +533,20 @@ class TestShippedSurface:
     KERNELS = {"_route_fast", "DEGRADATION_CHAIN"}
     #: Retired second copy of the route trees: the forest is the only one.
     COPIES = {"to_net_routes", "_net_route_of", "_WHOLE_FOREST_KEY"}
+    #: Retired second forest-to-timing join, its forest accumulations, the
+    #: strict cache mode and the STA views and summaries nothing read.
+    JOINS = {
+        "_forest_edge_data", "_edge_delay_from_forest", "sink_rr_of_blocks",
+        "connection_delays", "connection_delay_elements", "structural_net_criticality",
+        "CacheIOError", "timing_at_min",
+    }
     #: Retired scale-out seams: the placement sweep and the cache-tier protocol.
     RETIRED = {
         "repro.par": ("placement_sweep", "best_placement"),
         "repro.par.flow": ("placement_sweep", "best_placement"),
         "repro.par.cache": ("CacheBackend", "LocalDirBackend", "MemoryBackend"),
         "repro.par.routing": ("_route_fast", "DEGRADATION_CHAIN", "_base_cost_array"),
+        "repro.par.forest": ("join_sorted",),
     }
 
     def test_removed_selectors_and_oracles_are_gone(self):
@@ -547,7 +556,7 @@ class TestShippedSurface:
             for name in names:
                 assert name not in params, f"{fn.__qualname__}({name}=) is back"
                 removed += 1
-        assert removed == 31
+        assert removed == 33
         assert "routes" not in {f.name for f in dataclasses.fields(RoutingResult)}
 
         import importlib
@@ -576,7 +585,9 @@ class TestShippedSurface:
                     names = [node.target.id]
                 else:
                     continue
-                retired = self.ORACLES | self.FALLBACKS | self.KERNELS | self.COPIES
+                retired = (
+                    self.ORACLES | self.FALLBACKS | self.KERNELS | self.COPIES | self.JOINS
+                )
                 defined += [f"{path.name}:{n}" for n in names if n in retired]
         assert not defined, f"oracles, fallbacks or route copies shipped in src/repro: {defined}"
         assert pools == {"service/pool.py"}, f"process pools outside the service: {pools}"
@@ -591,13 +602,13 @@ class TestCacheObjectiveNamespace:
         timing = PaRCache.route_key(nl, placement, arch, 4, 12, objective="timing")
         assert base != timing
 
-    def test_min_cw_warm_cache_serves_timing_summary(self, tmp_path, monkeypatch):
+    def test_min_cw_warm_cache_serves_result(self, tmp_path, monkeypatch):
         nl = chain_netlist(6)
         arch = FPGAArchitecture(width=4, height=4, channel_width=8)
         placement = place(nl, arch, seed=1, effort=0.5).placement
         cache = PaRCache(tmp_path / "routes")
         first = minimum_channel_width(nl, placement, arch, low=1, high=8, cache=cache)
-        assert first.timing_at_min is not None
+        assert first.wirelength_at_min > 0
 
         import repro.par.metrics as metrics
 
@@ -607,7 +618,9 @@ class TestCacheObjectiveNamespace:
         monkeypatch.setattr(metrics, "route", explode)
         cache2 = PaRCache(tmp_path / "routes")
         again = minimum_channel_width(nl, placement, arch, low=1, high=8, cache=cache2)
-        assert again.timing_at_min == first.timing_at_min
+        assert again.min_channel_width == first.min_channel_width
+        assert again.wirelength_at_min == first.wirelength_at_min
+        assert again.probes == first.probes
         assert cache2.hits > 0
 
 

@@ -29,7 +29,6 @@ from repro.fpga.architecture import FPGAArchitecture, auto_size
 from repro.fpga.device import build_device
 from repro.netlist.hdl import Design
 from repro.par import (
-    CacheIOError,
     ChannelWidthError,
     PaRCache,
     PhysicalNetlist,
@@ -310,21 +309,10 @@ class TestCacheResilience:
         assert cache.stats()["dropped_writes"] == 1
         assert count_events(events, "cache-write-dropped") == 1
 
-    def test_strict_mode_raises(self, tmp_path):
-        cache = PaRCache(tmp_path / "c", strict=True)
-        cache.put("k", {"v": 1})
-        cache._path("k").write_text("{rot")
-        with pytest.raises(CacheIOError, match="cache read failed"):
-            cache.get("k")
-        with fault_plan(FaultPlan.from_spec("cache.write=io:1")):
-            with pytest.warns(RuntimeWarning):
-                with pytest.raises(CacheIOError, match="cache write failed"):
-                    cache.put("x", {"v": 1})
-
     def test_missing_entry_is_plain_miss_not_error(self, tmp_path):
-        cache = PaRCache(tmp_path / "c", strict=True)
+        cache = PaRCache(tmp_path / "c")
         events = []
-        assert cache.get("absent", events=events) is None  # strict must not raise
+        assert cache.get("absent", events=events) is None
         assert cache.stats() == {
             "hits": 0, "misses": 1, "read_errors": 0, "dropped_writes": 0,
         }

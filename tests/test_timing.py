@@ -21,7 +21,8 @@ from repro.techmap import map_conventional
 from repro.timing import (
     analyze,
     build_timing_graph,
-    structural_net_criticality,
+    scan_edge_criticality,
+    structural_edge_delays,
 )
 
 
@@ -150,15 +151,28 @@ class TestSTAInvariants:
         with pytest.raises(ValueError, match="placement"):
             analyze(nl, routing, device)
 
+    def test_routed_analysis_does_not_rebuild_released_search_view(self):
+        # STA reads the graph's own delay vector, so timing a route after
+        # the router's search view was released leaves the view released.
+        net, nl, arch, device, placement, routing = routed_design()
+        rr = device.rr_graph
+        expected = analyze(nl, routing, device, placement=placement)
+        rr.release_search_view()
+        again = analyze(nl, routing, device, placement=placement)
+        assert "_search_view" not in rr.__dict__
+        assert np.array_equal(again.edge_delay, expected.edge_delay)
+        assert again.critical_path_ns == expected.critical_path_ns
+
     def test_connection_criticality_keys(self):
         net, nl, arch, device, placement, routing = routed_design()
         analysis = analyze(nl, routing, device, placement=placement)
-        conn = analysis.connection_criticality()
+        g = analysis.graph
+        conn = set(zip(g.edge_net.tolist(), g.edge_dst.tolist()))
         expected = {(n.id, s) for n in nl.nets for s in n.sinks}
-        assert set(conn) == expected
-        per_net = analysis.net_criticality()
-        for (nid, _sink), c in conn.items():
-            assert c <= per_net[nid] + 1e-12
+        assert conn == expected
+        crit = analysis.edge_criticality
+        assert crit.shape == (g.num_edges,)
+        assert ((crit >= 0.0) & (crit <= 1.0)).all()
 
 
 class TestLegacyParity:
@@ -259,8 +273,9 @@ class TestTimingPlacement:
     def test_structural_criticality_marks_deep_chain(self):
         nl = chain_netlist(8)
         arch = FPGAArchitecture(width=4, height=4, channel_width=4)
-        crit = structural_net_criticality(nl, arch)
-        assert len(crit) == len(nl.nets)
+        graph = build_timing_graph(nl, arch.lut_delay_ns)
+        _dmax, crit = scan_edge_criticality(graph, structural_edge_delays(graph, arch))
+        assert set(graph.edge_net.tolist()) == {n.id for n in nl.nets}
         # Every net of a pure chain lies on the single (critical) path.
         assert min(crit) == pytest.approx(1.0)
 
@@ -282,18 +297,6 @@ class TestFlowPlumbing:
         assert summary["worst_slack_ns"] == pytest.approx(0.0, abs=1e-9)
         assert result.sta is not None
         assert result.sta.critical_path_ns == summary["critical_path_ns"]
-
-    def test_min_cw_records_timing_summary(self):
-        net = adder_network(4)
-        result = place_and_route(
-            net, channel_width=8, placement_effort=0.4,
-            find_min_channel_width=True, min_cw_bounds=(2, 8),
-        )
-        mc = result.min_channel_width
-        assert mc is not None
-        assert mc.timing_at_min is not None
-        assert mc.timing_at_min["critical_path_ns"] > 0
-        assert mc.timing_at_min["logic_depth"] == net.depth()
 
     def test_vcgra_report_exposes_cycle_estimate(self):
         from repro.core.grid import VCGRAArchitecture
