@@ -67,6 +67,13 @@ Three comparisons are made:
   reconfiguration of the target -- the identity ``check_quality.py`` gates
   -- alongside contexts/sec, amortized switch cost, hit rate and the
   full-vs-diff frame savings;
+* **scg** -- the compiled PPC behind ``MappedNetwork.specialize`` vs the
+  ``specialize_reference`` oracle (whole-circuit simulation, then
+  ``restrict`` per tunable node) on the parameterized bench PE at the
+  default ports and counter width: milliseconds per word-level update
+  for both, the one-off compile time, and ``identical`` (equal
+  ``lut_configs`` and ``tcon_routes`` on every seeded setting), which
+  ``check_quality.py`` gates;
 * **obs** -- the PR 9 observability layer (``src/repro/obs``; see
   OBSERVABILITY.md): the disabled ``span()`` per-call cost, the traced
   slowdown of the place+route workload (both gated by
@@ -99,11 +106,13 @@ from oracles import (
     routed_edge_delays_reference,
     rr_graph_differences,
     simulate_patterns_reference,
+    specialize_reference,
 )
 
 import numpy as np
 
-from repro.core.pe import ProcessingElementSpec, build_pe_design
+from repro.core.flows import run_pe_flow
+from repro.core.pe import PEOp, ProcessingElementSpec, build_pe_design
 from repro.fpga.architecture import auto_size
 from repro.fpga.device import build_device
 from repro.fpga.routing_graph import build_rr_graph
@@ -116,8 +125,10 @@ from repro.par.netlist import from_mapped_network
 from repro.par.placement import place
 from repro.par.forest import _fragment_from_conns, build_route_forest
 from repro.par.routing import route
+from repro.synth.constprop import param_bit_values
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional
+from repro.techmap.mapping import CompiledPPC
 from repro.timing import analyze, routed_edge_delays
 from repro.timing.sta import CriticalityTracker
 
@@ -147,6 +158,8 @@ OBS_SLOWDOWN_CEILING = 1.05  #: traced route+place wall-time ratio bound
 OBS_PAIRS = 7                #: interleaved traced/untraced pairs, median ratio gated
 RR_BUILD_WIDE = 32          #: width the rr_build section times besides the routing one
 RR_BUILD_REPEATS = 3
+SCG_SETTINGS = 48            #: seeded PE settings specialized per timing pass
+SCG_REPEATS = 3
 TRACE_PATH = Path(__file__).resolve().parent.parent / "BENCH_trace.json"
 
 
@@ -331,6 +344,53 @@ def bench_rr_build(arch, width):
     entry["identical"] = all(v["identical"] for v in entry["widths"].values())
     entry["ok"] = entry["identical"]
     return entry
+
+
+def bench_scg():
+    """Compiled-PPC specialization vs the per-update oracle, bench PE."""
+    spec = ProcessingElementSpec(fmt=BENCH_FP_FORMAT)
+    network = run_pe_flow(
+        build_pe_design(spec).circuit, parameterized=True, do_par=False
+    ).network
+    rng = np.random.default_rng(0)
+    settings = [
+        {
+            "coeff": int(rng.integers(0, 1 << spec.fmt.width)),
+            "op": int(rng.choice(PEOp.ALL)),
+            "sel_a": int(rng.integers(0, 1 << spec.sel_width)),
+            "sel_b": int(rng.integers(0, 1 << spec.sel_width)),
+            "count_limit": int(rng.integers(0, 1 << spec.counter_width)),
+        }
+        for _ in range(SCG_SETTINGS)
+    ]
+    ppc, compile_s = _timed(lambda: CompiledPPC(network), SCG_REPEATS)
+    compiled, compiled_s = _timed(
+        lambda: [network.specialize_words(w) for w in settings], SCG_REPEATS
+    )
+    reference, reference_s = _timed(
+        lambda: [
+            specialize_reference(network, param_bit_values(network.source, w))
+            for w in settings
+        ],
+        SCG_REPEATS,
+    )
+    identical = all(
+        mine.lut_configs == ref.lut_configs and mine.tcon_routes == ref.tcon_routes
+        for mine, ref in zip(compiled, reference)
+    )
+    return {
+        "workload": (
+            f"parameterized PE ({network.num_tluts()} TLUTs, {network.num_tcons()} "
+            f"TCONs), {SCG_SETTINGS} seeded settings, best of {SCG_REPEATS}"
+        ),
+        "table_entries": ppc.num_entries,
+        "compile_ms": compile_s * 1000.0,
+        "compiled_ms_per_update": compiled_s * 1000.0 / SCG_SETTINGS,
+        "reference_ms_per_update": reference_s * 1000.0 / SCG_SETTINGS,
+        "speedup": reference_s / compiled_s,
+        "identical": identical,
+        "ok": identical,
+    }
 
 
 def bench_timing(network, netlist, arch, placement, width):
@@ -935,6 +995,8 @@ def main() -> int:
     routing_result, width = bench_routing(netlist, arch, placement)
     print("benchmarking RR-graph build ...")
     rr_build_result = bench_rr_build(arch, width)
+    print("benchmarking SCG specialization ...")
+    scg_result = bench_scg()
     print("benchmarking timing-driven PAR ...")
     timing_result, flow_placement, _flow_route = bench_timing(
         network, netlist, arch, placement, width
@@ -966,6 +1028,7 @@ def main() -> int:
             "placement": placement_result,
             "routing": routing_result,
             "rr_build": rr_build_result,
+            "scg": scg_result,
             "timing": timing_result,
             "retime": retime_result,
             "resilience": resilience_result,
@@ -1013,6 +1076,13 @@ def main() -> int:
                     for w, v in entry["widths"].items()
                 )
                 + f" identical={entry['identical']}"
+            )
+        elif name == "scg":
+            print(
+                f"{name:11s} {flag} compiled {entry['compiled_ms_per_update']:.3f}ms "
+                f"vs reference {entry['reference_ms_per_update']:.3f}ms per update "
+                f"({entry['speedup']:.1f}x), compile {entry['compile_ms']:.1f}ms, "
+                f"identical={entry['identical']}"
             )
         elif name == "timing":
             print(

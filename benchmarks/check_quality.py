@@ -7,8 +7,9 @@ benchmark shows
 * routing non-convergence (the ``astar`` router did not reach ``success``),
 * a quality regression beyond 10% -- astar wirelength vs the reference
   route, or batched-placement mean HPWL vs the reference kernel,
-* a broken bit-identity claim (compiled simulation vs interpreter, or the
-  closed-form RR-graph builder vs the per-edge append builder),
+* a broken bit-identity claim (compiled simulation vs interpreter, the
+  closed-form RR-graph builder vs the per-edge append builder, or the
+  compiled-PPC specialization vs the per-update reference),
 * a timing-subsystem failure: the ``objective="timing"`` runs did not
   converge, the timing flow's critical path regressed more than 10% over
   the default flow's, its wirelength left the 10% band of the reference
@@ -109,6 +110,12 @@ def check(report: dict) -> list:
         problems.append("rr_build: benchmark section missing")
     elif not rr_build.get("identical", False):
         problems.append("rr_build: the RR-graph builder diverged from the reference builder")
+
+    scg = kernels.get("scg", {})
+    if not scg:
+        problems.append("scg: benchmark section missing")
+    elif not scg.get("identical", False):
+        problems.append("scg: compiled PPC specialization diverged from the reference")
 
     timing = kernels.get("timing", {})
     if not timing:

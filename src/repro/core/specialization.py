@@ -14,10 +14,16 @@ functions for the current parameter values and produces the specialized
 bits, which are written into the FPGA through HWICAP/MiCAP
 (micro-reconfiguration).
 
-Here the PPC is represented directly by the tunable nodes of the mapped
-network (their truth tables over data + parameter variables), which is
-functionally equivalent to a bit-level PPC and lets the SCG reuse the
-network's specialization machinery.
+Here the PPC is compiled once, when the SCG is built
+(:func:`~repro.techmap.mapping.compile_ppc`).  Each tunable node of the
+mapped network depends on the parameters only through its few tune
+variables, so its Boolean functions are stored as a table of specialized
+configurations indexed by those variables' values, and the tune variables
+themselves as generated straight-line code over their parameter cone.  A
+run-time update is then what the paper's SCG does: evaluate the PPC (one
+generated call and one table lookup per tunable node), no Boolean algebra.
+The SCG then renders the looked-up bits into a bitstream through a
+placement-fixed plan.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..fpga.bitstream import Bitstream, ConfigurationLayout
-from ..techmap.mapping import MappedNetwork, NodeKind, SpecializedNetwork
+from ..techmap.mapping import MappedNetwork, NodeKind, SpecializedNetwork, compile_ppc
 from ..par.flow import PaRResult
 
 __all__ = [
@@ -46,6 +52,7 @@ class TemplateConfiguration:
 
     @property
     def num_static_luts(self) -> int:
+        """Number of LUTs in the template."""
         return len(self.lut_configs)
 
 
@@ -59,10 +66,12 @@ class PartialParameterizedConfiguration:
 
     @property
     def num_tluts(self) -> int:
+        """Number of tunable LUTs in the PPC."""
         return len(self.tlut_nodes)
 
     @property
     def num_tcons(self) -> int:
+        """Number of tunable connections in the PPC."""
         return len(self.tcon_nodes)
 
     @property
@@ -96,6 +105,7 @@ class SpecializationOutcome:
 
     @property
     def num_frames(self) -> int:
+        """Number of configuration frames this update rewrites."""
         return len(self.frames_touched)
 
 
@@ -120,6 +130,7 @@ class SpecializedConfigurationGenerator:
     ) -> None:
         self.network = network
         self.par = par_result
+        compile_ppc(network)
         self.template = TemplateConfiguration()
         self.ppc = PartialParameterizedConfiguration(network)
         for nid, node in enumerate(network.nodes):

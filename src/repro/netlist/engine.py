@@ -27,7 +27,7 @@ generated function's call.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .circuit import Circuit, Op
 __all__ = [
     "CompiledCircuit",
     "compile_circuit",
+    "gate_statements",
     "pack_bits_to_int",
     "unpack_int_to_bits",
 ]
@@ -56,6 +57,55 @@ def unpack_int_to_bits(value: int, num_patterns: int) -> np.ndarray:
     ]
 
 
+def gate_statements(circuit: Circuit, node_ids: Iterable[int]) -> List[str]:
+    """One indented ``v<nid> = ...`` statement per node of ``node_ids``.
+
+    The statements read the local names ``inputs`` and ``params`` (node id
+    -> packed value dicts) and ``mask``, and each node's fanins as
+    ``v<fanin>``, so ``node_ids`` must be fanin-closed and ascending.
+    Masking matches the legacy evaluator: leaves and inverting gates are
+    masked explicitly; AND/OR/XOR/MUX of masked operands stay masked.
+    """
+    ops = circuit.ops
+    fanins = circuit.fanins
+    lines: List[str] = []
+    emit = lines.append
+    for nid in node_ids:
+        op = ops[nid]
+        if op == Op.INPUT:
+            emit(f" v{nid} = inputs.get({nid}, 0) & mask")
+        elif op == Op.PARAM:
+            emit(f" v{nid} = params.get({nid}, 0) & mask")
+        elif op == Op.CONST0:
+            emit(f" v{nid} = 0")
+        elif op == Op.CONST1:
+            emit(f" v{nid} = mask")
+        else:
+            args = [f"v{f}" for f in fanins[nid]]
+            if op == Op.AND:
+                emit(f" v{nid} = {' & '.join(args)}")
+            elif op == Op.OR:
+                emit(f" v{nid} = {' | '.join(args)}")
+            elif op == Op.XOR:
+                emit(f" v{nid} = {' ^ '.join(args)}")
+            elif op == Op.NAND:
+                emit(f" v{nid} = ~({' & '.join(args)}) & mask")
+            elif op == Op.NOR:
+                emit(f" v{nid} = ~({' | '.join(args)}) & mask")
+            elif op == Op.XNOR:
+                emit(f" v{nid} = ~({' ^ '.join(args)}) & mask")
+            elif op == Op.NOT:
+                emit(f" v{nid} = ~{args[0]} & mask")
+            elif op == Op.BUF:
+                emit(f" v{nid} = {args[0]}")
+            elif op == Op.MUX:
+                s, d0, d1 = args
+                emit(f" v{nid} = (~{s} & {d0}) | ({s} & {d1})")
+            else:  # pragma: no cover - Op.ALL is exhaustive
+                raise ValueError(f"op {op!r} is not an evaluatable gate")
+    return lines
+
+
 class CompiledCircuit:
     """A circuit compiled into one straight-line big-integer evaluator."""
 
@@ -68,47 +118,12 @@ class CompiledCircuit:
         """Emit the circuit as one specialized Python function and compile it.
 
         Every gate becomes a single bitwise statement over masked big
-        integers, so one call evaluates the whole netlist with no dispatch.
-        Masking matches the legacy evaluator: leaves and inverting gates are
-        masked explicitly; AND/OR/XOR/MUX of masked operands stay masked.
+        integers (:func:`gate_statements`), so one call evaluates the whole
+        netlist with no dispatch.
         """
-        ops = self.circuit.ops
-        fanins = self.circuit.fanins
         lines = ["def _run(inputs, params, mask):"]
-        emit = lines.append
-        for nid, op in enumerate(ops):
-            if op == Op.INPUT:
-                emit(f" v{nid} = inputs.get({nid}, 0) & mask")
-            elif op == Op.PARAM:
-                emit(f" v{nid} = params.get({nid}, 0) & mask")
-            elif op == Op.CONST0:
-                emit(f" v{nid} = 0")
-            elif op == Op.CONST1:
-                emit(f" v{nid} = mask")
-            else:
-                args = [f"v{f}" for f in fanins[nid]]
-                if op == Op.AND:
-                    emit(f" v{nid} = {' & '.join(args)}")
-                elif op == Op.OR:
-                    emit(f" v{nid} = {' | '.join(args)}")
-                elif op == Op.XOR:
-                    emit(f" v{nid} = {' ^ '.join(args)}")
-                elif op == Op.NAND:
-                    emit(f" v{nid} = ~({' & '.join(args)}) & mask")
-                elif op == Op.NOR:
-                    emit(f" v{nid} = ~({' | '.join(args)}) & mask")
-                elif op == Op.XNOR:
-                    emit(f" v{nid} = ~({' ^ '.join(args)}) & mask")
-                elif op == Op.NOT:
-                    emit(f" v{nid} = ~{args[0]} & mask")
-                elif op == Op.BUF:
-                    emit(f" v{nid} = {args[0]}")
-                elif op == Op.MUX:
-                    s, d0, d1 = args
-                    emit(f" v{nid} = (~{s} & {d0}) | ({s} & {d1})")
-                else:  # pragma: no cover - Op.ALL is exhaustive
-                    raise ValueError(f"op {op!r} is not an evaluatable gate")
-        emit(" return [%s]" % ",".join(f"v{i}" for i in range(self.num_nodes)))
+        lines += gate_statements(self.circuit, range(self.num_nodes))
+        lines.append(" return [%s]" % ",".join(f"v{i}" for i in range(self.num_nodes)))
         namespace: Dict[str, object] = {}
         exec("\n".join(lines), namespace)  # noqa: S102 - generated from node ids only
         return namespace["_run"]

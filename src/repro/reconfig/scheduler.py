@@ -80,7 +80,6 @@ class ReconfigScheduler:
         #: resident contexts, least-recently-used first (dicts preserve
         #: insertion order; a hit re-inserts at the MRU end)
         self._resident: Dict[str, int] = {}
-        self.history: List[SwitchOutcome] = []
         self._stats = {
             "switches": 0,
             "hits": 0,
@@ -178,7 +177,6 @@ class ReconfigScheduler:
             evicted=evicted,
             admitted=admitted,
         )
-        self.history.append(outcome)
         s = self._stats
         s["switches"] += 1
         s["hits" if resident else "misses"] += 1
@@ -218,5 +216,5 @@ class ReconfigScheduler:
         return out
 
     def reset(self) -> None:
-        """Clear the active plane, residency, history and counters."""
+        """Clear the active plane, residency and counters."""
         self.__init__(self.library, self.budget_frames, self.model)

@@ -130,10 +130,7 @@ def replay(scheduler: ReconfigScheduler, trace: Sequence[str]) -> ReplayReport:
     warm state from earlier traffic -- that affects hit rates, not the
     accounting).
     """
-    start = len(scheduler.history)
-    for name in trace:
-        scheduler.switch_to(name)
-    outcomes = scheduler.history[start:]
+    outcomes = [scheduler.switch_to(name) for name in trace]
     hits = sum(1 for o in outcomes if o.resident)
     return ReplayReport(
         requests=len(outcomes),

@@ -17,19 +17,27 @@ and leaves (regular inputs, parameter inputs, constants).
 The extra "tuning" variables of TLUTs and TCONs are recorded per node as
 references to *source-circuit* node ids (parameter inputs or parameter-only
 internal nodes).  Specialization -- the job of the SCG in the paper's flow --
-is performed by :meth:`MappedNetwork.specialize`.
+is performed by :meth:`MappedNetwork.specialize`, a lookup over the
+network's :class:`CompiledPPC` (see :func:`compile_ppc`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..netlist.boolean import TruthTable, restrict, wire_source
 from ..netlist.circuit import Circuit
-from ..netlist.simulate import simulate_patterns
+from ..netlist.engine import gate_statements
 
-__all__ = ["MappedNode", "MappedNetwork", "SpecializedNetwork", "MappingStats"]
+__all__ = [
+    "MappedNode",
+    "MappedNetwork",
+    "SpecializedNetwork",
+    "MappingStats",
+    "CompiledPPC",
+    "compile_ppc",
+]
 
 
 class NodeKind:
@@ -81,6 +89,7 @@ class MappingStats:
         return self.num_luts - self.num_tluts
 
     def as_dict(self) -> Dict[str, int]:
+        """The summary as a flat ``name -> count`` dict."""
         return {
             "luts": self.num_luts,
             "tluts": self.num_tluts,
@@ -126,6 +135,7 @@ class MappedNetwork:
     # -- construction -------------------------------------------------------
 
     def add_node(self, node: MappedNode) -> int:
+        """Append ``node`` (its inputs must already exist) and return its id."""
         for inp in node.inputs:
             if not 0 <= inp < len(self.nodes):
                 raise ValueError(f"mapped node input {inp} does not exist")
@@ -135,6 +145,7 @@ class MappedNetwork:
         return len(self.nodes) - 1
 
     def add_output(self, name: str, node_id: int) -> None:
+        """Mark ``node_id`` as the primary output ``name``."""
         if name in self.outputs:
             raise ValueError(f"duplicate output {name!r}")
         self.outputs[name] = node_id
@@ -146,21 +157,27 @@ class MappedNetwork:
         return sum(1 for n in self.nodes if n.kind in (NodeKind.LUT, NodeKind.TLUT))
 
     def num_tluts(self) -> int:
+        """Number of tunable LUTs."""
         return sum(1 for n in self.nodes if n.kind == NodeKind.TLUT)
 
     def num_tcons(self) -> int:
+        """Number of tunable connections."""
         return sum(1 for n in self.nodes if n.kind == NodeKind.TCON)
 
     def lut_node_ids(self) -> List[int]:
+        """Ids of the LUT and TLUT nodes, ascending."""
         return [i for i, n in enumerate(self.nodes) if n.kind in (NodeKind.LUT, NodeKind.TLUT)]
 
     def tcon_node_ids(self) -> List[int]:
+        """Ids of the TCON nodes, ascending."""
         return [i for i, n in enumerate(self.nodes) if n.kind == NodeKind.TCON]
 
     def input_node_ids(self) -> List[int]:
+        """Ids of the regular input leaves, ascending."""
         return [i for i, n in enumerate(self.nodes) if n.kind == NodeKind.INPUT]
 
     def param_node_ids(self) -> List[int]:
+        """Ids of the parameter leaves (conventional flow only), ascending."""
         return [i for i, n in enumerate(self.nodes) if n.kind == NodeKind.PARAM]
 
     def levels(self) -> List[int]:
@@ -182,6 +199,7 @@ class MappedNetwork:
         return max(level[n] for n in self.outputs.values())
 
     def stats(self) -> MappingStats:
+        """Resource summary (the Table I quantities)."""
         return MappingStats(
             num_luts=self.num_luts(),
             num_tluts=self.num_tluts(),
@@ -224,53 +242,17 @@ class MappedNetwork:
 
     # -- specialization (the SCG step) ---------------------------------------
 
-    def _tune_var_values(self, param_values: Mapping[int, int]) -> Dict[int, int]:
-        """Evaluate every tune variable (param or param-only source node) for
-        the given parameter assignment by simulating the source circuit."""
-        needed = set()
-        for node in self.nodes:
-            needed.update(node.tune_vars)
-        if not needed:
-            return {}
-        values = simulate_patterns(self.source, {}, 1, dict(param_values))
-        return {nid: values[nid] & 1 for nid in needed}
-
     def specialize(self, param_values: Mapping[int, int]) -> SpecializedNetwork:
         """Generate the specialized configuration for a concrete parameter assignment.
 
-        ``param_values`` maps source-circuit *parameter node ids* to 0/1.  The
-        result carries, for every TLUT, the specialized truth table over its
-        data inputs and, for every TCON, the selected data source -- i.e. the
-        bits the SCG would write into the FPGA's configuration memory.
+        ``param_values`` maps source-circuit *parameter node ids* to 0/1;
+        parameters left out are 0.  The result carries, for every TLUT, the
+        specialized truth table over its data inputs and, for every TCON, the
+        selected data source -- i.e. the bits the SCG would write into the
+        FPGA's configuration memory.  Raises ``ValueError`` when a TCON
+        specializes to an inverted wire or to no wire at all.
         """
-        tune_values = self._tune_var_values(param_values)
-        spec = SpecializedNetwork(self, dict(param_values))
-        for nid, node in enumerate(self.nodes):
-            if node.kind == NodeKind.LUT:
-                spec.lut_configs[nid] = node.function
-            elif node.kind == NodeKind.TLUT:
-                assignment = {
-                    len(node.inputs) + j: tune_values.get(var, 0)
-                    for j, var in enumerate(node.tune_vars)
-                }
-                restricted = restrict(node.function, assignment)
-                small, kept = restricted.shrink_to_support()
-                # Re-express over exactly the data-input variables.
-                spec.lut_configs[nid] = small.expand(len(node.inputs), list(kept))
-            elif node.kind == NodeKind.TCON:
-                assignment = {
-                    len(node.inputs) + j: tune_values.get(var, 0)
-                    for j, var in enumerate(node.tune_vars)
-                }
-                restricted = restrict(node.function, assignment)
-                kind, var, inverted = wire_source(restricted, range(len(node.inputs)))
-                if inverted:
-                    raise ValueError(
-                        f"TCON node {nid} specialized to an inverted wire; "
-                        "mapper must not emit inverting TCONs"
-                    )
-                spec.tcon_routes[nid] = (kind, var)
-        return spec
+        return compile_ppc(self).specialize(param_values)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -370,3 +352,140 @@ class MappedNetwork:
             f"MappedNetwork(luts={s.num_luts}, tluts={s.num_tluts}, "
             f"tcons={s.num_tcons}, depth={s.depth})"
         )
+
+
+# ---------------------------------------------------------------------------
+# The compiled PPC
+# ---------------------------------------------------------------------------
+
+#: One entry of a tunable node's table: a TLUT's specialized truth table, a
+#: TCON's ``(kind, var)`` route, or the ``ValueError`` a TCON raises when it
+#: does not specialize to a plain wire under that tune assignment.
+PPCEntry = Union[TruthTable, Tuple[str, Optional[int]], ValueError]
+
+
+def _fix_tune_bits(node: MappedNode, index: int) -> TruthTable:
+    """``node.function`` with tune variable ``j`` fixed to bit ``j`` of ``index``."""
+    num_inputs = len(node.inputs)
+    return restrict(
+        node.function, {num_inputs + j: (index >> j) & 1 for j in range(len(node.tune_vars))}
+    )
+
+
+def _tlut_entry(node: MappedNode, index: int) -> TruthTable:
+    """A TLUT's truth table over its data inputs at tune assignment ``index``."""
+    small, kept = _fix_tune_bits(node, index).shrink_to_support()
+    return small.expand(len(node.inputs), list(kept))
+
+
+def _tcon_entry(nid: int, node: MappedNode, index: int) -> PPCEntry:
+    """A TCON's selected source at tune assignment ``index``."""
+    try:
+        kind, var, inverted = wire_source(_fix_tune_bits(node, index), range(len(node.inputs)))
+    except ValueError as exc:
+        return exc.with_traceback(None)
+    if inverted:
+        return ValueError(
+            f"TCON node {nid} specialized to an inverted wire; "
+            "mapper must not emit inverting TCONs"
+        )
+    return (kind, var)
+
+
+class CompiledPPC:
+    """The parameterized configuration of a network, compiled for lookup.
+
+    Every tunable node depends on the parameters only through its tune
+    variables, so its specialized configuration is a function of the
+    ``t = len(tune_vars)`` tune bits alone.  Compilation tabulates that
+    function: node ``n`` gets a table of ``2**t`` entries, entry
+    ``sum(tv_j << j)`` being the node's configuration with tune variable
+    ``j`` fixed to ``tv_j`` (:data:`PPCEntry`).  A table is never larger
+    than the node's own truth table, which has ``2**(inputs + t)`` rows.
+
+    The tune variables are evaluated by one generated straight-line
+    function over their fan-in cone in the source circuit only -- the
+    parameters and parameter-only gates, with regular inputs at 0 -- in
+    the statement form of :mod:`repro.netlist.engine`.  The same function
+    indexes every table and returns the specialized ``lut_configs`` (the
+    static LUTs copied in) and ``tcon_routes`` dicts, so a specialization
+    is one call.
+    """
+
+    def __init__(self, network: MappedNetwork) -> None:
+        self.network = network
+        self.num_nodes = len(network.nodes)
+        static: Dict[int, TruthTable] = {}
+        tables: Dict[int, Tuple[PPCEntry, ...]] = {}
+        for nid, node in enumerate(network.nodes):
+            if node.kind == NodeKind.LUT:
+                static[nid] = node.function
+            elif node.kind == NodeKind.TLUT:
+                tables[nid] = tuple(
+                    _tlut_entry(node, i) for i in range(1 << len(node.tune_vars))
+                )
+            elif node.kind == NodeKind.TCON:
+                tables[nid] = tuple(
+                    _tcon_entry(nid, node, i) for i in range(1 << len(node.tune_vars))
+                )
+        #: TCONs some tune assignment leaves without a plain wire, ascending.
+        self.fallible_tcons: Tuple[int, ...] = tuple(
+            nid
+            for nid, table in tables.items()
+            if any(isinstance(entry, ValueError) for entry in table)
+        )
+        self.num_entries = sum(len(table) for table in tables.values())
+        self._lookup = self._codegen(static, tables)
+
+    def _codegen(self, static, tables):
+        """Generate ``_lookup(params) -> (lut_configs, tcon_routes)``."""
+        nodes = self.network.nodes
+        tune_vars: Set[int] = {v for nid in tables for v in nodes[nid].tune_vars}
+        fanins = self.network.source.fanins
+        cone: Set[int] = set()
+        stack = list(tune_vars)
+        while stack:
+            nid = stack.pop()
+            if nid not in cone:
+                cone.add(nid)
+                stack.extend(fanins[nid])
+
+        def lookup(nid: int) -> str:
+            index = " | ".join(
+                f"v{var} << {j}" if j else f"v{var}"
+                for j, var in enumerate(nodes[nid].tune_vars)
+            )
+            return f"{nid}: T{nid}[{index or 0}]"
+
+        luts = [lookup(n) for n in tables if nodes[n].kind == NodeKind.TLUT]
+        tcons = [lookup(n) for n in tables if nodes[n].kind == NodeKind.TCON]
+        lines = ["def _lookup(params):", " inputs = {}", " mask = 1"]
+        lines += gate_statements(self.network.source, sorted(cone))
+        lines.append(" return {**STATIC, %s}, {%s}" % (", ".join(luts), ", ".join(tcons)))
+        namespace: Dict[str, object] = {f"T{nid}": table for nid, table in tables.items()}
+        namespace["STATIC"] = static
+        exec("\n".join(lines), namespace)  # noqa: S102 - generated from node ids only
+        return namespace["_lookup"]
+
+    def specialize(self, param_values: Mapping[int, int]) -> SpecializedNetwork:
+        """Look up every tunable node's configuration for ``param_values``."""
+        lut_configs, tcon_routes = self._lookup(param_values)
+        for nid in self.fallible_tcons:
+            route = tcon_routes[nid]
+            if isinstance(route, ValueError):
+                raise ValueError(*route.args)
+        return SpecializedNetwork(self.network, dict(param_values), lut_configs, tcon_routes)
+
+
+def compile_ppc(network: MappedNetwork) -> CompiledPPC:
+    """Compile ``network``'s PPC (or return the cached one if still valid).
+
+    Mapped networks only grow by :meth:`MappedNetwork.add_node`, so the
+    cached form stays valid as long as the node count is unchanged.
+    """
+    cached = network.__dict__.get("_compiled_ppc")
+    if cached is not None and cached.num_nodes == len(network.nodes):
+        return cached
+    ppc = CompiledPPC(network)
+    network.__dict__["_compiled_ppc"] = ppc
+    return ppc

@@ -19,6 +19,10 @@ directory on ``sys.path``):
   placer that ``timing_driven_placement`` must match or beat;
 * :func:`simulate_patterns_reference` -- the per-node interpreter the
   compiled simulation engine must equal bit for bit;
+* :func:`specialize_reference` -- the per-update SCG specialization
+  (whole-circuit simulation, then ``restrict`` per tunable node) the
+  compiled PPC behind ``MappedNetwork.specialize`` must equal entry for
+  entry;
 * :func:`routed_edge_delays_reference` -- the per-net walk over each
   route's ``(target, path, attach)`` connections that the route-forest
   scan :func:`~repro.timing.delays.routed_edge_delays` must equal bit for
@@ -48,9 +52,10 @@ import numpy as np
 from repro.fpga.architecture import FPGAArchitecture
 from repro.fpga.device import Device, build_device
 from repro.fpga.routing_graph import RR_BASE_COST, RRGraph, RRNodeType, _track_subset
+from repro.netlist.boolean import restrict, wire_source
 from repro.netlist.circuit import Circuit, Op
 from repro.netlist.library import eval_gate
-from repro.netlist.simulate import _pattern_mask
+from repro.netlist.simulate import _pattern_mask, simulate_patterns
 from repro.obs import metrics as obs_metrics
 from repro.par.forest import FOREST_ARRAYS, _fragment_from_conns, build_route_forest
 from repro.par.netlist import PhysicalNetlist
@@ -73,6 +78,7 @@ from repro.par.routing import (
     route,
     terminal_rr_nodes,
 )
+from repro.techmap.mapping import MappedNetwork, NodeKind, SpecializedNetwork
 from repro.timing.delays import (
     estimated_edge_delays,
     structural_edge_delays,
@@ -584,6 +590,58 @@ def simulate_patterns_reference(
             args = [values[f] for f in circuit.fanins[nid]]
             values[nid] = eval_gate(op, args, mask)
     return {nid: values[nid] for nid in circuit.node_ids()}
+
+
+# -- SCG specialization ----------------------------------------------------------
+
+
+def specialize_reference(
+    network: MappedNetwork, param_values: Mapping[int, int]
+) -> SpecializedNetwork:
+    """Original per-update specialization: simulate, then restrict every node.
+
+    Evaluates every tune variable by simulating the whole source circuit,
+    then specializes each TLUT by ``restrict`` + ``shrink_to_support`` +
+    ``expand`` and each TCON by ``restrict`` + ``wire_source``.  The
+    compiled PPC behind ``MappedNetwork.specialize`` tabulates exactly this
+    per-node body and must return equal ``lut_configs`` and
+    ``tcon_routes`` (``test_techmap.py::TestCompiledPPC`` and the ``scg``
+    section of ``BENCH_hotpaths.json``).
+    """
+    needed = set()
+    for node in network.nodes:
+        needed.update(node.tune_vars)
+    tune_values: Dict[int, int] = {}
+    if needed:
+        values = simulate_patterns(network.source, {}, 1, dict(param_values))
+        tune_values = {nid: values[nid] & 1 for nid in needed}
+    spec = SpecializedNetwork(network, dict(param_values))
+    for nid, node in enumerate(network.nodes):
+        if node.kind == NodeKind.LUT:
+            spec.lut_configs[nid] = node.function
+        elif node.kind == NodeKind.TLUT:
+            assignment = {
+                len(node.inputs) + j: tune_values.get(var, 0)
+                for j, var in enumerate(node.tune_vars)
+            }
+            restricted = restrict(node.function, assignment)
+            small, kept = restricted.shrink_to_support()
+            # Re-express over exactly the data-input variables.
+            spec.lut_configs[nid] = small.expand(len(node.inputs), list(kept))
+        elif node.kind == NodeKind.TCON:
+            assignment = {
+                len(node.inputs) + j: tune_values.get(var, 0)
+                for j, var in enumerate(node.tune_vars)
+            }
+            restricted = restrict(node.function, assignment)
+            kind, var, inverted = wire_source(restricted, range(len(node.inputs)))
+            if inverted:
+                raise ValueError(
+                    f"TCON node {nid} specialized to an inverted wire; "
+                    "mapper must not emit inverting TCONs"
+                )
+            spec.tcon_routes[nid] = (kind, var)
+    return spec
 
 
 # -- routed delays and timing-driven routing criticalities ----------------------

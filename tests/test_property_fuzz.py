@@ -8,12 +8,19 @@ checked here across a small random family of designs:
   its sinks through RR-graph edges from the net's source;
 * **cache round-trip** -- serializing a routed result through the on-disk
   payload format and re-hydrating it reproduces the fresh computation
-  bit-for-bit (wirelength, iterations, every route-forest array).
+  bit-for-bit (wirelength, iterations, every route-forest array);
+* **SCG specialization** -- on random small parameterized gate circuits,
+  the TCONMAP network specialized for random parameter settings computes
+  what the source circuit computes with those parameters fixed, on every
+  input pattern, and the compiled PPC equals ``specialize_reference``.
 
 The suite is deliberately tiny: ``max_examples`` is capped and the profile
 is derandomized, so tier-1 wall time stays flat and failures replay
-deterministically in CI.  Skips cleanly when Hypothesis is not installed.
+deterministically in CI (``REPRO_FULL=1`` widens the SCG sweep).  Skips
+cleanly when Hypothesis is not installed.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -180,3 +187,89 @@ def test_frame_delta_round_trip_on_fuzzed_designs(params):
     assert diff_images(base, base).writes == ()
     assert apply_delta(base, diff_images(base, base)) == base
     assert diff_images(base, target).num_frames <= union_frames(base, target)
+
+
+# ---------------------------------------------------------------------------
+# SCG specialization on fuzzed parameterized designs
+# ---------------------------------------------------------------------------
+
+from oracles import specialize_reference  # noqa: E402
+from repro.netlist.circuit import Circuit, Op  # noqa: E402
+from repro.netlist.simulate import simulate_patterns  # noqa: E402
+from repro.techmap import map_parameterized  # noqa: E402
+
+SCG_OPS = (Op.AND, Op.OR, Op.XOR, Op.NAND, Op.NOR, Op.XNOR, Op.NOT, Op.MUX)
+SCG_SETTINGS = 3  #: parameter settings checked per fuzzed design
+SCG_BOUNDED = settings(
+    BOUNDED,
+    max_examples=200 if os.environ.get("REPRO_FULL", "0") not in ("", "0", "false", "False")
+    else 12,
+)
+
+
+def random_param_circuit(num_inputs, num_params, gates):
+    """A gate DAG over ``x*`` inputs and ``p*`` parameters from Hypothesis draws.
+
+    Each gate takes its fanins from earlier nodes (picks modulo the node
+    count); the last two gates drive the outputs.
+    """
+    c = Circuit("scgfuzz")
+    nodes = [c.add_input(f"x{i}") for i in range(num_inputs)]
+    nodes += [c.add_param(f"p{i}") for i in range(num_params)]
+    for op, picks in gates:
+        arity = {Op.NOT: 1, Op.MUX: 3}.get(op, 2)
+        nodes.append(c.gate(op, *(nodes[k % len(nodes)] for k in picks[:arity])))
+    for k, nid in enumerate(nodes[-2:]):
+        c.add_output(f"y{k}", nid)
+    return c
+
+
+param_designs = st.tuples(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.lists(
+        st.tuples(
+            st.sampled_from(SCG_OPS),
+            st.lists(st.integers(min_value=0, max_value=63), min_size=3, max_size=3),
+        ),
+        min_size=2,
+        max_size=14,
+    ),
+    # Per setting and parameter: 0, 1, or None (left out, reads 0).
+    st.lists(
+        st.lists(st.sampled_from((0, 1, None)), min_size=4, max_size=4),
+        min_size=SCG_SETTINGS,
+        max_size=SCG_SETTINGS,
+    ),
+)
+
+
+@SCG_BOUNDED
+@given(design=param_designs)
+def test_specialized_network_equals_source_with_fixed_params(design):
+    num_inputs, num_params, gates, draws = design
+    circuit = random_param_circuit(num_inputs, num_params, gates)
+    network = map_parameterized(circuit)
+    source_pid = {circuit.names[p]: p for p in circuit.param_ids()}
+    mapped_pid = {network.source.names[p]: p for p in network.source.param_ids()}
+    num_patterns = 1 << num_inputs
+    packed = {
+        x: sum(1 << p for p in range(num_patterns) if (p >> i) & 1)
+        for i, x in enumerate(circuit.input_ids())
+    }
+    mask = (1 << num_patterns) - 1
+    for draw in draws:
+        fixed = {f"p{i}": v for i, v in enumerate(draw[:num_params]) if v is not None}
+        golden = simulate_patterns(
+            circuit, packed, num_patterns,
+            {source_pid[name]: mask if v else 0 for name, v in fixed.items()},
+        )
+        param_values = {mapped_pid[name]: v for name, v in fixed.items() if name in mapped_pid}
+        spec = network.specialize(param_values)
+        ref = specialize_reference(network, param_values)
+        assert spec.lut_configs == ref.lut_configs
+        assert spec.tcon_routes == ref.tcon_routes
+        for p in range(num_patterns):
+            got = spec.evaluate({f"x{i}": (p >> i) & 1 for i in range(num_inputs)})
+            for name, nid in circuit.outputs.items():
+                assert got[name] == (golden[nid] >> p) & 1, (name, p, fixed)

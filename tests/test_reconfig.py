@@ -149,8 +149,8 @@ class TestScheduler:
 
         def run():
             sched = ReconfigScheduler(library, budget_frames=budget)
-            replay(sched, trace)
-            return sched.history, sched.resident_names, sched.active_image
+            outcomes = [sched.switch_to(name) for name in trace]
+            return outcomes, sched.resident_names, sched.active_image
 
         history_a, residents_a, image_a = run()
         history_b, residents_b, image_b = run()
@@ -209,7 +209,7 @@ class TestScheduler:
         sched.switch_to("ctx0")
         sched.reset()
         assert sched.active_name is None and not sched.active_image
-        assert sched.stats()["switches"] == 0 and not sched.history
+        assert sched.stats()["switches"] == 0 and sched.resident_names == []
 
 
 class TestTrace:

@@ -1,14 +1,23 @@
 """Unit, integration and property tests for technology mapping (LUT map + TCONMAP)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import specialize_reference
+from repro.core.flows import run_pe_flow
+from repro.core.pe import ProcessingElementSpec, build_pe_design
+from repro.flopoco.format import FPFormat
+from repro.netlist.boolean import TruthTable
 from repro.netlist.circuit import Circuit, Op
 from repro.netlist.hdl import Design
 from repro.netlist.simulate import simulate_words
 from repro.synth.optimize import optimize
 from repro.techmap import (
+    MappedNetwork,
+    MappedNode,
     MapperOptions,
     NodeKind,
     decompose_to_binary,
@@ -17,6 +26,7 @@ from repro.techmap import (
     param_only_nodes,
     technology_map,
 )
+from repro.techmap.mapping import compile_ppc
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +322,124 @@ class TestSpecializedNetwork:
         statics = [nid for nid in net.lut_node_ids() if net.nodes[nid].kind == NodeKind.LUT]
         for nid in statics:
             assert spec_a.lut_configs[nid].bits == spec_b.lut_configs[nid].bits
+
+
+#: The benchmark PE: the 5/10 format at the default ports and counter width.
+BENCH_PE = ProcessingElementSpec(fmt=FPFormat(5, 10))
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["conventional", "parameterized"])
+def bench_pe_network(request):
+    circuit = build_pe_design(BENCH_PE).circuit
+    return run_pe_flow(circuit, parameterized=request.param, do_par=False).network
+
+
+def _assert_same_specialization(network, param_values):
+    mine = network.specialize(param_values)
+    ref = specialize_reference(network, param_values)
+    assert mine.param_values == ref.param_values
+    assert mine.lut_configs == ref.lut_configs
+    assert mine.tcon_routes == ref.tcon_routes
+
+
+class TestCompiledPPC:
+    """``MappedNetwork.specialize`` (the compiled PPC) against the oracle."""
+
+    def test_bench_pe_matches_reference_over_word_settings(self, bench_pe_network):
+        rng = random.Random(7)
+        for _ in range(12):
+            words = {
+                "coeff": rng.randrange(1 << BENCH_PE.fmt.width),
+                "op": rng.randrange(4),
+                "sel_a": rng.randrange(1 << BENCH_PE.sel_width),
+                "sel_b": rng.randrange(1 << BENCH_PE.sel_width),
+                "count_limit": rng.randrange(1 << BENCH_PE.counter_width),
+            }
+            mine = bench_pe_network.specialize_words(words)
+            _assert_same_specialization(bench_pe_network, mine.param_values)
+
+    def test_bench_pe_matches_reference_over_bit_assignments(self, bench_pe_network):
+        """Random per-bit values; parameters left out of the dict read 0."""
+        rng = random.Random(11)
+        params = bench_pe_network.source.param_ids()
+        for _ in range(12):
+            values = {p: rng.randrange(2) for p in params if rng.random() < 0.7}
+            _assert_same_specialization(bench_pe_network, values)
+        _assert_same_specialization(bench_pe_network, {})
+
+    def test_every_lut_and_tcon_is_specialized(self, bench_pe_network):
+        """The conventional flow has no TLUT/TCON and must specialize too."""
+        spec = bench_pe_network.specialize({})
+        assert set(spec.lut_configs) == set(bench_pe_network.lut_node_ids())
+        assert set(spec.tcon_routes) == set(bench_pe_network.tcon_node_ids())
+        if bench_pe_network.num_tluts() + bench_pe_network.num_tcons() == 0:
+            assert spec.tcon_routes == {}
+        assert MappedNetwork(Circuit()).specialize({}).lut_configs == {}
+
+    def test_bench_pe_tables_are_small(self, bench_pe_network):
+        ppc = compile_ppc(bench_pe_network)
+        assert ppc.fallible_tcons == ()
+        for node in bench_pe_network.nodes:
+            if node.kind in (NodeKind.TLUT, NodeKind.TCON):
+                assert len(node.tune_vars) <= 4
+
+    @staticmethod
+    def _xor_tcon_network():
+        """One TCON over ``(x, p)`` that is ``x`` at p=0 and ``~x`` at p=1."""
+        c = Circuit()
+        x, p = c.add_input("x"), c.add_param("p")
+        c.add_output("y", c.g_xor(x, p))
+        net = MappedNetwork(c)
+        xi = net.add_node(MappedNode(NodeKind.INPUT, source=x, name="x"))
+        tcon = net.add_node(MappedNode(
+            NodeKind.TCON, inputs=(xi,), function=TruthTable(2, 0b0110), tune_vars=(p,)))
+        net.add_output("y", tcon)
+        return net, p, tcon
+
+    def test_inverting_tcon_raises_only_for_its_assignment(self):
+        net, p, tcon = self._xor_tcon_network()
+        assert compile_ppc(net).fallible_tcons == (tcon,)
+        assert net.specialize({p: 0}).tcon_routes[tcon] == ("var", 0)
+        with pytest.raises(ValueError) as mine:
+            net.specialize({p: 1})
+        with pytest.raises(ValueError) as ref:
+            specialize_reference(net, {p: 1})
+        assert str(mine.value) == str(ref.value)
+        assert f"TCON node {tcon}" in str(mine.value)
+        # The failure is per lookup, not cached state.
+        assert net.specialize({p: 0}).tcon_routes[tcon] == ("var", 0)
+
+    def test_non_wire_tcon_raises_the_reference_error(self):
+        c = Circuit()
+        x, y, p = c.add_input("x"), c.add_input("y"), c.add_param("p")
+        c.add_output("z", c.g_mux(p, x, c.g_and(x, y)))
+        net = MappedNetwork(c)
+        xi = net.add_node(MappedNode(NodeKind.INPUT, source=x, name="x"))
+        yi = net.add_node(MappedNode(NodeKind.INPUT, source=y, name="y"))
+        # Variables (x, y, p): x when p=0, x & y when p=1.
+        table = TruthTable(3, 0b10001010)
+        tcon = net.add_node(MappedNode(
+            NodeKind.TCON, inputs=(xi, yi), function=table, tune_vars=(p,)))
+        assert net.specialize({p: 0}).tcon_routes[tcon] == ("var", 0)
+        with pytest.raises(ValueError) as mine:
+            net.specialize({p: 1})
+        with pytest.raises(ValueError) as ref:
+            specialize_reference(net, {p: 1})
+        assert str(mine.value) == str(ref.value)
+
+    def test_add_node_after_specialize_recompiles(self):
+        c = Circuit()
+        x, p = c.add_input("x"), c.add_param("p")
+        net = MappedNetwork(c)
+        xi = net.add_node(MappedNode(NodeKind.INPUT, source=x, name="x"))
+        first = compile_ppc(net)
+        assert net.specialize({p: 1}).lut_configs == {}
+        tlut = net.add_node(MappedNode(
+            NodeKind.TLUT, inputs=(xi,), function=TruthTable(2, 0b1000), tune_vars=(p,)))
+        assert compile_ppc(net) is not first
+        assert net.specialize({p: 1}).lut_configs[tlut] == TruthTable(1, 0b10)
+        assert net.specialize({p: 0}).lut_configs[tlut] == TruthTable(1, 0b00)
+        _assert_same_specialization(net, {p: 1})
 
 
 class TestMapperOptions:
