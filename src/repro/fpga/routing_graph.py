@@ -85,8 +85,6 @@ class RRNodeType:
     CHANX = 4
     CHANY = 5
 
-    NAMES = {0: "SOURCE", 1: "SINK", 2: "OPIN", 3: "IPIN", 4: "CHANX", 5: "CHANY"}
-
 
 #: Congestion-free cost of occupying one RR node, by node type.  This is the
 #: router's cost model, exported here so :class:`RouterSearchView` can bake a
@@ -194,14 +192,6 @@ class RRGraph:
         """Whether ``node`` is a channel wire (CHANX/CHANY)."""
         return self.node_type[node] in (RRNodeType.CHANX, RRNodeType.CHANY)
 
-    def describe_node(self, node: int) -> str:  # pragma: no cover - debug helper
-        """Human-readable ``TYPE(x,y,t=track)`` label of ``node``."""
-        t = RRNodeType.NAMES[int(self.node_type[node])]
-        return (
-            f"{t}({int(self.node_x[node])},{int(self.node_y[node])},"
-            f"t={int(self.node_track[node])})"
-        )
-
     def search_view(self) -> "RouterSearchView":
         """Precomputed flat-array view of the graph for the directed router.
 
@@ -218,9 +208,9 @@ class RRGraph:
     def release_search_view(self) -> None:
         """Drop the cached :meth:`search_view`; the next call rebuilds it.
 
-        The view and its per-sink entry maps take more memory than the
-        graph itself, so an owner that keeps the graph after its last route
-        and STA releases them.
+        The view (and, after a pure-Python route, its per-sink entry maps)
+        takes more memory than the graph itself, so an owner that keeps the
+        graph after its last route and STA releases it.
         """
         self.__dict__.pop("_search_view", None)
 
@@ -229,47 +219,43 @@ class RouterSearchView:
     """Flat mirrors of an :class:`RRGraph` for the directed search kernel.
 
     The astar router expands exclusively over SOURCE/OPIN/CHANX/CHANY
-    nodes: IPIN and SINK successors are stripped from the adjacency here, and
-    each sink instead exposes an *entry map* ``wire -> [ipins]`` derived from
-    the reverse edges, so the search completes on the first wire adjacent to
-    the target block instead of flooding every input pin it passes.  The node
-    coordinates double as the admissible geometric lookahead: every remaining
-    unit of Manhattan distance to the target costs at least one unit-length
-    wire of base cost 1.0.
+    nodes: IPIN and SINK successors are stripped from the adjacency here,
+    and a search completes on the first wire adjacent to the target block
+    through one of that block's input pins instead of flooding every input
+    pin it passes.  The node coordinates double as the admissible
+    geometric lookahead: every remaining unit of Manhattan distance to the
+    target costs at least one unit-length wire of base cost 1.0.
 
-    The filtered adjacency is materialized twice from one construction pass:
+    Built eagerly -- everything the native net loop reads apart from the
+    graph's own forward edges (:mod:`repro.native.astar`):
 
-    * ``csr_ptr`` / ``csr_dst`` -- contiguous NumPy CSR arrays, the layout
-      the native astar expansion loop binds to, alongside ``xs_arr`` /
-      ``ys_arr`` (Manhattan-lookahead tables), ``base_cost``
-      (congestion-free node costs, :data:`RR_BASE_COST`) and ``delay_ns``
-      (the graph's :attr:`RRGraph.node_delay_ns`, which the timing-driven
-      router objective reads);
-    * ``adj_search`` -- per-node Python lists sliced out of the same CSR,
-      the layout of the pure-Python astar twin, built on first access only.
+    * ``csr_ptr`` / ``csr_dst`` -- the filtered adjacency as contiguous
+      NumPy CSR arrays;
+    * ``xs_arr`` / ``ys_arr`` -- the Manhattan-lookahead tables;
+    * ``base_cost`` -- congestion-free node costs (:data:`RR_BASE_COST`);
+    * ``delay_ns`` -- the graph's :attr:`RRGraph.node_delay_ns`, which the
+      timing-driven router objective reads.
 
-    The per-sink entry maps come in the same two layouts: :meth:`entry_csr`
-    (native kernel) and :meth:`entries_of` (Python twin), each cached on
-    its own, so the native path never builds a Python mirror.
+    The pure-Python astar twin's mirrors are built on first use only, so a
+    native route builds none of them: the per-node lists ``xs``, ``ys``,
+    ``types``, ``capacity`` and ``adj_search``, and the reverse CSR behind
+    the per-sink entry maps of :meth:`entries_of`.
     """
 
     def __init__(self, rr: RRGraph) -> None:
-        self.xs: List[int] = rr.node_x.tolist()
-        self.ys: List[int] = rr.node_y.tolist()
-        self.types: List[int] = rr.node_type.tolist()
-        self.capacity: List[int] = rr.node_capacity.tolist()
-
+        # The graph's own (read-only) arrays, for the lazy mirrors below; the
+        # view holds no reference to the graph, which caches the view.
+        self._node_x, self._node_y = rr.node_x, rr.node_y
+        self._node_type, self._node_capacity = rr.node_type, rr.node_capacity
+        self._edge_ptr, self._edge_dst = rr.edge_ptr, rr.edge_dst
         # Filtered adjacency (no IPIN/SINK targets) as contiguous NumPy CSR.
         num_nodes = rr.num_nodes
         dst_type = rr.node_type[rr.edge_dst]
         keep = (dst_type != RRNodeType.IPIN) & (dst_type != RRNodeType.SINK)
-        edge_src = np.repeat(
-            np.arange(num_nodes, dtype=np.int32),
-            np.diff(rr.edge_ptr).astype(np.int64),
-        )
         self.csr_dst: np.ndarray = rr.edge_dst[keep].astype(np.int32)
         self.csr_ptr: np.ndarray = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(edge_src[keep], minlength=num_nodes), out=self.csr_ptr[1:])
+        np.cumsum(np.bincount(self._edge_src()[keep], minlength=num_nodes),
+                  out=self.csr_ptr[1:])
 
         # Vector mirrors of the per-node attributes: lookahead tables, the
         # congestion-free cost floor and the intrinsic delays.
@@ -280,13 +266,33 @@ class RouterSearchView:
             base[rr.node_type == t] = c
         self.base_cost: np.ndarray = base
         self.delay_ns: np.ndarray = rr.node_delay_ns
-
-        # Reverse CSR (for per-sink entry maps, built lazily below).
-        self._rev_src = edge_src[np.argsort(rr.edge_dst, kind="stable")]
-        self._rev_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rr.edge_dst, minlength=num_nodes), out=self._rev_ptr[1:])
         self._entries: Dict[int, Dict[int, List[int]]] = {}
-        self._entry_csr: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def _edge_src(self) -> np.ndarray:
+        ptr = self._edge_ptr
+        return np.repeat(
+            np.arange(len(ptr) - 1, dtype=np.int32), np.diff(ptr).astype(np.int64)
+        )
+
+    @cached_property
+    def xs(self) -> List[int]:
+        """Node x coordinates as a Python list (Python astar twin)."""
+        return self._node_x.tolist()
+
+    @cached_property
+    def ys(self) -> List[int]:
+        """Node y coordinates as a Python list (Python astar twin)."""
+        return self._node_y.tolist()
+
+    @cached_property
+    def types(self) -> List[int]:
+        """Node types as a Python list (Python astar twin)."""
+        return self._node_type.tolist()
+
+    @cached_property
+    def capacity(self) -> List[int]:
+        """Node capacities as a Python list (Python astar twin)."""
+        return self._node_capacity.tolist()
 
     @cached_property
     def adj_search(self) -> List[List[int]]:
@@ -295,12 +301,29 @@ class RouterSearchView:
         dst = self.csr_dst.tolist()
         return [dst[ptr[i]: ptr[i + 1]] for i in range(len(ptr) - 1)]
 
+    @cached_property
+    def _reverse(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Reverse CSR ``(rev_ptr, rev_src)``: in-edges by destination, each
+        node's sources in ascending id (a stable sort of ascending sources)."""
+        dst = self._edge_dst
+        num_nodes = len(self._edge_ptr) - 1
+        rev_src = self._edge_src()[np.argsort(dst, kind="stable")]
+        rev_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=num_nodes), out=rev_ptr[1:])
+        return rev_ptr, rev_src
+
     def _in_edges(self, node: int) -> List[int]:
-        lo, hi = int(self._rev_ptr[node]), int(self._rev_ptr[node + 1])
-        return self._rev_src[lo:hi].tolist()
+        rev_ptr, rev_src = self._reverse
+        lo, hi = int(rev_ptr[node]), int(rev_ptr[node + 1])
+        return rev_src[lo:hi].tolist()
 
     def entries_of(self, sink: int) -> Dict[int, List[int]]:
-        """Map ``wire -> [ipins]`` of every wire that can enter ``sink``."""
+        """Map ``wire -> [ipins]`` of every wire that can enter ``sink``.
+
+        Each wire's pins are in ascending id: the Python twin's completion
+        takes the first cheapest, which is the compiled kernel's rule of
+        the cheapest pin, lowest id on equal cost.
+        """
         entry = self._entries.get(sink)
         if entry is None:
             entry = {}
@@ -309,35 +332,6 @@ class RouterSearchView:
                     entry.setdefault(wire, []).append(ipin)
             self._entries[sink] = entry
         return entry
-
-    def entry_csr(self, sink: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Entry map of ``sink`` as a wire-sorted CSR for the native kernel.
-
-        ``(wires, ptr, ipins)``: ``wires`` is the sorted unique wire set, and
-        ``ipins[ptr[i]:ptr[i + 1]]`` lists that wire's feasible entry pins in
-        the same order as :meth:`entries_of` (the first-minimum tie-break of
-        the completion scan depends on that order).  Sorted wires let the C
-        kernel binary-search during expansion instead of hashing.
-        """
-        csr = self._entry_csr.get(sink)
-        if csr is None:
-            # Every (wire, ipin) pair in entries_of's visiting order: ipins
-            # in sink in-edge order, each ipin's wires in its in-edge order.
-            # A stable sort by wire then keeps each wire's ipins in that order.
-            rev_ptr, rev_src = self._rev_ptr, self._rev_src
-            ipin = rev_src[rev_ptr[sink]: rev_ptr[sink + 1]].astype(np.int64)
-            lo = rev_ptr[ipin]
-            counts = rev_ptr[ipin + 1] - lo
-            first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-            pair_wire = rev_src[first + np.arange(int(counts.sum()))]
-            pair_ipin = np.repeat(ipin, counts)
-            order = np.argsort(pair_wire, kind="stable")
-            wires, per_wire = np.unique(pair_wire[order], return_counts=True)
-            ptr = np.zeros(len(wires) + 1, dtype=np.int64)
-            np.cumsum(per_wire, out=ptr[1:])
-            csr = (wires.astype(np.int64), ptr, pair_ipin[order])
-            self._entry_csr[sink] = csr
-        return csr
 
 
 def _track_subset(channel_width: int, fraction: float) -> List[int]:

@@ -4,8 +4,8 @@ Small, dependency-free C kernels compiled with the system compiler at
 first use (no Cython/numba/mypyc in the container) and bound with
 :mod:`ctypes` over the flat arrays the Python kernels already use:
 
-* :mod:`repro.native.astar` -- the directed astar PathFinder expansion
-  loop (``par/routing.py``);
+* :mod:`repro.native.astar` -- the astar router's per-net PathFinder
+  loop, one call per routed net (``par/routing.py``);
 * :mod:`repro.native.annealer` -- the batched annealer accept/reject
   move loop (``par/placement.py``).
 

@@ -44,9 +44,6 @@ class Design:
     def input_bit(self, name: str) -> int:
         return self.circuit.add_input(name)
 
-    def param_bit(self, name: str) -> int:
-        return self.circuit.add_param(name)
-
     def output_bus(self, name: str, bus: Bus) -> None:
         """Declare an output bus driven by ``bus`` (LSB first)."""
         for i, nid in enumerate(bus):
@@ -73,10 +70,6 @@ class Design:
         self._check_same_width(a, b)
         return [self.circuit.g_and(x, y) for x, y in zip(a, b)]
 
-    def v_or(self, a: Bus, b: Bus) -> Bus:
-        self._check_same_width(a, b)
-        return [self.circuit.g_or(x, y) for x, y in zip(a, b)]
-
     def v_xor(self, a: Bus, b: Bus) -> Bus:
         self._check_same_width(a, b)
         return [self.circuit.g_xor(x, y) for x, y in zip(a, b)]
@@ -94,13 +87,6 @@ class Design:
         if len(a) == 1:
             return a[0]
         return self.circuit.g_and(*a)
-
-    def reduce_xor(self, a: Bus) -> int:
-        if not a:
-            return self.const_bit(0)
-        if len(a) == 1:
-            return a[0]
-        return self.circuit.g_xor(*a)
 
     def mux_bit(self, sel: int, d0: int, d1: int) -> int:
         return self.circuit.g_mux(sel, d0, d1)
@@ -140,19 +126,10 @@ class Design:
     def truncate(self, a: Bus, width: int) -> Bus:
         return list(a[:width])
 
-    def concat(self, low: Bus, high: Bus) -> Bus:
-        """Concatenate buses; ``low`` provides the least-significant bits."""
-        return list(low) + list(high)
-
     def replicate(self, bit: int, width: int) -> Bus:
         return [bit] * width
 
     # ------------------------------------------------------------- arithmetic
-
-    def half_adder(self, a: int, b: int):
-        s = self.circuit.g_xor(a, b)
-        c = self.circuit.g_and(a, b)
-        return s, c
 
     def full_adder(self, a: int, b: int, cin: int):
         axb = self.circuit.g_xor(a, b)
@@ -277,11 +254,3 @@ class Design:
             candidate = self.const_bus(lz, out_w)
             count = self.mux_bus(a[pos], count, candidate)
         return count
-
-    # ------------------------------------------------------------------ misc
-
-    def name_bus(self, name: str, bus: Bus) -> Bus:
-        """Attach debug names to the nodes of a bus (no structural effect)."""
-        for i, nid in enumerate(bus):
-            self.circuit.names.setdefault(nid, f"{name}[{i}]")
-        return bus

@@ -10,6 +10,12 @@ route (:func:`cached_route`) and every probe of the serial
 minimum-channel-width search (see :mod:`repro.par.metrics`), the dominant
 cost of the Table I/II benchmarks.
 
+Flows on one architecture share one :class:`~repro.fpga.device.Device`:
+:func:`place_and_route` takes it from a per-process LRU of
+:data:`DEVICE_MEMO_SIZE` devices keyed by the frozen architecture (the RR
+graph is read-only, so sharing cannot change a route).  The min-CW probes
+build their own devices and never enter it.
+
 Since PR 4 the flow also carries the timing axis: every result embeds a
 full STA (:attr:`PaRResult.sta`, from :mod:`repro.timing`) and
 ``objective="timing"`` switches placement and routing to the
@@ -19,6 +25,7 @@ criticality-driven cost functions (:func:`timing_driven_placement`,
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -50,6 +57,29 @@ __all__ = [
     "timing_driven_placement",
 ]
 
+#: Devices :func:`place_and_route` keeps per process, least recently used
+#: first out.  A device is a pure function of its frozen architecture and
+#: its RR graph is read-only, so flows on one architecture share one.
+DEVICE_MEMO_SIZE = 4
+_devices: "OrderedDict[FPGAArchitecture, Device]" = OrderedDict()
+
+
+def _shared_device(arch: FPGAArchitecture) -> Device:
+    """The memoized device of ``arch``, built on a miss (LRU, see above).
+
+    Only the device is kept: ``place_and_route`` releases its router
+    search view after STA as before, so the memo holds graphs, not views.
+    """
+    device = _devices.get(arch)
+    if device is not None:
+        _devices.move_to_end(arch)
+        return device
+    device = build_device(arch)
+    _devices[arch] = device
+    if len(_devices) > DEVICE_MEMO_SIZE:
+        _devices.popitem(last=False)
+    return device
+
 
 @dataclass
 class PaRResult:
@@ -80,10 +110,12 @@ class PaRResult:
 
     @property
     def wirelength(self) -> int:
+        """Routed wirelength: channel-wire nodes used over all route trees."""
         return self.routing.wirelength
 
     @property
     def logic_depth(self) -> int:
+        """LUT levels on the longest combinational path."""
         return self.timing.logic_depth
 
     @property
@@ -236,6 +268,9 @@ def place_and_route(
         Every result carries the full STA in :attr:`PaRResult.sta` either
         way.
 
+    The device comes from the per-process device memo (see the module
+    doc), so repeated flows on one architecture build it once.
+
     With a ``cache`` (or ``REPRO_PAR_CACHE`` set) the main route is served
     through :func:`cached_route`: repeated flows over the same placed
     design re-hydrate their route trees from disk instead of re-routing.
@@ -260,7 +295,7 @@ def place_and_route(
     num_ios = netlist.num_io_blocks()
     if arch is None:
         arch = auto_size(num_logic, num_ios, channel_width=channel_width)
-    device = build_device(arch)
+    device = _shared_device(arch)
     if cache is None:
         cache = PaRCache.from_env()
 

@@ -8,18 +8,25 @@ present-congestion penalty grows and a history cost accumulates (PathFinder).
 One search kernel lives behind :func:`route` (plus the opt-in
 ``objective="timing"`` that blends STA criticalities into its costs --
 see :func:`route`): a scalar directed search over the pin-filtered search
-view.  The wavefront expands over SOURCE/OPIN/CHANX/CHANY nodes only;
-input pins and sinks are reached through precomputed per-sink *entry maps*
-instead of being flooded, every expansion is pruned to the net's terminal
-bounding box (with a full-graph retry on the rare in-box failure), and the
-heap is keyed on ``cost + lookahead`` where the lookahead is the
-admissible Manhattan bound built from the precomputed RR-node coordinates.
-Re-routing is incremental at *connection* granularity: after the first
-iteration only the congested connections of congested nets (plus the
-branches that hang off them) are ripped up and re-routed; untouched
-branches keep their paths across iterations.  The expansion loop runs as
-compiled C when the native backend is available (:mod:`repro.native.astar`,
-bit-identical routes) and as the pure-Python twin otherwise.
+view.  The wavefront expands over SOURCE/OPIN/CHANX/CHANY nodes only; a
+search completes from a wire next to the target block through that
+block's cheapest input pin instead of flooding every input pin it passes,
+every expansion is pruned to the net's terminal bounding box (with a
+full-graph retry on the rare in-box failure), and the heap is keyed on
+``cost + lookahead`` where the lookahead is the admissible Manhattan bound
+built from the precomputed RR-node coordinates.  Re-routing is
+incremental at *connection* granularity: after the first iteration only
+the congested connections of congested nets (plus the branches that hang
+off them) are ripped up and re-routed; untouched branches keep their
+paths across iterations.
+
+PathFinder's outer loop -- the per-iteration cost refresh, history and
+``pres_fac``, the failure predictor, the timing retimer, telemetry and
+the per-net deadline poll -- is Python.  Everything inside one net (rip-up,
+sink order, searches, backtrace, occupancy and congestion costs, the
+net's connection records) is one compiled call per net when the native
+backend is available (:mod:`repro.native.astar`, bit-identical routes),
+and the pure-Python twin :class:`_PythonNets` otherwise.
 
 The original per-edge ``node_cost()`` router is kept as a test oracle in
 ``tests/oracles.py``; this kernel's route quality is re-baselined against
@@ -178,6 +185,8 @@ PREDICT_WINDOW = 3
 PREDICT_MIN_OVERUSE = 20
 #: Expansion margin of the per-net search bounding box.
 BBOX_MARGIN = 3
+#: The search bounds a connection escalates to when its net's box fails.
+_FULL_BOUNDS = (-(1 << 30), 1 << 30, -(1 << 30), 1 << 30)
 #: Criticality cap of the timing objective: every connection keeps paying
 #: at least this slice of the congestion cost.
 MAX_CRITICALITY = 0.95
@@ -243,9 +252,9 @@ def route(
 ) -> RoutingResult:
     """Route all nets of a placed netlist on the device's RR graph.
 
-    The expansion loop runs as compiled C when the native backend is
-    available (:mod:`repro.native`, bit-identical routes) and as the pure
-    Python twin otherwise.  The PathFinder schedule is fixed (see
+    The per-net loop runs as compiled C when the native backend is
+    available (:mod:`repro.native.astar`, bit-identical routes) and as the
+    pure Python twin otherwise.  The PathFinder schedule is fixed (see
     :data:`PRES_FAC_INIT` and the constants next to it), and
     ``max_iterations`` is read only as the loop bound: a route that
     converges at iteration ``k`` returns the same result under every budget
@@ -262,8 +271,8 @@ def route(
     paying a slice of the congestion cost; ``criticality_exponent``
     sharpens the blend.
 
-    ``deadline`` bounds the route's wall time: the router polls it at
-    PathFinder-iteration granularity (and inside long first iterations)
+    ``deadline`` bounds the route's wall time: the router polls it before
+    every PathFinder iteration and before every net it routes or re-routes,
     and raises :class:`~repro.util.resilience.DeadlineExceeded` when it
     expires.  The check is a clock read per poll point -- it never changes
     the search trajectory, so results under a generous deadline are
@@ -380,134 +389,492 @@ def _route_astar(
     abort_hopeless: bool = False,
 ) -> RoutingResult:
     """Directed incremental PathFinder over the pin-filtered search view."""
-    # Set-up (search view, criticality tracker, terminals and search boxes,
-    # native binding) gets its own span so a trace accounts for the time
+    # Set-up (search view, criticality tracker, terminals, the net loop's
+    # binding) gets its own span so a trace accounts for the time
     # par.route spends outside its iterations.
     with span("par.route.setup"):
         rr = device.rr_graph
-        num_nodes = rr.num_nodes
         view = rr.search_view()
-
         base_cost = view.base_cost
         cap_arr = rr.node_capacity.astype(np.int32)
-        history = np.zeros(num_nodes, dtype=np.float64)
+        history = np.zeros(rr.num_nodes, dtype=np.float64)
 
         # Timing objective: per-connection criticalities blend a normalized
         # delay cost into the congestion cost (crit * delay + (1-crit) * cong).
         # The normalization makes a unit wire cost exactly 1.0 in delay terms,
-        # so the Manhattan lookahead below stays admissible under any blend.
+        # so the Manhattan lookahead stays admissible under any blend.
         # Criticalities live in the tracker's flat conn_crit vector, indexed by
-        # connection id (resolved once per sink below) -- no per-connection
-        # dict probes in the search loop, no dict rebuild per iteration.
-        timing_mode = objective == "timing"
-        if timing_mode:
+        # connection id -- no per-connection dict probes in the search loop.
+        tracker = None
+        conn_crit: Optional[np.ndarray] = None
+        cid_of: Optional[Dict[Tuple[int, int], int]] = None
+        delay_arr = np.zeros(0, dtype=np.float64)
+        if objective == "timing":
             from ..timing.sta import CriticalityTracker
 
             tracker = CriticalityTracker(
-                netlist, placement, device,
-                max_criticality=MAX_CRITICALITY, exponent=criticality_exponent,
+                netlist,
+                placement,
+                device,
+                max_criticality=MAX_CRITICALITY,
+                exponent=criticality_exponent,
             )
             conn_crit = tracker.initial_flat()
             cid_of = tracker.conn_index
-            delay_arr: np.ndarray = view.delay_ns / device.arch.wire_hop_delay_ns
-            delay_l: List[float] = delay_arr.tolist()
-        else:
-            tracker = None
-            conn_crit = None
-            cid_of = {}
-            delay_arr = np.zeros(0, dtype=np.float64)
-            delay_l = []
-
-        xs, ys = view.xs, view.ys
-        types = view.types
-        cap = view.capacity
-        entries_of = view.entries_of
-        occupancy = [0] * num_nodes
+            delay_arr = view.delay_ns / device.arch.wire_hop_delay_ns
 
         src_of, sink_of = terminal_rr_nodes(netlist, placement, rr)
+        nets = [
+            (net.id, src_of[net.driver], [sink_of[s] for s in net.sinks])
+            for net in netlist.nets
+        ]
+        # The compiled net loop when the native backend is available, the
+        # pure-Python twin otherwise: bit-identical routes either way (see
+        # repro.native.astar), so which one ran is unobservable in the result.
+        nat = astar_kernel()
+        if nat is not None:
+            router: Any = _NativeNets(nat, rr, view, cap_arr, nets, cid_of, delay_arr)
+        else:
+            router = _PythonNets(rr, view, nets, cid_of, delay_arr)
 
-        net_terms: Dict[int, Tuple[int, List[int]]] = {}
-        net_bbox: Dict[int, Tuple[int, int, int, int]] = {}
-        for net in netlist.nets:
-            source = src_of[net.driver]
-            sinks = [sink_of[s] for s in net.sinks]
-            net_terms[net.id] = (source, sinks)
+    pres_fac = PRES_FAC_INIT
+    iteration = 0
+    success = False
+    aborted = False
+    # Convergence telemetry: plain list appends and clock reads at iteration
+    # granularity -- never an FP input to the search, so trajectory-neutral.
+    tl_overuse: List[int] = []
+    tl_rerouted: List[int] = []
+    tl_wall_ms: List[float] = []
+    route_net = router.route_net
+    next_congested = router.next_congested
+
+    try:
+        for iteration in range(1, max_iterations + 1):
+            if deadline is not None:
+                deadline.check(f"astar iteration {iteration}")
+            it_t0 = time.perf_counter()
+            rerouted = 0
+            # The span covers the whole iteration (cost refresh included), the
+            # same interval iteration_wall_ms records.
+            with span("par.route.iteration", i=iteration):
+                # Refresh the congestion cost vector for this iteration's
+                # pres_fac and history; the net loop keeps the
+                # occupancy-driven entries current as nets are routed.
+                occ_arr = router.occupancy()
+                base_hist = base_cost + history
+                over_arr = occ_arr + 1 - cap_arr
+                cost_arr = np.where(
+                    over_arr > 0, base_hist * (1.0 + pres_fac * over_arr), base_hist
+                )
+                router.set_costs(cost_arr, base_hist, pres_fac, conn_crit)
+
+                if iteration == 1:
+                    rerouted = len(nets)
+                    for k, (nid, _, _) in enumerate(nets):
+                        if deadline is not None:
+                            deadline.check(f"astar net {nid}")
+                        route_net(k, False)
+                else:
+                    # Incremental re-route: only nets that occupy overused
+                    # nodes, and within them only the congested connections.
+                    # The overuse state is live, so a net already healed by
+                    # an earlier re-route in this iteration is skipped and one
+                    # newly congested is picked up.
+                    k = next_congested(0)
+                    while k >= 0:
+                        if deadline is not None:
+                            deadline.check(f"astar net {nets[k][0]}")
+                        route_net(k, True)
+                        rerouted += 1
+                        k = next_congested(k + 1)
+
+            overused = router.overused()
+            tl_overuse.append(overused)
+            tl_rerouted.append(rerouted)
+            tl_wall_ms.append((time.perf_counter() - it_t0) * 1000.0)
+            if not overused:
+                success = True
+                break
+            if abort_hopeless and predict_failure(tl_overuse, max_iterations):
+                aborted = True
+                break
+            router.add_history(history, cap_arr)
+            pres_fac *= PRES_FAC_MULT
+            if tracker is not None:
+                # Re-time the current route trees on the flat forest: the next
+                # iteration's re-routes price against fresh criticalities.
+                conn_crit = tracker.update_flat(router.forest())
+
+        telemetry = {
+            "native": nat is not None,
+            "overuse_per_iteration": tl_overuse,
+            "rerouted_nets_per_iteration": tl_rerouted,
+            "iteration_wall_ms": tl_wall_ms,
+            "nodes_expanded": router.nodes_expanded(),
+            "sta_retimes": tracker.updates if tracker is not None else 0,
+        }
+        with span("par.route.forest"):
+            result = _assemble_result(
+                rr,
+                router.occupancy(),
+                cap_arr,
+                success,
+                iteration,
+                router.forest(),
+                telemetry=telemetry,
+            )
+    finally:
+        router.close()
+    result.aborted = aborted
+    return result
+
+
+def _unreachable(net_id: int) -> RuntimeError:
+    return RuntimeError(
+        f"net {net_id} could not reach its sink; the device is too "
+        "small or the channel width is insufficient even with "
+        "congestion allowed"
+    )
+
+
+class _NativeNets:
+    """The per-net half of PathFinder behind :func:`_route_astar`'s loop.
+
+    Net ``k`` is the ``k``-th net of the netlist.  :meth:`route_net`
+    routes all of a net's sinks, or with ``reroute`` rips up and re-routes
+    only its congested connections, updating occupancy, the live
+    congestion costs and the overuse state as it goes;
+    :meth:`next_congested` finds the next net whose tree holds an overused
+    node.  This one makes one compiled call per routed net
+    (:mod:`repro.native.astar`); :class:`_PythonNets` is its twin.
+    """
+
+    def __init__(
+        self,
+        nat,
+        rr: RRGraph,
+        view,
+        cap_arr: np.ndarray,
+        nets: List[Tuple[int, int, List[int]]],
+        cid_of: Optional[Dict[Tuple[int, int], int]],
+        delay_arr: np.ndarray,
+    ) -> None:
+        self._nat = nat
+        self._rr = rr
+        self._net_ids = [nid for nid, _, _ in nets]
+        self._occ = np.zeros(rr.num_nodes, dtype=np.int32)
+        self._over = np.zeros(rr.num_nodes, dtype=np.uint8)
+        self._stats = np.zeros(2, dtype=np.int64)
+        self._delay = delay_arr
+        self._routed = False
+        counts = [len(sinks) for _, _, sinks in nets]
+        sink_ptr = np.zeros(len(nets) + 1, dtype=np.int64)
+        np.cumsum(counts, out=sink_ptr[1:])
+        flat = [t for _, _, sinks in nets for t in sinks]
+        sources = np.array([src for _, src, _ in nets], dtype=np.int64)
+        cids = None
+        if cid_of is not None:
+            cids = np.array(
+                [cid_of.get((nid, t), -1) for nid, _, sinks in nets for t in sinks],
+                dtype=np.int64,
+            )
+        # Nets are routed in netlist order but stored by ascending id.
+        ids = np.array(self._net_ids, dtype=np.int32)
+        self._order = np.argsort(ids, kind="stable").astype(np.int64)
+        self._sorted_ids = ids[self._order]
+        self._sorted_sources = sources[self._order].astype(np.int32)
+        nat.bind_graph(view, rr, ASTAR_FAC, _PIN_FLOOR, BBOX_MARGIN)
+        nat.bind_state(
+            self._occ,
+            cap_arr,
+            self._over,
+            self._stats,
+            sources,
+            sink_ptr,
+            np.array(flat, dtype=np.int64),
+            cids,
+        )
+
+    def set_costs(self, cost, base_hist, pres_fac, conn_crit) -> None:
+        self._nat.set_costs(cost, base_hist, self._delay, conn_crit, pres_fac)
+
+    def route_net(self, k: int, reroute: bool) -> None:
+        rc = self._nat.route_net(k, reroute)
+        if rc < 0:
+            if rc == -3:
+                raise MemoryError("native astar: scratch allocation failed")
+            raise _unreachable(self._net_ids[k])
+        self._routed = True
+
+    def next_congested(self, start: int) -> int:
+        return self._nat.next_congested(start)
+
+    def occupancy(self) -> np.ndarray:
+        return self._occ
+
+    def overused(self) -> int:
+        return int(self._stats[1])
+
+    def add_history(self, history, cap) -> None:
+        idx = np.flatnonzero(self._over)
+        history[idx] += HIST_FAC * (self._occ[idx] - cap[idx])
+
+    def nodes_expanded(self) -> int:
+        return int(self._stats[0])
+
+    def forest(self) -> RouteForest:
+        if not self._routed:
+            return build_route_forest([], self._rr)
+        a = self._nat.export_forest(self._order)
+        return RouteForest(
+            num_rr_nodes=self._rr.num_nodes,
+            net_id=self._sorted_ids,
+            net_source=self._sorted_sources,
+            conn_net=np.repeat(self._sorted_ids, np.diff(a["net_ptr"])),
+            **a,
+        )
+
+    def close(self) -> None:
+        self._nat.release()
+
+
+class _PythonNets:
+    """The pure-Python twin of :class:`_NativeNets`, with the same methods."""
+
+    def __init__(
+        self,
+        rr: RRGraph,
+        view,
+        nets: List[Tuple[int, int, List[int]]],
+        cid_of: Optional[Dict[Tuple[int, int], int]],
+        delay_arr: np.ndarray,
+    ) -> None:
+        self._rr = rr
+        num_nodes = rr.num_nodes
+        xs, ys = view.xs, view.ys
+        self._xs, self._ys, self._types = xs, ys, view.types
+        self._cap = view.capacity
+        self._adj = view.adj_search
+        self._entries_of = view.entries_of
+        self._occupancy = [0] * num_nodes
+        self._visited = [0] * num_nodes
+        self._csf = [0.0] * num_nodes
+        self._prev = [-1] * num_nodes
+        self._generation = 0
+        self._expanded = [0]
+        self._cid_of = cid_of
+        self._delay_l: List[float] = delay_arr.tolist()
+        self._conn_crit: Optional[np.ndarray] = None
+        self._cost: List[float] = []
+        self._bh: List[float] = []
+        self._pres_fac = PRES_FAC_INIT
+        # Live set of strictly-overused nodes, maintained by _bump(): the
+        # congestion scans stay proportional to the overuse, never to the
+        # graph, and see occupancy changes from earlier re-routes in the
+        # same iteration (which is what makes the negotiation converge).
+        self._over_now: Set[int] = set()
+
+        self._nets = nets
+        self._bbox: List[Tuple[int, int, int, int]] = []
+        for _, source, sinks in nets:
             txs = [xs[source]] + [xs[t] for t in sinks]
             tys = [ys[source]] + [ys[t] for t in sinks]
-            net_bbox[net.id] = (
-                min(txs) - BBOX_MARGIN, max(txs) + BBOX_MARGIN,
-                min(tys) - BBOX_MARGIN, max(tys) + BBOX_MARGIN,
+            self._bbox.append(
+                (
+                    min(txs) - BBOX_MARGIN,
+                    max(txs) + BBOX_MARGIN,
+                    min(tys) - BBOX_MARGIN,
+                    max(tys) + BBOX_MARGIN,
+                )
             )
-        full_bounds = (-(1 << 30), 1 << 30, -(1 << 30), 1 << 30)
+        # Per-net route trees are kept as ordered *connections* -- one
+        # ``(target, path, attach)`` triple per sink, where ``path`` lists the
+        # nodes this connection added to the tree (target first) and
+        # ``attach`` is the existing tree node the path grew from.  A
+        # duplicate sink (two net pins on one block) is ``(target, [], target)``.
+        self._conns: Dict[int, List[Tuple[int, List[int], int]]] = {}
+        # Live per-net forest fragments, emitted connection-by-connection as
+        # the router backtraces, and each net's node -> local-position map
+        # (whose keys are the net's tree nodes): forest() freezes the
+        # fragments written since its last call and assembles them all.
+        self._frag: Dict[int, _NetFragment] = {}
+        self._frag_pos: Dict[int, Dict[int, int]] = {}
+        self._unfrozen: Set[int] = set()
 
-        generation = 0
+    def set_costs(self, cost, base_hist, pres_fac, conn_crit) -> None:
+        self._cost = cost.tolist()
+        self._bh = base_hist.tolist()
+        self._pres_fac = pres_fac
+        self._conn_crit = conn_crit
 
-        IPIN = RRNodeType.IPIN
-        SINK = RRNodeType.SINK
-        heappush = heapq.heappush
-        heappop = heapq.heappop
+    def occupancy(self) -> np.ndarray:
+        return np.asarray(self._occupancy, dtype=np.int32)
 
-        # Native backend: the compiled expansion loop reads the search view's
-        # CSR directly and keeps the per-search visited/cost/prev planes in
-        # int64/float64 arrays it shares with this function.  It is a
-        # bit-identical twin of the _search closure below (same routes, same
-        # trajectories -- see repro.native.astar), so which backend ran is
-        # unobservable in the result.  None -> pure-Python kernels.
-        nat = astar_kernel()
-        # Nodes-expanded counter: the native kernel accumulates into the int64
-        # out-param array, the Python twin into the one-slot list cell -- same
-        # definition (one count per adjacency scan), integer-only either way.
-        nat_stats = np.zeros(1, dtype=np.int64)
-        py_expanded = [0]
-        if nat is not None:
-            adj: List[List[int]] = []       # Python-twin mirror, never built here
-            visited_gen: List[int] = []     # unused; the arrays below replace them
-            cost_so_far: List[float] = []
-            prev_node: List[int] = []
-            nat_visited = np.zeros(num_nodes, dtype=np.int64)
-            nat_csf = np.zeros(num_nodes, dtype=np.float64)
-            nat_prev = np.full(num_nodes, -1, dtype=np.int64)
-            nat_tree_mark = np.zeros(num_nodes, dtype=np.int64)
-            nat_out = np.empty(num_nodes + 1, dtype=np.int64)
-            nat_ntype = np.ascontiguousarray(rr.node_type, dtype=np.int8)
-            nat.bind(
-                view.csr_ptr, view.csr_dst, view.xs_arr, view.ys_arr, nat_ntype,
-                int(IPIN), int(SINK), nat_visited, nat_csf, nat_prev,
-                nat_tree_mark, ASTAR_FAC, _PIN_FLOOR, nat_stats,
-            )
-            entry_csr = view.entry_csr
-        else:
-            adj = view.adj_search
-            visited_gen = [0] * num_nodes
-            cost_so_far = [0.0] * num_nodes
-            prev_node = [-1] * num_nodes
+    def overused(self) -> int:
+        return len(self._over_now)
 
-    bh: List[float] = []
-    cost: List[float] = []
-    pres_fac = PRES_FAC_INIT
-    # Live set of strictly-overused nodes, maintained by bump(): the
-    # congestion scans below stay proportional to the overuse, never to the
-    # graph, and see occupancy changes from earlier re-routes in the same
-    # iteration (which is what makes the negotiation converge).
-    over_now: Set[int] = set()
+    def add_history(self, history, cap) -> None:
+        occupancy, cap_l = self._occupancy, self._cap
+        for n in self._over_now:
+            history[n] += HIST_FAC * (occupancy[n] - cap_l[n])
 
-    def bump(n: int, d: int) -> None:
+    def nodes_expanded(self) -> int:
+        return self._expanded[0]
+
+    def forest(self) -> RouteForest:
+        for nid in self._unfrozen:
+            self._frag[nid].freeze()
+        self._unfrozen.clear()
+        return build_route_forest(sorted(self._frag.items()), self._rr)
+
+    def close(self) -> None:
+        """Nothing to free: the twin's state is ordinary Python objects."""
+
+    def next_congested(self, start: int) -> int:
+        over_now = self._over_now
+        for k in range(start, len(self._nets)):
+            if not over_now.isdisjoint(self._frag_pos[self._nets[k][0]]):
+                return k
+        return -1
+
+    def _bump(self, n: int, d: int) -> None:
+        occupancy = self._occupancy
         occupancy[n] += d
-        over = occupancy[n] + 1 - cap[n]
+        over = occupancy[n] + 1 - self._cap[n]
         if over > 0:
-            cost[n] = bh[n] * (1.0 + pres_fac * over)
+            self._cost[n] = self._bh[n] * (1.0 + self._pres_fac * over)
             if over > 1:
-                over_now.add(n)
+                self._over_now.add(n)
             elif d < 0:
-                over_now.discard(n)
+                self._over_now.discard(n)
         else:
-            cost[n] = bh[n]
+            self._cost[n] = self._bh[n]
             if d < 0:
-                over_now.discard(n)
+                self._over_now.discard(n)
+
+    def route_net(self, k: int, reroute: bool) -> None:
+        net_id, source, sinks = self._nets[k]
+        if reroute:
+            self._reroute_net(k)
+            return
+        tree: List[int] = [source]
+        tree_set: Set[int] = {source}
+        # Route sinks farthest-first (VPR heuristic).
+        xs, ys = self._xs, self._ys
+        sx, sy = xs[source], ys[source]
+        order = sorted(sinks, key=lambda t: -(abs(xs[t] - sx) + abs(ys[t] - sy)))
+        conns: List[Tuple[int, List[int], int]] = []
+        self._conns[net_id] = conns
+        self._frag[net_id] = _NetFragment(source)
+        self._frag_pos[net_id] = {source: -1}
+        self._unfrozen.add(net_id)
+        self._route_connections(k, order, tree, tree_set, conns)
+
+    def _reroute_net(self, k: int) -> None:
+        """Rip up and re-route only the congested connections of one net.
+
+        A connection is ripped when its own nodes are overused or when it
+        attaches to (or targets) a node owned by a ripped earlier connection;
+        connections are stored in route order, so one forward scan closes the
+        dependency chain.
+        """
+        net_id, source, _ = self._nets[k]
+        over_now = self._over_now
+        kept: List[Tuple[int, List[int], int]] = []
+        ripped: List[Tuple[int, List[int], int]] = []
+        ripped_nodes: Set[int] = set()
+        for conn in self._conns[net_id]:
+            target, path, attach = conn
+            usage = path if path else [target]
+            if (
+                attach in ripped_nodes
+                or target in ripped_nodes
+                or not over_now.isdisjoint(usage)
+            ):
+                ripped.append(conn)
+                ripped_nodes.update(usage)
+            else:
+                kept.append(conn)
+        if not ripped:
+            return
+        for target, path, _ in ripped:
+            for n in (path if path else [target]):
+                self._bump(n, -1)
+        tree = [source]
+        tree_set = {source}
+        for _, path, _ in kept:
+            for n in path:
+                tree.append(n)
+                tree_set.add(n)
+        # Restart the net's live fragment from the kept connections; the
+        # re-routed ones are appended by _route_connections as they land.
+        frag = _NetFragment(source)
+        pos_of: Dict[int, int] = {source: -1}
+        for target, path, attach in kept:
+            _append_conn(frag, pos_of, target, path, attach)
+        self._frag[net_id] = frag
+        self._frag_pos[net_id] = pos_of
+        self._unfrozen.add(net_id)
+        new_conns: List[Tuple[int, List[int], int]] = []
+        self._route_connections(k, [c[0] for c in ripped], tree, tree_set, new_conns)
+        self._conns[net_id] = kept + new_conns
+
+    def _route_connections(
+        self,
+        k: int,
+        order: List[int],
+        tree: List[int],
+        tree_set: Set[int],
+        conns: List[Tuple[int, List[int], int]],
+    ) -> None:
+        net_id = self._nets[k][0]
+        frag = self._frag[net_id]
+        pos_of = self._frag_pos[net_id]
+        # A too-tight box can starve a congested net of detour room;
+        # escalate to the net terminal box and then the whole device
+        # before giving up.
+        escalation = (self._bbox[k], _FULL_BOUNDS)
+        bump = self._bump
+        prev_node = self._prev
+        for target in order:
+            if target in tree_set:
+                bump(target, 1)
+                conns.append((target, [], target))
+                _append_conn(frag, pos_of, target, [], target)
+                continue
+            crt = 0.0
+            if self._cid_of is not None:
+                cid = self._cid_of.get((net_id, target))
+                if cid is not None:
+                    crt = float(self._conn_crit[cid])
+            for box in escalation:
+                self._generation += 1
+                if self._search(target, tree, self._generation, box, ASTAR_FAC, crt):
+                    break
+            else:
+                raise _unreachable(net_id)
+            # Backtrace and merge the new path into the route tree.
+            path = []
+            n = target
+            while n not in tree_set:
+                path.append(n)
+                n = prev_node[n]
+            for p in path:
+                tree_set.add(p)
+                tree.append(p)
+                bump(p, 1)
+            conns.append((target, path, n))
+            _append_conn(frag, pos_of, target, path, n)
 
     def _search(
-        target: int, tree: List[int], gen: int,
-        bounds: Tuple[int, int, int, int], fac: float, crt: float = 0.0,
+        self,
+        target: int,
+        tree: List[int],
+        gen: int,
+        bounds: Tuple[int, int, int, int],
+        fac: float,
+        crt: float = 0.0,
     ) -> bool:
         """One directed wavefront from the route tree to ``target``.
 
@@ -515,19 +882,20 @@ def _route_astar(
         (0.0 in wirelength mode): every node cost blends to
         ``(1-crt) * congestion + crt * delay``.
         """
-        # Bind the hot closure variables as locals: the expansion loop below
-        # runs millions of times per route and LOAD_FAST is measurably
-        # cheaper than LOAD_DEREF.
-        xs_l, ys_l, adj_l, cost_l = xs, ys, adj, cost
-        visited_l, csf_l, prev_l = visited_gen, cost_so_far, prev_node
-        push, pop = heappush, heappop
-        exp_l = py_expanded
-        dly_l = delay_l
+        # Bind the hot attributes as locals: the expansion loop below runs
+        # millions of times per route and LOAD_FAST is measurably cheaper.
+        xs_l, ys_l, adj_l, cost_l = self._xs, self._ys, self._adj, self._cost
+        visited_l, csf_l, prev_l = self._visited, self._csf, self._prev
+        types = self._types
+        push, pop = heapq.heappush, heapq.heappop
+        exp_l = self._expanded
+        dly_l = self._delay_l
+        IPIN, SINK = RRNodeType.IPIN, RRNodeType.SINK
         omc = 1.0 - crt
         pf = _PIN_FLOOR if crt == 0.0 else omc * _PIN_FLOOR
         xlo, xhi, ylo, yhi = bounds
         tx, ty = xs_l[target], ys_l[target]
-        entry_get = entries_of(target).get
+        entry_get = self._entries_of(target).get
         t_cost = cost_l[target]
         if crt:
             t_cost = omc * t_cost + crt * dly_l[target]
@@ -676,248 +1044,6 @@ def _route_astar(
                     break
                 f, g, n = chase_f, chase_g, chase_m
         return best < float("inf")
-
-    # Per-net route trees are kept as ordered *connections* -- one
-    # ``(target, path, attach)`` triple per sink, where ``path`` lists the
-    # nodes this connection added to the tree (target first) and ``attach``
-    # is the existing tree node the path grew from.  A duplicate sink (two
-    # net pins on one block) is recorded as ``(target, [], target)``.
-    net_conns: Dict[int, List[Tuple[int, List[int], int]]] = {}
-
-    # Live per-net forest fragments, emitted connection-by-connection as the
-    # router backtraces (native and Python paths alike), and each net's
-    # node -> local-position map (whose keys are the net's tree nodes): the
-    # flat forest and the re-time loop never rebuild a fragment from a
-    # net's connection list -- _forest below just freezes the fragments
-    # written since its last call and assembles them all.
-    frag_of: Dict[int, _NetFragment] = {}
-    frag_pos: Dict[int, Dict[int, int]] = {}
-    unfrozen: Set[int] = set()
-
-    def _forest() -> RouteForest:
-        for nid in unfrozen:
-            frag_of[nid].freeze()
-        unfrozen.clear()
-        return build_route_forest(sorted(frag_of.items()), rr)
-
-    def _route_connections(
-        net_id: int,
-        order: List[int],
-        tree: List[int],
-        tree_set: Set[int],
-        conns: List[Tuple[int, List[int], int]],
-    ) -> None:
-        nonlocal generation
-        if deadline is not None:
-            deadline.check(f"astar net {net_id}")
-        frag = frag_of[net_id]
-        pos_of = frag_pos[net_id]
-        escalation = (net_bbox[net_id], full_bounds)
-        for target in order:
-            if target in tree_set:
-                bump(target, 1)
-                conns.append((target, [], target))
-                _append_conn(frag, pos_of, target, [], target)
-                continue
-            if timing_mode:
-                cid = cid_of.get((net_id, target))
-                crt = float(conn_crit[cid]) if cid is not None else 0.0
-            else:
-                crt = 0.0
-            # A too-tight box can starve a congested net of detour room;
-            # escalate to the net terminal box and then the whole device
-            # before giving up.
-            if nat is not None:
-                ew_wire, ew_ptr, ew_ipin = entry_csr(target)
-                tree_arr = np.asarray(tree, dtype=np.int64)
-                npath = 0
-                for box in escalation:
-                    generation += 1
-                    npath = nat.search(
-                        generation, tree_arr, target,
-                        ew_wire, ew_ptr, ew_ipin, box, crt, nat_out,
-                    )
-                    if npath > 0:
-                        break
-                if npath <= 0:
-                    raise RuntimeError(
-                        f"net {net_id} could not reach its sink; the device is too "
-                        "small or the channel width is insufficient even with "
-                        "congestion allowed"
-                    )
-                # The compiled kernel backtraced already: nat_out holds the
-                # new path sink-first and the tree node it attaches to.
-                path = nat_out[:npath].tolist()
-                n = int(nat_out[npath])
-            else:
-                found = False
-                for box in escalation:
-                    generation += 1
-                    if _search(target, tree, generation, box, ASTAR_FAC, crt):
-                        found = True
-                        break
-                if not found:
-                    raise RuntimeError(
-                        f"net {net_id} could not reach its sink; the device is too "
-                        "small or the channel width is insufficient even with "
-                        "congestion allowed"
-                    )
-                # Backtrace and merge the new path into the route tree.
-                path = []
-                n = target
-                while n not in tree_set:
-                    path.append(n)
-                    n = prev_node[n]
-            for p in path:
-                tree_set.add(p)
-                tree.append(p)
-                bump(p, 1)
-            conns.append((target, path, n))
-            _append_conn(frag, pos_of, target, path, n)
-
-    def route_net(net_id: int) -> None:
-        source, sinks = net_terms[net_id]
-        tree: List[int] = [source]
-        tree_set: Set[int] = {source}
-        # Route sinks farthest-first (VPR heuristic).
-        sx, sy = xs[source], ys[source]
-        order = sorted(sinks, key=lambda t: -(abs(xs[t] - sx) + abs(ys[t] - sy)))
-        conns: List[Tuple[int, List[int], int]] = []
-        net_conns[net_id] = conns
-        frag_of[net_id] = _NetFragment(source)
-        frag_pos[net_id] = {source: -1}
-        unfrozen.add(net_id)
-        _route_connections(net_id, order, tree, tree_set, conns)
-
-    def reroute_net(net_id: int) -> None:
-        """Rip up and re-route only the congested connections of one net.
-
-        A connection is ripped when its own nodes are overused or when it
-        attaches to (or targets) a node owned by a ripped earlier connection;
-        connections are stored in route order, so one forward scan closes the
-        dependency chain.
-        """
-        source = net_terms[net_id][0]
-        kept: List[Tuple[int, List[int], int]] = []
-        ripped: List[Tuple[int, List[int], int]] = []
-        ripped_nodes: Set[int] = set()
-        for conn in net_conns[net_id]:
-            target, path, attach = conn
-            usage = path if path else [target]
-            if (
-                attach in ripped_nodes
-                or target in ripped_nodes
-                or not over_now.isdisjoint(usage)
-            ):
-                ripped.append(conn)
-                ripped_nodes.update(usage)
-            else:
-                kept.append(conn)
-        if not ripped:
-            return
-        for target, path, _ in ripped:
-            for n in (path if path else [target]):
-                bump(n, -1)
-        tree = [source]
-        tree_set = {source}
-        for _, path, _ in kept:
-            for n in path:
-                tree.append(n)
-                tree_set.add(n)
-        # Restart the net's live fragment from the kept connections; the
-        # re-routed ones are appended by _route_connections as they land.
-        frag = _NetFragment(source)
-        pos_of: Dict[int, int] = {source: -1}
-        for target, path, attach in kept:
-            _append_conn(frag, pos_of, target, path, attach)
-        frag_of[net_id] = frag
-        frag_pos[net_id] = pos_of
-        unfrozen.add(net_id)
-        new_conns: List[Tuple[int, List[int], int]] = []
-        _route_connections(
-            net_id, [c[0] for c in ripped], tree, tree_set, new_conns
-        )
-        net_conns[net_id] = kept + new_conns
-
-    iteration = 0
-    success = False
-    aborted = False
-    net_ids = [net.id for net in netlist.nets]
-    # Convergence telemetry: plain list appends and clock reads at iteration
-    # granularity -- never an FP input to the search, so trajectory-neutral.
-    tl_overuse: List[int] = []
-    tl_rerouted: List[int] = []
-    tl_wall_ms: List[float] = []
-
-    for iteration in range(1, max_iterations + 1):
-        if deadline is not None:
-            deadline.check(f"astar iteration {iteration}")
-        it_t0 = time.perf_counter()
-        rerouted = 0
-        # The span covers the whole iteration (cost refresh included), the
-        # same interval iteration_wall_ms records.
-        with span("par.route.iteration", i=iteration):
-            # Refresh the congestion cost vector for this iteration's pres_fac
-            # and history (occupancy-driven entries are kept current by bump()).
-            occ_arr = np.asarray(occupancy, dtype=np.int32)
-            base_hist = base_cost + history
-            over_arr = occ_arr + 1 - cap_arr
-            cost_arr = np.where(over_arr > 0, base_hist * (1.0 + pres_fac * over_arr), base_hist)
-            bh = base_hist.tolist()
-            if nat is not None:
-                # bump() writes through this array, so the compiled kernel sees
-                # the live congestion costs -- the same bits the list twin holds.
-                cost = cost_arr
-                nat.set_costs(cost_arr, delay_arr if timing_mode else cost_arr)
-            else:
-                cost = cost_arr.tolist()
-
-            if iteration == 1:
-                rerouted = len(net_ids)
-                for nid in net_ids:
-                    route_net(nid)
-            else:
-                # Incremental re-route: only nets that occupy congested nodes,
-                # and within them only the congested connections.  over_now is
-                # live, so a net already healed by an earlier re-route in this
-                # iteration is skipped and one newly congested is picked up.
-                for nid in net_ids:
-                    if not over_now.isdisjoint(frag_pos[nid]):
-                        reroute_net(nid)
-                        rerouted += 1
-
-        tl_overuse.append(len(over_now))
-        tl_rerouted.append(rerouted)
-        tl_wall_ms.append((time.perf_counter() - it_t0) * 1000.0)
-        if not over_now:
-            success = True
-            break
-        if abort_hopeless and predict_failure(tl_overuse, max_iterations):
-            aborted = True
-            break
-        for n in over_now:
-            history[n] += HIST_FAC * (occupancy[n] - cap[n])
-        pres_fac *= PRES_FAC_MULT
-        if timing_mode:
-            # Re-time the current route trees on the flat forest: the next
-            # iteration's re-routes price against fresh criticalities.
-            conn_crit = tracker.update_flat(_forest())
-
-    telemetry = {
-        "native": nat is not None,
-        "overuse_per_iteration": tl_overuse,
-        "rerouted_nets_per_iteration": tl_rerouted,
-        "iteration_wall_ms": tl_wall_ms,
-        "nodes_expanded": int(nat_stats[0]) if nat is not None else py_expanded[0],
-        "sta_retimes": tracker.updates if tracker is not None else 0,
-    }
-    with span("par.route.forest"):
-        result = _assemble_result(
-            rr, np.asarray(occupancy, dtype=np.int32), cap_arr,
-            success, iteration, _forest(), telemetry=telemetry,
-        )
-    result.aborted = aborted
-    return result
 
 
 def _assemble_result(

@@ -14,6 +14,7 @@ from repro.fpga.architecture import FPGAArchitecture, auto_size
 from repro.fpga.bitstream import Bitstream, ConfigurationLayout
 from repro.fpga.device import build_device, device_for_netlist
 from repro.fpga.routing_graph import RouterSearchView, RRNodeType, build_rr_graph
+from repro.native.astar import astar_kernel
 from repro.par.netlist import PhysicalNetlist
 from repro.par.placement import place
 from repro.par.routing import route
@@ -137,25 +138,58 @@ class TestRRGraph:
         sink = rr.clb_sink[(1, 1)]
         assert rr.node_capacity[sink] == arch.lut_inputs
 
-    def test_entry_csr_matches_entries_of(self, small_graph):
-        """The native entry maps equal the CSR of the Python ones, with each
-        wire's ipins in the same order (astar's completion tie-break takes
-        the first minimum)."""
+    def test_kernel_completion_matches_entries_of(self, small_graph):
+        """The compiled search completes into a sink through the pin the
+        Python twin's entry map picks -- the first cheapest of a list in
+        ascending pin id -- for every (wire, sink) pair, under the
+        wirelength and the timing blend, including a crafted equal-cost tie
+        between two pins of one sink that the wire's out-edges list in
+        descending id order."""
+        nat = astar_kernel()
+        if nat is None:
+            pytest.skip("native backend unavailable")
         _, rr = small_graph
         view = RouterSearchView(rr)
-        multi_pin_wires = 0
-        for sink in range(rr.num_nodes):
-            if rr.node_type[sink] != RRNodeType.SINK:
-                continue
-            entry = view.entries_of(sink)
-            wires, ptr, ipins = view.entry_csr(sink)
-            assert wires.dtype == ptr.dtype == ipins.dtype == np.int64
-            assert wires.tolist() == sorted(entry)
-            assert ptr.tolist()[0] == 0 and ptr.tolist()[-1] == len(ipins)
-            for i, wire in enumerate(wires.tolist()):
-                assert ipins[ptr[i]: ptr[i + 1]].tolist() == entry[wire]
-            multi_pin_wires += sum(len(pins) > 1 for pins in entry.values())
-        assert multi_pin_wires > 0  # the order check is not vacuous
+        types = rr.node_type
+        sinks = np.flatnonzero(types == RRNodeType.SINK).tolist()
+        wires = np.flatnonzero(rr.wire_mask()).tolist()
+        rng = np.random.default_rng(0)
+        delay = rng.integers(0, 3, rr.num_nodes) * 0.25  # coarse: many ties
+        noisy = view.base_cost + rng.integers(0, 3, rr.num_nodes) * 0.5
+        nat.bind_graph(view, rr, 1.1, 1.0, 3)
+
+        def twin_pin(pins, cost, crit):
+            if crit:
+                blend = [(1.0 - crit) * cost[q] + crit * delay[q] for q in pins]
+            else:
+                blend = [cost[q] for q in pins]
+            return pins[blend.index(min(blend))]
+
+        # A wire with several pins into one sink: its last two pins tie as
+        # the cheapest, so the lower id must win, not the first or last seen.
+        tie = next(
+            (w, sink, pins[-1], pins[-2])
+            for sink in sinks
+            for w, pins in view.entries_of(sink).items()
+            if len(pins) > 2
+        )
+        w, sink, hi, lo = tie
+        crafted = view.base_cost.copy()
+        crafted[view.entries_of(sink)[w]] = 5.0
+        crafted[[hi, lo]] = 0.5
+        for crit in (0.0, 0.5):
+            nat.set_costs(crafted, crafted, np.zeros(rr.num_nodes), None, 1.0)
+            assert nat.entry_pin(w, sink, crit) == lo
+
+        for cost in (view.base_cost.copy(), noisy):
+            for crit in (0.0, 0.5):
+                nat.set_costs(cost, cost, delay, None, 1.0)
+                for sink in sinks:
+                    entry = view.entries_of(sink)
+                    for w in wires:
+                        pins = entry.get(w)
+                        want = -1 if pins is None else twin_pin(pins, cost, crit)
+                        assert nat.entry_pin(w, sink, crit) == want, (w, sink, crit)
 
     def test_arrays_are_read_only(self, small_graph):
         _, rr = small_graph
@@ -208,9 +242,11 @@ class TestRRGraph:
         with gc_disabled():
             device = build_device(arch)
             assert route(nl, placement, device).success
-            refs = weakref.ref(device), weakref.ref(device.rr_graph)
-            del device
-            assert [r() for r in refs] == [None, None]
+            rr = device.rr_graph
+            # The graph's arrays too: the router's native binding keeps none.
+            refs = [weakref.ref(obj) for obj in (device, rr, rr.edge_dst, rr.node_type)]
+            del device, rr
+            assert [r() for r in refs] == [None] * 4
 
     def test_device_bundle(self):
         device = device_for_netlist(num_luts=20, num_ios=10, channel_width=6)

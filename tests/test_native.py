@@ -7,7 +7,7 @@ The contract under test (see ``src/repro/native/``):
 * every failure mode -- ``REPRO_NATIVE=0``, no compiler on PATH, a failed
   compile, the ``native.compile`` fault point -- degrades to the Python
   kernels with the flow fully functional;
-* the compiled astar expansion loop and annealer move loop are
+* the compiled astar net loop and annealer move loop are
   **bit-identical twins** of their Python kernels: same routes, same
   placements, same exact-int costs and counters, across the bench seeds,
   in wirelength, weighted, and timing modes.  This is what keeps
@@ -280,19 +280,22 @@ class TestSearchViewMirrors:
         assert route(nl, placement, device).success
         return device.rr_graph.search_view()
 
+    #: The Python twin's lazily built mirrors (cached on the view).
+    MIRRORS = ("xs", "ys", "types", "capacity", "adj_search", "_reverse")
+
     def test_native_route_builds_no_python_mirrors(self, workload):
         assert astar_kernel() is not None
         view = self._fresh_route(workload)
-        assert "adj_search" not in view.__dict__
+        for name in self.MIRRORS:
+            assert name not in view.__dict__, name
         assert view._entries == {}
-        assert view._entry_csr  # the native kernel did read its entry maps
 
     def test_python_route_builds_its_mirrors(self, workload):
         with python_twins():
             view = self._fresh_route(workload)
-        assert "adj_search" in view.__dict__
+        for name in self.MIRRORS:
+            assert name in view.__dict__, name
         assert view._entries
-        assert view._entry_csr == {}
 
 
 @needs_cc

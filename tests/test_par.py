@@ -21,14 +21,17 @@ from repro.core.flows import compare_pe_flows, run_pe_flow
 from repro.fpga.architecture import FPGAArchitecture, auto_size
 from repro.fpga.device import build_device
 from repro.netlist.hdl import Design
+import repro.par.flow as par_flow
 from repro.par.cache import PaRCache
 from repro.par.flow import cached_route, place_and_route, timing_driven_placement
+from repro.par.forest import FOREST_ARRAYS
 from repro.par.metrics import channel_occupancy, minimum_channel_width
 from repro.par.netlist import PhysicalNetlist, from_mapped_network
 from repro.par.placement import hpwl, place, random_placement
 from repro.par.forest import build_route_forest
 from repro.par.routing import RoutingResult, predict_failure, route, route_resilient
 from repro.par.timing import report_from_analysis
+from repro.service.spec import result_digest
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional, map_parameterized
 from repro.timing import analyze, routed_edge_delays
@@ -654,6 +657,66 @@ class TestBatchedPlacementKernel:
         assert a.moves_accepted == b.moves_accepted
         for bid, site in a.placement.block_site.items():
             assert b.placement.block_site[bid].as_tuple() == site.as_tuple()
+
+
+class TestDeviceMemo:
+    """``place_and_route`` shares one device per architecture (per-process LRU)."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        par_flow._devices.clear()
+        yield
+        par_flow._devices.clear()
+
+    @staticmethod
+    def _flow(net):
+        return place_and_route(net, channel_width=8, placement_effort=0.4)
+
+    def test_flows_on_one_architecture_share_one_device(self):
+        net = adder_network(4)
+        a = self._flow(net)
+        b = self._flow(net)
+        assert a.device is b.device
+        assert result_digest(a) == result_digest(b)
+        # A kept result holds no router search view, and the shared graph
+        # is still read-only after both routes.
+        rr = b.device.rr_graph
+        assert "_search_view" not in vars(rr)
+        for name in ("node_type", "node_x", "node_y", "node_track",
+                     "node_capacity", "edge_ptr", "edge_dst"):
+            assert not getattr(rr, name).flags.writeable, name
+
+    def test_shared_device_routes_like_a_fresh_one(self):
+        net = adder_network(4)
+        self._flow(net)
+        shared = self._flow(net)
+        par_flow._devices.clear()
+        fresh = self._flow(net)
+        assert fresh.device is not shared.device
+        assert result_digest(fresh) == result_digest(shared)
+        for name in FOREST_ARRAYS:
+            assert np.array_equal(
+                getattr(fresh.routing.forest, name), getattr(shared.routing.forest, name)
+            ), name
+
+    def test_lru_evicts_the_oldest_architecture(self):
+        archs = [FPGAArchitecture(width=2, height=2, channel_width=w)
+                 for w in range(1, par_flow.DEVICE_MEMO_SIZE + 2)]
+        first = par_flow._shared_device(archs[0])
+        for arch in archs[1:-1]:
+            par_flow._shared_device(arch)
+        assert par_flow._shared_device(archs[0]) is first  # now most recent
+        par_flow._shared_device(archs[-1])  # evicts archs[1], the oldest
+        assert list(par_flow._devices) == [*archs[2:-1], archs[0], archs[-1]]
+        assert par_flow._shared_device(archs[0]) is first
+
+    def test_min_cw_probe_devices_stay_out_of_the_memo(self):
+        result = place_and_route(
+            adder_network(4), channel_width=8, placement_effort=0.4,
+            find_min_channel_width=True, min_cw_bounds=(2, 10),
+        )
+        assert len(result.min_channel_width.attempts) > 1
+        assert list(par_flow._devices) == [result.device.arch]
 
 
 class TestTimingAndFlow:

@@ -501,6 +501,23 @@ class TestRouteResilient:
         assert count_events(events, "kernel-deadline") == 2
         assert count_events(events, "route-retry") == 1
 
+    @pytest.mark.parametrize("native", ["1", "0"])
+    def test_deadline_fires_between_nets_of_the_first_iteration(
+        self, placed_chain, monkeypatch, native
+    ):
+        """The router polls its deadline before every net, so a budget that
+        runs out after ``k`` nets of the first iteration stops the route at
+        net ``k`` -- on the compiled net loop and on the Python twin."""
+        monkeypatch.setenv("REPRO_NATIVE", native)
+        netlist, placement, arch, device = placed_chain
+        k = 3
+        ticks = iter(range(1000))
+        # One tick per clock read: the constructor, the iteration-1 poll,
+        # then one poll per net; the budget lapses at the poll of net k.
+        deadline = Deadline(k + 2, clock=lambda: next(ticks))
+        with pytest.raises(DeadlineExceeded, match=rf"astar net {netlist.nets[k].id}$"):
+            route(netlist, placement, device, deadline=deadline)
+
     def test_exhausted_chain_raises_last_error(self, placed_chain):
         netlist, placement, arch, device = placed_chain
         with fault_plan(FaultPlan.from_spec("route.kernel=error:*")):
