@@ -75,9 +75,11 @@ Three comparisons are made:
   ``lut_configs`` and ``tcon_routes`` on every seeded setting), which
   ``check_quality.py`` gates;
 * **obs** -- the PR 9 observability layer (``src/repro/obs``; see
-  OBSERVABILITY.md): the disabled ``span()`` per-call cost, the traced
-  slowdown of the place+route workload (both gated by
-  ``check_quality.py``), bit-identity of traced vs untraced results, and a
+  OBSERVABILITY.md): the disabled ``span()`` per-call cost and the
+  estimated traced slowdown of the place+route workload (trace records x
+  enabled cost per record / untraced wall time; both gated by
+  ``check_quality.py``), the wall-clock traced/untraced ratios (recorded,
+  not gated), bit-identity of traced vs untraced results, and a
   Chrome-trace artifact (``BENCH_trace.json``) from the traced run.
 """
 
@@ -154,8 +156,10 @@ RECONFIG_CONTEXTS = 24       #: synthetic contexts in the scheduler bench
 RECONFIG_TRACE_LENGTH = 2000  #: requests replayed against the scheduler
 RECONFIG_BUDGET_FRACTION = 0.3  #: context-memory budget / library footprint
 OBS_DISABLED_NS_CEILING = 2000.0  #: disabled span() cost bound, ns/call
-OBS_SLOWDOWN_CEILING = 1.05  #: traced route+place wall-time ratio bound
-OBS_PAIRS = 7                #: interleaved traced/untraced pairs, median ratio gated
+OBS_SLOWDOWN_CEILING = 1.05  #: estimated traced/untraced place+route ratio bound
+OBS_PAIRS = 7                #: interleaved traced/untraced pairs, recorded ungated
+OBS_PROBE_RECORDS = 2000     #: spans per per-record cost probe
+OBS_PROBE_REPEATS = 5        #: probes per size, fastest kept
 RR_BUILD_WIDE = 32          #: width the rr_build section times besides the routing one
 RR_BUILD_REPEATS = 3
 SCG_SETTINGS = 48            #: seeded PE settings specialized per timing pass
@@ -883,22 +887,58 @@ def bench_reconfig(arch):
     }
 
 
+def _trace_record_cost():
+    """Enabled tracing cost: ``(fixed_ns, per_record_ns)``.
+
+    Times ``tracing()`` blocks into a temporary Chrome trace: one with only
+    an outer span (the install, the close-time counter snapshot and the
+    seal: the fixed cost of a traced run) and one with
+    ``OBS_PROBE_RECORDS`` child spans under that outer span (buffered and
+    flushed every 512 records, as a traced workload's records are).  The
+    per-record cost is the difference over the record count.  Each size
+    keeps the fastest of ``OBS_PROBE_REPEATS`` probes.
+    """
+    import tempfile
+
+    from repro.obs.trace import span, tracing
+
+    def probe(path, n):
+        t0 = time.perf_counter_ns()
+        with tracing(path):
+            with span("bench.obs.outer"):
+                for i in range(n):
+                    with span("bench.obs.record", i=i):
+                        pass
+        return time.perf_counter_ns() - t0
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "probe.json")
+        fixed = min(probe(path, 0) for _ in range(OBS_PROBE_REPEATS))
+        full = min(probe(path, OBS_PROBE_RECORDS) for _ in range(OBS_PROBE_REPEATS))
+    return fixed, max(0.0, (full - fixed) / OBS_PROBE_RECORDS)
+
+
 def bench_obs(netlist, arch, placement, width):
     """Observability overhead: disabled span cost + traced-run slowdown.
 
     Two gated claims (see OBSERVABILITY.md): with tracing *disabled* a
     ``span()`` call is one global load plus a ``None`` compare, measured
     here in ns/call; with tracing *enabled* the same place+route workload
-    slows down by at most ``OBS_SLOWDOWN_CEILING`` (interleaved pairs, so
-    machine-load drift hits both sides alike), produces
-    bit-identical results, and leaves a valid Chrome ``trace_event`` file
-    at ``BENCH_trace.json`` (loadable in chrome://tracing / Perfetto;
+    slows down by at most ``OBS_SLOWDOWN_CEILING``, produces bit-identical
+    results, and leaves a valid Chrome ``trace_event`` file at
+    ``BENCH_trace.json`` (loadable in chrome://tracing / Perfetto;
     uploaded as a CI artifact).
 
-    The slowdown is the median of ``OBS_PAIRS`` per-pair traced/untraced
-    ratios; the pairs alternate which side runs first, so neither side
-    always runs on a warmer machine.  A single min-of-3 ratio of ~0.5 s
-    runs moved by several percent between runs of the same tree.
+    The gated slowdown is an estimate that does not move with machine
+    load: the records the traced run wrote times the measured enabled
+    cost of one record, plus the fixed cost of a traced run (see
+    :func:`_trace_record_cost`), over the untraced wall time.  Tracing
+    adds nothing but those records (instrumentation reads clocks and
+    appends records; nothing else runs differently when it is on).  The
+    wall-clock ratios of ``OBS_PAIRS`` interleaved pairs (alternating
+    which side runs first) are recorded next to it, ungated: on a shared
+    2-vCPU host the per-pair ratios of one tree ranged 0.73-1.29, so a
+    1.05 gate on them measured the host, not the tracer.
     """
     from repro.obs.trace import clear as obs_clear
     from repro.obs.trace import span, tracing
@@ -935,7 +975,6 @@ def bench_obs(netlist, arch, placement, width):
         on_times.append(dt_on)
         ratios.append(dt_on / dt_off)
 
-    slowdown = statistics.median(ratios)
     identical = (
         on[0].cost == off[0].cost
         and on[0].placement.block_site == off[0].placement.block_site
@@ -952,20 +991,31 @@ def bench_obs(netlist, arch, placement, width):
     names = {e.get("name") for e in trace_events} if trace_valid else set()
     trace_complete = {"par.place", "par.route", "route.overuse", "place.cost"} <= names
 
+    # The trace file holds the last traced run's records, the
+    # close-time counter snapshot and the seal included.
+    fixed_ns, per_record_ns = _trace_record_cost()
+    untraced_seconds = statistics.median(off_times)
+    overhead_s = (fixed_ns + len(trace_events) * per_record_ns) / 1e9
+    estimated = 1.0 + overhead_s / untraced_seconds
+
     telemetry = on[1].telemetry or {}
     return {
         "workload": (
             f"place(effort={PLACE_EFFORT}) + astar route of {len(netlist.nets)} "
-            f"nets at W={width}, traced vs untraced, median ratio of {OBS_PAIRS} "
+            f"nets at W={width}; gated: trace records x enabled cost per record "
+            f"/ untraced wall time; ungated: median wall-clock ratio of {OBS_PAIRS} "
             "interleaved pairs, order alternated"
         ),
         "disabled_ns_per_call": disabled_ns,
         "disabled_ns_ceiling": OBS_DISABLED_NS_CEILING,
-        "untraced_seconds": statistics.median(off_times),
+        "untraced_seconds": untraced_seconds,
         "traced_seconds": statistics.median(on_times),
-        "pair_ratios": ratios,
-        "traced_slowdown": slowdown,
+        "trace_fixed_ns": fixed_ns,
+        "trace_ns_per_record": per_record_ns,
+        "estimated_slowdown": estimated,
         "slowdown_ceiling": OBS_SLOWDOWN_CEILING,
+        "wall_pair_ratios": ratios,
+        "wall_slowdown": statistics.median(ratios),
         "identical_outputs": identical,
         "trace_path": str(TRACE_PATH),
         "trace_events": len(trace_events),
@@ -976,7 +1026,7 @@ def bench_obs(netlist, arch, placement, width):
         ),
         "ok": (
             disabled_ns <= OBS_DISABLED_NS_CEILING
-            and slowdown <= OBS_SLOWDOWN_CEILING
+            and estimated <= OBS_SLOWDOWN_CEILING
             and identical
             and trace_valid
             and trace_complete
@@ -1138,8 +1188,9 @@ def main() -> int:
             print(
                 f"{name:11s} {flag} disabled span "
                 f"{entry['disabled_ns_per_call']:.0f}ns/call, traced slowdown "
-                f"x{entry['traced_slowdown']:.3f} "
-                f"(untraced {entry['untraced_seconds'] * 1000:.1f}ms), "
+                f"x{entry['estimated_slowdown']:.4f} estimated "
+                f"(wall x{entry['wall_slowdown']:.3f}, "
+                f"untraced {entry['untraced_seconds'] * 1000:.1f}ms), "
                 f"identical={entry['identical_outputs']} "
                 f"trace={entry['trace_events']}ev valid={entry['chrome_trace_valid']}"
             )

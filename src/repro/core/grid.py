@@ -149,12 +149,6 @@ class VCGRAArchitecture:
             if 0 <= cc < self.cols
         ]
 
-    def is_entry_row(self, pos: GridPosition) -> bool:
-        return pos[0] == 0
-
-    def is_exit_row(self, pos: GridPosition) -> bool:
-        return pos[0] == self.rows - 1
-
     def describe(self) -> str:
         return (
             f"{self.rows}x{self.cols} VCGRA: {self.num_pes} PEs, {self.num_vsbs} VSBs, "

@@ -1,11 +1,13 @@
-"""Native (compiled-C) twin of the batched annealer's accept/reject loop.
+"""Native (compiled-C) move step of the annealer.
 
-``repro.par.placement._place_batched`` spends its time in the per-move
-loop: block/site draws, incremental bbox/HPWL deltas, the quantized-int
-timing re-pricing, and the Metropolis accept test.  This module compiles
-one *temperature step* of that loop (see :mod:`repro.native.build`); the
-cooling schedule, range-limit adaptation, and exit tests stay in Python,
-as does every random draw.
+:func:`repro.par.placement.place` spends its time in the per-move loop:
+block/site draws, incremental bbox/HPWL deltas, the quantized-int timing
+re-pricing, and the Metropolis accept test.  This module compiles one
+*temperature step* of that loop (see :mod:`repro.native.build`); ``place``
+calls it as its move ``step`` from the one Python schedule loop, which
+keeps the cooling, range-limit adaptation, exit tests and telemetry, as
+well as every random draw.  The Python twin of the step lives in ``place``
+and runs when the backend is off.
 
 Bit-identity contract
 ---------------------
@@ -67,7 +69,7 @@ def istate_counters(istate: np.ndarray) -> Dict[str, int]:
     return {name: int(istate[idx]) for name, idx in ISTATE.items()}
 
 SOURCE = r"""
-/* Native twin of repro.par.placement._place_batched's move loop.
+/* Native move step of repro.par.placement.place (one temperature).
  *
  * All cost arithmetic is int64 (exact, like Python's ints at these
  * magnitudes); the only float op is the Metropolis test, kept to the
@@ -421,7 +423,7 @@ _CB = ctypes.CFUNCTYPE(None, ctypes.c_int64)
 
 
 class NativeAnnealer:
-    """ctypes binding over one ``_place_batched`` call's flat state."""
+    """ctypes binding over one :func:`~repro.par.placement.place` call's flat state."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
@@ -473,8 +475,15 @@ class NativeAnnealer:
             self._cb, a["istate"].ctypes.data,
         )
 
-    def run_temperature(self, moves_per_temp: int, tmax: float, range2: float,
-                        rl: int, span: int) -> None:
+    def run_temperature(
+        self, moves_per_temp: int, tmax: float, range2: float, rl: int, span: int
+    ) -> None:
+        """Run ``moves_per_temp`` move attempts at temperature ``tmax``.
+
+        ``range2`` bounds the Manhattan distance of an IO target, ``rl`` and
+        ``span`` give the logic-site window (``span == 2 * rl + 1``).  The
+        counters and running costs come back through the bound ``istate``.
+        """
         self._run(moves_per_temp, tmax, range2, rl, span)
 
 

@@ -22,7 +22,7 @@ Design decisions
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["Op", "Circuit", "CircuitStats"]
 
@@ -260,30 +260,6 @@ class Circuit:
             seen.add(nid)
             stack.extend(self.fanins[nid])
         return sorted(seen)
-
-    def extract_cone(self, roots: Sequence[int]) -> Tuple["Circuit", Dict[int, int]]:
-        """Copy the transitive fanin cone of ``roots`` into a fresh circuit.
-
-        Returns the new circuit and the old-id -> new-id map.  Primary outputs
-        of the new circuit are the given roots, named ``cone{i}`` unless they
-        already carry a name.
-        """
-        keep = self.transitive_fanin(roots)
-        new = Circuit(name=f"{self.name}_cone")
-        remap: Dict[int, int] = {}
-        for nid in keep:  # keep is sorted => topological
-            op = self.ops[nid]
-            fins = tuple(remap[f] for f in self.fanins[nid])
-            remap[nid] = new._new_node(op, fins, self.names.get(nid))
-        for i, r in enumerate(roots):
-            name = self.names.get(r, f"cone{i}")
-            out_name = name
-            suffix = 0
-            while out_name in new.outputs:
-                suffix += 1
-                out_name = f"{name}_{suffix}"
-            new.add_output(out_name, remap[r])
-        return new, remap
 
     def clone(self) -> "Circuit":
         """Deep copy of the circuit."""

@@ -12,6 +12,11 @@ A *bus* is simply a list of node ids, least-significant bit first.  The
 and provides the operator library.  All operators elaborate immediately into
 gates, so the output of the front-end is directly consumable by the logic
 optimizer and the technology mappers.
+
+:class:`Design` is API for design authors, not only for the bundled PE and
+filter designs: a few operators no shipped design calls (``input_bit``,
+``v_and``, ``equals_const``) are kept on purpose so a new design can use
+them, and the tests exercise them.
 """
 
 from __future__ import annotations

@@ -370,17 +370,14 @@ def timing_driven_placement(
     arch: FPGAArchitecture,
     seed: int = 0,
     effort: float = 1.0,
-    tradeoff: float = 4.0,
-    exponent: float = 2.0,
-    retime_every: Optional[int] = None,
 ) -> PlacementResult:
     """VPR-style incremental-STA placement.
 
-    **One** ``batched`` anneal whose objective is plain HPWL plus a
-    per-connection ``criticality * distance`` term over the timing graph's
-    flat edge arrays (:class:`repro.par.placement.TimingCost`).  Every
-    ``retime_every`` accepted moves (default: half a temperature step) the
-    live block coordinates feed a placement-estimate STA
+    **One** anneal whose objective is plain HPWL plus a per-connection
+    ``criticality**2 * distance`` term over the timing graph's flat edge
+    arrays (:class:`repro.par.placement.TimingCost`, at its default
+    tradeoff).  Every half temperature step of accepted moves the live
+    block coordinates feed a placement-estimate STA
     (:func:`repro.timing.sta.scan_edge_criticality`, pure NumPy) and the
     per-connection weights are refreshed in place -- criticality chases
     the anneal instead of being frozen between candidate anneals, and each
@@ -390,12 +387,10 @@ def timing_driven_placement(
     weights frozen between them), which is kept as a test oracle in
     ``tests/oracles.py``: this placer must match or beat its critical path
     (gated by ``check_quality.py``) with one anneal instead of four (the
-    placement-time ratio is recorded in ``BENCH_hotpaths.json``).
-
-    ``tradeoff`` scales the timing term.  Because it is re-timed in the
-    loop, a stale weight decays as soon as its connection stops being
-    critical, so this placer tolerates (and measures best at) a sharper
-    pull than the candidate recipe's 3.0.
+    placement-time ratio is recorded in ``BENCH_hotpaths.json``).  Because
+    the weights are re-timed in the loop, a stale weight decays as soon as
+    its connection stops being critical, so this placer tolerates (and
+    measures best at) a sharper pull than the candidate recipe's tradeoff.
     """
     graph = build_timing_graph(netlist, arch.lut_delay_ns)
 
@@ -404,7 +399,7 @@ def timing_driven_placement(
 
         delays = estimated_edge_delays_from_coords(graph, block_x, block_y, arch)[0]
         _cp, crit = scan_edge_criticality(graph, delays)
-        return crit**exponent if exponent != 1.0 else crit
+        return crit**2.0
 
     return place(
         netlist,
@@ -415,7 +410,5 @@ def timing_driven_placement(
             conn_src=graph.edge_src.tolist(),
             conn_dst=graph.edge_dst.tolist(),
             criticality=conn_criticality,
-            tradeoff=tradeoff,
-            retime_every=retime_every,
         ),
     )

@@ -5,24 +5,28 @@ netlist are assigned to compatible sites of the island FPGA and iteratively
 improved by simulated annealing on the half-perimeter wirelength (HPWL) of
 all nets, with the adaptive temperature schedule and range limiting of VPR.
 
-One annealing kernel lives behind :func:`place`: VPR-style incremental
-net bounding boxes.  Every net caches its bbox plus the number of pins on
-each boundary, a move updates affected nets in O(1) and only a *boundary
-shrink* (the last pin leaves a bbox edge) triggers a rescan of that net's
-pins.  All randomness is drawn in blocks from a
-``numpy.random.Generator(PCG64)``, and a logic move picks its target
-inside the range-limit window in O(1).  The kernel also accepts the
-incremental-STA objective (``timing``), the seam the timing-driven flow
-uses to pull critical connections shorter, and per-net weights
-(``net_weights``, see :func:`place`).  When the native backend is
-available (see :mod:`repro.native`) the move loop runs as compiled C over
-the same flat arrays and PCG64 stream -- trajectories are bit-identical
-to the Python loop, so results and caches are backend-independent.
+One annealer lives behind :func:`place`, built like the router: set-up
+runs once, then **one** temperature loop (cooling, range limit, exit
+tests, telemetry) calls a per-temperature move ``step``.  The step is the
+compiled C loop of :mod:`repro.native.annealer` when the native backend is
+available, else its Python twin; both run over the same flat arrays and
+the same PCG64 stream, so trajectories are bit-identical and results and
+caches are backend-independent.
+
+The move step keeps VPR-style incremental net bounding boxes: every net
+caches its bbox plus the number of pins on each boundary, a move updates
+affected nets in O(1) and only a *boundary shrink* (the last pin leaves a
+bbox edge) triggers a rescan of that net's pins.  All randomness is drawn
+in blocks from a ``numpy.random.Generator(PCG64)``, and a logic move picks
+its target inside the range-limit window in O(1).  The annealer also
+accepts the incremental-STA objective (``timing``), the seam the
+timing-driven flow uses to pull critical connections shorter, and per-net
+weights (``net_weights``, see :func:`place`).
 
 The original annealer, which recomputes every affected net's HPWL from its
 full pin list with per-move ``random.Random`` calls, is kept as a test
 oracle in ``tests/oracles.py``.  It follows a different random stream, so
-the production kernel's quality is banded against it instead of
+the production annealer's quality is banded against it instead of
 bit-checked (mean final HPWL across seeds within 2%, see
 ``tests/test_par.py`` and ``benchmarks/bench_hotpaths.py``).  The schedule
 helpers below (``_moves_per_temperature``, ``_cool``, ...) serve both.
@@ -56,7 +60,7 @@ __all__ = [
 
 
 class TimingCost:
-    """Per-connection timing term for the batched annealer (VPR-style).
+    """Per-connection timing term for the annealer (VPR-style).
 
     The timing-driven flow hands the annealer the flat connection arrays of
     the timing graph -- ``conn_src[c]`` / ``conn_dst[c]`` block ids, one
@@ -70,9 +74,10 @@ class TimingCost:
     the connection's Manhattan source-sink distance in unit wires (its
     placement-estimated delay up to constants).  Both terms are exact
     integers (``Q`` is the weight quantum), so the no-float-drift accounting
-    of the plain kernels carries over.  Criticalities are refreshed from the
-    callback every ``retime_every`` accepted moves -- criticality chases the
-    anneal instead of being frozen between candidate anneals.
+    of the plain objective carries over.  Criticalities are refreshed from
+    the callback every half temperature step of accepted moves --
+    criticality chases the anneal instead of being frozen between candidate
+    anneals.
     """
 
     def __init__(
@@ -81,7 +86,6 @@ class TimingCost:
         conn_dst: Sequence[int],
         criticality: Callable[[List[int], List[int]], Sequence[float]],
         tradeoff: float = 4.0,
-        retime_every: Optional[int] = None,
     ) -> None:
         self.conn_src = list(conn_src)
         self.conn_dst = list(conn_dst)
@@ -89,7 +93,6 @@ class TimingCost:
             raise ValueError("conn_src and conn_dst must have equal length")
         self.criticality = criticality
         self.tradeoff = tradeoff
-        self.retime_every = retime_every
 
 
 @dataclass
@@ -99,6 +102,7 @@ class Placement:
     block_site: Dict[int, Site] = field(default_factory=dict)
 
     def clone(self) -> "Placement":
+        """Copy of the assignment (sites are immutable and shared)."""
         return Placement(dict(self.block_site))
 
 
@@ -126,6 +130,7 @@ class PlacementResult:
 
     @property
     def improvement(self) -> float:
+        """Fraction of the initial cost the anneal removed."""
         if self.initial_cost == 0:
             return 0.0
         return 1.0 - self.cost / self.initial_cost
@@ -209,31 +214,21 @@ def _next_range_limit(range_limit: float, acceptance: float, device_span: float)
 
 
 def _placement_telemetry(
-    kernel: str,
     tl_temperature: List[float],
     tl_cost: List[int],
     tl_acceptance: List[float],
     moves_attempted: int,
     moves_accepted: int,
-    native: Optional[bool] = None,
 ) -> Dict[str, object]:
-    """Assemble a kernel's convergence telemetry and publish the counters.
+    """Assemble an anneal's convergence telemetry and publish the counters.
 
     The three ``tl_*`` lists are parallel flat arrays with one entry per
     temperature step: the temperature the step annealed *at* (before
     cooling), the total cost after it, and its move acceptance rate.  The
-    dict lands in :attr:`PlacementResult.telemetry`; aggregate counters go
-    to the process-wide metrics registry and the cost curve to the trace
-    (both no-ops unless enabled).
+    dict lands in :attr:`PlacementResult.telemetry` (the caller adds its
+    ``kernel`` key); aggregate counters go to the process-wide metrics
+    registry and the cost curve to the trace (both no-ops unless enabled).
     """
-    telemetry: Dict[str, object] = {
-        "kernel": kernel,
-        "temperature": tl_temperature,
-        "cost": tl_cost,
-        "acceptance": tl_acceptance,
-    }
-    if native is not None:
-        telemetry["native"] = native
     obs_metrics.merge(
         {
             "place.calls": 1,
@@ -242,56 +237,21 @@ def _placement_telemetry(
             "place.moves_accepted": moves_accepted,
         }
     )
-    emit_series("place.cost", tl_cost, kernel=kernel)
-    return telemetry
-
-
-@traced("par.place")
-def place(
-    netlist: PhysicalNetlist,
-    arch: FPGAArchitecture,
-    seed: int = 0,
-    effort: float = 1.0,
-    net_weights: Optional[Sequence[float]] = None,
-    timing: Optional[TimingCost] = None,
-) -> PlacementResult:
-    """Simulated-annealing placement (TPLACE).
-
-    ``effort`` scales the number of moves per temperature; values below 1
-    trade quality for runtime (used by the fast benchmark configurations).
-
-    ``net_weights`` anneals the weighted objective ``sum(weight_i * hpwl_i)``
-    instead of plain HPWL.  No flow passes it: it is the hook of the
-    candidate-anneal timing placer kept as a test oracle
-    (``tests/oracles.py``), and ``tests/test_native.py`` checks the weighted
-    native and Python trajectories against each other through it.  Weights
-    are quantized to integers (see :func:`_quantize_weights`), keeping the
-    cost accounting exact; :attr:`PlacementResult.cost` still reports the
-    *unweighted* integer HPWL and the weighted objective lands in
-    :attr:`PlacementResult.objective_cost`.
-
-    ``timing`` (exclusive with ``net_weights``) switches the anneal to the
-    incremental-STA objective: plain HPWL plus a per-connection
-    ``criticality * distance`` term whose criticalities are re-timed from
-    the live coordinates inside the annealing loop (see
-    :class:`TimingCost`).
-    """
-    if timing is not None and net_weights is not None:
-        raise ValueError("timing and net_weights are mutually exclusive")
-    return _place_batched(
-        netlist, arch, seed=seed, effort=effort, net_weights=net_weights, timing=timing,
-    )
+    emit_series("place.cost", tl_cost)
+    return {"temperature": tl_temperature, "cost": tl_cost, "acceptance": tl_acceptance}
 
 
 _WEIGHT_QUANTUM = 8  #: integer sub-steps per unit of net weight
+_RBUF = 1 << 14  #: draws per refill of the integer and uniform buffers
+_IMAX = 1 << 63  #: integer draws are uniform in [0, 2**63)
 
 
 def _quantize_weights(net_weights: Sequence[float], num_nets: int) -> List[int]:
     """Net weights as positive integers (``_WEIGHT_QUANTUM`` steps per unit).
 
     Integer weights keep the weighted annealing objective an exact integer
-    -- the same no-float-drift guarantee the plain-HPWL kernels carry.  The
-    quantization error is below ``1 / (2 * _WEIGHT_QUANTUM)`` per unit
+    -- the same no-float-drift guarantee the plain-HPWL objective carries.
+    The quantization error is below ``1 / (2 * _WEIGHT_QUANTUM)`` per unit
     weight, well under the noise floor of the annealer.
     """
     if len(net_weights) != num_nets:
@@ -315,7 +275,8 @@ def _csr_i64(lists: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
     return ptr, flat
 
 
-def _place_batched(
+@traced("par.place")
+def place(
     netlist: PhysicalNetlist,
     arch: FPGAArchitecture,
     seed: int = 0,
@@ -323,40 +284,48 @@ def _place_batched(
     net_weights: Optional[Sequence[float]] = None,
     timing: Optional[TimingCost] = None,
 ) -> PlacementResult:
-    """Incremental-bbox annealer fed by block-drawn PCG64 randomness.
+    """Simulated-annealing placement (TPLACE).
 
-    Move selection draws 63-bit integers (reduced modulo
-    the needed range -- the bias is below ``range / 2**63``, irrelevant to
+    ``effort`` scales the number of moves per temperature; values below 1
+    trade quality for runtime (used by the fast benchmark configurations).
+
+    ``net_weights`` anneals the weighted objective ``sum(weight_i * hpwl_i)``
+    instead of plain HPWL.  No flow passes it: it is the hook of the
+    candidate-anneal timing placer kept as a test oracle
+    (``tests/oracles.py``), and ``tests/test_native.py`` checks the weighted
+    native and Python trajectories against each other through it.  Weights
+    are quantized to integers (see :func:`_quantize_weights`), so every bbox
+    update simply scales its net's cost by an integer and the cost
+    accounting stays exact; :attr:`PlacementResult.cost` still reports the
+    *unweighted* integer HPWL and the weighted objective lands in
+    :attr:`PlacementResult.objective_cost`.
+
+    ``timing`` (exclusive with ``net_weights``) switches the anneal to the
+    incremental-STA objective ``Q * HPWL + sum_c w_c * dist_c`` over the
+    timing graph's connections (see :class:`TimingCost`): each move also
+    re-prices the moved blocks' connections -- O(pins moved), like the bbox
+    updates -- and the integer criticality weights ``w_c`` are re-timed
+    from the live coordinates every half temperature step of accepted
+    moves.
+
+    Randomness: the initial placement comes from :func:`random_placement`
+    with the same seed; moves draw 63-bit integers (reduced modulo the
+    needed range -- the bias is below ``range / 2**63``, irrelevant to
     annealing) and acceptance draws uniforms, both fetched in blocks of
-    2**14 from ``numpy.random.Generator(PCG64(seed))`` and consumed by plain
-    list indexing, which removes the per-move ``random.Random`` call tax.
-    The initial placement still comes from :func:`random_placement` with the
-    same seed, so a (netlist, arch, seed) triple is fully reproducible.
-
-    With ``net_weights`` the annealed objective is the quantized-integer
-    weighted HPWL (see :func:`_quantize_weights`); every bbox update below
-    simply scales its net's cost by the integer weight, so the O(1) move
-    accounting is unchanged.  With ``timing`` the objective is instead
-    ``Q * HPWL + sum_c w_c * dist_c`` over the timing graph's connections
-    (see :class:`TimingCost`): each move additionally re-prices the moved
-    blocks' connections -- O(pins moved), exactly like the bbox updates --
-    and the integer criticality weights ``w_c`` are re-timed in place every
-    ``retime_every`` accepted moves.
-
-    When :func:`repro.native.annealer.annealer_kernel` returns a compiled
-    kernel, the per-move loop runs in C over the same flat state (see the
-    native block below); otherwise the pure-Python loop runs.  Both follow
-    the identical trajectory for a given seed.
+    ``2**14`` from ``numpy.random.Generator(PCG64(seed))``.  A (netlist,
+    arch, seed) triple is fully reproducible on either backend.
     """
+    if timing is not None and net_weights is not None:
+        raise ValueError("timing and net_weights are mutually exclusive")
     gen = np.random.Generator(np.random.PCG64(seed))
     placement = random_placement(netlist, arch, seed=seed)
     num_nets = len(netlist.nets)
-    weighted = net_weights is not None
+    weighted = net_weights is not None or timing is not None
     if timing is not None:
         # Scale the HPWL term by the weight quantum so the quantized
         # integer timing weights blend at the configured tradeoff.
         wq = [_WEIGHT_QUANTUM] * num_nets
-    elif weighted:
+    elif net_weights is not None:
         wq = _quantize_weights(net_weights, num_nets)
     else:
         wq = [1] * num_nets
@@ -374,7 +343,7 @@ def _place_batched(
     block_gsite = [-1] * num_block_ids
     block_x = [0] * num_block_ids
     block_y = [0] * num_block_ids
-    occupant: List[Optional[int]] = [None] * len(all_sites)
+    occupant = [-1] * len(all_sites)  # -1 = empty site
     for bid, site in placement.block_site.items():
         gi = site_index[site.as_tuple()]
         block_gsite[bid] = gi
@@ -389,29 +358,30 @@ def _place_batched(
     bb: List[Tuple[int, int, int, int, int, int, int, int]] = []
     net_cost: List[int] = []
     total_cost = 0
+
+    def _bbox_rescan(nid: int) -> Tuple[int, int, int, int, int, int, int, int]:
+        xs = [block_x[b] for b in net_pins[nid]]
+        ys = [block_y[b] for b in net_pins[nid]]
+        xmin, xmax = min(xs), max(xs)
+        ymin, ymax = min(ys), max(ys)
+        return (
+            xmin, xmax, ymin, ymax, xs.count(xmin), xs.count(xmax), ys.count(ymin), ys.count(ymax)
+        )
+
     for net in netlist.nets:
         # Deduplicate pins: a repeated block contributes nothing to the bbox
         # but would corrupt the boundary counts of the O(1) update below
         # (one move must remove exactly one pin from a boundary).
-        pins = list(dict.fromkeys([net.driver] + net.sinks))
-        net_pins.append(pins)
+        net_pins.append(list(dict.fromkeys([net.driver] + net.sinks)))
         for b in {net.driver, *net.sinks}:
             nets_of_block[b].append(net.id)
-        xs = [block_x[b] for b in pins]
-        ys = [block_y[b] for b in pins]
-        xmin, xmax = min(xs), max(xs)
-        ymin, ymax = min(ys), max(ys)
-        bb.append(
-            (xmin, xmax, ymin, ymax,
-             xs.count(xmin), xs.count(xmax), ys.count(ymin), ys.count(ymax))
-        )
-        cost = wq[net.id] * ((xmax - xmin) + (ymax - ymin))
+        nb = _bbox_rescan(net.id)
+        bb.append(nb)
+        cost = wq[net.id] * ((nb[1] - nb[0]) + (nb[3] - nb[2]))
         net_cost.append(cost)
         total_cost += cost
     initial_cost = total_cost
-    weighted = weighted or timing is not None
     initial_hpwl = hpwl(netlist, placement) if weighted else initial_cost
-    nets_of_block_set = [set(lst) for lst in nets_of_block]
 
     groups: List[Tuple[List[int], List[int], int, int]] = []
     if logic_blocks:
@@ -420,216 +390,92 @@ def _place_batched(
     if io_blocks:
         gidx = list(range(len(logic_sites), len(all_sites)))
         groups.append((io_blocks, gidx, len(io_blocks), len(gidx)))
-    if not groups:
+    if not groups:  # an empty design: nothing to place
         return PlacementResult(placement, 0, 0, 0, 0, 0)
-
-    num_blocks = len(logic_blocks) + len(io_blocks)
-    moves_per_temp = _moves_per_temperature(num_blocks, effort)
-    temperature = _initial_temperature(initial_cost, len(netlist.nets))
-    device_span = float(max(arch.width, arch.height))
-    range_limit = device_span
-
-    moves_attempted = 0
-    moves_accepted = 0
-    temperature_steps = 0
-    tl_temperature: List[float] = []
-    tl_cost: List[int] = []
-    tl_acceptance: List[float] = []
     num_groups = len(groups)
     logic_group = bool(logic_blocks)
     width, height = arch.width, arch.height
-    exp = math.exp
+    moves_per_temp = _moves_per_temperature(len(logic_blocks) + len(io_blocks), effort)
+    retime_every = max(1, moves_per_temp // 2)
 
-    # Incremental-STA objective: flat per-connection distance/weight lists
-    # plus the in-loop retime trigger.  A move re-prices only the moved
-    # blocks' connections (O(pins moved), like the bbox updates); the
-    # integer criticality weights are refreshed from the callback every
-    # retime_every accepted moves.
+    # Incremental-STA objective: flat per-connection distance/weight lists.
+    # A move re-prices only the moved blocks' connections (O(pins moved),
+    # like the bbox updates); the integer criticality weights are re-timed
+    # every retime_every accepted moves.
+    t_src: List[int] = []
+    t_dst: List[int] = []
+    conns_of_block: List[List[int]] = [[] for _ in range(num_block_ids)]
+    c_dist: List[int] = []
+    cwq: List[int] = []
+    nconn = timing_cost = 0
     if timing is not None:
-        t_src = timing.conn_src
-        t_dst = timing.conn_dst
+        t_src, t_dst = timing.conn_src, timing.conn_dst
         nconn = len(t_src)
-        conns_of_block: List[List[int]] = [[] for _ in range(num_block_ids)]
-        for ci in range(nconn):
-            conns_of_block[t_src[ci]].append(ci)
-            if t_dst[ci] != t_src[ci]:
-                conns_of_block[t_dst[ci]].append(ci)
+        for ci, (s, d) in enumerate(zip(t_src, t_dst)):
+            conns_of_block[s].append(ci)
+            if d != s:
+                conns_of_block[d].append(ci)
+            dist = abs(block_x[s] - block_x[d]) + abs(block_y[s] - block_y[d])
+            c_dist.append(dist if dist > 0 else 1)
 
-        def retime_weights() -> List[int]:
-            crit = np.asarray(
-                timing.criticality(block_x, block_y), dtype=np.float64
-            )
+        def retime(xs: Sequence[int], ys: Sequence[int]) -> np.ndarray:
+            """Integer criticality weights re-timed at block coordinates ``xs``/``ys``."""
+            crit = np.asarray(timing.criticality(xs, ys), dtype=np.float64)
             if crit.shape != (nconn,):
-                raise ValueError(
-                    f"timing criticality returned {crit.shape}, expected ({nconn},)"
-                )
-            q = np.rint(_WEIGHT_QUANTUM * timing.tradeoff * crit)
-            return q.astype(np.int64).tolist()
+                raise ValueError(f"timing criticality returned {crit.shape}, expected ({nconn},)")
+            return np.rint(_WEIGHT_QUANTUM * timing.tradeoff * crit).astype(np.int64)
 
-        c_dist = []
-        for ci in range(nconn):
-            dx = block_x[t_src[ci]] - block_x[t_dst[ci]]
-            dy = block_y[t_src[ci]] - block_y[t_dst[ci]]
-            d = (dx if dx >= 0 else -dx) + (dy if dy >= 0 else -dy)
-            c_dist.append(d if d > 0 else 1)
-        cwq = retime_weights()
+        cwq = retime(block_x, block_y).tolist()
         timing_cost = sum(w * d for w, d in zip(cwq, c_dist))
-        retime_every = timing.retime_every or max(1, moves_per_temp // 2)
-        # The timing term is part of the annealed cost: fold it into the
-        # temperature scale too.
-        temperature = _initial_temperature(
-            initial_cost + timing_cost, len(netlist.nets)
-        )
-    else:
-        t_src = t_dst = []
-        nconn = 0
-        conns_of_block = []
-        c_dist = []
-        cwq = []
-        timing_cost = 0
-        retime_every = 0
-    accepted_since_retime = 0
-    t_scratch: List[Tuple[int, int]] = []
 
-    RBUF = 1 << 14
-    IMAX = 1 << 63
-    # Draw the initial buffers as arrays (shared with the native kernel when
-    # it is available); the Python loop consumes them as plain lists.
-    ibuf_arr = gen.integers(0, IMAX, size=RBUF, dtype=np.int64)
-    ibuf = ibuf_arr.tolist()
-    ipos = 0
-    ubuf_arr = gen.random(RBUF)
-    ubuf = ubuf_arr.tolist()
-    upos = 0
+    # Both move steps start from these buffers (the native one shares the
+    # arrays, the Python twin reads them as lists) and refill them from
+    # ``gen`` at the same points, so both consume one PCG64 stream.
+    ibuf_arr = gen.integers(0, _IMAX, size=_RBUF, dtype=np.int64)
+    ubuf_arr = gen.random(_RBUF)
+    moves_attempted = 0
 
-    def _bbox_after_move(
-        nid: int, ox: int, oy: int, nx: int, ny: int
-    ) -> Tuple[int, int, int, int, int, int, int, int]:
-        xmin, xmax, ymin, ymax, cxmin, cxmax, cymin, cymax = bb[nid]
-        if nx != ox:
-            if (ox == xmin and cxmin == 1 and nx > xmin) or (
-                ox == xmax and cxmax == 1 and nx < xmax
-            ):
-                xs = [block_x[b] for b in net_pins[nid]]
-                xmin, xmax = min(xs), max(xs)
-                cxmin, cxmax = xs.count(xmin), xs.count(xmax)
-            else:
-                if ox == xmin:
-                    cxmin -= 1
-                if ox == xmax:
-                    cxmax -= 1
-                if nx < xmin:
-                    xmin, cxmin = nx, 1
-                elif nx == xmin:
-                    cxmin += 1
-                if nx > xmax:
-                    xmax, cxmax = nx, 1
-                elif nx == xmax:
-                    cxmax += 1
-        if ny != oy:
-            if (oy == ymin and cymin == 1 and ny > ymin) or (
-                oy == ymax and cymax == 1 and ny < ymax
-            ):
-                ys = [block_y[b] for b in net_pins[nid]]
-                ymin, ymax = min(ys), max(ys)
-                cymin, cymax = ys.count(ymin), ys.count(ymax)
-            else:
-                if oy == ymin:
-                    cymin -= 1
-                if oy == ymax:
-                    cymax -= 1
-                if ny < ymin:
-                    ymin, cymin = ny, 1
-                elif ny == ymin:
-                    cymin += 1
-                if ny > ymax:
-                    ymax, cymax = ny, 1
-                elif ny == ymax:
-                    cymax += 1
-        return (xmin, xmax, ymin, ymax, cxmin, cxmax, cymin, cymax)
-
-    def _bbox_rescan(nid: int) -> Tuple[int, int, int, int, int, int, int, int]:
-        xs = [block_x[b] for b in net_pins[nid]]
-        ys = [block_y[b] for b in net_pins[nid]]
-        xmin, xmax = min(xs), max(xs)
-        ymin, ymax = min(ys), max(ys)
-        return (xmin, xmax, ymin, ymax,
-                xs.count(xmin), xs.count(xmax), ys.count(ymin), ys.count(ymax))
-
-    # -- native (compiled-C) move loop -----------------------------------
-    # Bit-identical twin of the Python while-loop below (see
-    # repro.native.annealer): the C loop consumes the same PCG64 draw
-    # buffers -- calling back out to refill them at the Python kernel's
-    # exact refill points -- keeps every cost an exact int64, and runs the
-    # Metropolis test through the same libm exp, so trajectories match
-    # move for move.  Cooling, range-limit adaptation, re-timing, and the
-    # exit tests stay here in Python.
     nat = annealer_kernel()
     if nat is not None:
+        # -- the compiled move step (see repro.native.annealer) -------------
+        # The C loop keeps every cost an exact int64, calls back out to
+        # refill the draw buffers at the Python twin's exact refill points
+        # and to re-time, and runs the Metropolis test through the same
+        # libm exp, so trajectories match move for move.
         block_gsite_a = np.asarray(block_gsite, dtype=np.int64)
         block_x_a = np.asarray(block_x, dtype=np.int64)
         block_y_a = np.asarray(block_y, dtype=np.int64)
-        occupant_a = np.asarray(
-            [-1 if o is None else o for o in occupant], dtype=np.int64
-        )
         pins_ptr, pins_flat = _csr_i64(net_pins)
         nb_ptr, nb_flat = _csr_i64(nets_of_block)
-        dummy = np.zeros(1, dtype=np.int64)
-        g0b = np.asarray(groups[0][0], dtype=np.int64)
-        g0s = np.asarray(groups[0][1], dtype=np.int64)
-        if num_groups > 1:
-            g1b = np.asarray(groups[1][0], dtype=np.int64)
-            g1s = np.asarray(groups[1][1], dtype=np.int64)
-        else:
-            g1b = g1s = dummy
-        if timing is not None:
-            t_src_a = np.asarray(t_src, dtype=np.int64)
-            t_dst_a = np.asarray(t_dst, dtype=np.int64)
-            cb_ptr, cb_flat = _csr_i64(conns_of_block)
-            c_dist_a = np.asarray(c_dist, dtype=np.int64)
-            cwq_a = np.asarray(cwq, dtype=np.int64)
-        else:
-            t_src_a = t_dst_a = cb_flat = c_dist_a = cwq_a = dummy
-            cb_ptr = np.zeros(num_block_ids + 1, dtype=np.int64)
+        cb_ptr, cb_flat = _csr_i64(conns_of_block)
+        cwq_a = np.asarray(cwq, dtype=np.int64)
+        # The C loop reads the second group and the timing arrays only when
+        # they exist; empty arrays stand in for them otherwise.
+        g1 = groups[1] if num_groups > 1 else ([], [], 1, 1)
         istate = np.zeros(ISTATE_LEN, dtype=np.int64)
-        _S = ISTATE
-        istate[_S["total_cost"]] = total_cost
-        istate[_S["timing_cost"]] = timing_cost
+        istate[ISTATE["total_cost"]] = total_cost
+        istate[ISTATE["timing_cost"]] = timing_cost
         nat_exc: List[BaseException] = []
 
-        def _refill(kind: int) -> None:
+        def refill(kind: int) -> None:
             # Runs under repro_anneal_run; exceptions cannot cross the C
             # frame, so stash + abort, then re-raise once the call returns.
             try:
                 if kind == 0:
-                    ibuf_arr[:] = gen.integers(
-                        0, IMAX, size=RBUF, dtype=np.int64
-                    )
+                    ibuf_arr[:] = gen.integers(0, _IMAX, size=_RBUF, dtype=np.int64)
                 elif kind == 1:
-                    ubuf_arr[:] = gen.random(RBUF)
-                else:  # retime: refresh the integer criticality weights
-                    crit = np.asarray(
-                        timing.criticality(
-                            block_x_a.tolist(), block_y_a.tolist()
-                        ),
-                        dtype=np.float64,
-                    )
-                    if crit.shape != (nconn,):
-                        raise ValueError(
-                            f"timing criticality returned {crit.shape},"
-                            f" expected ({nconn},)"
-                        )
-                    cwq_a[:] = np.rint(
-                        _WEIGHT_QUANTUM * timing.tradeoff * crit
-                    ).astype(np.int64)
-            except BaseException as e:  # noqa: BLE001 -- re-raised below
+                    ubuf_arr[:] = gen.random(_RBUF)
+                else:
+                    cwq_a[:] = retime(block_x_a.tolist(), block_y_a.tolist())
+            except BaseException as e:  # noqa: BLE001 -- re-raised by step
                 nat_exc.append(e)
-                istate[_S["abort"]] = 1
+                istate[ISTATE["abort"]] = 1
 
         nat.bind(
             {
                 "block_gsite": block_gsite_a, "block_x": block_x_a,
-                "block_y": block_y_a, "occupant": occupant_a,
+                "block_y": block_y_a,
+                "occupant": np.asarray(occupant, dtype=np.int64),
                 "site_x": np.asarray(site_x, dtype=np.int64),
                 "site_y": np.asarray(site_y, dtype=np.int64),
                 "pins_ptr": pins_ptr, "pins": pins_flat,
@@ -637,12 +483,16 @@ def _place_batched(
                 "bb": np.array(bb, dtype=np.int64).reshape(num_nets * 8),
                 "net_cost": np.asarray(net_cost, dtype=np.int64),
                 "wq": np.asarray(wq, dtype=np.int64),
-                "gblocks0": g0b, "gsites0": g0s,
-                "gblocks1": g1b, "gsites1": g1s,
+                "gblocks0": np.asarray(groups[0][0], dtype=np.int64),
+                "gsites0": np.asarray(groups[0][1], dtype=np.int64),
+                "gblocks1": np.asarray(g1[0], dtype=np.int64),
+                "gsites1": np.asarray(g1[1], dtype=np.int64),
                 "ibuf": ibuf_arr, "ubuf": ubuf_arr,
-                "t_src": t_src_a, "t_dst": t_dst_a,
+                "t_src": np.asarray(t_src, dtype=np.int64),
+                "t_dst": np.asarray(t_dst, dtype=np.int64),
                 "cb_ptr": cb_ptr, "cb_conns": cb_flat,
-                "c_dist": c_dist_a, "cwq": cwq_a,
+                "c_dist": np.asarray(c_dist, dtype=np.int64),
+                "cwq": cwq_a,
                 "net_mark": np.zeros(num_nets, dtype=np.int64),
                 "upd_nid": np.zeros(num_nets + 1, dtype=np.int64),
                 "upd_bb": np.zeros(8 * (num_nets + 1), dtype=np.int64),
@@ -653,177 +503,162 @@ def _place_batched(
             },
             {
                 "nblk0": groups[0][2], "nsit0": groups[0][3],
-                "nblk1": groups[1][2] if num_groups > 1 else 1,
-                "nsit1": groups[1][3] if num_groups > 1 else 1,
+                "nblk1": g1[2], "nsit1": g1[3],
                 "num_groups": num_groups,
                 "logic_group": int(logic_group),
-                "width": width, "height": height, "rbuf": RBUF,
+                "width": width, "height": height, "rbuf": _RBUF,
                 "has_timing": int(timing is not None),
                 "nconn": nconn, "retime_every": retime_every,
             },
-            _refill,
+            refill,
         )
-        while temperature_steps < 200:
-            istate[_S["accepted_this_temp"]] = 0
-            range2 = range_limit * 2
-            rl = int(range_limit)
-            if rl < 1:
-                rl = 1
-            span = 2 * rl + 1
-            nat.run_temperature(
-                moves_per_temp, max(temperature, 1e-9), range2, rl, span
-            )
+
+        def step(
+            moves: int, tmax: float, range2: float, rl: int, span: int
+        ) -> Tuple[int, int, int]:
+            istate[ISTATE["accepted_this_temp"]] = 0
+            nat.run_temperature(moves, tmax, range2, rl, span)
             if nat_exc:
                 raise nat_exc[0]
-            total_cost = int(istate[_S["total_cost"]])
-            timing_cost = int(istate[_S["timing_cost"]])
-            temperature_steps += 1
-            acceptance = int(istate[_S["accepted_this_temp"]]) / max(
-                1, moves_per_temp
+            return (
+                int(istate[ISTATE["accepted_this_temp"]]),
+                int(istate[ISTATE["total_cost"]]),
+                int(istate[ISTATE["timing_cost"]]),
             )
-            tl_temperature.append(temperature)
-            tl_cost.append(total_cost + timing_cost)
-            tl_acceptance.append(acceptance)
-            temperature = _cool(temperature, acceptance)
-            range_limit = _next_range_limit(range_limit, acceptance, device_span)
-            if temperature < 0.005 * (total_cost + timing_cost) / max(
-                1, len(netlist.nets)
-            ) or (acceptance < 0.01 and temperature_steps > 5):
-                break
-        moves_attempted = int(istate[_S["attempted"]])
-        moves_accepted = int(istate[_S["accepted"]])
-        istate_snapshot = istate_counters(istate)
-        block_gsite = block_gsite_a.tolist()
 
-    while nat is None and temperature_steps < 200:
-        accepted_this_temp = 0
-        range2 = range_limit * 2
-        # Window half-span for the O(1) logic-site pick below.
-        rl = int(range_limit)
-        if rl < 1:
-            rl = 1
-        span = 2 * rl + 1
-        for _ in range(moves_per_temp):
-            # Up to 10 integer draws per move (group + block + site picks).
-            if ipos + 10 > RBUF:
-                ibuf = gen.integers(0, IMAX, size=RBUF, dtype=np.int64).tolist()
-                ipos = 0
-            if num_groups == 1:
-                gi = 0
-            else:
-                gi = ibuf[ipos] & 1
-                ipos += 1
-            blocks, gsites, nblk, nsit = groups[gi]
-            block = blocks[ibuf[ipos] % nblk]
-            ipos += 1
-            cur_g = block_gsite[block]
-            cx = block_x[block]
-            cy = block_y[block]
-            if logic_group and gi == 0:
-                # Logic sites form the (1..width, 1..height) grid in column-
-                # major order, so a target inside the range-limit window is
-                # picked in O(1) as a random offset -- no rejection loop.
-                tx = cx + ibuf[ipos] % span - rl
-                ipos += 1
-                ty = cy + ibuf[ipos] % span - rl
-                ipos += 1
-                if tx < 1:
-                    tx = 1
-                elif tx > width:
-                    tx = width
-                if ty < 1:
-                    ty = 1
-                elif ty > height:
-                    ty = height
-                target_g = (tx - 1) * height + (ty - 1)
-                if target_g == cur_g:
-                    continue
-            else:
-                target_g = -1
-                for _try in range(8):
-                    tg = gsites[ibuf[ipos] % nsit]
+    else:
+        # -- the Python twin of the compiled move step ----------------------
+        ibuf = ibuf_arr.tolist()
+        ubuf = ubuf_arr.tolist()
+        ipos = upos = 0
+        nets_of_block_set = [set(lst) for lst in nets_of_block]
+        accepted_since_retime = 0
+        t_scratch: List[Tuple[int, int]] = []
+        exp = math.exp
+
+        def _bbox_after_move(
+            nid: int, ox: int, oy: int, nx: int, ny: int
+        ) -> Tuple[int, int, int, int, int, int, int, int]:
+            xmin, xmax, ymin, ymax, cxmin, cxmax, cymin, cymax = bb[nid]
+            if nx != ox:
+                if (ox == xmin and cxmin == 1 and nx > xmin) or (
+                    ox == xmax and cxmax == 1 and nx < xmax
+                ):
+                    xs = [block_x[b] for b in net_pins[nid]]
+                    xmin, xmax = min(xs), max(xs)
+                    cxmin, cxmax = xs.count(xmin), xs.count(xmax)
+                else:
+                    if ox == xmin:
+                        cxmin -= 1
+                    if ox == xmax:
+                        cxmax -= 1
+                    if nx < xmin:
+                        xmin, cxmin = nx, 1
+                    elif nx == xmin:
+                        cxmin += 1
+                    if nx > xmax:
+                        xmax, cxmax = nx, 1
+                    elif nx == xmax:
+                        cxmax += 1
+            if ny != oy:
+                if (oy == ymin and cymin == 1 and ny > ymin) or (
+                    oy == ymax and cymax == 1 and ny < ymax
+                ):
+                    ys = [block_y[b] for b in net_pins[nid]]
+                    ymin, ymax = min(ys), max(ys)
+                    cymin, cymax = ys.count(ymin), ys.count(ymax)
+                else:
+                    if oy == ymin:
+                        cymin -= 1
+                    if oy == ymax:
+                        cymax -= 1
+                    if ny < ymin:
+                        ymin, cymin = ny, 1
+                    elif ny == ymin:
+                        cymin += 1
+                    if ny > ymax:
+                        ymax, cymax = ny, 1
+                    elif ny == ymax:
+                        cymax += 1
+            return (xmin, xmax, ymin, ymax, cxmin, cxmax, cymin, cymax)
+
+        def step(
+            moves: int, tmax: float, range2: float, rl: int, span: int
+        ) -> Tuple[int, int, int]:
+            nonlocal ibuf, ipos, ubuf, upos, cwq, accepted_since_retime
+            nonlocal total_cost, timing_cost, moves_attempted
+            accepted = 0
+            for _ in range(moves):
+                # Up to 10 integer draws per move (group + block + site picks).
+                if ipos + 10 > _RBUF:
+                    ibuf = gen.integers(0, _IMAX, size=_RBUF, dtype=np.int64).tolist()
+                    ipos = 0
+                if num_groups == 1:
+                    gi = 0
+                else:
+                    gi = ibuf[ipos] & 1
                     ipos += 1
-                    dx = site_x[tg] - cx
-                    if dx < 0:
-                        dx = -dx
-                    dy = site_y[tg] - cy
-                    if dy < 0:
-                        dy = -dy
-                    if dx + dy > range2:
+                blocks, gsites, nblk, nsit = groups[gi]
+                block = blocks[ibuf[ipos] % nblk]
+                ipos += 1
+                cur_g = block_gsite[block]
+                cx = block_x[block]
+                cy = block_y[block]
+                if logic_group and gi == 0:
+                    # Logic sites form the (1..width, 1..height) grid in
+                    # column-major order, so a target inside the range-limit
+                    # window is picked in O(1) as a random offset -- no
+                    # rejection loop.
+                    tx = cx + ibuf[ipos] % span - rl
+                    ipos += 1
+                    ty = cy + ibuf[ipos] % span - rl
+                    ipos += 1
+                    if tx < 1:
+                        tx = 1
+                    elif tx > width:
+                        tx = width
+                    if ty < 1:
+                        ty = 1
+                    elif ty > height:
+                        ty = height
+                    target_g = (tx - 1) * height + (ty - 1)
+                    if target_g == cur_g:
                         continue
-                    if tg != cur_g:
-                        target_g = tg
-                        break
-                if target_g < 0:
-                    continue
-            moves_attempted += 1
-            occ_block = occupant[target_g]
-            nx = site_x[target_g]
-            ny = site_y[target_g]
+                else:
+                    target_g = -1
+                    for _try in range(8):
+                        tg = gsites[ibuf[ipos] % nsit]
+                        ipos += 1
+                        dx = site_x[tg] - cx
+                        if dx < 0:
+                            dx = -dx
+                        dy = site_y[tg] - cy
+                        if dy < 0:
+                            dy = -dy
+                        if dx + dy > range2:
+                            continue
+                        if tg != cur_g:
+                            target_g = tg
+                            break
+                    if target_g < 0:
+                        continue
+                moves_attempted += 1
+                occ_block = occupant[target_g]
+                nx = site_x[target_g]
+                ny = site_y[target_g]
 
-            block_x[block] = nx
-            block_y[block] = ny
-            if occ_block is not None:
-                block_x[occ_block] = cx
-                block_y[occ_block] = cy
+                block_x[block] = nx
+                block_y[block] = ny
+                if occ_block >= 0:
+                    block_x[occ_block] = cx
+                    block_y[occ_block] = cy
+                    shared = nets_of_block_set[block] & nets_of_block_set[occ_block]
+                else:
+                    shared = ()
 
-            delta = 0
-            updates: List[Tuple[int, Tuple[int, int, int, int, int, int, int, int], int]] = []
-            if occ_block is None:
-                # Common case (move into an empty site): inline the O(1)
-                # bbox update; only a boundary shrink rescans the net's pins.
+                delta = 0
+                updates = []
                 for nid in nets_of_block[block]:
-                    xmin, xmax, ymin, ymax, cxmin, cxmax, cymin, cymax = bb[nid]
-                    if nx != cx:
-                        if (cx == xmin and cxmin == 1 and nx > xmin) or (
-                            cx == xmax and cxmax == 1 and nx < xmax
-                        ):
-                            pxs = [block_x[b] for b in net_pins[nid]]
-                            xmin, xmax = min(pxs), max(pxs)
-                            cxmin, cxmax = pxs.count(xmin), pxs.count(xmax)
-                        else:
-                            if cx == xmin:
-                                cxmin -= 1
-                            if cx == xmax:
-                                cxmax -= 1
-                            if nx < xmin:
-                                xmin, cxmin = nx, 1
-                            elif nx == xmin:
-                                cxmin += 1
-                            if nx > xmax:
-                                xmax, cxmax = nx, 1
-                            elif nx == xmax:
-                                cxmax += 1
-                    if ny != cy:
-                        if (cy == ymin and cymin == 1 and ny > ymin) or (
-                            cy == ymax and cymax == 1 and ny < ymax
-                        ):
-                            pys = [block_y[b] for b in net_pins[nid]]
-                            ymin, ymax = min(pys), max(pys)
-                            cymin, cymax = pys.count(ymin), pys.count(ymax)
-                        else:
-                            if cy == ymin:
-                                cymin -= 1
-                            if cy == ymax:
-                                cymax -= 1
-                            if ny < ymin:
-                                ymin, cymin = ny, 1
-                            elif ny == ymin:
-                                cymin += 1
-                            if ny > ymax:
-                                ymax, cymax = ny, 1
-                            elif ny == ymax:
-                                cymax += 1
-                    cost = wq[nid] * ((xmax - xmin) + (ymax - ymin))
-                    delta += cost - net_cost[nid]
-                    updates.append(
-                        (nid, (xmin, xmax, ymin, ymax, cxmin, cxmax, cymin, cymax), cost)
-                    )
-            else:
-                block_nets = nets_of_block[block]
-                occ_nets = nets_of_block[occ_block]
-                shared = nets_of_block_set[block] & nets_of_block_set[occ_block]
-                for nid in block_nets:
                     if nid in shared:
                         nb = _bbox_rescan(nid)  # both endpoints moved
                     else:
@@ -831,137 +666,131 @@ def _place_batched(
                     cost = wq[nid] * ((nb[1] - nb[0]) + (nb[3] - nb[2]))
                     delta += cost - net_cost[nid]
                     updates.append((nid, nb, cost))
-                for nid in occ_nets:
-                    if nid in shared:
-                        continue
-                    nb = _bbox_after_move(nid, nx, ny, cx, cy)
-                    cost = wq[nid] * ((nb[1] - nb[0]) + (nb[3] - nb[2]))
-                    delta += cost - net_cost[nid]
-                    updates.append((nid, nb, cost))
+                if occ_block >= 0:
+                    for nid in nets_of_block[occ_block]:
+                        if nid in shared:
+                            continue
+                        nb = _bbox_after_move(nid, nx, ny, cx, cy)
+                        cost = wq[nid] * ((nb[1] - nb[0]) + (nb[3] - nb[2]))
+                        delta += cost - net_cost[nid]
+                        updates.append((nid, nb, cost))
 
-            if timing is not None:
-                # Re-price the moved blocks' connections against the
-                # tentative coordinates (a connection both blocks share is
-                # handled once, in the first loop).
-                del t_scratch[:]
-                for ci in conns_of_block[block]:
-                    s = t_src[ci]
-                    d2 = t_dst[ci]
-                    dx = block_x[s] - block_x[d2]
-                    if dx < 0:
-                        dx = -dx
-                    dy = block_y[s] - block_y[d2]
-                    if dy < 0:
-                        dy = -dy
-                    nd = dx + dy
-                    if nd == 0:
-                        nd = 1
-                    delta += cwq[ci] * (nd - c_dist[ci])
-                    t_scratch.append((ci, nd))
-                if occ_block is not None:
-                    for ci in conns_of_block[occ_block]:
-                        s = t_src[ci]
-                        d2 = t_dst[ci]
-                        if s == block or d2 == block:
-                            continue  # shared connection, re-priced above
-                        dx = block_x[s] - block_x[d2]
-                        if dx < 0:
-                            dx = -dx
-                        dy = block_y[s] - block_y[d2]
-                        if dy < 0:
-                            dy = -dy
-                        nd = dx + dy
-                        if nd == 0:
-                            nd = 1
-                        delta += cwq[ci] * (nd - c_dist[ci])
-                        t_scratch.append((ci, nd))
-
-            if delta <= 0:
-                accept = True
-            else:
-                if upos >= RBUF:
-                    ubuf = gen.random(RBUF).tolist()
-                    upos = 0
-                accept = ubuf[upos] < exp(-delta / max(temperature, 1e-9))
-                upos += 1
-            if accept:
-                for nid, nb, cost in updates:
-                    bb[nid] = nb
-                    total_cost += cost - net_cost[nid]
-                    net_cost[nid] = cost
-                occupant[target_g] = block
-                occupant[cur_g] = occ_block
-                block_gsite[block] = target_g
-                if occ_block is not None:
-                    block_gsite[occ_block] = cur_g
-                moves_accepted += 1
-                accepted_this_temp += 1
                 if timing is not None:
-                    for ci, nd in t_scratch:
-                        timing_cost += cwq[ci] * (nd - c_dist[ci])
-                        c_dist[ci] = nd
-                    accepted_since_retime += 1
-                    if accepted_since_retime >= retime_every:
-                        # Re-time against the live coordinates: fresh
-                        # integer weights, total re-priced (distances are
-                        # maintained incrementally and stay exact).
-                        accepted_since_retime = 0
-                        cwq = retime_weights()
-                        timing_cost = 0
-                        for ci in range(nconn):
-                            timing_cost += cwq[ci] * c_dist[ci]
-            else:
-                block_x[block] = cx
-                block_y[block] = cy
-                if occ_block is not None:
-                    block_x[occ_block] = nx
-                    block_y[occ_block] = ny
+                    # Re-price the moved blocks' connections against the
+                    # tentative coordinates.
+                    del t_scratch[:]
+                    for mover in (block,) if occ_block < 0 else (block, occ_block):
+                        for ci in conns_of_block[mover]:
+                            s = t_src[ci]
+                            d = t_dst[ci]
+                            if mover != block and (s == block or d == block):
+                                continue  # shared connection, re-priced with block
+                            dx = block_x[s] - block_x[d]
+                            if dx < 0:
+                                dx = -dx
+                            dy = block_y[s] - block_y[d]
+                            if dy < 0:
+                                dy = -dy
+                            nd = dx + dy
+                            if nd == 0:
+                                nd = 1
+                            delta += cwq[ci] * (nd - c_dist[ci])
+                            t_scratch.append((ci, nd))
 
+                if delta <= 0:
+                    accept = True
+                else:
+                    if upos >= _RBUF:
+                        ubuf = gen.random(_RBUF).tolist()
+                        upos = 0
+                    accept = ubuf[upos] < exp(-delta / tmax)
+                    upos += 1
+                if accept:
+                    for nid, nb, cost in updates:
+                        bb[nid] = nb
+                        total_cost += cost - net_cost[nid]
+                        net_cost[nid] = cost
+                    occupant[target_g] = block
+                    occupant[cur_g] = occ_block
+                    block_gsite[block] = target_g
+                    if occ_block >= 0:
+                        block_gsite[occ_block] = cur_g
+                    accepted += 1
+                    if timing is not None:
+                        for ci, nd in t_scratch:
+                            timing_cost += cwq[ci] * (nd - c_dist[ci])
+                            c_dist[ci] = nd
+                        accepted_since_retime += 1
+                        if accepted_since_retime >= retime_every:
+                            # Re-time against the live coordinates: fresh
+                            # integer weights, total re-priced (distances
+                            # are maintained incrementally and stay exact).
+                            accepted_since_retime = 0
+                            cwq = retime(block_x, block_y).tolist()
+                            timing_cost = sum(w * d for w, d in zip(cwq, c_dist))
+                else:
+                    block_x[block] = cx
+                    block_y[block] = cy
+                    if occ_block >= 0:
+                        block_x[occ_block] = nx
+                        block_y[occ_block] = ny
+            return accepted, total_cost, timing_cost
+
+    # -- the annealing schedule: one loop over either move step -------------
+    # The timing term is part of the annealed cost, so it sets the
+    # temperature scale too.
+    temperature = _initial_temperature(initial_cost + timing_cost, num_nets)
+    device_span = float(max(width, height))
+    range_limit = device_span
+    moves_accepted = 0
+    temperature_steps = 0
+    tl_temperature: List[float] = []
+    tl_cost: List[int] = []
+    tl_acceptance: List[float] = []
+    while temperature_steps < 200:
+        # Window half-span for the O(1) logic-site pick.
+        rl = max(1, int(range_limit))
+        accepted, total_cost, timing_cost = step(
+            moves_per_temp, max(temperature, 1e-9), range_limit * 2, rl, 2 * rl + 1
+        )
+        moves_accepted += accepted
         temperature_steps += 1
-        acceptance = accepted_this_temp / max(1, moves_per_temp)
+        acceptance = accepted / max(1, moves_per_temp)
         tl_temperature.append(temperature)
         tl_cost.append(total_cost + timing_cost)
         tl_acceptance.append(acceptance)
         temperature = _cool(temperature, acceptance)
         range_limit = _next_range_limit(range_limit, acceptance, device_span)
-        if temperature < 0.005 * (total_cost + timing_cost) / max(
-            1, len(netlist.nets)
-        ) or (acceptance < 0.01 and temperature_steps > 5):
+        if temperature < 0.005 * (total_cost + timing_cost) / max(1, num_nets) or (
+            acceptance < 0.01 and temperature_steps > 5
+        ):
             break
 
-    for bid in range(num_block_ids):
-        gi = block_gsite[bid]
-        if gi >= 0:
-            placement.block_site[bid] = all_sites[gi]
-
-    telemetry = _placement_telemetry(
-        "batched", tl_temperature, tl_cost, tl_acceptance,
-        moves_attempted, moves_accepted, native=nat is not None,
-    )
+    telemetry: Dict[str, object] = {"kernel": "batched", "native": nat is not None}
     if nat is not None:
+        moves_attempted = int(istate[ISTATE["attempted"]])
+        block_gsite = block_gsite_a.tolist()
         # Full counter out-param snapshot from the C kernel (see
         # repro.native.annealer.istate_counters).
-        telemetry["istate"] = istate_snapshot
-    if weighted:
-        # Report the unweighted exact-int HPWL (the metric every consumer
-        # compares across kernels); the annealed weighted objective rides
-        # along separately.
-        return PlacementResult(
-            placement=placement,
-            cost=hpwl(netlist, placement),
-            initial_cost=initial_hpwl,
-            moves_attempted=moves_attempted,
-            moves_accepted=moves_accepted,
-            temperature_steps=temperature_steps,
-            objective_cost=total_cost + timing_cost,
-            telemetry=telemetry,
+        telemetry["istate"] = istate_counters(istate)
+    telemetry.update(
+        _placement_telemetry(
+            tl_temperature, tl_cost, tl_acceptance, moves_attempted, moves_accepted
         )
+    )
+    for bid, gi in enumerate(block_gsite):
+        if gi >= 0:
+            placement.block_site[bid] = all_sites[gi]
+    # Report the unweighted exact-int HPWL (the metric every consumer
+    # compares across objectives); a weighted or timing objective rides
+    # along separately.
     return PlacementResult(
         placement=placement,
-        cost=total_cost,
-        initial_cost=initial_cost,
+        cost=hpwl(netlist, placement) if weighted else total_cost,
+        initial_cost=initial_hpwl,
         moves_attempted=moves_attempted,
         moves_accepted=moves_accepted,
         temperature_steps=temperature_steps,
+        objective_cost=total_cost + timing_cost if weighted else None,
         telemetry=telemetry,
     )

@@ -180,26 +180,6 @@ class JobJournal:
                 )
         return out
 
-    def prune_completed(self, keep: int) -> int:
-        """Drop the oldest completed/failed snapshots beyond ``keep``.
-
-        Pending entries are never pruned (they are the replay debt).
-        Returns the number of files removed.
-        """
-        done = [
-            e
-            for e in self.entries()
-            if e.get("state") in ("completed", "failed")
-        ]
-        removed = 0
-        for entry in done[: max(0, len(done) - keep)]:
-            try:
-                os.unlink(self._path(str(entry["id"])))
-                removed += 1
-            except OSError:
-                continue
-        return removed
-
     def stats(self) -> Dict[str, int]:
         """Write/drop/corruption tallies (all zero on a healthy journal)."""
         return {

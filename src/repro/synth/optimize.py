@@ -42,12 +42,6 @@ class OptimizeReport:
     gates_after: int = 0
     passes: List[str] = field(default_factory=list)
 
-    @property
-    def gate_reduction(self) -> float:
-        """Fraction of gates removed by optimization."""
-        if self.gates_before == 0:
-            return 0.0
-        return 1.0 - self.gates_after / self.gates_before
 
 
 # ---------------------------------------------------------------------------

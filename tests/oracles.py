@@ -483,10 +483,12 @@ def place_reference(
         moves_attempted=moves_attempted,
         moves_accepted=moves_accepted,
         temperature_steps=temperature_steps,
-        telemetry=_placement_telemetry(
-            "reference", tl_temperature, tl_cost, tl_acceptance,
-            moves_attempted, moves_accepted,
-        ),
+        telemetry={
+            "kernel": "reference",
+            **_placement_telemetry(
+                tl_temperature, tl_cost, tl_acceptance, moves_attempted, moves_accepted
+            ),
+        },
     )
 
 

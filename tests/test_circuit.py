@@ -117,14 +117,6 @@ class TestQueries:
 
 
 class TestTransforms:
-    def test_extract_cone(self):
-        c, (a, b, d, ab, out) = small_and_or()
-        cone, remap = c.extract_cone([ab])
-        assert len(cone) == 3  # a, b, and the AND gate
-        assert cone.num_gates() == 1
-        assert remap[ab] in cone.outputs.values()
-        cone.validate()
-
     def test_clone_is_independent(self):
         c, _ = small_and_or()
         c2 = c.clone()

@@ -144,8 +144,6 @@ class TestGridArchitecture:
         assert arch.downstream_of((2, 1)) == []
         assert arch.upstream_of((1, 1)) == [(0, 0), (0, 1), (0, 2)]
         assert arch.upstream_of((0, 2)) == []
-        assert arch.is_entry_row((0, 2))
-        assert arch.is_exit_row((2, 0))
 
     def test_enumerations(self):
         arch = VCGRAArchitecture(rows=4, cols=4)

@@ -31,7 +31,7 @@ from repro.native.astar import astar_kernel
 from repro.netlist.hdl import Design
 from repro.par.netlist import PhysicalNetlist, from_mapped_network
 from repro.par.flow import timing_driven_placement
-from repro.par.placement import hpwl, place
+from repro.par.placement import TimingCost, hpwl, place
 from repro.par.routing import route, routing_to_payload
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional
@@ -310,6 +310,10 @@ class TestAnnealerBitIdentity:
         sites_a = {k: v.as_tuple() for k, v in a.placement.block_site.items()}
         sites_b = {k: v.as_tuple() for k, v in b.placement.block_site.items()}
         assert sites_a == sites_b
+        # the schedule itself: every temperature step annealed at the same
+        # temperature, reached the same cost and accepted the same share
+        for key in ("temperature", "cost", "acceptance"):
+            assert a.telemetry[key] == b.telemetry[key], key
 
     def test_plain_trajectories_identical_across_seeds(self, workload):
         nl, arch, _device, _ = workload
@@ -340,21 +344,59 @@ class TestAnnealerBitIdentity:
 
     def test_callback_exception_propagates(self, workload):
         """An exception inside the retime callback must abort the C loop and
-        re-raise in Python, not crash or hang."""
-        from repro.par.placement import TimingCost
-
+        re-raise in Python, not crash or hang.  The callback's first call
+        (set-up) succeeds, so the raise comes from inside the C loop."""
         nl, arch, _device, _ = workload
-
-        def bad_criticality(block_x, block_y):
-            raise RuntimeError("boom from retime")
-
-        nedges = sum(1 + len(n.sinks) for n in nl.nets)
-        tc = TimingCost(
-            conn_src=[n.driver for n in nl.nets for _ in n.sinks],
-            conn_dst=[s for n in nl.nets for s in n.sinks],
-            criticality=bad_criticality,
-            tradeoff=3.0,
-            retime_every=1,
-        )
+        tc, calls = flaky_timing_cost(nl, boom)
         with pytest.raises(RuntimeError, match="boom from retime"):
             place(nl, arch, seed=0, effort=0.3, timing=tc)
+        assert calls == [(list, list)] * 2
+
+
+def boom():
+    raise RuntimeError("boom from retime")
+
+
+def flaky_timing_cost(nl, later):
+    """A timing objective whose criticality callback is well formed on its
+    first call (the set-up re-time) and returns ``later()`` from then on,
+    i.e. inside the move loop.  Returns the cost and the types of the
+    coordinates each call received."""
+    conn_src = [n.driver for n in nl.nets for _ in n.sinks]
+    conn_dst = [s for n in nl.nets for s in n.sinks]
+    calls = []
+
+    def criticality(block_x, block_y):
+        calls.append((type(block_x), type(block_y)))
+        return [0.5] * len(conn_src) if len(calls) == 1 else later()
+
+    return TimingCost(conn_src, conn_dst, criticality, tradeoff=3.0), calls
+
+
+class TestRetimeCallback:
+    """A misbehaving retime callback fails the anneal the same way on
+    either backend (the Python twin needs no compiler)."""
+
+    @pytest.fixture(params=[pytest.param("native", marks=needs_cc), "python"])
+    def backend(self, request):
+        if request.param == "python":
+            with python_twins():
+                yield request.param
+        else:
+            yield request.param
+
+    def test_wrong_shape_raises(self, workload, backend):
+        nl, arch, _device, _ = workload
+        tc, calls = flaky_timing_cost(nl, lambda: [0.5])
+        nconn = len(tc.conn_src)
+        match = rf"timing criticality returned \(1,\), expected \({nconn},\)"
+        with pytest.raises(ValueError, match=match):
+            place(nl, arch, seed=0, effort=0.3, timing=tc)
+        assert calls == [(list, list)] * 2
+
+    def test_callback_exception_propagates_on_python_twin(self, workload):
+        nl, arch, _device, _ = workload
+        tc, calls = flaky_timing_cost(nl, boom)
+        with python_twins(), pytest.raises(RuntimeError, match="boom from retime"):
+            place(nl, arch, seed=0, effort=0.3, timing=tc)
+        assert calls == [(list, list)] * 2

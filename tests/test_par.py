@@ -27,7 +27,7 @@ from repro.par.flow import cached_route, place_and_route, timing_driven_placemen
 from repro.par.forest import FOREST_ARRAYS
 from repro.par.metrics import channel_occupancy, minimum_channel_width
 from repro.par.netlist import PhysicalNetlist, from_mapped_network
-from repro.par.placement import hpwl, place, random_placement
+from repro.par.placement import TimingCost, hpwl, place, random_placement
 from repro.par.forest import build_route_forest
 from repro.par.routing import RoutingResult, predict_failure, route, route_resilient
 from repro.par.timing import report_from_analysis
@@ -511,7 +511,10 @@ class TestShippedSurface:
             "placement_kernel", "route_kernel", "min_cw_route_kernel",
             "timing_placer", "timing_passes", "timing_tradeoff", "workers",
         ),
-        timing_driven_placement: ("mode", "passes", "inner_num"),
+        timing_driven_placement: (
+            "mode", "passes", "inner_num", "tradeoff", "exponent", "retime_every",
+        ),
+        TimingCost: ("retime_every",),
         cached_route: ("kernel", "degrade"),
         route_resilient: ("kernel", "degrade"),
         minimum_channel_width: ("route_kernel", "workers"),
@@ -550,6 +553,7 @@ class TestShippedSurface:
         "repro.par.cache": ("CacheBackend", "LocalDirBackend", "MemoryBackend"),
         "repro.par.routing": ("_route_fast", "DEGRADATION_CHAIN", "_base_cost_array"),
         "repro.par.forest": ("join_sorted",),
+        "repro.par.placement": ("_place_batched",),
     }
 
     def test_removed_selectors_and_oracles_are_gone(self):
@@ -559,7 +563,7 @@ class TestShippedSurface:
             for name in names:
                 assert name not in params, f"{fn.__qualname__}({name}=) is back"
                 removed += 1
-        assert removed == 33
+        assert removed == 37
         assert "routes" not in {f.name for f in dataclasses.fields(RoutingResult)}
 
         import importlib

@@ -272,17 +272,6 @@ class TestJobJournal:
         assert journal.load("j1")["state"] == "running"
         assert events[0]["event"] == "journal-write-dropped"
 
-    def test_prune_keeps_pending(self, tmp_path):
-        journal = JobJournal(tmp_path)
-        journal.record(entry("p", "accepted", seq=1))
-        for i in range(4):
-            journal.record(
-                entry(f"c{i}", "completed", seq=2 + i, result={"d": i})
-            )
-        removed = journal.prune_completed(keep=1)
-        assert removed == 3
-        assert journal.load("p") is not None
-        assert len(journal.replay()["completed"]) == 1
 
 
 # ---------------------------------------------------------------------------

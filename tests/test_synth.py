@@ -158,9 +158,8 @@ class TestOptimize:
         x2 = c.g_and(a, b)  # duplicate
         y = c.g_or(x1, x2)  # or of identical nodes
         c.add_output("y", y)
-        opt, report = optimize(c)
+        opt, _ = optimize(c)
         assert opt.num_gates() == 1
-        assert report.gate_reduction > 0
 
     def test_optimize_preserves_adder_function(self):
         d = Design()
