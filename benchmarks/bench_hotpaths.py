@@ -32,8 +32,8 @@ Three comparisons are made:
 * **rr_build** -- the closed-form NumPy RR-graph builder vs the per-edge
   append builder it replaced (``tests/oracles.py``), on the routing
   section's architecture at its width and at W=32.  ``identical`` (every
-  array by value and dtype, every lookup item for item) is gated by
-  ``check_quality.py``;
+  array by value and dtype, ``search_end`` included, every lookup item for
+  item) is gated by ``check_quality.py``;
 * **timing** -- the PR 4 criticality-driven objective at the same minimum
   routable width: routed ``critical_path_ns`` + ``logic_depth`` of the
   default (wirelength) flow vs ``objective="timing"`` both route-only (same
@@ -693,12 +693,13 @@ def bench_resilience(netlist, arch, placement, width):
 def bench_native(netlist, arch, placement, width):
     """Native C kernels vs their pure-Python twins: warm speed + bit-identity.
 
-    Both backends run warm (the search view and the compiled ``.so`` exist
+    Both backends run warm (the device and the compiled ``.so`` exist
     before the timed region) on the routing section's placement and channel
-    width; the annealer comparison re-runs the batched placement kernel
-    across the bench seeds.  Identity is literal: same route node lists,
-    same placements, same exact-int costs and counters -- the compiled
-    kernels are twins, not approximations.
+    width.  The Python twin builds its list mirrors of the graph inside each
+    timed route, as every route call does.  The annealer comparison re-runs
+    the batched placement kernel across the bench seeds.  Identity is
+    literal: same route node lists, same placements, same exact-int costs
+    and counters -- the compiled kernels are twins, not approximations.
     """
     from repro.native import status as native_status
 

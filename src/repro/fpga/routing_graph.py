@@ -36,7 +36,8 @@ builder they were defined by, and ``tests/test_fpga.py`` compares the two):
   node and -1 for a logic-block node; a logic-block SINK has capacity
   ``lut_inputs``, every other node 1.
 * **Dtypes**: ``node_type`` int8; ``node_x``, ``node_y``, ``node_track`` and
-  ``node_capacity`` int16; ``edge_ptr`` int64; ``edge_dst`` int32.
+  ``node_capacity`` int16; ``edge_ptr`` and ``search_end`` int64;
+  ``edge_dst`` int32.
 * **Out-edges** of each node, in insertion order of three phases:
 
   1. switch blocks, by position ``(i, j, t)`` (``i`` outermost), then by
@@ -49,6 +50,15 @@ builder they were defined by, and ``tests/test_fpga.py`` compares the two):
      IPIN;
   3. IO sites in ``io_sites()`` order: SOURCE -> OPIN, IPIN -> SINK, then per
      track of the adjacent channel OPIN -> wire and wire -> IPIN.
+
+* **Pin edges last**: the phases above put every edge that enters an IPIN
+  or a SINK after all of its source node's other edges (a wire's
+  switch-block edges come first, its wire -> IPIN edges after them; a
+  SOURCE or OPIN enters no pin; an IPIN's one edge enters its SINK).
+  ``search_end[n]`` is where node ``n``'s pin edges start, so
+  ``edge_dst[edge_ptr[n]:search_end[n]]`` are the edges the router's
+  search expands over and ``edge_dst[search_end[n]:edge_ptr[n + 1]]`` the
+  pins it completes a connection through.
 
 * **Lookups**: ``clb_source`` / ``clb_opin`` / ``clb_sink`` keyed by
   ``(x, y)`` in x-major order; ``io_source`` / ``io_sink`` keyed by
@@ -68,7 +78,6 @@ from .architecture import FPGAArchitecture
 __all__ = [
     "RRNodeType",
     "RRGraph",
-    "RouterSearchView",
     "build_rr_graph",
     "RR_BASE_COST",
     "rr_delay_ns",
@@ -86,9 +95,8 @@ class RRNodeType:
     CHANY = 5
 
 
-#: Congestion-free cost of occupying one RR node, by node type.  This is the
-#: router's cost model, exported here so :class:`RouterSearchView` can bake a
-#: flat base-cost vector next to the CSR arrays it already owns.
+#: Congestion-free cost of occupying one RR node, by node type: the router's
+#: cost model.
 RR_BASE_COST = {
     RRNodeType.SOURCE: 0.1,
     RRNodeType.SINK: 0.1,
@@ -124,10 +132,9 @@ def rr_delay_ns(arch: FPGAArchitecture) -> Dict[int, float]:
 class RRGraph:
     """Routing-resource graph with CSR adjacency.
 
-    The seven arrays are made read-only on construction: nothing may change a
-    graph after it is built, so a device (and its cached
-    :class:`RouterSearchView`) can be shared by every route on it.  Graphs
-    compare by identity.
+    The eight arrays are made read-only on construction: nothing may change a
+    graph after it is built, so a device can be shared by every route on it.
+    Graphs compare by identity.
     """
 
     arch: FPGAArchitecture
@@ -138,6 +145,7 @@ class RRGraph:
     node_capacity: np.ndarray    # int16
     edge_ptr: np.ndarray         # CSR row pointers (num_nodes + 1)
     edge_dst: np.ndarray         # CSR column indices
+    search_end: np.ndarray       # per node: end of its non-pin edges (int64)
     #: lookup tables filled in by the builder
     clb_source: Dict[Tuple[int, int], int]
     clb_sink: Dict[Tuple[int, int], int]
@@ -148,7 +156,7 @@ class RRGraph:
     def __post_init__(self) -> None:
         for arr in (
             self.node_type, self.node_x, self.node_y, self.node_track,
-            self.node_capacity, self.edge_ptr, self.edge_dst,
+            self.node_capacity, self.edge_ptr, self.edge_dst, self.search_end,
         ):
             arr.setflags(write=False)
 
@@ -171,8 +179,7 @@ class RRGraph:
         """Per-node intrinsic delay (:func:`rr_delay_ns` by node type), read-only.
 
         The one flat delay vector: the STA engine, the router's retimer and
-        the router's :class:`RouterSearchView` all read it, and it outlives
-        :meth:`release_search_view`.
+        the router's timing objective all read it.
         """
         delay = np.empty(self.num_nodes, dtype=np.float64)
         for t, d in rr_delay_ns(self.arch).items():
@@ -191,147 +198,6 @@ class RRGraph:
     def is_wire(self, node: int) -> bool:
         """Whether ``node`` is a channel wire (CHANX/CHANY)."""
         return self.node_type[node] in (RRNodeType.CHANX, RRNodeType.CHANY)
-
-    def search_view(self) -> "RouterSearchView":
-        """Precomputed flat-array view of the graph for the directed router.
-
-        Built once per graph and cached; repeated :func:`repro.par.routing.route`
-        calls on the same device (PathFinder iterations, benchmark reruns) share
-        it.
-        """
-        view = self.__dict__.get("_search_view")
-        if view is None:
-            view = RouterSearchView(self)
-            self.__dict__["_search_view"] = view
-        return view
-
-    def release_search_view(self) -> None:
-        """Drop the cached :meth:`search_view`; the next call rebuilds it.
-
-        The view (and, after a pure-Python route, its per-sink entry maps)
-        takes more memory than the graph itself, so an owner that keeps the
-        graph after its last route and STA releases it.
-        """
-        self.__dict__.pop("_search_view", None)
-
-
-class RouterSearchView:
-    """Flat mirrors of an :class:`RRGraph` for the directed search kernel.
-
-    The astar router expands exclusively over SOURCE/OPIN/CHANX/CHANY
-    nodes: IPIN and SINK successors are stripped from the adjacency here,
-    and a search completes on the first wire adjacent to the target block
-    through one of that block's input pins instead of flooding every input
-    pin it passes.  The node coordinates double as the admissible
-    geometric lookahead: every remaining unit of Manhattan distance to the
-    target costs at least one unit-length wire of base cost 1.0.
-
-    Built eagerly -- everything the native net loop reads apart from the
-    graph's own forward edges (:mod:`repro.native.astar`):
-
-    * ``csr_ptr`` / ``csr_dst`` -- the filtered adjacency as contiguous
-      NumPy CSR arrays;
-    * ``xs_arr`` / ``ys_arr`` -- the Manhattan-lookahead tables;
-    * ``base_cost`` -- congestion-free node costs (:data:`RR_BASE_COST`);
-    * ``delay_ns`` -- the graph's :attr:`RRGraph.node_delay_ns`, which the
-      timing-driven router objective reads.
-
-    The pure-Python astar twin's mirrors are built on first use only, so a
-    native route builds none of them: the per-node lists ``xs``, ``ys``,
-    ``types``, ``capacity`` and ``adj_search``, and the reverse CSR behind
-    the per-sink entry maps of :meth:`entries_of`.
-    """
-
-    def __init__(self, rr: RRGraph) -> None:
-        # The graph's own (read-only) arrays, for the lazy mirrors below; the
-        # view holds no reference to the graph, which caches the view.
-        self._node_x, self._node_y = rr.node_x, rr.node_y
-        self._node_type, self._node_capacity = rr.node_type, rr.node_capacity
-        self._edge_ptr, self._edge_dst = rr.edge_ptr, rr.edge_dst
-        # Filtered adjacency (no IPIN/SINK targets) as contiguous NumPy CSR.
-        num_nodes = rr.num_nodes
-        dst_type = rr.node_type[rr.edge_dst]
-        keep = (dst_type != RRNodeType.IPIN) & (dst_type != RRNodeType.SINK)
-        self.csr_dst: np.ndarray = rr.edge_dst[keep].astype(np.int32)
-        self.csr_ptr: np.ndarray = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self._edge_src()[keep], minlength=num_nodes),
-                  out=self.csr_ptr[1:])
-
-        # Vector mirrors of the per-node attributes: lookahead tables, the
-        # congestion-free cost floor and the intrinsic delays.
-        self.xs_arr: np.ndarray = rr.node_x.astype(np.int64)
-        self.ys_arr: np.ndarray = rr.node_y.astype(np.int64)
-        base = np.empty(num_nodes, dtype=np.float64)
-        for t, c in RR_BASE_COST.items():
-            base[rr.node_type == t] = c
-        self.base_cost: np.ndarray = base
-        self.delay_ns: np.ndarray = rr.node_delay_ns
-        self._entries: Dict[int, Dict[int, List[int]]] = {}
-
-    def _edge_src(self) -> np.ndarray:
-        ptr = self._edge_ptr
-        return np.repeat(
-            np.arange(len(ptr) - 1, dtype=np.int32), np.diff(ptr).astype(np.int64)
-        )
-
-    @cached_property
-    def xs(self) -> List[int]:
-        """Node x coordinates as a Python list (Python astar twin)."""
-        return self._node_x.tolist()
-
-    @cached_property
-    def ys(self) -> List[int]:
-        """Node y coordinates as a Python list (Python astar twin)."""
-        return self._node_y.tolist()
-
-    @cached_property
-    def types(self) -> List[int]:
-        """Node types as a Python list (Python astar twin)."""
-        return self._node_type.tolist()
-
-    @cached_property
-    def capacity(self) -> List[int]:
-        """Node capacities as a Python list (Python astar twin)."""
-        return self._node_capacity.tolist()
-
-    @cached_property
-    def adj_search(self) -> List[List[int]]:
-        """The filtered adjacency as per-node Python lists (Python astar twin)."""
-        ptr = self.csr_ptr.tolist()
-        dst = self.csr_dst.tolist()
-        return [dst[ptr[i]: ptr[i + 1]] for i in range(len(ptr) - 1)]
-
-    @cached_property
-    def _reverse(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Reverse CSR ``(rev_ptr, rev_src)``: in-edges by destination, each
-        node's sources in ascending id (a stable sort of ascending sources)."""
-        dst = self._edge_dst
-        num_nodes = len(self._edge_ptr) - 1
-        rev_src = self._edge_src()[np.argsort(dst, kind="stable")]
-        rev_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=num_nodes), out=rev_ptr[1:])
-        return rev_ptr, rev_src
-
-    def _in_edges(self, node: int) -> List[int]:
-        rev_ptr, rev_src = self._reverse
-        lo, hi = int(rev_ptr[node]), int(rev_ptr[node + 1])
-        return rev_src[lo:hi].tolist()
-
-    def entries_of(self, sink: int) -> Dict[int, List[int]]:
-        """Map ``wire -> [ipins]`` of every wire that can enter ``sink``.
-
-        Each wire's pins are in ascending id: the Python twin's completion
-        takes the first cheapest, which is the compiled kernel's rule of
-        the cheapest pin, lowest id on equal cost.
-        """
-        entry = self._entries.get(sink)
-        if entry is None:
-            entry = {}
-            for ipin in self._in_edges(sink):
-                for wire in self._in_edges(ipin):
-                    entry.setdefault(wire, []).append(ipin)
-            self._entries[sink] = entry
-        return entry
 
 
 def _track_subset(channel_width: int, fraction: float) -> List[int]:
@@ -367,7 +233,8 @@ def build_rr_graph(arch: FPGAArchitecture) -> RRGraph:
     construction phase (switch blocks, logic blocks, IO pads) are generated
     as ``(src, dst)`` pairs in the insertion order of the module docstring,
     one chunk at a time.  A first pass over the chunks counts each node's
-    out-degree, which gives ``edge_ptr``; a second pass places each chunk at
+    out-degree, which gives ``edge_ptr`` (and, from the degrees after the
+    switch-block phase, ``search_end``); a second pass places each chunk at
     ``edge_ptr[src]`` plus the edges already placed for ``src``, with a stable
     sort inside the chunk keeping the insertion order.
     """
@@ -505,8 +372,14 @@ def build_rr_graph(arch: FPGAArchitecture) -> RRGraph:
     for phase in phases:
         for src, _ in phase():
             degree += np.bincount(src, minlength=num_nodes)
+        if phase is switch_blocks:
+            # Pin edges last: a wire's search edges are its switch-block
+            # edges, a SOURCE's or OPIN's are all of them, a pin's none.
+            search_degree = degree.copy()
     edge_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(degree, out=edge_ptr[1:])
+    enters_no_pin = (node_type == RRNodeType.SOURCE) | (node_type == RRNodeType.OPIN)
+    search_end = edge_ptr[:-1] + np.where(enters_no_pin, degree, search_degree)
     edge_dst = np.empty(int(edge_ptr[-1]), dtype=np.int32)
     fill = edge_ptr[:-1].copy()
     for phase in phases:
@@ -533,6 +406,7 @@ def build_rr_graph(arch: FPGAArchitecture) -> RRGraph:
         node_capacity=node_capacity,
         edge_ptr=edge_ptr,
         edge_dst=edge_dst,
+        search_end=search_end,
         clb_source=dict(zip(clb_keys, clb_ids.tolist())),
         clb_sink=dict(zip(clb_keys, (clb_ids + 2).tolist())),
         clb_opin=dict(zip(clb_keys, (clb_ids + 1).tolist())),

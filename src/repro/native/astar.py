@@ -32,13 +32,14 @@ compiler cannot fuse or re-associate them), and its heap pops replicate
 re-push requires strictly improving ``g`` past the 1e-12 stale band), so
 the keys form a strict total order and any correct binary heap pops them
 in exactly the same sequence.  Seeds replicate the lazy sorted seed
-stream and the inline chase rule.  Sink completion reads the forward
-graph: a wire next to the target scans its out-edges for input pins whose
-one out-edge is the target sink and takes the cheapest, the lowest pin id
-on equal cost -- the first minimum of the Python twin's
-:meth:`~repro.fpga.routing_graph.RouterSearchView.entries_of` list, which
-holds a sink's pins in ascending id.  The rip-up scan, the tree order the
-searches seed from and the fragment layout copy the Python twin's.
+stream and the inline chase rule.  Both sides read the graph's own arrays
+(:class:`~repro.fpga.routing_graph.RRGraph`): a search expands node ``n``
+over ``edge_dst[edge_ptr[n]:search_end[n]]``, and sink completion scans a
+wire's pin edges past ``search_end[w]`` for input pins whose one
+out-edge is the target sink and takes the cheapest, the lowest pin id on
+equal cost -- the same scan and rule in C and in the Python twin.  The
+rip-up scan, the tree order the searches seed from and the fragment
+layout copy the Python twin's.
 Routes, wirelengths, and iteration counts are therefore bit-identical to
 the Python kernel -- verified across the bench seeds by
 ``tests/test_native.py`` and gated in CI by ``benchmarks/check_quality.py``
@@ -114,13 +115,14 @@ static int64_t  g_gen = 0, g_stamp = 0;
 
 /* ---- the graph ---- */
 
-static const int64_t *g_csr_ptr;   /* filtered adjacency: no IPIN/SINK */
-static const int32_t *g_csr_dst;
-static const int64_t *g_edge_ptr;  /* forward graph, for sink completion */
+/* Node n's search edges are edge_ptr[n]..search_end[n]; its pin edges
+ * (into IPINs and SINKs) follow them up to edge_ptr[n + 1]. */
+static const int64_t *g_edge_ptr;
 static const int32_t *g_edge_dst;
-static const int64_t *g_xs, *g_ys;
+static const int64_t *g_search_end;
+static const int16_t *g_xs, *g_ys;
 static const int8_t  *g_type;
-static int64_t        g_ipin_t, g_sink_t, g_chanx_t, g_chany_t;
+static int64_t        g_ipin_t, g_sink_t;
 static double         g_fac, g_pfb;
 static int64_t        g_margin;
 
@@ -169,18 +171,15 @@ static void free_frags(void)
     g_n_nets = 0;
 }
 
-void repro_astar_graph(const int64_t *csr_ptr, const int32_t *csr_dst,
-                       const int64_t *edge_ptr, const int32_t *edge_dst,
-                       const int64_t *xs, const int64_t *ys,
+void repro_astar_graph(const int64_t *edge_ptr, const int32_t *edge_dst,
+                       const int64_t *search_end,
+                       const int16_t *xs, const int16_t *ys,
                        const int8_t *ntype, int64_t ipin_t, int64_t sink_t,
-                       int64_t chanx_t, int64_t chany_t,
                        double fac, double pin_floor, int64_t margin)
 {
-    g_csr_ptr = csr_ptr; g_csr_dst = csr_dst;
-    g_edge_ptr = edge_ptr; g_edge_dst = edge_dst;
+    g_edge_ptr = edge_ptr; g_edge_dst = edge_dst; g_search_end = search_end;
     g_xs = xs; g_ys = ys; g_type = ntype;
     g_ipin_t = ipin_t; g_sink_t = sink_t;
-    g_chanx_t = chanx_t; g_chany_t = chany_t;
     g_fac = fac; g_pfb = pin_floor; g_margin = margin;
 }
 
@@ -332,46 +331,28 @@ static void bump(int64_t n, int32_t d)
     }
 }
 
-/* ---- sink completion through the forward graph ---- */
+/* ---- sink completion through the graph's pin edges ---- */
 
 static int64_t s_gen, s_target;
 static double  s_crt, s_omc, s_tcost;
 static double  s_best;
 
-/* The cheapest input pin from wire `w` into sink `target` under blend
- * `crt` (the lowest pin id on equal cost), or -1.  Only channel wires
- * drive input pins, and an input pin's one out-edge is its sink. */
-static int64_t entry_pin(int64_t w, int64_t target, double crt, double omc,
-                         double *c_out)
+/* Complete target <- ipin <- `w` through the cheapest of w's pin edges
+ * whose input pin's one out-edge is the target (the lowest pin id on
+ * equal cost), when that beats the best completion so far. */
+static void complete(int64_t w, double g_w)
 {
-    int64_t tt = g_type[w];
-    if (tt != g_chanx_t && tt != g_chany_t) return -1;
     int64_t ip = -1;
     double c = 0.0;
     int64_t e_end = g_edge_ptr[w + 1];
-    for (int64_t e = g_edge_ptr[w]; e < e_end; e++) {
+    for (int64_t e = g_search_end[w]; e < e_end; e++) {
         int64_t q = g_edge_dst[e];
-        if (g_type[q] != g_ipin_t) continue;
         int64_t qe = g_edge_ptr[q];
-        if (qe == g_edge_ptr[q + 1] || g_edge_dst[qe] != target) continue;
+        if (qe == g_edge_ptr[q + 1] || g_edge_dst[qe] != s_target) continue;
         double cq = g_cost[q];
-        if (crt != 0.0) cq = omc * g_cost[q] + crt * g_dly[q];
+        if (s_crt != 0.0) cq = s_omc * g_cost[q] + s_crt * g_dly[q];
         if (ip < 0 || cq < c || (cq == c && q < ip)) { ip = q; c = cq; }
     }
-    *c_out = c;
-    return ip;
-}
-
-int64_t repro_astar_entry_pin(int64_t w, int64_t target, double crt)
-{
-    double c;
-    return entry_pin(w, target, crt, 1.0 - crt, &c);
-}
-
-static void complete(int64_t w, double g_w)
-{
-    double c;
-    int64_t ip = entry_pin(w, s_target, s_crt, s_omc, &c);
     if (ip < 0) return;
     double total = g_w + c + s_tcost;
     if (total < s_best - 1e-12) {
@@ -393,7 +374,7 @@ static int search(int64_t tree_len, int64_t target,
                   int64_t xlo, int64_t xhi, int64_t ylo, int64_t yhi,
                   double crt)
 {
-    const int64_t *xs = g_xs, *ys = g_ys;
+    const int16_t *xs = g_xs, *ys = g_ys;
     const double *cost = g_cost, *dly = g_dly;
     int64_t *visited = s_visited, *prev = s_prev;
     double *csf = s_csf;
@@ -449,9 +430,9 @@ static int search(int64_t tree_len, int64_t target,
             g_stats[0]++;  /* node expanded: its adjacency is scanned */
             double chase_f = HUGE_VAL, chase_g = 0.0;
             int64_t chase_m = -1;
-            int64_t e_end = g_csr_ptr[n + 1];
-            for (int64_t e = g_csr_ptr[n]; e < e_end; e++) {
-                int64_t m = g_csr_dst[e];
+            int64_t e_end = g_search_end[n];
+            for (int64_t e = g_edge_ptr[n]; e < e_end; e++) {
+                int64_t m = g_edge_dst[e];
                 double cm = cost[m];
                 if (crt != 0.0) cm = omc * cm + crt * dly[m];
                 double new_cost = g + cm;
@@ -764,6 +745,10 @@ void repro_astar_export(const int64_t *order, int32_t *node, int32_t *parent,
 _i64 = ctypes.c_int64
 _f64 = ctypes.c_double
 _p = ctypes.c_void_p
+#: Dtypes of the arrays :meth:`NativeAstar.bind_graph` binds, in order.
+_GRAPH_DTYPES = tuple(
+    np.dtype(t) for t in (np.int64, np.int32, np.int64, np.int16, np.int16, np.int8)
+)
 
 
 def _ptr(arr: Optional[np.ndarray]) -> Optional[int]:
@@ -788,11 +773,10 @@ class NativeAstar:
             f.restype = restype
             return f
 
-        self._graph = fn("repro_astar_graph", [_p] * 7 + [_i64] * 4 + [_f64, _f64, _i64])
+        self._graph = fn("repro_astar_graph", [_p] * 6 + [_i64] * 2 + [_f64, _f64, _i64])
         self._state = fn("repro_astar_state", [_i64, _p, _p, _p, _p, _i64, _p, _p, _p, _p], _i64)
         self._costs = fn("repro_astar_costs", [_p, _p, _p, _p, _f64])
         self._release = fn("repro_astar_release", [])
-        self._entry_pin = fn("repro_astar_entry_pin", [_i64, _i64, _f64], _i64)
         #: ``route_net(k, reroute)``: see :meth:`bind_state` for the codes.
         self.route_net = fn("repro_astar_route_net", [_i64, _i64], _i64)
         #: ``next_congested(start)``: the first net index ``>= start`` whose
@@ -804,26 +788,30 @@ class NativeAstar:
         self._state_refs: tuple = ()
         self._cost_refs: tuple = ()
 
-    def bind_graph(self, view, rr, fac: float, pin_floor: float, margin: int) -> None:
-        """Bind the search view's filtered CSR, the graph's forward edges and
-        coordinates, the lookahead weight ``fac``, the admissible pin floor
-        and the bounding-box ``margin``."""
+    def bind_graph(self, rr, fac: float, pin_floor: float, margin: int) -> None:
+        """Bind the graph's own arrays (CSR edges, ``search_end``, int16
+        coordinates and node types), the lookahead weight ``fac``, the
+        admissible pin floor and the bounding-box ``margin``.
+
+        Raises ``TypeError`` when an array is not C-contiguous in the
+        dtype of the graph's contract, which the kernel reads it as.
+        """
         arrays = (
-            view.csr_ptr,
-            view.csr_dst,
             rr.edge_ptr,
             rr.edge_dst,
-            view.xs_arr,
-            view.ys_arr,
+            rr.search_end,
+            rr.node_x,
+            rr.node_y,
             rr.node_type,
         )
+        for arr, dtype in zip(arrays, _GRAPH_DTYPES):
+            if arr.dtype != dtype or not arr.flags.c_contiguous:
+                raise TypeError(f"RR graph array of dtype {arr.dtype}: the kernel reads {dtype}")
         self._graph_refs = arrays
         self._graph(
             *(_ptr(a) for a in arrays),
             RRNodeType.IPIN,
             RRNodeType.SINK,
-            RRNodeType.CHANX,
-            RRNodeType.CHANY,
             fac,
             pin_floor,
             margin,
@@ -882,11 +870,6 @@ class NativeAstar:
         """
         self._cost_refs = (cost, base_hist, delay, crit)
         self._costs(_ptr(cost), _ptr(base_hist), _ptr(delay), _ptr(crit), pres_fac)
-
-    def entry_pin(self, wire: int, sink: int, crit: float = 0.0) -> int:
-        """The input pin a search completes through from ``wire`` into
-        ``sink`` under the bound graph and costs, or -1."""
-        return self._entry_pin(wire, sink, crit)
 
     def export_forest(self, order: np.ndarray) -> Dict[str, np.ndarray]:
         """The nets' records in ``order`` as int32 route-forest arrays.

@@ -67,8 +67,8 @@ _devices: "OrderedDict[FPGAArchitecture, Device]" = OrderedDict()
 def _shared_device(arch: FPGAArchitecture) -> Device:
     """The memoized device of ``arch``, built on a miss (LRU, see above).
 
-    Only the device is kept: ``place_and_route`` releases its router
-    search view after STA as before, so the memo holds graphs, not views.
+    The router reads the device's read-only graph arrays and caches
+    nothing on them, so the memo holds exactly the devices.
     """
     device = _devices.get(arch)
     if device is not None:
@@ -317,9 +317,6 @@ def place_and_route(
     )
     sta = analyze(netlist, routing, device, placement=placement.placement)
     timing = report_from_analysis(sta, network, routing, device)
-    # Nothing reads the router's search view after the STA: a kept
-    # PaRResult (and the min-CW probes below) need not hold it.
-    device.rr_graph.release_search_view()
 
     min_cw = None
     if find_min_channel_width:
@@ -375,7 +372,7 @@ def timing_driven_placement(
 
     **One** anneal whose objective is plain HPWL plus a per-connection
     ``criticality**2 * distance`` term over the timing graph's flat edge
-    arrays (:class:`repro.par.placement.TimingCost`, at its default
+    arrays (:class:`repro.par.placement.TimingCost`, at its fixed
     tradeoff).  Every half temperature step of accepted moves the live
     block coordinates feed a placement-estimate STA
     (:func:`repro.timing.sta.scan_edge_criticality`, pure NumPy) and the

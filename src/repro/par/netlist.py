@@ -35,6 +35,7 @@ class Block:
 
     @property
     def needs_logic_site(self) -> bool:
+        """Whether the block occupies a logic tile (a LUT or a flip-flop)."""
         return self.kind in ("clb", "ff")
 
 
@@ -59,11 +60,13 @@ class PhysicalNetlist:
     num_tcons_absorbed: int = 0
 
     def add_block(self, name: str, kind: str, mapped_node: Optional[int] = None) -> int:
+        """Append a block and return its id."""
         bid = len(self.blocks)
         self.blocks.append(Block(bid, name, kind, mapped_node))
         return bid
 
     def add_net(self, name: str, driver: int, sinks: List[int]) -> int:
+        """Append a net from block ``driver`` to blocks ``sinks``; return its id."""
         nid = len(self.nets)
         self.nets.append(Net(nid, name, driver, list(sinks)))
         return nid
@@ -71,15 +74,19 @@ class PhysicalNetlist:
     # -- statistics -------------------------------------------------------------
 
     def num_logic_blocks(self) -> int:
+        """Number of LUT blocks (``"clb"``)."""
         return sum(1 for b in self.blocks if b.kind == "clb")
 
     def num_ff_blocks(self) -> int:
+        """Number of flip-flop blocks (``"ff"``, conventional-flow settings bits)."""
         return sum(1 for b in self.blocks if b.kind == "ff")
 
     def num_io_blocks(self) -> int:
+        """Number of IO blocks (``"io"``)."""
         return sum(1 for b in self.blocks if b.kind == "io")
 
     def validate(self) -> None:
+        """Raise ``ValueError`` unless every net has sinks and names existing blocks."""
         ids = set(range(len(self.blocks)))
         for net in self.nets:
             if net.driver not in ids:
@@ -94,21 +101,14 @@ class PhysicalNetlist:
 def from_mapped_network(
     network: MappedNetwork,
     name: Optional[str] = None,
-    tcon_selection: str = "first",
 ) -> PhysicalNetlist:
     """Lower a mapped network to a physical netlist.
 
-    Parameters
-    ----------
-    network:
-        The technology-mapped network (conventional or parameterized).
-    tcon_selection:
-        How to resolve each TCON to a concrete pass-through for physical
-        implementation: ``"first"`` uses its first data input, which is the
-        representative specialization placed and routed by the generic stage.
+    ``network`` is the technology-mapped network (conventional or
+    parameterized).  Each TCON is resolved to a pass-through of its first
+    data input, the representative specialization the generic stage places
+    and routes.
     """
-    if tcon_selection != "first":
-        raise ValueError("only the 'first' TCON selection policy is implemented")
     netlist = PhysicalNetlist(name or network.source.name)
 
     # -- blocks -----------------------------------------------------------------

@@ -70,9 +70,9 @@ class TimingCost:
 
         delta = Q * delta_HPWL + sum_c  w_c * delta_dist_c
 
-    where ``w_c = round(Q * tradeoff * criticality_c)`` and ``dist_c`` is
-    the connection's Manhattan source-sink distance in unit wires (its
-    placement-estimated delay up to constants).  Both terms are exact
+    where ``w_c = round(Q * T * criticality_c)``, ``T`` is the fixed timing
+    tradeoff (4.0) and ``dist_c`` is the connection's Manhattan source-sink
+    distance in unit wires (its placement-estimated delay up to constants).  Both terms are exact
     integers (``Q`` is the weight quantum), so the no-float-drift accounting
     of the plain objective carries over.  Criticalities are refreshed from
     the callback every half temperature step of accepted moves --
@@ -85,14 +85,12 @@ class TimingCost:
         conn_src: Sequence[int],
         conn_dst: Sequence[int],
         criticality: Callable[[List[int], List[int]], Sequence[float]],
-        tradeoff: float = 4.0,
     ) -> None:
         self.conn_src = list(conn_src)
         self.conn_dst = list(conn_dst)
         if len(self.conn_src) != len(self.conn_dst):
             raise ValueError("conn_src and conn_dst must have equal length")
         self.criticality = criticality
-        self.tradeoff = tradeoff
 
 
 @dataclass
@@ -127,13 +125,6 @@ class PlacementResult:
     #: rate).  Excluded from equality and never serialized into cache
     #: payloads, so ``PLACE_ALGO_VERSION`` is unaffected.
     telemetry: Optional[Dict[str, object]] = field(default=None, compare=False, repr=False)
-
-    @property
-    def improvement(self) -> float:
-        """Fraction of the initial cost the anneal removed."""
-        if self.initial_cost == 0:
-            return 0.0
-        return 1.0 - self.cost / self.initial_cost
 
 
 def _net_hpwl(xs: List[int], ys: List[int]) -> int:
@@ -225,8 +216,8 @@ def _placement_telemetry(
     The three ``tl_*`` lists are parallel flat arrays with one entry per
     temperature step: the temperature the step annealed *at* (before
     cooling), the total cost after it, and its move acceptance rate.  The
-    dict lands in :attr:`PlacementResult.telemetry` (the caller adds its
-    ``kernel`` key); aggregate counters go to the process-wide metrics
+    dict lands in :attr:`PlacementResult.telemetry` (:func:`place` adds its
+    ``native`` flag); aggregate counters go to the process-wide metrics
     registry and the cost curve to the trace (both no-ops unless enabled).
     """
     obs_metrics.merge(
@@ -242,6 +233,7 @@ def _placement_telemetry(
 
 
 _WEIGHT_QUANTUM = 8  #: integer sub-steps per unit of net weight
+_TIMING_TRADEOFF = 4.0  #: timing weight per unit of criticality, in HPWL units
 _RBUF = 1 << 14  #: draws per refill of the integer and uniform buffers
 _IMAX = 1 << 63  #: integer draws are uniform in [0, 2**63)
 
@@ -323,7 +315,7 @@ def place(
     weighted = net_weights is not None or timing is not None
     if timing is not None:
         # Scale the HPWL term by the weight quantum so the quantized
-        # integer timing weights blend at the configured tradeoff.
+        # integer timing weights blend at the fixed tradeoff.
         wq = [_WEIGHT_QUANTUM] * num_nets
     elif net_weights is not None:
         wq = _quantize_weights(net_weights, num_nets)
@@ -423,7 +415,7 @@ def place(
             crit = np.asarray(timing.criticality(xs, ys), dtype=np.float64)
             if crit.shape != (nconn,):
                 raise ValueError(f"timing criticality returned {crit.shape}, expected ({nconn},)")
-            return np.rint(_WEIGHT_QUANTUM * timing.tradeoff * crit).astype(np.int64)
+            return np.rint(_WEIGHT_QUANTUM * _TIMING_TRADEOFF * crit).astype(np.int64)
 
         cwq = retime(block_x, block_y).tolist()
         timing_cost = sum(w * d for w, d in zip(cwq, c_dist))
@@ -766,7 +758,7 @@ def place(
         ):
             break
 
-    telemetry: Dict[str, object] = {"kernel": "batched", "native": nat is not None}
+    telemetry: Dict[str, object] = {"native": nat is not None}
     if nat is not None:
         moves_attempted = int(istate[ISTATE["attempted"]])
         block_gsite = block_gsite_a.tolist()

@@ -7,8 +7,9 @@ present-congestion penalty grows and a history cost accumulates (PathFinder).
 
 One search kernel lives behind :func:`route` (plus the opt-in
 ``objective="timing"`` that blends STA criticalities into its costs --
-see :func:`route`): a scalar directed search over the pin-filtered search
-view.  The wavefront expands over SOURCE/OPIN/CHANX/CHANY nodes only; a
+see :func:`route`): a scalar directed search over the RR graph's search
+edges (each node's edges up to ``search_end``, which enter no input pin or
+sink).  The wavefront expands over SOURCE/OPIN/CHANX/CHANY nodes only; a
 search completes from a wire next to the target block through that
 block's cheapest input pin instead of flooding every input pin it passes,
 every expansion is pruned to the net's terminal bounding box (with a
@@ -154,10 +155,6 @@ class RoutingResult:
         )
 
 
-# The cost model lives next to the RR graph so the search view can bake the
-# base-cost vector into its flat arrays; this module remains its one consumer.
-_BASE_COST = RR_BASE_COST
-
 #: Admissible floor of the cost still to pay after the last wire of a path:
 #: one IPIN plus one SINK at base cost (congestion only ever adds to it).
 #: Folding it into the A* lookahead makes the bound nearly tight, which
@@ -165,7 +162,7 @@ _BASE_COST = RR_BASE_COST
 #: Under the timing objective the floor scales by ``1 - criticality``: only
 #: the congestion share of the blended cost is bounded below by the base
 #: costs, while the delay share of a pin can be arbitrarily small.
-_PIN_FLOOR = _BASE_COST[RRNodeType.IPIN] + _BASE_COST[RRNodeType.SINK]
+_PIN_FLOOR = RR_BASE_COST[RRNodeType.IPIN] + RR_BASE_COST[RRNodeType.SINK]
 
 #: PathFinder schedule.  The present-congestion factor starts at
 #: ``PRES_FAC_INIT`` and grows by ``PRES_FAC_MULT`` per iteration; each unit
@@ -388,14 +385,15 @@ def _route_astar(
     deadline: Optional[Deadline] = None,
     abort_hopeless: bool = False,
 ) -> RoutingResult:
-    """Directed incremental PathFinder over the pin-filtered search view."""
-    # Set-up (search view, criticality tracker, terminals, the net loop's
+    """Directed incremental PathFinder over the graph's search edges."""
+    # Set-up (base costs, criticality tracker, terminals, the net loop's
     # binding) gets its own span so a trace accounts for the time
     # par.route spends outside its iterations.
     with span("par.route.setup"):
         rr = device.rr_graph
-        view = rr.search_view()
-        base_cost = view.base_cost
+        base_cost = np.empty(rr.num_nodes, dtype=np.float64)
+        for t, c in RR_BASE_COST.items():
+            base_cost[rr.node_type == t] = c
         cap_arr = rr.node_capacity.astype(np.int32)
         history = np.zeros(rr.num_nodes, dtype=np.float64)
 
@@ -421,7 +419,7 @@ def _route_astar(
             )
             conn_crit = tracker.initial_flat()
             cid_of = tracker.conn_index
-            delay_arr = view.delay_ns / device.arch.wire_hop_delay_ns
+            delay_arr = rr.node_delay_ns / device.arch.wire_hop_delay_ns
 
         src_of, sink_of = terminal_rr_nodes(netlist, placement, rr)
         nets = [
@@ -433,9 +431,9 @@ def _route_astar(
         # repro.native.astar), so which one ran is unobservable in the result.
         nat = astar_kernel()
         if nat is not None:
-            router: Any = _NativeNets(nat, rr, view, cap_arr, nets, cid_of, delay_arr)
+            router: Any = _NativeNets(nat, rr, cap_arr, nets, cid_of, delay_arr)
         else:
-            router = _PythonNets(rr, view, nets, cid_of, delay_arr)
+            router = _PythonNets(rr, nets, cid_of, delay_arr)
 
     pres_fac = PRES_FAC_INIT
     iteration = 0
@@ -554,7 +552,6 @@ class _NativeNets:
         self,
         nat,
         rr: RRGraph,
-        view,
         cap_arr: np.ndarray,
         nets: List[Tuple[int, int, List[int]]],
         cid_of: Optional[Dict[Tuple[int, int], int]],
@@ -584,7 +581,7 @@ class _NativeNets:
         self._order = np.argsort(ids, kind="stable").astype(np.int64)
         self._sorted_ids = ids[self._order]
         self._sorted_sources = sources[self._order].astype(np.int32)
-        nat.bind_graph(view, rr, ASTAR_FAC, _PIN_FLOOR, BBOX_MARGIN)
+        nat.bind_graph(rr, ASTAR_FAC, _PIN_FLOOR, BBOX_MARGIN)
         nat.bind_state(
             self._occ,
             cap_arr,
@@ -640,23 +637,29 @@ class _NativeNets:
 
 
 class _PythonNets:
-    """The pure-Python twin of :class:`_NativeNets`, with the same methods."""
+    """The pure-Python twin of :class:`_NativeNets`, with the same methods.
+
+    It reads the graph through list mirrors built for each route call:
+    the per-node search edges ``edge_dst[edge_ptr[n]:search_end[n]]`` as
+    one list per node, and the flat CSR arrays for sink completion.
+    """
 
     def __init__(
         self,
         rr: RRGraph,
-        view,
         nets: List[Tuple[int, int, List[int]]],
         cid_of: Optional[Dict[Tuple[int, int], int]],
         delay_arr: np.ndarray,
     ) -> None:
         self._rr = rr
         num_nodes = rr.num_nodes
-        xs, ys = view.xs, view.ys
-        self._xs, self._ys, self._types = xs, ys, view.types
-        self._cap = view.capacity
-        self._adj = view.adj_search
-        self._entries_of = view.entries_of
+        xs, ys = rr.node_x.tolist(), rr.node_y.tolist()
+        self._xs, self._ys, self._types = xs, ys, rr.node_type.tolist()
+        self._cap = rr.node_capacity.tolist()
+        ptr, dst = rr.edge_ptr.tolist(), rr.edge_dst.tolist()
+        end = rr.search_end.tolist()
+        self._edge_ptr, self._edge_dst, self._search_end = ptr, dst, end
+        self._adj = [dst[ptr[n]:end[n]] for n in range(num_nodes)]
         self._occupancy = [0] * num_nodes
         self._visited = [0] * num_nodes
         self._csf = [0.0] * num_nodes
@@ -895,32 +898,31 @@ class _PythonNets:
         pf = _PIN_FLOOR if crt == 0.0 else omc * _PIN_FLOOR
         xlo, xhi, ylo, yhi = bounds
         tx, ty = xs_l[target], ys_l[target]
-        entry_get = self._entries_of(target).get
+        ptr_l, dst_l, end_l = self._edge_ptr, self._edge_dst, self._search_end
         t_cost = cost_l[target]
         if crt:
             t_cost = omc * t_cost + crt * dly_l[target]
-        best = float("inf")  # cheapest known completion through the entry map
+        best = float("inf")  # cheapest known completion through an input pin
         heap: List[Tuple[float, float, int]] = []
 
         def complete(w: int, g_w: float) -> None:
-            """Finish target <- ipin <- ``w`` through the cheapest input pin."""
+            """Finish target <- ipin <- ``w`` through the cheapest of ``w``'s
+            pin edges whose input pin's one out-edge is the target (the
+            lowest pin id on equal cost)."""
             nonlocal best
-            ips = entry_get(w)
-            if ips is None:
+            ip = -1
+            c = 0.0
+            for q in dst_l[end_l[w]:ptr_l[w + 1]]:
+                qe = ptr_l[q]
+                if qe == ptr_l[q + 1] or dst_l[qe] != target:
+                    continue
+                cq = cost_l[q]
+                if crt:
+                    cq = omc * cq + crt * dly_l[q]
+                if ip < 0 or cq < c or (cq == c and q < ip):
+                    ip, c = q, cq
+            if ip < 0:
                 return
-            if crt:
-                ip = ips[0]
-                c = omc * cost_l[ip] + crt * dly_l[ip]
-                for q in ips[1:]:
-                    cq = omc * cost_l[q] + crt * dly_l[q]
-                    if cq < c:
-                        ip, c = q, cq
-            else:
-                ip = ips[0]
-                c = cost_l[ip]
-                for q in ips[1:]:
-                    if cost_l[q] < c:
-                        ip, c = q, cost_l[q]
             total = g_w + c + t_cost
             if total < best - 1e-12:
                 best = total
@@ -940,7 +942,7 @@ class _PythonNets:
         for n in tree:
             tt = types[n]
             if tt == IPIN or tt == SINK:
-                continue  # dead ends in the filtered view
+                continue  # no search edges
             x = xs_l[n]
             y = ys_l[n]
             if x < xlo or x > xhi or y < ylo or y > yhi:

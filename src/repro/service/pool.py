@@ -115,9 +115,10 @@ class SupervisedWorkerPool:
         self._closed = False
         # One pool failure breaks *every* in-flight job's future at once, so
         # several jobs can reach the parent fallback together.  They must
-        # not run together: execute_job leans on process-global warm caches
-        # (front-end memo, search views) that are not thread-safe, and a
-        # concurrent fallback would break the bit-identity contract.
+        # not run together: execute_job leans on process-global warm state
+        # (front-end memo, device memo, native kernel scratch) that is not
+        # thread-safe, and a concurrent fallback would break the
+        # bit-identity contract.
         self._parent_lock = asyncio.Lock()
 
     # -- executor lifecycle --------------------------------------------------

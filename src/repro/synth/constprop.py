@@ -58,7 +58,6 @@ def param_bit_values(circuit: Circuit, param_words: Mapping[str, int]) -> Dict[i
 def specialize(
     circuit: Circuit,
     param_words: Mapping[str, int],
-    keep_params_as_inputs: bool = False,
 ) -> Tuple[Circuit, OptimizeReport]:
     """Produce the circuit specialized for concrete parameter values.
 
@@ -68,14 +67,12 @@ def specialize(
     functions of the PPC for the same parameter values and simulating the
     mapped netlist must give identical input/output behaviour.
 
-    When ``keep_params_as_inputs`` is true the parameter nodes survive as
-    (unused) inputs so the specialized circuit keeps the original interface.
+    The returned circuit has no parameter bits of the words in
+    ``param_words`` left (parameters it does not name stay), and it keeps
+    every primary input and output of ``circuit``, used or not.
     """
     values = param_bit_values(circuit, param_words)
-    specialized, report = optimize(circuit, param_values=values)
-    if keep_params_as_inputs:
-        return specialized, report
-    return specialized, report
+    return optimize(circuit, param_values=values)
 
 
 def parameter_cone_nodes(circuit: Circuit) -> List[int]:

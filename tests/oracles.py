@@ -483,12 +483,9 @@ def place_reference(
         moves_attempted=moves_attempted,
         moves_accepted=moves_accepted,
         temperature_steps=temperature_steps,
-        telemetry={
-            "kernel": "reference",
-            **_placement_telemetry(
-                tl_temperature, tl_cost, tl_acceptance, moves_attempted, moves_accepted
-            ),
-        },
+        telemetry=_placement_telemetry(
+            tl_temperature, tl_cost, tl_acceptance, moves_attempted, moves_accepted
+        ),
     )
 
 
@@ -689,7 +686,7 @@ def routed_edge_delays_reference(
     route tree keep ``fallback`` (default: the placement estimate).
     """
     rr = device.rr_graph
-    delay_ns = rr.search_view().delay_ns
+    delay_ns = rr.node_delay_ns
     ntype = rr.node_type
     is_wire = (ntype == RRNodeType.CHANX) | (ntype == RRNodeType.CHANY)
     is_pin = (ntype == RRNodeType.OPIN) | (ntype == RRNodeType.IPIN)
@@ -810,6 +807,15 @@ class _Builder:
         dst = np.empty(int(ptr[-1]), dtype=np.int32)
         for i, lst in enumerate(self.adj):
             dst[ptr[i] : ptr[i + 1]] = lst
+        # By definition: each node's search edges are its leading edges
+        # that enter neither an IPIN nor a SINK.
+        pins = (RRNodeType.IPIN, RRNodeType.SINK)
+        search_end = ptr[:-1].copy()
+        for i, lst in enumerate(self.adj):
+            for d in lst:
+                if self.types[d] in pins:
+                    break
+                search_end[i] += 1
         return RRGraph(
             arch=self.arch,
             node_type=np.array(self.types, dtype=np.int8),
@@ -819,6 +825,7 @@ class _Builder:
             node_capacity=np.array(self.caps, dtype=np.int16),
             edge_ptr=ptr,
             edge_dst=dst,
+            search_end=search_end,
             **lookups,
         )
 
@@ -956,7 +963,7 @@ def rr_graph_differences(rr: RRGraph, ref: RRGraph) -> List[str]:
     """
     arrays = (
         "node_type", "node_x", "node_y", "node_track", "node_capacity",
-        "edge_ptr", "edge_dst",
+        "edge_ptr", "edge_dst", "search_end",
     )
     lookups = ("clb_source", "clb_sink", "clb_opin", "io_source", "io_sink")
     diffs = [

@@ -13,8 +13,7 @@ from oracles import build_rr_graph_reference, rr_graph_differences
 from repro.fpga.architecture import FPGAArchitecture, auto_size
 from repro.fpga.bitstream import Bitstream, ConfigurationLayout
 from repro.fpga.device import build_device, device_for_netlist
-from repro.fpga.routing_graph import RouterSearchView, RRNodeType, build_rr_graph
-from repro.native.astar import astar_kernel
+from repro.fpga.routing_graph import RRNodeType, build_rr_graph
 from repro.par.netlist import PhysicalNetlist
 from repro.par.placement import place
 from repro.par.routing import route
@@ -138,58 +137,28 @@ class TestRRGraph:
         sink = rr.clb_sink[(1, 1)]
         assert rr.node_capacity[sink] == arch.lut_inputs
 
-    def test_kernel_completion_matches_entries_of(self, small_graph):
-        """The compiled search completes into a sink through the pin the
-        Python twin's entry map picks -- the first cheapest of a list in
-        ascending pin id -- for every (wire, sink) pair, under the
-        wirelength and the timing blend, including a crafted equal-cost tie
-        between two pins of one sink that the wire's out-edges list in
-        descending id order."""
-        nat = astar_kernel()
-        if nat is None:
-            pytest.skip("native backend unavailable")
-        _, rr = small_graph
-        view = RouterSearchView(rr)
-        types = rr.node_type
-        sinks = np.flatnonzero(types == RRNodeType.SINK).tolist()
-        wires = np.flatnonzero(rr.wire_mask()).tolist()
-        rng = np.random.default_rng(0)
-        delay = rng.integers(0, 3, rr.num_nodes) * 0.25  # coarse: many ties
-        noisy = view.base_cost + rng.integers(0, 3, rr.num_nodes) * 0.5
-        nat.bind_graph(view, rr, 1.1, 1.0, 3)
-
-        def twin_pin(pins, cost, crit):
-            if crit:
-                blend = [(1.0 - crit) * cost[q] + crit * delay[q] for q in pins]
-            else:
-                blend = [cost[q] for q in pins]
-            return pins[blend.index(min(blend))]
-
-        # A wire with several pins into one sink: its last two pins tie as
-        # the cheapest, so the lower id must win, not the first or last seen.
-        tie = next(
-            (w, sink, pins[-1], pins[-2])
-            for sink in sinks
-            for w, pins in view.entries_of(sink).items()
-            if len(pins) > 2
+    @pytest.mark.parametrize(
+        "width, height, W, io_capacity",
+        [(5, 7, 1, 3), (1, 6, 2, 3), (7, 2, 32, 1), (4, 4, 2, 2), (3, 3, 32, 3)],
+    )
+    def test_search_edges_precede_pin_edges(self, width, height, W, io_capacity):
+        """Every edge before ``search_end[n]`` enters neither an IPIN nor a
+        SINK, and every edge from there to ``edge_ptr[n + 1]`` does."""
+        arch = FPGAArchitecture(
+            width=width, height=height, channel_width=W, io_capacity=io_capacity,
+            fc_in=0.5, fc_out=0.5,
         )
-        w, sink, hi, lo = tie
-        crafted = view.base_cost.copy()
-        crafted[view.entries_of(sink)[w]] = 5.0
-        crafted[[hi, lo]] = 0.5
-        for crit in (0.0, 0.5):
-            nat.set_costs(crafted, crafted, np.zeros(rr.num_nodes), None, 1.0)
-            assert nat.entry_pin(w, sink, crit) == lo
-
-        for cost in (view.base_cost.copy(), noisy):
-            for crit in (0.0, 0.5):
-                nat.set_costs(cost, cost, delay, None, 1.0)
-                for sink in sinks:
-                    entry = view.entries_of(sink)
-                    for w in wires:
-                        pins = entry.get(w)
-                        want = -1 if pins is None else twin_pin(pins, cost, crit)
-                        assert nat.entry_pin(w, sink, crit) == want, (w, sink, crit)
+        rr = build_rr_graph(arch)
+        ptr, end = rr.edge_ptr, rr.search_end
+        assert end.dtype == np.int64
+        assert np.all((ptr[:-1] <= end) & (end <= ptr[1:]))
+        dst_type = rr.node_type[rr.edge_dst]
+        enters_pin = (dst_type == RRNodeType.IPIN) | (dst_type == RRNodeType.SINK)
+        src = np.repeat(np.arange(rr.num_nodes), np.diff(ptr))
+        before_end = np.arange(rr.num_edges) < end[src]
+        assert not np.any(before_end & enters_pin)
+        assert np.all(before_end | enters_pin)
+        assert enters_pin.any() and not enters_pin.all()
 
     def test_arrays_are_read_only(self, small_graph):
         _, rr = small_graph
@@ -201,7 +170,7 @@ class TestRRGraph:
         arrays = {k: v for k, v in vars(rr).items() if isinstance(v, np.ndarray)}
         assert set(arrays) == {
             "node_type", "node_x", "node_y", "node_track", "node_capacity",
-            "edge_ptr", "edge_dst", "node_delay_ns",
+            "edge_ptr", "edge_dst", "search_end", "node_delay_ns",
         }
         assert not any(arr.flags.writeable for arr in arrays.values())
 
@@ -209,25 +178,6 @@ class TestRRGraph:
         arch, rr = small_graph
         assert rr == rr
         assert rr != build_rr_graph(arch)
-
-    def test_search_view_does_not_keep_graph_alive(self):
-        with gc_disabled():
-            rr = build_rr_graph(FPGAArchitecture(width=3, height=3, channel_width=4))
-            rr.search_view()
-            ref = weakref.ref(rr)
-            del rr
-            assert ref() is None
-
-    def test_released_search_view_is_rebuilt_equal(self):
-        rr = build_rr_graph(FPGAArchitecture(width=3, height=3, channel_width=4))
-        view = rr.search_view()
-        rr.release_search_view()
-        again = rr.search_view()
-        assert again is not view
-        for name in ("csr_ptr", "csr_dst", "base_cost", "delay_ns"):
-            assert np.array_equal(getattr(again, name), getattr(view, name)), name
-        rr.release_search_view()
-        rr.release_search_view()  # releasing twice is harmless
 
     def test_routed_device_freed_by_refcount(self):
         nl = PhysicalNetlist("chain")

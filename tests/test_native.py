@@ -16,10 +16,12 @@ The contract under test (see ``src/repro/native/``):
 """
 
 import ctypes
+import dataclasses
 import os
 import warnings
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro.fpga.architecture import auto_size
@@ -271,31 +273,13 @@ class TestAstarBitIdentity:
 
 
 @needs_cc
-class TestSearchViewMirrors:
-    """The native astar path builds none of the Python twin's mirrors."""
-
-    def _fresh_route(self, workload):
-        nl, arch, _device, placement = workload
-        device = build_device(arch)  # a fresh graph: nothing cached on its view
-        assert route(nl, placement, device).success
-        return device.rr_graph.search_view()
-
-    #: The Python twin's lazily built mirrors (cached on the view).
-    MIRRORS = ("xs", "ys", "types", "capacity", "adj_search", "_reverse")
-
-    def test_native_route_builds_no_python_mirrors(self, workload):
-        assert astar_kernel() is not None
-        view = self._fresh_route(workload)
-        for name in self.MIRRORS:
-            assert name not in view.__dict__, name
-        assert view._entries == {}
-
-    def test_python_route_builds_its_mirrors(self, workload):
-        with python_twins():
-            view = self._fresh_route(workload)
-        for name in self.MIRRORS:
-            assert name in view.__dict__, name
-        assert view._entries
+def test_bind_graph_rejects_a_wrong_dtype(workload):
+    """The kernel reads node_x as int16: a graph that breaks the dtype
+    contract is refused before its pointer is bound."""
+    rr = workload[2].rr_graph
+    wide = dataclasses.replace(rr, node_x=rr.node_x.astype(np.int64))
+    with pytest.raises(TypeError, match="int16"):
+        astar_kernel().bind_graph(wide, 1.1, 1.0, 3)
 
 
 @needs_cc
@@ -370,7 +354,7 @@ def flaky_timing_cost(nl, later):
         calls.append((type(block_x), type(block_y)))
         return [0.5] * len(conn_src) if len(calls) == 1 else later()
 
-    return TimingCost(conn_src, conn_dst, criticality, tradeoff=3.0), calls
+    return TimingCost(conn_src, conn_dst, criticality), calls
 
 
 class TestRetimeCallback:

@@ -27,6 +27,7 @@ import pytest
 
 from repro.fpga.architecture import auto_size
 from repro.fpga.device import build_device
+from repro.native.annealer import annealer_kernel
 from repro.native.astar import astar_kernel
 from repro.netlist.hdl import Design
 from repro.obs import metrics as obs_metrics
@@ -38,10 +39,6 @@ from repro.par.placement import place
 from repro.par.routing import route
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional
-
-
-#: The annealer place() and place_and_route() run, as its telemetry records it.
-DEFAULT_PLACE_KERNEL = "batched"
 
 
 def adder_netlist(width=4):
@@ -378,7 +375,8 @@ class TestTelemetry:
         arch = sized_arch(nl)
         result = place(nl, arch, seed=0, effort=0.4)
         t = result.telemetry
-        assert t is not None and t["kernel"] == DEFAULT_PLACE_KERNEL
+        assert t is not None and t["native"] == (annealer_kernel() is not None)
+        assert {"native", "temperature", "cost", "acceptance"} <= set(t)
         steps = result.temperature_steps
         assert len(t["temperature"]) == steps
         assert len(t["cost"]) == steps
@@ -408,7 +406,7 @@ class TestTelemetry:
         t = par.telemetry
         assert t is not None
         assert t["route"] is par.routing.telemetry
-        assert t["place"]["kernel"] == DEFAULT_PLACE_KERNEL
+        assert t["place"] is par.placement.telemetry
         assert t["cache"]["misses"] >= 1 and t["cache"]["hits"] == 0
         summary = par.summary()
         assert summary["cache_misses"] >= 1

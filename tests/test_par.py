@@ -21,6 +21,7 @@ from repro.core.flows import compare_pe_flows, run_pe_flow
 from repro.fpga.architecture import FPGAArchitecture, auto_size
 from repro.fpga.device import build_device
 from repro.netlist.hdl import Design
+import repro.native.astar as native_astar
 import repro.par.flow as par_flow
 from repro.par.cache import PaRCache
 from repro.par.flow import cached_route, place_and_route, timing_driven_placement
@@ -32,6 +33,7 @@ from repro.par.forest import build_route_forest
 from repro.par.routing import RoutingResult, predict_failure, route, route_resilient
 from repro.par.timing import report_from_analysis
 from repro.service.spec import result_digest
+from repro.synth.constprop import specialize
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional, map_parameterized
 from repro.timing import analyze, routed_edge_delays
@@ -514,7 +516,9 @@ class TestShippedSurface:
         timing_driven_placement: (
             "mode", "passes", "inner_num", "tradeoff", "exponent", "retime_every",
         ),
-        TimingCost: ("retime_every",),
+        TimingCost: ("retime_every", "tradeoff"),
+        from_mapped_network: ("tcon_selection",),
+        specialize: ("keep_params_as_inputs",),
         cached_route: ("kernel", "degrade"),
         route_resilient: ("kernel", "degrade"),
         minimum_channel_width: ("route_kernel", "workers"),
@@ -546,6 +550,10 @@ class TestShippedSurface:
         "connection_delays", "connection_delay_elements", "structural_net_criticality",
         "CacheIOError", "timing_at_min",
     }
+    #: Retired second copy of the RR graph for the router: both router
+    #: backends read the graph's own arrays.
+    VIEWS = {"RouterSearchView", "search_view", "release_search_view", "entries_of",
+             "entry_pin"}
     #: Retired scale-out seams: the placement sweep and the cache-tier protocol.
     RETIRED = {
         "repro.par": ("placement_sweep", "best_placement"),
@@ -554,6 +562,7 @@ class TestShippedSurface:
         "repro.par.routing": ("_route_fast", "DEGRADATION_CHAIN", "_base_cost_array"),
         "repro.par.forest": ("join_sorted",),
         "repro.par.placement": ("_place_batched",),
+        "repro.fpga.routing_graph": ("RouterSearchView",),
     }
 
     def test_removed_selectors_and_oracles_are_gone(self):
@@ -563,7 +572,7 @@ class TestShippedSurface:
             for name in names:
                 assert name not in params, f"{fn.__qualname__}({name}=) is back"
                 removed += 1
-        assert removed == 37
+        assert removed == 40
         assert "routes" not in {f.name for f in dataclasses.fields(RoutingResult)}
 
         import importlib
@@ -584,6 +593,8 @@ class TestShippedSurface:
                 )
                 if imported or getattr(node, "attr", None) == "ProcessPoolExecutor":
                     pools.add(path.relative_to(root).as_posix())
+                if getattr(node, "attr", None) in self.VIEWS:
+                    defined.append(f"{path.name}:.{node.attr}")
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                     names = [node.name]
                 elif isinstance(node, ast.Assign):
@@ -594,9 +605,11 @@ class TestShippedSurface:
                     continue
                 retired = (
                     self.ORACLES | self.FALLBACKS | self.KERNELS | self.COPIES | self.JOINS
+                    | self.VIEWS
                 )
                 defined += [f"{path.name}:{n}" for n in names if n in retired]
         assert not defined, f"oracles, fallbacks or route copies shipped in src/repro: {defined}"
+        assert "entry_pin" not in native_astar.SOURCE
         assert pools == {"service/pool.py"}, f"process pools outside the service: {pools}"
 
 
@@ -682,12 +695,10 @@ class TestDeviceMemo:
         b = self._flow(net)
         assert a.device is b.device
         assert result_digest(a) == result_digest(b)
-        # A kept result holds no router search view, and the shared graph
-        # is still read-only after both routes.
+        # The shared graph is still read-only after both routes.
         rr = b.device.rr_graph
-        assert "_search_view" not in vars(rr)
         for name in ("node_type", "node_x", "node_y", "node_track",
-                     "node_capacity", "edge_ptr", "edge_dst"):
+                     "node_capacity", "edge_ptr", "edge_dst", "search_end"):
             assert not getattr(rr, name).flags.writeable, name
 
     def test_shared_device_routes_like_a_fresh_one(self):
@@ -733,8 +744,6 @@ class TestTimingAndFlow:
         assert summary["wirelength"] > 0
         assert summary["logic_depth"] == net.depth()
         assert result.timing.critical_path_ns > 0
-        # The kept device does not carry the router's search view.
-        assert "_search_view" not in vars(result.device.rr_graph)
 
     def test_place_and_route_flow_parameterized(self):
         net = adder_network(4, param=True)

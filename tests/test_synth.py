@@ -223,6 +223,21 @@ class TestSpecialize:
         d = self.build_param_mult()
         spec, _ = specialize(d.circuit, {"k": 0})
         assert spec.num_gates() == 0
+        # The interface survives the collapse: every input (now unused) and
+        # output stays, and no parameter bit of the named word is left.
+        assert spec.input_names() == d.circuit.input_names()
+        assert list(spec.outputs) == list(d.circuit.outputs)
+        assert spec.param_names() == []
+
+    def test_specialize_keeps_unnamed_params(self):
+        d = Design()
+        a = d.input_bus("a", 2)
+        k = d.param_bus("k", 2)
+        m = d.param_bus("m", 2)
+        d.output_bus("p", [d.circuit.g_xor(x, y, z) for x, y, z in zip(a, k, m)])
+        spec, _ = specialize(d.circuit, {"k": 0b01})
+        assert spec.param_names() == ["m[0]", "m[1]"]
+        assert spec.input_names() == ["a[0]", "a[1]"]
 
     def test_specialization_reduces_area(self):
         d = self.build_param_mult()
