@@ -126,7 +126,6 @@ def context_library(scg):
     spec, generator = scg
     fmt = spec.fmt
     layout = generator._layout
-    assert layout is not None
     library = ContextLibrary(layout)
     weights = popularity_weights(NUM_CONTEXTS, skew=TRACE_SKEW)
     for i in range(NUM_CONTEXTS):

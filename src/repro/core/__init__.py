@@ -15,12 +15,7 @@ from .reconfiguration import (
     ReconfigurationInterface,
 )
 from .settings import PESettings, VCGRASettings, VSBSettings
-from .specialization import (
-    PartialParameterizedConfiguration,
-    SpecializationOutcome,
-    SpecializedConfigurationGenerator,
-    TemplateConfiguration,
-)
+from .specialization import SpecializationOutcome, SpecializedConfigurationGenerator
 from .toolflow import (
     ApplicationGraph,
     PEOperation,
@@ -51,10 +46,8 @@ __all__ = [
     "PESettings",
     "VCGRASettings",
     "VSBSettings",
-    "PartialParameterizedConfiguration",
     "SpecializationOutcome",
     "SpecializedConfigurationGenerator",
-    "TemplateConfiguration",
     "ApplicationGraph",
     "PEOperation",
     "ToolflowReport",

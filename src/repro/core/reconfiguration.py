@@ -140,6 +140,7 @@ class ReconfigurationCostModel:
         }
 
     def describe(self) -> str:
+        """One-line summary of the interface's frame and PPC-evaluation costs."""
         i = self.interface
         return (
             f"{i.name}: {i.frame_rmw_us:.0f} us per frame read-modify-write, "

@@ -43,10 +43,12 @@ class FrameSpan:
     last_frame: int
 
     def frames(self) -> range:
+        """The span's frame ids, ascending."""
         return range(self.first_frame, self.last_frame + 1)
 
     @property
     def count(self) -> int:
+        """Number of frames in the span."""
         return self.last_frame - self.first_frame + 1
 
 
@@ -80,6 +82,7 @@ class ConfigurationLayout:
 
     @property
     def total_frames(self) -> int:
+        """Number of configuration frames of the whole device."""
         return self.frames_per_column * self.arch.width
 
     def tile_bit_offset(self, x: int, y: int) -> int:
@@ -133,12 +136,14 @@ class Bitstream:
         self.routing_configs[(x, y)] = routing_bits
 
     def clone(self) -> "Bitstream":
+        """Independent copy: same layout, copied per-tile configuration dicts."""
         other = Bitstream(self.layout)
         other.lut_configs = dict(self.lut_configs)
         other.routing_configs = dict(self.routing_configs)
         return other
 
     def configured_tiles(self) -> Set[Tuple[int, int]]:
+        """Tiles holding a LUT or routing configuration."""
         return set(self.lut_configs) | set(self.routing_configs)
 
     def diff_tiles(self, other: "Bitstream") -> Set[Tuple[int, int]]:

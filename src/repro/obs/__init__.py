@@ -21,7 +21,6 @@ from .trace import (
     Tracer,
     active,
     clear,
-    emit_counter,
     emit_event,
     emit_series,
     install,
@@ -41,7 +40,6 @@ __all__ = [
     "span",
     "traced",
     "emit_event",
-    "emit_counter",
     "emit_series",
     "install",
     "clear",

@@ -49,7 +49,6 @@ __all__ = [
     "span",
     "traced",
     "emit_event",
-    "emit_counter",
     "emit_series",
     "install",
     "clear",
@@ -400,14 +399,6 @@ def emit_event(name: str, args: Optional[Dict[str, Any]] = None) -> None:
     if tracer is None:
         return
     tracer.record_event(name, args)
-
-
-def emit_counter(name: str, value: Union[int, float]) -> None:
-    """Record one counter sample on the active tracer (no-op when disabled)."""
-    tracer = _ACTIVE
-    if tracer is None:
-        return
-    tracer.record_counter(name, value)
 
 
 def emit_series(

@@ -33,24 +33,32 @@ def param_bit_values(circuit: Circuit, param_words: Mapping[str, int]) -> Dict[i
     ``param_words`` maps a parameter bus name (e.g. ``"coeff"``) to an
     unsigned integer; bit ``k`` of the word is assigned to the parameter node
     named ``coeff[k]``.  A scalar parameter named ``"p"`` can be given
-    directly as ``{"p": 0/1}``.
+    directly as ``{"p": 0/1}``.  One pass over the parameter nodes looks
+    each node's name and bus prefixes up in ``param_words``; when two words
+    name the same node, the later word wins.
     """
+    position = {name: i for i, name in enumerate(param_words)}
     values: Dict[int, int] = {}
-    by_name = {circuit.names.get(nid, f"param{nid}"): nid for nid in circuit.param_ids()}
-    consumed = set()
-    for name, word in param_words.items():
-        matched = False
-        for pname, nid in by_name.items():
-            if pname == name:
-                values[nid] = 1 if word else 0
-                consumed.add(pname)
-                matched = True
-            elif pname.startswith(name + "[") and pname.endswith("]"):
-                bit = int(pname[len(name) + 1 : -1])
-                values[nid] = (int(word) >> bit) & 1
-                consumed.add(pname)
-                matched = True
-        if not matched:
+    matched = set()
+    for nid in circuit.param_ids():
+        pname = circuit.names.get(nid, f"param{nid}")
+        winner = position.get(pname, -1)
+        if winner >= 0:
+            values[nid] = 1 if param_words[pname] else 0
+            matched.add(pname)
+        if pname.endswith("]"):
+            cut = pname.find("[")
+            while cut >= 0:
+                name = pname[:cut]
+                if name in position:
+                    bit = (int(param_words[name]) >> int(pname[cut + 1 : -1])) & 1
+                    matched.add(name)
+                    if position[name] > winner:
+                        winner = position[name]
+                        values[nid] = bit
+                cut = pname.find("[", cut + 1)
+    for name in param_words:
+        if name not in matched:
             raise KeyError(f"no parameter named {name!r} in circuit {circuit.name!r}")
     return values
 

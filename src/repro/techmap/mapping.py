@@ -18,7 +18,8 @@ The extra "tuning" variables of TLUTs and TCONs are recorded per node as
 references to *source-circuit* node ids (parameter inputs or parameter-only
 internal nodes).  Specialization -- the job of the SCG in the paper's flow --
 is performed by :meth:`MappedNetwork.specialize`, a lookup over the
-network's :class:`CompiledPPC` (see :func:`compile_ppc`).
+network's :class:`CompiledPPC` (see :func:`compile_ppc`), and
+:meth:`SpecializedNetwork.evaluate` is the one evaluator of a mapped network.
 """
 
 from __future__ import annotations
@@ -120,7 +121,31 @@ class SpecializedNetwork:
 
     def evaluate(self, input_values: Mapping[str, int]) -> Dict[str, int]:
         """Evaluate the specialized network on named 0/1 input values."""
-        return self.network._evaluate(input_values, specialized=self)
+        nodes = self.network.nodes
+        values: List[int] = [0] * len(nodes)
+        for nid, node in enumerate(nodes):
+            if node.kind == NodeKind.INPUT:
+                values[nid] = 1 if input_values.get(node.name, 0) else 0
+            elif node.kind == NodeKind.PARAM:
+                # Only present in conventionally mapped networks, where the
+                # settings register drives the logic through ordinary pins.
+                values[nid] = 1 if self.param_values.get(node.source, 0) else 0
+            elif node.kind == NodeKind.CONST0:
+                values[nid] = 0
+            elif node.kind == NodeKind.CONST1:
+                values[nid] = 1
+            elif node.kind in (NodeKind.LUT, NodeKind.TLUT):
+                config = self.lut_configs[nid]
+                values[nid] = config.evaluate([values[i] for i in node.inputs])
+            else:  # TCON
+                kind, var = self.tcon_routes[nid]
+                if kind == "const0":
+                    values[nid] = 0
+                elif kind == "const1":
+                    values[nid] = 1
+                else:
+                    values[nid] = values[node.inputs[var]]
+        return {name: values[nid] for name, nid in self.network.outputs.items()}
 
 
 class MappedNetwork:
@@ -254,49 +279,6 @@ class MappedNetwork:
         """
         return compile_ppc(self).specialize(param_values)
 
-    # -- evaluation -----------------------------------------------------------
-
-    def _evaluate(
-        self,
-        input_values: Mapping[str, int],
-        specialized: Optional[SpecializedNetwork] = None,
-        param_values: Optional[Mapping[int, int]] = None,
-    ) -> Dict[str, int]:
-        """Evaluate the network for one pattern of named input values."""
-        if specialized is None:
-            specialized = self.specialize(dict(param_values or {}))
-        name_to_value = dict(input_values)
-        values: List[int] = [0] * len(self.nodes)
-        for nid, node in enumerate(self.nodes):
-            if node.kind == NodeKind.INPUT:
-                values[nid] = 1 if name_to_value.get(node.name, 0) else 0
-            elif node.kind == NodeKind.PARAM:
-                # Only present in conventionally mapped networks, where the
-                # settings register drives the logic through ordinary pins.
-                values[nid] = 1 if specialized.param_values.get(node.source, 0) else 0
-            elif node.kind == NodeKind.CONST0:
-                values[nid] = 0
-            elif node.kind == NodeKind.CONST1:
-                values[nid] = 1
-            elif node.kind in (NodeKind.LUT, NodeKind.TLUT):
-                config = specialized.lut_configs[nid]
-                values[nid] = config.evaluate([values[i] for i in node.inputs])
-            else:  # TCON
-                kind, var = specialized.tcon_routes[nid]
-                if kind == "const0":
-                    values[nid] = 0
-                elif kind == "const1":
-                    values[nid] = 1
-                else:
-                    values[nid] = values[node.inputs[var]]
-        return {name: values[nid] for name, nid in self.outputs.items()}
-
-    def evaluate(
-        self, input_values: Mapping[str, int], param_values: Mapping[int, int]
-    ) -> Dict[str, int]:
-        """Specialize for ``param_values`` and evaluate one input pattern."""
-        return self._evaluate(input_values, param_values=param_values)
-
     # -- word-level conveniences ----------------------------------------------
 
     def specialize_words(self, param_words: Mapping[str, int]) -> SpecializedNetwork:
@@ -402,6 +384,8 @@ class CompiledPPC:
     ``sum(tv_j << j)`` being the node's configuration with tune variable
     ``j`` fixed to ``tv_j`` (:data:`PPCEntry`).  A table is never larger
     than the node's own truth table, which has ``2**(inputs + t)`` rows.
+    These are the paper's two generic-stage artifacts: :attr:`static` is
+    the Template Configuration and :attr:`tables` the PPC.
 
     The tune variables are evaluated by one generated straight-line
     function over their fan-in cone in the source circuit only -- the
@@ -415,32 +399,41 @@ class CompiledPPC:
     def __init__(self, network: MappedNetwork) -> None:
         self.network = network
         self.num_nodes = len(network.nodes)
-        static: Dict[int, TruthTable] = {}
-        tables: Dict[int, Tuple[PPCEntry, ...]] = {}
+        #: The Template Configuration: static LUT node id -> truth table.
+        self.static: Dict[int, TruthTable] = {}
+        #: The PPC proper: tunable node id -> its table, ascending node ids.
+        self.tables: Dict[int, Tuple[PPCEntry, ...]] = {}
+        tluts: List[int] = []
+        tcons: List[int] = []
         for nid, node in enumerate(network.nodes):
             if node.kind == NodeKind.LUT:
-                static[nid] = node.function
+                self.static[nid] = node.function
             elif node.kind == NodeKind.TLUT:
-                tables[nid] = tuple(
+                tluts.append(nid)
+                self.tables[nid] = tuple(
                     _tlut_entry(node, i) for i in range(1 << len(node.tune_vars))
                 )
             elif node.kind == NodeKind.TCON:
-                tables[nid] = tuple(
+                tcons.append(nid)
+                self.tables[nid] = tuple(
                     _tcon_entry(nid, node, i) for i in range(1 << len(node.tune_vars))
                 )
+        #: The tunable LUTs and tunable connections, ascending node ids.
+        self.tlut_nodes: Tuple[int, ...] = tuple(tluts)
+        self.tcon_nodes: Tuple[int, ...] = tuple(tcons)
         #: TCONs some tune assignment leaves without a plain wire, ascending.
         self.fallible_tcons: Tuple[int, ...] = tuple(
             nid
-            for nid, table in tables.items()
+            for nid, table in self.tables.items()
             if any(isinstance(entry, ValueError) for entry in table)
         )
-        self.num_entries = sum(len(table) for table in tables.values())
-        self._lookup = self._codegen(static, tables)
+        self.num_entries = sum(len(table) for table in self.tables.values())
+        self._lookup = self._codegen()
 
-    def _codegen(self, static, tables):
+    def _codegen(self):
         """Generate ``_lookup(params) -> (lut_configs, tcon_routes)``."""
         nodes = self.network.nodes
-        tune_vars: Set[int] = {v for nid in tables for v in nodes[nid].tune_vars}
+        tune_vars: Set[int] = {v for nid in self.tables for v in nodes[nid].tune_vars}
         fanins = self.network.source.fanins
         cone: Set[int] = set()
         stack = list(tune_vars)
@@ -457,13 +450,13 @@ class CompiledPPC:
             )
             return f"{nid}: T{nid}[{index or 0}]"
 
-        luts = [lookup(n) for n in tables if nodes[n].kind == NodeKind.TLUT]
-        tcons = [lookup(n) for n in tables if nodes[n].kind == NodeKind.TCON]
+        luts = [lookup(n) for n in self.tlut_nodes]
+        tcons = [lookup(n) for n in self.tcon_nodes]
         lines = ["def _lookup(params):", " inputs = {}", " mask = 1"]
         lines += gate_statements(self.network.source, sorted(cone))
         lines.append(" return {**STATIC, %s}, {%s}" % (", ".join(luts), ", ".join(tcons)))
-        namespace: Dict[str, object] = {f"T{nid}": table for nid, table in tables.items()}
-        namespace["STATIC"] = static
+        namespace: Dict[str, object] = {f"T{nid}": table for nid, table in self.tables.items()}
+        namespace["STATIC"] = self.static
         exec("\n".join(lines), namespace)  # noqa: S102 - generated from node ids only
         return namespace["_lookup"]
 

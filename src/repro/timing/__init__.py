@@ -42,7 +42,6 @@ from .sta import (
     CriticalPathElement,
     TimingAnalysis,
     analyze,
-    net_criticality_from_placement,
     scan_edge_criticality,
 )
 
@@ -58,5 +57,4 @@ __all__ = [
     "CriticalityTracker",
     "analyze",
     "scan_edge_criticality",
-    "net_criticality_from_placement",
 ]

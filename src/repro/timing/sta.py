@@ -64,7 +64,6 @@ __all__ = [
     "CriticalityTracker",
     "analyze",
     "scan_edge_criticality",
-    "net_criticality_from_placement",
 ]
 
 _EPS = 1e-12
@@ -292,33 +291,6 @@ def analyze(
         logic_depth=depth,
         critical_path=path,
     )
-
-
-def _fold_edge_crit_to_nets(graph: TimingGraph, crit: np.ndarray) -> List[float]:
-    out = [0.0] * len(graph.netlist.nets)
-    for i in range(graph.num_edges):
-        nid = int(graph.edge_net[i])
-        c = float(crit[i])
-        if c > out[nid]:
-            out[nid] = c
-    return out
-
-
-def net_criticality_from_placement(
-    graph: TimingGraph, placement: Placement, arch, exponent: float = 1.0
-) -> Tuple[float, List[float]]:
-    """Estimated critical path and per-net criticalities of one placement.
-
-    Distance-based delay estimates (no routing); returns ``(critical_path_ns,
-    net_crits)``.  The timing-driven flow uses the estimate both to re-weight
-    the next annealing pass and to pick the best placement candidate before
-    spending a route on it.  ``exponent`` sharpens the criticalities.
-    """
-    delays = estimated_edge_delays(graph, placement, arch)[0]
-    *_, crit, dmax, _depth = _scan(graph, delays)
-    if exponent != 1.0:
-        crit = crit**exponent
-    return dmax, _fold_edge_crit_to_nets(graph, crit)
 
 
 class CriticalityTracker:

@@ -16,13 +16,19 @@ directory on ``sys.path``):
 * :func:`place_reference` -- the ``random.Random`` annealer that recomputes
   every affected net's HPWL; the banded quality baseline of ``place()``;
 * :func:`candidates_timing_placement` -- the candidate-anneal timing
-  placer that ``timing_driven_placement`` must match or beat;
+  placer that ``timing_driven_placement`` must match or beat, with the
+  placement-estimate criticalities it re-weights by
+  (:func:`net_criticality_from_placement`);
 * :func:`simulate_patterns_reference` -- the per-node interpreter the
   compiled simulation engine must equal bit for bit;
 * :func:`specialize_reference` -- the per-update SCG specialization
   (whole-circuit simulation, then ``restrict`` per tunable node) the
   compiled PPC behind ``MappedNetwork.specialize`` must equal entry for
   entry;
+* :func:`param_bit_values_reference` -- the word-to-bit expansion that
+  rescans every parameter name per word; the one-pass
+  :func:`~repro.synth.constprop.param_bit_values` must return the same
+  bits and raise the same ``KeyError``;
 * :func:`routed_edge_delays_reference` -- the per-net walk over each
   route's ``(target, path, attach)`` connections that the route-forest
   scan :func:`~repro.timing.delays.routed_edge_delays` must equal bit for
@@ -84,12 +90,7 @@ from repro.timing.delays import (
     structural_edge_delays,
 )
 from repro.timing.graph import TimingGraph, build_timing_graph
-from repro.timing.sta import (
-    CriticalityTracker,
-    _scan,
-    net_criticality_from_placement,
-    scan_edge_criticality,
-)
+from repro.timing.sta import CriticalityTracker, _scan, scan_edge_criticality
 from repro.util.resilience import Deadline
 
 __all__ = [
@@ -97,7 +98,9 @@ __all__ = [
     "minimum_channel_width_unpruned",
     "place_reference",
     "candidates_timing_placement",
+    "net_criticality_from_placement",
     "simulate_patterns_reference",
+    "param_bit_values_reference",
     "routed_edge_delays_reference",
     "criticality_initial",
     "criticality_update",
@@ -267,8 +270,7 @@ def route_reference(
         pres_fac *= pres_fac_mult
 
     telemetry = {
-        "kernel": "reference",
-        "overuse_per_iteration": tl_overuse,
+            "overuse_per_iteration": tl_overuse,
         "rerouted_nets_per_iteration": tl_rerouted,
         "iteration_wall_ms": tl_wall_ms,
     }
@@ -489,6 +491,34 @@ def place_reference(
     )
 
 
+def _fold_edge_crit_to_nets(graph: TimingGraph, crit: np.ndarray) -> List[float]:
+    out = [0.0] * len(graph.netlist.nets)
+    for i in range(graph.num_edges):
+        nid = int(graph.edge_net[i])
+        c = float(crit[i])
+        if c > out[nid]:
+            out[nid] = c
+    return out
+
+
+def net_criticality_from_placement(
+    graph: TimingGraph, placement: Placement, arch, exponent: float = 1.0
+) -> Tuple[float, List[float]]:
+    """Estimated critical path and per-net criticalities of one placement.
+
+    Distance-based delay estimates (no routing); returns ``(critical_path_ns,
+    net_crits)``.  :func:`candidates_timing_placement` uses the estimate both
+    to re-weight the next annealing pass and to pick the best placement
+    candidate; ``test_forest.py`` compares the shipped placer's estimated
+    critical path with it.  ``exponent`` sharpens the criticalities.
+    """
+    delays = estimated_edge_delays(graph, placement, arch)[0]
+    dmax, crit = scan_edge_criticality(graph, delays)
+    if exponent != 1.0:
+        crit = crit**exponent
+    return dmax, _fold_edge_crit_to_nets(graph, crit)
+
+
 def candidates_timing_placement(
     netlist: PhysicalNetlist,
     arch: FPGAArchitecture,
@@ -641,6 +671,32 @@ def specialize_reference(
                 )
             spec.tcon_routes[nid] = (kind, var)
     return spec
+
+
+def param_bit_values_reference(circuit: Circuit, param_words: Mapping[str, int]) -> Dict[int, int]:
+    """Original word-to-bit expansion: one scan of every parameter name per word.
+
+    The equivalence baseline of :func:`repro.synth.constprop.param_bit_values`
+    (``test_synth.py::TestParamBitValues``).
+    """
+    values: Dict[int, int] = {}
+    by_name = {circuit.names.get(nid, f"param{nid}"): nid for nid in circuit.param_ids()}
+    consumed = set()
+    for name, word in param_words.items():
+        matched = False
+        for pname, nid in by_name.items():
+            if pname == name:
+                values[nid] = 1 if word else 0
+                consumed.add(pname)
+                matched = True
+            elif pname.startswith(name + "[") and pname.endswith("]"):
+                bit = int(pname[len(name) + 1 : -1])
+                values[nid] = (int(word) >> bit) & 1
+                consumed.add(pname)
+                matched = True
+        if not matched:
+            raise KeyError(f"no parameter named {name!r} in circuit {circuit.name!r}")
+    return values
 
 
 # -- routed delays and timing-driven routing criticalities ----------------------

@@ -16,6 +16,7 @@ from oracles import (
     candidates_timing_placement,
     criticality_initial,
     criticality_update,
+    net_criticality_from_placement,
     route_reference,
     routed_edge_delays_reference,
 )
@@ -408,7 +409,6 @@ class TestIncrementalPlacer:
         """The headline claim at unit-test scale: the incremental placer's
         estimated critical path is no worse than the candidate recipe's."""
         from repro.par.netlist import from_mapped_network
-        from repro.timing.sta import net_criticality_from_placement
 
         net = adder_network(6)
         nl = from_mapped_network(net)

@@ -535,7 +535,9 @@ class TestShippedSurface:
     }
     #: Test oracles that live in tests/oracles.py, never in the package.
     ORACLES = {"_route_reference", "_place_reference", "simulate_patterns_reference",
-               "AUTO_KERNEL", "routed_edge_delays_reference", "_walk_connections"}
+               "AUTO_KERNEL", "routed_edge_delays_reference", "_walk_connections",
+               "net_criticality_from_placement", "_fold_edge_crit_to_nets",
+               "param_bit_values_reference"}
     #: Retired route-tree fallbacks: every routing result carries a forest.
     FALLBACKS = {"_walk_bfs", "_fragment_from_tree", "routed_wirecount_edge_delays",
                  "analyze_timing"}
@@ -554,7 +556,8 @@ class TestShippedSurface:
     #: backends read the graph's own arrays.
     VIEWS = {"RouterSearchView", "search_view", "release_search_view", "entries_of",
              "entry_pin"}
-    #: Retired scale-out seams: the placement sweep and the cache-tier protocol.
+    #: Retired module-level names: the scale-out seams (placement sweep,
+    #: cache-tier protocol), second copies and exports nothing called.
     RETIRED = {
         "repro.par": ("placement_sweep", "best_placement"),
         "repro.par.flow": ("placement_sweep", "best_placement"),
@@ -563,6 +566,10 @@ class TestShippedSurface:
         "repro.par.forest": ("join_sorted",),
         "repro.par.placement": ("_place_batched",),
         "repro.fpga.routing_graph": ("RouterSearchView",),
+        "repro.timing": ("net_criticality_from_placement",),
+        "repro.timing.sta": ("net_criticality_from_placement", "_fold_edge_crit_to_nets"),
+        "repro.obs": ("emit_counter",),
+        "repro.obs.trace": ("emit_counter",),
     }
 
     def test_removed_selectors_and_oracles_are_gone(self):

@@ -1,9 +1,14 @@
 """Unit and property tests for synthesis and logic optimization."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import param_bit_values_reference
 
+from repro.core.pe import ProcessingElementSpec, build_pe_design
+from repro.flopoco.format import FPFormat
 from repro.netlist.circuit import Circuit, Op
 from repro.netlist.hdl import Design
 from repro.netlist.simulate import exhaustive_patterns, simulate_patterns, simulate_words
@@ -191,6 +196,61 @@ class TestOptimize:
         c.add_output("z", nodes[-2])
         opt, _ = optimize(c)
         assert equivalent(c, opt)
+
+
+class TestParamBitValues:
+    """The one-pass expansion against the per-word rescan it replaced."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ProcessingElementSpec(fmt=FPFormat(5, 10)),
+            ProcessingElementSpec(fmt=FPFormat(we=4, wf=4), num_inputs=2, counter_width=4),
+        ],
+        ids=["bench_pe", "test_pe"],
+    )
+    def test_pe_word_settings_match_reference(self, spec):
+        circuit = build_pe_design(spec).circuit
+        rng = random.Random(3)
+        for _ in range(20):
+            words = {
+                "coeff": rng.randrange(1 << spec.fmt.width),
+                "op": rng.randrange(4),
+                "sel_a": rng.randrange(1 << spec.sel_width),
+                "sel_b": rng.randrange(1 << spec.sel_width),
+                "count_limit": rng.randrange(1 << spec.counter_width),
+            }
+            # Subsets in shuffled order, and words wider than their bus.
+            names = rng.sample(sorted(words), rng.randrange(1, len(words) + 1))
+            subset = {name: words[name] << rng.choice((0, 0, 7)) for name in names}
+            assert param_bit_values(circuit, subset) == param_bit_values_reference(circuit, subset)
+        assert param_bit_values(circuit, {}) == {}
+
+    def test_scalar_params_and_overlapping_words_match_reference(self):
+        c = Circuit("scalars")
+        for name in ("p", "q", "k[0]", "k[1]", "k[2]", "kk[0]"):
+            c.add_param(name)
+        for words in (
+            {"p": 1, "q": 0},
+            {"p": 2, "q": -1},
+            {"k": 0b101, "p": 0},
+            {"k": 0b101, "k[1]": 1},
+            {"k[1]": 1, "k": 0b101},
+            {"kk": 1, "k": 0},
+        ):
+            assert param_bit_values(c, words) == param_bit_values_reference(c, words), words
+
+    @pytest.mark.parametrize("words", [{"nope": 1}, {"p": 1, "nope": 1, "other": 0}, {"k[": 1}])
+    def test_unknown_name_raises_reference_key_error(self, words):
+        c = Circuit("scalars")
+        for name in ("p", "k[0]", "k[1]"):
+            c.add_param(name)
+        with pytest.raises(KeyError) as mine:
+            param_bit_values(c, words)
+        with pytest.raises(KeyError) as ref:
+            param_bit_values_reference(c, words)
+        assert str(mine.value) == str(ref.value)
+        assert "in circuit 'scalars'" in str(mine.value)
 
 
 class TestSpecialize:

@@ -153,7 +153,7 @@ class TestConventionalMapping:
         c.add_output("y", a)
         net = map_conventional(c)
         assert net.num_luts() == 0
-        assert net.evaluate({"a": 1}, {})["y"] == 1
+        assert net.specialize({}).evaluate({"a": 1})["y"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +170,8 @@ class TestTconExtraction:
         assert net.num_tcons() == 1
         assert net.num_luts() == 0
         # k=1 routes a through; k=0 drives constant 0
-        assert net.evaluate({"a": 1}, {net.source.param_ids()[0]: 1})["y"] == 1
-        assert net.evaluate({"a": 1}, {net.source.param_ids()[0]: 0})["y"] == 0
+        assert net.specialize({net.source.param_ids()[0]: 1}).evaluate({"a": 1})["y"] == 1
+        assert net.specialize({net.source.param_ids()[0]: 0}).evaluate({"a": 1})["y"] == 0
 
     def test_param_mux_is_tcon(self):
         c = Circuit()
@@ -182,8 +182,8 @@ class TestTconExtraction:
         assert net.num_tcons() == 1
         assert net.num_luts() == 0
         pid = net.source.param_ids()[0]
-        assert net.evaluate({"a": 1, "b": 0}, {pid: 0})["y"] == 1
-        assert net.evaluate({"a": 1, "b": 0}, {pid: 1})["y"] == 0
+        assert net.specialize({pid: 0}).evaluate({"a": 1, "b": 0})["y"] == 1
+        assert net.specialize({pid: 1}).evaluate({"a": 1, "b": 0})["y"] == 0
 
     def test_xor_with_param_is_not_tcon(self):
         # XOR needs inversion capability, which routing switches lack.
