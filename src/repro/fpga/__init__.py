@@ -2,7 +2,7 @@
 
 from .architecture import FPGAArchitecture, Site, auto_size
 from .bitstream import Bitstream, ConfigurationLayout, FrameSpan
-from .device import Device, build_device, device_for_netlist
+from .device import Device, build_device
 from .routing_graph import RRGraph, RRNodeType, build_rr_graph
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "FrameSpan",
     "Device",
     "build_device",
-    "device_for_netlist",
     "RRGraph",
     "RRNodeType",
     "build_rr_graph",

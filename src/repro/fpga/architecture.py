@@ -27,6 +27,7 @@ class Site:
     subtile: int = 0  # IO pads stack several sites per grid location
 
     def as_tuple(self) -> Tuple[int, int, str, int]:
+        """The site's fields as ``(x, y, kind, subtile)``."""
         return (self.x, self.y, self.kind, self.subtile)
 
 
@@ -37,7 +38,8 @@ class FPGAArchitecture:
     The logic array spans grid positions ``1..width`` by ``1..height``; the
     perimeter (x==0, x==width+1, y==0, y==height+1) holds IO pads.  Routing
     channels of ``channel_width`` unit-length wires run between adjacent grid
-    rows and columns.
+    rows and columns.  Connection blocks are fully populated: every logic
+    block and IO pin connects to every track of its adjacent channels.
     """
 
     width: int
@@ -45,8 +47,6 @@ class FPGAArchitecture:
     channel_width: int = 10
     lut_inputs: int = 4
     io_capacity: int = 2          #: IO pads per perimeter grid location
-    fc_in: float = 1.0            #: fraction of channel wires a CLB input pin can reach
-    fc_out: float = 1.0           #: fraction of channel wires a CLB output pin can drive
     lut_delay_ns: float = 0.4     #: intrinsic LUT delay (timing model)
     wire_delay_ns: float = 0.15   #: delay of one unit-length routing segment
     switch_delay_ns: float = 0.05  #: delay of one programmable routing switch
@@ -57,18 +57,8 @@ class FPGAArchitecture:
             raise ValueError("FPGA array must be at least 1x1")
         if self.channel_width < 1:
             raise ValueError("channel width must be positive")
-        if not 0.0 < self.fc_in <= 1.0 or not 0.0 < self.fc_out <= 1.0:
-            raise ValueError("fc_in / fc_out must be in (0, 1]")
 
-    # -- capacity --------------------------------------------------------------
-
-    @property
-    def num_clb_sites(self) -> int:
-        return self.width * self.height
-
-    @property
-    def num_io_sites(self) -> int:
-        return 2 * (self.width + self.height) * self.io_capacity
+    # -- sites -----------------------------------------------------------------
 
     def clb_sites(self) -> Iterator[Site]:
         """All logic-block sites (x, y in 1..width/height)."""
@@ -122,14 +112,8 @@ class FPGAArchitecture:
     # -- bookkeeping helpers -----------------------------------------------------
 
     def contains_clb(self, x: int, y: int) -> bool:
+        """Whether ``(x, y)`` is a logic-block position of the array."""
         return 1 <= x <= self.width and 1 <= y <= self.height
-
-    def describe(self) -> str:
-        """Human-readable one-line summary (used by benches and examples)."""
-        return (
-            f"{self.width}x{self.height} array, {self.lut_inputs}-LUT logic blocks, "
-            f"W={self.channel_width}, {self.io_capacity} IO/pad site"
-        )
 
 
 def auto_size(

@@ -64,10 +64,10 @@ class ConfigurationLayout:
         w = arch.channel_width
         self.lut_bits = 1 << arch.lut_inputs
         self.ff_bits = 1
-        # Connection-block bits: each of the LUT input pins can connect to any
-        # of the adjacent tracks it reaches; the output pin likewise.
-        cb_in_bits = arch.lut_inputs * max(1, int(round(w * arch.fc_in))) * 4
-        cb_out_bits = max(1, int(round(w * arch.fc_out))) * 4
+        # Connection-block bits: each LUT input pin can connect to every track
+        # of the four adjacent channels; the output pin likewise.
+        cb_in_bits = arch.lut_inputs * w * 4
+        cb_out_bits = w * 4
         # Switch-block bits: disjoint switch block has 6 programmable pairs per track.
         sb_bits = 6 * w
         self.routing_bits = cb_in_bits + cb_out_bits + sb_bits

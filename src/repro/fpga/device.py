@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .architecture import FPGAArchitecture, auto_size
+from .architecture import FPGAArchitecture
 from .bitstream import ConfigurationLayout
 from .routing_graph import RRGraph, build_rr_graph
 
-__all__ = ["Device", "build_device", "device_for_netlist"]
+__all__ = ["Device", "build_device"]
 
 
 @dataclass
@@ -19,21 +19,6 @@ class Device:
     rr_graph: RRGraph
     config_layout: ConfigurationLayout
 
-    @property
-    def num_clb_sites(self) -> int:
-        return self.arch.num_clb_sites
-
-    @property
-    def num_io_sites(self) -> int:
-        return self.arch.num_io_sites
-
-    def describe(self) -> str:
-        return (
-            f"{self.arch.describe()}; RR graph: {self.rr_graph.num_nodes} nodes / "
-            f"{self.rr_graph.num_edges} switches; "
-            f"{self.config_layout.total_frames} configuration frames"
-        )
-
 
 def build_device(arch: FPGAArchitecture) -> Device:
     """Build the routing graph and configuration layout for an architecture."""
@@ -42,14 +27,3 @@ def build_device(arch: FPGAArchitecture) -> Device:
         rr_graph=build_rr_graph(arch),
         config_layout=ConfigurationLayout(arch),
     )
-
-
-def device_for_netlist(
-    num_luts: int,
-    num_ios: int,
-    channel_width: int = 10,
-    utilization: float = 0.8,
-) -> Device:
-    """Auto-size an island FPGA for a design and build its device model."""
-    arch = auto_size(num_luts, num_ios, channel_width=channel_width, utilization=utilization)
-    return build_device(arch)

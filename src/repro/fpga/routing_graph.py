@@ -9,8 +9,8 @@ The construction mirrors VPR's graph for the 4-LUT "sanitized" architecture:
 
 * every logic block exposes one SOURCE -> OPIN and ``lut_inputs`` IPIN -> SINK
   paths,
-* connection blocks connect pins to the adjacent channel tracks
-  (``fc_in`` / ``fc_out`` fractions of the channel),
+* fully populated connection blocks connect every pin to every track of
+  its adjacent channels,
 * disjoint (subset) switch blocks connect wires of the same track index where
   a horizontal and a vertical channel meet.
 
@@ -44,10 +44,9 @@ builder they were defined by, and ``tests/test_fpga.py`` compares the two):
      pair of the block's present wires (left CHANX, right CHANX, lower
      CHANY, upper CHANY; pairs in lexicographic slot order), each pair
      adding ``a -> b`` then ``b -> a``;
-  2. logic blocks in x-major order: SOURCE -> OPIN; OPIN -> the ``fc_out``
-     tracks (per track: CHANX above, CHANX below, CHANY right, CHANY left);
-     then per IPIN: IPIN -> SINK, and each ``fc_in`` wire (same order) ->
-     IPIN;
+  2. logic blocks in x-major order: SOURCE -> OPIN; OPIN -> every track
+     (per track: CHANX above, CHANX below, CHANY right, CHANY left); then
+     per IPIN: IPIN -> SINK, and each of those wires (same order) -> IPIN;
   3. IO sites in ``io_sites()`` order: SOURCE -> OPIN, IPIN -> SINK, then per
      track of the adjacent channel OPIN -> wire and wire -> IPIN.
 
@@ -63,6 +62,17 @@ builder they were defined by, and ``tests/test_fpga.py`` compares the two):
 * **Lookups**: ``clb_source`` / ``clb_opin`` / ``clb_sink`` keyed by
   ``(x, y)`` in x-major order; ``io_source`` / ``io_sink`` keyed by
   ``(x, y, subtile)`` in ``io_sites()`` order.
+
+* **Width prefix**: the graph at channel width ``W`` is the graph at any
+  ``W_max >= W`` restricted to the wires of tracks ``< W``, with node and
+  edge order kept (an order-preserving relabel of the node ids).  A wire
+  of track ``t`` switches only to track ``t``, and a pin's connection-block
+  edges are track-major, so only OPIN rows lose edges, and the ones they
+  keep are a prefix: OPIN ``n`` of the ``W_max`` graph keeps its first
+  ``(search_end[n] - edge_ptr[n]) // W_max * W`` edges, and every other
+  kept node keeps all of its edges.  The min-CW search routes its narrower
+  probes on one ``W_max`` graph with that per-width ``search_end``
+  (:mod:`repro.par.metrics`); ``tests/test_fpga.py`` checks the property.
 """
 
 from __future__ import annotations
@@ -170,10 +180,6 @@ class RRGraph:
         """Number of switches (directed edges)."""
         return len(self.edge_dst)
 
-    def fanouts(self, node: int) -> np.ndarray:
-        """Destination nodes of all switches leaving ``node``."""
-        return self.edge_dst[self.edge_ptr[node] : self.edge_ptr[node + 1]]
-
     @cached_property
     def node_delay_ns(self) -> np.ndarray:
         """Per-node intrinsic delay (:func:`rr_delay_ns` by node type), read-only.
@@ -190,23 +196,6 @@ class RRGraph:
     def wire_mask(self) -> np.ndarray:
         """Boolean mask of the channel-wire (CHANX/CHANY) nodes."""
         return (self.node_type == RRNodeType.CHANX) | (self.node_type == RRNodeType.CHANY)
-
-    def num_wire_nodes(self) -> int:
-        """Number of channel-wire (CHANX/CHANY) nodes."""
-        return int(np.count_nonzero(self.wire_mask()))
-
-    def is_wire(self, node: int) -> bool:
-        """Whether ``node`` is a channel wire (CHANX/CHANY)."""
-        return self.node_type[node] in (RRNodeType.CHANX, RRNodeType.CHANY)
-
-
-def _track_subset(channel_width: int, fraction: float) -> List[int]:
-    """Evenly spaced subset of track indices reachable by a pin."""
-    count = max(1, int(round(channel_width * fraction)))
-    if count >= channel_width:
-        return list(range(channel_width))
-    step = channel_width / count
-    return sorted({int(i * step) % channel_width for i in range(count)})
 
 
 #: Switch-block slot pairs, in the order the disjoint switch block connects
@@ -311,17 +300,15 @@ def build_rr_graph(arch: FPGAArchitecture) -> RRGraph:
             keep = np.repeat((valid[:, _SB_PAIR_A] & valid[:, _SB_PAIR_B]).ravel(), 2)
             yield np.stack([a, b], axis=2).ravel()[keep], np.stack([b, a], axis=2).ravel()[keep]
 
-    out_tracks = np.array(_track_subset(W, arch.fc_out), dtype=np.int32)
-    in_tracks = np.array(_track_subset(W, arch.fc_in), dtype=np.int32)
+    tracks = np.arange(W, dtype=np.int32)
 
-    def adjacent_tracks(x, y, tracks):
-        """Wires of the four channels around each block, track-major: (n, 4 * tracks)."""
+    def adjacent_tracks(x, y):
+        """Wires of the four channels around each block, track-major: (n, 4 * W)."""
         x, y, t = x[:, None], y[:, None], tracks[None, :]
         around = [chanx(x, y, t), chanx(x, y - 1, t), chany(x, y, t), chany(x - 1, y, t)]
-        return np.stack(around, axis=2).reshape(len(x), 4 * len(tracks))
+        return np.stack(around, axis=2).reshape(len(x), 4 * W)
 
     def logic_blocks():
-        n_in = 4 * len(in_tracks)
         for lo in range(0, n_clb, _CLB_CHUNK):
             c = np.arange(lo, min(lo + _CLB_CHUNK, n_clb), dtype=np.int32)
             n = len(c)
@@ -329,15 +316,13 @@ def build_rr_graph(arch: FPGAArchitecture) -> RRGraph:
             base = clb_base + c * per_clb
             source, opin, sink = base[:, None], base[:, None] + 1, base[:, None] + 2
             ipin = base[:, None] + 3 + np.arange(lut_inputs, dtype=np.int32)
-            out_wires = adjacent_tracks(x, y, out_tracks)
-            in_wires = np.broadcast_to(
-                adjacent_tracks(x, y, in_tracks)[:, None, :], (n, lut_inputs, n_in)
-            )
+            out_wires = adjacent_tracks(x, y)
+            in_wires = np.broadcast_to(out_wires[:, None, :], (n, lut_inputs, 4 * W))
             # Per input pin: ipin -> sink, then every reachable wire -> ipin.
             pin_src = np.concatenate([ipin[:, :, None], in_wires], axis=2)
             pin_dst = np.concatenate(
                 [np.broadcast_to(sink[:, :, None], (n, lut_inputs, 1)),
-                 np.broadcast_to(ipin[:, :, None], (n, lut_inputs, n_in))],
+                 np.broadcast_to(ipin[:, :, None], (n, lut_inputs, 4 * W))],
                 axis=2,
             )
             src = np.concatenate(
@@ -348,7 +333,7 @@ def build_rr_graph(arch: FPGAArchitecture) -> RRGraph:
 
     def io_pads():
         x, y = sites[:, :1], sites[:, 1:2]
-        t = np.arange(W, dtype=np.int32)[None, :]
+        t = tracks[None, :]
         base = io_base + 4 * np.arange(n_io, dtype=np.int32)[:, None]
         source, opin, ipin, sink = base, base + 1, base + 2, base + 3
         # The single channel next to each perimeter pad.

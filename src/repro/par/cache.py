@@ -102,9 +102,11 @@ def _placement_fingerprint(placement: Placement) -> str:
 
 
 def _arch_fingerprint(arch: FPGAArchitecture) -> str:
+    # ``fi1.0fo1.0`` names the fully populated connection blocks; it stays in
+    # the string so keys written when the fractions were settable still hit.
     return (
         f"{arch.width}x{arch.height}w{arch.channel_width}l{arch.lut_inputs}"
-        f"io{arch.io_capacity}fi{arch.fc_in}fo{arch.fc_out}"
+        f"io{arch.io_capacity}fi1.0fo1.0"
     )
 
 

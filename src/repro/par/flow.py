@@ -13,8 +13,9 @@ cost of the Table I/II benchmarks.
 Flows on one architecture share one :class:`~repro.fpga.device.Device`:
 :func:`place_and_route` takes it from a per-process LRU of
 :data:`DEVICE_MEMO_SIZE` devices keyed by the frozen architecture (the RR
-graph is read-only, so sharing cannot change a route).  The min-CW probes
-build their own devices and never enter it.
+graph is read-only, so sharing cannot change a route).  The min-CW search
+builds one device of its own, at its upper bound, shares its graph among
+its probes and drops it when the search returns; it never enters the memo.
 
 Since PR 4 the flow also carries the timing axis: every result embeds a
 full STA (:attr:`PaRResult.sta`, from :mod:`repro.timing`) and

@@ -11,6 +11,13 @@ every probe in an on-disk :class:`repro.par.cache.PaRCache`, so harness
 re-runs and neighbouring experiments (Table I/II, reconfiguration) reuse
 routes instead of recomputing them.
 
+All probes of one search share one RR graph, built at the search's upper
+bound (``high``, or each width it widens to) on the first cache miss there
+and dropped when the search returns.  A narrower probe routes on its arrays
+with its own ``search_end`` (:func:`_narrowed`, by the width-prefix
+property of :mod:`repro.fpga.routing_graph`); ``tests/oracles.py`` keeps
+the per-width build as the oracle of its probe records.
+
 Each probe routes with the routing-failure predictor on
 (:func:`repro.par.routing.predict_failure`): a width whose overuse stalls
 or falls too slowly to reach zero within the probe's iteration budget is
@@ -23,13 +30,15 @@ per width, ``{"converged", "iterations", "aborted"}``, on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..fpga.architecture import FPGAArchitecture
+from ..fpga.bitstream import ConfigurationLayout
 from ..fpga.device import Device, build_device
+from ..fpga.routing_graph import RRNodeType
 from .cache import PaRCache
 from .netlist import PhysicalNetlist
 from .placement import Placement
@@ -100,14 +109,34 @@ class MinChannelWidthResult:
         return f"min CW = {self.min_channel_width} ({tried})"
 
 
+def _narrowed(wide: Device, width: int) -> Device:
+    """The device of ``width`` on the RR graph of the wider device ``wide``.
+
+    Only OPIN rows change: each keeps its first ``width`` tracks, a prefix
+    of its search edges (see the width-prefix property of
+    :mod:`repro.fpga.routing_graph`).  Wires of higher tracks stay in the
+    arrays, but no search reaches them; ``rr_graph.arch`` stays the wide
+    architecture the arrays were built for.
+    """
+    if width == wide.arch.channel_width:
+        return wide
+    rr = wide.rr_graph
+    opin = np.flatnonzero(rr.node_type == RRNodeType.OPIN)
+    start = rr.edge_ptr[opin]
+    search_end = rr.search_end.copy()
+    search_end[opin] = start + (search_end[opin] - start) // wide.arch.channel_width * width
+    arch = wide.arch.with_channel_width(width)
+    return Device(
+        arch=arch,
+        rr_graph=replace(rr, search_end=search_end),
+        config_layout=ConfigurationLayout(arch),
+    )
+
+
 def _probe(
-    netlist: PhysicalNetlist,
-    placement: Placement,
-    base_arch: FPGAArchitecture,
-    width: int,
-    max_iterations: int,
+    netlist: PhysicalNetlist, placement: Placement, device: Device, max_iterations: int
 ) -> Tuple[bool, int, Optional[int], bool]:
-    """Route at one channel width, with the routing-failure predictor on.
+    """Route on one probe's device, with the routing-failure predictor on.
 
     Returns ``(ok, wirelength, iterations, aborted)`` -- the iteration count
     and the predictor's verdict feed the probe record.  No STA runs here:
@@ -118,7 +147,6 @@ def _probe(
     would be read by nobody -- re-hydration is
     :func:`repro.par.flow.cached_route`'s job.
     """
-    device = build_device(base_arch.with_channel_width(width))
     try:
         result = route(
             netlist, placement, device, max_iterations=max_iterations, abort_hopeless=True
@@ -162,6 +190,17 @@ def minimum_channel_width(
     probes: Dict[int, Dict[str, Any]] = {}
     wl_at: Dict[int, int] = {}
     events: List[Dict[str, Any]] = []
+    # The search's upper bound and the graph its probes share (module docstring).
+    bound = high
+    wide: Optional[Device] = None
+
+    def probe_device(width: int) -> Device:
+        """The device of ``width`` on the graph at the current bound."""
+        nonlocal wide
+        if wide is None or wide.arch.channel_width != bound:
+            wide = None  # free the narrower graph before building its successor
+            wide = build_device(base_arch.with_channel_width(bound))
+        return _narrowed(wide, width)
 
     def evaluate(width: int) -> bool:
         """Whether the design routes at ``width``; each width routes once."""
@@ -179,7 +218,7 @@ def minimum_channel_width(
             aborted = bool(hit.get("aborted", False))
         else:
             ok, wirelength, iterations, aborted = _probe(
-                netlist, placement, base_arch, width, max_router_iterations
+                netlist, placement, probe_device(width), max_router_iterations
             )
             if cache is not None:
                 value: Dict[str, Any] = {
@@ -196,14 +235,14 @@ def minimum_channel_width(
         return ok
 
     # Ensure the upper bound routes; widen if necessary.
-    hi = high
-    while not evaluate(hi):
-        hi *= 2
-        if hi > 512:
+    while not evaluate(bound):
+        bound *= 2
+        if bound > 512:
             raise ChannelWidthError(
                 "design does not route even with an extremely wide channel",
                 probes=probes,
             )
+    hi = bound
     if evaluate(low):
         best = low
     else:

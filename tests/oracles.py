@@ -13,6 +13,11 @@ directory on ``sys.path``):
   :func:`~repro.par.metrics.minimum_channel_width` stop early under the
   routing-failure predictor and must find the same width with the same
   per-width outcomes;
+* :func:`probe_reference` -- one min-CW probe on a device built at its
+  own width; the probes of
+  :func:`~repro.par.metrics.minimum_channel_width`, which route on one
+  wider graph with a per-width ``search_end``, must give the same records
+  and expand the same number of nodes;
 * :func:`place_reference` -- the ``random.Random`` annealer that recomputes
   every affected net's HPWL; the banded quality baseline of ``place()``;
 * :func:`candidates_timing_placement` -- the candidate-anneal timing
@@ -57,7 +62,7 @@ import numpy as np
 
 from repro.fpga.architecture import FPGAArchitecture
 from repro.fpga.device import Device, build_device
-from repro.fpga.routing_graph import RR_BASE_COST, RRGraph, RRNodeType, _track_subset
+from repro.fpga.routing_graph import RR_BASE_COST, RRGraph, RRNodeType
 from repro.netlist.boolean import restrict, wire_source
 from repro.netlist.circuit import Circuit, Op
 from repro.netlist.library import eval_gate
@@ -96,6 +101,7 @@ from repro.util.resilience import Deadline
 __all__ = [
     "route_reference",
     "minimum_channel_width_unpruned",
+    "probe_reference",
     "place_reference",
     "candidates_timing_placement",
     "net_criticality_from_placement",
@@ -327,6 +333,33 @@ def minimum_channel_width_unpruned(
         else:
             lo = mid
     return hi, attempts
+
+
+def probe_reference(
+    netlist: PhysicalNetlist,
+    placement: Placement,
+    base_arch: FPGAArchitecture,
+    width: int,
+    max_iterations: int = 12,
+) -> Tuple[bool, int, Optional[int], bool, Optional[int]]:
+    """Route at one channel width on a device built at that width.
+
+    The routing-failure predictor is on, as in the min-CW search.  Returns
+    ``(ok, wirelength, iterations, aborted, nodes_expanded)``; the last
+    three are ``None``, ``False`` and ``None`` when the router raised
+    ``RuntimeError`` (an unreachable sink).
+    """
+    device = build_device(base_arch.with_channel_width(width))
+    try:
+        result = route(
+            netlist, placement, device, max_iterations=max_iterations, abort_hopeless=True
+        )
+    except RuntimeError:
+        return False, 0, None, False, None
+    return (
+        result.success, result.wirelength, result.iterations, result.aborted,
+        result.telemetry["nodes_expanded"],
+    )
 
 
 # -- placement -----------------------------------------------------------------
@@ -929,8 +962,6 @@ def build_rr_graph_reference(arch: FPGAArchitecture) -> RRGraph:
     clb_source: Dict[Tuple[int, int], int] = {}
     clb_sink: Dict[Tuple[int, int], int] = {}
     clb_opin: Dict[Tuple[int, int], int] = {}
-    out_tracks = _track_subset(W, arch.fc_out)
-    in_tracks = _track_subset(W, arch.fc_in)
 
     def adjacent_channels(x: int, y: int) -> List[int]:
         """Wire nodes of the four channels around a logic block, all tracks."""
@@ -942,15 +973,6 @@ def build_rr_graph_reference(arch: FPGAArchitecture) -> RRGraph:
             nodes.append(chany[(x - 1, y, t)])   # channel to the left
         return nodes
 
-    def adjacent_tracks(x: int, y: int, tracks: List[int]) -> List[int]:
-        nodes = []
-        for t in tracks:
-            nodes.append(chanx[(x, y, t)])
-            nodes.append(chanx[(x, y - 1, t)])
-            nodes.append(chany[(x, y, t)])
-            nodes.append(chany[(x - 1, y, t)])
-        return nodes
-
     for x in range(1, width + 1):
         for y in range(1, height + 1):
             src = b.add_node(RRNodeType.SOURCE, x, y)
@@ -960,12 +982,12 @@ def build_rr_graph_reference(arch: FPGAArchitecture) -> RRGraph:
             clb_source[(x, y)] = src
             clb_opin[(x, y)] = opin
             clb_sink[(x, y)] = sink
-            for wire in adjacent_tracks(x, y, out_tracks):
+            for wire in adjacent_channels(x, y):
                 b.add_edge(opin, wire)
             for pin in range(arch.lut_inputs):
                 ipin = b.add_node(RRNodeType.IPIN, x, y)
                 b.add_edge(ipin, sink)
-                for wire in adjacent_tracks(x, y, in_tracks):
+                for wire in adjacent_channels(x, y):
                     b.add_edge(wire, ipin)
 
     # ---- IO pads ----------------------------------------------------------------

@@ -18,8 +18,9 @@ import threading
 
 import pytest
 
+from repro.fpga.architecture import FPGAArchitecture
 from repro.obs import metrics as obs_metrics
-from repro.par.cache import PaRCache
+from repro.par.cache import PaRCache, _arch_fingerprint
 from repro.util import FaultPlan, fault_plan
 
 
@@ -161,6 +162,11 @@ class TestKeyHygiene:
         cache.put("b", {"v": 2})
         assert cache.get("a") == {"v": 1}
         assert cache.get("b") == {"v": 2}
+
+    def test_arch_fingerprint_is_pinned(self):
+        """Keys written when the connection-block fractions were settable
+        (always 1.0) embed ``fi1.0fo1.0``; the string keeps it so they hit."""
+        assert _arch_fingerprint(FPGAArchitecture(width=4, height=3)) == "4x3w10l4io2fi1.0fo1.0"
 
 
 class TestBackends:

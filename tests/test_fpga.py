@@ -12,20 +12,22 @@ from oracles import build_rr_graph_reference, rr_graph_differences
 
 from repro.fpga.architecture import FPGAArchitecture, auto_size
 from repro.fpga.bitstream import Bitstream, ConfigurationLayout
-from repro.fpga.device import build_device, device_for_netlist
+from repro.fpga.device import build_device
 from repro.fpga.routing_graph import RRNodeType, build_rr_graph
+from repro.par.metrics import _narrowed
 from repro.par.netlist import PhysicalNetlist
 from repro.par.placement import place
 from repro.par.routing import route
-
-#: fc_in / fc_out values of the builder sweep; 0.15 at W <= 3 rounds to zero
-#: tracks, where _track_subset clamps the pin to one track.
-FC_VALUES = (1.0, 0.5, 0.25, 0.15)
 
 
 def assert_matches_reference(arch):
     rr = build_rr_graph(arch)
     assert rr_graph_differences(rr, build_rr_graph_reference(arch)) == []
+
+
+def out_edges(rr, node):
+    """Destination nodes of every switch leaving ``node``."""
+    return rr.edge_dst[rr.edge_ptr[node]:rr.edge_ptr[node + 1]].tolist()
 
 
 @contextmanager
@@ -42,18 +44,14 @@ def gc_disabled():
 class TestArchitecture:
     def test_basic_counts(self):
         arch = FPGAArchitecture(width=4, height=3, channel_width=8)
-        assert arch.num_clb_sites == 12
-        assert arch.num_io_sites == 2 * (4 + 3) * 2
         assert len(list(arch.clb_sites())) == 12
-        assert len(list(arch.io_sites())) == arch.num_io_sites
+        assert len(list(arch.io_sites())) == 2 * (4 + 3) * 2
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             FPGAArchitecture(width=0, height=3)
         with pytest.raises(ValueError):
             FPGAArchitecture(width=3, height=3, channel_width=0)
-        with pytest.raises(ValueError):
-            FPGAArchitecture(width=3, height=3, fc_in=0.0)
 
     def test_with_channel_width(self):
         arch = FPGAArchitecture(width=4, height=4, channel_width=10)
@@ -68,15 +66,15 @@ class TestArchitecture:
 
     def test_auto_size_fits_design(self):
         arch = auto_size(num_luts=100, num_ios=30)
-        assert arch.num_clb_sites >= 100
-        assert arch.num_io_sites >= 30
+        assert len(list(arch.clb_sites())) >= 100
+        assert len(list(arch.io_sites())) >= 30
 
     @given(st.integers(1, 400), st.integers(0, 60))
     @settings(max_examples=40, deadline=None)
     def test_auto_size_always_sufficient(self, nluts, nios):
         arch = auto_size(nluts, nios)
-        assert arch.num_clb_sites >= nluts
-        assert arch.num_io_sites >= nios
+        assert len(list(arch.clb_sites())) >= nluts
+        assert len(list(arch.io_sites())) >= nios
 
 
 class TestRRGraph:
@@ -90,7 +88,7 @@ class TestRRGraph:
         w = arch.channel_width
         expected_chanx = arch.width * (arch.height + 1) * w
         expected_chany = (arch.width + 1) * arch.height * w
-        assert rr.num_wire_nodes() == expected_chanx + expected_chany
+        assert np.count_nonzero(rr.wire_mask()) == expected_chanx + expected_chany
 
     def test_every_clb_has_terminals(self, small_graph):
         arch, rr = small_graph
@@ -104,13 +102,13 @@ class TestRRGraph:
         _, rr = small_graph
         src = rr.clb_source[(2, 2)]
         opin = rr.clb_opin[(2, 2)]
-        assert opin in rr.fanouts(src)
+        assert opin in out_edges(rr, src)
 
     def test_opin_drives_adjacent_wires(self, small_graph):
         arch, rr = small_graph
         opin = rr.clb_opin[(2, 2)]
-        wires = [n for n in rr.fanouts(opin) if rr.is_wire(n)]
-        assert len(wires) == 4 * arch.channel_width  # fc_out = 1.0, four channels
+        wires = [n for n in out_edges(rr, opin) if rr.wire_mask()[n]]
+        assert len(wires) == 4 * arch.channel_width  # every track of four channels
 
     def test_wire_fanout_includes_switch_block_neighbours(self, small_graph):
         _, rr = small_graph
@@ -121,16 +119,15 @@ class TestRRGraph:
                 wire = n
                 break
         assert wire is not None
-        neighbours = rr.fanouts(wire)
-        wire_neighbours = [n for n in neighbours if rr.is_wire(n)]
+        is_wire = rr.wire_mask()
+        wire_neighbours = [n for n in out_edges(rr, wire) if is_wire[n]]
         # disjoint switch block: same-track wires on adjacent segments
         assert all(rr.node_track[n] == rr.node_track[wire] for n in wire_neighbours)
         assert len(wire_neighbours) >= 4
 
     def test_io_sites_have_terminals(self, small_graph):
         arch, rr = small_graph
-        assert len(rr.io_source) == arch.num_io_sites
-        assert len(rr.io_sink) == arch.num_io_sites
+        assert len(rr.io_source) == len(rr.io_sink) == len(list(arch.io_sites()))
 
     def test_sink_capacity_matches_lut_inputs(self, small_graph):
         arch, rr = small_graph
@@ -146,7 +143,6 @@ class TestRRGraph:
         SINK, and every edge from there to ``edge_ptr[n + 1]`` does."""
         arch = FPGAArchitecture(
             width=width, height=height, channel_width=W, io_capacity=io_capacity,
-            fc_in=0.5, fc_out=0.5,
         )
         rr = build_rr_graph(arch)
         ptr, end = rr.edge_ptr, rr.search_end
@@ -199,9 +195,11 @@ class TestRRGraph:
             assert [r() for r in refs] == [None] * 4
 
     def test_device_bundle(self):
-        device = device_for_netlist(num_luts=20, num_ios=10, channel_width=6)
-        assert device.num_clb_sites >= 20
-        assert "RR graph" in device.describe()
+        arch = auto_size(num_luts=20, num_ios=10, channel_width=6)
+        device = build_device(arch)
+        assert device.arch is arch
+        assert device.rr_graph.arch is arch and device.config_layout.arch is arch
+        assert np.count_nonzero(device.rr_graph.wire_mask()) == 2 * arch.width * (arch.height + 1) * 6
 
 
 class TestRRBuilderMatchesReference:
@@ -213,22 +211,20 @@ class TestRRBuilderMatchesReference:
     @pytest.mark.parametrize("grid", [(1, 1), (1, 4), (4, 1), (7, 3)])
     def test_small_grids(self, grid, W):
         width, height = grid
-        for k, fc_in in enumerate(FC_VALUES):
-            for fc_out in FC_VALUES:
+        for lut_inputs in (2, 4, 6):
+            for io_capacity in (1, 3):
                 arch = FPGAArchitecture(
                     width=width, height=height, channel_width=W,
-                    fc_in=fc_in, fc_out=fc_out,
-                    lut_inputs=(2, 4, 6)[k % 3], io_capacity=(1, 3)[k % 2],
+                    lut_inputs=lut_inputs, io_capacity=io_capacity,
                 )
                 assert_matches_reference(arch)
 
     @pytest.mark.parametrize(
-        "W, fc, lut_inputs, io_capacity",
-        [(14, 1.0, 4, 1), (32, 1.0, 4, 3), (5, 0.15, 6, 3), (32, 0.25, 2, 1)],
+        "W, lut_inputs, io_capacity", [(14, 4, 1), (32, 4, 3), (5, 6, 3), (32, 2, 1)]
     )
-    def test_large_grid(self, W, fc, lut_inputs, io_capacity):
+    def test_large_grid(self, W, lut_inputs, io_capacity):
         arch = FPGAArchitecture(
-            width=34, height=34, channel_width=W, fc_in=fc, fc_out=fc,
+            width=34, height=34, channel_width=W,
             lut_inputs=lut_inputs, io_capacity=io_capacity,
         )
         assert_matches_reference(arch)
@@ -237,18 +233,67 @@ class TestRRBuilderMatchesReference:
         width=st.integers(1, 8),
         height=st.integers(1, 8),
         W=st.integers(1, 32),
-        fc_in=st.floats(0.01, 1.0),
-        fc_out=st.floats(0.01, 1.0),
         lut_inputs=st.sampled_from([2, 4, 6]),
         io_capacity=st.integers(1, 3),
     )
     @settings(max_examples=40, deadline=None)
-    def test_property(self, width, height, W, fc_in, fc_out, lut_inputs, io_capacity):
+    def test_property(self, width, height, W, lut_inputs, io_capacity):
         arch = FPGAArchitecture(
-            width=width, height=height, channel_width=W, fc_in=fc_in, fc_out=fc_out,
+            width=width, height=height, channel_width=W,
             lut_inputs=lut_inputs, io_capacity=io_capacity,
         )
         assert_matches_reference(arch)
+
+
+class TestWidthPrefix:
+    """The graph at width ``W`` is the ``W_max`` graph restricted to tracks
+    ``< W`` (the width-prefix property of ``repro.fpga.routing_graph``), and
+    the min-CW search's narrowed ``search_end`` selects exactly its search
+    edges."""
+
+    W_MAX = 32
+
+    @pytest.fixture(scope="class", params=[(5, 7), (20, 20), (33, 31)], ids=str)
+    def wide(self, request):
+        width, height = request.param
+        return build_device(FPGAArchitecture(width=width, height=height, channel_width=self.W_MAX))
+
+    @pytest.mark.parametrize("W", [1, 2, 5, 8, 17, 31])
+    def test_narrow_graph_is_a_restriction(self, wide, W):
+        big = wide.rr_graph
+        narrow = _narrowed(wide, W)
+        assert narrow.arch == wide.arch.with_channel_width(W)
+        assert narrow.config_layout.arch == narrow.arch
+        limited = narrow.rr_graph
+        assert limited.edge_dst is big.edge_dst and limited.edge_ptr is big.edge_ptr
+        assert not limited.search_end.flags.writeable
+        assert _narrowed(wide, self.W_MAX) is wide
+        rr = build_rr_graph(narrow.arch)
+
+        # Nodes: every pin, and the wires of tracks < W, in id order.
+        kept = ~big.wire_mask() | (big.node_track < W)
+        relabel = np.cumsum(kept) - 1
+        for name in ("node_type", "node_x", "node_y", "node_track", "node_capacity"):
+            assert np.array_equal(getattr(big, name)[kept], getattr(rr, name)), name
+
+        # Edges: the edges between kept nodes, in order, are the narrow graph's.
+        src = np.repeat(np.arange(big.num_nodes), np.diff(big.edge_ptr))
+        kept_edge = kept[src] & kept[big.edge_dst]
+        assert np.array_equal(relabel[big.edge_dst[kept_edge]], rr.edge_dst)
+        assert np.array_equal(
+            np.bincount(relabel[src[kept_edge]], minlength=rr.num_nodes), np.diff(rr.edge_ptr)
+        )
+
+        # Search edges: every edge of a kept node before the narrowed
+        # search_end is kept, and there are as many as the narrow graph's.
+        searched = kept[src] & (np.arange(big.num_edges) < limited.search_end[src])
+        assert np.all(kept_edge[searched])
+        n_search = limited.search_end - big.edge_ptr[:-1]
+        assert np.array_equal(n_search[kept], rr.search_end - rr.edge_ptr[:-1])
+        assert np.all(limited.search_end[kept] <= big.edge_ptr[1:][kept])
+        # Only OPIN rows were cut.
+        cut = limited.search_end != big.search_end
+        assert np.all(big.node_type[cut] == RRNodeType.OPIN)
 
 
 class TestConfigurationLayout:

@@ -10,19 +10,24 @@ import types
 
 import numpy as np
 import pytest
+import oracles
 from oracles import (
     minimum_channel_width_unpruned,
     place_reference,
+    probe_reference,
     route_reference,
     routing_differences,
 )
+from test_golden_digests import DESIGNS, MIN_CW, _adder_network, _auto_arch
 
 from repro.core.flows import compare_pe_flows, run_pe_flow
 from repro.fpga.architecture import FPGAArchitecture, auto_size
-from repro.fpga.device import build_device
+from repro.fpga.device import Device, build_device
+from repro.fpga.routing_graph import RRGraph
 from repro.netlist.hdl import Design
 import repro.native.astar as native_astar
 import repro.par.flow as par_flow
+import repro.par.metrics as par_metrics
 from repro.par.cache import PaRCache
 from repro.par.flow import cached_route, place_and_route, timing_driven_placement
 from repro.par.forest import FOREST_ARRAYS
@@ -73,7 +78,7 @@ def node_list_occupancy(result, device):
     for net_route in result.routes.values():
         for n in net_route.nodes:
             occ[n] += 1
-    wires = occ[[rr.is_wire(n) for n in range(rr.num_nodes)]]
+    wires = occ[rr.wire_mask()]
     return {"peak": int(wires.max()), "used": int(np.count_nonzero(wires)),
             "total": int(wires.size)}
 
@@ -338,6 +343,101 @@ def min_cw_fixtures(seed):
         yield "adder16", adder, adder_pl, adder_arch, (low, 8)
 
 
+class TestSharedProbeGraph:
+    """The min-CW probes route on one graph per search, built at the search's
+    upper bound, and give the records of a device built at each width."""
+
+    @staticmethod
+    def _golden(name):
+        """The seeded placement ``test_golden_digests.mincw_digest`` searches."""
+        nl = from_mapped_network(_adder_network(*DESIGNS[MIN_CW[name]]))
+        arch = _auto_arch(nl, channel_width=3)
+        return nl, place(nl, arch, seed=2, effort=0.4).placement, arch
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Record every probe route by width, and every graph the search builds."""
+        routed, built = {}, []
+        probe_route, build = par_metrics.route, par_metrics.build_device
+
+        def recording_route(netlist, placement, device, **kwargs):
+            try:
+                result = probe_route(netlist, placement, device, **kwargs)
+            except RuntimeError:
+                routed[device.arch.channel_width] = (False, 0, None, False, None)
+                raise
+            routed[device.arch.channel_width] = (
+                result.success, result.wirelength, result.iterations, result.aborted,
+                result.telemetry["nodes_expanded"],
+            )
+            return result
+
+        def recording_build(arch):
+            built.append(arch.channel_width)
+            return build(arch)
+
+        monkeypatch.setattr(par_metrics, "route", recording_route)
+        monkeypatch.setattr(par_metrics, "build_device", recording_build)
+        return routed, built
+
+    @pytest.mark.parametrize("backend", ["native", "python"])
+    @pytest.mark.parametrize("bounds", [(2, 32), (1, 1)], ids=["default", "widening"])
+    @pytest.mark.parametrize("name", sorted(MIN_CW))
+    def test_probes_match_per_width_builds(self, name, bounds, backend, monkeypatch):
+        if backend == "python":
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+        nl, placement, arch = self._golden(name)
+        routed, built = self._record(monkeypatch)
+        low, high = bounds
+        result = minimum_channel_width(nl, placement, arch, low=low, high=high)
+        assert result.probes == {
+            w: {"converged": ok, "iterations": iterations, "aborted": aborted}
+            for w, (ok, _, iterations, aborted, _) in routed.items()
+        }
+        assert routed == {w: probe_reference(nl, placement, arch, w) for w in routed}
+        # One graph per upper bound the search tries, fewer than its probes.
+        tried = [high]
+        while not result.probes[tried[-1]]["converged"]:
+            tried.append(2 * tried[-1])
+        assert built == tried and len(built) < len(result.probes)
+        assert len(tried) == (1 if bounds == (2, 32) else 3)
+
+    @pytest.mark.parametrize("backend", ["native", "python"])
+    def test_raising_probe_matches_per_width_build(self, backend, monkeypatch):
+        """A probe whose router raises ``RuntimeError`` is a failed width with
+        no iteration count, on the shared graph as on its own build.
+
+        No placed design here has an unreachable sink (a fully populated
+        graph is connected), so the router is made to raise below W = 4 on
+        both sides.
+        """
+        if backend == "python":
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+
+        def raising(route):
+            def narrow_raises(netlist, placement, device, **kwargs):
+                if device.arch.channel_width < 4:
+                    raise RuntimeError("net 0 could not reach its sink")
+                return route(netlist, placement, device, **kwargs)
+            return narrow_raises
+
+        monkeypatch.setattr(oracles, "route", raising(oracles.route))
+        monkeypatch.setattr(par_metrics, "route", raising(par_metrics.route))
+        nl, placement, arch = self._golden("mincw_adder16")
+        routed, _ = self._record(monkeypatch)
+        result = minimum_channel_width(nl, placement, arch)
+        assert result.probes[2] == {"converged": False, "iterations": None, "aborted": False}
+        assert routed == {w: probe_reference(nl, placement, arch, w) for w in routed}
+
+    def test_warm_cache_search_builds_no_graph(self, tmp_path, monkeypatch):
+        nl, placement, arch = self._golden("mincw_adder10_param")
+        first = minimum_channel_width(nl, placement, arch, cache=PaRCache(tmp_path))
+        routed, built = self._record(monkeypatch)
+        again = minimum_channel_width(nl, placement, arch, cache=PaRCache(tmp_path))
+        assert again.probes == first.probes
+        assert routed == {} and built == []
+
+
 class TestRoutingPredictor:
     """The min-CW probes' routing-failure predictor (``predict_failure``)."""
 
@@ -448,8 +548,8 @@ class TestDirectedRoutingKernel:
         result = route(nl, placement, device)
         assert result.success
         rr = device.rr_graph
-        adj = {n: set(rr.fanouts(n).tolist()) for r in result.routes.values()
-               for n in r.nodes}
+        adj = {n: set(rr.edge_dst[rr.edge_ptr[n]:rr.edge_ptr[n + 1]].tolist())
+               for r in result.routes.values() for n in r.nodes}
         for r in result.routes.values():
             nodes = set(r.nodes)
             reached = {r.nodes[0]}
@@ -532,6 +632,7 @@ class TestShippedSurface:
         CriticalityTracker.update_flat: ("routes",),
         build_route_forest: ("cache",),
         PaRCache: ("strict",),
+        FPGAArchitecture: ("fc_in", "fc_out"),
     }
     #: Test oracles that live in tests/oracles.py, never in the package.
     ORACLES = {"_route_reference", "_place_reference", "simulate_patterns_reference",
@@ -565,11 +666,20 @@ class TestShippedSurface:
         "repro.par.routing": ("_route_fast", "DEGRADATION_CHAIN", "_base_cost_array"),
         "repro.par.forest": ("join_sorted",),
         "repro.par.placement": ("_place_batched",),
-        "repro.fpga.routing_graph": ("RouterSearchView",),
+        "repro.fpga.routing_graph": ("RouterSearchView", "_track_subset"),
+        "repro.fpga": ("device_for_netlist",),
+        "repro.fpga.device": ("device_for_netlist",),
         "repro.timing": ("net_criticality_from_placement",),
         "repro.timing.sta": ("net_criticality_from_placement", "_fold_edge_crit_to_nets"),
         "repro.obs": ("emit_counter",),
         "repro.obs.trace": ("emit_counter",),
+    }
+    #: Retired fpga-layer members only tests reached, and the connection-block
+    #: fractions (connection blocks are always fully populated).
+    MEMBERS = {
+        FPGAArchitecture: ("describe", "fc_in", "fc_out", "num_clb_sites", "num_io_sites"),
+        Device: ("describe", "num_clb_sites", "num_io_sites"),
+        RRGraph: ("num_wire_nodes", "is_wire", "fanouts"),
     }
 
     def test_removed_selectors_and_oracles_are_gone(self):
@@ -579,7 +689,7 @@ class TestShippedSurface:
             for name in names:
                 assert name not in params, f"{fn.__qualname__}({name}=) is back"
                 removed += 1
-        assert removed == 40
+        assert removed == 42
         assert "routes" not in {f.name for f in dataclasses.fields(RoutingResult)}
 
         import importlib
@@ -587,6 +697,9 @@ class TestShippedSurface:
         for module, names in self.RETIRED.items():
             for name in names:
                 assert not hasattr(importlib.import_module(module), name), (module, name)
+        for cls, names in self.MEMBERS.items():
+            for name in names:
+                assert not hasattr(cls, name), (cls.__name__, name)
         assert not hasattr(PaRCache, "place_key")
 
         import repro
@@ -819,9 +932,8 @@ class TestTimingAndFlow:
         # Routed wire statistics must reflect the actual route trees.
         assert report.mean_net_wirelength > 0
         assert report.max_net_wirelength >= report.mean_net_wirelength
-        total_wires = sum(
-            sum(map(device.rr_graph.is_wire, r.nodes)) for r in routing.routes.values()
-        )
+        is_wire = device.rr_graph.wire_mask()
+        total_wires = sum(int(is_wire[r.nodes].sum()) for r in routing.routes.values())
         assert report.mean_net_wirelength == pytest.approx(
             total_wires / len(routing.routes)
         )

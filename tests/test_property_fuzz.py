@@ -124,7 +124,8 @@ def test_astar_routes_are_legal(params):
             while pos != -1:
                 parent = int(forest.parent[pos])
                 above = source if parent == -1 else int(forest.node[parent])
-                assert int(forest.node[pos]) in rr.fanouts(above).tolist()
+                out = rr.edge_dst[rr.edge_ptr[above]:rr.edge_ptr[above + 1]]
+                assert int(forest.node[pos]) in out.tolist()
                 pos = parent
 
 

@@ -184,9 +184,8 @@ class TestLegacyParity:
         report = report_from_analysis(analysis, net, routing, device)
         assert report.logic_depth == net.depth() == analysis.logic_depth
         assert report.critical_path_ns == pytest.approx(analysis.critical_path_ns)
-        total_wires = sum(
-            sum(map(device.rr_graph.is_wire, r.nodes)) for r in routing.routes.values()
-        )
+        is_wire = device.rr_graph.wire_mask()
+        total_wires = sum(int(is_wire[r.nodes].sum()) for r in routing.routes.values())
         assert report.mean_net_wirelength == pytest.approx(
             total_wires / len(routing.routes)
         )
