@@ -39,11 +39,6 @@ class SyntheticFundus:
     def shape(self) -> Tuple[int, int]:
         return self.rgb.shape[:2]
 
-    @property
-    def green_channel(self) -> np.ndarray:
-        """The green channel, which carries most of the vessel contrast."""
-        return self.rgb[:, :, 1]
-
 
 def _draw_vessel_segment(
     intensity: np.ndarray,

@@ -2,11 +2,7 @@
 
 from .accounting import GridResourceRow, grid_resource_details, grid_resource_table
 from .flows import FlowComparison, PEFlowResult, compare_pe_flows, run_pe_flow
-from .grid import (
-    VCGRAArchitecture,
-    VirtualConnectionBlock,
-    VirtualSwitchBlock,
-)
+from .grid import VCGRAArchitecture, VirtualSwitchBlock
 from .pe import PEOp, ProcessingElementSpec, build_pe_design, pe_port_summary
 from .reconfiguration import (
     HWICAP,
@@ -33,7 +29,6 @@ __all__ = [
     "compare_pe_flows",
     "run_pe_flow",
     "VCGRAArchitecture",
-    "VirtualConnectionBlock",
     "VirtualSwitchBlock",
     "PEOp",
     "ProcessingElementSpec",

@@ -20,7 +20,7 @@ from typing import Iterator, List, Tuple
 
 from .pe import ProcessingElementSpec
 
-__all__ = ["VCGRAArchitecture", "VirtualSwitchBlock", "VirtualConnectionBlock", "GridPosition"]
+__all__ = ["VCGRAArchitecture", "VirtualSwitchBlock", "GridPosition"]
 
 
 GridPosition = Tuple[int, int]  #: (row, column), 0-based
@@ -42,23 +42,6 @@ class VirtualSwitchBlock:
     @property
     def name(self) -> str:
         return f"vsb_r{self.row}c{self.col}"
-
-
-@dataclass(frozen=True)
-class VirtualConnectionBlock:
-    """A virtual connection block attaching one PE's ports to the VSB fabric.
-
-    Every PE has one input-side and one output-side connection block (hence
-    the 32 VCBs of the 4x4 grid in Table II).
-    """
-
-    row: int
-    col: int
-    side: str  # "in" or "out"
-
-    @property
-    def name(self) -> str:
-        return f"vcb_{self.side}_r{self.row}c{self.col}"
 
 
 @dataclass(frozen=True)
@@ -116,27 +99,10 @@ class VCGRAArchitecture:
             for c in range(self.cols - 1):
                 yield VirtualSwitchBlock(r, c)
 
-    def connection_blocks(self) -> Iterator[VirtualConnectionBlock]:
-        for r, c in self.pe_positions():
-            yield VirtualConnectionBlock(r, c, "in")
-            yield VirtualConnectionBlock(r, c, "out")
-
     def pe_name(self, pos: GridPosition) -> str:
         return f"pe_r{pos[0]}c{pos[1]}"
 
     # -- inter-PE connectivity ---------------------------------------------------------
-
-    def downstream_of(self, pos: GridPosition) -> List[GridPosition]:
-        """PEs reachable from ``pos`` through the VSB fabric (next row,
-        same / adjacent column)."""
-        r, c = pos
-        if r + 1 >= self.rows:
-            return []
-        return [
-            (r + 1, cc)
-            for cc in (c - 1, c, c + 1)
-            if 0 <= cc < self.cols
-        ]
 
     def upstream_of(self, pos: GridPosition) -> List[GridPosition]:
         """PEs whose outputs ``pos`` can select as inputs."""

@@ -32,7 +32,7 @@ from ..flopoco.circuits import build_fp_adder, build_fp_multiplier
 from ..flopoco.format import FPFormat, PAPER_FORMAT
 from ..netlist.hdl import Bus, Design
 
-__all__ = ["PEOp", "ProcessingElementSpec", "build_pe_design", "PE_SETTINGS_FIELDS"]
+__all__ = ["PEOp", "ProcessingElementSpec", "build_pe_design"]
 
 
 class PEOp:
@@ -94,16 +94,6 @@ class ProcessingElementSpec:
     def num_settings_registers(self) -> int:
         """Number of 32-bit settings registers needed to hold the settings."""
         return max(1, math.ceil(self.settings_bits / 32))
-
-
-#: Names and descriptions of the PE settings fields (documentation + vsim).
-PE_SETTINGS_FIELDS = {
-    "coeff": "FloPoCo-encoded filter coefficient (multiplier operand)",
-    "sel_a": "intra-connect select: which input port feeds the multiplier",
-    "sel_b": "intra-connect select: which input port feeds the accumulator adder",
-    "op": "function select (0=MAC, 1=MUL, 2=BYPASS, 3=BYPASS_B)",
-    "count_limit": "number of MAC iterations before the done flag raises",
-}
 
 
 def build_pe_design(spec: ProcessingElementSpec, name: str = "pe") -> Design:

@@ -30,17 +30,6 @@ class PESettings:
     count_limit: int = 0          #: MAC iteration count
     enabled: bool = False         #: whether this PE is used by the mapped application
 
-    def as_param_words(self, spec: ProcessingElementSpec) -> Dict[str, int]:
-        """Parameter-bus assignment for the DCS specialization stage."""
-        words = {"coeff": self.coefficient}
-        if spec.include_intra_connect:
-            words["sel_a"] = self.sel_a
-            words["sel_b"] = self.sel_b
-            words["op"] = self.op
-        if spec.include_counter:
-            words["count_limit"] = self.count_limit
-        return words
-
     def register_words(self, spec: ProcessingElementSpec, width: int = 32) -> List[int]:
         """Pack the settings into ``width``-bit register words (LSB-first fields)."""
         bits = 0

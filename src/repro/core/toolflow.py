@@ -132,10 +132,6 @@ class ToolflowReport:
     synthesis_seconds: float
     placement_seconds: float
     routing_seconds: float
-    #: routed critical path of the underlying PE implementation (from the
-    #: gate-level flow's STA, :attr:`repro.par.flow.PaRResult.timing`);
-    #: ``None`` when the overlay is compiled without a PE timing closure.
-    pe_critical_path_ns: Optional[float] = None
 
     @property
     def total_seconds(self) -> float:
@@ -144,23 +140,6 @@ class ToolflowReport:
     @property
     def pes_used(self) -> int:
         return len(self.placement)
-
-    @property
-    def pipeline_depth(self) -> int:
-        """Number of PE pipeline levels the application occupies."""
-        return 1 + max(self.levels.values()) if self.levels else 0
-
-    @property
-    def estimated_cycle_ns(self) -> Optional[float]:
-        """Overlay cycle-time bound: the PE's routed critical path."""
-        return self.pe_critical_path_ns
-
-    @property
-    def estimated_latency_ns(self) -> Optional[float]:
-        """First-result latency estimate: pipeline depth x cycle time."""
-        if self.pe_critical_path_ns is None:
-            return None
-        return self.pipeline_depth * self.pe_critical_path_ns
 
 
 def _place_levels(
@@ -245,14 +224,8 @@ def _route_edges(
 def run_vcgra_toolflow(
     app: ApplicationGraph,
     arch: VCGRAArchitecture,
-    pe_critical_path_ns: Optional[float] = None,
 ) -> ToolflowReport:
-    """Run synthesis, mapping, placement and routing; return settings + timings.
-
-    ``pe_critical_path_ns`` optionally threads the gate-level flow's routed
-    PE critical path into the report, which then exposes overlay cycle-time
-    and latency estimates (``estimated_cycle_ns`` / ``estimated_latency_ns``).
-    """
+    """Run synthesis, mapping, placement and routing; return settings + timings."""
     fmt: FPFormat = arch.pe_spec.fmt
 
     t0 = time.perf_counter()
@@ -285,5 +258,4 @@ def run_vcgra_toolflow(
         synthesis_seconds=t_synth,
         placement_seconds=t_place,
         routing_seconds=t_route,
-        pe_critical_path_ns=pe_critical_path_ns,
     )

@@ -1,27 +1,15 @@
 """FloPoCo-style floating point: format, word-level arithmetic, circuit generators."""
 
-from .arithmetic import decode_array, encode_array, fp_add, fp_mac, fp_mul, fp_neg
-from .circuits import (
-    build_fp_adder,
-    build_fp_multiplier,
-    fp_adder_circuit,
-    fp_mac_circuit,
-    fp_multiplier_circuit,
-)
+from .arithmetic import fp_add, fp_mac, fp_mul
+from .circuits import build_fp_adder, build_fp_multiplier
 from .format import EXC_INF, EXC_NAN, EXC_NORMAL, EXC_ZERO, FPFormat, PAPER_FORMAT
 
 __all__ = [
-    "decode_array",
-    "encode_array",
     "fp_add",
     "fp_mac",
     "fp_mul",
-    "fp_neg",
     "build_fp_adder",
     "build_fp_multiplier",
-    "fp_adder_circuit",
-    "fp_mac_circuit",
-    "fp_multiplier_circuit",
     "EXC_INF",
     "EXC_NAN",
     "EXC_NORMAL",

@@ -10,21 +10,9 @@ simulator when it executes MAC Processing Elements.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
-
 from .format import EXC_INF, EXC_NAN, EXC_NORMAL, EXC_ZERO, FPFormat
 
-__all__ = ["fp_mul", "fp_add", "fp_mac", "fp_neg", "encode_array", "decode_array"]
-
-
-def fp_neg(fmt: FPFormat, x: int) -> int:
-    """Negate a FloPoCo word (flip the sign bit; exceptions keep their sign rules)."""
-    exc, sign, exp, frac = fmt.unpack(x)
-    if exc == EXC_NAN:
-        return x
-    return fmt.pack(exc, 1 - sign, exp, frac)
+__all__ = ["fp_mul", "fp_add", "fp_mac"]
 
 
 def fp_mul(fmt: FPFormat, x: int, y: int) -> int:
@@ -133,13 +121,3 @@ def fp_mac(fmt: FPFormat, acc: int, sample: int, coefficient: int) -> int:
     coefficient and added to the running accumulator.
     """
     return fp_add(fmt, acc, fp_mul(fmt, sample, coefficient))
-
-
-def encode_array(fmt: FPFormat, values: Iterable[float]) -> np.ndarray:
-    """Encode an iterable of Python floats into FloPoCo words (dtype ``object``)."""
-    return np.array([fmt.encode(float(v)) for v in values], dtype=object)
-
-
-def decode_array(fmt: FPFormat, words: Iterable[int]) -> np.ndarray:
-    """Decode FloPoCo words back into a float64 array."""
-    return np.array([fmt.decode(int(w)) for w in words], dtype=np.float64)

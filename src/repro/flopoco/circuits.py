@@ -3,10 +3,11 @@
 The paper builds its Processing Element -- a floating-point multiply
 accumulate (MAC) operator -- with the FloPoCo library, *without* dedicated
 multipliers or adders, i.e. as pure LUT logic.  These generators reproduce
-that: they elaborate FP multiplier, adder and MAC datapaths directly into
-gates using the structural HDL builder, with the filter coefficient
-optionally declared as a ``--PARAM`` input so that the downstream TCONMAP
-flow can specialize the operator for each coefficient value.
+that: they elaborate FP multiplier and adder datapaths directly into gates
+using the structural HDL builder.  The Processing Element
+(:mod:`repro.core.pe`) wires them into its MAC with the filter coefficient
+declared as a ``--PARAM`` bus, so that the downstream TCONMAP flow can
+specialize the operator for each coefficient value.
 
 All operators implement exactly the semantics of
 :mod:`repro.flopoco.arithmetic` (truncating rounding, flush-to-zero,
@@ -26,9 +27,6 @@ __all__ = [
     "FPPorts",
     "build_fp_multiplier",
     "build_fp_adder",
-    "fp_multiplier_circuit",
-    "fp_adder_circuit",
-    "fp_mac_circuit",
 ]
 
 
@@ -243,58 +241,3 @@ def build_fp_adder(d: Design, x: Bus, y: Bus, fmt: FPFormat) -> Bus:
         normal_fields,
     )
     return result
-
-
-# ---------------------------------------------------------------------------
-# Top-level circuit factories
-# ---------------------------------------------------------------------------
-
-def fp_multiplier_circuit(
-    fmt: FPFormat, param_coefficient: bool = False, name: str = "fp_mul"
-) -> Design:
-    """Standalone FP multiplier design.
-
-    With ``param_coefficient=True`` the second operand becomes a ``--PARAM``
-    bus named ``coeff`` (the paper's parameterized filter coefficient).
-    """
-    d = Design(name)
-    x = d.input_bus("x", fmt.width)
-    if param_coefficient:
-        y = d.param_bus("coeff", fmt.width)
-    else:
-        y = d.input_bus("y", fmt.width)
-    d.output_bus("p", build_fp_multiplier(d, x, y, fmt))
-    return d
-
-
-def fp_adder_circuit(fmt: FPFormat, name: str = "fp_add") -> Design:
-    """Standalone FP adder design with inputs ``x`` and ``y``."""
-    d = Design(name)
-    x = d.input_bus("x", fmt.width)
-    y = d.input_bus("y", fmt.width)
-    d.output_bus("s", build_fp_adder(d, x, y, fmt))
-    return d
-
-
-def fp_mac_circuit(
-    fmt: FPFormat,
-    param_coefficient: bool = True,
-    name: str = "fp_mac",
-) -> Design:
-    """Multiply-accumulate Processing Element datapath.
-
-    ``result = acc + sample * coeff``.  The coefficient is a parameter bus by
-    default -- exactly the configuration of the paper's PE, where the filter
-    coefficient changes only when the VCGRA is reconfigured for a new filter.
-    """
-    d = Design(name)
-    sample = d.input_bus("sample", fmt.width)
-    acc = d.input_bus("acc", fmt.width)
-    if param_coefficient:
-        coeff = d.param_bus("coeff", fmt.width)
-    else:
-        coeff = d.input_bus("coeff", fmt.width)
-    product = build_fp_multiplier(d, sample, coeff, fmt)
-    result = build_fp_adder(d, acc, product, fmt)
-    d.output_bus("result", result)
-    return d

@@ -137,15 +137,6 @@ class FPFormat:
         mag = (1.0 + fraction / (1 << self.wf)) * (2.0 ** (exponent - self.bias))
         return -mag if sign else mag
 
-    # -- resolution helpers -------------------------------------------------------
-
-    def ulp(self, value: float) -> float:
-        """Unit in the last place around ``value`` (for accuracy assertions)."""
-        if value == 0.0 or math.isnan(value) or math.isinf(value):
-            return 2.0 ** (-self.bias - self.wf)
-        exp = math.floor(math.log2(abs(value)))
-        return 2.0 ** (exp - self.wf)
-
     def __str__(self) -> str:  # pragma: no cover - debug helper
         return f"FPFormat(we={self.we}, wf={self.wf}, width={self.width})"
 

@@ -15,9 +15,9 @@ Bit-identity contract
 Trajectories must match the Python kernel move for move:
 
 * **Randomness stays in Python.**  The C loop consumes the same
-  ``int64``/``float64`` blocks (``gen.integers`` / ``gen.random``,
-  one PCG64 stream) from shared buffers and invokes a ctypes callback to
-  refill them *at exactly the Python kernel's refill points* (the
+  ``int64``/``float64`` blocks (``par.placement._integer_draws`` /
+  ``gen.random``, one PCG64 stream) from shared buffers and invokes a
+  ctypes callback to refill them *at exactly the Python kernel's refill points* (the
   ``ipos + 10 > RBUF`` pre-check at move start, the ``upos >= RBUF``
   check right before an acceptance draw) -- the two draw kinds interleave
   on one stream, so refill order is part of the trajectory.

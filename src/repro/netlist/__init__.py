@@ -1,33 +1,17 @@
 """Gate-level netlist substrate: Boolean functions, circuits, HDL builder, simulation."""
 
-from .boolean import (
-    TruthTable,
-    const_tt,
-    var_tt,
-    cofactor,
-    restrict,
-    is_wire_function,
-    wire_source,
-)
+from .boolean import TruthTable, var_tt, cofactor, restrict, wire_source
 from .circuit import Circuit, CircuitStats, Op
 from .engine import CompiledCircuit, compile_circuit
 from .hdl import Bus, Design
-from .library import GATE_EVAL, GATE_COST, eval_gate, gate_truth_table
-from .simulate import (
-    simulate_patterns,
-    simulate_single,
-    simulate_words,
-    random_patterns,
-    exhaustive_patterns,
-)
+from .library import GATE_EVAL, eval_gate
+from .simulate import simulate_patterns, simulate_words, random_patterns
 
 __all__ = [
     "TruthTable",
-    "const_tt",
     "var_tt",
     "cofactor",
     "restrict",
-    "is_wire_function",
     "wire_source",
     "Circuit",
     "CircuitStats",
@@ -35,14 +19,10 @@ __all__ = [
     "Bus",
     "Design",
     "GATE_EVAL",
-    "GATE_COST",
     "eval_gate",
-    "gate_truth_table",
     "CompiledCircuit",
     "compile_circuit",
     "simulate_patterns",
-    "simulate_single",
     "simulate_words",
     "random_patterns",
-    "exhaustive_patterns",
 ]

@@ -19,10 +19,8 @@ from typing import Iterable, Sequence, Tuple
 
 __all__ = [
     "TruthTable",
-    "const_tt",
     "var_tt",
     "cofactor",
-    "is_wire_function",
     "wire_source",
 ]
 
@@ -110,10 +108,6 @@ class TruthTable:
         """True if the function is identically 1."""
         return self.bits == _mask(self.num_vars)
 
-    def is_const(self) -> bool:
-        """True if the function is constant."""
-        return self.is_const0() or self.is_const1()
-
     def depends_on(self, var: int) -> bool:
         """True if the function actually depends on variable ``var``."""
         pat = _var_pattern(var, self.num_vars)
@@ -125,10 +119,6 @@ class TruthTable:
     def support(self) -> Tuple[int, ...]:
         """Indices of the variables the function truly depends on."""
         return tuple(v for v in range(self.num_vars) if self.depends_on(v))
-
-    def count_ones(self) -> int:
-        """Number of minterms (rows evaluating to 1)."""
-        return bin(self.bits).count("1")
 
     # -- Boolean algebra ---------------------------------------------------
 
@@ -199,11 +189,6 @@ class TruthTable:
 # Constructors
 # ---------------------------------------------------------------------------
 
-def const_tt(value: int, num_vars: int = 0) -> TruthTable:
-    """Constant-0 or constant-1 function over ``num_vars`` variables."""
-    return TruthTable(num_vars, _mask(num_vars) if value else 0)
-
-
 def var_tt(var: int, num_vars: int) -> TruthTable:
     """Projection function ``x_var`` over ``num_vars`` variables."""
     return TruthTable(num_vars, _var_pattern(var, num_vars))
@@ -235,23 +220,6 @@ def restrict(tt: TruthTable, assignment: dict) -> TruthTable:
     for var, value in assignment.items():
         out = cofactor(out, var, value)
     return out
-
-
-def is_wire_function(tt: TruthTable, data_vars: Iterable[int]) -> bool:
-    """True if ``tt`` equals one of ``data_vars`` (possibly inverted) or a constant.
-
-    This is the degenerate form a *tunable connection* (TCON) must take once
-    the parameter variables have been fixed: the remaining logic is a plain
-    wire (optionally inverting) or a constant driver, and can therefore be
-    realized on the FPGA's physical routing switches instead of on a LUT.
-    """
-    if tt.is_const():
-        return True
-    for v in data_vars:
-        pat = var_tt(v, tt.num_vars)
-        if tt.bits == pat.bits or tt.bits == (~pat).bits:
-            return True
-    return False
 
 
 def wire_source(tt: TruthTable, data_vars: Iterable[int]):

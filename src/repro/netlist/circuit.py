@@ -104,6 +104,8 @@ class Circuit:
         self._strash = strash
         self._strash_table: Dict[Tuple, int] = {}
         self._const_cache: Dict[str, int] = {}
+        #: (node count scanned, parameter ids found) of :meth:`param_ids`
+        self._param_scan: Tuple[int, Tuple[int, ...]] = (0, ())
 
     # -- construction --------------------------------------------------------
 
@@ -164,15 +166,19 @@ class Circuit:
     # Convenience wrappers -----------------------------------------------------
 
     def g_not(self, a: int) -> int:
+        """NOT gate (see :meth:`gate`)."""
         return self.gate(Op.NOT, a)
 
     def g_and(self, *xs: int) -> int:
+        """AND gate (see :meth:`gate`)."""
         return self.gate(Op.AND, *xs)
 
     def g_or(self, *xs: int) -> int:
+        """OR gate (see :meth:`gate`)."""
         return self.gate(Op.OR, *xs)
 
     def g_xor(self, *xs: int) -> int:
+        """XOR gate (see :meth:`gate`)."""
         return self.gate(Op.XOR, *xs)
 
     def g_mux(self, sel: int, d0: int, d1: int) -> int:
@@ -197,30 +203,40 @@ class Circuit:
         return range(len(self.ops))
 
     def input_ids(self) -> List[int]:
+        """Regular input node ids in topological order."""
         return [i for i, o in enumerate(self.ops) if o == Op.INPUT]
 
     def param_ids(self) -> List[int]:
-        return [i for i, o in enumerate(self.ops) if o == Op.PARAM]
+        """Parameter node ids in topological order.
+
+        Circuits only grow, so the ids found by the last call stay valid and
+        only the nodes appended since then are scanned (the node-count check
+        :func:`~repro.netlist.engine.compile_circuit` uses).
+        """
+        ops = self.ops
+        scanned, ids = self._param_scan
+        if scanned > len(ops):
+            scanned, ids = 0, ()
+        if scanned < len(ops):
+            ids = ids + tuple(i for i in range(scanned, len(ops)) if ops[i] == Op.PARAM)
+            self._param_scan = (len(ops), ids)
+        return list(ids)
 
     def gate_ids(self) -> List[int]:
+        """Gate node ids in topological order."""
         return [i for i, o in enumerate(self.ops) if o in Op.GATES]
 
     def input_names(self) -> List[str]:
+        """Names of the regular inputs, in :meth:`input_ids` order."""
         return [self.names.get(i, f"in{i}") for i in self.input_ids()]
 
     def param_names(self) -> List[str]:
+        """Names of the parameter inputs, in :meth:`param_ids` order."""
         return [self.names.get(i, f"param{i}") for i in self.param_ids()]
 
     def num_gates(self) -> int:
+        """Number of gate nodes (leaves excluded)."""
         return sum(1 for o in self.ops if o in Op.GATES)
-
-    def fanouts(self) -> List[List[int]]:
-        """Per-node fanout lists (combinational fanout only, outputs excluded)."""
-        fo: List[List[int]] = [[] for _ in self.ops]
-        for nid, fins in enumerate(self.fanins):
-            for f in fins:
-                fo[f].append(nid)
-        return fo
 
     def depth(self) -> int:
         """Logic depth in gate levels (leaves are level 0)."""
@@ -245,6 +261,7 @@ class Circuit:
         return level
 
     def stats(self) -> CircuitStats:
+        """Size and shape statistics of the circuit."""
         return CircuitStats(self)
 
     # -- transformations ----------------------------------------------------------

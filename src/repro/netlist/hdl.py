@@ -11,12 +11,8 @@ A *bus* is simply a list of node ids, least-significant bit first.  The
 :class:`Design` class owns the underlying :class:`~repro.netlist.circuit.Circuit`
 and provides the operator library.  All operators elaborate immediately into
 gates, so the output of the front-end is directly consumable by the logic
-optimizer and the technology mappers.
-
-:class:`Design` is API for design authors, not only for the bundled PE and
-filter designs: a few operators no shipped design calls (``input_bit``,
-``v_and``, ``equals_const``) are kept on purpose so a new design can use
-them, and the tests exercise them.
+optimizer and the technology mappers.  The operator set is the one the
+bundled PE and filter designs elaborate.
 """
 
 from __future__ import annotations
@@ -46,9 +42,6 @@ class Design:
         """Declare a parameter bus (``--PARAM`` annotated input)."""
         return [self.circuit.add_param(f"{name}[{i}]") for i in range(width)]
 
-    def input_bit(self, name: str) -> int:
-        return self.circuit.add_input(name)
-
     def output_bus(self, name: str, bus: Bus) -> None:
         """Declare an output bus driven by ``bus`` (LSB first)."""
         for i, nid in enumerate(bus):
@@ -71,10 +64,6 @@ class Design:
     def v_not(self, a: Bus) -> Bus:
         return [self.circuit.g_not(x) for x in a]
 
-    def v_and(self, a: Bus, b: Bus) -> Bus:
-        self._check_same_width(a, b)
-        return [self.circuit.g_and(x, y) for x, y in zip(a, b)]
-
     def v_xor(self, a: Bus, b: Bus) -> Bus:
         self._check_same_width(a, b)
         return [self.circuit.g_xor(x, y) for x, y in zip(a, b)]
@@ -85,13 +74,6 @@ class Design:
         if len(a) == 1:
             return a[0]
         return self.circuit.g_or(*a)
-
-    def reduce_and(self, a: Bus) -> int:
-        if not a:
-            return self.const_bit(1)
-        if len(a) == 1:
-            return a[0]
-        return self.circuit.g_and(*a)
 
     def mux_bit(self, sel: int, d0: int, d1: int) -> int:
         return self.circuit.g_mux(sel, d0, d1)
@@ -131,9 +113,6 @@ class Design:
     def truncate(self, a: Bus, width: int) -> Bus:
         return list(a[:width])
 
-    def replicate(self, bit: int, width: int) -> Bus:
-        return [bit] * width
-
     # ------------------------------------------------------------- arithmetic
 
     def full_adder(self, a: int, b: int, cin: int):
@@ -169,18 +148,6 @@ class Design:
         diff, carry = self.adder(a, self.v_not(b), cin=self.const_bit(1))
         borrow = self.circuit.g_not(carry)
         return diff, borrow
-
-    def increment(self, a: Bus):
-        """``a + 1``; returns ``(sum_bus, carry_out)``."""
-        one = self.const_bus(1, len(a))
-        return self.adder(a, one)
-
-    def equals_const(self, a: Bus, value: int) -> int:
-        """Single-bit comparison ``a == value`` for a constant value."""
-        bits = []
-        for i, nid in enumerate(a):
-            bits.append(nid if (value >> i) & 1 else self.circuit.g_not(nid))
-        return self.reduce_and(bits)
 
     def equals(self, a: Bus, b: Bus) -> int:
         self._check_same_width(a, b)

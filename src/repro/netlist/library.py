@@ -1,11 +1,8 @@
 """Gate library: local semantics of every :class:`~repro.netlist.circuit.Op`.
 
-The library provides two views of each gate:
-
-* a *bit-parallel evaluator* operating on Python integers used as packed
-  vectors of simulation patterns (arbitrarily wide, one bit per pattern), and
-* a *truth table builder* used by the technology mappers when collapsing a
-  cone of gates into a single cut function.
+Each gate has a *bit-parallel evaluator* operating on Python integers used
+as packed vectors of simulation patterns (arbitrarily wide, one bit per
+pattern).
 """
 
 from __future__ import annotations
@@ -13,10 +10,9 @@ from __future__ import annotations
 from functools import reduce
 from typing import Callable, Dict, Sequence
 
-from .boolean import TruthTable
 from .circuit import Op
 
-__all__ = ["GATE_EVAL", "eval_gate", "gate_truth_table", "GATE_COST"]
+__all__ = ["GATE_EVAL", "eval_gate"]
 
 
 def _and(args: Sequence[int], mask: int) -> int:
@@ -69,20 +65,6 @@ GATE_EVAL: Dict[str, Callable[[Sequence[int], int], int]] = {
     Op.MUX: _mux,
 }
 
-#: Unit-area cost per gate kind (used by synthesis statistics only; the real
-#: area metric of the flow is the post-mapping LUT count).
-GATE_COST: Dict[str, int] = {
-    Op.BUF: 0,
-    Op.NOT: 0,
-    Op.AND: 1,
-    Op.OR: 1,
-    Op.XOR: 1,
-    Op.NAND: 1,
-    Op.NOR: 1,
-    Op.XNOR: 1,
-    Op.MUX: 1,
-}
-
 
 def eval_gate(op: str, args: Sequence[int], mask: int) -> int:
     """Evaluate a gate bit-parallel over packed pattern vectors."""
@@ -91,21 +73,3 @@ def eval_gate(op: str, args: Sequence[int], mask: int) -> int:
     except KeyError:
         raise ValueError(f"op {op!r} is not an evaluatable gate") from None
     return fn(args, mask)
-
-
-def gate_truth_table(op: str, fanin_tts: Sequence[TruthTable]) -> TruthTable:
-    """Compose fanin truth tables through a gate.
-
-    All fanin tables must be expressed over the same variable set; the result
-    is over that set as well.  This is the core operation of cut-function
-    computation in the technology mappers.
-    """
-    if not fanin_tts:
-        raise ValueError("gate needs at least one fanin truth table")
-    num_vars = fanin_tts[0].num_vars
-    for tt in fanin_tts:
-        if tt.num_vars != num_vars:
-            raise ValueError("fanin truth tables must share a variable set")
-    mask = (1 << (1 << num_vars)) - 1
-    bits = eval_gate(op, [tt.bits for tt in fanin_tts], mask)
-    return TruthTable(num_vars, bits)

@@ -33,9 +33,7 @@ from .engine import compile_circuit, pack_bits_to_int, unpack_int_to_bits
 __all__ = [
     "simulate_patterns",
     "simulate_words",
-    "simulate_single",
     "random_patterns",
-    "exhaustive_patterns",
 ]
 
 
@@ -71,28 +69,6 @@ def simulate_patterns(
         Mapping from node id to packed output vector for every node.
     """
     return compile_circuit(circuit).simulate(input_patterns, num_patterns, param_patterns)
-
-
-def simulate_single(
-    circuit: Circuit,
-    input_values: Mapping[str, int],
-    param_values: Optional[Mapping[str, int]] = None,
-) -> Dict[str, int]:
-    """Simulate one pattern given per-name scalar 0/1 input values.
-
-    Unknown names raise ``KeyError``; unspecified inputs default to 0.
-    Returns output name -> 0/1 value.
-    """
-    name_to_id = {circuit.names.get(i, f"in{i}"): i for i in circuit.input_ids()}
-    pname_to_id = {circuit.names.get(i, f"param{i}"): i for i in circuit.param_ids()}
-    in_pat: Dict[int, int] = {}
-    for name, val in input_values.items():
-        in_pat[name_to_id[name]] = 1 if val else 0
-    par_pat: Dict[int, int] = {}
-    for name, val in (param_values or {}).items():
-        par_pat[pname_to_id[name]] = 1 if val else 0
-    values = simulate_patterns(circuit, in_pat, 1, par_pat)
-    return {name: values[nid] & 1 for name, nid in circuit.outputs.items()}
 
 
 def _bus_nodes(circuit: Circuit, prefix: str, kind: str) -> List[int]:
@@ -217,25 +193,4 @@ def random_patterns(
         bits = rng.integers(0, 2, size=num_patterns)
         packed_bytes = np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
         pats[nid] = int.from_bytes(packed_bytes, "little")
-    return pats
-
-
-def exhaustive_patterns(input_ids: Sequence[int]) -> Dict[int, int]:
-    """Packed patterns enumerating every assignment of the given inputs.
-
-    With ``n`` inputs the returned vectors are ``2**n`` patterns long and
-    pattern ``p`` assigns input ``i`` the ``i``-th bit of ``p``.  Only
-    sensible for small ``n`` (equivalence checking of specialized cones).
-    """
-    n = len(input_ids)
-    num_patterns = 1 << n
-    all_ones = (1 << num_patterns) - 1
-    pats: Dict[int, int] = {}
-    for i, nid in enumerate(input_ids):
-        # Periodic vector 0^(2^i) 1^(2^i) ...: the classic truth-table mask.
-        block = 1 << i
-        ones_block = ((1 << block) - 1) << block
-        period = block * 2
-        repeat = all_ones // ((1 << period) - 1) if num_patterns >= period else 1
-        pats[nid] = ones_block * repeat
     return pats

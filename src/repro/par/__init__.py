@@ -6,7 +6,6 @@ from .forest import RouteForest, build_route_forest
 from .metrics import (
     ChannelWidthError,
     MinChannelWidthResult,
-    channel_occupancy,
     minimum_channel_width,
 )
 from .netlist import Block, Net, PhysicalNetlist, from_mapped_network
@@ -24,7 +23,6 @@ __all__ = [
     "RouteForest",
     "build_route_forest",
     "MinChannelWidthResult",
-    "channel_occupancy",
     "minimum_channel_width",
     "Block",
     "Net",

@@ -76,6 +76,9 @@ __all__ = [
 #: v6: ``objective="timing"`` routes re-time (and return) the current route
 #: trees after every PathFinder iteration; v5 re-timed and stored the
 #: first iteration's forest whenever the route took more than one.
+#: Min-CW probe values are keyed with ``tag="probe"`` (no bump): an untagged
+#: probe entry from before is never read as a probe again, and a flow that
+#: finds one under its own key falls back to a fresh route once.
 ROUTE_ALGO_VERSION = 6
 #: Bump when a placement kernel change moves placements; service job keys
 #: (:meth:`repro.service.spec.JobSpec.job_key`) fold it in.

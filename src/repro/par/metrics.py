@@ -9,7 +9,9 @@ routes the whole design once per probed width.  :func:`minimum_channel_width`
 runs it serially with the placement held fixed, as VPR does, and can memoize
 every probe in an on-disk :class:`repro.par.cache.PaRCache`, so harness
 re-runs and neighbouring experiments (Table I/II, reconfiguration) reuse
-routes instead of recomputing them.
+routes instead of recomputing them.  A probe's value holds metrics only,
+so its key carries ``tag="probe"`` and never names the flow's stored
+route at the same width and iteration budget.
 
 All probes of one search share one RR graph, built at the search's upper
 bound (``high``, or each width it widens to) on the first cache miss there
@@ -42,10 +44,9 @@ from ..fpga.routing_graph import RRNodeType
 from .cache import PaRCache
 from .netlist import PhysicalNetlist
 from .placement import Placement
-from .routing import RoutingResult, route
+from .routing import route
 
 __all__ = [
-    "channel_occupancy",
     "minimum_channel_width",
     "check_min_cw_bounds",
     "MinChannelWidthResult",
@@ -69,18 +70,6 @@ class ChannelWidthError(RuntimeError):
     ) -> None:
         super().__init__(message)
         self.probes: Dict[int, Dict[str, Any]] = dict(probes or {})
-
-
-def channel_occupancy(result: RoutingResult, device: Device) -> Dict[str, int]:
-    """Peak and mean occupancy of the routing channels after routing."""
-    rr = device.rr_graph
-    occ = np.bincount(result.forest.node, minlength=rr.num_nodes)
-    wires = occ[rr.wire_mask()]
-    return {
-        "peak": int(wires.max()) if wires.size else 0,
-        "used": int(np.count_nonzero(wires)),
-        "total": int(wires.size),
-    }
 
 
 @dataclass
@@ -208,8 +197,10 @@ def minimum_channel_width(
             return probes[width]["converged"]
         hit = None
         if cache is not None:
+            # Probe values are metrics only, so they never share a key with
+            # the flow's stored route at the same width and budget.
             key = PaRCache.route_key(
-                netlist, placement, base_arch, width, max_router_iterations
+                netlist, placement, base_arch, width, max_router_iterations, tag="probe"
             )
             hit = cache.get(key, events=events)
         if hit is not None:

@@ -235,7 +235,18 @@ def _placement_telemetry(
 _WEIGHT_QUANTUM = 8  #: integer sub-steps per unit of net weight
 _TIMING_TRADEOFF = 4.0  #: timing weight per unit of criticality, in HPWL units
 _RBUF = 1 << 14  #: draws per refill of the integer and uniform buffers
-_IMAX = 1 << 63  #: integer draws are uniform in [0, 2**63)
+
+
+def _integer_draws(gen: np.random.Generator) -> np.ndarray:
+    """``_RBUF`` int64 draws uniform in ``[0, 2**63)``.
+
+    Equal, value for value and in the generator state it leaves, to
+    ``gen.integers(0, 2**63, size=_RBUF, dtype=np.int64)``: at that range
+    Lemire's bounded method never rejects and returns ``raw >> 1`` of one
+    64-bit draw, so the raw draws shifted give the same stream without its
+    per-value bookkeeping.
+    """
+    return (gen.bit_generator.random_raw(_RBUF) >> 1).astype(np.int64)
 
 
 def _quantize_weights(net_weights: Sequence[float], num_nets: int) -> List[int]:
@@ -423,7 +434,7 @@ def place(
     # Both move steps start from these buffers (the native one shares the
     # arrays, the Python twin reads them as lists) and refill them from
     # ``gen`` at the same points, so both consume one PCG64 stream.
-    ibuf_arr = gen.integers(0, _IMAX, size=_RBUF, dtype=np.int64)
+    ibuf_arr = _integer_draws(gen)
     ubuf_arr = gen.random(_RBUF)
     moves_attempted = 0
 
@@ -454,7 +465,7 @@ def place(
             # frame, so stash + abort, then re-raise once the call returns.
             try:
                 if kind == 0:
-                    ibuf_arr[:] = gen.integers(0, _IMAX, size=_RBUF, dtype=np.int64)
+                    ibuf_arr[:] = _integer_draws(gen)
                 elif kind == 1:
                     ubuf_arr[:] = gen.random(_RBUF)
                 else:
@@ -583,7 +594,7 @@ def place(
             for _ in range(moves):
                 # Up to 10 integer draws per move (group + block + site picks).
                 if ipos + 10 > _RBUF:
-                    ibuf = gen.integers(0, _IMAX, size=_RBUF, dtype=np.int64).tolist()
+                    ibuf = _integer_draws(gen).tolist()
                     ipos = 0
                 if num_groups == 1:
                     gi = 0

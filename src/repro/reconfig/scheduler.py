@@ -94,11 +94,6 @@ class ReconfigScheduler:
     # -- residency ---------------------------------------------------------------
 
     @property
-    def resident_names(self) -> List[str]:
-        """Resident context names, least-recently-used first."""
-        return list(self._resident)
-
-    @property
     def resident_frames(self) -> int:
         """Context-memory frames currently in use (never exceeds the budget)."""
         return sum(self._resident.values())

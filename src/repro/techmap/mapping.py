@@ -189,14 +189,6 @@ class MappedNetwork:
         """Number of tunable connections."""
         return sum(1 for n in self.nodes if n.kind == NodeKind.TCON)
 
-    def lut_node_ids(self) -> List[int]:
-        """Ids of the LUT and TLUT nodes, ascending."""
-        return [i for i, n in enumerate(self.nodes) if n.kind in (NodeKind.LUT, NodeKind.TLUT)]
-
-    def tcon_node_ids(self) -> List[int]:
-        """Ids of the TCON nodes, ascending."""
-        return [i for i, n in enumerate(self.nodes) if n.kind == NodeKind.TCON]
-
     def input_node_ids(self) -> List[int]:
         """Ids of the regular input leaves, ascending."""
         return [i for i, n in enumerate(self.nodes) if n.kind == NodeKind.INPUT]

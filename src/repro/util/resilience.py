@@ -137,9 +137,11 @@ class RetryPolicy:
     ``attempts`` counts *total* tries (1 = no retry).  The backoff before
     retry ``k`` (1-based) is ``min(max_backoff_s, backoff_s *
     multiplier**(k-1))`` scaled by a jitter factor drawn from a
-    ``random.Random(seed)`` stream created fresh for every :meth:`call`,
-    so a policy object is reusable and every run replays the same
-    schedule -- chaos tests stay deterministic.
+    ``random.Random(seed)`` stream created fresh for every
+    :meth:`backoffs` schedule, so a policy object is reusable and every run
+    replays the same schedule -- chaos tests stay deterministic.  The
+    service's worker pool runs the retry loop itself and reads only
+    ``attempts`` and :meth:`backoffs`.
     """
 
     attempts: int = 3
@@ -159,48 +161,6 @@ class RetryPolicy:
         for k in range(self.attempts - 1):
             base = min(self.max_backoff_s, self.backoff_s * self.multiplier**k)
             yield base * (1.0 + self.jitter * rng.random())
-
-    def call(
-        self,
-        fn: Callable[[], Any],
-        retry_on: Tuple[type, ...] = (ResilienceError, OSError),
-        deadline: Optional[Deadline] = None,
-        events: Optional[List[Dict[str, Any]]] = None,
-        site: str = "",
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> Any:
-        """Run ``fn`` under this policy.
-
-        Exceptions in ``retry_on`` are retried (with backoff) until the
-        attempt budget -- or the ``deadline`` -- runs out; anything else
-        propagates immediately.  Each retry is recorded as a ``"retry"``
-        event on ``events``.
-        """
-        last: Optional[BaseException] = None
-        schedule = self.backoffs()
-        for attempt in range(1, self.attempts + 1):
-            if deadline is not None:
-                deadline.check(site or "retry loop")
-            try:
-                return fn()
-            except retry_on as exc:
-                last = exc
-                if attempt == self.attempts:
-                    raise
-                delay = next(schedule)
-                if deadline is not None:
-                    delay = max(0.0, min(delay, deadline.remaining()))
-                record_event(
-                    events,
-                    "retry",
-                    site=site or None,
-                    attempt=attempt,
-                    backoff_s=round(delay, 6),
-                    error=type(exc).__name__,
-                )
-                if delay > 0.0:
-                    sleep(delay)
-        raise last  # pragma: no cover -- loop either returns or raises
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..core.grid import GridPosition, VCGRAArchitecture
 from ..core.settings import VCGRASettings
 from ..flopoco.format import FPFormat
@@ -34,9 +32,6 @@ class SimulationTrace:
     outputs: Dict[str, List[float]]
     pe_outputs: Dict[GridPosition, List[float]]
     steps: int
-
-    def output(self, name: str) -> np.ndarray:
-        return np.asarray(self.outputs[name], dtype=np.float64)
 
 
 class VCGRASimulator:
@@ -142,12 +137,3 @@ class VCGRASimulator:
     def reset(self) -> None:
         for unit in self.units.values():
             unit.reset()
-
-    def dot_product(self, samples: Sequence[float], reset: bool = True) -> Dict[str, float]:
-        """Convenience for filter kernels: stream samples through the grid and
-        return the final value of every output (the accumulated dot product
-        for MAC-chain configurations)."""
-        if reset:
-            self.reset()
-        trace = self.run({name: samples for name in self.settings.input_bindings})
-        return {name: values[-1] for name, values in trace.outputs.items()}

@@ -42,7 +42,7 @@ class TestSyntheticFundus:
 
     def test_vessels_are_dark_in_green_channel(self):
         f = generate_fundus(size=64, seed=2)
-        green = f.green_channel
+        green = f.rgb[:, :, 1]
         vessels = green[f.vessel_mask]
         background = green[f.fov_mask & ~f.vessel_mask]
         assert vessels.mean() < background.mean()
@@ -72,7 +72,7 @@ class TestPreprocessing:
 
     def test_optic_disc_removal_reduces_peak(self):
         f = generate_fundus(size=64, seed=4)
-        green = f.green_channel
+        green = f.rgb[:, :, 1]
         removed, center = remove_optic_disc(green, mask=f.fov_mask)
         cy, cx = center
         # detected disc centre should be near the true one
@@ -82,14 +82,14 @@ class TestPreprocessing:
 
     def test_outer_region_removal(self):
         f = generate_fundus(size=48, seed=0)
-        out = remove_outer_region(f.green_channel, f.fov_mask, border=2)
+        out = remove_outer_region(f.rgb[:, :, 1], f.fov_mask, border=2)
         outside = out[~f.fov_mask]
         assert np.allclose(outside, outside[0])
 
     def test_full_preprocess_masks_outside(self):
         f = generate_fundus(size=48, seed=0)
         pre = preprocess(f.rgb, f.fov_mask)
-        assert pre.shape == f.green_channel.shape
+        assert pre.shape == f.rgb[:, :, 1].shape
         assert np.allclose(pre[~f.fov_mask], 0.0)
 
 

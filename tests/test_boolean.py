@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from repro.netlist.boolean import (
     TruthTable,
     cofactor,
-    const_tt,
-    is_wire_function,
     restrict,
     var_tt,
     wire_source,
@@ -17,15 +15,14 @@ from repro.netlist.boolean import (
 
 class TestConstructors:
     def test_const0(self):
-        tt = const_tt(0, 3)
+        tt = TruthTable(3, 0)
         assert tt.is_const0()
         assert not tt.is_const1()
-        assert tt.count_ones() == 0
 
     def test_const1(self):
-        tt = const_tt(1, 3)
+        tt = ~TruthTable(3, 0)
         assert tt.is_const1()
-        assert tt.count_ones() == 8
+        assert tt.bits == 0xFF
 
     def test_var_projection(self):
         tt = var_tt(1, 3)
@@ -132,27 +129,25 @@ class TestCofactor:
 class TestWireFunctions:
     def test_identity_is_wire(self):
         f = var_tt(2, 4)
-        assert is_wire_function(f, [2])
         assert wire_source(f, [2]) == ("var", 2, False)
 
     def test_inverted_wire(self):
         f = ~var_tt(1, 3)
-        assert is_wire_function(f, [1])
         assert wire_source(f, [1]) == ("var", 1, True)
 
     def test_constants_are_wires(self):
-        assert is_wire_function(const_tt(0, 2), [0, 1])
-        assert wire_source(const_tt(1, 2), [0, 1]) == ("const1", None, False)
+        assert wire_source(TruthTable(2, 0), [0, 1]) == ("const0", None, False)
+        assert wire_source(~TruthTable(2, 0), [0, 1]) == ("const1", None, False)
 
     def test_and_is_not_a_wire(self):
         f = var_tt(0, 2) & var_tt(1, 2)
-        assert not is_wire_function(f, [0, 1])
         with pytest.raises(ValueError):
             wire_source(f, [0, 1])
 
     def test_wire_over_wrong_var_set(self):
         f = var_tt(0, 2)
-        assert not is_wire_function(f, [1])
+        with pytest.raises(ValueError):
+            wire_source(f, [1])
 
 
 @st.composite

@@ -101,13 +101,6 @@ class TestQueries:
         c.add_output("y", a)
         assert c.depth() == 0
 
-    def test_fanouts(self):
-        c, (a, b, d, ab, out) = small_and_or()
-        fo = c.fanouts()
-        assert fo[a] == [ab]
-        assert fo[ab] == [out]
-        assert fo[out] == []
-
     def test_levels(self):
         c, (a, b, d, ab, out) = small_and_or()
         lv = c.levels()

@@ -5,6 +5,7 @@ import dataclasses
 import random
 
 import pytest
+from helpers import tcon_node_ids
 
 from repro.core.flows import compare_pe_flows, run_pe_flow
 from repro.core.grid import VCGRAArchitecture
@@ -124,7 +125,7 @@ def _reference_tcon_site(network, node_sites, tcon):
 def _reference_tcon_sites(network, node_sites):
     """Tile of every TCON that has one, by :func:`_reference_tcon_site`."""
     sites = {}
-    for tcon in network.tcon_node_ids():
+    for tcon in tcon_node_ids(network):
         site = _reference_tcon_site(network, node_sites, tcon)
         if site is not None:
             sites[tcon] = site
@@ -272,7 +273,7 @@ class TestSCGTconChains:
         _, scg = generator
         network = scg.network
         chained = [
-            t for t in network.tcon_node_ids()
+            t for t in tcon_node_ids(network)
             if "lut" in _downstream(network, t) and not any(
                 n.kind in (NodeKind.LUT, NodeKind.TLUT) and t in n.inputs
                 for n in network.nodes
@@ -284,7 +285,7 @@ class TestSCGTconChains:
         _, scg = generator
         network = scg.network
         planned = {nid for nid, _site, _shift in scg._tcon_plan}
-        downstream = {t: _downstream(network, t) for t in network.tcon_node_ids()}
+        downstream = {t: _downstream(network, t) for t in tcon_node_ids(network)}
         assert planned == {t for t, kinds in downstream.items() if "lut" in kinds}
         unrendered = [t for t, kinds in downstream.items() if "lut" not in kinds]
         assert all(downstream[t] == {"output"} for t in unrendered)

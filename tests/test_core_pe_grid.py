@@ -140,8 +140,6 @@ class TestGridArchitecture:
 
     def test_connectivity(self):
         arch = VCGRAArchitecture(rows=3, cols=3)
-        assert arch.downstream_of((0, 0)) == [(1, 0), (1, 1)]
-        assert arch.downstream_of((2, 1)) == []
         assert arch.upstream_of((1, 1)) == [(0, 0), (0, 1), (0, 2)]
         assert arch.upstream_of((0, 2)) == []
 
@@ -149,7 +147,6 @@ class TestGridArchitecture:
         arch = VCGRAArchitecture(rows=4, cols=4)
         assert len(list(arch.pe_positions())) == 16
         assert len(list(arch.vsbs())) == 9
-        assert len(list(arch.connection_blocks())) == 32
 
 
 class TestSettings:
@@ -160,12 +157,6 @@ class TestSettings:
         assert len(words) == spec.num_settings_registers
         # coefficient occupies the low bits
         assert words[0] & ((1 << spec.fmt.width) - 1) == 0x155
-
-    def test_param_words(self):
-        spec = ProcessingElementSpec(fmt=SMALL)
-        s = PESettings(coefficient=3, sel_a=1, sel_b=0, op=PEOp.MAC, count_limit=5)
-        words = s.as_param_words(spec)
-        assert words == {"coeff": 3, "sel_a": 1, "sel_b": 0, "op": PEOp.MAC, "count_limit": 5}
 
     def test_register_image_and_diff(self):
         arch = VCGRAArchitecture(rows=2, cols=2, pe_spec=ProcessingElementSpec(fmt=SMALL))

@@ -9,19 +9,14 @@ the same random sequence and computes exact integer deltas).
 import random
 
 import pytest
+from helpers import exhaustive_patterns, simulate_single
 from oracles import simulate_patterns_reference
 
 from repro.fpga.architecture import auto_size
 from repro.netlist.circuit import Circuit, Op
 from repro.netlist.engine import CompiledCircuit, compile_circuit
 from repro.netlist.hdl import Design
-from repro.netlist.simulate import (
-    exhaustive_patterns,
-    random_patterns,
-    simulate_patterns,
-    simulate_single,
-    simulate_words,
-)
+from repro.netlist.simulate import random_patterns, simulate_patterns, simulate_words
 from repro.par.netlist import from_mapped_network
 from repro.par.placement import hpwl, place
 from repro.synth.optimize import optimize

@@ -83,7 +83,7 @@ class TestComparators:
     def test_equals_const(self):
         d = Design()
         a = d.input_bus("a", 5)
-        d.output_bit("hit", d.equals_const(a, 19))
+        d.output_bit("hit", d.equals(a, d.const_bus(19, 5)))
         res = run_words(d, {"a": list(range(32))})
         assert res["hit"] == [1 if v == 19 else 0 for v in range(32)]
 
@@ -145,7 +145,7 @@ class TestLeadingZeroCount:
 class TestMuxes:
     def test_mux_bus(self):
         d = Design()
-        s = d.input_bit("s")
+        s = d.input_bus("s", 1)[0]
         a = d.input_bus("a", 4)
         b = d.input_bus("b", 4)
         d.output_bus("y", d.mux_bus(s, a, b))

@@ -11,6 +11,7 @@ import types
 import numpy as np
 import pytest
 import oracles
+from helpers import channel_occupancy
 from oracles import (
     minimum_channel_width_unpruned,
     place_reference,
@@ -21,6 +22,7 @@ from oracles import (
 from test_golden_digests import DESIGNS, MIN_CW, _adder_network, _auto_arch
 
 from repro.core.flows import compare_pe_flows, run_pe_flow
+from repro.core.toolflow import run_vcgra_toolflow
 from repro.fpga.architecture import FPGAArchitecture, auto_size
 from repro.fpga.device import Device, build_device
 from repro.fpga.routing_graph import RRGraph
@@ -31,9 +33,9 @@ import repro.par.metrics as par_metrics
 from repro.par.cache import PaRCache
 from repro.par.flow import cached_route, place_and_route, timing_driven_placement
 from repro.par.forest import FOREST_ARRAYS
-from repro.par.metrics import channel_occupancy, minimum_channel_width
+from repro.par.metrics import minimum_channel_width
 from repro.par.netlist import PhysicalNetlist, from_mapped_network
-from repro.par.placement import TimingCost, hpwl, place, random_placement
+from repro.par.placement import _RBUF, TimingCost, _integer_draws, hpwl, place, random_placement
 from repro.par.forest import build_route_forest
 from repro.par.routing import RoutingResult, predict_failure, route, route_resilient
 from repro.par.timing import report_from_analysis
@@ -618,6 +620,7 @@ class TestShippedSurface:
         ),
         TimingCost: ("retime_every", "tradeoff"),
         from_mapped_network: ("tcon_selection",),
+        run_vcgra_toolflow: ("pe_critical_path_ns",),
         specialize: ("keep_params_as_inputs",),
         cached_route: ("kernel", "degrade"),
         route_resilient: ("kernel", "degrade"),
@@ -674,6 +677,45 @@ class TestShippedSurface:
         "repro.obs": ("emit_counter",),
         "repro.obs.trace": ("emit_counter",),
     }
+    #: Retired names only tests reached (``tests/test_reach.py`` keeps them
+    #: out); the helpers among them moved to ``tests/helpers.py``.
+    TEST_ONLY = {
+        "repro.netlist": (
+            "const_tt", "is_wire_function", "GATE_COST", "gate_truth_table",
+            "simulate_single", "exhaustive_patterns",
+        ),
+        "repro.netlist.boolean": ("const_tt", "is_wire_function"),
+        "repro.netlist.library": ("GATE_COST", "gate_truth_table"),
+        "repro.netlist.simulate": ("simulate_single", "exhaustive_patterns"),
+        "repro.flopoco": (
+            "encode_array", "decode_array", "fp_neg",
+            "fp_adder_circuit", "fp_mac_circuit", "fp_multiplier_circuit",
+        ),
+        "repro.flopoco.arithmetic": ("encode_array", "decode_array", "fp_neg"),
+        "repro.flopoco.circuits": ("fp_adder_circuit", "fp_mac_circuit", "fp_multiplier_circuit"),
+        "repro.core": ("VirtualConnectionBlock",),
+        "repro.core.grid": ("VirtualConnectionBlock",),
+        "repro.core.pe": ("PE_SETTINGS_FIELDS",),
+        "repro.par": ("channel_occupancy",),
+        "repro.par.metrics": ("channel_occupancy",),
+        "repro.netlist.boolean.TruthTable": ("count_ones", "is_const"),
+        "repro.netlist.circuit.Circuit": ("fanouts",),
+        "repro.netlist.hdl.Design": (
+            "input_bit", "v_and", "replicate", "increment", "equals_const", "reduce_and",
+        ),
+        "repro.flopoco.format.FPFormat": ("ulp",),
+        "repro.techmap.mapping.MappedNetwork": ("lut_node_ids", "tcon_node_ids"),
+        "repro.reconfig.scheduler.ReconfigScheduler": ("resident_names",),
+        "repro.core.grid.VCGRAArchitecture": ("connection_blocks", "downstream_of"),
+        "repro.core.settings.PESettings": ("as_param_words",),
+        "repro.core.toolflow.ToolflowReport": (
+            "estimated_cycle_ns", "estimated_latency_ns", "pipeline_depth", "pe_critical_path_ns",
+        ),
+        "repro.apps.images.SyntheticFundus": ("green_channel",),
+        "repro.vsim.simulator.SimulationTrace": ("output",),
+        "repro.vsim.simulator.VCGRASimulator": ("dot_product",),
+        "repro.util.resilience.RetryPolicy": ("call",),
+    }
     #: Retired fpga-layer members only tests reached, and the connection-block
     #: fractions (connection blocks are always fully populated).
     MEMBERS = {
@@ -689,10 +731,10 @@ class TestShippedSurface:
             for name in names:
                 assert name not in params, f"{fn.__qualname__}({name}=) is back"
                 removed += 1
-        assert removed == 42
+        assert removed == 43
         assert "routes" not in {f.name for f in dataclasses.fields(RoutingResult)}
 
-        import importlib
+        import importlib.util
 
         for module, names in self.RETIRED.items():
             for name in names:
@@ -700,6 +742,15 @@ class TestShippedSurface:
         for cls, names in self.MEMBERS.items():
             for name in names:
                 assert not hasattr(cls, name), (cls.__name__, name)
+        for owner, names in self.TEST_ONLY.items():
+            try:
+                obj = importlib.import_module(owner)
+            except ImportError:
+                module, _, cls = owner.rpartition(".")
+                obj = getattr(importlib.import_module(module), cls)
+            for name in names:
+                assert not hasattr(obj, name), (owner, name)
+        assert importlib.util.find_spec("repro.netlist.export") is None
         assert not hasattr(PaRCache, "place_key")
 
         import repro
@@ -763,8 +814,41 @@ class TestCacheObjectiveNamespace:
         assert again.probes == first.probes
         assert cache2.hits > 0
 
+    def test_min_cw_probes_and_flow_route_keep_separate_entries(self, tmp_path):
+        """A probe at the flow's own width and iteration budget must not share
+        its cache entry: the metrics-only probe value is no route payload, so
+        reading it back as one recorded a ``cache-fallback`` on a fault-free
+        warm run."""
+        net = adder_network(16)
+        kwargs = dict(channel_width=2, router_iterations=12, find_min_channel_width=True,
+                      placement_effort=0.3, seed=0)
+        cold = place_and_route(net, **kwargs)
+        assert 2 in cold.min_channel_width.probes
+        for _ in range(3):
+            warm = place_and_route(net, cache=PaRCache(tmp_path / "routes"), **kwargs)
+            assert [e["event"] for e in warm.events] == [e["event"] for e in cold.events]
+            assert "cache-fallback" not in {e["event"] for e in warm.events}
+            assert warm.min_channel_width.probes == cold.min_channel_width.probes
+            assert warm.routing.wirelength == cold.routing.wirelength
+
 
 class TestBatchedPlacementKernel:
+    def test_integer_draws_equal_numpy_integers(self):
+        """The annealer's integer refill is numpy's ``integers(0, 2**63)``
+        value for value, and leaves the same generator state, across refills
+        interleaved with uniform ones as the annealer interleaves them."""
+        for seed in range(20):
+            ours = np.random.Generator(np.random.PCG64(seed))
+            numpy_ = np.random.Generator(np.random.PCG64(seed))
+            for _ in range(5):
+                drawn = _integer_draws(ours)
+                assert drawn.dtype == np.int64
+                assert np.array_equal(
+                    drawn, numpy_.integers(0, 2**63, size=_RBUF, dtype=np.int64)
+                )
+                assert np.array_equal(ours.random(_RBUF), numpy_.random(_RBUF))
+            assert ours.bit_generator.state == numpy_.bit_generator.state
+
     def test_batched_quality_within_band_across_seeds(self):
         net = adder_network(6)
         nl = from_mapped_network(net)

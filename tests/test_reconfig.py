@@ -9,10 +9,10 @@ image, frame for frame.
 import random
 
 import pytest
+from helpers import fp_adder_circuit, fp_multiplier_circuit
 
 from repro.core.flows import build_context_library
 from repro.core.reconfiguration import HWICAP, MICAP, ReconfigurationCostModel
-from repro.flopoco.circuits import fp_adder_circuit, fp_multiplier_circuit
 from repro.flopoco.format import FPFormat
 from repro.fpga.architecture import FPGAArchitecture
 from repro.fpga.bitstream import Bitstream, ConfigurationLayout
@@ -130,7 +130,7 @@ class TestScheduler:
             sched.switch_to(name)
             assert sched.resident_frames <= budget
             assert sched.resident_frames == sum(
-                library[n].num_frames for n in sched.resident_names
+                library[n].num_frames for n in sched._resident
             )
 
     def test_hit_and_miss_accounting(self, library):
@@ -150,7 +150,7 @@ class TestScheduler:
         def run():
             sched = ReconfigScheduler(library, budget_frames=budget)
             outcomes = [sched.switch_to(name) for name in trace]
-            return outcomes, sched.resident_names, sched.active_image
+            return outcomes, list(sched._resident), sched.active_image
 
         history_a, residents_a, image_a = run()
         history_b, residents_b, image_b = run()
@@ -181,7 +181,7 @@ class TestScheduler:
         assert sched.switch_to("hot").admitted
         outcome = sched.switch_to("cold")
         assert not outcome.admitted and not outcome.evicted
-        assert sched.resident_names == ["hot"]
+        assert list(sched._resident) == ["hot"]
         assert sched.stats()["rejected_admissions"] == 1
         # the grid still switched correctly, only residency was refused
         assert sched.active_image == lib["cold"].image
@@ -201,7 +201,7 @@ class TestScheduler:
         for name in library.names():
             outcome = sched.switch_to(name)
             assert not outcome.admitted
-        assert sched.resident_names == []
+        assert sched.stats()["resident_contexts"] == 0
         assert sched.stats()["hit_rate"] == 0.0
 
     def test_reset_clears_state(self, library):
@@ -209,7 +209,7 @@ class TestScheduler:
         sched.switch_to("ctx0")
         sched.reset()
         assert sched.active_name is None and not sched.active_image
-        assert sched.stats()["switches"] == 0 and sched.resident_names == []
+        assert sched.stats()["switches"] == 0 and sched.stats()["resident_contexts"] == 0
 
 
 class TestTrace:

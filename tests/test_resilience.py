@@ -158,37 +158,6 @@ class TestRetryPolicy:
         p = RetryPolicy(attempts=4, backoff_s=0.1, seed=42)
         assert list(p.backoffs()) == list(p.backoffs())
 
-    def test_retries_then_succeeds(self):
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise OSError("transient")
-            return "ok"
-
-        events = []
-        p = RetryPolicy(attempts=3, backoff_s=0.0, jitter=0.0)
-        assert p.call(flaky, events=events, site="t") == "ok"
-        assert len(calls) == 3
-        assert [e["event"] for e in events] == ["retry", "retry"]
-
-    def test_exhaustion_reraises_last(self):
-        p = RetryPolicy(attempts=2, backoff_s=0.0)
-        with pytest.raises(OSError, match="always"):
-            p.call(lambda: (_ for _ in ()).throw(OSError("always")))
-
-    def test_non_retryable_propagates_immediately(self):
-        calls = []
-
-        def bad():
-            calls.append(1)
-            raise KeyError("not retryable")
-
-        with pytest.raises(KeyError):
-            RetryPolicy(attempts=5, backoff_s=0.0).call(bad)
-        assert len(calls) == 1
-
 
 class TestFaultPlan:
     def test_spec_round_trip(self):

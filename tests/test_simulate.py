@@ -3,13 +3,9 @@
 import pytest
 
 from repro.netlist.circuit import Circuit, Op
-from repro.netlist.simulate import (
-    exhaustive_patterns,
-    random_patterns,
-    simulate_patterns,
-    simulate_single,
-    simulate_words,
-)
+from helpers import exhaustive_patterns, simulate_single
+
+from repro.netlist.simulate import random_patterns, simulate_patterns, simulate_words
 
 
 def build_majority():

@@ -5,13 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import exhaustive_patterns
 from oracles import param_bit_values_reference
 
 from repro.core.pe import ProcessingElementSpec, build_pe_design
 from repro.flopoco.format import FPFormat
 from repro.netlist.circuit import Circuit, Op
 from repro.netlist.hdl import Design
-from repro.netlist.simulate import exhaustive_patterns, simulate_patterns, simulate_words
+from repro.netlist.simulate import simulate_patterns, simulate_words
 from repro.synth.constprop import (
     classify_nodes,
     param_bit_values,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import lut_node_ids, tcon_node_ids
 from oracles import specialize_reference
 from repro.core.flows import run_pe_flow
 from repro.core.pe import ProcessingElementSpec, build_pe_design
@@ -126,7 +127,7 @@ class TestConventionalMapping:
         d.output_bus("p", d.multiplier(a, b))
         net = map_conventional(optimize(d.circuit)[0])
         net.validate()
-        for nid in net.lut_node_ids():
+        for nid in lut_node_ids(net):
             assert len(net.nodes[nid].inputs) <= 4
 
     def test_depth_not_worse_than_gate_depth(self):
@@ -297,7 +298,7 @@ class TestSpecializedNetwork:
         pid = net.source.param_ids()[0]
         spec0 = net.specialize({pid: 0})
         spec1 = net.specialize({pid: 1})
-        tcon_id = net.tcon_node_ids()[0]
+        tcon_id = tcon_node_ids(net)[0]
         assert spec0.tcon_routes[tcon_id] != spec1.tcon_routes[tcon_id]
         assert spec0.tcon_routes[tcon_id][0] == "var"
 
@@ -310,7 +311,7 @@ class TestSpecializedNetwork:
         net = map_parameterized(opt)
         spec_a = net.specialize_words({"k": 3})
         spec_b = net.specialize_words({"k": 5})
-        tluts = [nid for nid in net.lut_node_ids() if net.nodes[nid].kind == NodeKind.TLUT]
+        tluts = [nid for nid in lut_node_ids(net) if net.nodes[nid].kind == NodeKind.TLUT]
         assert any(spec_a.lut_configs[t].bits != spec_b.lut_configs[t].bits for t in tluts)
 
     def test_static_lut_configs_do_not_change(self):
@@ -319,7 +320,7 @@ class TestSpecializedNetwork:
         net = map_parameterized(opt)
         spec_a = net.specialize_words({"k": 1})
         spec_b = net.specialize_words({"k": 14})
-        statics = [nid for nid in net.lut_node_ids() if net.nodes[nid].kind == NodeKind.LUT]
+        statics = [nid for nid in lut_node_ids(net) if net.nodes[nid].kind == NodeKind.LUT]
         for nid in statics:
             assert spec_a.lut_configs[nid].bits == spec_b.lut_configs[nid].bits
 
@@ -370,8 +371,8 @@ class TestCompiledPPC:
     def test_every_lut_and_tcon_is_specialized(self, bench_pe_network):
         """The conventional flow has no TLUT/TCON and must specialize too."""
         spec = bench_pe_network.specialize({})
-        assert set(spec.lut_configs) == set(bench_pe_network.lut_node_ids())
-        assert set(spec.tcon_routes) == set(bench_pe_network.tcon_node_ids())
+        assert set(spec.lut_configs) == set(lut_node_ids(bench_pe_network))
+        assert set(spec.tcon_routes) == set(tcon_node_ids(bench_pe_network))
         if bench_pe_network.num_tluts() + bench_pe_network.num_tcons() == 0:
             assert spec.tcon_routes == {}
         assert MappedNetwork(Circuit()).specialize({}).lut_configs == {}
@@ -452,7 +453,7 @@ class TestMapperOptions:
         net6 = technology_map(opt, MapperOptions(k=6))
         net4 = technology_map(opt, MapperOptions(k=4))
         assert net6.num_luts() <= net4.num_luts()
-        for nid in net6.lut_node_ids():
+        for nid in lut_node_ids(net6):
             assert len(net6.nodes[nid].inputs) <= 6
 
     def test_validate_passes_on_both_flows(self):

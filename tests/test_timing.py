@@ -5,7 +5,6 @@ import pytest
 from oracles import route_reference
 
 from repro.core.pe import ProcessingElementSpec, build_pe_design
-from repro.core.toolflow import run_vcgra_toolflow
 from repro.flopoco.format import FPFormat
 from repro.fpga.architecture import FPGAArchitecture, auto_size
 from repro.fpga.device import build_device
@@ -283,22 +282,3 @@ class TestFlowPlumbing:
         assert summary["worst_slack_ns"] == pytest.approx(0.0, abs=1e-9)
         assert result.sta is not None
         assert result.sta.critical_path_ns == summary["critical_path_ns"]
-
-    def test_vcgra_report_exposes_cycle_estimate(self):
-        from repro.core.grid import VCGRAArchitecture
-        from repro.core.pe import PEOp
-        from repro.core.toolflow import ApplicationGraph, PEOperation
-
-        arch = VCGRAArchitecture(
-            rows=2, cols=2, pe_spec=ProcessingElementSpec(fmt=FPFormat(4, 6))
-        )
-        app = ApplicationGraph("one", external_inputs=["x"])
-        app.add_operation(PEOperation(name="m", op=PEOp.MUL, sample_input="x"))
-        app.add_output("y", "m")
-        bare = run_vcgra_toolflow(app, arch)
-        assert bare.estimated_cycle_ns is None
-        assert bare.estimated_latency_ns is None
-        timed = run_vcgra_toolflow(app, arch, pe_critical_path_ns=12.5)
-        assert timed.estimated_cycle_ns == 12.5
-        assert timed.pipeline_depth == 1
-        assert timed.estimated_latency_ns == 12.5
