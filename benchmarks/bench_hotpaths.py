@@ -34,26 +34,20 @@ Three comparisons are made:
   section's architecture at its width and at W=32.  ``identical`` (every
   array by value and dtype, ``search_end`` included, every lookup item for
   item) is gated by ``check_quality.py``;
-* **timing** -- the PR 4 criticality-driven objective at the same minimum
+* **timing** -- the ``objective="timing"`` flow at the same minimum
   routable width: routed ``critical_path_ns`` + ``logic_depth`` of the
-  default (wirelength) flow vs ``objective="timing"`` both route-only (same
-  placement) and flow-level (timing-driven placement), plus the measured
-  cost of one criticality update per PathFinder iteration.  Since PR 5 the
-  flow-level placement is the *incremental-STA* placer (per-connection
-  criticality re-timed inside the annealing loop); the PR 4 candidate-
-  anneal recipe is timed next to it and the critical-path ratio is gated
+  default (wirelength) flow vs the timing flow, whose *incremental-STA*
+  placement (per-connection criticality re-timed inside the annealing
+  loop) is routed by the same ``route()``.  The candidate-anneal placer
+  it replaced is timed next to it and the critical-path ratio is gated
   (the incremental placer must match or beat it).  Gated by
-  ``check_quality.py``: the timing run must converge, must not regress
-  delay, and must stay inside the wirelength band of the reference route on
-  its own placement;
-* **retime** -- the flat route forest vs the per-net dict walk oracle
-  (``routed_edge_delays_reference`` / ``criticality_update`` in
-  ``tests/oracles.py``): routed-delay extraction and the
-  per-PathFinder-iteration criticality update, measured dict vs flat both
-  in the steady state (``update_flat`` on the route's own forest) and with
-  5% of the nets freshly re-routed (the forest rebuilt through the per-net
-  fragment memo first, as the timing-driven router does).  Bit-identity
-  of the extracted delays and criticality vectors is asserted and gated;
+  ``check_quality.py``: the timing flow's route must converge, must not
+  regress delay, and must stay inside the wirelength band of the
+  reference route on its own placement;
+* **retime** -- routed-delay extraction from the flat route forest
+  (``routed_edge_delays``) vs the per-net dict walk oracle
+  ``routed_edge_delays_reference`` in ``tests/oracles.py``, timed both
+  ways; bit-identity of the extracted delays is asserted and gated;
 * **native** -- the PR 7 compiled-C kernels (astar expansion loop, batched
   annealer move loop; see ``src/repro/native/``) vs their pure-Python
   twins, warm, same seeds.  Bit-identity of routes and annealing
@@ -102,7 +96,6 @@ from _bench_config import BENCH_FP_FORMAT, FULL_MODE
 from oracles import (
     build_rr_graph_reference,
     candidates_timing_placement,
-    criticality_update,
     place_reference,
     route_reference,
     routed_edge_delays_reference,
@@ -125,14 +118,13 @@ from repro.par.flow import timing_driven_placement
 from repro.par.metrics import minimum_channel_width
 from repro.par.netlist import from_mapped_network
 from repro.par.placement import place
-from repro.par.forest import _fragment_from_conns, build_route_forest
 from repro.par.routing import route
 from repro.synth.constprop import param_bit_values
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional
 from repro.techmap.mapping import CompiledPPC
 from repro.timing import analyze, routed_edge_delays
-from repro.timing.sta import CriticalityTracker
+from repro.timing.graph import build_timing_graph
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpaths.json"
 
@@ -147,9 +139,6 @@ ROUTE_QUALITY_BAND = 1.05    #: astar wirelength must be <= band * reference
 PLACE_SPEEDUP_FLOOR = 1.5    #: recorded batched-vs-reference iso-quality floor
 CHANNEL_WIDTH = 12           #: starting point of the routable-width search
 TIMING_DELAY_TARGET = 0.90   #: recorded flow-level delay-ratio target (>=10% better)
-TIMING_WL_BAND = 1.02        #: timing route wirelength vs reference, same placement
-RETIME_SPEEDUP_FLOOR = 3.0   #: flat-vs-dict steady-state retime target (issue 5)
-RETIME_REROUTED_FRACTION = 20  #: 1-in-N nets re-routed in the perturbed retime case
 NATIVE_ASTAR_SPEEDUP_FLOOR = 3.0   #: recorded native-vs-python astar target (issue 7)
 NATIVE_ANNEAL_SPEEDUP_FLOOR = 5.0  #: recorded native-vs-python move-loop target (22.8x measured)
 RECONFIG_CONTEXTS = 24       #: synthetic contexts in the scheduler bench
@@ -398,16 +387,14 @@ def bench_scg():
 
 
 def bench_timing(network, netlist, arch, placement, width):
-    """Criticality-driven PAR vs the default flow at the min routable width.
+    """The timing flow vs the default flow at the min routable width.
 
-    Measurements at the same channel width:
+    Measurements at the same channel width, every placement routed by the
+    one ``route()``:
 
-    * the default flow's route (wirelength objective on the bench
-      placement) -- the delay baseline;
-    * ``objective="timing"`` route-only on the *same* placement, isolating
-      the router's contribution;
-    * the full timing flow: the *incremental-STA* placer
-      (``timing_driven_placement``) + timing route -- the headline
+    * the default flow's route (the bench placement) -- the delay baseline;
+    * the timing flow: the *incremental-STA* placer
+      (``timing_driven_placement``) and its route -- the headline
       delay-ratio number gated by ``check_quality.py``;
     * the candidate-anneal placer (the ``candidates_timing_placement``
       oracle), timed and routed next to it: the
@@ -416,23 +403,15 @@ def bench_timing(network, netlist, arch, placement, width):
       ratio -- and the wall-time ratio documents the ~x0.4 placement cost
       (recorded, not gated: wall clock is machine-load dependent).
 
-    The timing route's wirelength is banded against the ``route_reference``
-    oracle's route *on the incremental placement* (the router-quality claim), and
-    one criticality update is timed to document the per-PathFinder-
-    iteration cost of the feedback loop.
+    The timing flow's route wirelength is banded against the
+    ``route_reference`` oracle's route *on the incremental placement*, at
+    the router's own quality band (``ROUTE_QUALITY_BAND``, as in the
+    routing section).
     """
     device = build_device(arch.with_channel_width(width))
 
     base = route(netlist, placement, device)
     a_base = analyze(netlist, base, device, placement=placement)
-
-    t0 = time.perf_counter()
-    timed_route = route(
-        netlist, placement, device,
-        objective="timing", criticality_exponent=2.0,
-    )
-    route_timing_s = time.perf_counter() - t0
-    a_route = analyze(netlist, timed_route, device, placement=placement)
 
     flow_result, place_timing_s = _timed(
         lambda: timing_driven_placement(
@@ -441,14 +420,11 @@ def bench_timing(network, netlist, arch, placement, width):
         repeats=2,
     )
     flow_placement = flow_result.placement
-    flow_route = route(
-        netlist, flow_placement, device,
-        objective="timing", criticality_exponent=2.0,
-    )
+    flow_route = route(netlist, flow_placement, device)
     a_flow = analyze(netlist, flow_route, device, placement=flow_placement)
     ref_on_flow = route_reference(netlist, flow_placement, device)
 
-    # PR 4's candidate-anneal placer on the same seed: the comparison
+    # The candidate-anneal placer on the same seed: the comparison
     # baseline for the incremental-STA placer's quality/time claims.
     # Both placers are timed best-of-2 (they are deterministic, so only
     # the wall time varies): the time *ratio* is the recorded claim and a
@@ -460,35 +436,20 @@ def bench_timing(network, netlist, arch, placement, width):
         repeats=2,
     )
     cand_placement = cand_result.placement
-    cand_route = route(
-        netlist, cand_placement, device,
-        objective="timing", criticality_exponent=2.0,
-    )
+    cand_route = route(netlist, cand_placement, device)
     a_cand = analyze(netlist, cand_route, device, placement=cand_placement)
 
-    # Cost of one criticality update (route-tree walk + two STA scans),
-    # paid once per PathFinder iteration in timing mode (the dict-walk
-    # baseline; the flat-forest path is benchmarked in bench_retime).
-    tracker = CriticalityTracker(netlist, flow_placement, device)
-    t0 = time.perf_counter()
-    criticality_update(tracker, flow_route.routes)
-    crit_update_s = time.perf_counter() - t0
-
-    delay_ratio_route = a_route.critical_path_ns / a_base.critical_path_ns
     delay_ratio_flow = a_flow.critical_path_ns / a_base.critical_path_ns
     placer_cp_ratio = a_flow.critical_path_ns / a_cand.critical_path_ns
     placer_time_ratio = place_timing_s / place_cand_s
     wl_band_ratio = flow_route.wirelength / ref_on_flow.wirelength
-    converged = (
-        base.success and timed_route.success and flow_route.success
-        and cand_route.success
-    )
+    converged = base.success and flow_route.success and cand_route.success
     depth_ok = a_base.logic_depth == network.depth()
     ok = (
         converged
         and depth_ok
         and delay_ratio_flow <= 1.0
-        and wl_band_ratio <= TIMING_WL_BAND
+        and wl_band_ratio <= ROUTE_QUALITY_BAND
         and placer_cp_ratio <= 1.0 + 1e-9
     )
     return {
@@ -500,10 +461,8 @@ def bench_timing(network, netlist, arch, placement, width):
         "logic_depth": a_base.logic_depth,
         "logic_depth_matches_network": depth_ok,
         "critical_path_ns_wirelength": a_base.critical_path_ns,
-        "critical_path_ns_timing_route": a_route.critical_path_ns,
         "critical_path_ns_timing_flow": a_flow.critical_path_ns,
         "critical_path_ns_candidates_placer": a_cand.critical_path_ns,
-        "delay_ratio_route": delay_ratio_route,
         "delay_ratio_flow": delay_ratio_flow,
         "delay_target": TIMING_DELAY_TARGET,
         "delay_target_met": delay_ratio_flow <= TIMING_DELAY_TARGET,
@@ -511,55 +470,34 @@ def bench_timing(network, netlist, arch, placement, width):
         "placer_time_ratio": placer_time_ratio,
         "placer_time_target_met": placer_time_ratio <= 0.5,
         "wirelength_wirelength": base.wirelength,
-        "wirelength_timing_route": timed_route.wirelength,
         "wirelength_timing_flow": flow_route.wirelength,
         "wirelength_reference_on_flow_placement": ref_on_flow.wirelength,
-        "timing_wl_band": TIMING_WL_BAND,
+        "timing_wl_band": ROUTE_QUALITY_BAND,
         "timing_wl_band_ratio": wl_band_ratio,
         "success_wirelength": base.success,
-        "success_timing_route": timed_route.success,
         "success_timing_flow": flow_route.success,
         "success_candidates_placer": cand_route.success,
-        "iterations_timing_route": timed_route.iterations,
+        "iterations_wirelength": base.iterations,
         "iterations_timing_flow": flow_route.iterations,
-        "route_timing_seconds": route_timing_s,
         "timing_placement_seconds": place_timing_s,
         "candidates_placement_seconds": place_cand_s,
-        "criticality_update_seconds": crit_update_s,
         "ok": ok,
-    }, flow_placement, flow_route
+    }, flow_placement
 
 
 def bench_retime(netlist, arch, placement, width):
-    """Flat route forest vs the per-net dict walk: extraction + retime cost.
+    """Routed-delay extraction: the flat route forest vs the per-net dict walk.
 
-    Both sides do the same semantic work -- exact routed delays out of the
-    route trees, two STA scans, criticalities folded per connection -- and
-    are asserted bit-identical first.  The flat path is measured in the
-    steady state (``update_flat`` on the route's own forest) and with
-    1-in-``RETIME_REROUTED_FRACTION`` nets freshly re-routed (those nets'
-    fragments re-flattened from their connection lists + full reassembly,
-    then the retime), which brackets what a real PathFinder iteration pays.
-    Interleaved best-of-N like the routing benches: drifting machine load
-    hits both sides alike.
+    Both sides extract the exact routed delays (and wire / pin counts) of
+    every timing edge from the same route, and are asserted bit-identical
+    first.  Interleaved best-of-N like the routing benches: drifting
+    machine load hits both sides alike.
     """
     device = build_device(arch.with_channel_width(width))
-    rr = device.rr_graph
     routing = route(netlist, placement, device)
     routes = routing.routes
-    tracker = CriticalityTracker(netlist, placement, device, exponent=2.0)
+    graph = build_timing_graph(netlist, arch.lut_delay_ns)
 
-    # -- bit-identity first: flat vs dict must agree to the last bit ------
-    flat = tracker.update_flat(routing.forest).copy()
-    legacy = criticality_update(tracker, routes)
-    crit_identical = all(
-        flat[tracker.conn_index[key]] == value for key, value in legacy.items()
-    ) and all(
-        flat[cid] == 0.0
-        for key, cid in tracker.conn_index.items()
-        if key not in legacy
-    )
-    graph = tracker.graph
     d_dict, w_dict, p_dict = routed_edge_delays_reference(graph, routes, placement, device)
     d_flat, w_flat, p_flat = routed_edge_delays(graph, routing.forest, placement, device)
     delays_identical = (
@@ -568,59 +506,23 @@ def bench_retime(netlist, arch, placement, width):
         and np.array_equal(p_dict, p_flat)
     )
 
-    # Perturbed forests: every rebuild re-flattens a different 5% slice of
-    # the nets from their connection lists and reassembles the whole forest.
-    fragments = [
-        (nid, _fragment_from_conns(r.nodes[0], r.connections))
-        for nid, r in sorted(routes.items())
-    ]
-
-    def retime_rerouted(k):
-        frags = list(fragments)
-        for i in range(k, len(frags), RETIME_REROUTED_FRACTION):
-            nid = frags[i][0]
-            frags[i] = (nid, _fragment_from_conns(routes[nid].nodes[0], routes[nid].connections))
-        return tracker.update_flat(build_route_forest(frags, rr))
-
-    repeats = 15
-    t_dict = t_steady = t_rerouted = None
     t_ext_dict = t_ext_flat = None
-    for i in range(repeats):
-        _, dt = _timed(lambda: criticality_update(tracker, routes))
-        t_dict = dt if t_dict is None else min(t_dict, dt)
-        _, dt = _timed(lambda: tracker.update_flat(routing.forest))
-        t_steady = dt if t_steady is None else min(t_steady, dt)
-        _, dt = _timed(lambda: retime_rerouted(i % RETIME_REROUTED_FRACTION))
-        t_rerouted = dt if t_rerouted is None else min(t_rerouted, dt)
+    for _ in range(15):
         _, dt = _timed(lambda: routed_edge_delays_reference(graph, routes, placement, device))
         t_ext_dict = dt if t_ext_dict is None else min(t_ext_dict, dt)
         _, dt = _timed(lambda: routed_edge_delays(graph, routing.forest, placement, device))
         t_ext_flat = dt if t_ext_flat is None else min(t_ext_flat, dt)
 
-    steady_speedup = t_dict / t_steady
-    rerouted_speedup = t_dict / t_rerouted
-    extraction_speedup = t_ext_dict / t_ext_flat
-    identical = crit_identical and delays_identical
     return {
         "workload": (
             f"{len(netlist.nets)} nets / {routing.wirelength} wires routed at "
-            f"W={width}; {tracker.num_connections} connections, "
-            f"{graph.num_edges} timing edges"
+            f"W={width}; {graph.num_edges} timing edges"
         ),
         "extraction_dict_seconds": t_ext_dict,
         "extraction_flat_seconds": t_ext_flat,
-        "extraction_speedup": extraction_speedup,
-        "retime_dict_seconds": t_dict,
-        "retime_flat_steady_seconds": t_steady,
-        "retime_flat_rerouted_seconds": t_rerouted,
-        "retime_speedup": steady_speedup,
-        "retime_speedup_rerouted": rerouted_speedup,
-        "rerouted_fraction": 1.0 / RETIME_REROUTED_FRACTION,
-        "speedup_floor": RETIME_SPEEDUP_FLOOR,
-        "speedup_floor_met": steady_speedup >= RETIME_SPEEDUP_FLOOR,
-        "criticality_identical": crit_identical,
+        "extraction_speedup": t_ext_dict / t_ext_flat,
         "delays_identical": delays_identical,
-        "ok": identical and steady_speedup >= RETIME_SPEEDUP_FLOOR,
+        "ok": delays_identical,
     }
 
 
@@ -741,17 +643,6 @@ def bench_native(netlist, arch, placement, width):
             for k, r in py_route.routes.items()
         )
     )
-    # The timing objective exercises the lookahead's delay term; identity
-    # must hold there too (not separately timed -- the expansion loop is
-    # the same code path).
-    t_nat = route(netlist, placement, device, objective="timing")
-    with _python_kernels():
-        t_py = route(netlist, placement, device, objective="timing")
-    astar_timing_identical = (
-        t_nat.wirelength == t_py.wirelength
-        and all(t_nat.routes[k].nodes == r.nodes for k, r in t_py.routes.items())
-    )
-
     def _place_all():
         return [
             place(netlist, arch, seed=s, effort=PLACE_EFFORT)
@@ -774,7 +665,7 @@ def bench_native(netlist, arch, placement, width):
 
     astar_speedup = py_s / nat_s
     anneal_speedup = anneal_py_s / anneal_nat_s
-    identical = astar_identical and astar_timing_identical and anneal_identical
+    identical = astar_identical and anneal_identical
     return {
         "workload": (
             f"{len(netlist.nets)} nets, W={width}, "
@@ -787,7 +678,6 @@ def bench_native(netlist, arch, placement, width):
         "astar_native_seconds": nat_s,
         "astar_speedup": astar_speedup,
         "astar_identical": astar_identical,
-        "astar_timing_identical": astar_timing_identical,
         "anneal_python_seconds": anneal_py_s,
         "anneal_native_seconds": anneal_nat_s,
         "anneal_speedup": anneal_speedup,
@@ -1049,10 +939,8 @@ def main() -> int:
     print("benchmarking SCG specialization ...")
     scg_result = bench_scg()
     print("benchmarking timing-driven PAR ...")
-    timing_result, flow_placement, _flow_route = bench_timing(
-        network, netlist, arch, placement, width
-    )
-    print("benchmarking flat-forest retime ...")
+    timing_result, flow_placement = bench_timing(network, netlist, arch, placement, width)
+    print("benchmarking flat-forest delay extraction ...")
     retime_result = bench_retime(netlist, arch, flow_placement, width)
     print("benchmarking resilient execution path ...")
     resilience_result = bench_resilience(netlist, arch, placement, width)
@@ -1138,7 +1026,6 @@ def main() -> int:
         elif name == "timing":
             print(
                 f"{name:11s} {flag} cp {entry['critical_path_ns_wirelength']:6.1f}ns -> "
-                f"route {entry['critical_path_ns_timing_route']:6.1f}ns / "
                 f"flow {entry['critical_path_ns_timing_flow']:6.1f}ns "
                 f"(ratio {entry['delay_ratio_flow']:.3f}, "
                 f"wl_band {entry['timing_wl_band_ratio']:.4f}; placer vs "
@@ -1147,12 +1034,11 @@ def main() -> int:
             )
         elif name == "retime":
             print(
-                f"{name:11s} {flag} dict {entry['retime_dict_seconds'] * 1000:6.2f}ms -> "
-                f"flat {entry['retime_flat_steady_seconds'] * 1000:5.2f}ms steady / "
-                f"{entry['retime_flat_rerouted_seconds'] * 1000:5.2f}ms rerouted "
-                f"({entry['retime_speedup']:.2f}x / {entry['retime_speedup_rerouted']:.2f}x, "
-                f"extract {entry['extraction_speedup']:.2f}x, "
-                f"identical={entry['criticality_identical'] and entry['delays_identical']})"
+                f"{name:11s} {flag} extract dict "
+                f"{entry['extraction_dict_seconds'] * 1000:6.2f}ms -> flat "
+                f"{entry['extraction_flat_seconds'] * 1000:5.2f}ms "
+                f"({entry['extraction_speedup']:.2f}x, "
+                f"identical={entry['delays_identical']})"
             )
         elif name == "resilience":
             print(

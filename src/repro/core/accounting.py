@@ -29,13 +29,6 @@ class GridResourceRow:
     inter_network: int        #: virtual routing switches realized on functional resources
     settings_registers: int   #: settings registers realized on flip-flops
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "implementation": self.implementation,
-            "inter_network": self.inter_network,
-            "settings_registers": self.settings_registers,
-        }
-
 
 def grid_resource_table(arch: VCGRAArchitecture) -> Dict[str, GridResourceRow]:
     """Reproduce Table II for an arbitrary grid size.

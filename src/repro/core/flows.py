@@ -14,8 +14,7 @@ two runs are compared.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..fpga.architecture import FPGAArchitecture
@@ -45,11 +44,6 @@ class PEFlowResult:
     synthesis: SynthesisResult
     network: MappedNetwork
     par: Optional[PaRResult]
-    elapsed_seconds: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.elapsed_seconds.values())
 
     def table1_row(self) -> Dict[str, object]:
         """The metrics of one row of Table I."""
@@ -145,30 +139,23 @@ def run_pe_flow(
 
     Route results, min-CW probes included, are memoized on disk when the
     ``REPRO_PAR_CACHE`` environment variable names a directory.
-    ``objective="timing"`` runs criticality-driven placement and routing
-    (see :func:`repro.par.flow.place_and_route`).  ``route_deadline_s``
+    ``objective="timing"`` runs the criticality-driven placer (see
+    :func:`repro.par.flow.place_and_route`).  ``route_deadline_s``
     bounds each routing attempt's wall time; a main route that exceeds it,
     fails or ends congested is retried once at twice the iteration budget,
     with the retry recorded in the result's events.
     """
-    elapsed: Dict[str, float] = {}
-
-    t0 = time.perf_counter()
     with span("flow.synthesis"):
         synth = synthesize(circuit)
-    elapsed["synthesis"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     with span("flow.techmap", parameterized=parameterized):
         if parameterized:
             network = map_parameterized(synth.circuit)
         else:
             network = map_conventional(synth.circuit)
-    elapsed["technology_mapping"] = time.perf_counter() - t0
 
     par = None
     if do_par:
-        t0 = time.perf_counter()
         par = place_and_route(
             network,
             arch=arch,
@@ -180,14 +167,12 @@ def run_pe_flow(
             objective=objective,
             route_deadline_s=route_deadline_s,
         )
-        elapsed["place_and_route"] = time.perf_counter() - t0
 
     return PEFlowResult(
         flow="fully_parameterized" if parameterized else "conventional",
         synthesis=synth,
         network=network,
         par=par,
-        elapsed_seconds=elapsed,
     )
 
 

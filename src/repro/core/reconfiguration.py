@@ -138,11 +138,3 @@ class ReconfigurationCostModel:
             "overhead_fraction": reconfig_time_ms / total if total else 0.0,
             "per_item_overhead_ms": reconfig_time_ms / items_per_configuration,
         }
-
-    def describe(self) -> str:
-        """One-line summary of the interface's frame and PPC-evaluation costs."""
-        i = self.interface
-        return (
-            f"{i.name}: {i.frame_rmw_us:.0f} us per frame read-modify-write, "
-            f"{i.eval_us_per_function:.2f} us per PPC Boolean function"
-        )

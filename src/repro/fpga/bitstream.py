@@ -135,13 +135,6 @@ class Bitstream:
             raise ValueError(f"({x}, {y}) is not a logic tile")
         self.routing_configs[(x, y)] = routing_bits
 
-    def clone(self) -> "Bitstream":
-        """Independent copy: same layout, copied per-tile configuration dicts."""
-        other = Bitstream(self.layout)
-        other.lut_configs = dict(self.lut_configs)
-        other.routing_configs = dict(self.routing_configs)
-        return other
-
     def configured_tiles(self) -> Set[Tuple[int, int]]:
         """Tiles holding a LUT or routing configuration."""
         return set(self.lut_configs) | set(self.routing_configs)

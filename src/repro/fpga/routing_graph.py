@@ -184,8 +184,8 @@ class RRGraph:
     def node_delay_ns(self) -> np.ndarray:
         """Per-node intrinsic delay (:func:`rr_delay_ns` by node type), read-only.
 
-        The one flat delay vector: the STA engine, the router's retimer and
-        the router's timing objective all read it.
+        The one flat delay vector: the STA engine's routed-delay extraction
+        reads it.
         """
         delay = np.empty(self.num_nodes, dtype=np.float64)
         for t, d in rr_delay_ns(self.arch).items():

@@ -2,9 +2,9 @@
 
 :func:`repro.par.routing.route` keeps PathFinder's outer loop in Python:
 the per-iteration cost refresh, the history and ``pres_fac`` schedule,
-the routing-failure predictor, the timing retimer, telemetry and the
-per-net deadline poll.  Everything inside one net runs here, in one C
-call per net (:meth:`NativeAstar.route_net`):
+the routing-failure predictor, telemetry and the per-net deadline poll.
+Everything inside one net runs here, in one C call per net
+(:meth:`NativeAstar.route_net`):
 
 * the rip-up scan of a re-routed net (which connections touch an
   overused node, closed over the attach/target dependency chain);
@@ -134,14 +134,12 @@ static uint8_t       *g_over;   /* occ > cap */
 static int64_t       *g_stats;  /* [0] nodes expanded, [1] overused nodes */
 static double        *g_cost;   /* congestion cost, kept live by bump() */
 static const double  *g_bh;     /* base + history cost */
-static const double  *g_dly;    /* normalized delay (timing mode) */
-static const double  *g_crit;   /* per-connection criticality or NULL */
 static double         g_pres;
 
 /* ---- nets and their fragments ---- */
 
 static int64_t        g_n_nets = 0;
-static const int64_t *g_net_source, *g_sink_ptr, *g_sinks, *g_cids;
+static const int64_t *g_net_source, *g_sink_ptr, *g_sinks;
 
 typedef struct {
     int32_t *node, *parent, *depth;   /* positions, attach-to-sink order */
@@ -188,12 +186,11 @@ void repro_astar_graph(const int64_t *edge_ptr, const int32_t *edge_dst,
 int64_t repro_astar_state(int64_t num_nodes, int32_t *occ, const int32_t *cap,
                           uint8_t *over, int64_t *stats, int64_t n_nets,
                           const int64_t *net_source, const int64_t *sink_ptr,
-                          const int64_t *sinks, const int64_t *cids)
+                          const int64_t *sinks)
 {
     free_frags();
     g_occ = occ; g_cap = cap; g_over = over; g_stats = stats;
-    g_net_source = net_source; g_sink_ptr = sink_ptr;
-    g_sinks = sinks; g_cids = cids;
+    g_net_source = net_source; g_sink_ptr = sink_ptr; g_sinks = sinks;
     if (num_nodes + 1 > s_nodes_cap) {
         int64_t n = num_nodes + 1, old = s_nodes_cap;
         if (grow((void **)&s_visited, n, sizeof(int64_t), 1, old) ||
@@ -230,12 +227,10 @@ int64_t repro_astar_state(int64_t num_nodes, int32_t *occ, const int32_t *cap,
     return 0;
 }
 
-/* Per-iteration costs.  `cost` is written by bump(); `crit` is NULL in
- * wirelength mode. */
-void repro_astar_costs(double *cost, const double *bh, const double *dly,
-                       const double *crit, double pres_fac)
+/* Per-iteration costs.  `cost` is written by bump(). */
+void repro_astar_costs(double *cost, const double *bh, double pres_fac)
 {
-    g_cost = cost; g_bh = bh; g_dly = dly; g_crit = crit; g_pres = pres_fac;
+    g_cost = cost; g_bh = bh; g_pres = pres_fac;
 }
 
 /* Free the per-net records (the bound arrays belong to the caller). */
@@ -334,7 +329,7 @@ static void bump(int64_t n, int32_t d)
 /* ---- sink completion through the graph's pin edges ---- */
 
 static int64_t s_gen, s_target;
-static double  s_crt, s_omc, s_tcost;
+static double  s_tcost;
 static double  s_best;
 
 /* Complete target <- ipin <- `w` through the cheapest of w's pin edges
@@ -350,7 +345,6 @@ static void complete(int64_t w, double g_w)
         int64_t qe = g_edge_ptr[q];
         if (qe == g_edge_ptr[q + 1] || g_edge_dst[qe] != s_target) continue;
         double cq = g_cost[q];
-        if (s_crt != 0.0) cq = s_omc * g_cost[q] + s_crt * g_dly[q];
         if (ip < 0 || cq < c || (cq == c && q < ip)) { ip = q; c = cq; }
     }
     if (ip < 0) return;
@@ -371,24 +365,20 @@ static void complete(int64_t w, double g_w)
  * ends at a tree node), 0 when the target is unreachable within the
  * bounds, -1 when memory runs out. */
 static int search(int64_t tree_len, int64_t target,
-                  int64_t xlo, int64_t xhi, int64_t ylo, int64_t yhi,
-                  double crt)
+                  int64_t xlo, int64_t xhi, int64_t ylo, int64_t yhi)
 {
     const int16_t *xs = g_xs, *ys = g_ys;
-    const double *cost = g_cost, *dly = g_dly;
+    const double *cost = g_cost;
     int64_t *visited = s_visited, *prev = s_prev;
     double *csf = s_csf;
     int64_t gen = ++g_gen;
 
-    double omc = 1.0 - crt;
-    double pf = (crt == 0.0) ? g_pfb : omc * g_pfb;
+    double pf = g_pfb;
     double fac = g_fac;
     int64_t tx = xs[target], ty = ys[target];
     double t_cost = cost[target];
-    if (crt != 0.0) t_cost = omc * t_cost + crt * dly[target];
 
-    s_gen = gen; s_target = target;
-    s_crt = crt; s_omc = omc; s_tcost = t_cost;
+    s_gen = gen; s_target = target; s_tcost = t_cost;
     s_best = HUGE_VAL;
     heap_len = 0;
 
@@ -433,9 +423,7 @@ static int search(int64_t tree_len, int64_t target,
             int64_t e_end = g_search_end[n];
             for (int64_t e = g_edge_ptr[n]; e < e_end; e++) {
                 int64_t m = g_edge_dst[e];
-                double cm = cost[m];
-                if (crt != 0.0) cm = omc * cm + crt * dly[m];
-                double new_cost = g + cm;
+                double new_cost = g + cost[m];
                 if (visited[m] == gen && new_cost >= csf[m] - 1e-12)
                     continue;  /* already reached at least as cheaply */
                 int64_t x = xs[m];
@@ -652,21 +640,12 @@ int64_t repro_astar_route_net(int64_t k, int64_t reroute)
             frag_append(t, t, NULL, NULL, 0);
             continue;
         }
-        double crt = 0.0;
-        if (g_crit) {
-            for (int64_t j = s0; j < s1; j++) {
-                if (g_sinks[j] == t) {
-                    if (g_cids[j] >= 0) crt = g_crit[g_cids[j]];
-                    break;
-                }
-            }
-        }
         /* A too-tight box can starve a congested net of detour room:
          * escalate from the terminal box to the whole device. */
-        int found = search(tree_len, t, xlo, xhi, ylo, yhi, crt);
+        int found = search(tree_len, t, xlo, xhi, ylo, yhi);
         if (found == 0)
             found = search(tree_len, t, -(1LL << 30), 1LL << 30,
-                           -(1LL << 30), 1LL << 30, crt);
+                           -(1LL << 30), 1LL << 30);
         if (found < 0) return -3;
         if (found == 0) return -1;
         int64_t np = 0, n = t;
@@ -751,8 +730,8 @@ _GRAPH_DTYPES = tuple(
 )
 
 
-def _ptr(arr: Optional[np.ndarray]) -> Optional[int]:
-    return None if arr is None else arr.ctypes.data
+def _ptr(arr: np.ndarray) -> int:
+    return arr.ctypes.data
 
 
 class NativeAstar:
@@ -774,8 +753,8 @@ class NativeAstar:
             return f
 
         self._graph = fn("repro_astar_graph", [_p] * 6 + [_i64] * 2 + [_f64, _f64, _i64])
-        self._state = fn("repro_astar_state", [_i64, _p, _p, _p, _p, _i64, _p, _p, _p, _p], _i64)
-        self._costs = fn("repro_astar_costs", [_p, _p, _p, _p, _f64])
+        self._state = fn("repro_astar_state", [_i64, _p, _p, _p, _p, _i64, _p, _p, _p], _i64)
+        self._costs = fn("repro_astar_costs", [_p, _p, _f64])
         self._release = fn("repro_astar_release", [])
         #: ``route_net(k, reroute)``: see :meth:`bind_state` for the codes.
         self.route_net = fn("repro_astar_route_net", [_i64, _i64], _i64)
@@ -826,7 +805,6 @@ class NativeAstar:
         net_source: np.ndarray,
         sink_ptr: np.ndarray,
         sinks: np.ndarray,
-        cids: Optional[np.ndarray],
     ) -> None:
         """Bind one route call's state and nets, dropping earlier net records.
 
@@ -834,15 +812,13 @@ class NativeAstar:
         capacity``) are updated in place by every net call, ``stats``
         (int64[2]) accumulates nodes expanded and holds the overused-node
         count.  Net ``k`` has SOURCE ``net_source[k]`` and the sinks
-        ``sinks[sink_ptr[k]:sink_ptr[k + 1]]`` in pin order, with
-        connection ids ``cids`` (``-1``: none) into the criticality vector
-        of :meth:`set_costs`; ``cids=None`` routes without criticalities.
+        ``sinks[sink_ptr[k]:sink_ptr[k + 1]]`` in pin order.
 
         :attr:`route_net` returns the net's position count, -1 when a sink
         is unreachable even on the whole device and -3 when memory runs
         out.
         """
-        refs = (occupancy, capacity, over, stats, net_source, sink_ptr, sinks, cids)
+        refs = (occupancy, capacity, over, stats, net_source, sink_ptr, sinks)
         self._state_refs = refs
         rc = self._state(
             len(occupancy),
@@ -853,23 +829,14 @@ class NativeAstar:
         if rc < 0:
             raise MemoryError("native astar: scratch allocation failed")
 
-    def set_costs(
-        self,
-        cost: np.ndarray,
-        base_hist: np.ndarray,
-        delay: np.ndarray,
-        crit: Optional[np.ndarray],
-        pres_fac: float,
-    ) -> None:
+    def set_costs(self, cost: np.ndarray, base_hist: np.ndarray, pres_fac: float) -> None:
         """Bind one PathFinder iteration's congestion costs.
 
         ``cost`` is the live congestion cost vector, which every occupancy
-        change rewrites from ``base_hist`` and ``pres_fac``; ``delay`` is the
-        normalized node delay and ``crit`` the per-connection criticality
-        vector, both read only when ``crit`` is not ``None``.
+        change rewrites from ``base_hist`` and ``pres_fac``.
         """
-        self._cost_refs = (cost, base_hist, delay, crit)
-        self._costs(_ptr(cost), _ptr(base_hist), _ptr(delay), _ptr(crit), pres_fac)
+        self._cost_refs = (cost, base_hist)
+        self._costs(_ptr(cost), _ptr(base_hist), pres_fac)
 
     def export_forest(self, order: np.ndarray) -> Dict[str, np.ndarray]:
         """The nets' records in ``order`` as int32 route-forest arrays.

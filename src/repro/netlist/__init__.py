@@ -1,7 +1,7 @@
 """Gate-level netlist substrate: Boolean functions, circuits, HDL builder, simulation."""
 
 from .boolean import TruthTable, var_tt, cofactor, restrict, wire_source
-from .circuit import Circuit, CircuitStats, Op
+from .circuit import Circuit, Op
 from .engine import CompiledCircuit, compile_circuit
 from .hdl import Bus, Design
 from .library import GATE_EVAL, eval_gate
@@ -14,7 +14,6 @@ __all__ = [
     "restrict",
     "wire_source",
     "Circuit",
-    "CircuitStats",
     "Op",
     "Bus",
     "Design",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["Op", "Circuit", "CircuitStats"]
+__all__ = ["Op", "Circuit"]
 
 
 class Op:
@@ -58,26 +58,6 @@ class Op:
         BUF: 1, NOT: 1, MUX: 3,
         AND: None, OR: None, XOR: None, NAND: None, NOR: None, XNOR: None,
     }
-
-
-class CircuitStats:
-    """Simple size/shape statistics of a circuit."""
-
-    def __init__(self, circuit: "Circuit") -> None:
-        ops = circuit.ops
-        self.num_nodes = len(ops)
-        self.num_inputs = sum(1 for o in ops if o == Op.INPUT)
-        self.num_params = sum(1 for o in ops if o == Op.PARAM)
-        self.num_gates = sum(1 for o in ops if o in Op.GATES)
-        self.num_outputs = len(circuit.outputs)
-        self.depth = circuit.depth()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"CircuitStats(nodes={self.num_nodes}, inputs={self.num_inputs}, "
-            f"params={self.num_params}, gates={self.num_gates}, "
-            f"outputs={self.num_outputs}, depth={self.depth})"
-        )
 
 
 class Circuit:
@@ -251,18 +231,6 @@ class Circuit:
         if not self.outputs:
             return max(level, default=0)
         return max(level[n] for n in self.outputs.values())
-
-    def levels(self) -> List[int]:
-        """Per-node logic level (leaves at level 0)."""
-        level = [0] * len(self.ops)
-        for nid, fins in enumerate(self.fanins):
-            if self.ops[nid] not in Op.LEAVES:
-                level[nid] = 1 + max((level[f] for f in fins), default=0)
-        return level
-
-    def stats(self) -> CircuitStats:
-        """Size and shape statistics of the circuit."""
-        return CircuitStats(self)
 
     # -- transformations ----------------------------------------------------------
 

@@ -76,10 +76,13 @@ __all__ = [
 #: v6: ``objective="timing"`` routes re-time (and return) the current route
 #: trees after every PathFinder iteration; v5 re-timed and stored the
 #: first iteration's forest whenever the route took more than one.
+#: v7: routing has one cost formula; ``objective="timing"`` flows route
+#: their placement with the congestion-only cost every other flow uses, and
+#: route keys no longer carry an objective.
 #: Min-CW probe values are keyed with ``tag="probe"`` (no bump): an untagged
 #: probe entry from before is never read as a probe again, and a flow that
 #: finds one under its own key falls back to a fresh route once.
-ROUTE_ALGO_VERSION = 6
+ROUTE_ALGO_VERSION = 7
 #: Bump when a placement kernel change moves placements; service job keys
 #: (:meth:`repro.service.spec.JobSpec.job_key`) fold it in.
 #: v3: ``place()`` and ``place_and_route()`` default to the ``batched``
@@ -251,19 +254,18 @@ class PaRCache:
         arch: FPGAArchitecture,
         channel_width: int,
         max_iterations: int,
-        objective: str = "wirelength",
         tag: str = "",
     ) -> str:
-        """Content key of one route.  ``tag`` folds in extra knobs that
-        change the routed result (e.g. the timing objective's criticality
-        exponent) without widening the signature for every caller."""
+        """Content key of one route.  ``tag`` keeps entries of another kind
+        apart (the min-CW probes use ``"probe"``) without widening the
+        signature for every caller."""
         material = "|".join(
             (
                 f"route-v{ROUTE_ALGO_VERSION}",
                 _netlist_fingerprint(netlist),
                 _placement_fingerprint(placement),
                 _arch_fingerprint(arch),
-                f"w{channel_width}i{max_iterations}o{objective}{tag}",
+                f"w{channel_width}i{max_iterations}{tag}",
             )
         )
         return "route-" + hashlib.sha256(material.encode()).hexdigest()[:32]

@@ -17,11 +17,11 @@ graph is read-only, so sharing cannot change a route).  The min-CW search
 builds one device of its own, at its upper bound, shares its graph among
 its probes and drops it when the search returns; it never enters the memo.
 
-Since PR 4 the flow also carries the timing axis: every result embeds a
-full STA (:attr:`PaRResult.sta`, from :mod:`repro.timing`) and
-``objective="timing"`` switches placement and routing to the
-criticality-driven cost functions (:func:`timing_driven_placement`,
-``route(objective="timing")``).
+The flow also carries the timing axis: every result embeds a full STA
+(:attr:`PaRResult.sta`, from :mod:`repro.timing`) and
+``objective="timing"`` switches placement to the incremental-STA
+:func:`timing_driven_placement`.  Routing has one cost formula, so every
+objective's placement is routed by the same :func:`cached_route`.
 """
 
 from __future__ import annotations
@@ -160,8 +160,6 @@ def cached_route(
     device: Device,
     cache: Optional[PaRCache] = None,
     max_iterations: int = 25,
-    objective: str = "wirelength",
-    criticality_exponent: float = 1.0,
     deadline_s: Optional[float] = None,
     events: Optional[List[Dict[str, Any]]] = None,
 ) -> RoutingResult:
@@ -196,8 +194,6 @@ def cached_route(
             device.arch,
             device.arch.channel_width,
             max_iterations,
-            objective=objective,
-            tag=f"x{criticality_exponent}" if objective == "timing" else "",
         )
         hit = cache.get(key, events=events)
         if hit is not None:
@@ -217,8 +213,6 @@ def cached_route(
         placement,
         device,
         max_iterations=max_iterations,
-        objective=objective,
-        criticality_exponent=criticality_exponent,
         deadline_s=deadline_s,
         events=events,
     )
@@ -262,12 +256,11 @@ def place_and_route(
         ``cache`` memoizes the probes (defaults to ``PaRCache.from_env()``)
         -- see :func:`repro.par.metrics.minimum_channel_width`.
     objective:
-        ``"wirelength"`` (the seed behavior) or ``"timing"``: placement runs
-        the incremental-STA :func:`timing_driven_placement` and routing runs
-        the VPR-style blended cost ``crit * delay + (1 - crit) * congestion``
-        with per-iteration criticality updates over the flat route forest.
-        Every result carries the full STA in :attr:`PaRResult.sta` either
-        way.
+        ``"wirelength"`` (the seed behavior) or ``"timing"``, which selects
+        the placer only: ``"timing"`` places with the incremental-STA
+        :func:`timing_driven_placement`.  Either placement is routed by the
+        same :func:`cached_route`, and every result carries the full STA in
+        :attr:`PaRResult.sta`.
 
     The device comes from the per-process device memo (see the module
     doc), so repeated flows on one architecture build it once.
@@ -311,8 +304,6 @@ def place_and_route(
         device,
         cache=cache,
         max_iterations=router_iterations,
-        objective=objective,
-        criticality_exponent=2.0 if objective == "timing" else 1.0,
         deadline_s=route_deadline_s,
         events=events,
     )

@@ -14,9 +14,6 @@ view), so
   (:meth:`RouteForest.connection_sums`) accumulates delay (and, given more
   value columns, wire / pin element counts) for every tree node of every
   net at once, and per-connection delays fall out as ``acc[conn_sink_pos]``;
-* criticalities flow back as one flat ``conn_crit`` vector indexed by
-  connection id (see :class:`repro.timing.sta.CriticalityTracker`) instead
-  of dict lookups keyed by ``(net, sink)`` tuples;
 * route trees serialize into :class:`repro.par.cache.PaRCache` values
   (plain int lists), so reconfiguration experiments re-hydrate routes on a
   cache hit instead of re-routing.
@@ -309,15 +306,6 @@ def _append_conn(
     pos_of.update(zip(rp, range(base, base + len(rp))))
     f.conn_sink_pos.append(base + len(rp) - 1)
     f.conn_end.append(len(node_l))
-
-
-def _fragment_from_conns(source: int, conns) -> _NetFragment:
-    """Fragment from a route's ``(target, path, attach)`` connection list."""
-    f = _NetFragment(source)
-    pos_of: Dict[int, int] = {source: -1}
-    for target, path, attach in conns:
-        _append_conn(f, pos_of, target, path, attach)
-    return f.freeze()
 
 
 def build_route_forest(fragments: Sequence[Tuple[int, _NetFragment]], rr) -> RouteForest:

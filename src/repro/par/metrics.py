@@ -90,13 +90,6 @@ class MinChannelWidthResult:
         """Whether each probed width routed."""
         return {w: p["converged"] for w, p in self.probes.items()}
 
-    def describe(self) -> str:
-        """One-line summary: the found width and every probe's outcome."""
-        tried = ", ".join(
-            f"W={w}:{'ok' if ok else 'fail'}" for w, ok in sorted(self.attempts.items())
-        )
-        return f"min CW = {self.min_channel_width} ({tried})"
-
 
 def _narrowed(wide: Device, width: int) -> Device:
     """The device of ``width`` on the RR graph of the wider device ``wide``.

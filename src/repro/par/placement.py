@@ -99,10 +99,6 @@ class Placement:
 
     block_site: Dict[int, Site] = field(default_factory=dict)
 
-    def clone(self) -> "Placement":
-        """Copy of the assignment (sites are immutable and shared)."""
-        return Placement(dict(self.block_site))
-
 
 @dataclass
 class PlacementResult:

@@ -5,11 +5,10 @@ routing-resource graph with an A*-guided Dijkstra search; congestion is
 resolved by iteratively re-routing nets through overused nodes while the
 present-congestion penalty grows and a history cost accumulates (PathFinder).
 
-One search kernel lives behind :func:`route` (plus the opt-in
-``objective="timing"`` that blends STA criticalities into its costs --
-see :func:`route`): a scalar directed search over the RR graph's search
-edges (each node's edges up to ``search_end``, which enter no input pin or
-sink).  The wavefront expands over SOURCE/OPIN/CHANX/CHANY nodes only; a
+One search kernel with one cost formula lives behind :func:`route`: a
+scalar directed search over the RR graph's search edges (each node's
+edges up to ``search_end``, which enter no input pin or sink).  The
+wavefront expands over SOURCE/OPIN/CHANX/CHANY nodes only; a
 search completes from a wire next to the target block through that
 block's cheapest input pin instead of flooding every input pin it passes,
 every expansion is pruned to the net's terminal bounding box (with a
@@ -22,12 +21,12 @@ off them) are ripped up and re-routed; untouched branches keep their
 paths across iterations.
 
 PathFinder's outer loop -- the per-iteration cost refresh, history and
-``pres_fac``, the failure predictor, the timing retimer, telemetry and
-the per-net deadline poll -- is Python.  Everything inside one net (rip-up,
-sink order, searches, backtrace, occupancy and congestion costs, the
-net's connection records) is one compiled call per net when the native
-backend is available (:mod:`repro.native.astar`, bit-identical routes),
-and the pure-Python twin :class:`_PythonNets` otherwise.
+``pres_fac``, the failure predictor, telemetry and the per-net deadline
+poll -- is Python.  Everything inside one net (rip-up, sink order,
+searches, backtrace, occupancy and congestion costs, the net's connection
+records) is one compiled call per net when the native backend is available
+(:mod:`repro.native.astar`, bit-identical routes), and the pure-Python
+twin :class:`_PythonNets` otherwise.
 
 The original per-edge ``node_cost()`` router is kept as a test oracle in
 ``tests/oracles.py``; this kernel's route quality is re-baselined against
@@ -108,9 +107,9 @@ class RoutingResult:
     aborted: bool = False
     #: per-run observability snapshot (see OBSERVABILITY.md): convergence
     #: timelines (``overuse_per_iteration``, ``rerouted_nets_per_iteration``,
-    #: ``iteration_wall_ms``) plus kernel counters (``nodes_expanded``,
-    #: ``sta_retimes``).  Excluded from equality -- wall times differ run to
-    #: run while the routes stay bit-identical -- and deliberately *not*
+    #: ``iteration_wall_ms``) plus the ``nodes_expanded`` counter.  Excluded
+    #: from equality -- wall times differ run to run while the routes stay
+    #: bit-identical -- and deliberately *not*
     #: serialized into cache payloads (artifacts stay telemetry-free, so
     #: ``ROUTE_ALGO_VERSION`` is unaffected); re-hydrated results carry
     #: ``{"from_cache": True}`` instead.
@@ -145,23 +144,11 @@ class RoutingResult:
             routes[nid] = NetRoute(nid, [source] + node[lo:hi].tolist(), conns)
         return routes
 
-    def describe(self) -> str:
-        """One-line human-readable outcome: status, iterations and usage."""
-        status = "routable" if self.success else "CONGESTED"
-        return (
-            f"{status} after {self.iterations} iteration(s); "
-            f"wirelength={self.wirelength}, peak channel occupancy="
-            f"{self.max_channel_occupancy}, overused nodes={self.overused_nodes}"
-        )
-
 
 #: Admissible floor of the cost still to pay after the last wire of a path:
 #: one IPIN plus one SINK at base cost (congestion only ever adds to it).
 #: Folding it into the A* lookahead makes the bound nearly tight, which
 #: collapses the otherwise-huge tie plateau across the W parallel track grids.
-#: Under the timing objective the floor scales by ``1 - criticality``: only
-#: the congestion share of the blended cost is bounded below by the base
-#: costs, while the delay share of a pin can be arbitrarily small.
 _PIN_FLOOR = RR_BASE_COST[RRNodeType.IPIN] + RR_BASE_COST[RRNodeType.SINK]
 
 #: PathFinder schedule.  The present-congestion factor starts at
@@ -184,9 +171,6 @@ PREDICT_MIN_OVERUSE = 20
 BBOX_MARGIN = 3
 #: The search bounds a connection escalates to when its net's box fails.
 _FULL_BOUNDS = (-(1 << 30), 1 << 30, -(1 << 30), 1 << 30)
-#: Criticality cap of the timing objective: every connection keeps paying
-#: at least this slice of the congestion cost.
-MAX_CRITICALITY = 0.95
 
 
 def terminal_rr_nodes(
@@ -195,8 +179,8 @@ def terminal_rr_nodes(
     """Map each placed block to its (SOURCE, SINK) RR nodes.
 
     The one canonical block -> RR terminal mapping: the router keys its
-    searches on it and the timing subsystem keys its per-connection
-    criticalities on the same sink ids, so both must always agree.
+    searches on it and the timing subsystem keys its routed connection
+    delays on the same sink ids, so both must always agree.
     """
     src_of: Dict[int, int] = {}
     sink_of: Dict[int, int] = {}
@@ -241,8 +225,6 @@ def route(
     placement: Placement,
     device: Device,
     max_iterations: int = 25,
-    objective: str = "wirelength",
-    criticality_exponent: float = 1.0,
     deadline: Optional[Deadline] = None,
     *,
     abort_hopeless: bool = False,
@@ -255,18 +237,9 @@ def route(
     :data:`PRES_FAC_INIT` and the constants next to it), and
     ``max_iterations`` is read only as the loop bound: a route that
     converges at iteration ``k`` returns the same result under every budget
-    of at least ``k``.
-
-    ``objective="timing"`` switches the connection searches to the
-    VPR-style timing-driven cost ``crit * delay + (1 - crit) * congestion``:
-    per-connection criticalities start from a placement-distance STA
-    estimate and are refreshed from the actual route trees after every
-    PathFinder iteration (:class:`repro.timing.sta.CriticalityTracker`).
-    Delays are normalized by the architecture's unit-wire hop delay, so a
-    unit wire costs exactly 1.0 under any blend and the Manhattan lookahead
-    stays admissible.  :data:`MAX_CRITICALITY` keeps every connection
-    paying a slice of the congestion cost; ``criticality_exponent``
-    sharpens the blend.
+    of at least ``k``.  Every connection is priced by congestion alone
+    (base cost, history and present overuse); the timing flow differs only
+    in its placement (:func:`repro.par.flow.timing_driven_placement`).
 
     ``deadline`` bounds the route's wall time: the router polls it before
     every PathFinder iteration and before every net it routes or re-routes,
@@ -280,14 +253,10 @@ def route(
     ``max_iterations``; the result then has ``success=False``,
     ``aborted=True`` and ``iterations`` set to the iteration it stopped at.
     """
-    if objective not in ("wirelength", "timing"):
-        raise ValueError(f"unknown routing objective {objective!r}")
-    with span("par.route", objective=objective, nets=len(netlist.nets)) as route_span:
+    with span("par.route", nets=len(netlist.nets)) as route_span:
         result = _route_astar(
             netlist, placement, device,
             max_iterations=max_iterations,
-            objective=objective,
-            criticality_exponent=criticality_exponent,
             deadline=deadline,
             abort_hopeless=abort_hopeless,
         )
@@ -306,7 +275,6 @@ def route_resilient(
     placement: Placement,
     device: Device,
     max_iterations: int = 25,
-    objective: str = "wirelength",
     deadline_s: Optional[float] = None,
     events: Optional[List[Dict[str, object]]] = None,
     **route_kwargs,
@@ -347,7 +315,6 @@ def route_resilient(
             result = route(
                 netlist, placement, device,
                 max_iterations=budget,
-                objective=objective,
                 deadline=Deadline(deadline_s),
                 **route_kwargs,
             )
@@ -380,15 +347,13 @@ def _route_astar(
     placement: Placement,
     device: Device,
     max_iterations: int = 25,
-    objective: str = "wirelength",
-    criticality_exponent: float = 1.0,
     deadline: Optional[Deadline] = None,
     abort_hopeless: bool = False,
 ) -> RoutingResult:
     """Directed incremental PathFinder over the graph's search edges."""
-    # Set-up (base costs, criticality tracker, terminals, the net loop's
-    # binding) gets its own span so a trace accounts for the time
-    # par.route spends outside its iterations.
+    # Set-up (base costs, terminals, the net loop's binding) gets its own
+    # span so a trace accounts for the time par.route spends outside its
+    # iterations.
     with span("par.route.setup"):
         rr = device.rr_graph
         base_cost = np.empty(rr.num_nodes, dtype=np.float64)
@@ -396,30 +361,6 @@ def _route_astar(
             base_cost[rr.node_type == t] = c
         cap_arr = rr.node_capacity.astype(np.int32)
         history = np.zeros(rr.num_nodes, dtype=np.float64)
-
-        # Timing objective: per-connection criticalities blend a normalized
-        # delay cost into the congestion cost (crit * delay + (1-crit) * cong).
-        # The normalization makes a unit wire cost exactly 1.0 in delay terms,
-        # so the Manhattan lookahead stays admissible under any blend.
-        # Criticalities live in the tracker's flat conn_crit vector, indexed by
-        # connection id -- no per-connection dict probes in the search loop.
-        tracker = None
-        conn_crit: Optional[np.ndarray] = None
-        cid_of: Optional[Dict[Tuple[int, int], int]] = None
-        delay_arr = np.zeros(0, dtype=np.float64)
-        if objective == "timing":
-            from ..timing.sta import CriticalityTracker
-
-            tracker = CriticalityTracker(
-                netlist,
-                placement,
-                device,
-                max_criticality=MAX_CRITICALITY,
-                exponent=criticality_exponent,
-            )
-            conn_crit = tracker.initial_flat()
-            cid_of = tracker.conn_index
-            delay_arr = rr.node_delay_ns / device.arch.wire_hop_delay_ns
 
         src_of, sink_of = terminal_rr_nodes(netlist, placement, rr)
         nets = [
@@ -431,9 +372,9 @@ def _route_astar(
         # repro.native.astar), so which one ran is unobservable in the result.
         nat = astar_kernel()
         if nat is not None:
-            router: Any = _NativeNets(nat, rr, cap_arr, nets, cid_of, delay_arr)
+            router: Any = _NativeNets(nat, rr, cap_arr, nets)
         else:
-            router = _PythonNets(rr, nets, cid_of, delay_arr)
+            router = _PythonNets(rr, nets)
 
     pres_fac = PRES_FAC_INIT
     iteration = 0
@@ -465,7 +406,7 @@ def _route_astar(
                 cost_arr = np.where(
                     over_arr > 0, base_hist * (1.0 + pres_fac * over_arr), base_hist
                 )
-                router.set_costs(cost_arr, base_hist, pres_fac, conn_crit)
+                router.set_costs(cost_arr, base_hist, pres_fac)
 
                 if iteration == 1:
                     rerouted = len(nets)
@@ -499,10 +440,6 @@ def _route_astar(
                 break
             router.add_history(history, cap_arr)
             pres_fac *= PRES_FAC_MULT
-            if tracker is not None:
-                # Re-time the current route trees on the flat forest: the next
-                # iteration's re-routes price against fresh criticalities.
-                conn_crit = tracker.update_flat(router.forest())
 
         telemetry = {
             "native": nat is not None,
@@ -510,7 +447,6 @@ def _route_astar(
             "rerouted_nets_per_iteration": tl_rerouted,
             "iteration_wall_ms": tl_wall_ms,
             "nodes_expanded": router.nodes_expanded(),
-            "sta_retimes": tracker.updates if tracker is not None else 0,
         }
         with span("par.route.forest"):
             result = _assemble_result(
@@ -554,8 +490,6 @@ class _NativeNets:
         rr: RRGraph,
         cap_arr: np.ndarray,
         nets: List[Tuple[int, int, List[int]]],
-        cid_of: Optional[Dict[Tuple[int, int], int]],
-        delay_arr: np.ndarray,
     ) -> None:
         self._nat = nat
         self._rr = rr
@@ -563,19 +497,12 @@ class _NativeNets:
         self._occ = np.zeros(rr.num_nodes, dtype=np.int32)
         self._over = np.zeros(rr.num_nodes, dtype=np.uint8)
         self._stats = np.zeros(2, dtype=np.int64)
-        self._delay = delay_arr
         self._routed = False
         counts = [len(sinks) for _, _, sinks in nets]
         sink_ptr = np.zeros(len(nets) + 1, dtype=np.int64)
         np.cumsum(counts, out=sink_ptr[1:])
         flat = [t for _, _, sinks in nets for t in sinks]
         sources = np.array([src for _, src, _ in nets], dtype=np.int64)
-        cids = None
-        if cid_of is not None:
-            cids = np.array(
-                [cid_of.get((nid, t), -1) for nid, _, sinks in nets for t in sinks],
-                dtype=np.int64,
-            )
         # Nets are routed in netlist order but stored by ascending id.
         ids = np.array(self._net_ids, dtype=np.int32)
         self._order = np.argsort(ids, kind="stable").astype(np.int64)
@@ -590,11 +517,10 @@ class _NativeNets:
             sources,
             sink_ptr,
             np.array(flat, dtype=np.int64),
-            cids,
         )
 
-    def set_costs(self, cost, base_hist, pres_fac, conn_crit) -> None:
-        self._nat.set_costs(cost, base_hist, self._delay, conn_crit, pres_fac)
+    def set_costs(self, cost, base_hist, pres_fac) -> None:
+        self._nat.set_costs(cost, base_hist, pres_fac)
 
     def route_net(self, k: int, reroute: bool) -> None:
         rc = self._nat.route_net(k, reroute)
@@ -648,8 +574,6 @@ class _PythonNets:
         self,
         rr: RRGraph,
         nets: List[Tuple[int, int, List[int]]],
-        cid_of: Optional[Dict[Tuple[int, int], int]],
-        delay_arr: np.ndarray,
     ) -> None:
         self._rr = rr
         num_nodes = rr.num_nodes
@@ -666,9 +590,6 @@ class _PythonNets:
         self._prev = [-1] * num_nodes
         self._generation = 0
         self._expanded = [0]
-        self._cid_of = cid_of
-        self._delay_l: List[float] = delay_arr.tolist()
-        self._conn_crit: Optional[np.ndarray] = None
         self._cost: List[float] = []
         self._bh: List[float] = []
         self._pres_fac = PRES_FAC_INIT
@@ -705,11 +626,10 @@ class _PythonNets:
         self._frag_pos: Dict[int, Dict[int, int]] = {}
         self._unfrozen: Set[int] = set()
 
-    def set_costs(self, cost, base_hist, pres_fac, conn_crit) -> None:
+    def set_costs(self, cost, base_hist, pres_fac) -> None:
         self._cost = cost.tolist()
         self._bh = base_hist.tolist()
         self._pres_fac = pres_fac
-        self._conn_crit = conn_crit
 
     def occupancy(self) -> np.ndarray:
         return np.asarray(self._occupancy, dtype=np.int32)
@@ -846,14 +766,9 @@ class _PythonNets:
                 conns.append((target, [], target))
                 _append_conn(frag, pos_of, target, [], target)
                 continue
-            crt = 0.0
-            if self._cid_of is not None:
-                cid = self._cid_of.get((net_id, target))
-                if cid is not None:
-                    crt = float(self._conn_crit[cid])
             for box in escalation:
                 self._generation += 1
-                if self._search(target, tree, self._generation, box, ASTAR_FAC, crt):
+                if self._search(target, tree, self._generation, box, ASTAR_FAC):
                     break
             else:
                 raise _unreachable(net_id)
@@ -877,14 +792,8 @@ class _PythonNets:
         gen: int,
         bounds: Tuple[int, int, int, int],
         fac: float,
-        crt: float = 0.0,
     ) -> bool:
-        """One directed wavefront from the route tree to ``target``.
-
-        ``crt`` is the connection's criticality under the timing objective
-        (0.0 in wirelength mode): every node cost blends to
-        ``(1-crt) * congestion + crt * delay``.
-        """
+        """One directed wavefront from the route tree to ``target``."""
         # Bind the hot attributes as locals: the expansion loop below runs
         # millions of times per route and LOAD_FAST is measurably cheaper.
         xs_l, ys_l, adj_l, cost_l = self._xs, self._ys, self._adj, self._cost
@@ -892,16 +801,12 @@ class _PythonNets:
         types = self._types
         push, pop = heapq.heappush, heapq.heappop
         exp_l = self._expanded
-        dly_l = self._delay_l
         IPIN, SINK = RRNodeType.IPIN, RRNodeType.SINK
-        omc = 1.0 - crt
-        pf = _PIN_FLOOR if crt == 0.0 else omc * _PIN_FLOOR
+        pf = _PIN_FLOOR
         xlo, xhi, ylo, yhi = bounds
         tx, ty = xs_l[target], ys_l[target]
         ptr_l, dst_l, end_l = self._edge_ptr, self._edge_dst, self._search_end
         t_cost = cost_l[target]
-        if crt:
-            t_cost = omc * t_cost + crt * dly_l[target]
         best = float("inf")  # cheapest known completion through an input pin
         heap: List[Tuple[float, float, int]] = []
 
@@ -917,8 +822,6 @@ class _PythonNets:
                 if qe == ptr_l[q + 1] or dst_l[qe] != target:
                     continue
                 cq = cost_l[q]
-                if crt:
-                    cq = omc * cq + crt * dly_l[q]
                 if ip < 0 or cq < c or (cq == c and q < ip):
                     ip, c = q, cq
             if ip < 0:
@@ -992,10 +895,7 @@ class _PythonNets:
                 chase_g = 0.0
                 chase_m = -1
                 for m in adj_l[n]:
-                    cm = cost_l[m]
-                    if crt:
-                        cm = omc * cm + crt * dly_l[m]
-                    new_cost = g + cm
+                    new_cost = g + cost_l[m]
                     if visited_l[m] == gen and new_cost >= csf_l[m] - 1e-12:
                         continue  # already reached at least as cheaply
                     x = xs_l[m]

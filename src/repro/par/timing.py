@@ -10,7 +10,7 @@ network's LUT depth (the quantity of the paper's Table I).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from ..fpga.device import Device
 from ..techmap.mapping import MappedNetwork
@@ -28,14 +28,6 @@ class TimingReport:
     critical_path_ns: float        #: delay along the routed critical path
     mean_net_wirelength: float     #: average wires per routed net
     max_net_wirelength: int
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "logic_depth": self.logic_depth,
-            "critical_path_ns": self.critical_path_ns,
-            "mean_net_wirelength": self.mean_net_wirelength,
-            "max_net_wirelength": self.max_net_wirelength,
-        }
 
 
 def report_from_analysis(

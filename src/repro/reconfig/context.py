@@ -38,6 +38,18 @@ __all__ = ["Context", "ContextLibrary", "render_context_bitstream", "routing_bit
 _MIX = 0x9E3779B1
 
 
+def _geometry(layout: ConfigurationLayout) -> tuple:
+    """What fixes where a tile's bits land in the frame space."""
+    return (
+        layout.arch.width,
+        layout.arch.height,
+        layout.lut_bits,
+        layout.tile_bits,
+        layout.frames_per_column,
+        layout.frame_bits,
+    )
+
+
 @dataclass(frozen=True)
 class Context:
     """One application context: a named frame image plus scheduling metadata."""
@@ -84,10 +96,14 @@ class ContextLibrary:
         criticality: float = 0.0,
         metadata: Optional[Mapping[str, float]] = None,
     ) -> Context:
-        """Render ``bitstream`` into its frame image and register it."""
+        """Render ``bitstream`` into its frame image and register it.
+
+        Raises ``ValueError`` when the bitstream's layout places tiles
+        differently from the library's: equal frame counts and sizes are
+        not enough, since a different channel width changes the tile size.
+        """
         if bitstream.layout is not self.layout and (
-            bitstream.layout.total_frames != self.layout.total_frames
-            or bitstream.layout.frame_bits != self.layout.frame_bits
+            _geometry(bitstream.layout) != _geometry(self.layout)
         ):
             raise ValueError(
                 f"context {name!r} targets a different configuration layout "

@@ -209,7 +209,3 @@ class ReconfigScheduler:
         else:
             out["frame_savings"] = 0.0
         return out
-
-    def reset(self) -> None:
-        """Clear the active plane, residency and counters."""
-        self.__init__(self.library, self.budget_frames, self.model)

@@ -20,7 +20,7 @@ included (asserted in ``tests/test_reconfig.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -105,22 +105,6 @@ class ReplayReport:
         if not self.frames_full:
             return 0.0
         return 1.0 - self.frames_written / self.frames_full
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat JSON-friendly view (benchmark report rows)."""
-        return {
-            "requests": self.requests,
-            "budget_frames": self.budget_frames,
-            "total_time_ms": self.total_time_ms,
-            "contexts_per_sec": self.contexts_per_sec,
-            "amortized_switch_ms": self.amortized_switch_ms,
-            "hit_rate": self.hit_rate,
-            "evictions": self.evictions,
-            "rejected_admissions": self.rejected_admissions,
-            "frames_written": self.frames_written,
-            "frames_full": self.frames_full,
-            "frame_savings": self.frame_savings,
-        }
 
 
 def replay(scheduler: ReconfigScheduler, trace: Sequence[str]) -> ReplayReport:

@@ -46,8 +46,10 @@ __all__ = [
 #: Bump when the job payload format, the executor's semantics or the result
 #: digest change in a way that makes an old journal/result table
 #: meaningless (v2: the digest covers the route-forest arrays and the
-#: critical path).  Job keys fold it in, so old entries read as misses.
-SERVICE_VERSION = 2
+#: critical path; v3: ``objective="timing"`` jobs route with the one
+#: congestion-only cost, so their journaled digests are stale).  Job keys
+#: fold it in, so old entries read as misses.
+SERVICE_VERSION = 3
 
 
 def canonical_dumps(obj: Any) -> str:

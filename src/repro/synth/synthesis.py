@@ -38,26 +38,6 @@ class SynthesisResult:
     def depth(self) -> int:
         return self.circuit.depth()
 
-    @property
-    def num_tunable_gates(self) -> int:
-        return len(self.node_classes["tunable"])
-
-    @property
-    def num_static_gates(self) -> int:
-        return len(self.node_classes["static"])
-
-    def summary(self) -> Dict[str, int]:
-        """Key statistics as a plain dict (used by reports and benches)."""
-        return {
-            "gates": self.num_gates,
-            "depth": self.depth,
-            "inputs": len(self.circuit.input_ids()),
-            "params": len(self.circuit.param_ids()),
-            "outputs": len(self.circuit.outputs),
-            "tunable_gates": self.num_tunable_gates,
-            "static_gates": self.num_static_gates,
-        }
-
 
 def synthesize(design, optimize_logic: bool = True) -> SynthesisResult:
     """Run the synthesis front-end on a :class:`Design` or raw :class:`Circuit`.

@@ -89,19 +89,6 @@ class MappingStats:
         """LUTs whose configuration never changes (part of the Template Configuration)."""
         return self.num_luts - self.num_tluts
 
-    def as_dict(self) -> Dict[str, int]:
-        """The summary as a flat ``name -> count`` dict."""
-        return {
-            "luts": self.num_luts,
-            "tluts": self.num_tluts,
-            "static_luts": self.num_static_luts,
-            "tcons": self.num_tcons,
-            "depth": self.depth,
-            "inputs": self.num_inputs,
-            "params": self.num_params,
-            "outputs": self.num_outputs,
-        }
-
 
 @dataclass
 class SpecializedNetwork:

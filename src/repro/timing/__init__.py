@@ -15,10 +15,9 @@ The subsystem has three layers:
   :class:`~repro.timing.delays.ConnectionJoin`, with placement-distance
   and structural estimates as pre-route fallbacks.
 * :mod:`repro.timing.sta` -- the engine: arrival / required / slack /
-  per-connection criticality, full critical-path extraction with a
-  per-element (LUT / wire / switch / pin) breakdown, and the
-  :class:`~repro.timing.sta.CriticalityTracker` that feeds criticalities
-  back into the timing-driven router objective each PathFinder iteration.
+  per-connection criticality and full critical-path extraction with a
+  per-element (LUT / wire / switch / pin) breakdown.  The criticalities
+  drive the incremental-STA placer; routing prices congestion only.
 
 :func:`analyze` is the one-call entry point used by the PAR flow; the
 flow folds its result into a :class:`~repro.par.timing.TimingReport` with
@@ -38,7 +37,6 @@ from .delays import (
 )
 from .graph import TimingGraph, build_timing_graph
 from .sta import (
-    CriticalityTracker,
     CriticalPathElement,
     TimingAnalysis,
     analyze,
@@ -54,7 +52,6 @@ __all__ = [
     "structural_edge_delays",
     "TimingAnalysis",
     "CriticalPathElement",
-    "CriticalityTracker",
     "analyze",
     "scan_edge_criticality",
 ]

@@ -16,17 +16,16 @@ order of fidelity:
   the per-connection dict walk kept as ``routed_edge_delays_reference``
   in ``tests/oracles.py``.
 * :func:`estimated_edge_delays` -- pre-route estimate from placement:
-  Manhattan distance in unit wires plus the pin hops.  This seeds the
-  timing-driven router's first iteration and stands in for any connection
-  a forest does not route.
+  Manhattan distance in unit wires plus the pin hops.  This times a
+  placement before routing and stands in for any connection a forest does
+  not route.
 * :func:`structural_edge_delays` -- no placement at all: every connection
   costs one wire hop plus pins.  This is the pre-placement estimate the
   criticality-weighted placer anneals against.
 
 :class:`ConnectionJoin` is the one mapping from forest connections
-``(net, sink RR node)`` to timing edges; both :func:`routed_edge_delays`
-(STA) and :class:`repro.timing.sta.CriticalityTracker` (the router's
-retimer) scatter forest results through it.  This module reads
+``(net, sink RR node)`` to timing edges; :func:`routed_edge_delays`
+scatters forest results through it.  This module reads
 :mod:`repro.par` types for annotations only, and calls
 :func:`repro.par.routing.terminal_rr_nodes` lazily, so importing
 :mod:`repro.timing` never loads the PAR package.
@@ -34,7 +33,7 @@ retimer) scatter forest results through it.  This module reads
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -71,7 +70,7 @@ def _join_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray,
 class ConnectionJoin:
     """Forest connections ``(net, sink RR node)`` -> timing edges.
 
-    Built once per (timing graph, placement, device).  Every unique
+    Built per (timing graph, placement, device).  Every unique
     ``(net, sink_rr)`` pair of the graph's edges gets a dense connection id
     in key order (:attr:`keys`, encoded ``net * num_rr_nodes + sink_rr``
     like :meth:`~repro.par.forest.RouteForest.connection_keys`), and
@@ -84,24 +83,20 @@ class ConnectionJoin:
         from ..par.routing import terminal_rr_nodes
 
         rr = device.rr_graph
-        #: ``block -> SINK RR node``: the router's own terminal mapping, so
-        #: the connection keys here always match the sinks it searches for.
-        self.sink_of: Dict[int, int] = terminal_rr_nodes(graph.netlist, placement, rr)[1]
+        # ``block -> SINK RR node``: the router's own terminal mapping, so
+        # the connection keys here always match the sinks it searches for.
+        sink_of = terminal_rr_nodes(graph.netlist, placement, rr)[1]
         sink_arr = np.full(graph.num_nodes, -1, dtype=np.int64)
-        for block, sink in self.sink_of.items():
+        for block, sink in sink_of.items():
             sink_arr[block] = sink
         edge_sink = sink_arr[graph.edge_dst]
         valid = edge_sink >= 0
         ekey = graph.edge_net.astype(np.int64) * rr.num_nodes + edge_sink
-        self.num_rr_nodes = rr.num_nodes
         # Sorted unique keys define the id order.  A sort plus a neighbour
         # compare, not np.unique, whose hash path is far slower at this size.
         keys = np.sort(ekey[valid])
         self.keys = keys[np.diff(keys, prepend=-1) != 0]
         self.edge_conn = np.where(valid, np.searchsorted(self.keys, ekey), -1).astype(np.int64)
-        #: placement-estimate edge delays, kept wherever no forest
-        #: connection feeds an edge.
-        self.estimate = estimated_edge_delays(graph, placement, device.arch)[0]
 
     @property
     def num_connections(self) -> int:
@@ -149,9 +144,8 @@ def routed_edge_delays(
     node_values[:, 1] = rr.wire_mask()
     node_values[:, 2] = (ntype == RRNodeType.OPIN) | (ntype == RRNodeType.IPIN)
 
-    join = ConnectionJoin(graph, placement, device)
-    hit, sums = join.scatter(forest, node_values)
-    edge_delay = join.estimate.copy()
+    hit, sums = ConnectionJoin(graph, placement, device).scatter(forest, node_values)
+    edge_delay = estimated_edge_delays(graph, placement, device.arch)[0]
     edge_wires = np.zeros(graph.num_edges, dtype=np.int32)
     edge_pins = np.zeros(graph.num_edges, dtype=np.int32)
     edge_delay[hit] = sums[:, 0]

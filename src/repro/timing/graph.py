@@ -11,9 +11,8 @@ Everything is stored as flat NumPy arrays sorted by topological level:
 ``edge_order_fwd`` groups edges by the level of their sink so the arrival
 scan processes one level per vector operation, ``edge_order_bwd`` groups by
 the level of their source for the required scan.  Graph topology is fixed
-per netlist; only the edge delays change as the router negotiates, which is
-what makes the per-PathFinder-iteration criticality update cheap (see
-:class:`repro.timing.sta.CriticalityTracker`).
+per netlist; only the edge delays change between analyses, which is what
+makes the incremental-STA placer's repeated re-timing cheap.
 """
 
 from __future__ import annotations

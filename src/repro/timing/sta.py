@@ -12,9 +12,7 @@ The engine runs two levelized NumPy scans over a :class:`TimingGraph`:
 Per-connection slack and VPR-style criticality ``1 - slack / Dmax`` fall out
 of the same arrays, and the critical path is extracted by walking the
 arrival argmax backwards, itemized per element (LUT / wire / switch / pin)
-from the route-forest scan of :mod:`repro.timing.delays`.  Routed delays
-reach both :func:`analyze` and the router's :class:`CriticalityTracker`
-through the same :class:`~repro.timing.delays.ConnectionJoin`.
+from the route-forest scan of :mod:`repro.timing.delays`.
 
 Invariants:
 
@@ -26,13 +24,7 @@ Invariants:
   mapped network's ``depth()`` -- STA reads the same DAG the mapper
   produced, and ``check_quality.py`` fails the benchmark when they
   diverge.
-* **Flat == dict.**  :meth:`CriticalityTracker.update_flat` (the dense
-  ``conn_crit`` vector indexed by connection id) is bit-identical to the
-  per-net dict walk ``criticality_update``, which lives in
-  ``tests/oracles.py`` as the equivalence baseline, not in this module.
-* **Criticalities are bounded.**  Every criticality lies in ``[0, 1]``;
-  connections absent from the route set score ``0.0``, so a partially
-  routed iteration can never over-prioritize missing nets.
+* **Criticalities are bounded.**  Every criticality lies in ``[0, 1]``.
 """
 
 from __future__ import annotations
@@ -46,7 +38,6 @@ from ..fpga.device import Device
 from ..obs import metrics as obs_metrics
 from ..obs.trace import span
 from .delays import (
-    ConnectionJoin,
     estimated_edge_delays,
     routed_edge_delays,
     structural_edge_delays,
@@ -54,14 +45,12 @@ from .delays import (
 from .graph import TimingGraph, build_timing_graph
 
 if TYPE_CHECKING:
-    from ..par.forest import RouteForest
     from ..par.netlist import PhysicalNetlist
     from ..par.placement import Placement
 
 __all__ = [
     "CriticalPathElement",
     "TimingAnalysis",
-    "CriticalityTracker",
     "analyze",
     "scan_edge_criticality",
 ]
@@ -77,15 +66,6 @@ class CriticalPathElement:
     name: str        #: block or net name the element belongs to
     count: int       #: number of identical elements folded into this entry
     delay_ns: float  #: total delay contributed (count * unit delay)
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict form for JSON reports."""
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "count": self.count,
-            "delay_ns": self.delay_ns,
-        }
 
 
 @dataclass
@@ -291,91 +271,3 @@ def analyze(
         logic_depth=depth,
         critical_path=path,
     )
-
-
-class CriticalityTracker:
-    """Incremental criticality updates for the timing-driven router.
-
-    Built once per :func:`repro.par.routing.route` call: the timing graph
-    and its :class:`~repro.timing.delays.ConnectionJoin` are fixed, so each
-    PathFinder iteration's update only re-times the route trees and
-    re-runs the two levelized scans.  Criticalities are sharpened by
-    ``exponent`` and capped at ``max_criticality`` so every connection keeps
-    paying a slice of the congestion cost (a fully criticality-blind
-    connection would never negotiate).
-
-    The hot path is the flat API: every unique ``(net, sink_rr)`` pair gets
-    a dense connection id (``conn_index``, the join's id order),
-    :meth:`update_flat` re-times a :class:`~repro.par.forest.RouteForest`
-    with pure NumPy gathers and refreshes :attr:`conn_crit` -- one float64
-    per connection id, updated in place -- which the routing kernels index
-    directly instead of probing a ``Dict[(net, sink), float]`` per
-    connection.  The dict-returning path it replaced is kept as a test
-    oracle in ``tests/oracles.py``.
-    """
-
-    def __init__(
-        self,
-        netlist: PhysicalNetlist,
-        placement: Placement,
-        device: Device,
-        max_criticality: float = 0.95,
-        exponent: float = 1.0,
-    ) -> None:
-        self.netlist = netlist
-        self.placement = placement
-        self.device = device
-        self.max_criticality = max_criticality
-        self.exponent = exponent
-        self.graph = build_timing_graph(netlist, device.arch.lut_delay_ns)
-        self.join = ConnectionJoin(self.graph, placement, device)
-        self.num_connections = self.join.num_connections
-        self.critical_path_ns = 0.0
-        self.updates = 0
-        num_rr = self.join.num_rr_nodes
-        #: ``(net_id, sink_rr) -> connection id`` -- the routing kernels
-        #: resolve each net sink once at setup, then index
-        #: :attr:`conn_crit` by id every iteration.
-        self.conn_index: Dict[Tuple[int, int], int] = {
-            (int(k // num_rr), int(k % num_rr)): cid for cid, k in enumerate(self.join.keys)
-        }
-        #: flat per-connection criticality, refreshed in place by
-        #: :meth:`initial_flat` / :meth:`update_flat`.
-        self.conn_crit = np.zeros(self.num_connections)
-
-    # -- flat hot path -------------------------------------------------------
-
-    def _fold_to_conns(self, crit: np.ndarray) -> np.ndarray:
-        """Sharpen, cap and max-fold edge criticalities into conn_crit."""
-        if self.exponent != 1.0:
-            crit = crit**self.exponent
-        crit = np.minimum(crit, self.max_criticality)
-        self.conn_crit.fill(0.0)
-        ec = self.join.edge_conn
-        m = ec >= 0
-        if m.any():
-            np.maximum.at(self.conn_crit, ec[m], crit[m])
-        return self.conn_crit
-
-    def initial_flat(self) -> np.ndarray:
-        """Placement-estimate criticalities as the flat conn_crit vector."""
-        *_, crit, dmax, _depth = _scan(self.graph, self.join.estimate)
-        self.critical_path_ns = dmax
-        return self._fold_to_conns(crit)
-
-    def update_flat(self, forest: RouteForest) -> np.ndarray:
-        """Re-time the route trees of ``forest``, in place.
-
-        The delay extraction (routed delays where the forest routes a
-        connection, the placement estimate elsewhere), STA scans and
-        criticality fold are pure NumPy.  Returns :attr:`conn_crit` (the
-        same array object every call).
-        """
-        hit, delays = self.join.scatter(forest, self.device.rr_graph.node_delay_ns)
-        edge_delay = self.join.estimate.copy()
-        edge_delay[hit] = delays
-        *_, crit, dmax, _depth = _scan(self.graph, edge_delay)
-        self.critical_path_ns = dmax
-        self.updates += 1
-        obs_metrics.add("sta.retime_updates")
-        return self._fold_to_conns(crit)

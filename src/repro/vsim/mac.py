@@ -41,10 +41,6 @@ class MACUnit:
         """True when the PE accumulates internally over several samples."""
         return self.settings.count_limit > 1
 
-    def reset(self) -> None:
-        self.acc = self.fmt.encode(0.0)
-        self.counter = 0
-
     def step(self, sample: int, acc_in: int) -> Tuple[int, bool]:
         """Process one sample; returns ``(output_word, done_flag)``.
 

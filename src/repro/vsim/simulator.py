@@ -131,9 +131,3 @@ class VCGRASimulator:
                 outputs[out_name].append(self.fmt.decode(pe_out.get(pos, zero)))
 
         return SimulationTrace(outputs=outputs, pe_outputs=pe_hist, steps=num_steps)
-
-    # -- convenience -------------------------------------------------------------------
-
-    def reset(self) -> None:
-        for unit in self.units.values():
-            unit.reset()

@@ -38,9 +38,6 @@ directory on ``sys.path``):
   route's ``(target, path, attach)`` connections that the route-forest
   scan :func:`~repro.timing.delays.routed_edge_delays` must equal bit for
   bit;
-* :func:`criticality_initial` / :func:`criticality_update` -- the per-net
-  dict walk the flat :class:`~repro.timing.sta.CriticalityTracker` path
-  must equal bit for bit;
 * :func:`build_rr_graph_reference` -- the per-edge append builder the
   closed-form :func:`~repro.fpga.routing_graph.build_rr_graph` must equal
   array for array, including each node's edge order
@@ -67,8 +64,7 @@ from repro.netlist.boolean import restrict, wire_source
 from repro.netlist.circuit import Circuit, Op
 from repro.netlist.library import eval_gate
 from repro.netlist.simulate import _pattern_mask, simulate_patterns
-from repro.obs import metrics as obs_metrics
-from repro.par.forest import FOREST_ARRAYS, _fragment_from_conns, build_route_forest
+from repro.par.forest import FOREST_ARRAYS, _append_conn, _NetFragment, build_route_forest
 from repro.par.netlist import PhysicalNetlist
 from repro.par.placement import (
     Placement,
@@ -95,7 +91,7 @@ from repro.timing.delays import (
     structural_edge_delays,
 )
 from repro.timing.graph import TimingGraph, build_timing_graph
-from repro.timing.sta import CriticalityTracker, _scan, scan_edge_criticality
+from repro.timing.sta import scan_edge_criticality
 from repro.util.resilience import Deadline
 
 __all__ = [
@@ -108,8 +104,6 @@ __all__ = [
     "simulate_patterns_reference",
     "param_bit_values_reference",
     "routed_edge_delays_reference",
-    "criticality_initial",
-    "criticality_update",
     "build_rr_graph_reference",
     "rr_graph_differences",
     "routing_differences",
@@ -117,6 +111,15 @@ __all__ = [
 
 
 # -- routing -------------------------------------------------------------------
+
+
+def _fragment_from_conns(source: int, conns) -> _NetFragment:
+    """Fragment from a route's ``(target, path, attach)`` connection list."""
+    f = _NetFragment(source)
+    pos_of: Dict[int, int] = {source: -1}
+    for target, path, attach in conns:
+        _append_conn(f, pos_of, target, path, attach)
+    return f.freeze()
 
 
 def route_reference(
@@ -732,7 +735,7 @@ def param_bit_values_reference(circuit: Circuit, param_words: Mapping[str, int])
     return values
 
 
-# -- routed delays and timing-driven routing criticalities ----------------------
+# -- routed delays -------------------------------------------------------------
 
 
 def _walk_connections(conns, delay_ns, is_wire, is_pin, acc):
@@ -763,7 +766,6 @@ def routed_edge_delays_reference(
     routes: Mapping[int, NetRoute],
     placement: Placement,
     device: Device,
-    fallback: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-net dict walk of the route trees' connection lists.
 
@@ -772,7 +774,7 @@ def routed_edge_delays_reference(
     ``retime`` section's ``delays_identical`` gate in ``check_quality.py``,
     which also times it as the flat path's baseline.  Returns
     ``(edge_delay, edge_wires, edge_pins)``; connections whose net has no
-    route tree keep ``fallback`` (default: the placement estimate).
+    route tree keep the placement estimate.
     """
     rr = device.rr_graph
     delay_ns = rr.node_delay_ns
@@ -780,9 +782,7 @@ def routed_edge_delays_reference(
     is_wire = (ntype == RRNodeType.CHANX) | (ntype == RRNodeType.CHANY)
     is_pin = (ntype == RRNodeType.OPIN) | (ntype == RRNodeType.IPIN)
 
-    if fallback is None:
-        fallback = estimated_edge_delays(graph, placement, device.arch)[0]
-    edge_delay = fallback.copy()
+    edge_delay = estimated_edge_delays(graph, placement, device.arch)[0]
     edge_wires = np.zeros(graph.num_edges, dtype=np.int32)
     edge_pins = np.zeros(graph.num_edges, dtype=np.int32)
 
@@ -810,52 +810,6 @@ def routed_edge_delays_reference(
             continue
         edge_delay[i], edge_wires[i], edge_pins[i] = hit
     return edge_delay, edge_wires, edge_pins
-
-
-def _conn_dict(
-    tracker: CriticalityTracker, crit: np.ndarray
-) -> Dict[Tuple[int, int], float]:
-    if tracker.exponent != 1.0:
-        crit = crit**tracker.exponent
-    crit = np.minimum(crit, tracker.max_criticality)
-    g = tracker.graph
-    out: Dict[Tuple[int, int], float] = {}
-    for i in range(g.num_edges):
-        srr = tracker.join.sink_of.get(int(g.edge_dst[i]))
-        if srr is None:
-            continue
-        key = (int(g.edge_net[i]), srr)
-        c = float(crit[i])
-        if c > out.get(key, -1.0):
-            out[key] = c
-    return out
-
-
-def criticality_initial(tracker: CriticalityTracker) -> Dict[Tuple[int, int], float]:
-    """Placement-estimate criticalities as a ``(net, sink_rr) -> crit`` dict.
-
-    Checks ``tracker.initial_flat()`` bit for bit (``test_forest.py``).
-    """
-    *_, crit, dmax, _depth = _scan(tracker.graph, tracker.join.estimate)
-    tracker.critical_path_ns = dmax
-    return _conn_dict(tracker, crit)
-
-
-def criticality_update(tracker: CriticalityTracker, routes) -> Dict[Tuple[int, int], float]:
-    """Re-time the route trees with the per-net dict walk (dict).
-
-    Checks ``tracker.update_flat()`` bit for bit: ``test_forest.py`` and the
-    ``retime`` section's ``criticality_identical`` gate in
-    ``check_quality.py``, which also times it as the flat path's baseline.
-    """
-    edge_delay, _w, _p = routed_edge_delays_reference(
-        tracker.graph, routes, tracker.placement, tracker.device, fallback=tracker.join.estimate
-    )
-    *_, crit, dmax, _depth = _scan(tracker.graph, edge_delay)
-    tracker.critical_path_ns = dmax
-    tracker.updates += 1
-    obs_metrics.add("sta.retime_updates")
-    return _conn_dict(tracker, crit)
 
 
 # -- RR graph ------------------------------------------------------------------

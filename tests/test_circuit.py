@@ -87,26 +87,11 @@ class TestConstruction:
 
 
 class TestQueries:
-    def test_stats(self):
-        c, _ = small_and_or()
-        st = c.stats()
-        assert st.num_inputs == 3
-        assert st.num_gates == 2
-        assert st.num_outputs == 1
-        assert st.depth == 2
-
     def test_depth_of_leaf_only_circuit(self):
         c = Circuit()
         a = c.add_input("a")
         c.add_output("y", a)
         assert c.depth() == 0
-
-    def test_levels(self):
-        c, (a, b, d, ab, out) = small_and_or()
-        lv = c.levels()
-        assert lv[a] == 0
-        assert lv[ab] == 1
-        assert lv[out] == 2
 
 
 class TestTransforms:

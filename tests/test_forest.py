@@ -14,8 +14,6 @@ import numpy as np
 import pytest
 from oracles import (
     candidates_timing_placement,
-    criticality_initial,
-    criticality_update,
     net_criticality_from_placement,
     route_reference,
     routed_edge_delays_reference,
@@ -37,9 +35,9 @@ from repro.par.routing import (
 )
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional
-from repro.timing.delays import estimated_edge_delays, routed_edge_delays
+from repro.timing.delays import routed_edge_delays
 from repro.timing.graph import build_timing_graph
-from repro.timing.sta import CriticalityTracker, _scan, analyze
+from repro.timing.sta import _scan, analyze
 
 KERNELS = ["astar", "reference"]
 
@@ -94,10 +92,7 @@ class TestForestRoundTrip:
         nl, arch, device, placement, results = routed_pe
         r = results[kernel]
         graph = build_timing_graph(nl, arch.lut_delay_ns)
-        fb = estimated_edge_delays(graph, placement, arch)[0]
-        d_dict, w_dict, p_dict = routed_edge_delays_reference(
-            graph, r.routes, placement, device, fallback=fb
-        )
+        d_dict, w_dict, p_dict = routed_edge_delays_reference(graph, r.routes, placement, device)
         d_flat, w_flat, p_flat = routed_edge_delays(graph, r.forest, placement, device)
         assert np.array_equal(d_dict, d_flat)
         assert np.array_equal(w_dict, w_flat)
@@ -183,65 +178,17 @@ class TestForestRoundTrip:
             )
 
 
-class TestFlatCriticality:
-    def test_tracker_flat_matches_dict(self, routed_pe):
-        """conn_crit[conn_index[k]] == legacy dict[k], bit for bit."""
-        nl, _arch, device, placement, results = routed_pe
-        r = results["astar"]
-        tracker = CriticalityTracker(nl, placement, device, exponent=2.0)
-        flat = tracker.update_flat(r.forest).copy()
-        legacy = criticality_update(tracker, r.routes)
-        assert set(legacy) <= set(tracker.conn_index)
-        for key, value in legacy.items():
-            assert flat[tracker.conn_index[key]] == value
-        # Keys the dict never saw must be zero-criticality connections.
-        for key, cid in tracker.conn_index.items():
-            if key not in legacy:
-                assert flat[cid] == 0.0
-
-    def test_tracker_initial_flat_matches_dict(self, routed_pe):
-        nl, _arch, device, placement, _results = routed_pe
-        tracker = CriticalityTracker(nl, placement, device)
-        flat = tracker.initial_flat().copy()
-        legacy = criticality_initial(tracker)
-        for key, value in legacy.items():
-            assert flat[tracker.conn_index[key]] == value
-
-    def test_conn_crit_updates_in_place(self, routed_pe):
-        nl, _arch, device, placement, results = routed_pe
-        tracker = CriticalityTracker(nl, placement, device)
-        first = tracker.initial_flat()
-        second = tracker.update_flat(results["astar"].forest)
-        assert first is second  # same buffer, refreshed in place
-
-    def test_timing_objective_kernels_agree_with_pre_forest_quality(self, routed_pe):
-        """Timing routes still converge and beat/match the default delay."""
-        nl, _arch, device, placement, results = routed_pe
-        base = results["astar"]
-        a_base = analyze(nl, base, device, placement=placement)
-        timed = route(
-            nl, placement, device,
-            objective="timing", criticality_exponent=2.0,
-        )
-        assert timed.success
-        a_t = analyze(nl, timed, device, placement=placement)
-        assert a_t.critical_path_ns <= 1.05 * a_base.critical_path_ns
-
-
-    def test_timing_route_returns_its_final_trees(self):
-        """A multi-iteration timing route carries its converged trees.
-
-        Regression: the router re-timed, and returned, the first
-        iteration's forest whenever a timing route took more than one
-        iteration, so the reported trees still overused the channels.
-        """
+class TestConvergedForest:
+    def test_multi_iteration_route_returns_its_final_trees(self):
+        """A route that negotiates over several iterations carries its
+        converged trees: no RR node is used by more nets than it holds."""
         from repro.par.netlist import from_mapped_network
 
         nl = from_mapped_network(adder_network(16))
         arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=3)
         device = build_device(arch)
         placement = place(nl, arch, seed=2, effort=0.4).placement
-        r = route(nl, placement, device, objective="timing")
+        r = route(nl, placement, device)
         assert r.success and r.iterations > 1
         rr = device.rr_graph
         f = r.forest

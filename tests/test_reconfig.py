@@ -116,6 +116,28 @@ class TestCostModel:
         assert model.diff_switch_time_ms(7) == pytest.approx(model.time_from_frames_ms(7))
 
 
+class TestLibraryLayout:
+    def test_bitstream_of_another_channel_width_is_rejected(self):
+        # W=10 and W=11 on a 34x34 grid share the frame count and size but
+        # not the tile size, so a W=11 tile would land on other bits.
+        narrow = ConfigurationLayout(FPGAArchitecture(width=34, height=34, channel_width=10))
+        wide = ConfigurationLayout(FPGAArchitecture(width=34, height=34, channel_width=11))
+        assert (narrow.total_frames, narrow.frame_bits) == (wide.total_frames, wide.frame_bits)
+        assert narrow.tile_bits != wide.tile_bits
+        bs = Bitstream(wide)
+        bs.set_lut_config(5, 20, 0xBEEF)
+        lib = ContextLibrary(narrow)
+        with pytest.raises(ValueError, match="different configuration layout"):
+            lib.add_bitstream("wide", bs)
+        assert "wide" not in lib
+
+    def test_bitstream_of_an_equal_layout_is_accepted(self, layout):
+        twin = ConfigurationLayout(layout.arch)
+        bs = random_bitstream(twin, seed=7)
+        lib = ContextLibrary(layout)
+        assert lib.add_bitstream("twin", bs).image == bs.frame_image()
+
+
 class TestScheduler:
     def test_switch_is_bit_identical_to_full_reconfiguration(self, library):
         sched = ReconfigScheduler(library, budget_frames=40)
@@ -204,13 +226,6 @@ class TestScheduler:
         assert sched.stats()["resident_contexts"] == 0
         assert sched.stats()["hit_rate"] == 0.0
 
-    def test_reset_clears_state(self, library):
-        sched = ReconfigScheduler(library, budget_frames=50)
-        sched.switch_to("ctx0")
-        sched.reset()
-        assert sched.active_name is None and not sched.active_image
-        assert sched.stats()["switches"] == 0 and sched.stats()["resident_contexts"] == 0
-
 
 class TestTrace:
     def test_trace_is_deterministic_per_seed(self):
@@ -256,8 +271,6 @@ class TestTrace:
         assert report.contexts_per_sec == pytest.approx(
             150 / (report.total_time_ms / 1000.0)
         )
-        keys = set(report.as_dict())
-        assert {"contexts_per_sec", "amortized_switch_ms", "hit_rate", "frame_savings"} <= keys
 
 
 class TestLibraryBuild:

@@ -37,6 +37,7 @@ from repro.par import (
     place_and_route,
     route_resilient,
 )
+from repro.par.flow import timing_driven_placement
 from repro.par.netlist import from_mapped_network
 from repro.par.placement import place
 from repro.par.routing import route, routing_to_payload
@@ -495,16 +496,20 @@ class TestRouteResilient:
                 route_resilient(netlist, placement, device, events=events)
         assert count_events(events, "kernel-error") == 2
 
-    def test_timing_objective_kept_on_retry(self, placed_chain):
-        netlist, placement, arch, device = placed_chain
+    def test_timing_objective_kept_on_retry(self, monkeypatch):
+        # A timing flow whose route times out once keeps its timing
+        # placement, and the retry routes it exactly as route() does.
+        monkeypatch.delenv("REPRO_PAR_CACHE", raising=False)
         with fault_plan(FaultPlan.from_spec("route.kernel=timeout:1")):
-            events = []
-            result = route_resilient(
-                netlist, placement, device, objective="timing", events=events
+            par = place_and_route(
+                adder_network(), channel_width=8, placement_effort=0.3, objective="timing"
             )
-        assert count_events(events, "route-retry") == 1
-        plain = route(netlist, placement, device, objective="timing")
-        assert not routing_differences(result, plain)
+        assert par.objective == "timing" and par.degraded
+        placed = timing_driven_placement(par.netlist, par.device.arch, effort=0.3).placement
+        assert par.placement.placement.block_site == placed.block_site
+        assert count_events(par.events, "route-retry") == 1
+        plain = route(par.netlist, par.placement.placement, par.device)
+        assert not routing_differences(par.routing, plain)
 
 
 # ---------------------------------------------------------------------------

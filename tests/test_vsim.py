@@ -119,19 +119,3 @@ class TestSimulatorConfiguration:
         sim = VCGRASimulator(arch, settings)
         with pytest.raises(ValueError):
             sim.run({})
-
-    def test_reset_clears_accumulators(self):
-        arch = make_arch(rows=1, cols=1)
-        settings = VCGRASettings(arch=arch)
-        pe = settings.pe((0, 0))
-        pe.enabled = True
-        pe.op = PEOp.MAC
-        pe.coefficient = FMT.encode(1.0)
-        pe.count_limit = 8
-        settings.input_bindings["x"] = [((0, 0), 0)]
-        settings.output_bindings["y"] = (0, 0)
-        sim = VCGRASimulator(arch, settings)
-        first = sim.run({"x": [1.0, 1.0]}).outputs["y"][-1]
-        sim.reset()
-        second = sim.run({"x": [1.0, 1.0]}).outputs["y"][-1]
-        assert first == pytest.approx(second)
